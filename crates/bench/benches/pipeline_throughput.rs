@@ -93,7 +93,7 @@ fn bench_builtin_vs_declarative_smooth(c: &mut Criterion) {
             let mut n = 0;
             for (i, batch) in batches.iter().enumerate() {
                 n += stage
-                    .process(Ts::from_millis(i as u64 * 200), batch.clone())
+                    .process(Ts::from_millis(i as u64 * 200), batch.clone().into())
                     .unwrap()
                     .len();
             }
@@ -113,7 +113,7 @@ fn bench_builtin_vs_declarative_smooth(c: &mut Criterion) {
             let mut n = 0;
             for (i, batch) in batches.iter().enumerate() {
                 n += stage
-                    .process(Ts::from_millis(i as u64 * 200), batch.clone())
+                    .process(Ts::from_millis(i as u64 * 200), batch.clone().into())
                     .unwrap()
                     .len();
             }

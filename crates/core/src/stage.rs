@@ -4,39 +4,27 @@
 //! continuous queries; user-defined functions or aggregates; arbitrary
 //! code." [`DeclarativeStage`] covers the first, [`FnStage`] the second,
 //! and any hand-written `impl Stage` the third.
+//!
+//! However a stage is written, it speaks one protocol: an epoch's input
+//! arrives as one [`Payload`] and the epoch's output leaves as one. A
+//! row-at-a-time stage starts with `input.into_rows()` (lossless) and
+//! returns `Payload::Rows`; a chunk-native stage ([`DeclarativeStage`])
+//! matches on the payload and keeps columnar input columnar.
 
 use esp_query::ContinuousQuery;
 use esp_stream::{ops::SegBuf, unexpected_state, Operator, Payload, StageState};
-use esp_types::{Batch, Chunk, Determinism, EspError, FieldEffects, Result, Ts, Tuple};
+use esp_types::{Batch, Determinism, EspError, FieldEffects, Result, Ts, Tuple};
 
 /// One processing stage of an ESP pipeline.
 ///
-/// A stage receives the epoch's input tuples and emits the epoch's output;
+/// A stage receives the epoch's input and emits the epoch's output;
 /// windowing (temporal or spatial aggregation) is internal stage state.
 pub trait Stage: Send {
     /// Human-readable name for diagnostics.
     fn name(&self) -> &str;
 
     /// Process one epoch.
-    fn process(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Batch>;
-
-    /// Whether this stage consumes and produces columnar chunks natively.
-    /// Purely informational — [`Stage::process_chunks`] is always safe to
-    /// call — but lets adapters and diagnostics report where the columnar
-    /// data path demotes to rows.
-    fn accepts_chunks(&self) -> bool {
-        false
-    }
-
-    /// Process one epoch whose input arrived as columnar chunks. The
-    /// default materializes the rows and delegates to [`Stage::process`],
-    /// so every row-at-a-time stage (UDFs, arbitrary code) works
-    /// unmodified; chunk-native stages ([`DeclarativeStage`]) override it
-    /// to keep the columns intact end-to-end.
-    fn process_chunks(&mut self, epoch: Ts, chunks: Vec<Chunk>) -> Result<Payload> {
-        let rows: Vec<Tuple> = chunks.iter().flat_map(Chunk::to_tuples).collect();
-        self.process(epoch, rows).map(Payload::Rows)
-    }
+    fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload>;
 
     /// Capture cross-epoch state for a durability checkpoint (called at
     /// epoch boundaries only). The default declares the stage stateless —
@@ -121,22 +109,21 @@ impl Stage for DeclarativeStage {
         &self.name
     }
 
-    fn process(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Batch> {
-        if !input.is_empty() {
-            self.query.push(&self.stream, &input)?;
+    fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload> {
+        match input {
+            Payload::Rows(rows) => {
+                if !rows.is_empty() {
+                    self.query.push(&self.stream, &rows)?;
+                }
+                self.query.tick(epoch).map(Payload::Rows)
+            }
+            Payload::Chunks(chunks) => {
+                for chunk in chunks {
+                    self.query.push_chunk(&self.stream, chunk)?;
+                }
+                Ok(Payload::Chunks(vec![self.query.tick_chunk(epoch)?]))
+            }
         }
-        self.query.tick(epoch)
-    }
-
-    fn accepts_chunks(&self) -> bool {
-        true
-    }
-
-    fn process_chunks(&mut self, epoch: Ts, chunks: Vec<Chunk>) -> Result<Payload> {
-        for chunk in chunks {
-            self.query.push_chunk(&self.stream, chunk)?;
-        }
-        Ok(Payload::Chunks(vec![self.query.tick_chunk(epoch)?]))
     }
 
     fn state(&self) -> Result<Option<StageState>> {
@@ -227,7 +214,8 @@ impl Stage for FnStage {
         &self.name
     }
 
-    fn process(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Batch> {
+    fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload> {
+        let input = input.into_rows();
         match &mut self.kind {
             FnKind::PerTuple(f) => {
                 let mut out = Batch::with_capacity(input.len());
@@ -236,9 +224,9 @@ impl Stage for FnStage {
                         out.push(mapped);
                     }
                 }
-                Ok(out)
+                Ok(Payload::Rows(out))
             }
-            FnKind::PerEpoch(f) => f(epoch, input),
+            FnKind::PerEpoch(f) => f(epoch, input).map(Payload::Rows),
         }
     }
 
@@ -248,9 +236,9 @@ impl Stage for FnStage {
 }
 
 /// Adapter running any [`Stage`] as an [`esp_stream::Operator`] so the ESP
-/// processor can place it in a dataflow. Chunk arrivals stay columnar when
-/// the whole epoch arrived as chunks; mixed epochs are processed as rows
-/// in arrival order.
+/// processor can place it in a dataflow. The stage sees the epoch's
+/// arrivals as one payload: columnar when the whole epoch arrived as
+/// chunks, rows in arrival order otherwise.
 pub struct StageOperator {
     stage: Box<dyn Stage>,
     buf: SegBuf,
@@ -264,13 +252,6 @@ impl StageOperator {
             buf: SegBuf::default(),
         }
     }
-
-    fn run_epoch(&mut self, epoch: Ts) -> Result<Payload> {
-        match self.buf.take() {
-            Payload::Chunks(chunks) => self.stage.process_chunks(epoch, chunks),
-            Payload::Rows(rows) => self.stage.process(epoch, rows).map(Payload::Rows),
-        }
-    }
 }
 
 impl Operator for StageOperator {
@@ -278,22 +259,13 @@ impl Operator for StageOperator {
         self.stage.name()
     }
 
-    fn push(&mut self, _port: usize, batch: &[Tuple]) -> Result<()> {
-        self.buf.push_rows(batch);
+    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+        self.buf.push(input.clone());
         Ok(())
     }
 
-    fn push_chunk(&mut self, _port: usize, chunk: &Chunk) -> Result<()> {
-        self.buf.push_chunk(chunk);
-        Ok(())
-    }
-
-    fn flush(&mut self, epoch: Ts) -> Result<Batch> {
-        self.run_epoch(epoch).map(Payload::into_rows)
-    }
-
-    fn flush_payload(&mut self, epoch: Ts) -> Result<Payload> {
-        self.run_epoch(epoch)
+    fn flush(&mut self, epoch: Ts) -> Result<Payload> {
+        self.stage.process(epoch, self.buf.take())
     }
 
     fn state(&self) -> Result<Option<StageState>> {
@@ -324,11 +296,25 @@ impl Operator for StageOperator {
     }
 }
 
+/// Test convenience: drive any stage with rows and read rows back.
+#[cfg(test)]
+pub(crate) trait ProcessRows {
+    fn process_rows(&mut self, epoch: Ts, rows: Vec<Tuple>) -> Result<Batch>;
+}
+
+#[cfg(test)]
+impl<S: Stage + ?Sized> ProcessRows for S {
+    fn process_rows(&mut self, epoch: Ts, rows: Vec<Tuple>) -> Result<Batch> {
+        self.process(epoch, Payload::Rows(rows))
+            .map(Payload::into_rows)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use esp_query::Engine;
-    use esp_types::{well_known, TupleBuilder, Value};
+    use esp_types::{well_known, Chunk, TupleBuilder, Value};
 
     fn rfid(ts: Ts, tag: &str) -> Tuple {
         TupleBuilder::new(&well_known::rfid_schema(), ts)
@@ -347,13 +333,15 @@ mod tests {
             .compile("SELECT tag_id, count(*) FROM smooth_input [Range By '5 sec'] GROUP BY tag_id")
             .unwrap();
         let mut stage = DeclarativeStage::new("smooth", q).unwrap();
-        let out = stage.process(Ts::ZERO, vec![rfid(Ts::ZERO, "a")]).unwrap();
+        let out = stage
+            .process_rows(Ts::ZERO, vec![rfid(Ts::ZERO, "a")])
+            .unwrap();
         assert_eq!(out.len(), 1);
         // The tag persists through the granule even with no new input.
-        let out = stage.process(Ts::from_secs(3), vec![]).unwrap();
+        let out = stage.process_rows(Ts::from_secs(3), vec![]).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("tag_id"), Some(&Value::str("a")));
-        let out = stage.process(Ts::from_secs(8), vec![]).unwrap();
+        let out = stage.process_rows(Ts::from_secs(8), vec![]).unwrap();
         assert!(out.is_empty());
     }
 
@@ -372,7 +360,7 @@ mod tests {
             Ok((t.get("tag_id") != Some(&Value::str("b"))).then(|| t.clone()))
         });
         let out = stage
-            .process(Ts::ZERO, vec![rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "b")])
+            .process_rows(Ts::ZERO, vec![rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "b")])
             .unwrap();
         assert_eq!(out.len(), 1);
     }
@@ -391,7 +379,7 @@ mod tests {
             )?])
         });
         let out = stage
-            .process(
+            .process_rows(
                 Ts::from_secs(1),
                 vec![rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "b")],
             )
@@ -465,13 +453,12 @@ mod tests {
             .compile("SELECT tag_id, count(*) FROM smooth_input [Range By '5 sec'] GROUP BY tag_id")
             .unwrap();
         let mut stage = DeclarativeStage::new("smooth", q).unwrap();
-        assert!(stage.accepts_chunks());
         let chunk = Chunk::from_tuples(
             &esp_types::well_known::rfid_schema(),
             &[rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "b")],
         )
         .unwrap();
-        let out = stage.process_chunks(Ts::ZERO, vec![chunk]).unwrap();
+        let out = stage.process(Ts::ZERO, vec![chunk].into()).unwrap();
         let Payload::Chunks(chunks) = out else {
             panic!("declarative stage demoted to rows");
         };
@@ -483,26 +470,31 @@ mod tests {
             .unwrap();
         let mut twin = DeclarativeStage::new("smooth", q).unwrap();
         let row_out = twin
-            .process(Ts::ZERO, vec![rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "b")])
+            .process(
+                Ts::ZERO,
+                vec![rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "b")].into(),
+            )
             .unwrap();
+        let Payload::Rows(row_out) = row_out else {
+            panic!("row input came back columnar");
+        };
         let chunk_rows: Vec<Tuple> = chunks.iter().flat_map(Chunk::to_tuples).collect();
         assert_eq!(chunk_rows, row_out);
     }
 
     #[test]
-    fn row_stage_receives_chunk_input_through_the_shim() {
+    fn row_stage_receives_chunk_input_as_rows() {
         let stage = FnStage::per_tuple("drop-b", |t| {
             Ok((t.get("tag_id") != Some(&Value::str("b"))).then(|| t.clone()))
         });
-        assert!(!stage.accepts_chunks());
         let mut op = StageOperator::new(Box::new(stage));
         let chunk = Chunk::from_tuples(
             &esp_types::well_known::rfid_schema(),
             &[rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "b")],
         )
         .unwrap();
-        op.push_chunk(0, &chunk).unwrap();
-        let out = op.flush(Ts::ZERO).unwrap();
+        op.push(0, &vec![chunk].into()).unwrap();
+        let out = op.flush(Ts::ZERO).unwrap().into_rows();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("tag_id"), Some(&Value::str("a")));
     }
@@ -511,15 +503,15 @@ mod tests {
     fn mixed_row_and_chunk_epoch_preserves_arrival_order() {
         let stage = FnStage::per_epoch("id", |_, input| Ok(input));
         let mut op = StageOperator::new(Box::new(stage));
-        op.push(0, &[rfid(Ts::ZERO, "r1")]).unwrap();
+        op.push(0, &vec![rfid(Ts::ZERO, "r1")].into()).unwrap();
         let chunk = Chunk::from_tuples(
             &esp_types::well_known::rfid_schema(),
             &[rfid(Ts::ZERO, "c1")],
         )
         .unwrap();
-        op.push_chunk(0, &chunk).unwrap();
-        op.push(0, &[rfid(Ts::ZERO, "r2")]).unwrap();
-        let out = op.flush(Ts::ZERO).unwrap();
+        op.push(0, &vec![chunk].into()).unwrap();
+        op.push(0, &vec![rfid(Ts::ZERO, "r2")].into()).unwrap();
+        let out = op.flush(Ts::ZERO).unwrap().into_rows();
         let tags: Vec<_> = out.iter().map(|t| t.get("tag_id").cloned()).collect();
         assert_eq!(
             tags,
@@ -535,8 +527,8 @@ mod tests {
     fn stage_operator_adapts() {
         let stage = FnStage::per_tuple("id", |t| Ok(Some(t.clone())));
         let mut op = StageOperator::new(Box::new(stage));
-        op.push(0, &[rfid(Ts::ZERO, "a")]).unwrap();
-        op.push(0, &[rfid(Ts::ZERO, "b")]).unwrap();
+        op.push(0, &vec![rfid(Ts::ZERO, "a")].into()).unwrap();
+        op.push(0, &vec![rfid(Ts::ZERO, "b")].into()).unwrap();
         assert_eq!(op.flush(Ts::ZERO).unwrap().len(), 2);
         assert_eq!(op.name(), "id");
         assert!(op.flush(Ts::ZERO).unwrap().is_empty());

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use esp_stream::StageState;
+use esp_stream::{Payload, StageState};
 use esp_types::{Batch, DataType, Field, Result, Schema, Ts, Tuple, Value, ValueKey};
 
 use crate::stage::Stage;
@@ -99,7 +99,8 @@ impl Stage for ArbitrateStage {
         &self.name
     }
 
-    fn process(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Batch> {
+    fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload> {
+        let input = input.into_rows();
         // Sum sightings per (key, granule) over this epoch's input.
         struct PerKey {
             key_value: Value,
@@ -157,7 +158,7 @@ impl Stage for ArbitrateStage {
                 ));
             }
         }
-        Ok(out)
+        Ok(Payload::Rows(out))
     }
 
     // Arbitrate's candidate sets are rebuilt from each epoch's input —
@@ -173,6 +174,7 @@ impl Stage for ArbitrateStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::ProcessRows;
     use esp_types::TupleBuilder;
 
     fn smoothed(ts: Ts, granule: &str, tag: &str, count: i64) -> Tuple {
@@ -210,7 +212,7 @@ mod tests {
     fn majority_granule_wins() {
         let mut a = ArbitrateStage::new("arbitrate", TieBreak::KeepAll);
         let out = a
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![
                     smoothed(Ts::ZERO, "shelf0", "tag-1", 12),
@@ -229,7 +231,7 @@ mod tests {
     fn tie_keep_all_emits_both() {
         let mut a = ArbitrateStage::new("arbitrate", TieBreak::KeepAll);
         let out = a
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![
                     smoothed(Ts::ZERO, "shelf0", "tag-1", 5),
@@ -250,7 +252,7 @@ mod tests {
             TieBreak::Priority(vec![Arc::from("shelf1"), Arc::from("shelf0")]),
         );
         let out = a
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![
                     smoothed(Ts::ZERO, "shelf0", "tag-1", 5),
@@ -281,7 +283,7 @@ mod tests {
         };
         let mut a = ArbitrateStage::new("arbitrate", TieBreak::KeepAll);
         let out = a
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![raw("shelf0", "t"), raw("shelf0", "t"), raw("shelf1", "t")],
             )
@@ -302,12 +304,12 @@ mod tests {
             .build()
             .unwrap();
         let mut a = ArbitrateStage::new("arbitrate", TieBreak::KeepAll);
-        assert!(a.process(Ts::ZERO, vec![t]).is_err());
+        assert!(a.process_rows(Ts::ZERO, vec![t]).is_err());
     }
 
     #[test]
     fn empty_epoch_is_empty() {
         let mut a = ArbitrateStage::new("arbitrate", TieBreak::KeepAll);
-        assert!(a.process(Ts::ZERO, vec![]).unwrap().is_empty());
+        assert!(a.process_rows(Ts::ZERO, vec![]).unwrap().is_empty());
     }
 }

@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use esp_stream::stats::RunningStats;
-use esp_stream::{StageState, WindowBuffer};
+use esp_stream::{Payload, StageState, WindowBuffer};
 use esp_types::{
     snap, Batch, DataType, Field, Result, Schema, SpatialGranule, Ts, Tuple, Value, ValueKey,
 };
@@ -176,14 +176,8 @@ impl MergeStage {
         self.out_schema = Some(Arc::clone(&s));
         Ok(s)
     }
-}
 
-impl Stage for MergeStage {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Batch> {
+    fn merge(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Batch> {
         match &self.mode {
             MergeMode::UnionAll { dedup_key } => {
                 let dedup_key = dedup_key.clone();
@@ -327,6 +321,16 @@ impl Stage for MergeStage {
             }
         }
     }
+}
+
+impl Stage for MergeStage {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload> {
+        self.merge(epoch, input.into_rows()).map(Payload::Rows)
+    }
 
     fn state(&self) -> Result<Option<StageState>> {
         let mut out = Vec::new();
@@ -348,6 +352,7 @@ impl Stage for MergeStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::ProcessRows;
     use esp_types::{well_known, TimeDelta, TupleBuilder};
 
     fn temp(ts: Ts, id: i64, celsius: f64) -> Tuple {
@@ -385,7 +390,7 @@ mod tests {
             1.0,
         );
         let out = m
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![
                     temp(Ts::ZERO, 1, 20.0),
@@ -411,7 +416,7 @@ mod tests {
             1.0,
         );
         let out = m
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![temp(Ts::ZERO, 1, 20.0), temp(Ts::ZERO, 2, 22.0)],
             )
@@ -430,7 +435,7 @@ mod tests {
             "temp",
             1.0,
         );
-        assert!(m.process(Ts::ZERO, vec![]).unwrap().is_empty());
+        assert!(m.process_rows(Ts::ZERO, vec![]).unwrap().is_empty());
     }
 
     #[test]
@@ -443,7 +448,9 @@ mod tests {
             "temp",
             1.0,
         );
-        let out = m.process(Ts::ZERO, vec![temp(Ts::ZERO, 1, 19.0)]).unwrap();
+        let out = m
+            .process_rows(Ts::ZERO, vec![temp(Ts::ZERO, 1, 19.0)])
+            .unwrap();
         assert_eq!(out.len(), 1);
     }
 
@@ -451,10 +458,10 @@ mod tests {
     fn union_all_passthrough_and_dedup() {
         let mut m = MergeStage::union_all("merge", room(), None);
         let input = vec![motion(Ts::ZERO, 1, "ON"), motion(Ts::ZERO, 1, "ON")];
-        assert_eq!(m.process(Ts::ZERO, input.clone()).unwrap().len(), 2);
+        assert_eq!(m.process_rows(Ts::ZERO, input.clone()).unwrap().len(), 2);
 
         let mut m = MergeStage::union_all("merge", room(), Some("receptor_id".into()));
-        assert_eq!(m.process(Ts::ZERO, input).unwrap().len(), 1);
+        assert_eq!(m.process_rows(Ts::ZERO, input).unwrap().len(), 1);
     }
 
     #[test]
@@ -470,7 +477,7 @@ mod tests {
         );
         // Two reports from the SAME device: not enough.
         let out = m
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![motion(Ts::ZERO, 1, "ON"), motion(Ts::ZERO, 1, "ON")],
             )
@@ -478,7 +485,7 @@ mod tests {
         assert!(out.is_empty());
         // A second device inside the window tips the vote.
         let out = m
-            .process(Ts::from_secs(1), vec![motion(Ts::from_secs(1), 2, "ON")])
+            .process_rows(Ts::from_secs(1), vec![motion(Ts::from_secs(1), 2, "ON")])
             .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("value"), Some(&Value::str("ON")));
@@ -488,7 +495,7 @@ mod tests {
     fn median_shrugs_off_a_fail_dirty_device() {
         let mut m = MergeStage::windowed_median("merge", room(), TimeDelta::from_mins(5), "temp");
         let out = m
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![
                     temp(Ts::ZERO, 1, 20.0),
@@ -505,14 +512,17 @@ mod tests {
     fn median_of_even_count_averages_middle_pair() {
         let mut m = MergeStage::windowed_median("merge", room(), TimeDelta::from_mins(5), "temp");
         let out = m
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![temp(Ts::ZERO, 1, 10.0), temp(Ts::ZERO, 2, 20.0)],
             )
             .unwrap();
         assert_eq!(out[0].get("temp"), Some(&Value::Float(15.0)));
         // Empty window → silence.
-        assert!(m.process(Ts::from_secs(600), vec![]).unwrap().is_empty());
+        assert!(m
+            .process_rows(Ts::from_secs(600), vec![])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -527,7 +537,7 @@ mod tests {
             0.5,
         );
         let out = m
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![temp(Ts::ZERO, 1, 0.0), temp(Ts::ZERO, 2, 100.0)],
             )

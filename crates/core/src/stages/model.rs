@@ -20,6 +20,7 @@
 
 use std::collections::HashMap;
 
+use esp_stream::Payload;
 use esp_types::{Batch, EspError, Result, Ts, Tuple, Value, ValueKey};
 
 use crate::stage::Stage;
@@ -157,7 +158,8 @@ impl Stage for ModelStage {
         &self.name
     }
 
-    fn process(&mut self, _epoch: Ts, input: Vec<Tuple>) -> Result<Batch> {
+    fn process(&mut self, _epoch: Ts, input: Payload) -> Result<Payload> {
+        let input = input.into_rows();
         let mut out = Batch::with_capacity(input.len());
         for t in input {
             let (Some(x), Some(y)) = (
@@ -207,13 +209,14 @@ impl Stage for ModelStage {
                 }
             }
         }
-        Ok(out)
+        Ok(Payload::Rows(out))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::ProcessRows;
     use esp_types::{well_known, TupleBuilder};
 
     fn reading(ts: Ts, id: i64, temp: f64, volts: f64) -> Tuple {
@@ -253,7 +256,7 @@ mod tests {
         for i in 0..50 {
             let temp = 18.0 + (i % 7) as f64;
             let batch = s
-                .process(
+                .process_rows(
                     Ts::from_secs(i),
                     vec![reading(Ts::from_secs(i), 1, temp, volts_for(temp))],
                 )
@@ -269,7 +272,7 @@ mod tests {
         // Warm up on a healthy sensor.
         for i in 0..30u64 {
             let temp = 18.0 + (i % 7) as f64;
-            s.process(
+            s.process_rows(
                 Ts::from_secs(i),
                 vec![reading(Ts::from_secs(i), 1, temp, volts_for(temp))],
             )
@@ -281,7 +284,7 @@ mod tests {
         for i in 0..20u64 {
             let reported = 25.0 + 5.0 * i as f64;
             let out = s
-                .process(
+                .process_rows(
                     Ts::from_secs(100 + i),
                     vec![reading(
                         Ts::from_secs(100 + i),
@@ -305,7 +308,7 @@ mod tests {
         let mut s = stage(ModelAction::Correct);
         for i in 0..30u64 {
             let temp = 15.0 + (i % 10) as f64;
-            s.process(
+            s.process_rows(
                 Ts::from_secs(i),
                 vec![reading(Ts::from_secs(i), 1, temp, volts_for(temp))],
             )
@@ -313,7 +316,7 @@ mod tests {
         }
         // A wild reading with a healthy voltage for 20 °C.
         let out = s
-            .process(
+            .process_rows(
                 Ts::from_secs(99),
                 vec![reading(Ts::from_secs(99), 1, 120.0, volts_for(20.0))],
             )
@@ -335,7 +338,7 @@ mod tests {
         for i in 0..30u64 {
             let t1 = 15.0 + (i % 10) as f64;
             let t2 = 10.0 + (i % 5) as f64;
-            s.process(
+            s.process_rows(
                 Ts::from_secs(i),
                 vec![
                     reading(Ts::from_secs(i), 1, t1, 2.7 + 0.01 * t1),
@@ -348,7 +351,7 @@ mod tests {
         // A device-2 reading judged by device-1's model would pass; by its
         // own model it fails.
         let out = s
-            .process(
+            .process_rows(
                 Ts::from_secs(99),
                 vec![reading(Ts::from_secs(99), 2, 50.0, 3.0 - 0.02 * 12.0)],
             )
@@ -361,7 +364,7 @@ mod tests {
         let mut s = stage(ModelAction::Drop);
         for i in 0..30u64 {
             let temp = 18.0 + (i % 7) as f64;
-            s.process(
+            s.process_rows(
                 Ts::from_secs(i),
                 vec![reading(Ts::from_secs(i), 1, temp, volts_for(temp))],
             )
@@ -369,7 +372,7 @@ mod tests {
         }
         // A long run of fail-dirty readings…
         for i in 0..100u64 {
-            s.process(
+            s.process_rows(
                 Ts::from_secs(100 + i),
                 vec![reading(Ts::from_secs(100 + i), 1, 120.0, volts_for(20.0))],
             )
@@ -377,7 +380,7 @@ mod tests {
         }
         // …after which a healthy reading still passes (model not dragged).
         let out = s
-            .process(
+            .process_rows(
                 Ts::from_secs(999),
                 vec![reading(Ts::from_secs(999), 1, 21.0, volts_for(21.0))],
             )
@@ -395,7 +398,7 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        let out = s.process(Ts::ZERO, vec![t]).unwrap();
+        let out = s.process_rows(Ts::ZERO, vec![t]).unwrap();
         assert_eq!(out.len(), 1);
     }
 

@@ -9,7 +9,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use esp_stream::StageState;
+use esp_stream::{Payload, StageState};
 use esp_types::{snap, Batch, Result, Ts, Tuple, Value};
 
 use crate::stage::{Stage, TupleMapFn};
@@ -133,7 +133,8 @@ impl Stage for PointStage {
         &self.name
     }
 
-    fn process(&mut self, _epoch: Ts, input: Vec<Tuple>) -> Result<Batch> {
+    fn process(&mut self, _epoch: Ts, input: Payload) -> Result<Payload> {
+        let input = input.into_rows();
         let mut out = Batch::with_capacity(input.len());
         for t in &input {
             match self.apply(t)? {
@@ -141,7 +142,7 @@ impl Stage for PointStage {
                 None => self.dropped += 1,
             }
         }
-        Ok(out)
+        Ok(Payload::Rows(out))
     }
 
     // Point filters tuples one at a time; the only thing that crosses an
@@ -163,6 +164,7 @@ impl Stage for PointStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::ProcessRows;
     use esp_types::{well_known, TupleBuilder};
 
     fn temp(ts: Ts, id: i64, celsius: f64) -> Tuple {
@@ -190,7 +192,7 @@ mod tests {
         // The paper's Query 4: filter fail-dirty readings above 50 °C.
         let mut stage = PointStage::new("point").range_filter("temp", None, Some(50.0));
         let out = stage
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![
                     temp(Ts::ZERO, 1, 22.5),
@@ -212,7 +214,7 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        let out = stage.process(Ts::ZERO, vec![null_temp]).unwrap();
+        let out = stage.process_rows(Ts::ZERO, vec![null_temp]).unwrap();
         assert!(out.is_empty());
     }
 
@@ -221,7 +223,7 @@ mod tests {
         // Digital home §6.1: antenna 1 occasionally reads an errant tag.
         let mut stage = PointStage::new("point").expected_values("tag_id", ["badge-1", "badge-2"]);
         let out = stage
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![rfid(Ts::ZERO, "badge-1"), rfid(Ts::ZERO, "errant-99")],
             )
@@ -245,7 +247,7 @@ mod tests {
                 )))
             });
         let out = stage
-            .process(Ts::ZERO, vec![temp(Ts::ZERO, 1, 20.0)])
+            .process_rows(Ts::ZERO, vec![temp(Ts::ZERO, 1, 20.0)])
             .unwrap();
         assert_eq!(out[0].get("temp"), Some(&Value::Float(68.0)));
     }
@@ -254,7 +256,7 @@ mod tests {
     fn empty_stage_is_passthrough() {
         let mut stage = PointStage::new("noop");
         let input = vec![temp(Ts::ZERO, 1, 1.0)];
-        let out = stage.process(Ts::ZERO, input.clone()).unwrap();
+        let out = stage.process_rows(Ts::ZERO, input.clone()).unwrap();
         assert_eq!(out, input);
     }
 }

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use esp_stream::stats::RunningStats;
-use esp_stream::{StageState, WindowBuffer};
+use esp_stream::{Payload, StageState, WindowBuffer};
 use esp_types::{
     snap, Batch, DataType, EspError, Field, Result, Schema, Ts, Tuple, Value, ValueKey,
 };
@@ -196,17 +196,8 @@ impl SmoothStage {
         self.out_schema = Some(Arc::clone(&schema));
         Ok(schema)
     }
-}
 
-impl Stage for SmoothStage {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Batch> {
-        if matches!(self.mode, SmoothMode::Ewma { .. }) {
-            return self.process_ewma(epoch, input);
-        }
+    fn process_window(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Batch> {
         for t in input {
             // Restamp at the epoch so window eviction tracks arrival time.
             let t = if t.ts() == epoch {
@@ -222,13 +213,13 @@ impl Stage for SmoothStage {
         }
         // Borrow-friendly: temporarily take the mode.
         match &self.mode {
-            SmoothMode::Ewma { .. } => unreachable!("handled by process_ewma above"),
+            SmoothMode::Ewma { .. } => unreachable!("handled by process_ewma"),
             SmoothMode::CountByKey { key_fields } => {
                 let key_fields = key_fields.clone();
                 let mut counts: HashMap<Vec<ValueKey>, (Vec<Value>, i64)> = HashMap::new();
                 let mut order: Vec<Vec<ValueKey>> = Vec::new();
-                for t in self.window.to_vec() {
-                    let key = Self::key_of(&key_fields, &t)?;
+                for t in self.window.contents() {
+                    let key = Self::key_of(&key_fields, t)?;
                     match counts.get_mut(&key) {
                         Some((_, n)) => *n += 1,
                         None => {
@@ -263,11 +254,11 @@ impl Stage for SmoothStage {
                 let (key_fields, value_field) = (key_fields.clone(), value_field.clone());
                 let mut stats: HashMap<Vec<ValueKey>, (Vec<Value>, RunningStats)> = HashMap::new();
                 let mut order: Vec<Vec<ValueKey>> = Vec::new();
-                for t in self.window.to_vec() {
+                for t in self.window.contents() {
                     let Some(x) = t.get(&value_field).and_then(Value::as_f64) else {
                         continue; // NULL / non-numeric samples are skipped.
                     };
-                    let key = Self::key_of(&key_fields, &t)?;
+                    let key = Self::key_of(&key_fields, t)?;
                     match stats.get_mut(&key) {
                         Some((_, s)) => s.push(x),
                         None => {
@@ -333,6 +324,22 @@ impl Stage for SmoothStage {
                 Ok(vec![Tuple::new_unchecked(schema, epoch, vals)])
             }
         }
+    }
+}
+
+impl Stage for SmoothStage {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload> {
+        let input = input.into_rows();
+        let out = if matches!(self.mode, SmoothMode::Ewma { .. }) {
+            self.process_ewma(epoch, input)
+        } else {
+            self.process_window(epoch, input)
+        };
+        out.map(Payload::Rows)
     }
 
     fn state(&self) -> Result<Option<StageState>> {
@@ -490,6 +497,7 @@ impl SmoothStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::ProcessRows;
     use esp_types::{well_known, TimeDelta, TupleBuilder};
 
     fn rfid(ts: Ts, tag: &str) -> Tuple {
@@ -526,21 +534,21 @@ mod tests {
     fn count_by_key_interpolates_missed_readings() {
         let mut s = SmoothStage::count_by_key("smooth", TimeDelta::from_secs(5), ["tag_id"]);
         // Tag seen at t=0, then dropped for 4 seconds: still reported.
-        let out = s.process(Ts::ZERO, vec![rfid(Ts::ZERO, "a")]).unwrap();
+        let out = s.process_rows(Ts::ZERO, vec![rfid(Ts::ZERO, "a")]).unwrap();
         assert_eq!(out.len(), 1);
         for sec in 1..=4u64 {
-            let out = s.process(Ts::from_secs(sec), vec![]).unwrap();
+            let out = s.process_rows(Ts::from_secs(sec), vec![]).unwrap();
             assert_eq!(out.len(), 1, "tag still in granule at {sec}s");
             assert_eq!(out[0].get("count"), Some(&Value::Int(1)));
         }
-        assert!(s.process(Ts::from_secs(6), vec![]).unwrap().is_empty());
+        assert!(s.process_rows(Ts::from_secs(6), vec![]).unwrap().is_empty());
     }
 
     #[test]
     fn count_by_key_counts_per_tag() {
         let mut s = SmoothStage::count_by_key("smooth", TimeDelta::from_secs(5), ["tag_id"]);
         let out = s
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![
                     rfid(Ts::ZERO, "a"),
@@ -562,10 +570,10 @@ mod tests {
         let mut s = SmoothStage::windowed_mean("smooth", g, ["receptor_id"], "temp");
         let mut t = Ts::ZERO;
         // One sample, then five empty epochs: the mean persists.
-        assert_eq!(s.process(t, vec![temp(t, 7, 20.0)]).unwrap().len(), 1);
+        assert_eq!(s.process_rows(t, vec![temp(t, 7, 20.0)]).unwrap().len(), 1);
         for _ in 0..5 {
             t += TimeDelta::from_mins(5);
-            let out = s.process(t, vec![]).unwrap();
+            let out = s.process_rows(t, vec![]).unwrap();
             assert_eq!(out.len(), 1);
             assert_eq!(out[0].get("temp"), Some(&Value::Float(20.0)));
         }
@@ -573,18 +581,19 @@ mod tests {
         // inclusive, so the sample survives at exactly t=30min), output
         // ceases.
         t += TimeDelta::from_mins(5);
-        assert_eq!(s.process(t, vec![]).unwrap().len(), 1);
+        assert_eq!(s.process_rows(t, vec![]).unwrap().len(), 1);
         t += TimeDelta::from_mins(5);
-        assert!(s.process(t, vec![]).unwrap().is_empty());
+        assert!(s.process_rows(t, vec![]).unwrap().is_empty());
     }
 
     #[test]
     fn windowed_mean_averages_within_window() {
         let mut s =
             SmoothStage::windowed_mean("smooth", TimeDelta::from_secs(10), ["receptor_id"], "temp");
-        s.process(Ts::ZERO, vec![temp(Ts::ZERO, 1, 10.0)]).unwrap();
+        s.process_rows(Ts::ZERO, vec![temp(Ts::ZERO, 1, 10.0)])
+            .unwrap();
         let out = s
-            .process(Ts::from_secs(1), vec![temp(Ts::from_secs(1), 1, 20.0)])
+            .process_rows(Ts::from_secs(1), vec![temp(Ts::from_secs(1), 1, 20.0)])
             .unwrap();
         assert_eq!(out[0].get("temp"), Some(&Value::Float(15.0)));
     }
@@ -594,7 +603,7 @@ mod tests {
         let mut s =
             SmoothStage::windowed_mean("smooth", TimeDelta::from_secs(10), ["receptor_id"], "temp");
         let out = s
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![temp(Ts::ZERO, 1, 10.0), temp(Ts::ZERO, 2, 30.0)],
             )
@@ -613,7 +622,10 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        assert!(s.process(Ts::ZERO, vec![null_temp]).unwrap().is_empty());
+        assert!(s
+            .process_rows(Ts::ZERO, vec![null_temp])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -627,11 +639,11 @@ mod tests {
             2,
         );
         assert!(s
-            .process(Ts::ZERO, vec![motion(Ts::ZERO, "ON")])
+            .process_rows(Ts::ZERO, vec![motion(Ts::ZERO, "ON")])
             .unwrap()
             .is_empty());
         let out = s
-            .process(Ts::from_secs(1), vec![motion(Ts::from_secs(1), "ON")])
+            .process_rows(Ts::from_secs(1), vec![motion(Ts::from_secs(1), "ON")])
             .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("value"), Some(&Value::str("ON")));
@@ -649,18 +661,20 @@ mod tests {
         )
         .unwrap();
         // First sample sets the estimate.
-        let out = s.process(Ts::ZERO, vec![temp(Ts::ZERO, 1, 10.0)]).unwrap();
+        let out = s
+            .process_rows(Ts::ZERO, vec![temp(Ts::ZERO, 1, 10.0)])
+            .unwrap();
         assert_eq!(out[0].get("temp"), Some(&Value::Float(10.0)));
         // Step toward a new level: 0.5*20 + 0.5*10 = 15.
         let out = s
-            .process(Ts::from_secs(1), vec![temp(Ts::from_secs(1), 1, 20.0)])
+            .process_rows(Ts::from_secs(1), vec![temp(Ts::from_secs(1), 1, 20.0)])
             .unwrap();
         assert_eq!(out[0].get("temp"), Some(&Value::Float(15.0)));
         // No input: estimate persists inside the granule window.
-        let out = s.process(Ts::from_secs(5), vec![]).unwrap();
+        let out = s.process_rows(Ts::from_secs(5), vec![]).unwrap();
         assert_eq!(out[0].get("temp"), Some(&Value::Float(15.0)));
         // Expires after the granule window with no new samples.
-        let out = s.process(Ts::from_secs(30), vec![]).unwrap();
+        let out = s.process_rows(Ts::from_secs(30), vec![]).unwrap();
         assert!(out.is_empty());
     }
 
@@ -672,13 +686,13 @@ mod tests {
         // 30 samples at 10 °C, then a step to 30 °C.
         let mut t = Ts::ZERO;
         for _ in 0..30 {
-            ewma.process(t, vec![temp(t, 1, 10.0)]).unwrap();
-            mean.process(t, vec![temp(t, 1, 10.0)]).unwrap();
+            ewma.process_rows(t, vec![temp(t, 1, 10.0)]).unwrap();
+            mean.process_rows(t, vec![temp(t, 1, 10.0)]).unwrap();
             t += TimeDelta::from_secs(1);
         }
         for _ in 0..3 {
-            let e = ewma.process(t, vec![temp(t, 1, 30.0)]).unwrap();
-            let m = mean.process(t, vec![temp(t, 1, 30.0)]).unwrap();
+            let e = ewma.process_rows(t, vec![temp(t, 1, 30.0)]).unwrap();
+            let m = mean.process_rows(t, vec![temp(t, 1, 30.0)]).unwrap();
             let ev = e[0].get("temp").unwrap().as_f64().unwrap();
             let mv = m[0].get("temp").unwrap().as_f64().unwrap();
             assert!(ev > mv, "EWMA {ev} should lead windowed mean {mv}");
@@ -695,7 +709,7 @@ mod tests {
     #[test]
     fn unknown_key_field_errors() {
         let mut s = SmoothStage::count_by_key("smooth", TimeDelta::from_secs(5), ["bogus"]);
-        assert!(s.process(Ts::ZERO, vec![rfid(Ts::ZERO, "a")]).is_err());
+        assert!(s.process_rows(Ts::ZERO, vec![rfid(Ts::ZERO, "a")]).is_err());
     }
 
     /// The recovery invariant, stage-local: checkpoint mid-window,
@@ -720,7 +734,7 @@ mod tests {
                 } else {
                     vec![rfid(epoch, "a")]
                 };
-                for t in s.process(epoch, input).unwrap() {
+                for t in s.process_rows(epoch, input).unwrap() {
                     out.push(format!("{:?} {:?}", t.ts(), t.values()));
                 }
             }
@@ -738,7 +752,7 @@ mod tests {
         let mut s = SmoothStage::ewma("e", g, ["receptor_id"], "temp", 0.5).unwrap();
         let mut t = Ts::ZERO;
         for _ in 0..5 {
-            s.process(t, vec![temp(t, 1, 20.0)]).unwrap();
+            s.process_rows(t, vec![temp(t, 1, 20.0)]).unwrap();
             t += TimeDelta::from_secs(1);
         }
         let blob = Stage::state(&s).unwrap().unwrap();
@@ -746,8 +760,8 @@ mod tests {
         r.restore(&blob).unwrap();
         // Next epoch has no input: output comes purely from restored
         // estimate + restored schema.
-        let a = s.process(t, vec![]).unwrap();
-        let b = r.process(t, vec![]).unwrap();
+        let a = s.process_rows(t, vec![]).unwrap();
+        let b = r.process_rows(t, vec![]).unwrap();
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].values(), b[0].values());
     }

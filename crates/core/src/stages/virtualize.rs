@@ -9,7 +9,8 @@
 
 use std::sync::Arc;
 
-use esp_types::{Batch, DataType, Field, Result, Schema, Ts, Tuple, Value};
+use esp_stream::Payload;
+use esp_types::{DataType, Field, Result, Schema, Ts, Tuple, Value};
 
 use crate::stage::Stage;
 
@@ -141,7 +142,8 @@ impl Stage for VirtualizeStage {
         &self.name
     }
 
-    fn process(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Batch> {
+    fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload> {
+        let input = input.into_rows();
         let mut votes = 0usize;
         for rule in &mut self.rules {
             if (rule.vote)(&input) {
@@ -149,19 +151,20 @@ impl Stage for VirtualizeStage {
             }
         }
         if votes < self.threshold {
-            return Ok(Batch::new());
+            return Ok(Payload::empty());
         }
-        Ok(vec![Tuple::new_unchecked(
+        Ok(Payload::Rows(vec![Tuple::new_unchecked(
             Arc::clone(&self.schema),
             epoch,
             vec![self.event.clone(), Value::Int(votes as i64)],
-        )])
+        )]))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::ProcessRows;
     use esp_types::{well_known, TupleBuilder};
 
     fn sound(ts: Ts, level: f64) -> Tuple {
@@ -212,7 +215,7 @@ mod tests {
     fn two_of_three_votes_detects() {
         let mut v = person_detector(2);
         let out = v
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![sound(Ts::ZERO, 700.0), rfid(Ts::ZERO, "badge-1")],
             )
@@ -225,7 +228,9 @@ mod tests {
     #[test]
     fn one_vote_is_not_enough() {
         let mut v = person_detector(2);
-        let out = v.process(Ts::ZERO, vec![sound(Ts::ZERO, 700.0)]).unwrap();
+        let out = v
+            .process_rows(Ts::ZERO, vec![sound(Ts::ZERO, 700.0)])
+            .unwrap();
         assert!(out.is_empty());
     }
 
@@ -234,7 +239,7 @@ mod tests {
         let mut v = person_detector(2);
         // Sound below threshold + motion OFF: zero votes.
         let out = v
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![sound(Ts::ZERO, 400.0), motion(Ts::ZERO, "OFF")],
             )
@@ -246,7 +251,7 @@ mod tests {
     fn all_three_modalities_vote() {
         let mut v = person_detector(3);
         let out = v
-            .process(
+            .process_rows(
                 Ts::ZERO,
                 vec![
                     sound(Ts::ZERO, 600.0),

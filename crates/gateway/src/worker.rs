@@ -66,7 +66,7 @@ pub(crate) enum ShardMsg {
 /// readings of one wire kind share a chunk, so ingest never materializes
 /// per-reading tuples. Rows materialize only at the checkpoint boundary
 /// ([`ChunkBuffer::to_tuples`] — byte-compatible with the row-backed
-/// encoding) and on the row-compat poll path.
+/// encoding).
 #[derive(Default)]
 pub(crate) struct ChunkBuffer {
     segs: Vec<Chunk>,
@@ -145,8 +145,8 @@ pub(crate) type ReadingBuffer = Arc<Mutex<ChunkBuffer>>;
 
 /// A [`Source`] that drains a [`ReadingBuffer`]: polling at `epoch`
 /// releases exactly the readings stamped `<= epoch`, preserving arrival
-/// order, and keeps later readings for the next epoch. The payload poll
-/// hands the buffered chunks downstream untouched.
+/// order, and keeps later readings for the next epoch. The buffered chunks
+/// go downstream untouched.
 pub(crate) struct QueueSource {
     name: String,
     buf: ReadingBuffer,
@@ -166,17 +166,7 @@ impl Source for QueueSource {
         &self.name
     }
 
-    fn poll(&mut self, epoch: Ts) -> Result<Batch> {
-        Ok(self
-            .buf
-            .lock()
-            .drain_upto(epoch)?
-            .iter()
-            .flat_map(Chunk::to_tuples)
-            .collect())
-    }
-
-    fn poll_payload(&mut self, epoch: Ts) -> Result<Payload> {
+    fn poll(&mut self, epoch: Ts) -> Result<Payload> {
         Ok(Payload::Chunks(self.buf.lock().drain_upto(epoch)?))
     }
 }
@@ -559,19 +549,17 @@ mod tests {
     }
 
     #[test]
-    fn queue_source_row_and_payload_polls_agree() {
+    fn queue_source_polls_columnar_chunks_in_arrival_order() {
         let schemas = ReadingSchemas::new();
-        let mk = || {
-            let buf: ReadingBuffer = Arc::new(Mutex::new(ChunkBuffer::default()));
-            for r in [scalar(1, 1, 1.0), tag(1, 2, "a"), scalar(1, 7, 7.0)] {
-                buf.lock().push_reading(&schemas, &r).unwrap();
-            }
-            QueueSource::new(ReceptorId(1), buf)
-        };
-        let rows = mk().poll(Ts::from_secs(5)).unwrap();
-        let payload = mk().poll_payload(Ts::from_secs(5)).unwrap();
-        assert_eq!(payload.to_rows(), rows);
-        assert_eq!(rows.len(), 2);
+        let buf: ReadingBuffer = Arc::new(Mutex::new(ChunkBuffer::default()));
+        for r in [scalar(1, 1, 1.0), tag(1, 2, "a"), scalar(1, 7, 7.0)] {
+            buf.lock().push_reading(&schemas, &r).unwrap();
+        }
+        let expected: Vec<Tuple> = buf.lock().to_tuples()[..2].to_vec();
+        let payload = QueueSource::new(ReceptorId(1), buf)
+            .poll(Ts::from_secs(5))
+            .unwrap();
+        assert_eq!(payload.rows(), expected);
         let Payload::Chunks(chunks) = payload else {
             panic!("gateway source must stay columnar");
         };

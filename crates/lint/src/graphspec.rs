@@ -335,8 +335,7 @@ impl GraphSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_stream::{Operator, ScriptedSource};
-    use esp_types::{Batch, Ts};
+    use esp_stream::{ops::PassThrough, ScriptedSource};
 
     fn src(name: &str) -> GraphNode {
         GraphNode {
@@ -495,21 +494,11 @@ mod tests {
 
     #[test]
     fn snapshot_of_real_dataflow_is_clean() {
-        struct Pass;
-        impl Operator for Pass {
-            fn name(&self) -> &str {
-                "pass"
-            }
-            fn push(&mut self, _port: usize, _batch: &[esp_types::Tuple]) -> esp_types::Result<()> {
-                Ok(())
-            }
-            fn flush(&mut self, _epoch: Ts) -> esp_types::Result<Batch> {
-                Ok(Batch::new())
-            }
-        }
         let mut flow = Dataflow::new();
         let s = flow.add_source(Box::new(ScriptedSource::new("in", Vec::new())));
-        let p = flow.add_operator(Box::new(Pass), &[s]).unwrap();
+        let p = flow
+            .add_operator(Box::new(PassThrough::new()), &[s])
+            .unwrap();
         flow.add_tap(p).unwrap();
         let spec = GraphSpec::of(&flow);
         assert_eq!(spec.nodes.len(), 2);

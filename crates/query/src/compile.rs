@@ -302,6 +302,10 @@ impl CompiledSelect {
 
     /// Whether this select — or any nested derived table — is a
     /// `SELECT *`, whose output columns depend on runtime input schemas.
+    /// Quantified subqueries need no walk: each must project exactly one
+    /// explicit expression (`ALL(SELECT * …)` does not compile), so a `*`
+    /// derived table below one only surfaces through columns its
+    /// enclosing select names — and named columns are in the read set.
     pub(crate) fn has_star(&self) -> bool {
         self.select.is_empty()
             || self.from.iter().any(|item| match &item.source {
@@ -311,16 +315,22 @@ impl CompiledSelect {
     }
 
     /// Every field name referenced anywhere in the query (projections,
-    /// predicates, keys, aggregate arguments, subqueries). An
-    /// over-approximation of the input columns the query can read:
+    /// predicates, keys, aggregate arguments, subqueries), or `None` when
+    /// a `SELECT *` makes the read set depend on runtime input schemas.
+    /// An over-approximation of the input columns the query can read:
     /// derived-table output names are included alongside raw input
     /// columns, which only ever *keeps* more columns alive.
-    pub(crate) fn read_column_names(&self, out: &mut std::collections::BTreeSet<String>) {
+    pub(crate) fn read_columns(&self) -> Option<std::collections::BTreeSet<String>> {
+        if self.has_star() {
+            return None;
+        }
+        let mut out = std::collections::BTreeSet::new();
         self.for_each_expr(&mut |e| {
             if let CExpr::Field { name, .. } = e {
                 out.insert(name.clone());
             }
         });
+        Some(out)
     }
 
     /// Names of scalar calls whose result is not a pure function of the

@@ -3,15 +3,16 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use esp_stream::Operator;
+use esp_stream::{Operator, Payload};
 use esp_types::{
-    Batch, Chunk, Determinism, EspError, FieldEffects, Result, TimeDelta, Ts, Tuple, Value,
+    chunk_batch, Batch, Chunk, Determinism, EspError, FieldEffects, Result, TimeDelta, Ts, Tuple,
+    Value,
 };
 
 use crate::aggregate::AggregateFactory;
 use crate::catalog::Catalog;
 use crate::compile::{compile, CExpr, CompiledSelect};
-use crate::exec::{eval_select, ExecCtx};
+use crate::exec::{eval_select, ColumnPruner, ExecCtx};
 use crate::parser::parse;
 use crate::plan::{clear_resolution, resolve_pass, Mode};
 
@@ -119,15 +120,15 @@ impl Engine {
         let stmt = parse(sql)?;
         let mut root = compile(&stmt, &self.catalog)?;
         let streams = root.stream_names();
+        let prune = ColumnPruner::new(root.read_columns());
         Ok(ContinuousQuery {
             root,
             catalog: Arc::clone(&self.catalog),
             pending: HashMap::new(),
-            pending_chunks: HashMap::new(),
             streams,
             text: sql.to_string(),
             reference_mode: false,
-            prune: None,
+            prune,
         })
     }
 
@@ -197,18 +198,18 @@ impl Default for Engine {
 pub struct ContinuousQuery {
     root: CompiledSelect,
     catalog: Arc<Catalog>,
-    pending: HashMap<String, Batch>,
-    pending_chunks: HashMap<String, Vec<Chunk>>,
+    /// Chunks staged per stream since the last tick, in arrival order.
+    pending: HashMap<String, Vec<Chunk>>,
     streams: Vec<String>,
     text: String,
     /// When set, slot resolution is skipped and annotations are cleared:
     /// every tick runs the original name-resolving interpreter.
     reference_mode: bool,
-    /// When set (see [`ContinuousQuery::enable_column_pruning`]), every
-    /// tuple entering a window is pruned to the query's live columns:
-    /// values of columns the query provably never reads are replaced with
-    /// `Null`, schema and slot layout untouched.
-    prune: Option<crate::exec::ColumnPruner>,
+    /// Drops the columns outside [`ContinuousQuery::read_columns`] from
+    /// every chunk entering a window (nothing for `SELECT *`): schema and
+    /// slot layout are untouched and output is byte-identical; wide
+    /// readings just stop retaining unread payloads in window state.
+    prune: ColumnPruner,
 }
 
 impl ContinuousQuery {
@@ -241,12 +242,7 @@ impl ContinuousQuery {
     /// An over-approximation: pruning input columns outside this set can
     /// never change the query's output.
     pub fn read_columns(&self) -> Option<BTreeSet<String>> {
-        if self.root.has_star() {
-            return None;
-        }
-        let mut out = BTreeSet::new();
-        self.root.read_column_names(&mut out);
-        Some(out)
+        self.root.read_columns()
     }
 
     /// The output column names, or `None` when a `SELECT *` leaves the
@@ -322,62 +318,33 @@ impl ContinuousQuery {
         }
     }
 
-    /// Opt in to liveness-driven column pruning: every tuple entering a
-    /// window has the values of columns this query provably never reads
-    /// replaced with `Null`. Schema and slot layout are untouched, so the
-    /// compiled zero-copy path is unaffected and output is byte-identical;
-    /// wide tuples just stop retaining unread payloads in window state.
-    ///
-    /// Returns `false` (and stays off) when the query contains `SELECT *`,
-    /// whose read set cannot be bounded statically.
-    pub fn enable_column_pruning(&mut self) -> bool {
-        match self.read_columns() {
-            Some(cols) => {
-                self.prune = Some(crate::exec::ColumnPruner::new(cols));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// True when [`ContinuousQuery::enable_column_pruning`] is in effect.
-    pub fn column_pruning_enabled(&self) -> bool {
-        self.prune.is_some()
-    }
-
-    /// Stage a batch for `stream`, to be absorbed at the next tick.
-    /// Unknown stream names are rejected.
-    pub fn push(&mut self, stream: &str, batch: &[Tuple]) -> Result<()> {
+    /// The staging list of `stream`; unknown stream names are rejected.
+    fn staged(&mut self, stream: &str) -> Result<&mut Vec<Chunk>> {
         if !self.streams.iter().any(|s| s == stream) {
             return Err(EspError::UnknownSource(format!(
                 "stream '{stream}' is not read by this query"
             )));
         }
-        self.pending
-            .entry(stream.to_string())
-            .or_default()
-            .extend_from_slice(batch);
+        Ok(self.pending.entry(stream.to_string()).or_default())
+    }
+
+    /// Stage a row batch for `stream`, to be absorbed at the next tick:
+    /// the rows are converted to chunks (one per run of equal schemas,
+    /// losslessly) and take the same path as [`ContinuousQuery::push_chunk`].
+    pub fn push(&mut self, stream: &str, batch: &[Tuple]) -> Result<()> {
+        self.staged(stream)?.extend(chunk_batch(batch));
         Ok(())
     }
 
     /// Stage a columnar chunk for `stream`, to be absorbed at the next
     /// tick. The chunk feeds the window's columnar ring directly — no
-    /// per-row `Tuple` is materialized on ingest. Unknown stream names are
-    /// rejected. Within one epoch, row pushes land in the window before
-    /// chunk pushes.
+    /// per-row `Tuple` is materialized on ingest. Arrivals enter the
+    /// window in push order.
     pub fn push_chunk(&mut self, stream: &str, chunk: Chunk) -> Result<()> {
-        if !self.streams.iter().any(|s| s == stream) {
-            return Err(EspError::UnknownSource(format!(
-                "stream '{stream}' is not read by this query"
-            )));
+        let staged = self.staged(stream)?;
+        if !chunk.is_empty() {
+            staged.push(chunk);
         }
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        self.pending_chunks
-            .entry(stream.to_string())
-            .or_default()
-            .push(chunk);
         Ok(())
     }
 
@@ -405,41 +372,23 @@ impl ContinuousQuery {
     fn tick_result(&mut self, epoch: Ts) -> Result<crate::exec::SelectResult> {
         let obs = esp_obs::enabled().then(query_obs);
         let started = obs.map(|_| std::time::Instant::now());
-        let pending = std::mem::take(&mut self.pending);
-        let mut pending_chunks = std::mem::take(&mut self.pending_chunks);
+        let mut pending = std::mem::take(&mut self.pending);
         // One stream can feed several FROM items; count the windows per
         // stream so the *last* visit can take the staged chunks by value
         // (the visits before it clone).
         let mut visits_left: HashMap<String, usize> = HashMap::new();
-        if !pending_chunks.is_empty() {
+        if !pending.is_empty() {
             self.root.for_each_window(&mut |name, _| {
                 *visits_left.entry(name.to_string()).or_default() += 1;
             });
         }
-        let prune = &mut self.prune;
+        let (prune, reference_mode) = (&mut self.prune, self.reference_mode);
         self.root.for_each_window(&mut |name, w| {
             // Slide first: everything ingested below is (re)stamped at
             // `epoch`, at or above any eviction cutoff, so sliding cannot
             // touch it — and now-windows are drained before the push,
             // letting a sorted chunk be adopted wholesale.
             w.advance_to(epoch);
-            if let Some(batch) = pending.get(name) {
-                // Tuples enter the window stamped at the epoch so that
-                // now-windows ([Range By 'NOW']) retain exactly this
-                // epoch's arrivals.
-                for t in batch {
-                    let t = if t.ts() == epoch {
-                        t.clone()
-                    } else {
-                        t.restamped(epoch)
-                    };
-                    let t = match prune.as_mut() {
-                        Some(pruner) => pruner.prune(&t),
-                        None => t,
-                    };
-                    w.push(t);
-                }
-            }
             let last_visit = match visits_left.get_mut(name) {
                 Some(n) => {
                     *n -= 1;
@@ -448,23 +397,23 @@ impl ContinuousQuery {
                 None => true,
             };
             let staged = if last_visit {
-                pending_chunks.remove(name)
+                pending.remove(name)
             } else {
-                pending_chunks.get(name).cloned()
+                pending.get(name).cloned()
             };
-            if let Some(chunks) = staged {
-                for mut c in chunks {
-                    // Restamped to the epoch (same now-window semantics
-                    // as the row path) and, under pruning, columns
-                    // outside the live set are dropped physically.
-                    if c.ts().iter().any(|t| *t != epoch) {
-                        c.restamp(epoch);
-                    }
-                    if let Some(pruner) = prune.as_mut() {
-                        pruner.prune_chunk(&mut c);
-                    }
-                    w.push_chunk_owned(c);
+            for mut c in staged.into_iter().flatten() {
+                // Rows enter the window stamped at the epoch, so that
+                // now-windows ([Range By 'NOW']) retain exactly this
+                // epoch's arrivals; columns outside the live set are
+                // dropped physically (the reference interpreter keeps
+                // them, so it also checks that pruning is invisible).
+                if c.ts().iter().any(|t| *t != epoch) {
+                    c.restamp(epoch);
                 }
+                if !reference_mode {
+                    prune.prune_chunk(&mut c);
+                }
+                w.push_chunk_owned(c);
             }
         });
         if !self.reference_mode {
@@ -545,39 +494,24 @@ impl Operator for QueryOperator {
         self.ports.len()
     }
 
-    fn push(&mut self, port: usize, batch: &[Tuple]) -> Result<()> {
-        if batch.is_empty() {
+    fn push(&mut self, port: usize, input: &Payload) -> Result<()> {
+        if input.is_empty() {
             return Ok(());
         }
         let stream = self
             .ports
             .get(port)
             .ok_or_else(|| EspError::Config(format!("no stream mapped to input port {port}")))?;
-        // Clone the name to appease the borrow checker cheaply.
-        let stream = stream.clone();
-        self.query.push(&stream, batch)
-    }
-
-    fn push_chunk(&mut self, port: usize, chunk: &esp_types::Chunk) -> Result<()> {
-        if chunk.is_empty() {
-            return Ok(());
+        match input {
+            Payload::Rows(batch) => self.query.push(stream, batch),
+            Payload::Chunks(chunks) => chunks
+                .iter()
+                .try_for_each(|c| self.query.push_chunk(stream, c.clone())),
         }
-        let stream = self
-            .ports
-            .get(port)
-            .ok_or_else(|| EspError::Config(format!("no stream mapped to input port {port}")))?;
-        let stream = stream.clone();
-        self.query.push_chunk(&stream, chunk.clone())
     }
 
-    fn flush(&mut self, epoch: Ts) -> Result<Batch> {
-        self.query.tick(epoch)
-    }
-
-    fn flush_payload(&mut self, epoch: Ts) -> Result<esp_stream::Payload> {
-        Ok(esp_stream::Payload::Chunks(vec![self
-            .query
-            .tick_chunk(epoch)?]))
+    fn flush(&mut self, epoch: Ts) -> Result<Payload> {
+        Ok(Payload::Chunks(vec![self.query.tick_chunk(epoch)?]))
     }
 }
 
@@ -645,9 +579,9 @@ mod tests {
             .unwrap();
         let mut op = QueryOperator::single_input("smooth", q).unwrap();
         assert_eq!(op.n_inputs(), 1);
-        op.push(0, &[rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "a")])
+        op.push(0, &vec![rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "a")].into())
             .unwrap();
-        let out = op.flush(Ts::ZERO).unwrap();
+        let out = op.flush(Ts::ZERO).unwrap().into_rows();
         assert_eq!(out[0].get("count"), Some(&Value::Int(2)));
     }
 
@@ -768,25 +702,39 @@ mod tests {
     }
 
     #[test]
-    fn column_pruning_preserves_output_bytes() {
-        let sql = "SELECT tag_id, count(*) FROM s [Range By '5 sec'] GROUP BY tag_id";
+    fn derived_column_pruning_is_invisible() {
+        // Pruning follows from `read_columns()`; the reference interpreter
+        // runs unpruned, so equal output means nothing live was dropped.
+        // A `*` below a quantified subquery does not stop pruning (the
+        // subquery must name the one column it projects); a `*` that
+        // reaches the output does.
         let engine = Engine::new();
-        let mut plain = engine.compile(sql).unwrap();
-        let mut pruned = engine.compile(sql).unwrap();
-        assert!(pruned.enable_column_pruning());
-        assert!(pruned.column_pruning_enabled());
-        for (epoch, tag) in [(0u64, "a"), (1, "b"), (2, "a")] {
-            let batch = [rfid(Ts::from_secs(epoch), tag)];
-            plain.push("s", &batch).unwrap();
-            pruned.push("s", &batch).unwrap();
-            let a = plain.tick(Ts::from_secs(epoch)).unwrap();
-            let b = pruned.tick(Ts::from_secs(epoch)).unwrap();
-            assert_eq!(a, b, "epoch {epoch} diverged under pruning");
+        for (sql, prunes) in [
+            (
+                "SELECT tag_id, count(*) FROM s [Range By '5 sec'] GROUP BY tag_id",
+                true,
+            ),
+            (
+                "SELECT tag_id FROM s [Range By '5 sec'] WHERE receptor_id >= \
+                 ALL(SELECT d.receptor_id FROM (SELECT * FROM s [Range By 'NOW']) d)",
+                true,
+            ),
+            ("SELECT * FROM s [Range By '5 sec']", false),
+        ] {
+            let mut pruned = engine.compile(sql).unwrap();
+            assert_eq!(pruned.read_columns().is_some(), prunes, "{sql}");
+            let mut reference = engine.compile(sql).unwrap();
+            reference.set_reference_mode(true);
+            for (epoch, tag) in [(0u64, "a"), (1, "b"), (2, "a")] {
+                let batch = [rfid(Ts::from_secs(epoch), tag)];
+                pruned.push("s", &batch).unwrap();
+                reference.push("s", &batch).unwrap();
+                let a = pruned.tick(Ts::from_secs(epoch)).unwrap();
+                let b = reference.tick(Ts::from_secs(epoch)).unwrap();
+                assert!(!a.is_empty(), "{sql}: epoch {epoch} emitted nothing");
+                assert_eq!(a, b, "{sql}: epoch {epoch} diverged under pruning");
+            }
         }
-        // SELECT * refuses to prune.
-        let mut star = engine.compile("SELECT * FROM s [Range By 'NOW']").unwrap();
-        assert!(!star.enable_column_pruning());
-        assert!(!star.column_pruning_enabled());
     }
 
     #[test]

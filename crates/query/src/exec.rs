@@ -50,77 +50,53 @@ use crate::catalog::Catalog;
 use crate::compile::{AggCall, CExpr, CFromItem, CSource, CompiledSelect};
 use crate::plan::{flatten_conjuncts, join_key, FieldSlot, JoinKey, JoinPlan, KeySpec};
 
-/// Opt-in column pruning ([`crate::ContinuousQuery::enable_column_pruning`]):
-/// nulls out every value whose column is outside the query's live set,
-/// preserving the schema `Arc` (and therefore the interned-schema identity
-/// the slot path keys on) and the timestamp, so unread payloads stop being
-/// retained in window state without perturbing layout.
+/// Liveness-driven column pruning: every chunk entering a window loses
+/// the columns outside the query's read set
+/// ([`crate::ContinuousQuery::read_columns`]; `None` — a `SELECT *`
+/// somewhere — keeps everything). A dead column's storage is replaced by
+/// [`esp_types::ColumnVec::Pruned`], which holds no values and reads back
+/// NULL for every row; the schema `Arc` (and therefore the interned-schema
+/// identity the slot path keys on), column indices and timestamps are
+/// untouched, so slot plans stay valid and output is byte-identical while
+/// unread payloads stop being retained in window state.
 ///
 /// The name-to-liveness decision is made once per distinct input schema
-/// and cached as a slot-indexed mask keyed on `Arc` pointer identity
-/// (schemas are interned, so identity is stable across batches); the
-/// per-tuple path does no string lookups.
+/// and cached as the list of dead column indices; the per-chunk path is a
+/// pointer comparison (schemas are interned, so identity is stable across
+/// batches) with a structural fallback, and does no string lookups.
 pub(crate) struct ColumnPruner {
-    keep: std::collections::BTreeSet<String>,
-    /// `(schema identity, keep-mask)`; a `None` mask means every column
-    /// is live and tuples pass through as plain clones.
-    masks: Vec<(usize, Option<Arc<[bool]>>)>,
+    keep: Option<std::collections::BTreeSet<String>>,
+    /// `(schema, dead column indices)` per distinct schema seen. Holding
+    /// the `Arc` keeps the identity from being reused by another schema.
+    dead: Vec<(Arc<Schema>, Vec<usize>)>,
 }
 
 impl ColumnPruner {
-    pub(crate) fn new(keep: std::collections::BTreeSet<String>) -> ColumnPruner {
+    pub(crate) fn new(keep: Option<std::collections::BTreeSet<String>>) -> ColumnPruner {
         ColumnPruner {
             keep,
-            masks: Vec::new(),
+            dead: Vec::new(),
         }
     }
 
-    fn mask_for(&mut self, schema: &Arc<Schema>) -> Option<Arc<[bool]>> {
-        let key = Arc::as_ptr(schema) as usize;
-        if let Some((_, mask)) = self.masks.iter().find(|(k, _)| *k == key) {
-            return mask.clone();
-        }
-        let live: Vec<bool> = schema
-            .fields()
-            .iter()
-            .map(|f| self.keep.contains(&f.name))
-            .collect();
-        let mask: Option<Arc<[bool]>> = if live.iter().all(|&l| l) {
-            None
-        } else {
-            Some(live.into())
-        };
-        self.masks.push((key, mask.clone()));
-        mask
-    }
-
-    pub(crate) fn prune(&mut self, t: &Tuple) -> Tuple {
-        let schema = Arc::clone(t.schema());
-        match self.mask_for(&schema) {
-            None => t.clone(),
-            Some(mask) => {
-                let vals: Vec<Value> = mask
-                    .iter()
-                    .zip(t.values())
-                    .map(|(&live, v)| if live { v.clone() } else { Value::Null })
-                    .collect();
-                Tuple::new_unchecked(schema, t.ts(), vals)
-            }
-        }
-    }
-
-    /// Chunk-path pruning: drop dead columns *physically* — the column's
-    /// storage is replaced by [`esp_types::ColumnVec::Pruned`], which holds
-    /// no values and reads back NULL for every row. The schema `Arc` and
-    /// column indices are untouched, so slot plans stay valid and output is
-    /// byte-identical to the row pruner's null-out.
     pub(crate) fn prune_chunk(&mut self, chunk: &mut Chunk) {
-        if let Some(mask) = self.mask_for(chunk.schema()) {
-            for (c, &live) in mask.iter().enumerate() {
-                if !live {
-                    chunk.drop_column(c);
-                }
-            }
+        let Some(keep) = &self.keep else {
+            return;
+        };
+        let schema = chunk.schema();
+        let cached = self
+            .dead
+            .iter()
+            .position(|(s, _)| Arc::ptr_eq(s, schema) || **s == **schema);
+        let i = cached.unwrap_or_else(|| {
+            let dead = (0..schema.fields().len())
+                .filter(|&c| !keep.contains(&schema.fields()[c].name))
+                .collect();
+            self.dead.push((Arc::clone(schema), dead));
+            self.dead.len() - 1
+        });
+        for &c in &self.dead[i].1 {
+            chunk.drop_column(c);
         }
     }
 }

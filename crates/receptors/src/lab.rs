@@ -155,8 +155,8 @@ mod tests {
         let s = LabScenario::paper(5);
         let mut sources = s.sources();
         let two_days = Ts::from_secs(2 * 86_400);
-        let healthy = sources[0].1.poll(two_days).unwrap();
-        let failing = sources[2].1.poll(two_days).unwrap();
+        let healthy = sources[0].1.poll(two_days).unwrap().into_rows();
+        let failing = sources[2].1.poll(two_days).unwrap().into_rows();
         let last_healthy = healthy
             .last()
             .unwrap()
@@ -197,7 +197,7 @@ mod tests {
         let s = LabScenario::paper(5);
         let mut sources = s.sources();
         let day = Ts::from_secs(86_400);
-        let got = sources[0].1.poll(day).unwrap().len() as f64;
+        let got = sources[0].1.poll(day).unwrap().into_rows().len() as f64;
         let requested = (86_400 / 31 + 1) as f64;
         let yield_rate = got / requested;
         assert!((yield_rate - 0.8).abs() < 0.05, "yield {yield_rate}");
@@ -216,7 +216,7 @@ mod tests {
     fn tuples_carry_receptor_ids() {
         let s = LabScenario::paper(5);
         let mut sources = s.sources();
-        let batch = sources[1].1.poll(Ts::from_secs(100)).unwrap();
+        let batch = sources[1].1.poll(Ts::from_secs(100)).unwrap().into_rows();
         assert!(batch
             .iter()
             .all(|t| t.get("receptor_id") == Some(&Value::Int(2))));

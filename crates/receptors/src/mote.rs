@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use esp_stream::Source;
+use esp_stream::{Payload, Source};
 use esp_types::{
     well_known, Batch, ReceptorId, Result, SampleRateHandle, Schema, TimeDelta, Ts, Tuple, Value,
 };
@@ -209,7 +209,7 @@ impl Source for MoteSource {
         &self.name
     }
 
-    fn poll(&mut self, epoch: Ts) -> Result<Batch> {
+    fn poll(&mut self, epoch: Ts) -> Result<Payload> {
         let mut out = Batch::new();
         while self.next_sample <= epoch {
             let ts = self.next_sample;
@@ -274,7 +274,7 @@ impl Source for MoteSource {
                 _ => continue,
             }
         }
-        Ok(out)
+        Ok(Payload::Rows(out))
     }
 }
 
@@ -302,12 +302,12 @@ mod tests {
     #[test]
     fn samples_at_period_over_perfect_channel() {
         let mut m = MoteSource::new(config(1, None), flat_world(), Box::new(PerfectChannel));
-        let batch = m.poll(Ts::from_secs(4)).unwrap();
+        let batch = m.poll(Ts::from_secs(4)).unwrap().into_rows();
         assert_eq!(batch.len(), 5, "samples at 0..=4s");
         assert_eq!(batch[0].get("temp"), Some(&Value::Float(20.0)));
         assert_eq!(batch[0].get("receptor_id"), Some(&Value::Int(1)));
         // Next poll resumes where it left off.
-        let batch = m.poll(Ts::from_secs(6)).unwrap();
+        let batch = m.poll(Ts::from_secs(6)).unwrap().into_rows();
         assert_eq!(batch.len(), 2);
         assert_eq!(m.sent(), 7);
         assert_eq!(m.delivered(), 7);
@@ -323,7 +323,7 @@ mod tests {
         let mut cfg = config(2, Some(fail));
         cfg.sample_period = TimeDelta::from_mins(30);
         let mut m = MoteSource::new(cfg, flat_world(), Box::new(PerfectChannel));
-        let batch = m.poll(Ts::from_secs(6 * 3600)).unwrap();
+        let batch = m.poll(Ts::from_secs(6 * 3600)).unwrap().into_rows();
         let temps: Vec<f64> = batch
             .iter()
             .map(|t| t.get("temp").unwrap().as_f64().unwrap())
@@ -348,7 +348,7 @@ mod tests {
             flat_world(),
             Box::new(BernoulliChannel::new(3, 0.6, 0.0)),
         );
-        let batch = m.poll(Ts::from_secs(999)).unwrap();
+        let batch = m.poll(Ts::from_secs(999)).unwrap().into_rows();
         assert_eq!(m.sent(), 1000);
         let rate = batch.len() as f64 / 1000.0;
         assert!((rate - 0.4).abs() < 0.06, "delivery rate {rate}");
@@ -361,7 +361,7 @@ mod tests {
             flat_world(),
             Box::new(BernoulliChannel::new(4, 0.0, 1.0)),
         );
-        let batch = m.poll(Ts::from_secs(99)).unwrap();
+        let batch = m.poll(Ts::from_secs(99)).unwrap().into_rows();
         assert!(batch.is_empty(), "all frames corrupt → all dropped");
         assert_eq!(m.sent(), 100);
         assert_eq!(m.delivered(), 0);
@@ -374,8 +374,8 @@ mod tests {
             cfg.noise_sd = 0.5;
             MoteSource::new(cfg, flat_world(), Box::new(PerfectChannel))
         };
-        let a: Vec<Tuple> = build().poll(Ts::from_secs(50)).unwrap();
-        let b: Vec<Tuple> = build().poll(Ts::from_secs(50)).unwrap();
+        let a: Vec<Tuple> = build().poll(Ts::from_secs(50)).unwrap().into_rows();
+        let b: Vec<Tuple> = build().poll(Ts::from_secs(50)).unwrap().into_rows();
         assert_eq!(a, b);
         // And the noise actually perturbs values.
         assert!(a
@@ -397,7 +397,7 @@ mod tests {
             noise_sd: 0.0,
         });
         let mut m = MoteSource::new(cfg, flat_world(), Box::new(PerfectChannel));
-        let batch = m.poll(Ts::from_secs(300)).unwrap();
+        let batch = m.poll(Ts::from_secs(300)).unwrap().into_rows();
         let last = batch.last().unwrap();
         let temp = last.get("temp").unwrap().as_f64().unwrap();
         let volt = last.get("voltage").unwrap().as_f64().unwrap();
@@ -411,14 +411,14 @@ mod tests {
         let mut m = MoteSource::new(config(10, None), flat_world(), Box::new(PerfectChannel));
         let handle = m.actuation_handle();
         // 1 Hz for the first 10 s: 11 samples (t = 0..=10).
-        assert_eq!(m.poll(Ts::from_secs(10)).unwrap().len(), 11);
+        assert_eq!(m.poll(Ts::from_secs(10)).unwrap().into_rows().len(), 11);
         // Actuate to 4 Hz: the next 10 s yield ~40 samples.
         handle.set_period(TimeDelta::from_millis(250));
-        let n = m.poll(Ts::from_secs(20)).unwrap().len();
+        let n = m.poll(Ts::from_secs(20)).unwrap().into_rows().len();
         assert!((36..=42).contains(&n), "actuated sample count {n}");
         // Relax back to 1 Hz.
         handle.set_period(TimeDelta::from_secs(1));
-        let n = m.poll(Ts::from_secs(30)).unwrap().len();
+        let n = m.poll(Ts::from_secs(30)).unwrap().into_rows().len();
         assert!((9..=11).contains(&n), "relaxed sample count {n}");
     }
 
@@ -431,7 +431,7 @@ mod tests {
             Arc::new(|_: ReceptorId, _: Ts| 500.0),
             Box::new(PerfectChannel),
         );
-        let batch = m.poll(Ts::ZERO).unwrap();
+        let batch = m.poll(Ts::ZERO).unwrap().into_rows();
         assert_eq!(batch[0].get("noise"), Some(&Value::Float(500.0)));
     }
 }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use esp_stream::Source;
+use esp_stream::{Payload, Source};
 use esp_types::{well_known, Batch, ReceptorId, ReceptorType, Result, TimeDelta, Ts, Tuple, Value};
 
 use crate::channel::BernoulliChannel;
@@ -244,7 +244,7 @@ impl Source for BadgeReaderSource {
         &self.name
     }
 
-    fn poll(&mut self, epoch: Ts) -> Result<Batch> {
+    fn poll(&mut self, epoch: Ts) -> Result<Payload> {
         let mut out = Batch::new();
         while self.next_poll <= epoch {
             let ts = self.next_poll;
@@ -265,7 +265,7 @@ impl Source for BadgeReaderSource {
                 out.push(self.sighting(ts, ERRANT_TAG));
             }
         }
-        Ok(out)
+        Ok(Payload::Rows(out))
     }
 }
 
@@ -306,7 +306,7 @@ mod tests {
     fn badge_read_mostly_while_present() {
         let s = OfficeScenario::paper(3);
         let mut sources = s.sources();
-        let batch = sources[0].2.poll(Ts::from_secs(600)).unwrap();
+        let batch = sources[0].2.poll(Ts::from_secs(600)).unwrap().into_rows();
         let (mut present, mut absent) = (0usize, 0usize);
         for t in &batch {
             if t.get("tag_id") == Some(&Value::str(BADGE_TAG)) {
@@ -330,6 +330,7 @@ mod tests {
         let reads = |src: &mut Box<dyn Source>| {
             src.poll(Ts::from_secs(600))
                 .unwrap()
+                .into_rows()
                 .iter()
                 .filter(|t| t.get("tag_id") == Some(&Value::str(ERRANT_TAG)))
                 .count()
@@ -343,7 +344,7 @@ mod tests {
         let s = OfficeScenario::paper(3);
         let mut sources = s.sources();
         // Sound motes are entries 2..5.
-        let batch = sources[2].2.poll(Ts::from_secs(600)).unwrap();
+        let batch = sources[2].2.poll(Ts::from_secs(600)).unwrap().into_rows();
         let mean_when = |occ: bool| {
             let vals: Vec<f64> = batch
                 .iter()
@@ -361,7 +362,7 @@ mod tests {
         let s = OfficeScenario::paper(3);
         let mut sources = s.sources();
         // X10 detectors are entries 5..8.
-        let batch = sources[5].2.poll(Ts::from_secs(600)).unwrap();
+        let batch = sources[5].2.poll(Ts::from_secs(600)).unwrap().into_rows();
         let during_occupied = batch.iter().filter(|t| s.occupied(t.ts())).count();
         let during_empty = batch.len() - during_occupied;
         assert!(during_occupied > 5 * during_empty.max(1));

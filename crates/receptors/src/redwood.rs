@@ -244,7 +244,7 @@ mod tests {
         let mut sent = 0usize;
         let mut got = 0usize;
         for (_, src) in &mut sources {
-            let batch = src.poll(horizon).unwrap();
+            let batch = src.poll(horizon).unwrap().into_rows();
             got += batch.len();
             sent += (2 * 86_400 / 300 + 1) as usize;
         }

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use serde_json::{json, Value as Json};
 
-use esp_stream::{ScriptedSource, Source};
+use esp_stream::{Payload, ScriptedSource, Source};
 use esp_types::{Batch, DataType, EspError, Field, Result, Schema, Ts, Tuple, Value};
 
 /// A captured source trace: one entry per poll, with the poll epoch and
@@ -118,14 +118,14 @@ impl Source for RecordingSource {
         self.inner.name()
     }
 
-    fn poll(&mut self, epoch: Ts) -> Result<Batch> {
-        let batch = self.inner.poll(epoch)?;
+    fn poll(&mut self, epoch: Ts) -> Result<Payload> {
+        let polled = self.inner.poll(epoch)?;
         self.trace
             .lock()
             .expect("recorder lock")
             .entries
-            .push((epoch, batch.clone()));
-        Ok(batch)
+            .push((epoch, polled.rows().into_owned()));
+        Ok(polled)
     }
 }
 
@@ -257,7 +257,7 @@ mod tests {
         let mut t = Ts::ZERO;
         let mut live: Vec<Batch> = Vec::new();
         for _ in 0..20 {
-            live.push(wrapped.poll(t).unwrap());
+            live.push(wrapped.poll(t).unwrap().into_rows());
             t += TimeDelta::from_millis(200);
         }
         // Replay from the snapshot.
@@ -266,7 +266,7 @@ mod tests {
         let mut replay = trace.clone().into_source("replay");
         let mut t = Ts::ZERO;
         for want in &live {
-            let got = replay.poll(t).unwrap();
+            let got = replay.poll(t).unwrap().into_rows();
             assert_eq!(&got, want);
             t += TimeDelta::from_millis(200);
         }
@@ -279,7 +279,7 @@ mod tests {
         let (_, src) = scenario.sources().remove(0);
         let mut wrapped = recorder.wrap(src);
         for i in 0..10u64 {
-            wrapped.poll(Ts::from_millis(i * 200)).unwrap();
+            wrapped.poll(Ts::from_millis(i * 200)).unwrap().into_rows();
         }
         let trace = recorder.snapshot();
         let json = trace.to_json();
@@ -295,7 +295,7 @@ mod tests {
         let (_, src) = scenario.sources().remove(0);
         let mut wrapped = recorder.wrap(src);
         for i in 0..10u64 {
-            wrapped.poll(Ts::from_millis(i * 200)).unwrap();
+            wrapped.poll(Ts::from_millis(i * 200)).unwrap().into_rows();
         }
         let json = recorder.snapshot().to_json();
         let parsed = RecordedTrace::from_json(&json).unwrap();

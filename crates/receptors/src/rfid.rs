@@ -24,7 +24,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use esp_stream::Source;
+use esp_stream::{Payload, Source};
 use esp_types::{well_known, Batch, ReceptorId, Result, Schema, TimeDelta, Ts, Tuple, Value};
 
 use crate::GroupSpec;
@@ -274,14 +274,14 @@ impl Source for RfidReaderSource {
         &self.name
     }
 
-    fn poll(&mut self, epoch: Ts) -> Result<Batch> {
+    fn poll(&mut self, epoch: Ts) -> Result<Payload> {
         let mut out = Batch::new();
         while self.next_poll <= epoch {
             let ts = self.next_poll;
             self.next_poll += self.config.sample_period;
             self.poll_once(ts, &mut out);
         }
-        Ok(out)
+        Ok(Payload::Rows(out))
     }
 }
 
@@ -346,7 +346,7 @@ mod tests {
         let mut sources = s.sources();
         let polls = 2_000u64;
         let horizon = Ts::from_millis((polls - 1) * 200);
-        let batch0 = sources[0].1.poll(horizon).unwrap();
+        let batch0 = sources[0].1.poll(horizon).unwrap().into_rows();
 
         let mut per_tag: HashMap<String, usize> = HashMap::new();
         for t in &batch0 {
@@ -374,7 +374,7 @@ mod tests {
         let mut sources = s.sources();
         let polls = 2_000u64;
         let horizon = Ts::from_millis((polls - 1) * 200);
-        let batch1 = sources[1].1.poll(horizon).unwrap();
+        let batch1 = sources[1].1.poll(horizon).unwrap().into_rows();
         let foreign = batch1
             .iter()
             .filter(|t| {
@@ -397,7 +397,7 @@ mod tests {
         let mut sources = s.sources();
         let polls = 1_000u64;
         let horizon = Ts::from_millis((polls - 1) * 200);
-        let batch = sources[0].1.poll(horizon).unwrap();
+        let batch = sources[0].1.poll(horizon).unwrap().into_rows();
         let mut per_poll = vec![0usize; polls as usize];
         for t in &batch {
             per_poll[(t.ts().as_millis() / 200) as usize] += 1;
@@ -412,7 +412,7 @@ mod tests {
         let run = || {
             let s = ShelfScenario::paper(42);
             let mut sources = s.sources();
-            sources[0].1.poll(Ts::from_secs(5)).unwrap()
+            sources[0].1.poll(Ts::from_secs(5)).unwrap().into_rows()
         };
         assert_eq!(run(), run());
     }
@@ -424,7 +424,7 @@ mod tests {
         let mut sources = s.sources();
         let polls = 500u64;
         let horizon = Ts::from_millis((polls - 1) * 200);
-        let batch = sources[0].1.poll(horizon).unwrap();
+        let batch = sources[0].1.poll(horizon).unwrap().into_rows();
         let mean_count = batch.len() as f64 / polls as f64;
         // True count on shelf 0 averages ≈ 12.5; raw per-poll ≈ 7–9.
         assert!(

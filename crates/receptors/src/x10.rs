@@ -11,7 +11,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use esp_stream::Source;
+use esp_stream::{Payload, Source};
 use esp_types::{well_known, Batch, ReceptorId, Result, Schema, TimeDelta, Ts, Tuple, Value};
 
 /// Ground-truth occupancy signal shared by a scenario's devices.
@@ -62,7 +62,7 @@ impl Source for X10MotionSource {
         &self.name
     }
 
-    fn poll(&mut self, epoch: Ts) -> Result<Batch> {
+    fn poll(&mut self, epoch: Ts) -> Result<Payload> {
         let mut out = Batch::new();
         while self.next_sample <= epoch {
             let ts = self.next_sample;
@@ -80,7 +80,7 @@ impl Source for X10MotionSource {
                 ));
             }
         }
-        Ok(out)
+        Ok(Payload::Rows(out))
     }
 }
 
@@ -105,7 +105,7 @@ mod tests {
     #[test]
     fn detects_when_occupied_at_configured_rate() {
         let mut d = X10MotionSource::new(config(1, 0.3, 0.0), always(true));
-        let events = d.poll(Ts::from_secs(9_999)).unwrap();
+        let events = d.poll(Ts::from_secs(9_999)).unwrap().into_rows();
         let rate = events.len() as f64 / 10_000.0;
         assert!((rate - 0.3).abs() < 0.03, "rate {rate}");
         assert!(events
@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn spurious_reports_when_empty() {
         let mut d = X10MotionSource::new(config(2, 0.5, 0.02), always(false));
-        let events = d.poll(Ts::from_secs(9_999)).unwrap();
+        let events = d.poll(Ts::from_secs(9_999)).unwrap().into_rows();
         let rate = events.len() as f64 / 10_000.0;
         assert!(rate > 0.005 && rate < 0.05, "false rate {rate}");
     }
@@ -124,9 +124,9 @@ mod tests {
     #[test]
     fn perfect_detector_with_zero_false_rate() {
         let mut d = X10MotionSource::new(config(3, 1.0, 0.0), always(true));
-        assert_eq!(d.poll(Ts::from_secs(99)).unwrap().len(), 100);
+        assert_eq!(d.poll(Ts::from_secs(99)).unwrap().into_rows().len(), 100);
         let mut d = X10MotionSource::new(config(3, 1.0, 0.0), always(false));
-        assert!(d.poll(Ts::from_secs(99)).unwrap().is_empty());
+        assert!(d.poll(Ts::from_secs(99)).unwrap().into_rows().is_empty());
     }
 
     #[test]
@@ -134,7 +134,7 @@ mod tests {
         // Occupied only during the first 50 s.
         let occ: Occupancy = Arc::new(|ts| ts < Ts::from_secs(50));
         let mut d = X10MotionSource::new(config(4, 1.0, 0.0), occ);
-        let events = d.poll(Ts::from_secs(99)).unwrap();
+        let events = d.poll(Ts::from_secs(99)).unwrap().into_rows();
         assert_eq!(events.len(), 50);
         assert!(events.iter().all(|t| t.ts() < Ts::from_secs(50)));
     }

@@ -72,11 +72,11 @@ impl EpochRunner {
 
     /// Execute one epoch at logical time `epoch`.
     ///
-    /// Data moves between nodes as [`Payload`]s: chunk-emitting nodes hand
-    /// columnar batches straight to chunk-aware consumers, while row-only
-    /// operators receive rows through the [`crate::Operator::push_chunk`]
-    /// compat shim. Tap traces stay row-form, so recorded output is
-    /// byte-identical whichever representation flowed underneath.
+    /// Data moves between nodes as [`Payload`]s, handed from producer to
+    /// consumer untouched: whether an operator keeps chunks columnar or
+    /// materializes rows is its own decision. Tap traces stay row-form, so
+    /// recorded output is byte-identical whichever representation flowed
+    /// underneath.
     pub fn step(&mut self, epoch: Ts) -> Result<()> {
         let n = self.df.nodes.len();
         // Per-epoch (not per-tuple) spans keep the instrumented cost at
@@ -84,27 +84,20 @@ impl EpochRunner {
         let obs = self.obs.as_ref().filter(|_| esp_obs::enabled());
         let step_start = obs.map(|_| Instant::now());
         // Output of each node this epoch, filled in topological order.
-        let mut outputs: Vec<Option<Payload>> = vec![None; n];
+        let mut outputs: Vec<Payload> = Vec::with_capacity(n);
         for i in 0..n {
             let node_start = obs.map(|_| Instant::now());
             let out = match &mut self.df.nodes[i].kind {
-                NodeKind::Source(src) => src.poll_payload(epoch)?,
+                NodeKind::Source(src) => src.poll(epoch)?,
                 NodeKind::Operator { op, inputs } => {
                     for (port, input) in inputs.iter().enumerate() {
                         // Inputs precede consumers (append-only graph), so
-                        // the upstream output is always computed; an empty
-                        // default keeps this hot path panic-free.
-                        match &outputs[input.0] {
-                            Some(Payload::Rows(batch)) => op.push(port, batch)?,
-                            Some(Payload::Chunks(chunks)) => {
-                                for c in chunks {
-                                    op.push_chunk(port, c)?;
-                                }
-                            }
-                            None => op.push(port, &[])?,
+                        // the upstream output is always computed already.
+                        if let Some(upstream) = outputs.get(input.0) {
+                            op.push(port, upstream)?;
                         }
                     }
-                    op.flush_payload(epoch)?
+                    op.flush(epoch)?
                 }
             };
             if let (Some(o), Some(t0)) = (obs, node_start) {
@@ -112,13 +105,12 @@ impl EpochRunner {
                     h.record(t0.elapsed().as_nanos() as u64);
                 }
             }
-            outputs[i] = Some(out);
+            outputs.push(out);
         }
         for (tap_idx, node) in self.df.taps.iter().enumerate() {
-            // Every node's output was filled in the loop above.
-            let batch = outputs[node.0]
-                .as_ref()
-                .map(Payload::to_rows)
+            let batch = outputs
+                .get(node.0)
+                .map(|out| out.rows().into_owned())
                 .unwrap_or_default();
             self.collected[tap_idx].push((epoch, batch));
         }

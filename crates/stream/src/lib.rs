@@ -9,9 +9,10 @@
 //!
 //! * [`WindowBuffer`] — time-based sliding-window buffers with eviction,
 //!   the mechanism behind the paper's *temporal granule* (`[Range By …]`).
-//! * [`Operator`] / [`Source`] — the push-based operator protocol. An
-//!   operator receives batches on input ports during an epoch and emits its
-//!   output when the epoch is flushed (punctuation).
+//! * [`Operator`] / [`Source`] — the push-based operator protocol, typed on
+//!   one currency: an operator receives [`Payload`]s (rows or columnar
+//!   chunks) on input ports during an epoch and emits a `Payload` when the
+//!   epoch is flushed (punctuation).
 //! * [`Dataflow`] — a DAG of sources and operators with output taps.
 //! * [`EpochRunner`] — the deterministic single-threaded scheduler used by
 //!   experiments: advances logical time epoch by epoch.

@@ -1,4 +1,19 @@
 //! The push-based operator protocol.
+//!
+//! One method per protocol step, all typed on [`Payload`]:
+//!
+//! | step | method |
+//! |---|---|
+//! | a source produces the epoch's readings | [`Source::poll`]`(epoch) -> Payload` |
+//! | an operator receives input on a port | [`Operator::push`]`(port, &Payload)` |
+//! | punctuation: the operator emits the epoch | [`Operator::flush`]`(epoch) -> Payload` |
+//!
+//! Both runners ([`EpochRunner`](crate::EpochRunner),
+//! [`ThreadedRunner`](crate::ThreadedRunner)) move payloads between nodes
+//! exactly as produced; whether a node keeps chunks columnar or
+//! materializes rows is decided inside the node, never by the transport.
+
+use std::borrow::Cow;
 
 use esp_types::{Batch, Chunk, Result, Ts, Tuple};
 
@@ -8,10 +23,11 @@ use crate::state::{unexpected_state, StageState};
 /// (the original representation, still used by UDF/arbitrary-code stages)
 /// or schema-uniform columnar chunks (the hot path).
 ///
-/// The two forms are interchangeable — [`Payload::into_rows`] is lossless —
-/// so every consumer can handle either; chunk-aware operators keep the
-/// columnar form end-to-end and row-only operators transparently receive
-/// rows through the [`Operator::push_chunk`] compat shim.
+/// `Payload` is the only currency of the operator protocol: sources emit
+/// it, operators consume and emit it, runners move it. The two forms are
+/// interchangeable — [`Payload::into_rows`] is lossless — so a chunk-aware
+/// operator matches on the payload and keeps the columnar form end-to-end,
+/// while a row-only operator calls `into_rows`/`rows` on what it gets.
 #[derive(Debug, Clone)]
 pub enum Payload {
     /// Row-at-a-time batch.
@@ -48,12 +64,25 @@ impl Payload {
         }
     }
 
-    /// Materialize as rows without consuming.
-    pub fn to_rows(&self) -> Batch {
+    /// View as rows without consuming: borrowed for `Rows`, materialized
+    /// for `Chunks`. This is how a row-only operator reads its input.
+    pub fn rows(&self) -> Cow<'_, [Tuple]> {
         match self {
-            Payload::Rows(b) => b.clone(),
-            Payload::Chunks(cs) => cs.iter().flat_map(Chunk::to_tuples).collect(),
+            Payload::Rows(b) => Cow::Borrowed(b),
+            Payload::Chunks(cs) => Cow::Owned(cs.iter().flat_map(Chunk::to_tuples).collect()),
         }
+    }
+}
+
+impl From<Batch> for Payload {
+    fn from(rows: Batch) -> Payload {
+        Payload::Rows(rows)
+    }
+}
+
+impl From<Vec<Chunk>> for Payload {
+    fn from(chunks: Vec<Chunk>) -> Payload {
+        Payload::Chunks(chunks)
     }
 }
 
@@ -61,8 +90,10 @@ impl Payload {
 /// simulator) and the dataflow.
 ///
 /// The scheduler polls every source once per epoch; a source returns the
-/// batch of tuples it produced during that epoch (possibly empty — dropped
-/// readings are exactly the empty polls).
+/// payload it produced during that epoch (possibly empty — dropped
+/// readings are exactly the empty polls). Simulators emit rows; chunk-
+/// building sources (the gateway's ingest queues) emit columnar chunks
+/// without ever materializing per-reading tuples.
 pub trait Source: Send {
     /// Human-readable name for diagnostics.
     fn name(&self) -> &str {
@@ -71,20 +102,12 @@ pub trait Source: Send {
 
     /// Produce this epoch's readings. Tuples should be stamped with
     /// timestamps `<= epoch`.
-    fn poll(&mut self, epoch: Ts) -> Result<Batch>;
-
-    /// Produce this epoch's readings in payload form. The default wraps
-    /// [`Source::poll`] in rows; chunk-building sources (e.g. the gateway's
-    /// ingest queues) override it to emit columnar chunks without ever
-    /// materializing per-reading tuples.
-    fn poll_payload(&mut self, epoch: Ts) -> Result<Payload> {
-        Ok(Payload::Rows(self.poll(epoch)?))
-    }
+    fn poll(&mut self, epoch: Ts) -> Result<Payload>;
 }
 
 /// A push-based stream operator.
 ///
-/// During an epoch the scheduler delivers zero or more batches to each
+/// During an epoch the scheduler delivers zero or more payloads to each
 /// input port via [`Operator::push`]; when every input for the epoch has
 /// been delivered it calls [`Operator::flush`] (the punctuation), at which
 /// point the operator emits its output for the epoch. Stateless operators
@@ -102,28 +125,12 @@ pub trait Operator: Send {
         1
     }
 
-    /// Deliver one batch on input port `port` (0-based).
-    fn push(&mut self, port: usize, batch: &[Tuple]) -> Result<()>;
-
-    /// Deliver one columnar chunk on input port `port`. The default is the
-    /// row-compat shim — it materializes the chunk and delivers it through
-    /// [`Operator::push`], so every existing operator (UDF stages,
-    /// arbitrary code) keeps working unmodified. Chunk-aware operators
-    /// override this to consume the columns in place.
-    fn push_chunk(&mut self, port: usize, chunk: &Chunk) -> Result<()> {
-        self.push(port, &chunk.to_tuples())
-    }
+    /// Deliver one payload on input port `port` (0-based).
+    fn push(&mut self, port: usize, input: &Payload) -> Result<()>;
 
     /// Epoch boundary: all input for `epoch` has been delivered. Emit the
     /// operator's output for this epoch.
-    fn flush(&mut self, epoch: Ts) -> Result<Batch>;
-
-    /// Epoch boundary, payload form: the default wraps [`Operator::flush`]
-    /// in rows. Chunk-forwarding operators override it to hand columnar
-    /// batches downstream without materializing.
-    fn flush_payload(&mut self, epoch: Ts) -> Result<Payload> {
-        Ok(Payload::Rows(self.flush(epoch)?))
-    }
+    fn flush(&mut self, epoch: Ts) -> Result<Payload>;
 
     /// Capture cross-epoch state for a durability checkpoint. Called only
     /// at epoch boundaries (after `flush`, before the next `push`). The
@@ -190,21 +197,19 @@ impl Source for ScriptedSource {
         &self.name
     }
 
-    fn poll(&mut self, epoch: Ts) -> Result<Batch> {
+    fn poll(&mut self, epoch: Ts) -> Result<Payload> {
         let mut out = Batch::new();
         while self.batches.front().is_some_and(|(ts, _)| *ts <= epoch) {
             if let Some((_, batch)) = self.batches.pop_front() {
                 out.extend(batch);
             }
         }
-        Ok(out)
+        Ok(Payload::Rows(out))
     }
 }
 
 /// A source backed by a pre-recorded script of columnar chunks — the
-/// chunk-path twin of [`ScriptedSource`]. Polled through
-/// [`Source::poll_payload`] it emits chunks; polled through the row API it
-/// materializes them, so either runner sees the same tuples.
+/// chunk-emitting twin of [`ScriptedSource`].
 pub struct ScriptedChunkSource {
     name: String,
     batches: std::collections::VecDeque<(Ts, Chunk)>,
@@ -220,16 +225,6 @@ impl ScriptedChunkSource {
             batches: batches.into(),
         }
     }
-
-    fn take(&mut self, epoch: Ts) -> Vec<Chunk> {
-        let mut out = Vec::new();
-        while self.batches.front().is_some_and(|(ts, _)| *ts <= epoch) {
-            if let Some((_, chunk)) = self.batches.pop_front() {
-                out.push(chunk);
-            }
-        }
-        out
-    }
 }
 
 impl Source for ScriptedChunkSource {
@@ -237,12 +232,14 @@ impl Source for ScriptedChunkSource {
         &self.name
     }
 
-    fn poll(&mut self, epoch: Ts) -> Result<Batch> {
-        Ok(self.take(epoch).iter().flat_map(Chunk::to_tuples).collect())
-    }
-
-    fn poll_payload(&mut self, epoch: Ts) -> Result<Payload> {
-        Ok(Payload::Chunks(self.take(epoch)))
+    fn poll(&mut self, epoch: Ts) -> Result<Payload> {
+        let mut out = Vec::new();
+        while self.batches.front().is_some_and(|(ts, _)| *ts <= epoch) {
+            if let Some((_, chunk)) = self.batches.pop_front() {
+                out.push(chunk);
+            }
+        }
+        Ok(Payload::Chunks(out))
     }
 }
 

@@ -7,16 +7,8 @@ use esp_types::{Batch, Chunk, Result, Ts, Tuple};
 
 use crate::operator::{Operator, Payload};
 
-/// One buffered arrival: a run of rows or one columnar chunk, kept in
-/// arrival order so a forwarding operator can re-emit exactly what it saw.
-#[derive(Debug)]
-enum Seg {
-    Rows(Batch),
-    Chunk(Chunk),
-}
-
-/// Order-preserving buffer of mixed row/chunk arrivals. The epoch's output
-/// stays columnar when *every* arrival was a chunk; any row arrival
+/// Order-preserving buffer of one epoch's arrivals. The epoch's output
+/// stays columnar when *every* arrival was chunks; any row arrival
 /// demotes the whole epoch to rows (order is the contract, and
 /// interleaving rows between chunks has no columnar form).
 ///
@@ -24,19 +16,13 @@ enum Seg {
 /// ([`PassThrough`], [`UnionOp`], [`MapOp`], the ESP stage adapter).
 #[derive(Debug, Default)]
 pub struct SegBuf {
-    segs: Vec<Seg>,
+    segs: Vec<Payload>,
 }
 
 impl SegBuf {
-    /// Number of tuples buffered across all segments.
+    /// Number of tuples buffered across all arrivals.
     pub fn len(&self) -> usize {
-        self.segs
-            .iter()
-            .map(|s| match s {
-                Seg::Rows(b) => b.len(),
-                Seg::Chunk(c) => c.len(),
-            })
-            .sum()
+        self.segs.iter().map(Payload::len).sum()
     }
 
     /// True when no tuples are buffered.
@@ -44,48 +30,34 @@ impl SegBuf {
         self.segs.is_empty()
     }
 
-    /// Append a run of rows (merged into a trailing row segment).
-    pub fn push_rows(&mut self, batch: &[Tuple]) {
-        if batch.is_empty() {
-            return;
-        }
-        if let Some(Seg::Rows(b)) = self.segs.last_mut() {
-            b.extend_from_slice(batch);
-        } else {
-            self.segs.push(Seg::Rows(batch.to_vec()));
+    /// Append one arrival (empty payloads are dropped).
+    pub fn push(&mut self, input: Payload) {
+        if !input.is_empty() {
+            self.segs.push(input);
         }
     }
 
-    /// Append one columnar chunk as its own segment.
-    pub fn push_chunk(&mut self, chunk: &Chunk) {
-        if chunk.is_empty() {
-            return;
-        }
-        self.segs.push(Seg::Chunk(chunk.clone()));
-    }
-
-    /// Drain the buffer into a payload: columnar iff every arrival was a
-    /// chunk, otherwise rows in arrival order.
+    /// Drain the buffer into one payload, concatenating in arrival order:
+    /// columnar iff every arrival was chunks, otherwise rows.
     pub fn take(&mut self) -> Payload {
-        let segs = std::mem::take(&mut self.segs);
-        if !segs.is_empty() && segs.iter().all(|s| matches!(s, Seg::Chunk(_))) {
-            return Payload::Chunks(
-                segs.into_iter()
-                    .map(|s| match s {
-                        Seg::Chunk(c) => c,
-                        Seg::Rows(_) => unreachable!("all segments are chunks"),
-                    })
-                    .collect(),
-            );
-        }
-        let mut out = Batch::new();
+        let mut segs = std::mem::take(&mut self.segs).into_iter();
+        let Some(mut out) = segs.next() else {
+            return Payload::empty();
+        };
         for seg in segs {
-            match seg {
-                Seg::Rows(b) => out.extend(b),
-                Seg::Chunk(c) => out.extend(c.to_tuples()),
-            }
+            out = match (out, seg) {
+                (Payload::Chunks(mut a), Payload::Chunks(b)) => {
+                    a.extend(b);
+                    Payload::Chunks(a)
+                }
+                (a, b) => {
+                    let mut rows = a.into_rows();
+                    rows.extend(b.into_rows());
+                    Payload::Rows(rows)
+                }
+            };
         }
-        Payload::Rows(out)
+        out
     }
 }
 
@@ -115,21 +87,12 @@ impl Operator for PassThrough {
         "pass-through"
     }
 
-    fn push(&mut self, _port: usize, batch: &[Tuple]) -> Result<()> {
-        self.buf.push_rows(batch);
+    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+        self.buf.push(input.clone());
         Ok(())
     }
 
-    fn push_chunk(&mut self, _port: usize, chunk: &Chunk) -> Result<()> {
-        self.buf.push_chunk(chunk);
-        Ok(())
-    }
-
-    fn flush(&mut self, _epoch: Ts) -> Result<Batch> {
-        Ok(self.buf.take().into_rows())
-    }
-
-    fn flush_payload(&mut self, _epoch: Ts) -> Result<Payload> {
+    fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
         Ok(self.buf.take())
     }
 }
@@ -157,14 +120,15 @@ impl<F: Fn(&Tuple) -> bool + Send> Operator for FilterOp<F> {
         &self.name
     }
 
-    fn push(&mut self, _port: usize, batch: &[Tuple]) -> Result<()> {
+    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+        let rows = input.rows();
         self.buf
-            .extend(batch.iter().filter(|t| (self.pred)(t)).cloned());
+            .extend(rows.iter().filter(|t| (self.pred)(t)).cloned());
         Ok(())
     }
 
-    fn flush(&mut self, _epoch: Ts) -> Result<Batch> {
-        Ok(std::mem::take(&mut self.buf))
+    fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
+        Ok(Payload::Rows(std::mem::take(&mut self.buf)))
     }
 }
 
@@ -173,8 +137,7 @@ impl<F: Fn(&Tuple) -> bool + Send> Operator for FilterOp<F> {
 ///
 /// An optional whole-chunk transform ([`MapOp::with_chunk_fn`]) lets the
 /// operator consume and emit columnar batches without materializing rows;
-/// without one, chunk arrivals fall back to the per-tuple closure through
-/// the row-compat shim.
+/// without one, chunk arrivals are materialized for the per-tuple closure.
 pub struct MapOp<F> {
     name: String,
     f: F,
@@ -211,32 +174,27 @@ impl<F: Fn(&Tuple) -> Result<Option<Tuple>> + Send> Operator for MapOp<F> {
         &self.name
     }
 
-    fn push(&mut self, _port: usize, batch: &[Tuple]) -> Result<()> {
-        for t in batch {
-            if let Some(out) = (self.f)(t)? {
-                self.buf.push_rows(std::slice::from_ref(&out));
-            }
-        }
+    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+        let out = match (input, &self.chunk_f) {
+            (Payload::Chunks(chunks), Some(cf)) => Payload::Chunks(
+                chunks
+                    .iter()
+                    .filter_map(|c| cf(c).transpose())
+                    .collect::<Result<_>>()?,
+            ),
+            _ => Payload::Rows(
+                input
+                    .rows()
+                    .iter()
+                    .filter_map(|t| (self.f)(t).transpose())
+                    .collect::<Result<_>>()?,
+            ),
+        };
+        self.buf.push(out);
         Ok(())
     }
 
-    fn push_chunk(&mut self, port: usize, chunk: &Chunk) -> Result<()> {
-        match &self.chunk_f {
-            Some(cf) => {
-                if let Some(out) = cf(chunk)? {
-                    self.buf.push_chunk(&out);
-                }
-                Ok(())
-            }
-            None => self.push(port, &chunk.to_tuples()),
-        }
-    }
-
-    fn flush(&mut self, _epoch: Ts) -> Result<Batch> {
-        Ok(self.buf.take().into_rows())
-    }
-
-    fn flush_payload(&mut self, _epoch: Ts) -> Result<Payload> {
+    fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
         Ok(self.buf.take())
     }
 }
@@ -268,21 +226,12 @@ impl Operator for UnionOp {
         self.n_inputs
     }
 
-    fn push(&mut self, _port: usize, batch: &[Tuple]) -> Result<()> {
-        self.buf.push_rows(batch);
+    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+        self.buf.push(input.clone());
         Ok(())
     }
 
-    fn push_chunk(&mut self, _port: usize, chunk: &Chunk) -> Result<()> {
-        self.buf.push_chunk(chunk);
-        Ok(())
-    }
-
-    fn flush(&mut self, _epoch: Ts) -> Result<Batch> {
-        Ok(self.buf.take().into_rows())
-    }
-
-    fn flush_payload(&mut self, _epoch: Ts) -> Result<Payload> {
+    fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
         Ok(self.buf.take())
     }
 }
@@ -312,13 +261,13 @@ impl<F: FnMut(Ts, Vec<Tuple>) -> Result<Batch> + Send> Operator for EpochFnOp<F>
         &self.name
     }
 
-    fn push(&mut self, _port: usize, batch: &[Tuple]) -> Result<()> {
-        self.buf.extend_from_slice(batch);
+    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+        self.buf.extend_from_slice(&input.rows());
         Ok(())
     }
 
-    fn flush(&mut self, epoch: Ts) -> Result<Batch> {
-        (self.f)(epoch, std::mem::take(&mut self.buf))
+    fn flush(&mut self, epoch: Ts) -> Result<Payload> {
+        (self.f)(epoch, std::mem::take(&mut self.buf)).map(Payload::Rows)
     }
 }
 
@@ -335,7 +284,8 @@ mod tests {
     #[test]
     fn filter_drops_non_matching() {
         let mut f = FilterOp::new("evens", |t: &Tuple| t.value(0).as_i64().unwrap() % 2 == 0);
-        f.push(0, &[tup(1), tup(2), tup(3), tup(4)]).unwrap();
+        f.push(0, &vec![tup(1), tup(2), tup(3), tup(4)].into())
+            .unwrap();
         let out = f.flush(Ts::ZERO).unwrap();
         assert_eq!(out.len(), 2);
         // Flush drains: second flush is empty.
@@ -356,8 +306,8 @@ mod tests {
                 Ok(None)
             }
         });
-        m.push(0, &[tup(4), tup(3)]).unwrap();
-        let out = m.flush(Ts::ZERO).unwrap();
+        m.push(0, &vec![tup(4), tup(3)].into()).unwrap();
+        let out = m.flush(Ts::ZERO).unwrap().into_rows();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value(0), &Value::Int(2));
     }
@@ -367,16 +317,16 @@ mod tests {
         let mut m = MapOp::new("boom", |_t: &Tuple| {
             Err(esp_types::EspError::Stage("boom".into()))
         });
-        assert!(m.push(0, &[tup(1)]).is_err());
+        assert!(m.push(0, &vec![tup(1)].into()).is_err());
     }
 
     #[test]
     fn union_merges_ports() {
         let mut u = UnionOp::new(3);
         assert_eq!(u.n_inputs(), 3);
-        u.push(0, &[tup(1)]).unwrap();
-        u.push(2, &[tup(2), tup(3)]).unwrap();
-        u.push(1, &[]).unwrap();
+        u.push(0, &vec![tup(1)].into()).unwrap();
+        u.push(2, &vec![tup(2), tup(3)].into()).unwrap();
+        u.push(1, &Payload::empty()).unwrap();
         assert_eq!(u.flush(Ts::ZERO).unwrap().len(), 3);
     }
 
@@ -391,10 +341,67 @@ mod tests {
             )
             .unwrap()])
         });
-        op.push(0, &[tup(1), tup(2)]).unwrap();
-        op.push(0, &[tup(3)]).unwrap();
-        let out = op.flush(Ts::from_secs(1)).unwrap();
+        op.push(0, &vec![tup(1), tup(2)].into()).unwrap();
+        op.push(0, &vec![tup(3)].into()).unwrap();
+        let out = op.flush(Ts::from_secs(1)).unwrap().into_rows();
         assert_eq!(out[0].value(0), &Value::Int(3));
         assert_eq!(out[0].ts(), Ts::from_secs(1));
+    }
+
+    fn chunk(vals: &[i64]) -> Chunk {
+        let rows: Vec<Tuple> = vals.iter().map(|v| tup(*v)).collect();
+        Chunk::from_tuples(rows[0].schema(), &rows).unwrap()
+    }
+
+    fn values(p: Payload) -> Vec<i64> {
+        p.into_rows()
+            .iter()
+            .map(|t| t.value(0).as_i64().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn all_chunk_epoch_stays_columnar_and_mixed_epoch_keeps_arrival_order() {
+        let mut u = UnionOp::new(2);
+        u.push(0, &vec![chunk(&[1, 2])].into()).unwrap();
+        u.push(1, &vec![chunk(&[3])].into()).unwrap();
+        let out = u.flush(Ts::ZERO).unwrap();
+        assert!(matches!(&out, Payload::Chunks(cs) if cs.len() == 2));
+        assert_eq!(values(out), vec![1, 2, 3]);
+        // One row arrival demotes the epoch; order is still arrival order.
+        u.push(0, &vec![tup(1)].into()).unwrap();
+        u.push(1, &vec![chunk(&[2])].into()).unwrap();
+        u.push(0, &vec![tup(3)].into()).unwrap();
+        let out = u.flush(Ts::ZERO).unwrap();
+        assert!(matches!(out, Payload::Rows(_)));
+        assert_eq!(values(out), vec![1, 2, 3]);
+        // Nothing buffered: an empty row payload.
+        assert!(matches!(u.flush(Ts::ZERO).unwrap(), Payload::Rows(b) if b.is_empty()));
+    }
+
+    #[test]
+    fn map_uses_the_chunk_fn_only_for_chunk_arrivals() {
+        let double = |t: &Tuple| {
+            let v = t.value(0).as_i64().unwrap();
+            Ok(Some(Tuple::new_unchecked(
+                t.schema().clone(),
+                t.ts(),
+                vec![Value::Int(v * 2)],
+            )))
+        };
+        // The chunk fn drops odd-headed chunks, so its use is observable.
+        let mut m = MapOp::new("double", double).with_chunk_fn(|c: &Chunk| {
+            Ok((c.value_at(0, 0) != Some(Value::Int(1))).then(|| c.clone()))
+        });
+        m.push(0, &vec![chunk(&[1]), chunk(&[2])].into()).unwrap();
+        let out = m.flush(Ts::ZERO).unwrap();
+        assert!(matches!(out, Payload::Chunks(_)), "chunk fn keeps columns");
+        assert_eq!(values(out), vec![2]);
+        m.push(0, &vec![tup(1), tup(2)].into()).unwrap();
+        assert_eq!(values(m.flush(Ts::ZERO).unwrap()), vec![2, 4]);
+        // Without a chunk fn, chunk arrivals go through the tuple closure.
+        let mut plain = MapOp::new("double", double);
+        plain.push(0, &vec![chunk(&[1, 2])].into()).unwrap();
+        assert_eq!(values(plain.flush(Ts::ZERO).unwrap()), vec![2, 4]);
     }
 }

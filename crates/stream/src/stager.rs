@@ -2,8 +2,8 @@
 //! model checker.
 //!
 //! An operator with `n` input edges may flush epoch `t` only after every
-//! edge has delivered its `Punct(t)`; batches arriving before that are
-//! buffered per `(epoch, port)`. This tiny state machine is the heart of
+//! edge has delivered its `Punct(t)`; data messages arriving before that
+//! are buffered per `(epoch, port)` in arrival order. This tiny state machine is the heart of
 //! the threaded runner's determinism argument, so it lives here where
 //! both [`ThreadedRunner`](crate::ThreadedRunner) and the exhaustive
 //! interleaving explorer in [`model`](crate::model) drive the *same*
@@ -13,8 +13,9 @@ use std::collections::BTreeMap;
 
 use esp_types::Ts;
 
-/// Per-epoch staging for one operator: batches per input port plus a
-/// punctuation count. Epochs flush in timestamp order regardless of
+/// Per-epoch staging for one operator: data messages per input port (`T`
+/// is the runner's [`Payload`](crate::Payload); the model checker, which
+/// moves only punctuation, uses `()`) plus a punctuation count. Epochs flush in timestamp order regardless of
 /// arrival interleaving.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EpochStager<T> {
@@ -33,15 +34,15 @@ impl<T> EpochStager<T> {
         }
     }
 
-    /// Buffer a batch for `epoch` arriving on input `port`.
-    pub fn batch(&mut self, epoch: Ts, port: usize, items: Vec<T>) {
+    /// Buffer one data message for `epoch` arriving on input `port`.
+    pub fn batch(&mut self, epoch: Ts, port: usize, item: T) {
         let entry = self.entry(epoch);
-        entry.0[port].extend(items);
+        entry.0[port].push(item);
     }
 
     /// Record a punctuation for `epoch` from one input edge. When this
     /// is the last outstanding edge, the epoch is complete: its staged
-    /// per-port batches are returned (in port order) for flushing.
+    /// per-port messages are returned (in port order) for flushing.
     pub fn punct(&mut self, epoch: Ts) -> Option<Vec<Vec<T>>> {
         let entry = self.entry(epoch);
         entry.1 += 1;
@@ -76,21 +77,21 @@ mod tests {
     #[test]
     fn single_edge_flushes_on_each_punct() {
         let mut st = EpochStager::new(1);
-        st.batch(ts(0), 0, vec![1, 2]);
-        assert_eq!(st.punct(ts(0)), Some(vec![vec![1, 2]]));
+        st.batch(ts(0), 0, 1);
+        assert_eq!(st.punct(ts(0)), Some(vec![vec![1]]));
         assert_eq!(st.pending(), 0);
-        // A punct with no batch still completes the (empty) epoch —
-        // empty batches are elided on the wire.
+        // A punct with no data still completes the (empty) epoch —
+        // empty payloads are elided on the wire.
         assert_eq!(st.punct(ts(100)), Some(vec![Vec::<i32>::new()]));
     }
 
     #[test]
     fn multi_edge_waits_for_every_punct() {
         let mut st = EpochStager::new(2);
-        st.batch(ts(0), 1, vec!["b"]);
+        st.batch(ts(0), 1, "b");
         assert_eq!(st.punct(ts(0)), None, "one punct of two");
         assert_eq!(st.pending(), 1);
-        st.batch(ts(0), 0, vec!["a"]);
+        st.batch(ts(0), 0, "a");
         assert_eq!(st.punct(ts(0)), Some(vec![vec!["a"], vec!["b"]]));
         assert_eq!(st.pending(), 0);
     }
@@ -98,8 +99,8 @@ mod tests {
     #[test]
     fn epochs_stage_independently_and_out_of_order() {
         let mut st = EpochStager::new(2);
-        st.batch(ts(100), 0, vec![10]);
-        st.batch(ts(0), 0, vec![0]);
+        st.batch(ts(100), 0, 10);
+        st.batch(ts(0), 0, 0);
         assert_eq!(st.punct(ts(100)), None);
         assert_eq!(st.punct(ts(0)), None);
         assert_eq!(st.pending(), 2);
@@ -108,10 +109,10 @@ mod tests {
     }
 
     #[test]
-    fn batches_accumulate_per_port() {
+    fn messages_accumulate_per_port_in_arrival_order() {
         let mut st = EpochStager::new(1);
-        st.batch(ts(0), 0, vec![1]);
-        st.batch(ts(0), 0, vec![2, 3]);
-        assert_eq!(st.punct(ts(0)), Some(vec![vec![1, 2, 3]]));
+        st.batch(ts(0), 0, 1);
+        st.batch(ts(0), 0, 2);
+        assert_eq!(st.punct(ts(0)), Some(vec![vec![1, 2]]));
     }
 }

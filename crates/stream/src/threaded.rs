@@ -3,11 +3,12 @@
 //! One thread per node; crossbeam channels are the inter-operator queues
 //! (the Fjord architecture's queues made literal). Epoch alignment uses
 //! punctuation messages: an operator flushes epoch `t` only after every
-//! input edge has delivered its `Punct(t)`. Batches are buffered per
-//! `(epoch, port)` and delivered to the wrapped operator in port order, so
-//! the per-epoch output of every node is **identical** to what the
-//! single-threaded [`EpochRunner`](crate::EpochRunner) produces — a property
-//! the test suite asserts.
+//! input edge has delivered its `Punct(t)`. Payloads travel the edges as
+//! produced (chunks stay chunks), are buffered per `(epoch, port)` and
+//! delivered to the wrapped operator in port order, so the per-epoch output
+//! of every node is **identical** to what the single-threaded
+//! [`EpochRunner`](crate::EpochRunner) produces — a property the test suite
+//! asserts.
 
 use std::thread;
 
@@ -15,16 +16,17 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use esp_types::{Batch, EspError, Result, TimeDelta, Ts};
 
 use crate::graph::{Dataflow, NodeKind};
+use crate::operator::Payload;
 use crate::stager::EpochStager;
 use crate::stats::QueueStats;
 
 /// Message on an inter-node edge.
 enum Msg {
-    /// A batch produced for `epoch`, destined for input port `port`.
-    Batch {
+    /// A payload produced for `epoch`, destined for input port `port`.
+    Data {
         port: usize,
         epoch: Ts,
-        batch: Batch,
+        payload: Payload,
     },
     /// All data for `epoch` on this edge has been sent.
     Punct(Ts),
@@ -142,7 +144,7 @@ impl ThreadedRunner {
                     // Driver sends Punct(ts) as the epoch tick.
                     for msg in rx {
                         let Msg::Punct(epoch) = msg else {
-                            return Err(EspError::Stage("source received a data batch".into()));
+                            return Err(EspError::Stage("source received a data message".into()));
                         };
                         let out = src.poll(epoch)?;
                         deliver(&downstream, &tap_tx, &my_taps, epoch, out, &stats)?;
@@ -152,20 +154,24 @@ impl ThreadedRunner {
                 NodeKind::Operator { mut op, inputs } => {
                     let n_edges = inputs.len();
                     thread::spawn(move || -> Result<()> {
-                        // Per-epoch staging: batches per port + punct count
+                        // Per-epoch staging: payloads per port + punct count
                         // (the same state machine the model checker drives).
-                        let mut stager: EpochStager<esp_types::Tuple> = EpochStager::new(n_edges);
+                        let mut stager: EpochStager<Payload> = EpochStager::new(n_edges);
                         for msg in rx {
                             match msg {
-                                Msg::Batch { port, epoch, batch } => {
-                                    stager.batch(epoch, port, batch);
-                                }
+                                Msg::Data {
+                                    port,
+                                    epoch,
+                                    payload,
+                                } => stager.batch(epoch, port, payload),
                                 Msg::Punct(epoch) => {
                                     if let Some(ports) = stager.punct(epoch) {
                                         // Deliver in port order for
                                         // determinism, then flush once.
-                                        for (port, batch) in ports.into_iter().enumerate() {
-                                            op.push(port, &batch)?;
+                                        for (port, payloads) in ports.iter().enumerate() {
+                                            for payload in payloads {
+                                                op.push(port, payload)?;
+                                            }
                                         }
                                         let out = op.flush(epoch)?;
                                         deliver(
@@ -252,32 +258,32 @@ impl ThreadedRunner {
     }
 }
 
-/// Send `out` downstream (batch + punctuation per edge) and to taps,
-/// counting queue-full (back-pressure) events.
+/// Send `out` downstream (payload + punctuation per edge) and, in row
+/// form, to taps, counting queue-full (back-pressure) events.
 fn deliver(
     downstream: &[(Sender<Msg>, usize)],
     tap_tx: &Option<Sender<(usize, Ts, Batch)>>,
     my_taps: &[usize],
     epoch: Ts,
-    out: Batch,
+    out: Payload,
     stats: &QueueStats,
 ) -> Result<()> {
     if let Some(tap_tx) = tap_tx {
         for &tap_idx in my_taps {
             tap_tx
-                .send((tap_idx, epoch, out.clone()))
+                .send((tap_idx, epoch, out.rows().into_owned()))
                 .map_err(|_| EspError::Stage("tap collector hung up".into()))?;
         }
     }
     for (tx, port) in downstream {
-        // Empty batches are elided; the punct alone closes the epoch.
+        // Empty payloads are elided; the punct alone closes the epoch.
         if !out.is_empty() {
             send_counted(
                 tx,
-                Msg::Batch {
+                Msg::Data {
                     port: *port,
                     epoch,
-                    batch: out.clone(),
+                    payload: out.clone(),
                 },
                 stats,
             )?;
@@ -371,6 +377,63 @@ mod tests {
         }
     }
 
+    /// Two chunk sources → union → an operator that refuses rows → tap.
+    fn chunk_dataflow() -> (Dataflow, crate::TapId) {
+        use crate::ops::SegBuf;
+        use crate::ScriptedChunkSource;
+        use esp_types::Chunk;
+
+        struct ChunksOnly(SegBuf);
+        impl crate::Operator for ChunksOnly {
+            fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+                if matches!(input, Payload::Rows(rows) if !rows.is_empty()) {
+                    return Err(EspError::Stage("chunk dataflow demoted to rows".into()));
+                }
+                self.0.push(input.clone());
+                Ok(())
+            }
+            fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
+                Ok(self.0.take())
+            }
+        }
+
+        let script = |offset: i64| -> Vec<(Ts, Chunk)> {
+            // Every third epoch is silent, so empty epochs are covered too.
+            (0..20u64)
+                .filter(|i| i % 3 != 2)
+                .map(|i| {
+                    let ts = Ts::from_millis(i * 100);
+                    let rows = [tup(ts, i as i64 + offset), tup(ts, offset)];
+                    (ts, Chunk::from_tuples(rows[0].schema(), &rows).unwrap())
+                })
+                .collect()
+        };
+        let mut df = Dataflow::new();
+        let a = df.add_source(Box::new(ScriptedChunkSource::new("a", script(0))));
+        let b = df.add_source(Box::new(ScriptedChunkSource::new("b", script(100))));
+        let u = df.add_operator(Box::new(UnionOp::new(2)), &[a, b]).unwrap();
+        let only = df
+            .add_operator(Box::new(ChunksOnly(SegBuf::default())), &[u])
+            .unwrap();
+        let tap = df.add_tap(only).unwrap();
+        (df, tap)
+    }
+
+    #[test]
+    fn chunk_dataflow_runs_identically_under_both_runners() {
+        let (df1, tap1) = chunk_dataflow();
+        let mut single = EpochRunner::new(df1);
+        single
+            .run(Ts::ZERO, TimeDelta::from_millis(100), 20)
+            .unwrap();
+        let expected = single.take_tap(tap1);
+        assert_eq!(expected.iter().map(|(_, b)| b.len()).sum::<usize>(), 56);
+
+        let (df2, tap2) = chunk_dataflow();
+        let traces = ThreadedRunner::run(df2, Ts::ZERO, TimeDelta::from_millis(100), 20).unwrap();
+        assert_eq!(&traces[tap2.0], &expected);
+    }
+
     #[test]
     fn tiny_edge_capacity_matches_and_reports_backpressure() {
         let (df1, tap1) = diamond();
@@ -408,11 +471,11 @@ mod tests {
         )));
         struct Failing;
         impl crate::Operator for Failing {
-            fn push(&mut self, _p: usize, _b: &[Tuple]) -> Result<()> {
+            fn push(&mut self, _p: usize, _b: &Payload) -> Result<()> {
                 Err(EspError::Stage("injected failure".into()))
             }
-            fn flush(&mut self, _e: Ts) -> Result<Batch> {
-                Ok(Batch::new())
+            fn flush(&mut self, _e: Ts) -> Result<Payload> {
+                Ok(Payload::empty())
             }
         }
         df.add_operator(Box::new(Failing), &[src]).unwrap();

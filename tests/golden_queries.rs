@@ -9,6 +9,11 @@
 //! *before* the slot-compiled executor landed; the suite pins the refactor
 //! to be observationally invisible (tuple-for-tuple identical output).
 //!
+//! Every engine scenario is driven three ways — row `push` (a conversion
+//! onto the chunk staging), `push_chunk`, and rows under
+//! `set_reference_mode(true)` (the unpruned name-resolving interpreter) —
+//! and each trace must match the one stored fixture.
+//!
 //! Regenerate with `ESP_GOLDEN_REGEN=1 cargo test --test golden_queries`
 //! — but only do that deliberately: a diff here means the engine's
 //! observable semantics changed.
@@ -25,7 +30,9 @@ use esp_core::{
 use esp_integration_tests::{build_processor, with_type};
 use esp_query::Engine;
 use esp_receptors::rfid::ShelfScenario;
-use esp_types::{Batch, DataType, ReceptorType, Schema, Ts, Tuple, TupleBuilder, Value};
+use esp_types::{
+    chunk_batch, Batch, DataType, ReceptorType, Schema, Ts, Tuple, TupleBuilder, Value,
+};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden")
@@ -122,55 +129,61 @@ fn row(s: &Arc<Schema>, ts: Ts, vals: &[(&str, Value)]) -> Tuple {
     b.build().unwrap()
 }
 
-/// Drive one query: per step, push the given batches and tick at the epoch.
-fn run_query(
-    engine: &Engine,
-    sql: &str,
-    steps: Vec<(u64, Vec<(&str, Batch)>)>,
-) -> Vec<(Ts, Batch)> {
-    let mut q = engine.compile(sql).expect("query compiles");
-    let mut trace = Vec::new();
-    for (epoch_ms, feeds) in steps {
-        let epoch = Ts::from_millis(epoch_ms);
-        for (stream, batch) in feeds {
-            q.push(stream, &batch).expect("push batch");
-        }
-        let out = q.tick(epoch).expect("tick");
-        trace.push((epoch, out));
-    }
-    trace
+/// Per step: the epoch (ms) and the batches to push before ticking at it.
+type Steps = Vec<(u64, Vec<(&'static str, Batch)>)>;
+
+/// One engine scenario: a query and its deterministic multi-epoch input.
+struct QueryScenario {
+    engine: Engine,
+    sql: &'static str,
+    steps: Steps,
 }
 
-/// Like [`run_query`], but with liveness-driven column pruning enabled
-/// (the live-column set comes from the same backward dataflow analysis
-/// `esp-lint` uses for E0901).
-fn run_query_pruned(
-    engine: &Engine,
-    sql: &str,
-    steps: Vec<(u64, Vec<(&str, Batch)>)>,
-) -> Vec<(Ts, Batch)> {
-    let mut q = engine.compile(sql).expect("query compiles");
-    assert!(
-        q.enable_column_pruning(),
-        "query has a finite live-column set, pruning must engage"
-    );
-    let mut trace = Vec::new();
-    for (epoch_ms, feeds) in steps {
-        let epoch = Ts::from_millis(epoch_ms);
-        for (stream, batch) in feeds {
-            q.push(stream, &batch).expect("push batch");
+/// How a scenario's batches reach the engine.
+#[derive(Debug, Clone, Copy)]
+enum Ingest {
+    /// `push(rows)`.
+    Rows,
+    /// `push_chunk`, one chunk per run of equal schemas.
+    Chunks,
+    /// `push(rows)` under `set_reference_mode(true)`.
+    Reference,
+}
+
+fn query_scenario(engine: Engine, sql: &'static str, steps: Steps) -> QueryScenario {
+    QueryScenario { engine, sql, steps }
+}
+
+impl QueryScenario {
+    /// Drive the query: per step, push the given batches and tick at the
+    /// epoch.
+    fn run(&self, ingest: Ingest) -> Vec<(Ts, Batch)> {
+        let mut q = self.engine.compile(self.sql).expect("query compiles");
+        q.set_reference_mode(matches!(ingest, Ingest::Reference));
+        let mut trace = Vec::new();
+        for (epoch_ms, feeds) in &self.steps {
+            let epoch = Ts::from_millis(*epoch_ms);
+            for (stream, batch) in feeds {
+                match ingest {
+                    Ingest::Rows | Ingest::Reference => q.push(stream, batch).expect("push batch"),
+                    Ingest::Chunks => {
+                        for chunk in chunk_batch(batch) {
+                            q.push_chunk(stream, chunk).expect("push chunk");
+                        }
+                    }
+                }
+            }
+            trace.push((epoch, q.tick(epoch).expect("tick")));
         }
-        let out = q.tick(epoch).expect("tick");
-        trace.push((epoch, out));
+        trace
     }
-    trace
 }
 
 // ---------------------------------------------------------------------------
 // Query scenarios (paper Queries 1-6 + semantics the stages rely on)
 // ---------------------------------------------------------------------------
 
-fn q1_shelf_counts() -> Vec<(Ts, Batch)> {
+fn q1_shelf_counts() -> QueryScenario {
     let s = schema(&[("shelf", DataType::Int), ("tag_id", DataType::Str)]);
     let mk = |ts: u64, shelf: i64, tag: &str| {
         row(
@@ -179,8 +192,8 @@ fn q1_shelf_counts() -> Vec<(Ts, Batch)> {
             &[("shelf", Value::Int(shelf)), ("tag_id", Value::str(tag))],
         )
     };
-    run_query(
-        &Engine::new(),
+    query_scenario(
+        Engine::new(),
         "SELECT shelf, count(distinct tag_id)
          FROM rfid_data [Range By '5 sec']
          GROUP BY shelf",
@@ -203,7 +216,7 @@ fn q1_shelf_counts() -> Vec<(Ts, Batch)> {
     )
 }
 
-fn q2_smooth_interpolation() -> Vec<(Ts, Batch)> {
+fn q2_smooth_interpolation() -> QueryScenario {
     let s = schema(&[("receptor_id", DataType::Int), ("tag_id", DataType::Str)]);
     let mk = |ts: u64, tag: &str| {
         row(
@@ -226,8 +239,8 @@ fn q2_smooth_interpolation() -> Vec<(Ts, Batch)> {
         };
         steps.push((sec * 1_000, feeds));
     }
-    run_query(
-        &Engine::new(),
+    query_scenario(
+        Engine::new(),
         "SELECT tag_id, count(*)
          FROM smooth_input [Range By '5 sec']
          GROUP BY tag_id",
@@ -235,7 +248,7 @@ fn q2_smooth_interpolation() -> Vec<(Ts, Batch)> {
     )
 }
 
-fn q3_arbitrate_majority() -> Vec<(Ts, Batch)> {
+fn q3_arbitrate_majority() -> QueryScenario {
     let s = schema(&[
         ("spatial_granule", DataType::Str),
         ("tag_id", DataType::Str),
@@ -250,8 +263,8 @@ fn q3_arbitrate_majority() -> Vec<(Ts, Batch)> {
             ],
         )
     };
-    run_query(
-        &Engine::new(),
+    query_scenario(
+        Engine::new(),
         "SELECT spatial_granule, tag_id
          FROM arbitrate_input ai1 [Range By 'NOW']
          GROUP BY spatial_granule, tag_id
@@ -288,7 +301,7 @@ fn q3_arbitrate_majority() -> Vec<(Ts, Batch)> {
     )
 }
 
-fn q4_point_filter() -> Vec<(Ts, Batch)> {
+fn q4_point_filter() -> QueryScenario {
     let s = schema(&[("receptor_id", DataType::Int), ("temp", DataType::Float)]);
     let mk = |ts: u64, v: Value| {
         row(
@@ -297,8 +310,8 @@ fn q4_point_filter() -> Vec<(Ts, Batch)> {
             &[("receptor_id", Value::Int(1)), ("temp", v)],
         )
     };
-    run_query(
-        &Engine::new(),
+    query_scenario(
+        Engine::new(),
         "SELECT * FROM point_input WHERE temp < 50",
         vec![
             (
@@ -320,7 +333,7 @@ fn q4_point_filter() -> Vec<(Ts, Batch)> {
     )
 }
 
-fn q5_outlier_join() -> Vec<(Ts, Batch)> {
+fn q5_outlier_join() -> QueryScenario {
     let s = schema(&[
         ("spatial_granule", DataType::Str),
         ("temp", DataType::Float),
@@ -335,8 +348,8 @@ fn q5_outlier_join() -> Vec<(Ts, Batch)> {
             ],
         )
     };
-    run_query(
-        &Engine::new(),
+    query_scenario(
+        Engine::new(),
         "SELECT s.spatial_granule, avg(s.temp)
          FROM merge_input s [Range By '5 min'],
               (SELECT spatial_granule, avg(temp) AS avg_t, stdev(temp) AS stdev_t
@@ -369,11 +382,11 @@ fn q5_outlier_join() -> Vec<(Ts, Batch)> {
     )
 }
 
-fn q6_person_votes() -> Vec<(Ts, Batch)> {
+fn q6_person_votes() -> QueryScenario {
     let s = schema(&[("vote", DataType::Int)]);
     let mk = |ts: u64, v: i64| row(&s, Ts::from_millis(ts), &[("vote", Value::Int(v))]);
-    run_query(
-        &Engine::new(),
+    query_scenario(
+        Engine::new(),
         "SELECT 'Person-in-room' AS event FROM votes [Range By 'NOW'] HAVING sum(vote) >= 2",
         vec![
             (0, vec![("votes", vec![mk(0, 1), mk(0, 0), mk(0, 1)])]),
@@ -386,11 +399,11 @@ fn q6_person_votes() -> Vec<(Ts, Batch)> {
     )
 }
 
-fn joins_and_qualifiers() -> Vec<(Ts, Batch)> {
+fn joins_and_qualifiers() -> QueryScenario {
     let s = schema(&[("v", DataType::Int)]);
     let mk = |ts: u64, v: i64| row(&s, Ts::from_millis(ts), &[("v", Value::Int(v))]);
-    run_query(
-        &Engine::new(),
+    query_scenario(
+        Engine::new(),
         "SELECT l.v AS left_v, r.v AS right_v, l.v * 10 + r.v AS combo
          FROM t l [Range By 'NOW'], t r [Range By 'NOW']
          WHERE l.v < r.v",
@@ -402,7 +415,7 @@ fn joins_and_qualifiers() -> Vec<(Ts, Batch)> {
     )
 }
 
-fn equi_join_two_streams() -> Vec<(Ts, Batch)> {
+fn equi_join_two_streams() -> QueryScenario {
     let sa = schema(&[("k", DataType::Str), ("a", DataType::Int)]);
     let sb = schema(&[("k", DataType::Str), ("b", DataType::Int)]);
     let mka = |ts: u64, k: &str, a: i64| {
@@ -415,8 +428,8 @@ fn equi_join_two_streams() -> Vec<(Ts, Batch)> {
     let mkb = |ts: u64, k: Value, b: i64| {
         row(&sb, Ts::from_millis(ts), &[("k", k), ("b", Value::Int(b))])
     };
-    run_query(
-        &Engine::new(),
+    query_scenario(
+        Engine::new(),
         "SELECT x.k, x.a, y.b
          FROM left_s x [Range By '5 sec'], right_s y [Range By 'NOW']
          WHERE x.k = y.k AND x.a + y.b > 3",
@@ -448,7 +461,7 @@ fn equi_join_two_streams() -> Vec<(Ts, Batch)> {
     )
 }
 
-fn relation_membership() -> Vec<(Ts, Batch)> {
+fn relation_membership() -> QueryScenario {
     let s = schema(&[("tag_id", DataType::Str)]);
     let mk = |ts: u64, tag: &str| row(&s, Ts::from_millis(ts), &[("tag_id", Value::str(tag))]);
     let mut engine = Engine::new();
@@ -456,8 +469,8 @@ fn relation_membership() -> Vec<(Ts, Batch)> {
         "expected",
         vec![mk(0, "badge-1"), mk(0, "badge-2"), mk(0, "badge-3")],
     );
-    run_query(
-        &engine,
+    query_scenario(
+        engine,
         "SELECT tag_id FROM t [Range By 'NOW']
          WHERE tag_id IN (SELECT tag_id FROM expected)",
         vec![
@@ -473,11 +486,11 @@ fn relation_membership() -> Vec<(Ts, Batch)> {
     )
 }
 
-fn aggregate_zoo() -> Vec<(Ts, Batch)> {
+fn aggregate_zoo() -> QueryScenario {
     let s = schema(&[("g", DataType::Str), ("v", DataType::Float)]);
     let mk = |ts: u64, g: Value, v: Value| row(&s, Ts::from_millis(ts), &[("g", g), ("v", v)]);
-    run_query(
-        &Engine::new(),
+    query_scenario(
+        Engine::new(),
         "SELECT g, count(*), count(v) AS nn, count(distinct v) AS dv,
                 sum(v) AS s, avg(v) AS m, stdev(v) AS sd, min(v) AS lo, max(v) AS hi,
                 sum(v) / count(v) AS ratio
@@ -505,11 +518,11 @@ fn aggregate_zoo() -> Vec<(Ts, Batch)> {
     )
 }
 
-fn global_aggregate_and_empty_groups() -> Vec<(Ts, Batch)> {
+fn global_aggregate_and_empty_groups() -> QueryScenario {
     let s = schema(&[("v", DataType::Int)]);
     let mk = |ts: u64, v: i64| row(&s, Ts::from_millis(ts), &[("v", Value::Int(v))]);
-    run_query(
-        &Engine::new(),
+    query_scenario(
+        Engine::new(),
         "SELECT v, count(*) AS n, sum(v) AS total
          FROM t [Range By 'NOW'] WHERE v > 100",
         vec![
@@ -522,11 +535,11 @@ fn global_aggregate_and_empty_groups() -> Vec<(Ts, Batch)> {
     )
 }
 
-fn scalar_and_arith_semantics() -> Vec<(Ts, Batch)> {
+fn scalar_and_arith_semantics() -> QueryScenario {
     let s = schema(&[("a", DataType::Int), ("b", DataType::Int)]);
     let mk = |ts: u64, a: Value, b: Value| row(&s, Ts::from_millis(ts), &[("a", a), ("b", b)]);
-    run_query(
-        &Engine::new(),
+    query_scenario(
+        Engine::new(),
         "SELECT coalesce(a, b) AS c, abs(a - b) AS d, a / b AS q, a % b AS m,
                 -a AS neg, a + b * 2 AS prec
          FROM t [Range By 'NOW'] WHERE NOT (a = 0 AND b = 0)",
@@ -545,11 +558,11 @@ fn scalar_and_arith_semantics() -> Vec<(Ts, Batch)> {
     )
 }
 
-fn derived_tables_nested() -> Vec<(Ts, Batch)> {
+fn derived_tables_nested() -> QueryScenario {
     let s = schema(&[("v", DataType::Int)]);
     let mk = |ts: u64, v: i64| row(&s, Ts::from_millis(ts), &[("v", Value::Int(v))]);
-    run_query(
-        &Engine::new(),
+    query_scenario(
+        Engine::new(),
         "SELECT recent.total AS now_count, hist.total AS window_count
          FROM (SELECT count(*) AS total FROM t [Range By 'NOW']) recent,
               (SELECT count(*) AS total FROM t [Range By '10 sec']) hist",
@@ -558,6 +571,201 @@ fn derived_tables_nested() -> Vec<(Ts, Batch)> {
             (1_000, vec![("t", vec![mk(1_000, 1), mk(1_000, 2)])]),
             (2_000, vec![]),
             (3_000, vec![("t", vec![mk(3_000, 3)])]),
+        ],
+    )
+}
+
+/// The same query as [`q1_shelf_counts`] over readings that carry an extra
+/// never-read column (the receiver signal strength a shelf reader reports
+/// but Query 1 ignores): the engine prunes `rssi` on ingest, and that must
+/// be observationally invisible.
+fn pruned_shelf_counts() -> QueryScenario {
+    let s = schema(&[
+        ("shelf", DataType::Int),
+        ("tag_id", DataType::Str),
+        ("rssi", DataType::Float),
+    ]);
+    let mk = |ts: u64, shelf: i64, tag: &str, rssi: f64| {
+        row(
+            &s,
+            Ts::from_millis(ts),
+            &[
+                ("shelf", Value::Int(shelf)),
+                ("tag_id", Value::str(tag)),
+                ("rssi", Value::Float(rssi)),
+            ],
+        )
+    };
+    query_scenario(
+        Engine::new(),
+        "SELECT shelf, count(distinct tag_id)
+         FROM rfid_data [Range By '5 sec']
+         GROUP BY shelf",
+        vec![
+            (
+                0,
+                vec![(
+                    "rfid_data",
+                    vec![
+                        mk(0, 0, "a", -41.5),
+                        mk(0, 0, "a", -47.25),
+                        mk(0, 0, "b", -60.0),
+                        mk(0, 1, "c", -39.0),
+                    ],
+                )],
+            ),
+            (1_000, vec![("rfid_data", vec![mk(1_000, 1, "a", -55.5)])]),
+            (2_000, vec![]),
+            (
+                6_000,
+                vec![(
+                    "rfid_data",
+                    vec![mk(6_000, 0, "b", -44.0), mk(6_000, 2, "d", -70.125)],
+                )],
+            ),
+            (12_000, vec![]),
+        ],
+    )
+}
+
+/// A `*` derived table below a `HAVING … ALL(subquery)`: the subquery
+/// must name the column it projects, so pruning stays on and must drop
+/// nothing the `*` feeds to it (`rssi` is read only through `d`).
+fn star_below_quantified_subquery() -> QueryScenario {
+    let s = schema(&[
+        ("shelf", DataType::Int),
+        ("tag_id", DataType::Str),
+        ("rssi", DataType::Float),
+    ]);
+    let mk = |ts: u64, shelf: i64, tag: &str, rssi: f64| {
+        row(
+            &s,
+            Ts::from_millis(ts),
+            &[
+                ("shelf", Value::Int(shelf)),
+                ("tag_id", Value::str(tag)),
+                ("rssi", Value::Float(rssi)),
+            ],
+        )
+    };
+    query_scenario(
+        Engine::new(),
+        "SELECT shelf, count(*) AS n
+         FROM rfid_data r [Range By '5 sec']
+         WHERE -50 <= ALL(SELECT d.rssi
+                          FROM (SELECT * FROM rfid_data [Range By 'NOW']) d
+                          WHERE d.tag_id = r.tag_id)
+         GROUP BY shelf
+         HAVING count(*) >= ALL(SELECT count(*)
+                                FROM (SELECT * FROM rfid_data [Range By '5 sec']) d2
+                                GROUP BY d2.shelf)",
+        vec![
+            (
+                0,
+                vec![(
+                    "rfid_data",
+                    vec![
+                        mk(0, 0, "a", -41.5),
+                        mk(0, 0, "b", -60.0),
+                        mk(0, 1, "c", -39.0),
+                        mk(0, 1, "d", -45.0),
+                    ],
+                )],
+            ),
+            (
+                1_000,
+                vec![(
+                    "rfid_data",
+                    vec![mk(1_000, 1, "a", -44.0), mk(1_000, 0, "b", -42.0)],
+                )],
+            ),
+            (2_000, vec![]),
+            (7_000, vec![("rfid_data", vec![mk(7_000, 2, "e", -70.0)])]),
+        ],
+    )
+}
+
+/// Rows of two different schemas interleaved in one batch: the chunk
+/// staging splits them into per-schema runs and the window demotes to
+/// rows, losing nothing.
+fn mixed_schema_rows() -> QueryScenario {
+    let narrow = schema(&[("k", DataType::Str), ("a", DataType::Int)]);
+    let wide = schema(&[
+        ("k", DataType::Str),
+        ("a", DataType::Int),
+        ("note", DataType::Str),
+    ]);
+    let n = |ts: u64, k: &str, a: i64| {
+        row(
+            &narrow,
+            Ts::from_millis(ts),
+            &[("k", Value::str(k)), ("a", Value::Int(a))],
+        )
+    };
+    let w = |ts: u64, k: &str, a: i64, note: &str| {
+        row(
+            &wide,
+            Ts::from_millis(ts),
+            &[
+                ("k", Value::str(k)),
+                ("a", Value::Int(a)),
+                ("note", Value::str(note)),
+            ],
+        )
+    };
+    query_scenario(
+        Engine::new(),
+        "SELECT k, count(*) AS n, sum(a) AS total
+         FROM t [Range By '5 sec'] WHERE a > 0 GROUP BY k",
+        vec![
+            (
+                0,
+                vec![(
+                    "t",
+                    vec![
+                        n(0, "p", 1),
+                        w(0, "p", 2, "x"),
+                        n(0, "q", 3),
+                        w(0, "q", -4, "y"),
+                    ],
+                )],
+            ),
+            (1_000, vec![("t", vec![w(1_000, "p", 5, "z")])]),
+            (2_000, vec![("t", vec![n(2_000, "q", 6)])]),
+            (6_000, vec![]),
+            (9_000, vec![]),
+        ],
+    )
+}
+
+/// `Tuple::new_unchecked` rows whose values disagree with the declared
+/// column types (a string and a float in an `Int` column): the packed
+/// column promotes to verbatim storage and every value reads back as
+/// pushed.
+fn type_mismatched_rows() -> QueryScenario {
+    let s = schema(&[("k", DataType::Str), ("a", DataType::Int)]);
+    let mk = |ts: u64, k: &str, a: Value| {
+        Tuple::new_unchecked(Arc::clone(&s), Ts::from_millis(ts), vec![Value::str(k), a])
+    };
+    query_scenario(
+        Engine::new(),
+        "SELECT k, a, a = 1 AS is_one FROM t [Range By '2 sec'] WHERE NOT (k = 'drop')",
+        vec![
+            (
+                0,
+                vec![(
+                    "t",
+                    vec![
+                        mk(0, "p", Value::Int(1)),
+                        mk(0, "q", Value::str("oops")),
+                        mk(0, "drop", Value::Int(9)),
+                        mk(0, "r", Value::Float(2.5)),
+                    ],
+                )],
+            ),
+            (1_000, vec![("t", vec![mk(1_000, "s", Value::Null)])]),
+            (2_000, vec![("t", vec![mk(2_000, "t", Value::Bool(true))])]),
+            (5_000, vec![]),
         ],
     )
 }
@@ -635,12 +843,12 @@ fn pipeline_json_deployment() -> Vec<(Ts, Batch)> {
 
 // ---------------------------------------------------------------------------
 
-/// A named scenario producing a full output trace.
-type Scenario = (&'static str, fn() -> Vec<(Ts, Batch)>);
+/// A named fixture and the function producing what it pins.
+type Named<T> = (&'static str, fn() -> T);
 
 #[test]
 fn engine_output_matches_golden_fixtures() {
-    let scenarios: Vec<Scenario> = vec![
+    let scenarios: Vec<Named<QueryScenario>> = vec![
         ("q1_shelf_counts", q1_shelf_counts),
         ("q2_smooth_interpolation", q2_smooth_interpolation),
         ("q3_arbitrate_majority", q3_arbitrate_majority),
@@ -657,73 +865,35 @@ fn engine_output_matches_golden_fixtures() {
         ),
         ("scalar_and_arith_semantics", scalar_and_arith_semantics),
         ("derived_tables_nested", derived_tables_nested),
+        ("pruned_shelf_counts", pruned_shelf_counts),
+        (
+            "star_below_quantified_subquery",
+            star_below_quantified_subquery,
+        ),
+        ("mixed_schema_rows", mixed_schema_rows),
+        ("type_mismatched_rows", type_mismatched_rows),
+    ];
+    let mut failures = Vec::new();
+    for (name, build) in scenarios {
+        let scenario = build();
+        for ingest in [Ingest::Rows, Ingest::Chunks, Ingest::Reference] {
+            let mut diverged = Vec::new();
+            check_golden(name, &render_trace(&scenario.run(ingest)), &mut diverged);
+            failures.extend(diverged.iter().map(|f| format!("[{ingest:?} ingest] {f}")));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n\n"));
+}
+
+#[test]
+fn pipeline_output_matches_golden_fixtures() {
+    let scenarios: Vec<Named<Vec<(Ts, Batch)>>> = vec![
         ("pipeline_declarative_shelf", pipeline_declarative_shelf),
         ("pipeline_json_deployment", pipeline_json_deployment),
     ];
     let mut failures = Vec::new();
     for (name, run) in scenarios {
-        let trace = run();
-        check_golden(name, &render_trace(&trace), &mut failures);
+        check_golden(name, &render_trace(&run()), &mut failures);
     }
-    assert!(failures.is_empty(), "{}", failures.join("\n\n"));
-}
-
-/// Column pruning must be observationally invisible: the same query over
-/// inputs that carry an extra never-read column (the receiver signal
-/// strength a shelf reader reports but Query 1 ignores) renders a
-/// byte-identical trace with pruning on and off, and that trace is pinned
-/// to its own golden fixture.
-#[test]
-fn column_pruning_leaves_golden_traces_byte_identical() {
-    let s = schema(&[
-        ("shelf", DataType::Int),
-        ("tag_id", DataType::Str),
-        ("rssi", DataType::Float),
-    ]);
-    let mk = |ts: u64, shelf: i64, tag: &str, rssi: f64| {
-        row(
-            &s,
-            Ts::from_millis(ts),
-            &[
-                ("shelf", Value::Int(shelf)),
-                ("tag_id", Value::str(tag)),
-                ("rssi", Value::Float(rssi)),
-            ],
-        )
-    };
-    let sql = "SELECT shelf, count(distinct tag_id)
-               FROM rfid_data [Range By '5 sec']
-               GROUP BY shelf";
-    let steps = || {
-        vec![
-            (
-                0,
-                vec![(
-                    "rfid_data",
-                    vec![
-                        mk(0, 0, "a", -41.5),
-                        mk(0, 0, "a", -47.25),
-                        mk(0, 0, "b", -60.0),
-                        mk(0, 1, "c", -39.0),
-                    ],
-                )],
-            ),
-            (1_000, vec![("rfid_data", vec![mk(1_000, 1, "a", -55.5)])]),
-            (2_000, vec![]),
-            (
-                6_000,
-                vec![(
-                    "rfid_data",
-                    vec![mk(6_000, 0, "b", -44.0), mk(6_000, 2, "d", -70.125)],
-                )],
-            ),
-            (12_000, vec![]),
-        ]
-    };
-    let plain = render_trace(&run_query(&Engine::new(), sql, steps()));
-    let pruned = render_trace(&run_query_pruned(&Engine::new(), sql, steps()));
-    assert_eq!(plain, pruned, "pruning changed the observable trace");
-    let mut failures = Vec::new();
-    check_golden("pruned_shelf_counts", &pruned, &mut failures);
     assert!(failures.is_empty(), "{}", failures.join("\n\n"));
 }

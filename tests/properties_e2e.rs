@@ -47,7 +47,10 @@ proptest! {
             .collect();
         let distinct_tags: std::collections::HashSet<&str> =
             input.iter().map(|t| t.get("tag_id").unwrap().as_str().unwrap()).collect();
-        let out = stage.process(Ts::ZERO, input.clone()).unwrap();
+        let out = stage
+            .process(Ts::ZERO, input.clone().into())
+            .unwrap()
+            .into_rows();
         prop_assert_eq!(out.len(), distinct_tags.len());
         let out_tags: std::collections::HashSet<String> = out
             .iter()
@@ -67,7 +70,7 @@ proptest! {
             .iter()
             .map(|(g, t)| sighting(Ts::ZERO, &format!("g{g}"), &format!("tag{t}")))
             .collect();
-        let out = stage.process(Ts::ZERO, input).unwrap();
+        let out = stage.process(Ts::ZERO, input.into()).unwrap().into_rows();
         let pairs: std::collections::HashSet<(String, String)> = out
             .iter()
             .map(|t| {
@@ -111,8 +114,11 @@ proptest! {
                         .unwrap()
                 })
                 .collect();
-            let a = builtin.process(epoch, batch.clone()).unwrap();
-            let b = declarative.process(epoch, batch).unwrap();
+            let a = builtin
+                .process(epoch, batch.clone().into())
+                .unwrap()
+                .into_rows();
+            let b = declarative.process(epoch, batch.into()).unwrap().into_rows();
             let to_map = |out: &[Tuple]| -> std::collections::BTreeMap<String, i64> {
                 out.iter()
                     .map(|t| {
@@ -154,7 +160,7 @@ proptest! {
                         .unwrap()
                 })
                 .collect();
-            let out = stage.process(epoch, batch).unwrap();
+            let out = stage.process(epoch, batch.into()).unwrap().into_rows();
             for t in &out {
                 let tag = t.get("tag_id").unwrap().as_str().unwrap();
                 prop_assert!(seen.contains(tag), "reported tag {} never seen", tag);
@@ -189,7 +195,7 @@ proptest! {
                     .unwrap()
             })
             .collect();
-        let out = stage.process(Ts::ZERO, batch).unwrap();
+        let out = stage.process(Ts::ZERO, batch.into()).unwrap().into_rows();
         let mean = out[0].get("temp").unwrap().as_f64().unwrap();
         let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
