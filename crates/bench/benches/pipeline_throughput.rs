@@ -9,7 +9,7 @@ use esp_core::{DeclarativeStage, Pipeline, SmoothStage, Stage};
 use esp_query::Engine;
 use esp_receptors::office::OfficeScenario;
 use esp_receptors::rfid::ShelfScenario;
-use esp_types::{well_known, ReceptorType, TimeDelta, Ts, Tuple, TupleBuilder};
+use esp_types::{chunk_batch, well_known, ReceptorType, TimeDelta, Ts, Tuple, TupleBuilder};
 
 fn bench_shelf_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline/shelf");
@@ -123,10 +123,64 @@ fn bench_builtin_vs_declarative_smooth(c: &mut Criterion) {
     group.finish();
 }
 
+/// Per-epoch cost of `windowed_mean` in steady state against the window
+/// length, arrivals per epoch held fixed (64 samples over 8 motes, as one
+/// chunk): each iteration is one more epoch on a stage whose window is
+/// already full. Pane-incremental Smooth folds the arrivals and merges one
+/// partial per key per live epoch, so this is flat until panes × keys
+/// rivals the arrivals; a rescan of the buffered window grows with the
+/// window instead (EXPERIMENTS.md, "Smooth window scaling").
+fn bench_smooth_window_scaling(c: &mut Criterion) {
+    const ARRIVALS: usize = 64;
+    const MOTES: usize = 8;
+    let schema = well_known::temp_schema();
+    let rows: Vec<Tuple> = (0..ARRIVALS)
+        .map(|i| {
+            TupleBuilder::new(&schema, Ts::ZERO)
+                .set("receptor_id", (i % MOTES) as i64)
+                .unwrap()
+                .set("temp", 18.0 + (i as f64) * 0.05)
+                .unwrap()
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let arrivals = chunk_batch(&rows);
+    let period = TimeDelta::from_secs(1);
+
+    let mut group = c.benchmark_group("pipeline/smooth_window_scaling");
+    group.throughput(Throughput::Elements(ARRIVALS as u64));
+    for window_epochs in [5u64, 30, 300] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(window_epochs),
+            &window_epochs,
+            |b, &window_epochs| {
+                let mut stage = SmoothStage::windowed_mean(
+                    "smooth",
+                    TimeDelta::from_secs(window_epochs),
+                    ["receptor_id"],
+                    "temp",
+                );
+                let mut epoch = Ts::ZERO;
+                let mut step = |stage: &mut SmoothStage| {
+                    epoch += period;
+                    stage.process(epoch, arrivals.clone().into()).unwrap().len()
+                };
+                for _ in 0..=window_epochs {
+                    step(&mut stage); // fill the window before timing
+                }
+                b.iter(|| step(&mut stage))
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_shelf_pipeline,
     bench_home_pipeline,
-    bench_builtin_vs_declarative_smooth
+    bench_builtin_vs_declarative_smooth,
+    bench_smooth_window_scaling
 );
 criterion_main!(benches);

@@ -640,8 +640,8 @@ fn add_stage(
             let s = s.clone();
             // Validate the mode eagerly so configuration errors surface at
             // deploy time, not first-epoch time.
-            build_smooth(&s, granule)?;
-            builder.per_receptor("smooth", move |_ctx: &StageCtx| build_smooth(&s, granule))
+            s.build(granule)?;
+            builder.per_receptor("smooth", move |_ctx: &StageCtx| s.build(granule))
         }
         StageSpec::Merge(m) => {
             let m = m.clone();
@@ -719,41 +719,45 @@ fn add_stage(
     })
 }
 
-fn build_smooth(s: &SmoothSpec, granule: TemporalGranule) -> Result<Box<dyn Stage>> {
-    let value_field = || {
-        s.value_field
-            .clone()
-            .ok_or_else(|| EspError::Config(format!("smooth mode '{}' needs value_field", s.mode)))
-    };
-    Ok(match s.mode.as_str() {
-        "count_by_key" => Box::new(SmoothStage::count_by_key(
-            "smooth",
-            granule,
-            s.keys.iter().cloned(),
-        )),
-        "windowed_mean" => Box::new(SmoothStage::windowed_mean(
-            "smooth",
-            granule,
-            s.keys.iter().cloned(),
-            value_field()?,
-        )),
-        "event_presence" => Box::new(SmoothStage::event_presence(
-            "smooth",
-            granule,
-            s.keys.iter().cloned(),
-            value_field()?,
-            Value::str(s.on_value.as_deref().unwrap_or("ON")),
-            s.min_events.unwrap_or(1),
-        )),
-        "ewma" => Box::new(SmoothStage::ewma(
-            "smooth",
-            granule,
-            s.keys.iter().cloned(),
-            value_field()?,
-            s.alpha.unwrap_or(0.5),
-        )?),
-        other => return Err(EspError::Config(format!("unknown smooth mode '{other}'"))),
-    })
+impl SmoothSpec {
+    /// Build the Smooth stage this spec describes over `granule` — what
+    /// [`DeploymentSpec::build_pipeline`] instantiates per receptor.
+    pub fn build(&self, granule: TemporalGranule) -> Result<Box<dyn Stage>> {
+        let value_field = || {
+            self.value_field.clone().ok_or_else(|| {
+                EspError::Config(format!("smooth mode '{}' needs value_field", self.mode))
+            })
+        };
+        Ok(match self.mode.as_str() {
+            "count_by_key" => Box::new(SmoothStage::count_by_key(
+                "smooth",
+                granule,
+                self.keys.iter().cloned(),
+            )),
+            "windowed_mean" => Box::new(SmoothStage::windowed_mean(
+                "smooth",
+                granule,
+                self.keys.iter().cloned(),
+                value_field()?,
+            )),
+            "event_presence" => Box::new(SmoothStage::event_presence(
+                "smooth",
+                granule,
+                self.keys.iter().cloned(),
+                value_field()?,
+                Value::str(self.on_value.as_deref().unwrap_or("ON")),
+                self.min_events.unwrap_or(1),
+            )),
+            "ewma" => Box::new(SmoothStage::ewma(
+                "smooth",
+                granule,
+                self.keys.iter().cloned(),
+                value_field()?,
+                self.alpha.unwrap_or(0.5),
+            )?),
+            other => return Err(EspError::Config(format!("unknown smooth mode '{other}'"))),
+        })
+    }
 }
 
 fn build_merge(m: &MergeSpec, granule: TemporalGranule, ctx: &StageCtx) -> Result<Box<dyn Stage>> {

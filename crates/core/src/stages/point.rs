@@ -5,12 +5,25 @@
 //! early elimination of data for performance. The paper's Query 4
 //! (`SELECT * FROM point_input WHERE temp < 50`) and the digital-home
 //! expected-tag join are both expressible here.
+//!
+//! # Data path
+//!
+//! A stage with no ops hands its input payload back untouched. A stage
+//! whose ops are all filters ([`PointStage::range_filter`],
+//! [`PointStage::expected_values`]) keeps columnar input columnar: each
+//! filter marks a keep-mask straight off its column and the chunk is
+//! compacted once by [`Chunk::filter`], so the stage after it (Smooth's
+//! columnar fold) still sees packed columns. A [`PointStage::map`] op is
+//! arbitrary per-tuple code, so a stage holding one materializes rows;
+//! row input is moved through the ops, never cloned. All paths keep and
+//! drop exactly the same tuples and count them alike in
+//! [`PointStage::dropped`].
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use esp_stream::{Payload, StageState};
-use esp_types::{snap, Batch, Result, Ts, Tuple, Value};
+use esp_types::{snap, Batch, Chunk, ColumnVec, Result, Ts, Tuple, Value};
 
 use crate::stage::{Stage, TupleMapFn};
 
@@ -97,24 +110,17 @@ impl PointStage {
         self.dropped
     }
 
-    fn apply(&mut self, t: &Tuple) -> Result<Option<Tuple>> {
-        let mut current = t.clone();
+    /// Run one tuple through the ops; `None` drops it.
+    fn apply(&mut self, mut current: Tuple) -> Result<Option<Tuple>> {
         for op in &mut self.ops {
             match op {
                 PointOp::RangeFilter { field, min, max } => {
-                    let Some(x) = current.get(field).and_then(Value::as_f64) else {
-                        return Ok(None);
-                    };
-                    if min.is_some_and(|m| x < m) || max.is_some_and(|m| x > m) {
+                    if !current.get(field).is_some_and(|v| in_range(v, *min, *max)) {
                         return Ok(None);
                     }
                 }
                 PointOp::ExpectedValues { field, allowed } => {
-                    let keep = match current.get(field) {
-                        Some(Value::Str(s)) => allowed.contains(s),
-                        _ => false,
-                    };
-                    if !keep {
+                    if !current.get(field).is_some_and(|v| is_expected(v, allowed)) {
                         return Ok(None);
                     }
                 }
@@ -126,6 +132,64 @@ impl PointStage {
         }
         Ok(Some(current))
     }
+
+    /// The columnar form of [`PointStage::apply`] for a stage without
+    /// `Map` ops: one keep flag per row of `chunk`. A clean packed column
+    /// is tested in place; any other (NULLs present, `ANY`, promoted,
+    /// pruned, absent from the schema) reads each slot as a [`Value`].
+    fn keep_mask(&self, chunk: &Chunk) -> Vec<bool> {
+        let mut keep = vec![true; chunk.len()];
+        for op in &self.ops {
+            match op {
+                PointOp::RangeFilter { field, min, max } => match column(chunk, field) {
+                    Some(ColumnVec::Float { data, nulls }) if !nulls.any() => {
+                        and_mask(&mut keep, |i| within(data[i], *min, *max));
+                    }
+                    col => and_mask(&mut keep, |i| {
+                        slot(col, i).is_some_and(|v| in_range(&v, *min, *max))
+                    }),
+                },
+                PointOp::ExpectedValues { field, allowed } => match column(chunk, field) {
+                    Some(ColumnVec::Str { data, nulls }) if !nulls.any() => {
+                        and_mask(&mut keep, |i| allowed.contains(&data[i]));
+                    }
+                    col => and_mask(&mut keep, |i| {
+                        slot(col, i).is_some_and(|v| is_expected(&v, allowed))
+                    }),
+                },
+                PointOp::Map(_) => unreachable!("a stage with a Map op filters rows"),
+            }
+        }
+        keep
+    }
+}
+
+fn column<'a>(chunk: &'a Chunk, field: &str) -> Option<&'a ColumnVec> {
+    chunk.schema().index_of(field).and_then(|c| chunk.col(c))
+}
+
+/// Row `i` of a column, `None` when the schema has no such field.
+fn slot(col: Option<&ColumnVec>, i: usize) -> Option<Value> {
+    col.and_then(|c| c.get(i))
+}
+
+/// `keep[i] &= test(i)`, skipping rows already dropped.
+fn and_mask(keep: &mut [bool], test: impl Fn(usize) -> bool) {
+    for (i, k) in keep.iter_mut().enumerate() {
+        *k = *k && test(i);
+    }
+}
+
+fn within(x: f64, min: Option<f64>, max: Option<f64>) -> bool {
+    !(min.is_some_and(|m| x < m) || max.is_some_and(|m| x > m))
+}
+
+fn in_range(v: &Value, min: Option<f64>, max: Option<f64>) -> bool {
+    v.as_f64().is_some_and(|x| within(x, min, max))
+}
+
+fn is_expected(v: &Value, allowed: &HashSet<Arc<str>>) -> bool {
+    matches!(v, Value::Str(s) if allowed.contains(s))
 }
 
 impl Stage for PointStage {
@@ -134,15 +198,33 @@ impl Stage for PointStage {
     }
 
     fn process(&mut self, _epoch: Ts, input: Payload) -> Result<Payload> {
-        let input = input.into_rows();
-        let mut out = Batch::with_capacity(input.len());
-        for t in &input {
-            match self.apply(t)? {
-                Some(mapped) => out.push(mapped),
-                None => self.dropped += 1,
+        if self.ops.is_empty() {
+            return Ok(input);
+        }
+        let all_filters = !self.ops.iter().any(|op| matches!(op, PointOp::Map(_)));
+        match input {
+            Payload::Chunks(chunks) if all_filters => {
+                let mut out = Vec::with_capacity(chunks.len());
+                for chunk in chunks {
+                    let keep = self.keep_mask(&chunk);
+                    let kept = chunk.filter(&keep)?;
+                    self.dropped += (keep.len() - kept.len()) as u64;
+                    out.push(kept);
+                }
+                Ok(Payload::Chunks(out))
+            }
+            input => {
+                let input = input.into_rows();
+                let mut out = Batch::with_capacity(input.len());
+                for t in input {
+                    match self.apply(t)? {
+                        Some(mapped) => out.push(mapped),
+                        None => self.dropped += 1,
+                    }
+                }
+                Ok(Payload::Rows(out))
             }
         }
-        Ok(Payload::Rows(out))
     }
 
     // Point filters tuples one at a time; the only thing that crosses an

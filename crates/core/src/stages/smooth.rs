@@ -1,8 +1,8 @@
 //! Stage 2 — **Smooth**: aggregation within the temporal granule.
 //!
 //! Smooth interpolates for missed readings and removes errant single
-//! readings by processing a sliding window the size of the temporal granule
-//! over one receptor stream (paper §3.2, Query 2). Three built-in modes
+//! readings by aggregating a sliding window the size of the temporal
+//! granule over one receptor stream (paper §3.2, Query 2). Built-in modes
 //! cover the paper's deployments:
 //!
 //! * [`SmoothStage::count_by_key`] — RFID: count sightings of each key
@@ -13,36 +13,93 @@
 //!   (§5.2.1), including with an *expanded* window.
 //! * [`SmoothStage::event_presence`] — X10: report an `"ON"` event if at
 //!   least `min_events` arrived within the window (§6.1).
+//! * [`SmoothStage::ewma`] — exponentially-weighted alternative to the
+//!   windowed mean.
+//!
+//! # Pane-incremental evaluation
+//!
+//! The window slides by one epoch and all three windowed aggregates merge,
+//! so the stage keeps no tuples: each mode owns an
+//! [`esp_stream::panes::PaneStore`] of per-epoch partials (count →
+//! `i64`; mean → [`RunningStats`]; presence → match count + the key values
+//! of the last match). An epoch folds only its own arrivals into the pane
+//! of that epoch, slides the store, and emits from the panes merged oldest
+//! → newest: the rows a rescan of the buffered window would emit, in the
+//! same order (first-seen key order, key values of the oldest live
+//! arrival, counts and presence exact, means equal to rounding), for
+//! O(arrivals + panes × keys) work instead of O(window rows).
+//!
+//! Input is folded where it lies. A `Payload::Chunks` arrival is read
+//! through its packed columns — key and value positions are resolved once
+//! per input schema, runs of equal keys are found on the `int_data` /
+//! `str_data` slices and each run's `float_data` slice is pushed into one
+//! partial, with the null bitmap consulted only when it has a bit set; a
+//! chunk whose key or value column has no such packed form (an `ANY`
+//! column, a promoted or pruned one) is folded as rows, like
+//! `Payload::Rows`. Both forms push the same numbers into the same
+//! partials in the same order, so chunk-fed and row-fed stages agree bit
+//! for bit.
+//!
+//! The checkpoint is the partials (see [`Stage::state`] below), tagged so
+//! that a pre-pane blob of raw window tuples is refused, not misread.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use esp_stream::panes::{PaneStore, PaneTable, Partial};
 use esp_stream::stats::RunningStats;
-use esp_stream::{Payload, StageState, WindowBuffer};
+use esp_stream::{Payload, StageState};
 use esp_types::{
-    snap, Batch, DataType, EspError, Field, Result, Schema, Ts, Tuple, Value, ValueKey,
+    snap, Batch, Chunk, DataType, EspError, Field, NullMask, Result, Schema, Ts, Tuple, Value,
+    ValueKey,
 };
 
 use crate::granule::TemporalGranule;
 use crate::stage::Stage;
 
+/// First byte of the state blob. Pre-pane blobs began with the window
+/// width as a big-endian `u64`, i.e. with a zero byte for any width below
+/// 2⁵⁶ ms, so the tag alone tells the two layouts apart.
+const STATE_TAG: u8 = 2;
+
+/// Event-presence partial: how many arrivals of the pane matched, and the
+/// key values of the last one that did.
+#[derive(Debug, Clone, Default)]
+struct Presence {
+    matches: u64,
+    last: Vec<Value>,
+}
+
+impl Partial for Presence {
+    fn merge(&mut self, newer: &Presence) {
+        if newer.matches > 0 {
+            self.matches += newer.matches;
+            self.last.clone_from(&newer.last);
+        }
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        snap::put_u64(out, self.matches);
+        snap::encode_values(out, &self.last);
+    }
+
+    fn decode(cur: &mut snap::Cursor<'_>) -> Result<Presence> {
+        Ok(Presence {
+            matches: cur.u64()?,
+            last: snap::decode_values(cur)?,
+        })
+    }
+}
+
 enum SmoothMode {
-    CountByKey {
-        key_fields: Vec<String>,
-    },
-    WindowedMean {
-        key_fields: Vec<String>,
-        value_field: String,
-    },
+    CountByKey(PaneStore<i64>),
+    WindowedMean(PaneStore<RunningStats>),
     EventPresence {
-        key_fields: Vec<String>,
-        value_field: String,
         on_value: Value,
         min_events: usize,
+        panes: PaneStore<Presence>,
     },
     Ewma {
-        key_fields: Vec<String>,
-        value_field: String,
         alpha: f64,
         /// Per-key state: (key values, estimate, last update time).
         state: HashMap<Vec<ValueKey>, (Vec<Value>, f64, Ts)>,
@@ -50,16 +107,324 @@ enum SmoothMode {
     },
 }
 
+impl SmoothMode {
+    /// The mode's byte in the state blob.
+    fn tag(&self) -> u8 {
+        match self {
+            SmoothMode::CountByKey(_) => 0,
+            SmoothMode::WindowedMean(_) => 1,
+            SmoothMode::EventPresence { .. } => 2,
+            SmoothMode::Ewma { .. } => 3,
+        }
+    }
+
+    /// Fold one schema-uniform segment into the pane of `epoch`.
+    fn fold<S: Segment>(&mut self, epoch: Ts, seg: &S) {
+        match self {
+            SmoothMode::CountByKey(panes) => fold_count(seg, panes.pane_mut(epoch)),
+            SmoothMode::WindowedMean(panes) => fold_mean(seg, panes.pane_mut(epoch)),
+            SmoothMode::EventPresence {
+                on_value, panes, ..
+            } => fold_presence(seg, on_value, panes.pane_mut(epoch)),
+            SmoothMode::Ewma { .. } => unreachable!("EWMA keeps no panes"),
+        }
+    }
+}
+
+/// Where the stage's key and value fields sit in one input schema.
+struct Layout {
+    schema: Arc<Schema>,
+    /// Key field positions, or the first key field the schema lacks
+    /// (reported only if a row actually has to be keyed).
+    keys: std::result::Result<Vec<usize>, String>,
+    value: Option<usize>,
+}
+
+impl Layout {
+    /// The key and value positions a fold over this schema reads, or
+    /// `None` when the stage aggregates a value field this schema lacks
+    /// (such rows contribute nothing, whatever their keys).
+    fn columns(&self, wants_value: bool) -> Result<Option<(&[usize], Option<usize>)>> {
+        if wants_value && self.value.is_none() {
+            return Ok(None);
+        }
+        match &self.keys {
+            Ok(keys) => Ok(Some((keys, self.value))),
+            Err(missing) => Err(EspError::UnknownField(missing.clone())),
+        }
+    }
+}
+
+/// One schema-uniform stretch of an epoch's input, readable by position:
+/// what the row form and the columnar form of a fold have in common.
+trait Segment {
+    fn len(&self) -> usize;
+    /// Whether rows `a` and `b` carry group-equal keys.
+    fn same_key(&self, a: usize, b: usize) -> bool;
+    /// Replace `out` with the key values of `row`.
+    fn key_values(&self, row: usize, out: &mut Vec<Value>);
+    /// The value field as a number; `None` when NULL, non-numeric or
+    /// absent from the schema.
+    fn num(&self, row: usize) -> Option<f64>;
+    /// Whether the value field SQL-equals `on`.
+    fn value_is(&self, row: usize, on: &Value) -> bool;
+    /// Push every numeric value of rows `[start, end)` into `stats`, in
+    /// row order.
+    fn push_nums(&self, start: usize, end: usize, stats: &mut RunningStats) {
+        for x in (start..end).filter_map(|row| self.num(row)) {
+            stats.push(x);
+        }
+    }
+}
+
+struct RowSegment<'a> {
+    rows: &'a [Tuple],
+    keys: &'a [usize],
+    value: Option<usize>,
+}
+
+impl Segment for RowSegment<'_> {
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn same_key(&self, a: usize, b: usize) -> bool {
+        let (a, b) = (&self.rows[a], &self.rows[b]);
+        self.keys.iter().all(|&c| a.value(c) == b.value(c))
+    }
+
+    fn key_values(&self, row: usize, out: &mut Vec<Value>) {
+        let t = &self.rows[row];
+        out.clear();
+        out.extend(self.keys.iter().map(|&c| t.value(c).clone()));
+    }
+
+    fn num(&self, row: usize) -> Option<f64> {
+        self.value.and_then(|c| self.rows[row].value(c).as_f64())
+    }
+
+    fn value_is(&self, row: usize, on: &Value) -> bool {
+        self.value
+            .is_some_and(|c| self.rows[row].value(c).sql_eq(on))
+    }
+}
+
+/// A packed column and its null bitmap — `None` when no row is NULL, so
+/// the per-row test disappears for clean columns.
+type Packed<'a, T> = (&'a [T], Option<&'a NullMask>);
+
+fn packed<'a, T>((data, nulls): (&'a [T], &'a NullMask)) -> Packed<'a, T> {
+    (data, nulls.any().then_some(nulls))
+}
+
+fn is_null(nulls: Option<&NullMask>, row: usize) -> bool {
+    nulls.is_some_and(|n| n.get(row))
+}
+
+enum KeyCol<'a> {
+    Int(Packed<'a, i64>),
+    Str(Packed<'a, Arc<str>>),
+}
+
+enum ValueCol<'a> {
+    Float(Packed<'a, f64>),
+    Int(Packed<'a, i64>),
+    Str(Packed<'a, Arc<str>>),
+    /// The schema has no value field: nothing is numeric, nothing matches.
+    Absent,
+}
+
+struct ChunkSegment<'a> {
+    len: usize,
+    keys: Vec<KeyCol<'a>>,
+    value: ValueCol<'a>,
+}
+
+impl<'a> ChunkSegment<'a> {
+    /// The columnar reading of `chunk`, or `None` when a key or value
+    /// column has no packed form this fold reads (the caller folds the
+    /// chunk as rows instead).
+    fn new(chunk: &'a Chunk, keys: &[usize], value: Option<usize>) -> Option<ChunkSegment<'a>> {
+        let keys = keys
+            .iter()
+            .map(|&c| {
+                let col = chunk.col(c)?;
+                col.int_data()
+                    .map(|d| KeyCol::Int(packed(d)))
+                    .or_else(|| col.str_data().map(|d| KeyCol::Str(packed(d))))
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let value = match value {
+            None => ValueCol::Absent,
+            Some(c) => {
+                let col = chunk.col(c)?;
+                if let Some(d) = col.float_data() {
+                    ValueCol::Float(packed(d))
+                } else if let Some(d) = col.int_data() {
+                    ValueCol::Int(packed(d))
+                } else {
+                    ValueCol::Str(packed(col.str_data()?))
+                }
+            }
+        };
+        Some(ChunkSegment {
+            len: chunk.len(),
+            keys,
+            value,
+        })
+    }
+}
+
+impl Segment for ChunkSegment<'_> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn same_key(&self, a: usize, b: usize) -> bool {
+        self.keys.iter().all(|col| match col {
+            KeyCol::Int((data, nulls)) => match (is_null(*nulls, a), is_null(*nulls, b)) {
+                (false, false) => data[a] == data[b],
+                (na, nb) => na == nb,
+            },
+            KeyCol::Str((data, nulls)) => match (is_null(*nulls, a), is_null(*nulls, b)) {
+                (false, false) => Arc::ptr_eq(&data[a], &data[b]) || data[a] == data[b],
+                (na, nb) => na == nb,
+            },
+        })
+    }
+
+    fn key_values(&self, row: usize, out: &mut Vec<Value>) {
+        out.clear();
+        out.extend(self.keys.iter().map(|col| match col {
+            KeyCol::Int((_, nulls)) | KeyCol::Str((_, nulls)) if is_null(*nulls, row) => {
+                Value::Null
+            }
+            KeyCol::Int((data, _)) => Value::Int(data[row]),
+            KeyCol::Str((data, _)) => Value::Str(Arc::clone(&data[row])),
+        }));
+    }
+
+    fn num(&self, row: usize) -> Option<f64> {
+        match &self.value {
+            ValueCol::Float((data, nulls)) => (!is_null(*nulls, row)).then(|| data[row]),
+            ValueCol::Int((data, nulls)) => (!is_null(*nulls, row)).then(|| data[row] as f64),
+            ValueCol::Str(_) | ValueCol::Absent => None,
+        }
+    }
+
+    fn value_is(&self, row: usize, on: &Value) -> bool {
+        match &self.value {
+            ValueCol::Float((data, nulls)) => {
+                !is_null(*nulls, row) && Value::Float(data[row]).sql_eq(on)
+            }
+            ValueCol::Int((data, nulls)) => {
+                !is_null(*nulls, row) && Value::Int(data[row]).sql_eq(on)
+            }
+            ValueCol::Str((data, nulls)) => {
+                !is_null(*nulls, row) && matches!(on, Value::Str(s) if **s == *data[row])
+            }
+            ValueCol::Absent => false,
+        }
+    }
+
+    fn push_nums(&self, start: usize, end: usize, stats: &mut RunningStats) {
+        match &self.value {
+            // The kernel: a clean float column is one slice walk.
+            ValueCol::Float((data, None)) => {
+                for &x in &data[start..end] {
+                    stats.push(x);
+                }
+            }
+            _ => {
+                for x in (start..end).filter_map(|row| self.num(row)) {
+                    stats.push(x);
+                }
+            }
+        }
+    }
+}
+
+/// Call `f(start, end)` for each maximal run `[start, end)` of rows with
+/// group-equal keys.
+fn for_each_key_run<S: Segment>(seg: &S, mut f: impl FnMut(usize, usize)) {
+    let mut start = 0;
+    for row in 1..=seg.len() {
+        if row == seg.len() || !seg.same_key(start, row) {
+            f(start, row);
+            start = row;
+        }
+    }
+}
+
+fn fold_count<S: Segment>(seg: &S, pane: &mut PaneTable<i64>) {
+    let mut key = Vec::new();
+    for_each_key_run(seg, |start, end| {
+        seg.key_values(start, &mut key);
+        *pane.upsert(&key) += (end - start) as i64;
+    });
+}
+
+fn fold_mean<S: Segment>(seg: &S, pane: &mut PaneTable<RunningStats>) {
+    let mut key = Vec::new();
+    for_each_key_run(seg, |start, end| {
+        // NULL / non-numeric samples are skipped, and a key none of whose
+        // samples is numeric is never listed.
+        let Some(first) = (start..end).find(|&row| seg.num(row).is_some()) else {
+            return;
+        };
+        seg.key_values(first, &mut key);
+        seg.push_nums(first, end, pane.upsert(&key));
+    });
+}
+
+fn fold_presence<S: Segment>(seg: &S, on_value: &Value, pane: &mut PaneTable<Presence>) {
+    let mut matched = (0..seg.len()).filter(|&row| seg.value_is(row, on_value));
+    let Some(mut last) = matched.next() else {
+        return;
+    };
+    let mut matches = 1;
+    for row in matched {
+        matches += 1;
+        last = row;
+    }
+    // One group for the whole stream: the key fields only label the event.
+    let presence = pane.upsert(&[]);
+    presence.matches += matches;
+    seg.key_values(last, &mut presence.last);
+}
+
 /// The built-in Smooth stage.
 pub struct SmoothStage {
     name: String,
     granule: TemporalGranule,
-    window: WindowBuffer,
+    key_fields: Vec<String>,
+    /// The aggregated field (`None` for [`SmoothStage::count_by_key`]).
+    value_field: Option<String>,
     mode: SmoothMode,
     out_schema: Option<Arc<Schema>>,
+    /// One entry per distinct input schema met so far.
+    layouts: Vec<Layout>,
 }
 
 impl SmoothStage {
+    fn with_mode<S: Into<String>>(
+        name: impl Into<String>,
+        granule: TemporalGranule,
+        key_fields: impl IntoIterator<Item = S>,
+        value_field: Option<String>,
+        mode: SmoothMode,
+    ) -> SmoothStage {
+        SmoothStage {
+            name: name.into(),
+            granule,
+            key_fields: key_fields.into_iter().map(Into::into).collect(),
+            value_field,
+            mode,
+            out_schema: None,
+            layouts: Vec::new(),
+        }
+    }
+
     /// RFID-style smoothing (paper Query 2): emit `(key…, count)` for each
     /// distinct key combination in the window.
     pub fn count_by_key<S: Into<String>>(
@@ -68,15 +433,8 @@ impl SmoothStage {
         key_fields: impl IntoIterator<Item = S>,
     ) -> SmoothStage {
         let granule = granule.into();
-        SmoothStage {
-            name: name.into(),
-            window: WindowBuffer::new(granule.window()),
-            granule,
-            mode: SmoothMode::CountByKey {
-                key_fields: key_fields.into_iter().map(Into::into).collect(),
-            },
-            out_schema: None,
-        }
+        let mode = SmoothMode::CountByKey(PaneStore::new(granule.window()));
+        SmoothStage::with_mode(name, granule, key_fields, None, mode)
     }
 
     /// Mote-style smoothing (paper §5.2.1): emit `(key…, value)` with the
@@ -88,16 +446,8 @@ impl SmoothStage {
         value_field: impl Into<String>,
     ) -> SmoothStage {
         let granule = granule.into();
-        SmoothStage {
-            name: name.into(),
-            window: WindowBuffer::new(granule.window()),
-            granule,
-            mode: SmoothMode::WindowedMean {
-                key_fields: key_fields.into_iter().map(Into::into).collect(),
-                value_field: value_field.into(),
-            },
-            out_schema: None,
-        }
+        let mode = SmoothMode::WindowedMean(PaneStore::new(granule.window()));
+        SmoothStage::with_mode(name, granule, key_fields, Some(value_field.into()), mode)
     }
 
     /// X10-style smoothing (paper §6.1): emit one `(key…, value)` tuple
@@ -114,18 +464,12 @@ impl SmoothStage {
         min_events: usize,
     ) -> SmoothStage {
         let granule = granule.into();
-        SmoothStage {
-            name: name.into(),
-            window: WindowBuffer::new(granule.window()),
-            granule,
-            mode: SmoothMode::EventPresence {
-                key_fields: key_fields.into_iter().map(Into::into).collect(),
-                value_field: value_field.into(),
-                on_value: on_value.into(),
-                min_events,
-            },
-            out_schema: None,
-        }
+        let mode = SmoothMode::EventPresence {
+            on_value: on_value.into(),
+            min_events,
+            panes: PaneStore::new(granule.window()),
+        };
+        SmoothStage::with_mode(name, granule, key_fields, Some(value_field.into()), mode)
     }
 
     /// Exponentially-weighted moving average smoothing — an alternative to
@@ -145,20 +489,18 @@ impl SmoothStage {
                 "EWMA alpha {alpha} must be in [0, 1]"
             )));
         }
-        let granule = granule.into();
-        Ok(SmoothStage {
-            name: name.into(),
-            window: WindowBuffer::new(granule.window()),
-            granule,
-            mode: SmoothMode::Ewma {
-                key_fields: key_fields.into_iter().map(Into::into).collect(),
-                value_field: value_field.into(),
-                alpha,
-                state: HashMap::new(),
-                order: Vec::new(),
-            },
-            out_schema: None,
-        })
+        let mode = SmoothMode::Ewma {
+            alpha,
+            state: HashMap::new(),
+            order: Vec::new(),
+        };
+        Ok(SmoothStage::with_mode(
+            name,
+            granule.into(),
+            key_fields,
+            Some(value_field.into()),
+            mode,
+        ))
     }
 
     /// The configured temporal granule (with any window expansion).
@@ -166,162 +508,161 @@ impl SmoothStage {
         self.granule
     }
 
-    fn key_of(key_fields: &[String], t: &Tuple) -> Result<Vec<ValueKey>> {
-        key_fields
-            .iter()
-            .map(|f| Ok(t.require(f)?.group_key()))
-            .collect()
+    /// Name and type of the aggregate column appended after the keys.
+    fn output_field(&self) -> Field {
+        let value = self.value_field.as_deref();
+        match &self.mode {
+            SmoothMode::CountByKey(_) => Field::new("count", DataType::Int),
+            SmoothMode::EventPresence { .. } => Field::new(value.unwrap_or("value"), DataType::Any),
+            SmoothMode::WindowedMean(_) | SmoothMode::Ewma { .. } => {
+                Field::new(value.unwrap_or("value"), DataType::Float)
+            }
+        }
     }
 
-    fn output_schema(
-        &mut self,
-        sample: &Tuple,
-        key_fields: &[String],
-        value_name: &str,
-        value_type: DataType,
-    ) -> Result<Arc<Schema>> {
-        if let Some(s) = &self.out_schema {
-            return Ok(Arc::clone(s));
+    /// Fix the output schema on first use: the key fields as `input`
+    /// declares them, plus [`SmoothStage::output_field`].
+    fn fix_output_schema(&mut self, input: &Schema) -> Result<()> {
+        if self.out_schema.is_some() {
+            return Ok(());
         }
-        let mut fields = Vec::with_capacity(key_fields.len() + 1);
-        for k in key_fields {
-            let f = sample
-                .schema()
+        let mut fields = Vec::with_capacity(self.key_fields.len() + 1);
+        for k in &self.key_fields {
+            let f = input
                 .field(k)
                 .ok_or_else(|| EspError::UnknownField(format!("smooth key field '{k}'")))?;
             fields.push(f.clone());
         }
-        fields.push(Field::new(value_name, value_type));
-        let schema = Schema::new(fields)?;
-        self.out_schema = Some(Arc::clone(&schema));
-        Ok(schema)
+        fields.push(self.output_field());
+        self.out_schema = Some(Schema::new(fields)?);
+        Ok(())
     }
 
-    fn process_window(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Batch> {
-        for t in input {
-            // Restamp at the epoch so window eviction tracks arrival time.
-            let t = if t.ts() == epoch {
-                t
-            } else {
-                t.restamped(epoch)
-            };
-            self.window.push(t);
-        }
-        self.window.advance_to(epoch);
-        if self.window.is_empty() {
-            return Ok(Batch::new());
-        }
-        // Borrow-friendly: temporarily take the mode.
-        match &self.mode {
-            SmoothMode::Ewma { .. } => unreachable!("handled by process_ewma"),
-            SmoothMode::CountByKey { key_fields } => {
-                let key_fields = key_fields.clone();
-                let mut counts: HashMap<Vec<ValueKey>, (Vec<Value>, i64)> = HashMap::new();
-                let mut order: Vec<Vec<ValueKey>> = Vec::new();
-                for t in self.window.contents() {
-                    let key = Self::key_of(&key_fields, t)?;
-                    match counts.get_mut(&key) {
-                        Some((_, n)) => *n += 1,
-                        None => {
-                            let vals = key_fields
-                                .iter()
-                                .map(|f| t.require(f).cloned())
-                                .collect::<Result<Vec<_>>>()?;
-                            counts.insert(key.clone(), (vals, 1));
-                            order.push(key);
-                        }
-                    }
-                }
-                let Some(sample) = self.window.contents().next().cloned() else {
-                    return Ok(Batch::new());
+    /// Index into `self.layouts` for `schema`, resolving the key and value
+    /// positions the first time the schema is met.
+    fn layout_for(&mut self, schema: &Arc<Schema>) -> usize {
+        let known = self
+            .layouts
+            .iter()
+            .position(|l| Arc::ptr_eq(&l.schema, schema) || *l.schema == **schema);
+        known.unwrap_or_else(|| {
+            let keys = self
+                .key_fields
+                .iter()
+                .map(|k| schema.index_of(k).ok_or_else(|| k.clone()))
+                .collect();
+            let value = self.value_field.as_ref().and_then(|v| schema.index_of(v));
+            self.layouts.push(Layout {
+                schema: Arc::clone(schema),
+                keys,
+                value,
+            });
+            self.layouts.len() - 1
+        })
+    }
+
+    fn fold_rows(&mut self, epoch: Ts, rows: &[Tuple]) -> Result<()> {
+        let mut rest = rows;
+        while let Some(first) = rest.first() {
+            let layout = self.layout_for(first.schema());
+            let layout = &self.layouts[layout];
+            // The leading run of tuples sharing `first`'s schema.
+            let n = rest
+                .iter()
+                .position(|t| {
+                    !Arc::ptr_eq(t.schema(), first.schema()) && **t.schema() != *layout.schema
+                })
+                .unwrap_or(rest.len());
+            let (head, tail) = rest.split_at(n);
+            rest = tail;
+            if let Some((keys, value)) = layout.columns(self.value_field.is_some())? {
+                let seg = RowSegment {
+                    rows: head,
+                    keys,
+                    value,
                 };
-                let schema = self.output_schema(&sample, &key_fields, "count", DataType::Int)?;
-                order
-                    .into_iter()
-                    .map(|k| {
-                        let (mut vals, n) = counts.remove(&k).ok_or_else(|| {
-                            EspError::Stage("smooth: key missing from count map".into())
-                        })?;
-                        vals.push(Value::Int(n));
-                        Ok(Tuple::new_unchecked(Arc::clone(&schema), epoch, vals))
-                    })
+                self.mode.fold(epoch, &seg);
+                let schema = Arc::clone(&layout.schema);
+                self.fix_output_schema(&schema)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn fold_chunk(&mut self, epoch: Ts, chunk: &Chunk) -> Result<()> {
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        let layout = self.layout_for(chunk.schema());
+        let layout = &self.layouts[layout];
+        let Some((keys, value)) = layout.columns(self.value_field.is_some())? else {
+            return Ok(());
+        };
+        match ChunkSegment::new(chunk, keys, value) {
+            Some(seg) => self.mode.fold(epoch, &seg),
+            None => return self.fold_rows(epoch, &chunk.to_tuples()),
+        }
+        let schema = Arc::clone(&layout.schema);
+        self.fix_output_schema(&schema)
+    }
+
+    /// One epoch of a windowed mode: fold the arrivals into the epoch's
+    /// pane, slide the window, emit from the merged panes.
+    fn process_panes(&mut self, epoch: Ts, input: Payload) -> Result<Batch> {
+        match &input {
+            Payload::Rows(rows) => self.fold_rows(epoch, rows)?,
+            Payload::Chunks(chunks) => {
+                for chunk in chunks {
+                    self.fold_chunk(epoch, chunk)?;
+                }
+            }
+        }
+        let schema = self.out_schema.clone();
+        let row = |key: &[Value], aggregate: Value| -> Result<Tuple> {
+            let schema = schema.as_ref().ok_or_else(|| {
+                EspError::Stage("smooth: panes hold keys but no output schema was fixed".into())
+            })?;
+            let mut vals = Vec::with_capacity(key.len() + 1);
+            vals.extend_from_slice(key);
+            vals.push(aggregate);
+            Ok(Tuple::new_unchecked(Arc::clone(schema), epoch, vals))
+        };
+        match &mut self.mode {
+            SmoothMode::Ewma { .. } => unreachable!("handled by process_ewma"),
+            SmoothMode::CountByKey(panes) => {
+                panes.advance_to(epoch);
+                panes
+                    .merged()
+                    .iter()
+                    .map(|(key, n)| row(key, Value::Int(*n)))
                     .collect()
             }
-            SmoothMode::WindowedMean {
-                key_fields,
-                value_field,
-            } => {
-                let (key_fields, value_field) = (key_fields.clone(), value_field.clone());
-                let mut stats: HashMap<Vec<ValueKey>, (Vec<Value>, RunningStats)> = HashMap::new();
-                let mut order: Vec<Vec<ValueKey>> = Vec::new();
-                for t in self.window.contents() {
-                    let Some(x) = t.get(&value_field).and_then(Value::as_f64) else {
-                        continue; // NULL / non-numeric samples are skipped.
-                    };
-                    let key = Self::key_of(&key_fields, t)?;
-                    match stats.get_mut(&key) {
-                        Some((_, s)) => s.push(x),
-                        None => {
-                            let vals = key_fields
-                                .iter()
-                                .map(|f| t.require(f).cloned())
-                                .collect::<Result<Vec<_>>>()?;
-                            let mut s = RunningStats::new();
-                            s.push(x);
-                            stats.insert(key.clone(), (vals, s));
-                            order.push(key);
-                        }
-                    }
-                }
-                if order.is_empty() {
-                    return Ok(Batch::new());
-                }
-                let Some(sample) = self.window.contents().next().cloned() else {
-                    return Ok(Batch::new());
-                };
-                let schema =
-                    self.output_schema(&sample, &key_fields, &value_field, DataType::Float)?;
-                order
-                    .into_iter()
-                    .map(|k| {
-                        let (mut vals, s) = stats.remove(&k).ok_or_else(|| {
-                            EspError::Stage("smooth: key missing from stats map".into())
-                        })?;
-                        let mean = s
+            SmoothMode::WindowedMean(panes) => {
+                panes.advance_to(epoch);
+                panes
+                    .merged()
+                    .iter()
+                    .map(|(key, stats)| {
+                        let mean = stats
                             .mean()
                             .ok_or_else(|| EspError::Stage("smooth: empty stats bucket".into()))?;
-                        vals.push(Value::Float(mean));
-                        Ok(Tuple::new_unchecked(Arc::clone(&schema), epoch, vals))
+                        row(key, Value::Float(mean))
                     })
                     .collect()
             }
             SmoothMode::EventPresence {
-                key_fields,
-                value_field,
                 on_value,
                 min_events,
+                panes,
             } => {
-                let matching: Vec<&Tuple> = self
-                    .window
-                    .contents()
-                    .filter(|t| t.get(value_field).is_some_and(|v| v.sql_eq(on_value)))
-                    .collect();
-                if matching.len() < *min_events {
-                    return Ok(Batch::new());
-                }
-                // `min_events` may be 0 with an empty window: no event.
-                let Some(last) = matching.last().map(|t| (*t).clone()) else {
-                    return Ok(Batch::new());
-                };
-                let (key_fields, value_field, on) =
-                    (key_fields.clone(), value_field.clone(), on_value.clone());
-                let schema = self.output_schema(&last, &key_fields, &value_field, DataType::Any)?;
-                let mut vals = key_fields
+                panes.advance_to(epoch);
+                // `min_events` may be 0 with nothing matching: no event.
+                panes
+                    .merged()
                     .iter()
-                    .map(|f| last.require(f).cloned())
-                    .collect::<Result<Vec<_>>>()?;
-                vals.push(on);
-                Ok(vec![Tuple::new_unchecked(schema, epoch, vals)])
+                    .filter(|(_, p)| p.matches > 0 && p.matches >= *min_events as u64)
+                    .map(|(_, p)| row(&p.last, on_value.clone()))
+                    .collect()
             }
         }
     }
@@ -333,18 +674,22 @@ impl Stage for SmoothStage {
     }
 
     fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload> {
-        let input = input.into_rows();
         let out = if matches!(self.mode, SmoothMode::Ewma { .. }) {
-            self.process_ewma(epoch, input)
+            self.process_ewma(epoch, input.into_rows())
         } else {
-            self.process_window(epoch, input)
+            self.process_panes(epoch, input)
         };
         out.map(Payload::Rows)
     }
 
+    /// State blob (`snap` form): a tag byte (`2`), the mode's tag, the output
+    /// schema if fixed (`u8` flag + schema), then the mode's state — the
+    /// pane store ([`PaneStore::encode_into`]) or EWMA's per-key
+    /// estimates. No tuple is ever part of it.
     fn state(&self) -> Result<Option<StageState>> {
         let mut out = Vec::new();
-        self.window.encode_into(&mut out);
+        snap::put_u8(&mut out, STATE_TAG);
+        snap::put_u8(&mut out, self.mode.tag());
         match &self.out_schema {
             Some(s) => {
                 snap::put_u8(&mut out, 1);
@@ -353,46 +698,52 @@ impl Stage for SmoothStage {
             None => snap::put_u8(&mut out, 0),
         }
         match &self.mode {
+            SmoothMode::CountByKey(panes) => panes.encode_into(&mut out),
+            SmoothMode::WindowedMean(panes) => panes.encode_into(&mut out),
+            SmoothMode::EventPresence { panes, .. } => panes.encode_into(&mut out),
             SmoothMode::Ewma { state, order, .. } => {
-                snap::put_u8(&mut out, 1);
                 snap::put_u32(&mut out, order.len() as u32);
                 for key in order {
                     let (vals, est, last) = state.get(key).ok_or_else(|| {
                         EspError::Snapshot("EWMA order/state maps out of sync".into())
                     })?;
-                    snap::put_u16(&mut out, vals.len() as u16);
-                    for v in vals {
-                        snap::encode_value(&mut out, v);
-                    }
+                    snap::encode_values(&mut out, vals);
                     snap::put_f64(&mut out, *est);
                     snap::put_u64(&mut out, last.as_millis());
                 }
             }
-            // The other modes recompute everything from the window.
-            _ => snap::put_u8(&mut out, 0),
         }
         Ok(Some(StageState(out)))
     }
 
     fn restore(&mut self, s: &StageState) -> Result<()> {
         let mut cur = snap::Cursor::new(s.bytes());
-        self.window.restore_from(&mut cur)?;
+        if cur.u8()? != STATE_TAG {
+            return Err(EspError::Snapshot(format!(
+                "smooth stage '{}': state blob predates pane state (a window of raw tuples, \
+                 snapshot format 1) and cannot be restored by this version",
+                self.name
+            )));
+        }
+        if cur.u8()? != self.mode.tag() {
+            return Err(EspError::Snapshot(format!(
+                "smooth stage '{}' snapshot was taken under a different mode",
+                self.name
+            )));
+        }
         self.out_schema = match cur.u8()? {
             0 => None,
             _ => Some(snap::decode_schema(&mut cur)?),
         };
-        let has_ewma = cur.u8()? == 1;
-        match (&mut self.mode, has_ewma) {
-            (SmoothMode::Ewma { state, order, .. }, true) => {
+        match &mut self.mode {
+            SmoothMode::CountByKey(panes) => panes.restore_from(&mut cur)?,
+            SmoothMode::WindowedMean(panes) => panes.restore_from(&mut cur)?,
+            SmoothMode::EventPresence { panes, .. } => panes.restore_from(&mut cur)?,
+            SmoothMode::Ewma { state, order, .. } => {
                 state.clear();
                 order.clear();
-                let n = cur.u32()? as usize;
-                for _ in 0..n {
-                    let n_vals = cur.u16()? as usize;
-                    let mut vals = Vec::with_capacity(n_vals);
-                    for _ in 0..n_vals {
-                        vals.push(snap::decode_value(&mut cur)?);
-                    }
+                for _ in 0..cur.u32()? {
+                    let vals = snap::decode_values(&mut cur)?;
                     let est = cur.f64()?;
                     let last = Ts::from_millis(cur.u64()?);
                     let key: Vec<ValueKey> = vals.iter().map(Value::group_key).collect();
@@ -400,13 +751,6 @@ impl Stage for SmoothStage {
                     order.push(key);
                 }
             }
-            (SmoothMode::Ewma { .. }, false) | (_, true) => {
-                return Err(EspError::Snapshot(format!(
-                    "smooth stage '{}' snapshot was taken under a different mode",
-                    self.name
-                )))
-            }
-            (_, false) => {}
         }
         cur.finish()
     }
@@ -416,23 +760,11 @@ impl SmoothStage {
     fn process_ewma(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Batch> {
         let expiry = self.granule.window();
         // Output schema from the first tuple ever seen.
-        if self.out_schema.is_none() {
-            if let Some(sample) = input.first() {
-                let (key_fields, value_field) = match &self.mode {
-                    SmoothMode::Ewma {
-                        key_fields,
-                        value_field,
-                        ..
-                    } => (key_fields.clone(), value_field.clone()),
-                    _ => unreachable!("process_ewma only for Ewma mode"),
-                };
-                let sample = sample.clone();
-                self.output_schema(&sample, &key_fields, &value_field, DataType::Float)?;
-            }
+        if let Some(sample) = input.first() {
+            self.fix_output_schema(sample.schema())?;
         }
+        let (key_fields, value_field) = (&self.key_fields, self.value_field.as_deref());
         let SmoothMode::Ewma {
-            key_fields,
-            value_field,
             alpha,
             state,
             order,
@@ -441,7 +773,7 @@ impl SmoothStage {
             unreachable!("process_ewma only for Ewma mode")
         };
         for t in &input {
-            let Some(x) = t.get(value_field).and_then(Value::as_f64) else {
+            let Some(x) = value_field.and_then(|f| t.get(f)).and_then(Value::as_f64) else {
                 continue;
             };
             let key: Vec<ValueKey> = key_fields
@@ -478,9 +810,6 @@ impl SmoothStage {
         });
         let Some(schema) = self.out_schema.clone() else {
             return Ok(Batch::new());
-        };
-        let SmoothMode::Ewma { state, order, .. } = &self.mode else {
-            unreachable!()
         };
         Ok(order
             .iter()

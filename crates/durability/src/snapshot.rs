@@ -24,7 +24,7 @@
 //!
 //! ```text
 //! magic     u32   0x45535053 ("ESPS")
-//! version   u16   1
+//! version   u16   2
 //! shard     u32
 //! epoch     u64   epoch this state is aligned to (ms)
 //! wal_seq   u64   WAL seq of the flush record that closed that epoch
@@ -32,6 +32,16 @@
 //! payload   opaque shard state
 //! crc       u32   FNV-1a over everything before it
 //! ```
+//!
+//! **Version history.** The envelope never changed; the version names the
+//! payload generation, because the payload is only as portable as the
+//! operator state inside it. Version 1 payloads hold Smooth's window as
+//! raw tuples; version 2 payloads hold per-epoch partial aggregates
+//! (DESIGN.md §2.14). A file of any other version than the current one is
+//! skipped like a corrupt one — with a typed [`EspError::Snapshot`] naming
+//! the version, see [`SnapshotStore::newest_rejection`] — so recovery
+//! falls back to an older usable snapshot or to the WAL alone, and never
+//! hands an operator bytes of a layout it would misread.
 
 use std::collections::HashMap;
 use std::fs;
@@ -41,7 +51,7 @@ use std::sync::Mutex;
 use esp_types::{EspError, Result, Ts};
 
 const SNAP_MAGIC: u32 = 0x4553_5053; // "ESPS"
-const SNAP_VERSION: u16 = 1;
+const SNAP_VERSION: u16 = 2;
 const SNAP_HEADER_LEN: usize = 4 + 2 + 4 + 8 + 8 + 4;
 
 fn fnv1a(bytes: &[u8]) -> u32 {
@@ -230,6 +240,17 @@ impl SnapshotStore {
         Ok(None)
     }
 
+    /// Why [`SnapshotStore::latest_valid`] passed over `shard`'s newest
+    /// snapshot file, if it did: the typed error (unsupported version,
+    /// CRC mismatch, truncation, …) a caller reports when nothing else —
+    /// an older snapshot, a complete WAL — can stand in for that file.
+    pub fn newest_rejection(&self, shard: usize) -> Result<Option<EspError>> {
+        Ok(self
+            .shard_files(shard)?
+            .last()
+            .and_then(|(epoch, path)| Self::load(path, shard, *epoch).err()))
+    }
+
     /// Keep the newest `max_snapshots` snapshots for `shard`, deleting
     /// older ones — except the shard's pinned durable basis (see
     /// [`SnapshotStore::pin_durable_basis`]), which survives regardless
@@ -362,6 +383,50 @@ mod tests {
         let p = s.write(meta(0, 500, 7), b"x").unwrap();
         fs::write(&p, b"not a snapshot").unwrap();
         assert!(s.latest_valid(0).unwrap().is_none());
+    }
+
+    /// Rewrite a snapshot file as a well-formed file of another format
+    /// version (valid CRC): what an older binary left on disk.
+    fn rewrite_as_version(path: &Path, version: u16) {
+        let mut bytes = fs::read(path).unwrap();
+        bytes.truncate(bytes.len() - 4);
+        bytes[4..6].copy_from_slice(&version.to_be_bytes());
+        let crc = fnv1a(&bytes);
+        bytes.extend_from_slice(&crc.to_be_bytes());
+        fs::write(path, &bytes).unwrap();
+    }
+
+    /// A version-1 snapshot (Smooth windows as raw tuples) is intact by
+    /// every envelope check, so only the version gate keeps its payload
+    /// away from operators that now expect panes.
+    #[test]
+    fn version_1_snapshot_is_skipped_with_a_typed_error() {
+        let s = store("v1");
+        let v1 = s.write(meta(0, 500, 7), b"window-of-raw-tuples").unwrap();
+        rewrite_as_version(&v1, 1);
+        assert!(s.latest_valid(0).unwrap().is_none());
+        assert!(matches!(
+            s.newest_rejection(0).unwrap(),
+            Some(EspError::Snapshot(m)) if m.contains("unsupported snapshot version 1")
+        ));
+        assert!(matches!(
+            SnapshotStore::load(&v1, 0, Ts::from_millis(500)),
+            Err(EspError::Snapshot(_))
+        ));
+        // No coverage is claimed for it, so the WAL is never truncated on
+        // its account.
+        assert_eq!(s.min_covered_seq(1).unwrap(), None);
+        assert_eq!(s.pin_durable_basis(1).unwrap(), None);
+
+        // Behind a current snapshot it is simply history…
+        s.write(meta(0, 1000, 19), b"panes").unwrap();
+        assert_eq!(s.latest_valid(0).unwrap().unwrap().1, b"panes");
+        assert!(s.newest_rejection(0).unwrap().is_none());
+        // …and ahead of one (a downgrade-then-upgrade) it is passed over.
+        let newer_v1 = s.write(meta(0, 1500, 30), b"tuples-again").unwrap();
+        rewrite_as_version(&newer_v1, 1);
+        assert_eq!(s.latest_valid(0).unwrap().unwrap().0, meta(0, 1000, 19));
+        assert!(s.newest_rejection(0).unwrap().is_some());
     }
 
     #[test]

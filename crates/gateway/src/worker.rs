@@ -257,6 +257,20 @@ fn recover(
         replay_after = Some(meta.wal_seq);
     }
     let records = read_wal_dir(&d.config.wal_dir())?;
+    // With no usable snapshot the log must reach back to its first record:
+    // segments are only ever reclaimed below a snapshot every shard had,
+    // so a log that starts later means that snapshot has since become
+    // unreadable (corrupt, or written in an older format), and replaying
+    // the surviving suffix into an empty shard would silently lose state.
+    if let (None, Some(first)) = (replay_after, records.first().filter(|r| r.seq > 0)) {
+        return Err(d.store.newest_rejection(shard)?.unwrap_or_else(|| {
+            EspError::Snapshot(format!(
+                "shard {shard} has no snapshot, yet the WAL starts at record {}: \
+                 the reclaimed prefix cannot be replayed",
+                first.seq
+            ))
+        }));
+    }
     let skip_through = records.last().map(|r| r.seq);
     for rec in records {
         if replay_after.is_some_and(|s| rec.seq <= s) {

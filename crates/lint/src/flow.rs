@@ -770,9 +770,20 @@ impl Lattice for CardEnv {
 }
 
 /// Grouping keys a stage retains per-key state for, if it aggregates.
+///
+/// Every Smooth mode that groups by its keys qualifies: the per-key
+/// partials (`count_by_key`, `windowed_mean`: one per key per live epoch;
+/// `ewma`: one estimate per key) are all the state those modes hold.
+/// `event_presence` is deliberately absent — its keys only label the one
+/// event it can emit per epoch, and it retains a match count and one set
+/// of key values per live epoch however many distinct keys arrive.
 fn grouping_keys(stage: &StageSpec, engine: &Engine) -> Vec<String> {
     match stage {
-        StageSpec::Smooth(s) if s.mode == "count_by_key" => s.keys.clone(),
+        StageSpec::Smooth(s)
+            if matches!(s.mode.as_str(), "count_by_key" | "windowed_mean" | "ewma") =>
+        {
+            s.keys.clone()
+        }
         StageSpec::Declarative(d) => match engine.compile(&d.query) {
             Ok(q) => q.group_by_columns(),
             Err(_) => Vec::new(),
@@ -904,7 +915,14 @@ fn state_pass(spec: &PipelineSpec, source: &str, engine: &Engine) -> Vec<Diagnos
             }
         }
         if let Some(k) = unbounded {
-            let span = find_span(source, &format!("GROUP BY {k}")).or_else(|| find_span(source, k));
+            // A CQL `GROUP BY`, else the key as a JSON string (a built-in
+            // stage's `"keys"` entry), else its first bare mention.
+            let span = find_span(source, &format!("GROUP BY {k}"))
+                .or_else(|| {
+                    find_span(source, &format!("\"{k}\""))
+                        .map(|s| Span::new(s.start + 1, s.end - 1))
+                })
+                .or_else(|| find_span(source, k));
             let mut d = Diagnostic::warning(
                 "E0905",
                 format!(
@@ -1142,6 +1160,43 @@ mod tests {
             .find(|d| d.code == "E0905")
             .expect("unbounded state");
         assert!(d.message.contains("temp"), "{diags:#?}");
+    }
+
+    #[test]
+    fn every_keyed_smooth_mode_is_checked_for_e0905() {
+        let lint_mode = |mode: &str, keys: &str| {
+            lint_pipeline(&format!(
+                r#"{{
+                "gateway": {{ "period": "1 sec", "durable": false }},
+                "deployment": {{
+                    "temporal_granule": "5 sec",
+                    "groups": [ {{ "granule": "den", "receptor_type": "motion", "members": [0, 1] }} ],
+                    "stages": [
+                        {{ "smooth": {{ "mode": "{mode}", "keys": {keys}, "value_field": "value",
+                            "alpha": 0.5 }} }}
+                    ]
+                }}
+            }}"#
+            ))
+        };
+        // Per-key partials are the whole state of these modes.
+        for mode in ["count_by_key", "windowed_mean", "ewma"] {
+            let diags = lint_mode(mode, r#"["spatial_granule", "value"]"#);
+            let d = diags
+                .iter()
+                .find(|d| d.code == "E0905")
+                .unwrap_or_else(|| panic!("{mode}: {diags:#?}"));
+            assert!(d.message.contains("'value'"), "{mode}: {diags:#?}");
+            // Keys the processor itself bounds stay silent.
+            let diags = lint_mode(mode, r#"["spatial_granule", "receptor_id"]"#);
+            assert!(
+                diags.iter().all(|d| d.code != "E0905"),
+                "{mode}: {diags:#?}"
+            );
+        }
+        // Presence keeps one match count per live epoch whatever the keys.
+        let diags = lint_mode("event_presence", r#"["spatial_granule", "value"]"#);
+        assert!(diags.iter().all(|d| d.code != "E0905"), "{diags:#?}");
     }
 
     #[test]

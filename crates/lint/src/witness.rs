@@ -29,11 +29,14 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use esp_core::deploy::StageSpec;
+use esp_core::deploy::{SmoothSpec, StageSpec};
 use esp_query::ast::{Expr, FromSource, SelectItem, SelectStmt};
 use esp_query::range::{range_of, Interval, Ranged};
 use esp_query::Engine;
-use esp_types::{DataType, Diagnostic, Schema, Severity, Span, Ts, Tuple, TupleBuilder, Value};
+use esp_stream::Payload;
+use esp_types::{
+    well_known, DataType, Diagnostic, Field, Schema, Severity, Span, Ts, Tuple, TupleBuilder, Value,
+};
 
 use crate::absint::RangeDecls;
 use crate::flow::PipelineSpec;
@@ -784,7 +787,7 @@ pub fn witness_pipeline(source: &str, diags: &[Diagnostic]) -> Vec<Witness> {
             && groups
                 .iter()
                 .all(|g| g.receptor_type.eq_ignore_ascii_case("mote")))
-        .then(esp_types::well_known::temp_voltage_schema)
+        .then(well_known::temp_voltage_schema)
     });
     targets
         .into_iter()
@@ -822,6 +825,21 @@ fn run_stage(engine: &Engine, query: &str, rows: &[Tuple]) -> Result<Vec<String>
     }
     let out = q.tick(Ts::ZERO).map_err(|e| e.to_string())?;
     Ok(out.iter().map(|t| format!("{t:?}")).collect())
+}
+
+/// Run a built-in Smooth stage once over `rows`, returning the output
+/// rendered row by row.
+fn run_smooth(
+    spec: &PipelineSpec,
+    smooth: &SmoothSpec,
+    rows: &[Tuple],
+) -> Result<Vec<String>, String> {
+    let granule = spec.deployment.granule().map_err(|e| e.to_string())?;
+    let mut stage = smooth.build(granule).map_err(|e| e.to_string())?;
+    let out = stage
+        .process(Ts::ZERO, Payload::Rows(rows.to_vec()))
+        .map_err(|e| e.to_string())?;
+    Ok(out.rows().iter().map(|t| format!("{t:?}")).collect())
 }
 
 /// One all-defaults tuple from the entry schema.
@@ -936,21 +954,40 @@ fn witness_unbounded_key(
             Vec::new(),
         );
     };
-    let query = spec.deployment.stages.iter().find_map(|s| match s {
+    // The stage that groups by the key: a declarative query, run through
+    // the engine, or a built-in Smooth stage, built from its spec.
+    enum Keyed<'a> {
+        Query(&'a str),
+        Smooth(&'a SmoothSpec),
+    }
+    let keyed = spec.deployment.stages.iter().find_map(|s| match s {
         StageSpec::Declarative(ds) => match engine.compile(&ds.query) {
-            Ok(q) if q.group_by_columns().iter().any(|c| c == key) => Some(ds.query.clone()),
+            Ok(q) if q.group_by_columns().iter().any(|c| c == key) => Some(Keyed::Query(&ds.query)),
             _ => None,
         },
+        StageSpec::Smooth(sm) if sm.keys.iter().any(|k| k == key) => Some(Keyed::Smooth(sm)),
         _ => None,
     });
-    let Some(query) = query else {
+    let Some(keyed) = keyed else {
         return (
-            not_attempted(&format!(
-                "no declarative stage groups by '{key}' (built-in stages are not \
-                 executable in-process)"
-            )),
+            not_attempted(&format!("no executable stage groups by '{key}'")),
             Vec::new(),
         );
+    };
+    // A built-in stage sits behind the processor's `spatial_granule`
+    // injection and may key on that column too.
+    let schema = &match &keyed {
+        Keyed::Smooth(_) if !schema.contains(well_known::SPATIAL_GRANULE) => {
+            match schema.with_field(Field::new(well_known::SPATIAL_GRANULE, DataType::Str)) {
+                Ok(extended) => extended,
+                Err(e) => return (not_attempted(&e.to_string()), Vec::new()),
+            }
+        }
+        _ => Arc::clone(schema),
+    };
+    let run = |rows: &[Tuple]| match &keyed {
+        Keyed::Query(query) => run_stage(engine, query, rows),
+        Keyed::Smooth(smooth) => run_smooth(spec, smooth, rows),
     };
     let make_rows = |n: usize| -> Result<Vec<Tuple>, String> {
         (0..n)
@@ -984,10 +1021,7 @@ fn witness_unbounded_key(
         }
     };
     let rendered: Vec<String> = large.iter().map(|t| render_tuple("entry", t)).collect();
-    match (
-        run_stage(engine, &query, &small),
-        run_stage(engine, &query, &large),
-    ) {
+    match (run(&small), run(&large)) {
         (Ok(a), Ok(b)) => {
             if b.len() > a.len() {
                 (
@@ -1016,7 +1050,7 @@ fn witness_unbounded_key(
             }
         }
         (Err(e), _) | (_, Err(e)) => (
-            not_attempted(&format!("engine rejected the stage query: {e}")),
+            not_attempted(&format!("the stage rejected the witness tuples: {e}")),
             rendered,
         ),
     }

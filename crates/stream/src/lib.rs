@@ -9,6 +9,9 @@
 //!
 //! * [`WindowBuffer`] — time-based sliding-window buffers with eviction,
 //!   the mechanism behind the paper's *temporal granule* (`[Range By …]`).
+//! * [`panes`] — per-epoch partial aggregates: the window state of
+//!   operators whose aggregate merges (count, mean), so they keep
+//!   `key → partial` per epoch instead of the tuples.
 //! * [`Operator`] / [`Source`] — the push-based operator protocol, typed on
 //!   one currency: an operator receives [`Payload`]s (rows or columnar
 //!   chunks) on input ports during an epoch and emits a `Payload` when the
@@ -41,6 +44,7 @@ pub mod graph;
 pub mod model;
 mod operator;
 pub mod ops;
+pub mod panes;
 pub mod stager;
 mod state;
 pub mod stats;

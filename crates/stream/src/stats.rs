@@ -6,6 +6,7 @@
 //! Welford's online algorithm: one pass, no catastrophic cancellation.
 
 use esp_obs::{Counter, Registry};
+use esp_types::{snap, Result};
 
 /// Shared counters for a set of bounded queues: total sends and how many
 /// of them found the queue full (back-pressure events). A thin view over
@@ -79,13 +80,19 @@ impl QueueStats {
 }
 
 /// Welford online mean/variance accumulator.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct RunningStats {
     n: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for RunningStats {
+    fn default() -> RunningStats {
+        RunningStats::new()
+    }
 }
 
 impl RunningStats {
@@ -170,6 +177,26 @@ impl RunningStats {
         self.m2 = m2;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+
+    /// Append the accumulator in [`esp_types::snap`] form, floats by bit
+    /// pattern: a decoded accumulator continues bit-identically.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        snap::put_u64(out, self.n);
+        for x in [self.mean, self.m2, self.min, self.max] {
+            snap::put_f64(out, x);
+        }
+    }
+
+    /// Inverse of [`RunningStats::encode_into`].
+    pub fn decode(cur: &mut snap::Cursor<'_>) -> Result<RunningStats> {
+        Ok(RunningStats {
+            n: cur.u64()?,
+            mean: cur.f64()?,
+            m2: cur.f64()?,
+            min: cur.f64()?,
+            max: cur.f64()?,
+        })
     }
 }
 

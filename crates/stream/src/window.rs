@@ -5,6 +5,12 @@
 //! buffer of width 5 s, and `[Range By 'NOW']` a zero-width buffer that only
 //! retains the current epoch's tuples.
 //!
+//! A buffer is for operators that need the tuples themselves: holistic
+//! aggregates (Merge's outlier rejection and median), arbitrary CQL over a
+//! window (esp-query). An operator whose aggregate *merges* (count, mean)
+//! keeps per-epoch partials in a [`PaneStore`](crate::panes::PaneStore)
+//! instead, which evicts by this buffer's rule but holds no tuples.
+//!
 //! # Backing stores
 //!
 //! Row-pushed windows are backed by a `VecDeque<Tuple>` ring, exactly as

@@ -113,6 +113,31 @@ impl NullMask {
             self.push(other.get(i));
         }
     }
+
+    /// Keep only the rows whose `keep` flag is set (`kept` of them; one
+    /// flag per tracked row). An all-valid mask just shrinks; only a mask
+    /// with set bits pays the per-row rebuild.
+    fn retain(&mut self, keep: &[bool], kept: usize) {
+        if !self.any() {
+            self.len = kept;
+            self.bits.truncate(kept.div_ceil(64));
+            return;
+        }
+        let mut next = NullMask::new();
+        for (i, k) in keep.iter().enumerate() {
+            if *k {
+                next.push(self.get(i));
+            }
+        }
+        *self = next;
+    }
+}
+
+/// Compact `data` in place to the rows whose `keep` flag is set (one flag
+/// per row).
+fn retain_rows<T>(data: &mut Vec<T>, keep: &[bool]) {
+    let mut flags = keep.iter();
+    data.retain(|_| flags.next().copied().unwrap_or(false));
 }
 
 /// One column of a [`Chunk`]: a typed vector plus null bitmap, or one of
@@ -491,6 +516,35 @@ impl ColumnVec {
         }
     }
 
+    /// Keep only the rows whose `keep` flag is set (`kept` of them; one
+    /// flag per row), preserving order and representation.
+    fn retain(&mut self, keep: &[bool], kept: usize) {
+        match self {
+            ColumnVec::Bool { data, nulls } => {
+                retain_rows(data, keep);
+                nulls.retain(keep, kept);
+            }
+            ColumnVec::Int { data, nulls } => {
+                retain_rows(data, keep);
+                nulls.retain(keep, kept);
+            }
+            ColumnVec::Float { data, nulls } => {
+                retain_rows(data, keep);
+                nulls.retain(keep, kept);
+            }
+            ColumnVec::Str { data, nulls } => {
+                retain_rows(data, keep);
+                nulls.retain(keep, kept);
+            }
+            ColumnVec::TsCol { data, nulls } => {
+                retain_rows(data, keep);
+                nulls.retain(keep, kept);
+            }
+            ColumnVec::Values(v) => retain_rows(v, keep),
+            ColumnVec::Pruned { len } => *len = kept,
+        }
+    }
+
     /// Insert `v` at row `i` (shifting later rows). Used by the window
     /// ring for intra-epoch disorder; promotes on representation mismatch
     /// like [`ColumnVec::push`].
@@ -794,6 +848,29 @@ impl Chunk {
             col.extend_from(ocol);
         }
         Ok(())
+    }
+
+    /// The mask-filter kernel: this chunk reduced to the rows whose `keep`
+    /// flag is set (one flag per row), in order, column representations
+    /// unchanged — equal to filtering [`Chunk::to_tuples`] row by row. An
+    /// all-`true` mask hands the chunk back untouched; otherwise every
+    /// column is compacted in place, one pass per column.
+    pub fn filter(mut self, keep: &[bool]) -> Result<Chunk> {
+        if keep.len() != self.len() {
+            return Err(EspError::SchemaMismatch(format!(
+                "filter mask has {} flags but the chunk has {} rows",
+                keep.len(),
+                self.len()
+            )));
+        }
+        let kept = keep.iter().filter(|k| **k).count();
+        if kept < keep.len() {
+            retain_rows(&mut self.ts, keep);
+            for col in &mut self.cols {
+                col.retain(keep, kept);
+            }
+        }
+        Ok(self)
     }
 
     /// Insert a row at position `i` (shifting later rows) — used by the
@@ -1336,6 +1413,46 @@ mod tests {
                 prop_assert_eq!(flat, tuples);
             }
 
+            /// The mask-filter kernel equals filtering the materialized
+            /// rows, for every column representation (packed with and
+            /// without NULLs, verbatim ANY, physically pruned).
+            #[test]
+            fn filter_matches_filtering_tuples(
+                rows in proptest::collection::vec((arb_row(), any::<bool>()), 0..150),
+                prune in any::<bool>(),
+            ) {
+                let s = prop_schema();
+                let (tuples, keep): (Vec<Tuple>, Vec<bool>) = rows
+                    .into_iter()
+                    .map(|(r, k)| (build_tuple(&s, r), k))
+                    .unzip();
+                let mut c = Chunk::from_tuples(&s, &tuples).unwrap();
+                if prune {
+                    c.drop_column(2);
+                }
+                let expected: Vec<Tuple> = c
+                    .to_tuples()
+                    .into_iter()
+                    .zip(&keep)
+                    .filter_map(|(t, k)| k.then_some(t))
+                    .collect();
+                let got = c.filter(&keep).unwrap();
+                prop_assert_eq!(got.len(), expected.len());
+                for i in 0..s.len() {
+                    prop_assert_eq!(got.col(i).unwrap().len(), expected.len());
+                }
+                let got = got.to_tuples();
+                for (e, g) in expected.iter().zip(&got) {
+                    prop_assert_eq!(e.ts(), g.ts());
+                    prop_assert_eq!(e.values(), g.values());
+                    for (a, b) in e.values().iter().zip(g.values()) {
+                        if let (Value::Float(x), Value::Float(y)) = (a, b) {
+                            prop_assert_eq!(x.to_bits(), y.to_bits());
+                        }
+                    }
+                }
+            }
+
             /// Incremental append (push_tuple) agrees with bulk
             /// construction, and extend_from_chunk agrees with pushing
             /// both halves.
@@ -1356,6 +1473,19 @@ mod tests {
                 prop_assert_eq!(joined.to_tuples(), bulk.to_tuples());
             }
         }
+    }
+
+    #[test]
+    fn filter_rejects_a_wrong_length_mask_and_passes_all_true_through() {
+        let s = registry::intern(&schema());
+        let tuples: Vec<Tuple> = (0..5)
+            .map(|i| Tuple::new_unchecked(Arc::clone(&s), Ts::from_millis(i as u64), row(i)))
+            .collect();
+        let c = Chunk::from_tuples(&s, &tuples).unwrap();
+        assert!(c.clone().filter(&[true; 4]).is_err());
+        assert_eq!(c.clone().filter(&[true; 5]).unwrap().to_tuples(), tuples);
+        let kept = c.filter(&[false, true, false, false, true]).unwrap();
+        assert_eq!(kept.to_tuples(), vec![tuples[1].clone(), tuples[4].clone()]);
     }
 
     #[test]

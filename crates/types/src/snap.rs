@@ -195,6 +195,24 @@ pub fn decode_value(cur: &mut Cursor<'_>) -> Result<Value> {
     })
 }
 
+/// Encode a short value list (`u16` count + values): a grouping key, a
+/// row of key values.
+pub fn encode_values(out: &mut Vec<u8>, vals: &[Value]) {
+    put_u16(out, vals.len() as u16);
+    for v in vals {
+        encode_value(out, v);
+    }
+}
+
+/// Decode a value list written by [`encode_values`].
+pub fn decode_values(cur: &mut Cursor<'_>) -> Result<Vec<Value>> {
+    let mut vals = Vec::new();
+    for _ in 0..cur.u16()? {
+        vals.push(decode_value(cur)?);
+    }
+    Ok(vals)
+}
+
 fn datatype_tag(dt: DataType) -> u8 {
     match dt {
         DataType::Bool => 0,

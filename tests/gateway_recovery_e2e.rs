@@ -202,3 +202,83 @@ fn crash_loop_three_restarts_converges_byte_identical() {
     assert_byte_identical(&output);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Rewrite every snapshot under `dir` as a well-formed *format-1* file
+/// (version field patched, FNV-1a trailer recomputed): what a binary from
+/// before the pane-incremental Smooth — whose snapshots hold the window as
+/// raw tuples — leaves behind for its successor. Returns how many files
+/// were rewritten.
+fn downgrade_snapshots_to_v1(dir: &std::path::Path) -> usize {
+    let mut n = 0;
+    for entry in std::fs::read_dir(DurabilityConfig::new(dir).snapshot_dir()).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "snap") {
+            continue;
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.truncate(bytes.len() - 4);
+        bytes[4..6].copy_from_slice(&1u16.to_be_bytes());
+        let crc = bytes.iter().fold(0x811c_9dc5u32, |h, b| {
+            (h ^ u32::from(*b)).wrapping_mul(0x0100_0193)
+        });
+        bytes.extend_from_slice(&crc.to_be_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        n += 1;
+    }
+    n
+}
+
+#[test]
+fn v1_snapshots_are_skipped_and_recovery_falls_back_to_the_wal() {
+    let dir = fresh_dir("v1-snapshots");
+    // Checkpoint every epoch (so snapshots exist) with the default WAL
+    // retention (so the log still reaches back to its first record).
+    let config = durable_config(&dir, period());
+    let gateway = Gateway::spawn(config.clone(), |_| pipeline()).unwrap();
+    run_gateway_clients(&gateway, &RECEPTORS, lateness());
+    // A graceful stop, so that every epoch was flushed and checkpointed
+    // (a kill may land before the first checkpoint and leave nothing to
+    // downgrade).
+    gateway.finish().unwrap();
+    assert!(downgrade_snapshots_to_v1(&dir) > 0, "run left no snapshot");
+
+    // Every snapshot is now from an older format: none may be restored
+    // (its Smooth blob is a tuple window, not panes); the log alone must
+    // rebuild the same bytes.
+    let revived = Gateway::spawn(config, |_| pipeline()).unwrap();
+    let output = revived.finish().unwrap();
+    assert_byte_identical(&output);
+    assert_eq!(output.stats.readings, 0, "no live ingest after restart");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn v1_snapshots_over_a_reclaimed_wal_refuse_recovery_with_a_snapshot_error() {
+    let dir = fresh_dir("v1-reclaimed");
+    // As `wal_truncation_fires_and_recovery_survives_it`: the log's prefix
+    // is reclaimed on the strength of the snapshots…
+    let mut config = durable_config(&dir, period());
+    config.durability = Some(
+        DurabilityConfig::new(&dir)
+            .checkpoint_every(period())
+            .retain_wal(TimeDelta::from_millis(100))
+            .segment_size(256),
+    );
+    let gateway = Gateway::spawn(config.clone(), |_| pipeline()).unwrap();
+    run_gateway_clients(&gateway, &RECEPTORS, lateness());
+    gateway.finish().unwrap();
+    // …which then turn out to be unreadable by this binary.
+    assert!(downgrade_snapshots_to_v1(&dir) > 0, "run left no snapshot");
+
+    // Neither source can stand in for the other, so the gateway must say
+    // so — with the snapshot layer's own typed error — rather than replay
+    // the surviving suffix into empty windows.
+    let err = Gateway::spawn(config, |_| pipeline())
+        .and_then(Gateway::finish)
+        .expect_err("recovery from a headless log must be refused");
+    assert!(
+        matches!(&err, esp_types::EspError::Snapshot(m) if m.contains("unsupported snapshot version 1")),
+        "{err:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
