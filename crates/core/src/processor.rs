@@ -153,39 +153,6 @@ impl EspProcessor {
         pipeline: &Pipeline,
         receptors: Vec<ReceptorBinding>,
     ) -> Result<EspProcessor> {
-        let (df, tap, groups) = Self::build_dataflow(groups, pipeline, receptors)?;
-        Ok(EspProcessor {
-            runner: EpochRunner::new(df),
-            tap,
-            groups,
-        })
-    }
-
-    /// Build the pipeline and execute it on the multi-threaded runner
-    /// (one thread per node, crossbeam queues between them — the Fjord
-    /// queues made literal). The per-epoch output is identical to
-    /// [`EspProcessor::run`]; use this when receptor simulation or stage
-    /// work dominates and cores are available.
-    pub fn run_threaded(
-        groups: ProximityGroups,
-        pipeline: &Pipeline,
-        receptors: Vec<ReceptorBinding>,
-        start: Ts,
-        period: TimeDelta,
-        n_epochs: u64,
-    ) -> Result<RunOutput> {
-        let (df, tap, _groups) = Self::build_dataflow(groups, pipeline, receptors)?;
-        let mut traces = esp_stream::ThreadedRunner::run(df, start, period, n_epochs)?;
-        Ok(RunOutput {
-            trace: std::mem::take(&mut traces[tap.index()]),
-        })
-    }
-
-    fn build_dataflow(
-        groups: ProximityGroups,
-        pipeline: &Pipeline,
-        receptors: Vec<ReceptorBinding>,
-    ) -> Result<(Dataflow, TapId, Arc<RwLock<ProximityGroups>>)> {
         let groups = Arc::new(RwLock::new(groups));
         let mut df = Dataflow::new();
 
@@ -313,7 +280,11 @@ impl EspProcessor {
             df.add_operator(Box::new(UnionOp::new(nodes.len())), &nodes)?
         };
         let tap = df.add_tap(out)?;
-        Ok((df, tap, groups))
+        Ok(EspProcessor {
+            runner: EpochRunner::new(df),
+            tap,
+            groups,
+        })
     }
 
     /// Handle to the live proximity-group registry; changes (membership

@@ -33,12 +33,19 @@
 //!
 //! ## Backpressure
 //!
-//! Shard queues are bounded crossbeam channels (capacity
-//! [`ThreadedRunner::DEFAULT_EDGE_CAPACITY`](esp_stream::ThreadedRunner)
-//! by default, configurable like the threaded runner's edges). When a
-//! worker falls behind, reader threads block on the full queue, TCP flow
-//! control propagates to the sender, and the stall is recorded in a shared
+//! Shard queues are bounded crossbeam channels (64 slots by default,
+//! [`GatewayConfig::edge_capacity`]). When a worker falls behind, reader
+//! threads block on the full queue, TCP flow control propagates to the
+//! sender, and the stall is recorded in a shared
 //! [`esp_stream::QueueStats`].
+//!
+//! ## Execution
+//!
+//! Each shard's worker steps its own `EspProcessor` cascade, which runs
+//! on one [`esp_stream::EpochRunner`] — the only executor a `Dataflow`
+//! has. Parallelism is across shards, never inside a cascade, so each
+//! shard's per-epoch output is deterministic and a sharded run can be
+//! compared epoch by epoch against a single-process one.
 //!
 //! ```no_run
 //! use esp_core::Pipeline;

@@ -23,9 +23,27 @@
 
 use std::collections::VecDeque;
 
-use esp_stream::model::ModelReport;
 use esp_types::Diagnostic;
 use stateright::{always, Checker, Model, Property};
+
+/// Outcome of a model-checking run, with violations as diagnostics.
+#[derive(Debug)]
+pub struct ModelReport {
+    /// Distinct system states visited.
+    pub states_explored: usize,
+    /// Whether the state space was exhausted (vs. hitting the bound).
+    pub complete: bool,
+    /// `E0703` findings; empty means the protocol holds over the whole
+    /// explored space.
+    pub diagnostics: Vec<Diagnostic>,
+}
+
+impl ModelReport {
+    /// Fully explored with zero findings.
+    pub fn passed(&self) -> bool {
+        self.complete && self.diagnostics.is_empty()
+    }
+}
 
 /// A deliberately seeded watermark-protocol bug (test/validation only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

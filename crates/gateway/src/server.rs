@@ -30,7 +30,7 @@ use esp_core::{Pipeline, Scope};
 use esp_durability::{DurabilityConfig, SnapshotMeta, SnapshotStore, WalWriter};
 use esp_receptors::framing::{FrameReader, FrameWriter, MAX_FRAME_LEN};
 use esp_receptors::wire;
-use esp_stream::{QueueStats, ThreadedRunner};
+use esp_stream::QueueStats;
 use esp_types::{Batch, Diagnostic, EspError, ReceptorId, ReceptorType, Result, TimeDelta, Ts};
 
 use crate::durability::DurabilityHooks;
@@ -60,6 +60,10 @@ pub(crate) const STATS_FINAL: u8 = 0x01;
 /// stay under [`MAX_FRAME_LEN`]; headroom kept for round numbers).
 const STATS_CHUNK: usize = MAX_FRAME_LEN - 4096;
 
+/// Default capacity of each bounded shard queue
+/// ([`GatewayConfig::edge_capacity`]).
+const DEFAULT_QUEUE_CAPACITY: usize = 64;
+
 /// One proximity group as the gateway needs it: type, granule, members.
 /// (Mirrors `esp_receptors::GroupSpec` plus the receptor type that
 /// `ProximityGroups::add_group` requires.)
@@ -80,9 +84,9 @@ pub struct GatewayConfig {
     pub addr: String,
     /// Number of worker pipelines to shard granules across.
     pub n_shards: usize,
-    /// Capacity of each bounded shard queue — the same knob as
-    /// [`ThreadedRunner::edge_capacity`]; a full queue blocks the reader
-    /// and lets TCP flow control push back on the sender.
+    /// Capacity of each bounded shard queue (default 64); a full queue
+    /// blocks the reader and lets TCP flow control push back on the
+    /// sender.
     pub edge_capacity: usize,
     /// First epoch boundary.
     pub start: Ts,
@@ -107,14 +111,13 @@ pub struct GatewayConfig {
 }
 
 impl GatewayConfig {
-    /// Config with defaults: ephemeral localhost port, 4 shards, the
-    /// threaded runner's default edge capacity, 200 ms epochs, no
-    /// connection-count gating.
+    /// Config with defaults: ephemeral localhost port, 4 shards, 64-slot
+    /// shard queues, 200 ms epochs, no connection-count gating.
     pub fn new(groups: Vec<GatewayGroup>) -> GatewayConfig {
         GatewayConfig {
             addr: "127.0.0.1:0".into(),
             n_shards: 4,
-            edge_capacity: ThreadedRunner::DEFAULT_EDGE_CAPACITY,
+            edge_capacity: DEFAULT_QUEUE_CAPACITY,
             start: Ts::ZERO,
             period: TimeDelta::from_millis(200),
             min_connections: 1,

@@ -11,8 +11,7 @@
 //! and window-path counters) into one exposition document.
 //!
 //! Shard-queue backpressure is tracked through the shared
-//! [`esp_stream::QueueStats`] the gateway reuses from the threaded
-//! runner, registered in the same registry via
+//! [`esp_stream::QueueStats`], registered in the same registry via
 //! [`QueueStats::registered`](esp_stream::QueueStats::registered).
 //!
 //! Ordering audit: every atomic here is `Relaxed` (see the `esp_obs`

@@ -19,6 +19,11 @@ pub struct CodeInfo {
 }
 
 /// Every code the toolchain emits, sorted by code.
+///
+/// Retired codes are never reused for a new meaning: `E0407` (zero-capacity
+/// queue) and `E0701`/`E0702`/`E0704` (runner-model deadlock, lost
+/// shutdown wakeup, epoch-order violation) went with the thread-per-node
+/// runner they described.
 pub static CODES: &[CodeInfo] = &[
     CodeInfo {
         code: "E0001",
@@ -164,12 +169,6 @@ pub static CODES: &[CodeInfo] = &[
                       document.",
     },
     CodeInfo {
-        code: "E0407",
-        title: "zero-capacity queue",
-        explanation: "An edge declares a queue of capacity zero; the first send on it \
-                      blocks forever.",
-    },
-    CodeInfo {
         code: "E0501",
         title: "accepted lateness ≥ smoothing window",
         explanation: "The gateway accepts readings later than the downstream smoothing \
@@ -231,30 +230,10 @@ pub static CODES: &[CodeInfo] = &[
                       survives the boundary.",
     },
     CodeInfo {
-        code: "E0701",
-        title: "model checker: deadlock",
-        explanation: "Exhaustive exploration of the runner model found a \
-                      non-accepting terminal state: every thread blocked, no progress \
-                      possible.",
-    },
-    CodeInfo {
-        code: "E0702",
-        title: "model checker: lost shutdown wakeup",
-        explanation: "The model found a schedule where the queues drain but an \
-                      operator never learns about shutdown and blocks on recv \
-                      forever.",
-    },
-    CodeInfo {
         code: "E0703",
         title: "model checker: watermark regression",
         explanation: "The model found a schedule where the watermark moves backwards \
                       or a flush overtakes an in-contract reading.",
-    },
-    CodeInfo {
-        code: "E0704",
-        title: "model checker: epoch-order violation",
-        explanation: "The model found a schedule where tapped tuples leave in an order \
-                      that violates epoch monotonicity, losing or reordering tuples.",
     },
     CodeInfo {
         code: "E0801",
@@ -373,6 +352,6 @@ mod tests {
     fn catalog_has_all_known_families() {
         // One entry per code the emitters use; grow this list when a new
         // family lands.
-        assert_eq!(CODES.len(), 44);
+        assert_eq!(CODES.len(), 40);
     }
 }

@@ -21,16 +21,16 @@
 //! | E04xx | graph structure | `E0401` cycle, `E0405` fan-in mismatch |
 //! | E05xx | gateway | `E0501` lateness ≥ window, `E0502` global stage sharded |
 //! | E06xx | semantics (abstract interpretation) | `E0601` dead stage, `E0603` reachable zero divisor, `E0604` schema drift |
-//! | E07xx | concurrency (model checker) | `E0701` deadlock, `E0702` lost shutdown wakeup, `E0703` watermark regression |
+//! | E07xx | concurrency (model checker) | `E0703` watermark regression (`E0701`/`E0702`/`E0704` retired) |
 //! | E08xx | durability | `E0801` unaligned checkpoint interval, `E0802` WAL retention below lateness, `E0803` zero snapshot retention, `E0804` non-checkpointable stage |
 //! | E09xx | whole-pipeline dataflow (fixpoint engine) | `E0901` dead computed column, `E0902` receptor stream reaching no output, `E0903` nondeterministic stage under durability, `E0904` lateness exceeds window depth, `E0905` unbounded retained state |
 //!
 //! The `E06xx` pass interprets predicates and arithmetic over declared
 //! field ranges (`-- lint: range <stream>.<field> <lo>..<hi>`) and
-//! deployment documents; the `E07xx` codes are emitted by the
-//! deterministic schedule explorers in `esp-stream::model` and
-//! `esp-gateway::model`, which exhaust every interleaving of small
-//! runner/gateway configurations. The `E09xx` family is computed by the
+//! deployment documents; `E0703` is emitted by the deterministic
+//! schedule explorer in `esp-gateway::model`, which exhausts every
+//! interleaving of small gateway watermark configurations. The `E09xx`
+//! family is computed by the
 //! [`flow`] module's generic monotone-framework fixpoint engine over the
 //! whole stage cascade (backward field liveness, forward determinism
 //! taint, lateness and state-bound budget propagation); pipeline
@@ -40,10 +40,11 @@
 //! Three surfaces expose the checks:
 //!
 //! - **library**: [`lint_cql`], [`lint_deployment`], [`lint_gateway`],
-//!   and [`GraphSpec::validate`]. The same validators gate the runtime
-//!   entry points — `EspProcessor::deploy` and `Gateway::spawn` refuse
-//!   to start on any error, returning the diagnostics in
-//!   `EspError::Invalid`.
+//!   and [`GraphSpec::validate`] (over a planned topology, or over a
+//!   built `Dataflow` via [`GraphSpec::of`]). The same validators gate
+//!   the runtime entry points — `EspProcessor::deploy` and
+//!   `Gateway::spawn` refuse to start on any error, returning the
+//!   diagnostics in `EspError::Invalid`.
 //! - **CLI**: the `esp-lint` binary lints `.cql` and deployment `.json`
 //!   files with rustc-style rendering and spans into the original text.
 //! - **CI**: the `lint-pipelines` job runs the CLI over every shipped

@@ -415,4 +415,88 @@ mod tests {
             "union delivered both inputs"
         );
     }
+
+    #[test]
+    fn chunk_dataflow_stays_columnar_through_a_union() {
+        use crate::ops::SegBuf;
+        use crate::ScriptedChunkSource;
+        use esp_types::{Chunk, EspError};
+
+        /// Errors on any non-empty row payload: proves the union and the
+        /// runner hand chunks through without demoting them.
+        struct ChunksOnly(SegBuf);
+        impl crate::Operator for ChunksOnly {
+            fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+                if matches!(input, Payload::Rows(rows) if !rows.is_empty()) {
+                    return Err(EspError::Stage("chunk dataflow demoted to rows".into()));
+                }
+                self.0.push(input.clone());
+                Ok(())
+            }
+            fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
+                Ok(self.0.take())
+            }
+        }
+
+        let script = |offset: i64| -> Vec<(Ts, Chunk)> {
+            // Every third epoch is silent, so empty epochs are covered too.
+            (0..20u64)
+                .filter(|i| i % 3 != 2)
+                .map(|i| {
+                    let ts = Ts::from_millis(i * 100);
+                    let rows = [tup(ts, i as i64 + offset), tup(ts, offset)];
+                    (ts, Chunk::from_tuples(rows[0].schema(), &rows).unwrap())
+                })
+                .collect()
+        };
+        let mut df = Dataflow::new();
+        let a = df.add_source(Box::new(ScriptedChunkSource::new("a", script(0))));
+        let b = df.add_source(Box::new(ScriptedChunkSource::new("b", script(100))));
+        let u = df.add_operator(Box::new(UnionOp::new(2)), &[a, b]).unwrap();
+        let only = df
+            .add_operator(Box::new(ChunksOnly(SegBuf::default())), &[u])
+            .unwrap();
+        let tap = df.add_tap(only).unwrap();
+        let mut runner = EpochRunner::new(df);
+        runner
+            .run(Ts::ZERO, TimeDelta::from_millis(100), 20)
+            .unwrap();
+        let trace = runner.take_tap(tap);
+        assert_eq!(trace.len(), 20);
+        assert_eq!(trace.iter().map(|(_, b)| b.len()).sum::<usize>(), 56);
+    }
+
+    #[test]
+    fn operator_error_propagates() {
+        use esp_types::EspError;
+
+        struct Failing;
+        impl crate::Operator for Failing {
+            fn push(&mut self, _p: usize, _b: &Payload) -> Result<()> {
+                Err(EspError::Stage("injected failure".into()))
+            }
+            fn flush(&mut self, _e: Ts) -> Result<Payload> {
+                Ok(Payload::empty())
+            }
+        }
+        let mut df = Dataflow::new();
+        let src = df.add_source(Box::new(ScriptedSource::new(
+            "s",
+            vec![(Ts::ZERO, vec![tup(Ts::ZERO, 1)])],
+        )));
+        df.add_operator(Box::new(Failing), &[src]).unwrap();
+        let mut runner = EpochRunner::new(df);
+        let err = runner
+            .run(Ts::ZERO, TimeDelta::from_millis(100), 3)
+            .expect_err("failure must propagate");
+        assert!(err.to_string().contains("injected failure"), "{err}");
+        assert_eq!(runner.epochs_run(), 0, "the failed epoch is not counted");
+    }
+
+    #[test]
+    fn empty_dataflow_runs() {
+        let mut runner = EpochRunner::new(Dataflow::new());
+        runner.run(Ts::ZERO, TimeDelta::from_secs(1), 5).unwrap();
+        assert_eq!(runner.epochs_run(), 5);
+    }
 }

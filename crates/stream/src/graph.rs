@@ -1,6 +1,10 @@
 //! The dataflow graph: a DAG of sources and operators with output taps.
+//!
+//! Structural checks over a built graph (zero-input operators, dangling
+//! outputs, missing taps) live in `esp_lint::GraphSpec::of(&df).validate()`;
+//! the graph itself only refuses wiring it cannot represent.
 
-use esp_types::{Diagnostic, EspError, Result};
+use esp_types::{EspError, Result};
 
 use crate::operator::{Operator, Source};
 
@@ -22,8 +26,7 @@ impl NodeId {
 pub struct TapId(pub(crate) usize);
 
 impl TapId {
-    /// The tap's index into the per-tap traces returned by
-    /// [`ThreadedRunner::run`](crate::ThreadedRunner::run).
+    /// The tap's index in [`Dataflow::add_tap`] registration order.
     pub fn index(&self) -> usize {
         self.0
     }
@@ -160,77 +163,6 @@ impl Dataflow {
     pub fn tapped_nodes(&self) -> &[NodeId] {
         &self.taps
     }
-
-    /// Statically validate the graph, returning every finding.
-    ///
-    /// Error-severity diagnostics make the graph unrunnable under
-    /// [`ThreadedRunner`](crate::ThreadedRunner) (its `execute` rejects
-    /// them); warnings describe suspicious-but-runnable shapes:
-    ///
-    /// * `E0404` (error) — an operator with zero input ports. The threaded
-    ///   runner classifies nodes with no inbound edges as sources and
-    ///   drives them by epoch ticks, but a zero-input *operator* is only
-    ///   flushed when punctuation arrives on its (nonexistent) edges — it
-    ///   would silently never emit. The epoch runner tolerates the shape,
-    ///   but rejecting it uniformly keeps the two runners interchangeable.
-    /// * `E0402` (warning) — a dangling output: a node that is neither
-    ///   consumed by any operator nor observed by a tap. Its output is
-    ///   computed every epoch and discarded.
-    /// * `E0403` (warning) — a non-empty graph with no taps at all: the
-    ///   dataflow can run but nothing observes it.
-    pub fn validate(&self) -> Vec<Diagnostic> {
-        let mut diags = Vec::new();
-        let consumers = self.consumers();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let NodeKind::Operator { op, inputs } = &node.kind {
-                if inputs.is_empty() {
-                    diags.push(
-                        Diagnostic::error(
-                            "E0404",
-                            format!("operator '{}' (node {i}) has no input ports", op.name()),
-                        )
-                        .with_note(
-                            "a zero-input operator receives no punctuation, so the \
-                             threaded runner would never flush it; use a Source instead",
-                        ),
-                    );
-                }
-            }
-            let tapped = self.taps.iter().any(|t| t.0 == i);
-            if consumers[i].is_empty() && !tapped {
-                diags.push(
-                    Diagnostic::warning(
-                        "E0402",
-                        format!(
-                            "output of '{}' (node {i}) is neither consumed nor tapped",
-                            self.node_name(NodeId(i))
-                        ),
-                    )
-                    .with_note("its per-epoch output is computed and discarded"),
-                );
-            }
-        }
-        if !self.nodes.is_empty() && self.taps.is_empty() {
-            diags.push(
-                Diagnostic::warning("E0403", "dataflow has no output taps")
-                    .with_note("nothing observes this pipeline's output"),
-            );
-        }
-        diags
-    }
-
-    /// For each node, the list of downstream (consumer, port) pairs.
-    pub(crate) fn consumers(&self) -> Vec<Vec<(NodeId, usize)>> {
-        let mut out = vec![Vec::new(); self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let NodeKind::Operator { inputs, .. } = &node.kind {
-                for (port, input) in inputs.iter().enumerate() {
-                    out[input.0].push((NodeId(i), port));
-                }
-            }
-        }
-        out
-    }
 }
 
 impl Default for Dataflow {
@@ -276,42 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_flags_zero_input_operator() {
-        let mut df = Dataflow::new();
-        // UnionOp::new(0) declares zero input ports — constructible, but
-        // the threaded runner would never flush it.
-        df.add_operator(Box::new(crate::ops::UnionOp::new(0)), &[])
-            .unwrap();
-        let diags = df.validate();
-        assert!(
-            diags.iter().any(|d| d.code == "E0404" && d.is_error()),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn validate_warns_on_dangling_output_and_missing_taps() {
-        let mut df = Dataflow::new();
-        let s = df.add_source(Box::new(ScriptedSource::new("s", vec![])));
-        df.add_operator(Box::new(PassThrough::new()), &[s]).unwrap();
-        let diags = df.validate();
-        assert!(diags.iter().any(|d| d.code == "E0402"), "{diags:?}");
-        assert!(diags.iter().any(|d| d.code == "E0403"), "{diags:?}");
-        assert!(diags.iter().all(|d| !d.is_error()), "{diags:?}");
-    }
-
-    #[test]
-    fn validate_clean_graph_has_no_diagnostics() {
-        let mut df = Dataflow::new();
-        let s = df.add_source(Box::new(ScriptedSource::new("s", vec![])));
-        let p = df.add_operator(Box::new(PassThrough::new()), &[s]).unwrap();
-        df.add_tap(p).unwrap();
-        assert!(df.validate().is_empty());
-        // Empty graphs are trivially valid too.
-        assert!(Dataflow::new().validate().is_empty());
-    }
-
-    #[test]
     fn introspection_exposes_structure() {
         let mut df = Dataflow::new();
         let s = df.add_source(Box::new(ScriptedSource::new("s", vec![])));
@@ -324,19 +220,6 @@ mod tests {
         assert_eq!(df.tapped_nodes(), &[p]);
         assert_eq!(df.node_ids().count(), 2);
         assert_eq!(tap.index(), 0);
-    }
-
-    #[test]
-    fn consumers_indexes_fanout() {
-        let mut df = Dataflow::new();
-        let s = df.add_source(Box::new(ScriptedSource::new("s", vec![])));
-        let a = df.add_operator(Box::new(PassThrough::new()), &[s]).unwrap();
-        let b = df.add_operator(Box::new(PassThrough::new()), &[s]).unwrap();
-        let c = df.add_operator(Box::new(PassThrough::new()), &[a]).unwrap();
-        let cons = df.consumers();
-        assert_eq!(cons[s.0], vec![(a, 0), (b, 0)]);
-        assert_eq!(cons[a.0], vec![(c, 0)]);
-        assert!(cons[c.0].is_empty());
         assert_eq!(df.node_name(s), "s");
     }
 }

@@ -17,21 +17,17 @@
 //!   chunks) on input ports during an epoch and emits a `Payload` when the
 //!   epoch is flushed (punctuation).
 //! * [`Dataflow`] — a DAG of sources and operators with output taps.
-//! * [`EpochRunner`] — the deterministic single-threaded scheduler used by
-//!   experiments: advances logical time epoch by epoch.
-//! * [`ThreadedRunner`] — a multi-threaded runner (one thread per node,
-//!   crossbeam channels as inter-operator queues) that produces the same
-//!   per-epoch outputs; useful when receptor simulation is expensive.
+//! * [`EpochRunner`] — the one executor: a deterministic single-threaded
+//!   scheduler that advances logical time epoch by epoch. Parallelism
+//!   lives one level up — `esp-gateway` runs one `EpochRunner` per shard
+//!   over disjoint proximity groups.
 //! * [`ops`] — generic building-block operators (filter, map, union, …).
 //! * [`StageState`] / [`Checkpointable`] — epoch-boundary capture and
 //!   restore of operator state, the substrate of `esp-durability`'s
 //!   epoch-aligned checkpoint protocol.
 //! * [`stats`] — streaming mean/variance used by windowed aggregates and
-//!   the Merge stage's outlier test.
-//! * [`model`] — a deterministic model checker that exhaustively explores
-//!   interleavings of the threaded runner's punctuation/shutdown protocol
-//!   (`E0701`/`E0702`/`E0704` findings), driving the same
-//!   [`stager::EpochStager`] the runner executes.
+//!   the Merge stage's outlier test, and the [`QueueStats`] back-pressure
+//!   counters of the gateway's shard queues.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,14 +37,11 @@
 
 mod epoch;
 pub mod graph;
-pub mod model;
 mod operator;
 pub mod ops;
 pub mod panes;
-pub mod stager;
 mod state;
 pub mod stats;
-mod threaded;
 mod window;
 
 pub use epoch::EpochRunner;
@@ -56,5 +49,4 @@ pub use graph::{Dataflow, NodeId, TapId};
 pub use operator::{Operator, Payload, ScriptedChunkSource, ScriptedSource, Source};
 pub use state::{unexpected_state, Checkpointable, StageState};
 pub use stats::QueueStats;
-pub use threaded::ThreadedRunner;
 pub use window::{WindowBuffer, WindowView};

@@ -8,8 +8,7 @@
 //! | an operator receives input on a port | [`Operator::push`]`(port, &Payload)` |
 //! | punctuation: the operator emits the epoch | [`Operator::flush`]`(epoch) -> Payload` |
 //!
-//! Both runners ([`EpochRunner`](crate::EpochRunner),
-//! [`ThreadedRunner`](crate::ThreadedRunner)) move payloads between nodes
+//! [`EpochRunner`](crate::EpochRunner) moves payloads between nodes
 //! exactly as produced; whether a node keeps chunks columnar or
 //! materializes rows is decided inside the node, never by the transport.
 

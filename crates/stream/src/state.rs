@@ -2,10 +2,9 @@
 //!
 //! Epoch-aligned checkpointing (see `esp-durability`) snapshots a
 //! pipeline by asking every operator for its state *at an epoch
-//! boundary* — the only instant the dataflow is quiescent: all batches
-//! for the epoch have been pushed, every operator has flushed, and the
-//! [`EpochStager`](crate::stager::EpochStager) holds nothing in flight.
-//! That alignment is what makes a snapshot plus a WAL-suffix replay
+//! boundary* — the only instant the dataflow is quiescent: between two
+//! [`EpochRunner::step`](crate::EpochRunner::step) calls every operator
+//! has flushed and no payload is in flight. That alignment is what makes a snapshot plus a WAL-suffix replay
 //! byte-identical to an uninterrupted run.
 //!
 //! State is an opaque byte blob ([`StageState`]) encoded with the

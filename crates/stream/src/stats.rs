@@ -30,8 +30,7 @@ pub const QUEUE_SENDS_METRIC: &str = "esp_stream_queue_sends_total";
 pub const QUEUE_BLOCKED_METRIC: &str = "esp_stream_queue_blocked_total";
 
 impl QueueStats {
-    /// Fresh counters at zero, not registered anywhere (the standalone
-    /// threaded runner's default).
+    /// Fresh counters at zero, not registered anywhere.
     pub fn new() -> QueueStats {
         QueueStats::default()
     }

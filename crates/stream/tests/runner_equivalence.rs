@@ -1,15 +1,15 @@
-//! Property test: on randomly generated dataflow DAGs, the multi-threaded
-//! runner produces byte-identical per-epoch output to the deterministic
-//! single-threaded scheduler.
+//! Property test: on randomly generated dataflow DAGs, the epoch runner's
+//! per-epoch output at every node equals a direct evaluation of the DAG's
+//! description (the oracle below), epoch by epoch.
 
 use proptest::prelude::*;
 
 use esp_stream::ops::{FilterOp, PassThrough, UnionOp};
-use esp_stream::{Dataflow, EpochRunner, NodeId, ScriptedSource, TapId, ThreadedRunner};
+use esp_stream::{Dataflow, EpochRunner, NodeId, ScriptedSource, TapId};
 use esp_types::{Batch, DataType, Schema, TimeDelta, Ts, Tuple, Value};
 
-/// A reproducible description of a dataflow, buildable twice (operators
-/// are not Clone, so we rebuild from the description for each runner).
+/// A reproducible description of a dataflow: built once into a
+/// [`Dataflow`] for the runner and evaluated directly by [`oracle`].
 #[derive(Debug, Clone)]
 struct DagSpec {
     /// Per-source scripts: values per epoch.
@@ -34,6 +34,12 @@ enum OpSpec {
     Pass { input: usize },
 }
 
+const PERIOD_MS: u64 = 100;
+
+fn epoch_ts(e: u64) -> Ts {
+    Ts::from_millis(e * PERIOD_MS)
+}
+
 fn tuple(ts: Ts, v: i64) -> Tuple {
     let schema = Schema::builder().field("v", DataType::Int).build().unwrap();
     Tuple::new_unchecked(schema, ts, vec![Value::Int(v)])
@@ -47,7 +53,7 @@ fn build(spec: &DagSpec) -> (Dataflow, Vec<TapId>) {
             .iter()
             .enumerate()
             .map(|(e, vals)| {
-                let ts = Ts::from_millis(e as u64 * 100);
+                let ts = epoch_ts(e as u64);
                 (ts, vals.iter().map(|v| tuple(ts, *v)).collect())
             })
             .collect();
@@ -85,6 +91,45 @@ fn build(spec: &DagSpec) -> (Dataflow, Vec<TapId>) {
     (df, taps)
 }
 
+/// Evaluate the spec directly: `out[node][epoch]` is the node's values
+/// that epoch. Filter keeps `v mod m == r`, union concatenates its
+/// inputs in port order, pass is the identity; a source emits its
+/// script entry for the epoch, or nothing past the script's end.
+fn oracle(spec: &DagSpec) -> Vec<Vec<Vec<i64>>> {
+    let mut out: Vec<Vec<Vec<i64>>> = spec
+        .sources
+        .iter()
+        .map(|script| {
+            (0..spec.n_epochs as usize)
+                .map(|e| script.get(e).cloned().unwrap_or_default())
+                .collect()
+        })
+        .collect();
+    for op in &spec.ops {
+        let n = out.len();
+        let per_epoch: Vec<Vec<i64>> = (0..spec.n_epochs as usize)
+            .map(|e| match op {
+                OpSpec::Filter {
+                    input,
+                    modulus,
+                    residue,
+                } => out[input % n][e]
+                    .iter()
+                    .copied()
+                    .filter(|v| v.rem_euclid(*modulus) == *residue)
+                    .collect(),
+                OpSpec::Union { inputs } => inputs
+                    .iter()
+                    .flat_map(|i| out[i % n][e].iter().copied())
+                    .collect(),
+                OpSpec::Pass { input } => out[input % n][e].clone(),
+            })
+            .collect();
+        out.push(per_epoch);
+    }
+    out
+}
+
 fn dag_spec() -> impl Strategy<Value = DagSpec> {
     let script = proptest::collection::vec(proptest::collection::vec(-20i64..20, 0..4), 1..8);
     let sources = proptest::collection::vec(script, 1..4);
@@ -115,23 +160,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn threaded_equals_single_threaded_on_random_dags(spec in dag_spec()) {
+    fn epoch_runner_matches_spec_oracle_on_random_dags(spec in dag_spec()) {
+        let expected = oracle(&spec);
         let (df, taps) = build(&spec);
-        let mut single = EpochRunner::new(df);
-        single.run(Ts::ZERO, TimeDelta::from_millis(100), spec.n_epochs).unwrap();
-        let expected: Vec<Vec<(Ts, Batch)>> =
-            taps.iter().map(|t| single.take_tap(*t)).collect();
-
-        let (df, taps) = build(&spec);
-        let traces =
-            ThreadedRunner::run(df, Ts::ZERO, TimeDelta::from_millis(100), spec.n_epochs)
-                .unwrap();
+        let mut runner = EpochRunner::new(df);
+        runner.run(Ts::ZERO, TimeDelta::from_millis(PERIOD_MS), spec.n_epochs).unwrap();
+        prop_assert_eq!(taps.len(), expected.len());
         for (tap, want) in taps.iter().zip(&expected) {
-            let got = &traces[tap.index()];
+            let got = runner.take_tap(*tap);
             prop_assert_eq!(got.len(), want.len());
-            for ((ta, ba), (tb, bb)) in want.iter().zip(got.iter()) {
-                prop_assert_eq!(ta, tb);
-                prop_assert_eq!(ba, bb, "divergence at tap {} epoch {}", tap.index(), ta);
+            for (e, ((ts, batch), vals)) in got.iter().zip(want).enumerate() {
+                let ets = epoch_ts(e as u64);
+                prop_assert_eq!(*ts, ets);
+                let want_batch: Batch = vals.iter().map(|v| tuple(ets, *v)).collect();
+                prop_assert_eq!(batch, &want_batch, "divergence at tap {} epoch {}", tap.index(), ets);
             }
         }
     }

@@ -99,50 +99,6 @@ fn huge_granule_lags_relocations() {
 }
 
 #[test]
-fn threaded_runner_matches_single_threaded_end_to_end() {
-    // The full shelf pipeline (sources + injection + smooth ×2 + arbitrate)
-    // must produce byte-identical per-epoch output on both runners.
-    use esp_core::{EspProcessor, ProximityGroups, ReceptorBinding};
-
-    let build_bindings = || {
-        let scenario = ShelfScenario::paper(31);
-        let mut groups = ProximityGroups::new();
-        for spec in scenario.groups() {
-            groups.add_group(ReceptorType::Rfid, spec.granule.as_str(), spec.members);
-        }
-        let bindings: Vec<ReceptorBinding> = scenario
-            .sources()
-            .into_iter()
-            .map(|(id, src)| ReceptorBinding::new(id, ReceptorType::Rfid, src))
-            .collect();
-        (groups, bindings, scenario.config().sample_period)
-    };
-
-    let (groups, bindings, period) = build_bindings();
-    let single = EspProcessor::build(groups, &paper_pipeline(TimeDelta::from_secs(5)), bindings)
-        .unwrap()
-        .run(Ts::ZERO, period, 150)
-        .unwrap();
-
-    let (groups, bindings, period) = build_bindings();
-    let threaded = EspProcessor::run_threaded(
-        groups,
-        &paper_pipeline(TimeDelta::from_secs(5)),
-        bindings,
-        Ts::ZERO,
-        period,
-        150,
-    )
-    .unwrap();
-
-    assert_eq!(single.trace.len(), threaded.trace.len());
-    for ((ts_a, batch_a), (ts_b, batch_b)) in single.trace.iter().zip(&threaded.trace) {
-        assert_eq!(ts_a, ts_b);
-        assert_eq!(batch_a, batch_b, "divergence at epoch {ts_a}");
-    }
-}
-
-#[test]
 fn every_output_tuple_is_well_formed() {
     let scenario = ShelfScenario::paper(2);
     let period = scenario.config().sample_period;
