@@ -18,7 +18,8 @@ use std::sync::Arc;
 use esp_stream::stats::RunningStats;
 use esp_stream::{Payload, StageState, WindowBuffer};
 use esp_types::{
-    snap, Batch, DataType, Field, Result, Schema, SpatialGranule, Ts, Tuple, Value, ValueKey,
+    chunk_batch, snap, Batch, Chunk, ColumnVec, DataType, Field, Result, Schema, SpatialGranule,
+    Ts, Tuple, Value, ValueKey,
 };
 
 use crate::granule::TemporalGranule;
@@ -177,41 +178,43 @@ impl MergeStage {
         Ok(s)
     }
 
-    fn merge(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Batch> {
-        match &self.mode {
-            MergeMode::UnionAll { dedup_key } => {
-                let dedup_key = dedup_key.clone();
-                match dedup_key {
-                    None => Ok(input),
-                    Some(key) => {
-                        let mut seen: HashSet<ValueKey> = HashSet::new();
-                        Ok(input
-                            .into_iter()
-                            .filter(|t| match t.get(&key) {
-                                Some(v) => seen.insert(v.group_key()),
-                                None => true,
-                            })
-                            .collect())
-                    }
-                }
+    fn merge(&mut self, epoch: Ts, input: Payload) -> Result<Batch> {
+        if let MergeMode::UnionAll { dedup_key } = &self.mode {
+            let input = input.into_rows();
+            let Some(key) = dedup_key else {
+                return Ok(input);
+            };
+            let mut seen: HashSet<ValueKey> = HashSet::new();
+            return Ok(input
+                .into_iter()
+                .filter(|t| match t.get(key) {
+                    Some(v) => seen.insert(v.group_key()),
+                    None => true,
+                })
+                .collect());
+        }
+        // Every arrival enters the window stamped at the epoch, so
+        // eviction tracks arrival time.
+        let chunks = match input {
+            Payload::Rows(rows) => chunk_batch(&rows),
+            Payload::Chunks(chunks) => chunks,
+        };
+        for mut chunk in chunks {
+            if chunk.ts().iter().any(|t| *t != epoch) {
+                chunk.restamp(epoch);
             }
+            self.window.push_chunk_owned(chunk);
+        }
+        self.window.advance_to(epoch);
+        match &self.mode {
+            // Returned above, before the window is touched.
+            MergeMode::UnionAll { .. } => Ok(Batch::new()),
             MergeMode::OutlierFilteredMean { value_field, k } => {
                 let (value_field, k) = (value_field.clone(), *k);
-                for t in input {
-                    let t = if t.ts() == epoch {
-                        t
-                    } else {
-                        t.restamped(epoch)
-                    };
-                    self.window.push(t);
-                }
-                self.window.advance_to(epoch);
                 // First pass: group statistics over the window.
                 let mut all = RunningStats::new();
-                for t in self.window.contents() {
-                    if let Some(x) = t.get(&value_field).and_then(Value::as_f64) {
-                        all.push(x);
-                    }
+                for x in window_f64s(&self.window, &value_field) {
+                    all.push(x);
                 }
                 let Some(mean) = all.mean() else {
                     return Ok(Batch::new());
@@ -226,13 +229,11 @@ impl MergeStage {
                 // Second pass: mean over inliers only (the paper's Query 5).
                 let mut inliers = RunningStats::new();
                 let mut dropped = 0;
-                for t in self.window.contents() {
-                    if let Some(x) = t.get(&value_field).and_then(Value::as_f64) {
-                        if (x - mean).abs() <= band {
-                            inliers.push(x);
-                        } else {
-                            dropped += 1;
-                        }
+                for x in window_f64s(&self.window, &value_field) {
+                    if (x - mean).abs() <= band {
+                        inliers.push(x);
+                    } else {
+                        dropped += 1;
                     }
                 }
                 self.outliers_dropped += dropped;
@@ -250,20 +251,7 @@ impl MergeStage {
             }
             MergeMode::WindowedMedian { value_field } => {
                 let value_field = value_field.clone();
-                for t in input {
-                    let t = if t.ts() == epoch {
-                        t
-                    } else {
-                        t.restamped(epoch)
-                    };
-                    self.window.push(t);
-                }
-                self.window.advance_to(epoch);
-                let mut xs: Vec<f64> = self
-                    .window
-                    .contents()
-                    .filter_map(|t| t.get(&value_field).and_then(Value::as_f64))
-                    .collect();
+                let mut xs: Vec<f64> = window_f64s(&self.window, &value_field).collect();
                 if xs.is_empty() {
                     return Ok(Batch::new());
                 }
@@ -286,32 +274,26 @@ impl MergeStage {
                 device_field,
                 min_devices,
             } => {
-                let (value_field, on_value, device_field, min_devices) = (
-                    value_field.clone(),
-                    on_value.clone(),
-                    device_field.clone(),
-                    *min_devices,
-                );
-                for t in input {
-                    let t = if t.ts() == epoch {
-                        t
-                    } else {
-                        t.restamped(epoch)
-                    };
-                    self.window.push(t);
-                }
-                self.window.advance_to(epoch);
                 let mut devices: HashSet<ValueKey> = HashSet::new();
-                for t in self.window.contents() {
-                    if t.get(&value_field).is_some_and(|v| v.sql_eq(&on_value)) {
-                        if let Some(d) = t.get(&device_field) {
-                            devices.insert(d.group_key());
+                for seg in self.window.segments() {
+                    // A segment without either field casts no votes.
+                    let (Some(values), Some(ids)) =
+                        (column(seg, value_field), column(seg, device_field))
+                    else {
+                        continue;
+                    };
+                    for i in 0..seg.len() {
+                        if values.get(i).is_some_and(|v| v.sql_eq(on_value)) {
+                            if let Some(d) = ids.get(i) {
+                                devices.insert(d.group_key());
+                            }
                         }
                     }
                 }
-                if devices.len() < min_devices {
+                if devices.len() < *min_devices {
                     return Ok(Batch::new());
                 }
+                let (value_field, on_value) = (value_field.clone(), on_value.clone());
                 let schema = self.event_schema(&value_field)?;
                 Ok(vec![Tuple::new_unchecked(
                     schema,
@@ -323,13 +305,29 @@ impl MergeStage {
     }
 }
 
+/// The column of `field` in one window segment; `None` when the
+/// segment's schema lacks the field.
+fn column<'a>(seg: &'a Chunk, field: &str) -> Option<&'a ColumnVec> {
+    seg.schema().index_of(field).and_then(|c| seg.col(c))
+}
+
+/// Every numeric reading of `field` in the window, oldest first. Rows
+/// whose schema lacks the field, and non-numeric values, contribute
+/// nothing.
+fn window_f64s<'a>(window: &'a WindowBuffer, field: &'a str) -> impl Iterator<Item = f64> + 'a {
+    window.segments().flat_map(move |seg| {
+        let col = column(seg, field);
+        (0..col.map_or(0, ColumnVec::len)).filter_map(move |i| col?.get(i)?.as_f64())
+    })
+}
+
 impl Stage for MergeStage {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload> {
-        self.merge(epoch, input.into_rows()).map(Payload::Rows)
+        self.merge(epoch, input).map(Payload::Rows)
     }
 
     fn state(&self) -> Result<Option<StageState>> {
@@ -544,5 +542,173 @@ mod tests {
             .unwrap();
         assert!(out.is_empty());
         assert_eq!(m.outliers_dropped(), 2);
+    }
+
+    /// A group member whose layout has neither `temp` nor `value`: a
+    /// humidity probe sharing the proximity group.
+    fn humidity(ts: Ts, id: i64, rh: f64) -> Tuple {
+        let schema = esp_types::registry::intern(
+            &Schema::builder()
+                .field("receptor_id", DataType::Int)
+                .field("humidity", DataType::Float)
+                .build()
+                .unwrap(),
+        );
+        TupleBuilder::new(&schema, ts)
+            .set("receptor_id", id)
+            .unwrap()
+            .set("humidity", rh)
+            .unwrap()
+            .build()
+            .unwrap()
+    }
+
+    /// Epoch `k`'s input to one group: three motes near 20 °C (two of the
+    /// readings stamped before the epoch; mote 3 fails dirty every third
+    /// epoch), a humidity probe between them, and motion reports for the
+    /// vote. Every mode sees member layouts that lack its value field.
+    fn group_input(k: u64) -> (Ts, Vec<Tuple>) {
+        let epoch = Ts::from_millis(k * 1_000);
+        let early = Ts::from_millis((k * 1_000).saturating_sub(400));
+        let x = k as f64 * 0.25;
+        let mote3 = if k % 3 == 2 { 104.0 } else { 21.5 + x };
+        let motion2 = if k.is_multiple_of(2) { "ON" } else { "OFF" };
+        let rows = vec![
+            temp(early, 1, 20.0 + x),
+            temp(epoch, 2, 20.5 - x / 2.0),
+            humidity(epoch, 9, 40.0 + x),
+            temp(epoch, 3, mote3),
+            motion(early, 1 + (k / 2 % 3) as i64, "ON"),
+            motion(epoch, 2, motion2),
+        ];
+        (epoch, rows)
+    }
+
+    /// Builds a fresh stage of one mode.
+    type Make = fn() -> MergeStage;
+
+    /// The windowed modes, each over a 2 s window of 1 s epochs.
+    fn windowed_modes() -> Vec<(&'static str, Make)> {
+        vec![
+            ("outlier", || {
+                MergeStage::outlier_filtered_mean(
+                    "merge",
+                    room(),
+                    TimeDelta::from_secs(2),
+                    "temp",
+                    1.0,
+                )
+            }),
+            ("median", || {
+                MergeStage::windowed_median("merge", room(), TimeDelta::from_secs(2), "temp")
+            }),
+            ("vote", || {
+                MergeStage::vote_threshold(
+                    "merge",
+                    room(),
+                    TimeDelta::from_secs(2),
+                    "value",
+                    "ON",
+                    "receptor_id",
+                    3,
+                )
+            }),
+        ]
+    }
+
+    /// Feed epochs `ks` as rows, or as chunks (one per run of equal
+    /// schemas); one rendered line per epoch, floats bit-exact.
+    fn drive(m: &mut MergeStage, ks: std::ops::Range<u64>, chunked: bool) -> Vec<String> {
+        ks.map(|k| {
+            let (epoch, rows) = group_input(k);
+            let input = if chunked {
+                Payload::Chunks(esp_types::chunk_batch(&rows))
+            } else {
+                Payload::Rows(rows)
+            };
+            let out = m.process(epoch, input).unwrap().into_rows();
+            let cells = out
+                .iter()
+                .map(|t| format!("{}:{:?}", t.ts().as_millis(), t.values()));
+            std::iter::once(format!("{k} dropped={}", m.outliers_dropped()))
+                .chain(cells)
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect()
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    fn fixture_path(mode: &str) -> std::path::PathBuf {
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(format!("merge_{mode}.txt"))
+    }
+
+    /// A mode's fixture: its state after epochs 0..6 in hex, then its
+    /// output for epochs 0..12, row-fed. The fixtures were captured from
+    /// the row-at-a-time Merge that preceded the segmented window;
+    /// regenerate with `ESP_GOLDEN_REGEN=1` only deliberately.
+    fn transcript(make: Make) -> String {
+        let mut m = make();
+        let mut lines = drive(&mut m, 0..6, false);
+        lines.insert(0, hex(m.state().unwrap().unwrap().bytes()));
+        lines.extend(drive(&mut m, 6..12, false));
+        lines.join("\n") + "\n"
+    }
+
+    #[test]
+    fn windowed_modes_match_pinned_state_and_output() {
+        for (mode, make) in windowed_modes() {
+            let got = transcript(make);
+            if std::env::var("ESP_GOLDEN_REGEN").is_ok() {
+                std::fs::write(fixture_path(mode), &got).unwrap();
+                continue;
+            }
+            let expected = std::fs::read_to_string(fixture_path(mode)).unwrap();
+            assert_eq!(got, expected, "{mode}");
+        }
+    }
+
+    /// Restoring the pinned state and continuing reproduces the
+    /// uninterrupted run, as does restoring this build's own state.
+    #[test]
+    fn restored_state_continues_like_uninterrupted() {
+        for (mode, make) in windowed_modes() {
+            let mut uninterrupted = make();
+            let expected = drive(&mut uninterrupted, 0..12, false);
+            let fixture = std::fs::read_to_string(fixture_path(mode)).unwrap();
+            let pinned = StageState(unhex(fixture.lines().next().unwrap()));
+            let mut own = make();
+            drive(&mut own, 0..6, false);
+            for state in [pinned, own.state().unwrap().unwrap()] {
+                let mut restored = make();
+                restored.restore(&state).unwrap();
+                assert_eq!(drive(&mut restored, 6..12, false), expected[6..], "{mode}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_fed_merge_matches_row_fed() {
+        for (mode, make) in windowed_modes() {
+            let (mut rows, mut chunks) = (make(), make());
+            assert_eq!(
+                drive(&mut chunks, 0..12, true),
+                drive(&mut rows, 0..12, false),
+                "{mode}"
+            );
+            assert_eq!(chunks.state().unwrap(), rows.state().unwrap(), "{mode}");
+        }
     }
 }

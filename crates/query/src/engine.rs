@@ -337,7 +337,7 @@ impl ContinuousQuery {
     }
 
     /// Stage a columnar chunk for `stream`, to be absorbed at the next
-    /// tick. The chunk feeds the window's columnar ring directly — no
+    /// tick. The chunk feeds the window's column segments directly — no
     /// per-row `Tuple` is materialized on ingest. Arrivals enter the
     /// window in push order.
     pub fn push_chunk(&mut self, stream: &str, chunk: Chunk) -> Result<()> {

@@ -10,10 +10,11 @@
 //!
 //! # Execution strategy
 //!
-//! FROM items are *borrowed*, not copied: stream windows expose their
-//! contents through [`esp_stream::WindowView`] and static relations are
-//! viewed in place, so the only tuples materialized per epoch are derived
-//! tables' outputs.
+//! FROM items are *borrowed*, not copied: a stream window whose rows
+//! share one schema is read in place through its [`ChunkView`], and static
+//! relations are borrowed as tuple slices. Tuples are materialized per
+//! epoch only for derived tables' outputs and for a window whose rows span
+//! several schemas (which the planned slots cannot match anyway).
 //!
 //! Field references annotated with a [`FieldSlot`] by
 //! [`crate::plan::resolve_pass`] are fetched by `(scope, item, column)`
@@ -35,12 +36,12 @@
 //! their original conjunct order. Without an extracted plan the original
 //! odometer nested-loop scan runs unchanged.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
-use esp_stream::WindowView;
 use esp_types::{
     registry, Chunk, ChunkView, EspError, Field, Result, Schema, Ts, Tuple, Value, ValueKey,
 };
@@ -129,13 +130,12 @@ pub struct RowEnv<'a> {
     slots_valid: bool,
 }
 
-/// The rows of one FROM item this epoch: a borrowed view for windows and
-/// relations, owned tuples only for derived tables.
+/// The rows of one FROM item this epoch: a borrowed chunk view for
+/// windows, tuples for everything else.
 enum Rows<'a> {
-    /// Borrowed window / relation contents.
-    View(WindowView<'a>),
-    /// Materialized derived-table output.
-    Owned(Vec<Tuple>),
+    /// A static relation (borrowed), a derived table's output or a
+    /// mixed-schema window's rows (owned).
+    Tuples(Cow<'a, [Tuple]>),
     /// Borrowed columnar window contents. Column reads
     /// ([`Rows::col_value`]) go straight to the `ColumnVec`s; the arena
     /// materializes a row's `Tuple` at most once per tick, and only when a
@@ -159,8 +159,7 @@ impl Rows<'_> {
 
     fn len(&self) -> usize {
         match self {
-            Rows::View(v) => v.len(),
-            Rows::Owned(v) => v.len(),
+            Rows::Tuples(v) => v.len(),
             Rows::Chunk { view, .. } => view.len(),
         }
     }
@@ -171,8 +170,7 @@ impl Rows<'_> {
 
     fn get(&self, i: usize) -> Option<&Tuple> {
         match self {
-            Rows::View(v) => v.get(i),
-            Rows::Owned(v) => v.get(i),
+            Rows::Tuples(v) => v.get(i),
             Rows::Chunk { view, arena } => {
                 if i >= view.len() {
                     return None;
@@ -193,9 +191,9 @@ impl Rows<'_> {
 
     /// Read column `col` of row `ri` without materializing the row. For
     /// the chunk arm this is the in-place `ColumnVec` read the slot
-    /// compiler targets; for row arms it is the tuple's slot value. `None`
-    /// when the row or column doesn't exist (callers fall back to the
-    /// name-resolving walk, which reproduces reference semantics).
+    /// compiler targets; for the tuple arm it is the tuple's slot value.
+    /// `None` when the row or column doesn't exist (callers fall back to
+    /// the name-resolving walk, which reproduces reference semantics).
     fn col_value(&self, ri: usize, col: usize) -> Option<Value> {
         match self {
             Rows::Chunk { view, .. } => view.value_at(ri, col),
@@ -246,7 +244,7 @@ pub fn eval_select(
     outer: Option<&RowEnv<'_>>,
     ctx: &ExecCtx<'_>,
 ) -> Result<SelectResult> {
-    // 1. View each FROM item's rows (materializing only derived tables).
+    // 1. View each FROM item's rows.
     let mut inputs: Vec<Rows<'_>> = Vec::with_capacity(cs.from.len());
     for item in &cs.from {
         inputs.push(materialize_from(item, outer, ctx)?);
@@ -1225,7 +1223,8 @@ fn fold_aggregate(
     Ok(state.finish())
 }
 
-/// View (or, for derived tables, materialize) the rows of one FROM item.
+/// View (or, for derived tables and mixed-schema windows, materialize) the
+/// rows of one FROM item.
 fn materialize_from<'q>(
     item: &'q CFromItem,
     outer: Option<&RowEnv<'_>>,
@@ -1234,16 +1233,16 @@ fn materialize_from<'q>(
     match &item.source {
         CSource::Stream { window, .. } => Ok(match window.chunk_view() {
             Some(view) => Rows::from_chunk(view),
-            None => Rows::View(window.view()),
+            None => Rows::Tuples(Cow::Owned(window.to_vec())),
         }),
         CSource::Relation { name } => ctx
             .catalog
             .relation(name)
-            .map(|r| Rows::View(WindowView::of_slice(&r[..])))
+            .map(|r| Rows::Tuples(Cow::Borrowed(&r[..])))
             .ok_or_else(|| EspError::UnknownSource(name.clone())),
         CSource::Derived(sub) => {
             let result = eval_select(sub, outer, ctx)?;
-            Ok(Rows::Owned(result.into_batch(ctx.epoch)))
+            Ok(Rows::Tuples(Cow::Owned(result.into_batch(ctx.epoch))))
         }
     }
 }
@@ -1484,7 +1483,9 @@ mod tests {
     fn push_all(cs: &mut CompiledSelect, stream: &str, batch: &[Tuple]) {
         cs.for_each_window(&mut |name, w| {
             if name == stream {
-                w.push_batch(batch);
+                for t in batch {
+                    w.push(t.clone());
+                }
             }
         });
         cs.for_each_window(&mut |_, w| w.advance_to(Ts::from_secs(1)));

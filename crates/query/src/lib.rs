@@ -20,9 +20,11 @@
 //! Execution model: a [`ContinuousQuery`] holds one [`WindowBuffer`]
 //! (from `esp-stream`) per syntactic stream reference. Each epoch the
 //! caller pushes input batches and calls [`ContinuousQuery::tick`]; the
-//! engine slides the windows and emits the windowed result (CQL `RSTREAM`
-//! per epoch). [`QueryOperator`] drops a query into an `esp-stream`
-//! dataflow.
+//! engine slides the windows, ingests the staged chunks into them, and
+//! emits the windowed result (CQL `RSTREAM` per epoch). The executor reads
+//! a schema-uniform window in place as one chunk and falls back to its
+//! rows only when the window spans several schemas. [`QueryOperator`]
+//! drops a query into an `esp-stream` dataflow.
 //!
 //! [`WindowBuffer`]: esp_stream::WindowBuffer
 

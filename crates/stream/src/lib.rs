@@ -8,7 +8,9 @@
 //! language or cleaning semantics:
 //!
 //! * [`WindowBuffer`] — time-based sliding-window buffers with eviction,
-//!   the mechanism behind the paper's *temporal granule* (`[Range By …]`).
+//!   the mechanism behind the paper's *temporal granule* (`[Range By …]`),
+//!   for aggregates that need the tuples. Columnar only: one chunk per
+//!   run of equal schemas, so a schema-uniform window is one chunk.
 //! * [`panes`] — per-epoch partial aggregates: the window state of
 //!   operators whose aggregate merges (count, mean), so they keep
 //!   `key → partial` per epoch instead of the tuples.
@@ -49,4 +51,4 @@ pub use graph::{Dataflow, NodeId, TapId};
 pub use operator::{Operator, Payload, ScriptedChunkSource, ScriptedSource, Source};
 pub use state::{unexpected_state, Checkpointable, StageState};
 pub use stats::QueueStats;
-pub use window::{WindowBuffer, WindowView};
+pub use window::WindowBuffer;

@@ -11,56 +11,30 @@
 //! keeps per-epoch partials in a [`PaneStore`](crate::panes::PaneStore)
 //! instead, which evicts by this buffer's rule but holds no tuples.
 //!
-//! # Backing stores
+//! # Segments
 //!
-//! Row-pushed windows are backed by a `VecDeque<Tuple>` ring, exactly as
-//! before the columnar refactor. A window whose *first* data arrives via
-//! [`WindowBuffer::push_chunk`] is instead backed by a columnar ring — a
-//! single [`Chunk`] kept in timestamp order, evicted by ts-range — and
-//! stays columnar as long as every arrival (chunk or row) carries a
-//! structurally equal schema. A mismatched schema demotes the ring to rows
-//! transparently. The borrowed row APIs ([`WindowBuffer::view`],
-//! [`WindowBuffer::contents`], [`WindowBuffer::as_slices`]) still work on
-//! a columnar window through a lazily materialized row cache (invalidated
-//! on mutation); the query engine's hot path avoids them entirely by
-//! reading [`WindowBuffer::chunk_view`] instead.
+//! The window is stored columnar only, as an ordered list of *segments*:
+//! each a [`Chunk`] whose rows share one schema. A push (row or chunk)
+//! whose schema is structurally equal to the tail segment's joins it; any
+//! other schema starts a new segment, so a window over a schema-uniform
+//! stream is exactly one segment and [`WindowBuffer::chunk_view`] reads it
+//! in place. Concatenated, the segments are in timestamp order, and a row
+//! that lands earlier than the tail (intra-epoch disorder) is inserted at
+//! the same position a sorted row list would give it. Eviction drops whole
+//! segments from the front and drains the first survivor by ts range.
 //!
-//! Checkpoint encoding is unchanged and backing-independent: state is
-//! always encoded as a `snap` tuple batch, so snapshots taken before the
-//! re-backing restore fine, and a columnar window's state restores into a
-//! row-backed buffer (and vice versa) byte-compatibly.
+//! Checkpoints encode the contents as a `snap` tuple batch;
+//! [`WindowBuffer::restore_from`] rebuilds the segments from it.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
-use esp_types::{snap, Chunk, ChunkView, EspError, Result, Schema, TimeDelta, Ts, Tuple};
+use esp_types::{
+    chunk_batch, snap, Chunk, ChunkView, EspError, Result, Schema, TimeDelta, Ts, Tuple, Value,
+};
 
 use crate::state::{Checkpointable, StageState};
-
-/// The columnar backing: one schema-uniform [`Chunk`] in ts order, plus a
-/// lazily materialized row cache serving the borrowed `&Tuple` APIs.
-#[derive(Debug, Clone, Default)]
-struct ColRing {
-    chunk: Option<Chunk>,
-    /// Materialized rows for `view()`/`contents()`/`as_slices()`; reset on
-    /// every mutation. The engine's chunk path never touches it.
-    cache: OnceLock<Vec<Tuple>>,
-}
-
-impl ColRing {
-    fn rows(&self) -> &[Tuple] {
-        self.cache.get_or_init(|| {
-            self.chunk
-                .as_ref()
-                .map(Chunk::to_tuples)
-                .unwrap_or_default()
-        })
-    }
-
-    fn invalidate(&mut self) {
-        self.cache = OnceLock::new();
-    }
-}
 
 /// Process-wide chunk-vs-row path hit counters, registered once in
 /// [`esp_obs::global`]. Window buffers are plentiful and short-lived
@@ -82,13 +56,18 @@ fn window_obs() -> &'static WindowObs {
     })
 }
 
-/// Storage behind a [`WindowBuffer`].
-#[derive(Debug, Clone)]
-enum Store {
-    /// Row ring (the pre-chunk representation; default).
-    Rows(VecDeque<Tuple>),
-    /// Columnar ring, engaged by [`WindowBuffer::push_chunk`].
-    Col(ColRing),
+/// What an empty window reads as through [`WindowBuffer::chunk_view`]: a
+/// chunk with no rows and no fields.
+fn empty_view() -> Option<ChunkView<'static>> {
+    static EMPTY: OnceLock<Option<Chunk>> = OnceLock::new();
+    EMPTY
+        .get_or_init(|| Schema::new(Vec::new()).ok().map(|s| Chunk::new(&s)))
+        .as_ref()
+        .map(Chunk::view)
+}
+
+fn same_schema(a: &Arc<Schema>, b: &Arc<Schema>) -> bool {
+    Arc::ptr_eq(a, b) || **a == **b
 }
 
 /// A sliding window over a tuple stream.
@@ -104,8 +83,11 @@ enum Store {
 #[derive(Debug)]
 pub struct WindowBuffer {
     width: TimeDelta,
-    store: Store,
-    /// High-water mark of timestamps seen, for the monotonicity debug check.
+    /// Non-empty, schema-uniform chunks, oldest first; adjacent segments
+    /// have structurally different schemas.
+    segments: VecDeque<Chunk>,
+    /// High-water mark of timestamps seen. Not read by the buffer itself;
+    /// it is part of the checkpoint encoding.
     hwm: Ts,
     /// The logical time of the most recent [`WindowBuffer::advance_to`],
     /// so a width change can re-establish the window invariant
@@ -126,7 +108,7 @@ impl Clone for WindowBuffer {
     fn clone(&self) -> WindowBuffer {
         WindowBuffer {
             width: self.width,
-            store: self.store.clone(),
+            segments: self.segments.clone(),
             hwm: self.hwm,
             now: self.now,
             // Unpublished accounting stays with the original; the clone
@@ -154,7 +136,7 @@ impl WindowBuffer {
     pub fn new(width: TimeDelta) -> WindowBuffer {
         WindowBuffer {
             width,
-            store: Store::Rows(VecDeque::new()),
+            segments: VecDeque::new(),
             hwm: Ts::ZERO,
             now: Ts::ZERO,
             pending_rows: 0,
@@ -179,14 +161,8 @@ impl WindowBuffer {
         self.evict(self.now.window_start(width));
     }
 
-    /// Insert one tuple, keeping timestamp order. Cost is O(1) for in-order
-    /// arrivals (the common case) and O(k) for a tuple that lands k slots
-    /// from the tail (intra-epoch disorder).
-    ///
-    /// On a columnar window, a tuple whose schema is structurally equal to
-    /// the ring's is appended columnar (and later reads canonicalize it to
-    /// the ring's interned schema `Arc`); any other schema demotes the
-    /// ring to rows first.
+    /// Insert one tuple, keeping timestamp order. A tuple at or after the
+    /// tail whose schema matches the tail segment is one columnar append.
     pub fn push(&mut self, t: Tuple) {
         if esp_obs::enabled() {
             self.pending_rows += 1;
@@ -195,161 +171,84 @@ impl WindowBuffer {
                 self.pending_rows = 0;
             }
         }
-        self.push_inner(t);
-    }
-
-    /// [`WindowBuffer::push`] minus the hit-rate accounting — the target
-    /// of internal recursion (schema-demote re-push) so one arrival is
-    /// never counted twice.
-    fn push_inner(&mut self, t: Tuple) {
         self.hwm = self.hwm.max(t.ts());
-        match &mut self.store {
-            Store::Rows(buf) => {
-                if buf.back().is_none_or(|b| b.ts() <= t.ts()) {
-                    buf.push_back(t);
-                    return;
-                }
-                // Out-of-order within an epoch: insert at the right position.
-                let pos = buf.partition_point(|b| b.ts() <= t.ts());
-                buf.insert(pos, t);
-            }
-            Store::Col(ring) => {
-                let matches = ring.chunk.as_ref().is_some_and(|c| {
-                    Arc::ptr_eq(c.schema(), t.schema()) || **t.schema() == **c.schema()
-                });
-                if !matches {
-                    self.demote_to_rows();
-                    self.push_inner(t);
-                    return;
-                }
-                ring.invalidate();
-                if let Some(chunk) = ring.chunk.as_mut() {
-                    if chunk.last_ts().is_none_or(|last| last <= t.ts()) {
-                        let _ = chunk.push_row(t.ts(), t.values());
-                    } else {
-                        let pos = chunk.ts().partition_point(|b| *b <= t.ts());
-                        let _ = chunk.insert_row(pos, t.ts(), t.values());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Insert a whole batch.
-    pub fn push_batch(&mut self, batch: &[Tuple]) {
-        for t in batch {
-            self.push(t.clone());
-        }
+        self.insert_row(t.schema(), t.ts(), t.values());
     }
 
     /// Insert a whole chunk, keeping timestamp order.
-    ///
-    /// An empty row-backed window switches to the columnar ring; a
-    /// non-empty row-backed window materializes the chunk into rows. On a
-    /// columnar ring with a matching schema, an in-order chunk (sorted,
-    /// landing at or after the ring's tail — the common case, since the
-    /// engine restamps ingest to the epoch) is appended column-by-column;
-    /// out-of-order rows fall back to positioned inserts. A mismatched
-    /// schema demotes the ring to rows.
     pub fn push_chunk(&mut self, chunk: &Chunk) {
-        if chunk.is_empty() {
-            return;
-        }
-        if let Store::Rows(buf) = &self.store {
-            if buf.is_empty() {
-                self.store = Store::Col(ColRing::default());
-            }
-        }
-        match &mut self.store {
-            Store::Rows(_) => {
-                for t in chunk.to_tuples() {
-                    self.push(t);
-                }
-            }
-            Store::Col(ring) => {
-                let matches = match ring.chunk.as_ref() {
-                    Some(c) => {
-                        Arc::ptr_eq(c.schema(), chunk.schema()) || *c.schema() == *chunk.schema()
-                    }
-                    None => true,
-                };
-                if !matches {
-                    self.demote_to_rows();
-                    for t in chunk.to_tuples() {
-                        self.push(t);
-                    }
-                    return;
-                }
-                if esp_obs::enabled() {
-                    window_obs().chunk_pushes.inc();
-                }
-                ring.invalidate();
-                let ring_chunk = ring.chunk.get_or_insert_with(|| Chunk::new(chunk.schema()));
-                self.hwm = self
-                    .hwm
-                    .max(chunk.ts().iter().copied().max().unwrap_or(Ts::ZERO));
-                let sorted = chunk.ts().windows(2).all(|w| w[0] <= w[1]);
-                let in_order = ring_chunk
-                    .last_ts()
-                    .is_none_or(|last| chunk.first_ts().is_some_and(|first| last <= first));
-                if sorted && in_order {
-                    // Bulk column-by-column append.
-                    let _ = ring_chunk.extend_from_chunk(chunk);
-                } else {
-                    for i in 0..chunk.len() {
-                        let ts = chunk.ts()[i];
-                        let values = chunk.row_values(i).unwrap_or_default();
-                        if ring_chunk.last_ts().is_none_or(|last| last <= ts) {
-                            let _ = ring_chunk.push_row(ts, &values);
-                        } else {
-                            let pos = ring_chunk.ts().partition_point(|b| *b <= ts);
-                            let _ = ring_chunk.insert_row(pos, ts, &values);
-                        }
-                    }
-                }
-            }
-        }
+        self.ingest(Cow::Borrowed(chunk));
     }
 
-    /// Insert a whole chunk by value. When the buffer is empty and the
-    /// chunk is already in timestamp order (the engine restamps ingest to
-    /// one epoch, so it always is), the chunk becomes the columnar ring
-    /// wholesale — no column copies at all. Anything else falls back to
-    /// [`WindowBuffer::push_chunk`].
+    /// Insert a whole chunk by value: a sorted chunk that starts a new
+    /// segment becomes that segment wholesale, with no column copies.
     pub fn push_chunk_owned(&mut self, chunk: Chunk) {
-        if chunk.is_empty() {
-            return;
-        }
-        let empty = match &self.store {
-            Store::Rows(buf) => buf.is_empty(),
-            Store::Col(ring) => ring.chunk.as_ref().is_none_or(Chunk::is_empty),
-        };
-        let sorted = chunk.ts().windows(2).all(|w| w[0] <= w[1]);
-        if empty && sorted {
-            if esp_obs::enabled() {
-                window_obs().chunk_pushes.inc();
-            }
-            self.hwm = self.hwm.max(chunk.last_ts().unwrap_or(Ts::ZERO));
-            self.store = Store::Col(ColRing {
-                chunk: Some(chunk),
-                cache: OnceLock::new(),
-            });
-            return;
-        }
-        self.push_chunk(&chunk);
+        self.ingest(Cow::Owned(chunk));
     }
 
-    /// Rewrite the columnar ring as a row ring (schema heterogeneity).
-    fn demote_to_rows(&mut self) {
-        if let Store::Col(ring) = &self.store {
-            let rows: VecDeque<Tuple> = ring
-                .chunk
-                .as_ref()
-                .map(Chunk::to_tuples)
-                .unwrap_or_default()
-                .into();
-            self.store = Store::Rows(rows);
+    /// The chunk path behind [`WindowBuffer::push_chunk`] and
+    /// [`WindowBuffer::push_chunk_owned`]. A sorted chunk landing at or
+    /// after the tail (the common case: the engine restamps ingest to the
+    /// epoch) extends the tail segment column by column, or becomes a new
+    /// segment; anything else falls back to positioned row inserts.
+    fn ingest(&mut self, chunk: Cow<'_, Chunk>) {
+        let ts = chunk.ts();
+        let Some(&first) = ts.first() else {
+            return;
+        };
+        if esp_obs::enabled() {
+            window_obs().chunk_pushes.inc();
         }
+        self.hwm = self.hwm.max(ts.iter().copied().max().unwrap_or(first));
+        let sorted = ts.windows(2).all(|w| w[0] <= w[1]);
+        if sorted && self.newest().is_none_or(|last| last <= first) {
+            match self.segments.back_mut() {
+                Some(tail) if same_schema(tail.schema(), chunk.schema()) => {
+                    let _ = tail.extend_from_chunk(&chunk);
+                }
+                _ => self.segments.push_back(chunk.into_owned()),
+            }
+            return;
+        }
+        for (i, &t) in ts.iter().enumerate() {
+            let values = chunk.row_values(i).unwrap_or_default();
+            self.insert_row(chunk.schema(), t, &values);
+        }
+    }
+
+    /// Insert one row after every retained row with `ts <= ts` — the
+    /// position a stable sort of the arrivals by timestamp gives it.
+    fn insert_row(&mut self, schema: &Arc<Schema>, ts: Ts, values: &[Value]) {
+        if values.len() != schema.len() {
+            // A `Tuple::new_unchecked` row no chunk can hold; admitting it
+            // would leave an empty segment behind.
+            return;
+        }
+        let n = self.segments.len();
+        let after_prev = n < 2 || self.segments[n - 2].last_ts().is_none_or(|l| l <= ts);
+        if let Some(tail) = self.segments.back_mut() {
+            if after_prev && same_schema(tail.schema(), schema) {
+                let pos = tail.ts().partition_point(|b| *b <= ts);
+                let _ = tail.insert_row(pos, ts, values);
+                return;
+            }
+        }
+        if self.newest().is_none_or(|last| last <= ts) {
+            let mut segment = Chunk::new(schema);
+            let _ = segment.push_row(ts, values);
+            self.segments.push_back(segment);
+            return;
+        }
+        // A row that belongs inside an earlier segment, or inside the
+        // tail under another schema: only mixed-schema windows with
+        // intra-epoch disorder get here. Re-split the row sequence.
+        let mut rows = self.to_vec();
+        let pos = rows.partition_point(|r| r.ts() <= ts);
+        rows.insert(
+            pos,
+            Tuple::new_unchecked(Arc::clone(schema), ts, values.to_vec()),
+        );
+        self.segments = chunk_batch(&rows).into();
     }
 
     /// Slide the window forward to logical time `now`, evicting tuples that
@@ -360,158 +259,86 @@ impl WindowBuffer {
     }
 
     fn evict(&mut self, cutoff: Ts) {
-        match &mut self.store {
-            Store::Rows(buf) => {
-                while let Some(front) = buf.front() {
-                    if front.ts() < cutoff {
-                        buf.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            Store::Col(ring) => {
-                if let Some(chunk) = ring.chunk.as_mut() {
-                    // Eviction by ts-range: the ts column is sorted, so the
-                    // evicted prefix is one binary search + bulk drain.
-                    let n = chunk.ts().partition_point(|t| *t < cutoff);
-                    if n > 0 {
-                        chunk.drain_front(n);
-                        ring.invalidate();
-                    }
-                }
+        while self
+            .segments
+            .front()
+            .is_some_and(|s| s.last_ts().is_none_or(|l| l < cutoff))
+        {
+            self.segments.pop_front();
+        }
+        if let Some(front) = self.segments.front_mut() {
+            // The ts column is sorted: one binary search + bulk drain.
+            let n = front.ts().partition_point(|t| *t < cutoff);
+            if n > 0 {
+                front.drain_front(n);
             }
         }
     }
 
-    /// The tuples currently in the window, oldest first. On a columnar
-    /// window this serves from (and populates) the materialized row cache.
-    pub fn contents(&self) -> impl Iterator<Item = &Tuple> {
-        let (head, tail) = self.as_slices();
-        head.iter().chain(tail.iter())
-    }
-
-    /// The tuples currently in the window as a slice pair (no allocation
-    /// for row-backed windows; columnar windows serve the cached
-    /// materialization).
-    pub fn as_slices(&self) -> (&[Tuple], &[Tuple]) {
-        match &self.store {
-            Store::Rows(buf) => buf.as_slices(),
-            Store::Col(ring) => (ring.rows(), &[]),
-        }
-    }
-
-    /// A borrowed, allocation-free view of the window contents (oldest
-    /// first). This is the hot-path alternative to [`WindowBuffer::to_vec`]:
-    /// windowed operators evaluate straight over the ring-buffer slices
-    /// instead of cloning every tuple per tick.
-    pub fn view(&self) -> WindowView<'_> {
-        let (head, tail) = self.as_slices();
-        WindowView { head, tail }
-    }
-
-    /// A borrowed columnar view of the window contents, when this window
-    /// is backed by the columnar ring. The query engine's chunk path reads
-    /// this instead of [`WindowBuffer::view`], so no row cache is ever
-    /// materialized on the hot path.
+    /// A borrowed columnar view of the window contents, oldest first, when
+    /// every row shares one schema (the window has at most one segment).
+    /// `None` for a window whose rows span several schemas; read those
+    /// through [`WindowBuffer::to_vec`] or [`WindowBuffer::segments`].
     pub fn chunk_view(&self) -> Option<ChunkView<'_>> {
-        match &self.store {
-            Store::Col(ring) => ring.chunk.as_ref().map(Chunk::view),
-            Store::Rows(_) => None,
+        match self.segments.len() {
+            0 => empty_view(),
+            1 => self.segments.front().map(Chunk::view),
+            _ => None,
         }
     }
 
-    /// The schema of the window's contents, sampled cheaply: the columnar
-    /// ring's schema, or the oldest row's. `None` when empty. Plan
-    /// resolution uses this instead of `view().first()` so sampling never
-    /// materializes a columnar window.
+    /// The window's segments, oldest first: schema-uniform chunks whose
+    /// concatenation is the window contents in timestamp order.
+    pub fn segments(&self) -> impl Iterator<Item = &Chunk> + '_ {
+        self.segments.iter()
+    }
+
+    /// The schema of the oldest retained row; `None` when empty. Plan
+    /// resolution samples this instead of materializing a row.
     pub fn sample_schema(&self) -> Option<&Arc<Schema>> {
-        match &self.store {
-            Store::Rows(buf) => buf.front().map(Tuple::schema),
-            Store::Col(ring) => ring
-                .chunk
-                .as_ref()
-                .filter(|c| !c.is_empty())
-                .map(Chunk::schema),
-        }
+        self.segments.front().map(Chunk::schema)
     }
 
-    /// Collect the window contents into a vector.
+    /// Collect the window contents into a vector, oldest first.
     pub fn to_vec(&self) -> Vec<Tuple> {
-        match &self.store {
-            Store::Rows(buf) => buf.iter().cloned().collect(),
-            Store::Col(ring) => ring
-                .chunk
-                .as_ref()
-                .map(Chunk::to_tuples)
-                .unwrap_or_default(),
-        }
+        self.segments.iter().flat_map(Chunk::to_tuples).collect()
     }
 
     /// Number of tuples in the window.
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Rows(buf) => buf.len(),
-            Store::Col(ring) => ring.chunk.as_ref().map_or(0, Chunk::len),
-        }
+        self.segments.iter().map(Chunk::len).sum()
     }
 
     /// True when the window holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.segments.is_empty()
     }
 
     /// Timestamp of the oldest retained tuple.
     pub fn oldest(&self) -> Option<Ts> {
-        match &self.store {
-            Store::Rows(buf) => buf.front().map(Tuple::ts),
-            Store::Col(ring) => ring.chunk.as_ref().and_then(Chunk::first_ts),
-        }
+        self.segments.front().and_then(Chunk::first_ts)
     }
 
     /// Timestamp of the newest retained tuple.
     pub fn newest(&self) -> Option<Ts> {
-        match &self.store {
-            Store::Rows(buf) => buf.back().map(Tuple::ts),
-            Store::Col(ring) => ring.chunk.as_ref().and_then(Chunk::last_ts),
-        }
-    }
-
-    /// Drop all tuples (the columnar ring keeps its schema binding).
-    pub fn clear(&mut self) {
-        match &mut self.store {
-            Store::Rows(buf) => buf.clear(),
-            Store::Col(ring) => {
-                ring.invalidate();
-                if let Some(chunk) = ring.chunk.as_mut() {
-                    chunk.clear();
-                }
-            }
-        }
+        self.segments.back().and_then(Chunk::last_ts)
     }
 
     /// Append this buffer's full durable state — width (for configuration
-    /// validation), high-water mark, last advanced-to time, and contents —
-    /// in [`esp_types::snap`] form. The inverse of
-    /// [`WindowBuffer::restore_from`]. The encoding is backing-independent
-    /// (always a row batch), so it is byte-compatible with pre-columnar
-    /// snapshots.
+    /// validation), high-water mark, last advanced-to time, and contents
+    /// as one row batch — in [`esp_types::snap`] form. The inverse of
+    /// [`WindowBuffer::restore_from`].
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         snap::put_u64(out, self.width.as_millis());
         snap::put_u64(out, self.hwm.as_millis());
         snap::put_u64(out, self.now.as_millis());
-        let tuples = self.to_vec();
-        snap::encode_batch(out, &tuples);
+        snap::encode_batch(out, &self.to_vec());
     }
 
     /// Restore state captured by [`WindowBuffer::encode_into`] into this
     /// buffer. The encoded width must match the configured width — a
     /// mismatch means the snapshot came from a different pipeline
     /// configuration and is rejected rather than silently re-windowed.
-    ///
-    /// Restores into the row backing regardless of the backing the state
-    /// was captured from; a subsequent chunk-fed ingest re-engages the
-    /// columnar ring once the window drains.
     pub fn restore_from(&mut self, cur: &mut snap::Cursor<'_>) -> Result<()> {
         let width = TimeDelta::from_millis(cur.u64()?);
         if width != self.width {
@@ -522,7 +349,7 @@ impl WindowBuffer {
         }
         self.hwm = Ts::from_millis(cur.u64()?);
         self.now = Ts::from_millis(cur.u64()?);
-        self.store = Store::Rows(snap::decode_batch(cur)?.into());
+        self.segments = chunk_batch(&snap::decode_batch(cur)?).into();
         Ok(())
     }
 }
@@ -541,62 +368,10 @@ impl Checkpointable for WindowBuffer {
     }
 }
 
-/// A borrowed view of a [`WindowBuffer`]'s contents.
-///
-/// The deque's storage is a ring buffer, so the contents are at most two
-/// contiguous runs; the view exposes them without copying. `Copy` so it can
-/// be passed around freely during one evaluation tick.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowView<'a> {
-    head: &'a [Tuple],
-    tail: &'a [Tuple],
-}
-
-impl<'a> WindowView<'a> {
-    /// A view over a plain slice (for operators whose input is already
-    /// contiguous, e.g. a relation batch).
-    pub fn of_slice(rows: &'a [Tuple]) -> WindowView<'a> {
-        WindowView {
-            head: rows,
-            tail: &[],
-        }
-    }
-
-    /// Number of tuples in the view.
-    pub fn len(&self) -> usize {
-        self.head.len() + self.tail.len()
-    }
-
-    /// True when the view holds no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.head.is_empty() && self.tail.is_empty()
-    }
-
-    /// The `i`-th tuple, oldest first.
-    pub fn get(&self, i: usize) -> Option<&'a Tuple> {
-        if i < self.head.len() {
-            self.head.get(i)
-        } else {
-            self.tail.get(i - self.head.len())
-        }
-    }
-
-    /// The oldest tuple.
-    pub fn first(&self) -> Option<&'a Tuple> {
-        self.head.first().or_else(|| self.tail.first())
-    }
-
-    /// Iterate oldest first. The items borrow from the underlying buffer,
-    /// not from the view, so they outlive the view itself.
-    pub fn iter(&self) -> impl Iterator<Item = &'a Tuple> + '_ {
-        self.head.iter().chain(self.tail.iter())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_types::{DataType, Schema, Value};
+    use esp_types::{registry, DataType, Schema, Value};
 
     fn tup(ts_ms: u64, v: i64) -> Tuple {
         let schema = Schema::builder().field("v", DataType::Int).build().unwrap();
@@ -604,7 +379,10 @@ mod tests {
     }
 
     fn values(w: &WindowBuffer) -> Vec<i64> {
-        w.contents().map(|t| t.value(0).as_i64().unwrap()).collect()
+        w.to_vec()
+            .iter()
+            .map(|t| t.value(0).as_i64().unwrap())
+            .collect()
     }
 
     #[test]
@@ -692,23 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn view_matches_contents_without_allocation() {
-        let mut w = WindowBuffer::new(TimeDelta::from_secs(5));
-        for s in 0..4u64 {
-            w.push(tup(s * 1_000, s as i64));
-        }
-        let v = w.view();
-        assert_eq!(v.len(), 4);
-        assert!(!v.is_empty());
-        assert_eq!(v.first().map(Tuple::ts), Some(Ts::ZERO));
-        assert_eq!(v.get(3).map(Tuple::ts), Some(Ts::from_secs(3)));
-        assert_eq!(v.get(4), None);
-        let from_view: Vec<_> = v.iter().map(Tuple::ts).collect();
-        let from_contents: Vec<_> = w.contents().map(Tuple::ts).collect();
-        assert_eq!(from_view, from_contents);
-    }
-
-    #[test]
     fn advance_on_empty_is_noop() {
         let mut w = WindowBuffer::new(TimeDelta::from_secs(5));
         w.advance_to(Ts::from_secs(100));
@@ -724,22 +485,35 @@ mod tests {
         assert_eq!(w.len(), 1);
     }
 
-    #[test]
-    fn push_batch_and_clear() {
-        let mut w = WindowBuffer::new(TimeDelta::from_secs(5));
-        w.push_batch(&[tup(0, 0), tup(100, 1)]);
-        assert_eq!(w.len(), 2);
-        w.clear();
-        assert!(w.is_empty());
+    fn int_schema() -> Arc<Schema> {
+        registry::intern(&Schema::builder().field("v", DataType::Int).build().unwrap())
     }
 
-    fn int_schema() -> std::sync::Arc<Schema> {
-        Schema::builder().field("v", DataType::Int).build().unwrap()
+    /// The second layout of the two-schema tests: `v` plus a note.
+    fn note_schema() -> Arc<Schema> {
+        registry::intern(
+            &Schema::builder()
+                .field("v", DataType::Int)
+                .field("note", DataType::Str)
+                .build()
+                .unwrap(),
+        )
     }
 
-    fn chunk_of(rows: &[(u64, i64)]) -> esp_types::Chunk {
+    /// A row of `int_schema` (`noted == false`) or `note_schema`.
+    fn row(noted: bool, ms: u64, v: i64) -> Tuple {
+        let ts = Ts::from_millis(ms);
+        if noted {
+            let note = Value::str(format!("n{v}"));
+            Tuple::new(note_schema(), ts, vec![Value::Int(v), note]).unwrap()
+        } else {
+            Tuple::new(int_schema(), ts, vec![Value::Int(v)]).unwrap()
+        }
+    }
+
+    fn chunk_of(rows: &[(u64, i64)]) -> Chunk {
         let schema = int_schema();
-        let mut c = esp_types::Chunk::new(&schema);
+        let mut c = Chunk::new(&schema);
         for (ms, v) in rows {
             c.push_row(Ts::from_millis(*ms), &[Value::Int(*v)]).unwrap();
         }
@@ -753,7 +527,6 @@ mod tests {
         assert!(w.chunk_view().is_some());
         assert_eq!(w.len(), 3);
         assert_eq!(values(&w), vec![0, 1, 2]);
-        assert_eq!(w.view().len(), 3);
         assert_eq!(w.oldest(), Some(Ts::ZERO));
         assert_eq!(w.newest(), Some(Ts::from_secs(2)));
         assert_eq!(w.sample_schema().map(|s| s.len()), Some(1));
@@ -778,61 +551,67 @@ mod tests {
         assert_eq!(values(&w), vec![0, 1, 2]);
     }
 
-    #[test]
-    fn mismatched_schema_demotes_to_rows() {
-        let mut w = WindowBuffer::new(TimeDelta::from_secs(30));
-        w.push_chunk(&chunk_of(&[(0, 0), (1_000, 1)]));
-        let other = Schema::builder()
-            .field("x", DataType::Float)
-            .build()
-            .unwrap();
-        let t = Tuple::new(other, Ts::from_secs(2), vec![Value::Float(2.5)]).unwrap();
-        w.push(t);
-        assert!(w.chunk_view().is_none());
-        assert_eq!(w.len(), 3);
-        let ts: Vec<_> = w.contents().map(|t| t.ts().as_millis()).collect();
-        assert_eq!(ts, vec![0, 1_000, 2_000]);
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The checkpoint bytes of a three-segment window, captured from the
+    /// row-ring implementation this buffer replaced: snapshots written by
+    /// either restore into the other.
     #[test]
-    fn chunk_into_nonempty_row_window_materializes() {
-        let mut w = WindowBuffer::new(TimeDelta::from_secs(30));
-        w.push(tup(0, 0));
-        w.push_chunk(&chunk_of(&[(1_000, 1)]));
-        assert!(w.chunk_view().is_none());
-        assert_eq!(values(&w), vec![0, 1]);
-    }
-
-    #[test]
-    fn columnar_state_restores_into_row_backing_byte_compatibly() {
-        let mut col = WindowBuffer::new(TimeDelta::from_secs(5));
-        col.push_chunk(&chunk_of(&[(0, 0), (1_000, 1), (2_000, 2)]));
-        col.advance_to(Ts::from_secs(2));
-        // Row-backed twin fed the same data through the old path, using one
-        // shared schema Arc so the snap schema tables coincide.
-        let mut row = WindowBuffer::new(TimeDelta::from_secs(5));
-        for t in col.to_vec() {
-            row.push(t);
-        }
-        row.advance_to(Ts::from_secs(2));
-        let cs = col.state().unwrap().unwrap();
-        let rs = row.state().unwrap().unwrap();
-        assert_eq!(
-            cs.bytes(),
-            rs.bytes(),
-            "encoding must be backing-independent"
-        );
-        // Restore the columnar state into a fresh buffer: contents identical.
+    fn encoding_is_pinned() {
+        let mut w = WindowBuffer::new(TimeDelta::from_secs(5));
+        w.push(row(false, 0, 1));
+        w.push(row(false, 1_000, 2));
+        w.push_chunk(&Chunk::from_tuples(&note_schema(), &[row(true, 2_000, 3)]).unwrap());
+        w.push(row(false, 2_000, 4));
+        w.advance_to(Ts::from_secs(6));
+        let state = w.state().unwrap().unwrap();
+        assert_eq!(hex(state.bytes()), PINNED_STATE);
         let mut r = WindowBuffer::new(TimeDelta::from_secs(5));
-        r.restore(&cs).unwrap();
-        assert!(r.chunk_view().is_none());
-        assert_eq!(values(&r), values(&col));
-        assert_eq!(r.newest(), col.newest());
+        r.restore(&state).unwrap();
+        assert_eq!(r.to_vec(), w.to_vec());
+        assert_eq!(hex(r.state().unwrap().unwrap().bytes()), PINNED_STATE);
     }
+
+    const PINNED_STATE: &str = "000000000000138800000000000007d0000000000000177000020001000000017601\
+        0002000000017601000000046e6f74650300000003000000000000000003e8020000000000000002000100000000\
+        000007d002000000000000000304000000026e33000000000000000007d0020000000000000004";
 
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        /// The reference a window must match: every arrival inserted after
+        /// the rows with `ts <= its ts` (a stable sort by timestamp),
+        /// minus what each eviction cut off.
+        struct Model {
+            width: TimeDelta,
+            now: Ts,
+            rows: Vec<Tuple>,
+        }
+
+        impl Model {
+            fn push(&mut self, t: Tuple) {
+                let pos = self.rows.partition_point(|r| r.ts() <= t.ts());
+                self.rows.insert(pos, t);
+            }
+
+            fn evict(&mut self) {
+                let cutoff = self.now.window_start(self.width);
+                self.rows.retain(|r| r.ts() >= cutoff);
+            }
+
+            /// Runs of consecutive rows sharing a schema.
+            fn schema_runs(&self) -> usize {
+                let changes = self
+                    .rows
+                    .windows(2)
+                    .filter(|p| p[0].schema() != p[1].schema())
+                    .count();
+                usize::from(!self.rows.is_empty()) + changes
+            }
+        }
 
         proptest! {
             /// Checkpoint round-trip: encode state, restore into a fresh
@@ -908,10 +687,10 @@ mod tests {
                     w.push(tup(now.as_millis(), *v));
                     w.advance_to(now);
                     let cutoff = now.window_start(width);
-                    for t in w.contents() {
-                        prop_assert!(t.ts() >= cutoff && t.ts() <= now);
+                    let ts: Vec<_> = w.to_vec().iter().map(Tuple::ts).collect();
+                    for t in &ts {
+                        prop_assert!(*t >= cutoff && *t <= now);
                     }
-                    let ts: Vec<_> = w.contents().map(Tuple::ts).collect();
                     prop_assert!(ts.windows(2).all(|p| p[0] <= p[1]));
                 }
                 // Everything still in the final window was pushed at or
@@ -951,7 +730,7 @@ mod tests {
                 }
                 // Invariant restored by set_width alone — no advance since.
                 let cutoff = now.window_start(new_width);
-                for t in w.contents() {
+                for t in w.to_vec() {
                     prop_assert!(
                         t.ts() >= cutoff && t.ts() <= now,
                         "stale tuple at {:?} outside [{:?}, {:?}]",
@@ -960,86 +739,82 @@ mod tests {
                 }
                 // And it keeps holding after a subsequent advance.
                 w.advance_to(now);
-                for t in w.contents() {
+                for t in w.to_vec() {
                     prop_assert!(t.ts() >= cutoff && t.ts() <= now);
                 }
             }
 
-            /// Columnar-fed and row-fed windows are observationally
-            /// equivalent under a random interleaving of chunk pushes, row
-            /// pushes, advances, and width changes.
+            /// The segment store matches the row-list model under a random
+            /// interleaving of row pushes, chunk pushes (borrowed and
+            /// owned, sorted or not), advances and width changes over two
+            /// schemas — including rows that land before the tail under
+            /// the other schema. After every operation the window and its
+            /// checkpoint round-trip agree with the model.
             #[test]
-            fn columnar_matches_row_backing(
+            fn segments_match_row_model(
                 width_ms in 0u64..20_000,
                 ops in proptest::collection::vec(
-                    (0u8..4, proptest::collection::vec((0u64..100u64, 0i64..100), 0..8)),
+                    (0u8..5, proptest::bool::ANY, proptest::collection::vec((0u64..100u64, 0i64..100), 0..8)),
                     1..40,
                 ),
             ) {
-                let mut col = WindowBuffer::new(TimeDelta::from_millis(width_ms));
-                let mut row = WindowBuffer::new(TimeDelta::from_millis(width_ms));
-                let mut now = Ts::ZERO;
-                for (kind, payload) in &ops {
+                let width = TimeDelta::from_millis(width_ms);
+                let mut w = WindowBuffer::new(width);
+                let mut m = Model { width, now: Ts::ZERO, rows: Vec::new() };
+                for (kind, noted, payload) in &ops {
+                    // Arrivals land up to 6 ms after the last advance, so
+                    // they may precede rows already in the window.
+                    let rows: Vec<Tuple> = payload
+                        .iter()
+                        .map(|(e, v)| row(*noted, m.now.as_millis() + e % 7, *v))
+                        .collect();
                     match kind {
-                        // Push a chunk of this epoch's rows (columnar side)
-                        // vs. the same rows one-by-one (row side).
+                        // Rows one at a time, alternating schemas by value.
                         0 => {
-                            let rows: Vec<(u64, i64)> = payload
-                                .iter()
-                                .map(|(e, v)| (now.as_millis() + e % 7, *v))
-                                .collect();
-                            col.push_chunk(&chunk_of(&rows));
-                            for (ms, v) in &rows {
-                                row.push(tup(*ms, *v));
-                            }
-                        }
-                        // Push single rows on both sides.
-                        1 => {
                             for (e, v) in payload {
-                                let ms = now.as_millis() + e % 7;
-                                col.push(tup(ms, *v));
-                                row.push(tup(ms, *v));
+                                let t = row(v % 2 == 1, m.now.as_millis() + e % 7, *v);
+                                m.push(t.clone());
+                                w.push(t);
                             }
                         }
-                        // Advance both (monotone).
-                        2 => {
-                            now +=
-                                TimeDelta::from_millis(payload.first().map_or(100, |(e, _)| e * 10));
-                            col.advance_to(now);
-                            row.advance_to(now);
+                        // One chunk of one schema, in payload order.
+                        1 | 2 => {
+                            if !rows.is_empty() {
+                                let c = Chunk::from_tuples(rows[0].schema(), &rows).unwrap();
+                                if *kind == 1 {
+                                    w.push_chunk(&c);
+                                } else {
+                                    w.push_chunk_owned(c);
+                                }
+                            }
+                            for t in rows {
+                                m.push(t);
+                            }
                         }
-                        // Change width on both.
+                        // Advance (monotone, possibly by zero).
+                        3 => {
+                            m.now += TimeDelta::from_millis(payload.first().map_or(100, |(e, _)| e * 10));
+                            w.advance_to(m.now);
+                            m.evict();
+                        }
+                        // Change the width.
                         _ => {
-                            let w = TimeDelta::from_millis(
-                                payload.first().map_or(1_000, |(e, _)| e * 200),
-                            );
-                            col.set_width(w);
-                            row.set_width(w);
+                            m.width = TimeDelta::from_millis(payload.first().map_or(1_000, |(e, _)| e * 200));
+                            w.set_width(m.width);
+                            m.evict();
                         }
                     }
-                    prop_assert_eq!(col.len(), row.len());
-                    prop_assert_eq!(col.oldest(), row.oldest());
-                    prop_assert_eq!(col.newest(), row.newest());
-                    let a: Vec<(u64, i64)> = col
-                        .contents()
-                        .map(|t| (t.ts().as_millis(), t.value(0).as_i64().unwrap()))
-                        .collect();
-                    let b: Vec<(u64, i64)> = row
-                        .contents()
-                        .map(|t| (t.ts().as_millis(), t.value(0).as_i64().unwrap()))
-                        .collect();
-                    prop_assert_eq!(a, b);
+                    prop_assert_eq!(w.len(), m.rows.len());
+                    prop_assert_eq!(w.oldest(), m.rows.first().map(Tuple::ts));
+                    prop_assert_eq!(w.newest(), m.rows.last().map(Tuple::ts));
+                    prop_assert_eq!(&w.to_vec(), &m.rows);
+                    prop_assert_eq!(w.chunk_view().is_some(), m.schema_runs() <= 1);
+                    let mut r = WindowBuffer::new(w.width());
+                    r.restore(&w.state().unwrap().unwrap()).unwrap();
+                    prop_assert_eq!(&r.to_vec(), &m.rows);
+                    prop_assert_eq!(r.oldest(), w.oldest());
+                    prop_assert_eq!(r.newest(), w.newest());
                 }
-                // Checkpoints taken from either backing restore into
-                // identical windows (migration across the re-backing).
-                let cs = col.state().unwrap().unwrap();
-                let rs = row.state().unwrap().unwrap();
-                let mut from_col = WindowBuffer::new(col.width());
-                from_col.restore(&cs).unwrap();
-                let mut from_row = WindowBuffer::new(row.width());
-                from_row.restore(&rs).unwrap();
-                prop_assert_eq!(values(&from_col), values(&from_row));
-                prop_assert_eq!(from_col.oldest(), from_row.oldest());
             }
 
             /// Out-of-order intra-epoch pushes sort identically to pre-sorted
@@ -1051,7 +826,7 @@ mod tests {
                     a.push(tup(*t, i as i64));
                 }
                 times.sort_unstable();
-                let got: Vec<_> = a.contents().map(|t| t.ts().as_millis()).collect();
+                let got: Vec<_> = a.to_vec().iter().map(|t| t.ts().as_millis()).collect();
                 prop_assert_eq!(got, times);
             }
         }

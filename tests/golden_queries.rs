@@ -686,8 +686,8 @@ fn star_below_quantified_subquery() -> QueryScenario {
 }
 
 /// Rows of two different schemas interleaved in one batch: the chunk
-/// staging splits them into per-schema runs and the window demotes to
-/// rows, losing nothing.
+/// staging splits them into per-schema runs, the window keeps one segment
+/// per run, and the tick reads them in arrival order, losing nothing.
 fn mixed_schema_rows() -> QueryScenario {
     let narrow = schema(&[("k", DataType::Str), ("a", DataType::Int)]);
     let wide = schema(&[
@@ -734,6 +734,55 @@ fn mixed_schema_rows() -> QueryScenario {
             (2_000, vec![("t", vec![n(2_000, "q", 6)])]),
             (6_000, vec![]),
             (9_000, vec![]),
+        ],
+    )
+}
+
+/// Schemas A, B, A in consecutive epochs of a 5 s window: the window holds
+/// three runs of rows, one per layout, and evicts the first A run while
+/// the later one stays, keeping arrival order throughout.
+fn schema_segments_evict_in_order() -> QueryScenario {
+    let a = schema(&[("k", DataType::Str), ("a", DataType::Int)]);
+    let b = schema(&[
+        ("k", DataType::Str),
+        ("a", DataType::Int),
+        ("note", DataType::Str),
+    ]);
+    let ra = |ts: u64, k: &str, v: i64| {
+        row(
+            &a,
+            Ts::from_millis(ts),
+            &[("k", Value::str(k)), ("a", Value::Int(v))],
+        )
+    };
+    let rb = |ts: u64, k: &str, v: i64, note: &str| {
+        row(
+            &b,
+            Ts::from_millis(ts),
+            &[
+                ("k", Value::str(k)),
+                ("a", Value::Int(v)),
+                ("note", Value::str(note)),
+            ],
+        )
+    };
+    query_scenario(
+        Engine::new(),
+        "SELECT k, a FROM t [Range By '5 sec'] WHERE a > 0",
+        vec![
+            (0, vec![("t", vec![ra(0, "p", 1), ra(0, "q", 2)])]),
+            (
+                1_000,
+                vec![("t", vec![rb(1_000, "p", 3, "x"), rb(1_000, "r", -4, "y")])],
+            ),
+            (
+                2_000,
+                vec![("t", vec![ra(2_000, "q", 5), ra(2_000, "s", 6)])],
+            ),
+            (5_000, vec![]),
+            (6_000, vec![]),
+            (7_000, vec![]),
+            (8_000, vec![]),
         ],
     )
 }
@@ -872,6 +921,10 @@ fn engine_output_matches_golden_fixtures() {
         ),
         ("mixed_schema_rows", mixed_schema_rows),
         ("type_mismatched_rows", type_mismatched_rows),
+        (
+            "schema_segments_evict_in_order",
+            schema_segments_evict_in_order,
+        ),
     ];
     let mut failures = Vec::new();
     for (name, build) in scenarios {
