@@ -46,7 +46,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use esp_stream::panes::{PaneStore, PaneTable, Partial};
+use esp_stream::panes::{PaneMut, PaneStore, Partial};
 use esp_stream::stats::RunningStats;
 use esp_stream::{Payload, StageState};
 use esp_types::{
@@ -71,11 +71,12 @@ struct Presence {
 }
 
 impl Partial for Presence {
-    fn merge(&mut self, newer: &Presence) {
+    fn merge(&mut self, newer: &Presence) -> Result<()> {
         if newer.matches > 0 {
             self.matches += newer.matches;
             self.last.clone_from(&newer.last);
         }
+        Ok(())
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -356,7 +357,7 @@ fn for_each_key_run<S: Segment>(seg: &S, mut f: impl FnMut(usize, usize)) {
     }
 }
 
-fn fold_count<S: Segment>(seg: &S, pane: &mut PaneTable<i64>) {
+fn fold_count<S: Segment>(seg: &S, mut pane: PaneMut<'_, i64>) {
     let mut key = Vec::new();
     for_each_key_run(seg, |start, end| {
         seg.key_values(start, &mut key);
@@ -364,7 +365,7 @@ fn fold_count<S: Segment>(seg: &S, pane: &mut PaneTable<i64>) {
     });
 }
 
-fn fold_mean<S: Segment>(seg: &S, pane: &mut PaneTable<RunningStats>) {
+fn fold_mean<S: Segment>(seg: &S, mut pane: PaneMut<'_, RunningStats>) {
     let mut key = Vec::new();
     for_each_key_run(seg, |start, end| {
         // NULL / non-numeric samples are skipped, and a key none of whose
@@ -377,7 +378,7 @@ fn fold_mean<S: Segment>(seg: &S, pane: &mut PaneTable<RunningStats>) {
     });
 }
 
-fn fold_presence<S: Segment>(seg: &S, on_value: &Value, pane: &mut PaneTable<Presence>) {
+fn fold_presence<S: Segment>(seg: &S, on_value: &Value, mut pane: PaneMut<'_, Presence>) {
     let mut matched = (0..seg.len()).filter(|&row| seg.value_is(row, on_value));
     let Some(mut last) = matched.next() else {
         return;
@@ -632,7 +633,7 @@ impl SmoothStage {
             SmoothMode::CountByKey(panes) => {
                 panes.advance_to(epoch);
                 panes
-                    .merged()
+                    .merged()?
                     .iter()
                     .map(|(key, n)| row(key, Value::Int(*n)))
                     .collect()
@@ -640,7 +641,7 @@ impl SmoothStage {
             SmoothMode::WindowedMean(panes) => {
                 panes.advance_to(epoch);
                 panes
-                    .merged()
+                    .merged()?
                     .iter()
                     .map(|(key, stats)| {
                         let mean = stats
@@ -658,7 +659,7 @@ impl SmoothStage {
                 panes.advance_to(epoch);
                 // `min_events` may be 0 with nothing matching: no event.
                 panes
-                    .merged()
+                    .merged()?
                     .iter()
                     .filter(|(_, p)| p.matches > 0 && p.matches >= *min_events as u64)
                     .map(|(_, p)| row(&p.last, on_value.clone()))
@@ -1102,5 +1103,158 @@ mod tests {
         let mut e =
             SmoothStage::ewma("s", TimeDelta::from_secs(5), ["tag_id"], "temp", 0.5).unwrap();
         assert!(e.restore(&blob).is_err());
+    }
+
+    fn golden_schema() -> Arc<Schema> {
+        esp_types::registry::intern(
+            &Schema::builder()
+                .field("tag", DataType::Str)
+                .field("id", DataType::Int)
+                .field("fkey", DataType::Float)
+                .field("v", DataType::Float)
+                .field("state", DataType::Str)
+                .build()
+                .unwrap(),
+        )
+    }
+
+    /// Epoch `k`'s arrivals: tags that come and go, a float key whose
+    /// first arrival alternates between `-0.0` and `0.0` (and NaNs of two
+    /// signs), NULL keys and values, and `ON`/`OFF` events.
+    fn golden_input(k: u64) -> (Ts, Vec<Tuple>) {
+        let epoch = Ts::from_millis(k * 1_000);
+        let tags = ["a", "b", "c", "d", "e"];
+        let fkeys = [-0.0, 0.0, f64::NAN, -f64::NAN, 1.5];
+        let rows = (0..(3 + k % 4))
+            .map(|i| {
+                let tag = (k + i) % 6;
+                let v = if (k + i) % 5 == 3 {
+                    Value::Null
+                } else {
+                    Value::Float(k as f64 * 0.75 - i as f64 * 1.25)
+                };
+                Tuple::new(
+                    golden_schema(),
+                    epoch,
+                    vec![
+                        tags.get(tag as usize).map_or(Value::Null, Value::str),
+                        Value::Int(((k * 3 + i) % 4) as i64),
+                        Value::Float(fkeys[((k + 2 * i) % 5) as usize]),
+                        v,
+                        Value::str(if (k * i + k).is_multiple_of(3) {
+                            "ON"
+                        } else {
+                            "OFF"
+                        }),
+                    ],
+                )
+                .unwrap()
+            })
+            .collect();
+        (epoch, rows)
+    }
+
+    type MakeSmooth = fn() -> SmoothStage;
+
+    /// The pane modes, each over a 3 s window of 1 s epochs.
+    fn pane_modes() -> Vec<(&'static str, MakeSmooth)> {
+        vec![
+            ("count", || {
+                SmoothStage::count_by_key("smooth", TimeDelta::from_secs(3), ["tag", "fkey"])
+            }),
+            ("mean", || {
+                SmoothStage::windowed_mean("smooth", TimeDelta::from_secs(3), ["id", "tag"], "v")
+            }),
+            ("presence", || {
+                SmoothStage::event_presence(
+                    "smooth",
+                    TimeDelta::from_secs(3),
+                    ["id", "tag"],
+                    "state",
+                    "ON",
+                    2,
+                )
+            }),
+        ]
+    }
+
+    /// Feed epochs `ks` as rows; one rendered line per epoch, floats by
+    /// bit pattern.
+    fn drive_golden(s: &mut SmoothStage, ks: std::ops::Range<u64>) -> Vec<String> {
+        let render = |v: &Value| match v {
+            Value::Float(f) => format!("f{:016x}", f.to_bits()),
+            other => format!("{other:?}"),
+        };
+        ks.map(|k| {
+            let (epoch, rows) = golden_input(k);
+            let out = s.process(epoch, Payload::Rows(rows)).unwrap().into_rows();
+            let cells = out.iter().map(|t| {
+                let vals: Vec<String> = t.values().iter().map(render).collect();
+                format!("{}:[{}]", t.ts().as_millis(), vals.join(","))
+            });
+            std::iter::once(k.to_string())
+                .chain(cells)
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect()
+    }
+
+    fn golden_path(mode: &str) -> std::path::PathBuf {
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(format!("smooth_{mode}.txt"))
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// A mode's fixture: its state after epochs 0..7 in hex, then its
+    /// output for epochs 0..14. The fixtures were captured from the pane
+    /// store that keyed each pane by `Vec<ValueKey>`, before panes were
+    /// keyed by dictionary ids; regenerate with `ESP_GOLDEN_REGEN=1` only
+    /// deliberately.
+    fn golden_transcript(make: MakeSmooth) -> String {
+        let mut s = make();
+        let mut lines = drive_golden(&mut s, 0..7);
+        lines.insert(0, hex(s.state().unwrap().unwrap().bytes()));
+        lines.extend(drive_golden(&mut s, 7..14));
+        lines.join("\n") + "\n"
+    }
+
+    #[test]
+    fn pane_modes_match_pinned_state_and_output() {
+        for (mode, make) in pane_modes() {
+            let got = golden_transcript(make);
+            if std::env::var("ESP_GOLDEN_REGEN").is_ok() {
+                std::fs::write(golden_path(mode), &got).unwrap();
+                continue;
+            }
+            let expected = std::fs::read_to_string(golden_path(mode)).unwrap();
+            assert_eq!(got, expected, "{mode}");
+        }
+    }
+
+    /// Restoring the pinned state and continuing reproduces the
+    /// uninterrupted run.
+    #[test]
+    fn pinned_state_continues_like_uninterrupted() {
+        for (mode, make) in pane_modes() {
+            let mut uninterrupted = make();
+            let expected = drive_golden(&mut uninterrupted, 0..14);
+            let fixture = std::fs::read_to_string(golden_path(mode)).unwrap();
+            let pinned = StageState(unhex(fixture.lines().next().unwrap()));
+            let mut restored = make();
+            restored.restore(&pinned).unwrap();
+            assert_eq!(drive_golden(&mut restored, 7..14), expected[7..], "{mode}");
+        }
     }
 }

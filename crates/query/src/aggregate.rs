@@ -71,158 +71,277 @@ pub trait AggregateFactory: Send + Sync {
     fn arg_requirement(&self) -> ArgRequirement {
         ArgRequirement::Any
     }
-}
 
-/// `count(x)` / `count(*)` / `count(distinct x)`.
-pub struct CountFactory;
-
-struct CountState(i64);
-
-impl AggregateFactory for CountFactory {
-    fn make(&self) -> Box<dyn AggregateState> {
-        Box::new(CountState(0))
-    }
-    fn result_type(&self) -> DataType {
-        DataType::Int
+    /// The built-in partial this aggregate folds into, when its states
+    /// merge across panes ([`BuiltinPartial::merge`]). Selects whose every
+    /// aggregate names one run pane-incrementally. Defaults to `None`, so
+    /// a UDA is always evaluated over the whole window.
+    fn partial(&self) -> Option<PartialKind> {
+        None
     }
 }
 
-impl AggregateState for CountState {
-    fn update(&mut self, _v: &Value) -> Result<()> {
-        self.0 += 1;
-        Ok(())
-    }
-    fn update_repeat(&mut self, _v: &Value, n: usize) -> Result<()> {
-        self.0 += n as i64;
-        Ok(())
-    }
-    fn finish(&self) -> Value {
-        Value::Int(self.0)
-    }
+/// The mergeable built-in aggregates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PartialKind {
+    /// `count(x)` / `count(*)`.
+    Count,
+    /// `sum(x)`.
+    Sum,
+    /// `avg(x)`.
+    Avg,
+    /// `stdev(x)`.
+    Stdev,
+    /// `min(x)`.
+    Min,
+    /// `max(x)`.
+    Max,
 }
 
-/// `sum(x)`. Integer inputs stay integers; any float input promotes.
-pub struct SumFactory;
-
-struct SumState {
-    int_sum: i64,
-    float_sum: f64,
-    saw_float: bool,
-    n: u64,
+/// The state of a built-in aggregate. The same value is the per-group
+/// accumulator of a window rescan and the per-pane partial of the
+/// incremental path, so both fold a value identically; the incremental
+/// path then combines panes with [`BuiltinPartial::merge`].
+#[derive(Debug, Clone)]
+pub enum BuiltinPartial {
+    /// Rows (or non-NULL values) counted.
+    Count(i64),
+    /// Integer inputs stay integers; any float input promotes.
+    Sum {
+        /// Exact sum of the integer inputs.
+        int_sum: i64,
+        /// Sum of every input as a float.
+        float_sum: f64,
+        /// Whether a float input was seen.
+        saw_float: bool,
+        /// Inputs folded.
+        n: u64,
+    },
+    /// `avg` / `stdev`.
+    Stats {
+        /// Welford accumulator; panes combine by the Chan et al. update.
+        stats: RunningStats,
+        /// Report the sample standard deviation instead of the mean.
+        stdev: bool,
+    },
+    /// `min` / `max`: the first value no later one strictly beats.
+    Extreme {
+        /// The best value so far (`NULL` before the first input).
+        best: Value,
+        /// True for `max`.
+        is_max: bool,
+    },
 }
 
-impl AggregateFactory for SumFactory {
-    fn make(&self) -> Box<dyn AggregateState> {
-        Box::new(SumState {
-            int_sum: 0,
-            float_sum: 0.0,
-            saw_float: false,
-            n: 0,
-        })
+impl BuiltinPartial {
+    /// The empty state of `kind`.
+    pub fn new(kind: PartialKind) -> BuiltinPartial {
+        match kind {
+            PartialKind::Count => BuiltinPartial::Count(0),
+            PartialKind::Sum => BuiltinPartial::Sum {
+                int_sum: 0,
+                float_sum: 0.0,
+                saw_float: false,
+                n: 0,
+            },
+            PartialKind::Avg | PartialKind::Stdev => BuiltinPartial::Stats {
+                stats: RunningStats::new(),
+                stdev: kind == PartialKind::Stdev,
+            },
+            PartialKind::Min | PartialKind::Max => BuiltinPartial::Extreme {
+                best: Value::Null,
+                is_max: kind == PartialKind::Max,
+            },
+        }
     }
-    fn result_type(&self) -> DataType {
-        DataType::Any
-    }
-    fn arg_requirement(&self) -> ArgRequirement {
-        ArgRequirement::Numeric
-    }
-}
 
-impl AggregateState for SumState {
-    fn update(&mut self, v: &Value) -> Result<()> {
-        match v {
-            Value::Int(i) => {
-                self.int_sum += i;
-                self.float_sum += *i as f64;
+    /// Fold the state of a *newer* stretch of the same group's input into
+    /// this one: the result is the state of folding this stretch, then
+    /// that one (floats up to reassociation). `min`/`max` keep the older
+    /// value on ties, as a fold does, and fail over incomparable values
+    /// exactly where the fold would.
+    pub fn merge(&mut self, newer: &BuiltinPartial) -> Result<()> {
+        match (self, newer) {
+            (BuiltinPartial::Count(a), BuiltinPartial::Count(b)) => *a += b,
+            (
+                BuiltinPartial::Sum {
+                    int_sum,
+                    float_sum,
+                    saw_float,
+                    n,
+                },
+                BuiltinPartial::Sum {
+                    int_sum: i,
+                    float_sum: f,
+                    saw_float: s,
+                    n: m,
+                },
+            ) => {
+                *int_sum += i;
+                *float_sum += f;
+                *saw_float |= s;
+                *n += m;
             }
-            Value::Float(f) => {
-                self.saw_float = true;
-                self.float_sum += f;
+            (BuiltinPartial::Stats { stats, .. }, BuiltinPartial::Stats { stats: s, .. }) => {
+                stats.merge(s)
             }
-            other => {
-                return Err(EspError::Type(format!(
-                    "sum() over non-numeric value {other}"
+            (this @ BuiltinPartial::Extreme { .. }, BuiltinPartial::Extreme { best, .. }) => {
+                if !best.is_null() {
+                    this.update(best)?;
+                }
+            }
+            (this, other) => {
+                return Err(EspError::Plan(format!(
+                    "cannot merge aggregate states {this:?} and {other:?}"
                 )))
             }
         }
-        self.n += 1;
         Ok(())
     }
+}
+
+impl AggregateState for BuiltinPartial {
+    fn update(&mut self, v: &Value) -> Result<()> {
+        match self {
+            BuiltinPartial::Count(n) => *n += 1,
+            BuiltinPartial::Sum {
+                int_sum,
+                float_sum,
+                saw_float,
+                n,
+            } => {
+                match v {
+                    Value::Int(i) => {
+                        *int_sum += i;
+                        *float_sum += *i as f64;
+                    }
+                    Value::Float(f) => {
+                        *saw_float = true;
+                        *float_sum += f;
+                    }
+                    other => {
+                        return Err(EspError::Type(format!(
+                            "sum() over non-numeric value {other}"
+                        )))
+                    }
+                }
+                *n += 1;
+            }
+            BuiltinPartial::Stats { stats, .. } => stats.push(v.expect_f64("avg()/stdev()")?),
+            BuiltinPartial::Extreme { best, is_max } => {
+                if best.is_null() {
+                    *best = v.clone();
+                    return Ok(());
+                }
+                let ord = v.sql_cmp(best).ok_or_else(|| {
+                    EspError::Type(format!(
+                        "min()/max() over incomparable values {v} and {best}"
+                    ))
+                })?;
+                if if *is_max { ord.is_gt() } else { ord.is_lt() } {
+                    *best = v.clone();
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn update_repeat(&mut self, v: &Value, n: usize) -> Result<()> {
+        if let BuiltinPartial::Count(c) = self {
+            *c += n as i64;
+            return Ok(());
+        }
+        for _ in 0..n {
+            self.update(v)?;
+        }
+        Ok(())
+    }
+
     fn finish(&self) -> Value {
-        if self.n == 0 {
-            Value::Null
-        } else if self.saw_float {
-            Value::Float(self.float_sum)
-        } else {
-            Value::Int(self.int_sum)
+        match self {
+            BuiltinPartial::Count(n) => Value::Int(*n),
+            BuiltinPartial::Sum {
+                int_sum,
+                float_sum,
+                saw_float,
+                n,
+            } => {
+                if *n == 0 {
+                    Value::Null
+                } else if *saw_float {
+                    Value::Float(*float_sum)
+                } else {
+                    Value::Int(*int_sum)
+                }
+            }
+            // A single observation has no sample deviation; report 0 so the
+            // outlier band collapses to the point itself rather than NULL
+            // (which would silently drop every reading in Query 5).
+            BuiltinPartial::Stats { stats, stdev } => {
+                let r = if *stdev {
+                    stats.stdev().or(stats.mean().map(|_| 0.0))
+                } else {
+                    stats.mean()
+                };
+                r.map(Value::Float).unwrap_or(Value::Null)
+            }
+            BuiltinPartial::Extreme { best, .. } => best.clone(),
         }
     }
 }
 
-/// `avg(x)`.
-pub struct AvgFactory;
+/// A factory for one built-in aggregate.
+macro_rules! builtin_factory {
+    ($(#[$doc:meta])* $name:ident, $kind:expr, $result:expr, $arg:expr) => {
+        $(#[$doc])*
+        pub struct $name;
 
-/// `stdev(x)` — sample standard deviation, as used by the paper's Query 5
-/// outlier test.
-pub struct StdevFactory;
-
-struct StatsState {
-    stats: RunningStats,
-    kind: StatsKind,
+        impl AggregateFactory for $name {
+            fn make(&self) -> Box<dyn AggregateState> {
+                Box::new(BuiltinPartial::new($kind))
+            }
+            fn result_type(&self) -> DataType {
+                $result
+            }
+            fn arg_requirement(&self) -> ArgRequirement {
+                $arg
+            }
+            fn partial(&self) -> Option<PartialKind> {
+                Some($kind)
+            }
+        }
+    };
 }
 
-enum StatsKind {
-    Avg,
-    Stdev,
-}
-
-impl AggregateFactory for AvgFactory {
-    fn make(&self) -> Box<dyn AggregateState> {
-        Box::new(StatsState {
-            stats: RunningStats::new(),
-            kind: StatsKind::Avg,
-        })
-    }
-    fn result_type(&self) -> DataType {
-        DataType::Float
-    }
-    fn arg_requirement(&self) -> ArgRequirement {
-        ArgRequirement::Numeric
-    }
-}
-
-impl AggregateFactory for StdevFactory {
-    fn make(&self) -> Box<dyn AggregateState> {
-        Box::new(StatsState {
-            stats: RunningStats::new(),
-            kind: StatsKind::Stdev,
-        })
-    }
-    fn result_type(&self) -> DataType {
-        DataType::Float
-    }
-    fn arg_requirement(&self) -> ArgRequirement {
-        ArgRequirement::Numeric
-    }
-}
-
-impl AggregateState for StatsState {
-    fn update(&mut self, v: &Value) -> Result<()> {
-        let x = v.expect_f64("avg()/stdev()")?;
-        self.stats.push(x);
-        Ok(())
-    }
-    fn finish(&self) -> Value {
-        let r = match self.kind {
-            StatsKind::Avg => self.stats.mean(),
-            // A single observation has no sample deviation; report 0 so the
-            // outlier band collapses to the point itself rather than NULL
-            // (which would silently drop every reading in Query 5).
-            StatsKind::Stdev => self.stats.stdev().or(self.stats.mean().map(|_| 0.0)),
-        };
-        r.map(Value::Float).unwrap_or(Value::Null)
-    }
-}
+builtin_factory!(
+    /// `count(x)` / `count(*)` / `count(distinct x)`.
+    CountFactory,
+    PartialKind::Count,
+    DataType::Int,
+    ArgRequirement::Any
+);
+builtin_factory!(
+    /// `sum(x)`. Integer inputs stay integers; any float input promotes.
+    SumFactory,
+    PartialKind::Sum,
+    DataType::Any,
+    ArgRequirement::Numeric
+);
+builtin_factory!(
+    /// `avg(x)`.
+    AvgFactory,
+    PartialKind::Avg,
+    DataType::Float,
+    ArgRequirement::Numeric
+);
+builtin_factory!(
+    /// `stdev(x)` — sample standard deviation, as used by the paper's
+    /// Query 5 outlier test.
+    StdevFactory,
+    PartialKind::Stdev,
+    DataType::Float,
+    ArgRequirement::Numeric
+);
 
 /// `min(x)` / `max(x)` over any SQL-comparable values.
 pub struct ExtremeFactory {
@@ -230,44 +349,22 @@ pub struct ExtremeFactory {
     pub is_max: bool,
 }
 
-struct ExtremeState {
-    is_max: bool,
-    best: Value,
+impl ExtremeFactory {
+    fn kind(&self) -> PartialKind {
+        if self.is_max {
+            PartialKind::Max
+        } else {
+            PartialKind::Min
+        }
+    }
 }
 
 impl AggregateFactory for ExtremeFactory {
     fn make(&self) -> Box<dyn AggregateState> {
-        Box::new(ExtremeState {
-            is_max: self.is_max,
-            best: Value::Null,
-        })
+        Box::new(BuiltinPartial::new(self.kind()))
     }
-}
-
-impl AggregateState for ExtremeState {
-    fn update(&mut self, v: &Value) -> Result<()> {
-        if self.best.is_null() {
-            self.best = v.clone();
-            return Ok(());
-        }
-        let ord = v.sql_cmp(&self.best).ok_or_else(|| {
-            EspError::Type(format!(
-                "min()/max() over incomparable values {} and {}",
-                v, self.best
-            ))
-        })?;
-        let take = if self.is_max {
-            ord.is_gt()
-        } else {
-            ord.is_lt()
-        };
-        if take {
-            self.best = v.clone();
-        }
-        Ok(())
-    }
-    fn finish(&self) -> Value {
-        self.best.clone()
+    fn partial(&self) -> Option<PartialKind> {
+        Some(self.kind())
     }
 }
 

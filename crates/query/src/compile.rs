@@ -9,6 +9,11 @@
 //! explicit projections, and validates structural rules (no aggregates in
 //! `WHERE`, no `SELECT *` in grouped queries, single-column quantified
 //! subqueries, no window clause on a static relation).
+//!
+//! The engine then classifies the compiled select (see
+//! [`crate::incremental`]): a mergeable one trades its
+//! [`Window::Rows`] buffer for [`Window::Panes`], per-epoch partials that
+//! each arrival is folded into once.
 
 use std::fmt;
 use std::sync::Arc;
@@ -20,6 +25,7 @@ use esp_types::{registry, DataType, EspError, Field, Result, Schema, TimeDelta, 
 use crate::aggregate::AggregateFactory;
 use crate::ast::{ArithOp, CmpOp, Expr, FromItem, FromSource, Quantifier, SelectItem, SelectStmt};
 use crate::catalog::{Catalog, ScalarFn};
+use crate::incremental::Incremental;
 use crate::plan::{FieldSlot, ResolvedPlan};
 
 /// An executable (but stateful: windows) form of one `SELECT`.
@@ -72,7 +78,7 @@ pub enum CSource {
         /// Stream name (matched against [`push`](crate::ContinuousQuery::push)).
         name: String,
         /// This reference's window. `None` window clause = now-window.
-        window: WindowBuffer,
+        window: Window,
     },
     /// A static relation resolved from the catalog at evaluation time.
     Relation {
@@ -81,6 +87,33 @@ pub enum CSource {
     },
     /// A derived table.
     Derived(Box<CompiledSelect>),
+}
+
+/// The window state of one stream reference.
+pub enum Window {
+    /// Every row of the window, rescanned at each tick: holistic selects,
+    /// and every select in reference mode.
+    Rows(WindowBuffer),
+    /// Per-epoch partials of a mergeable select; see [`crate::incremental`].
+    Panes(Box<Incremental>),
+}
+
+impl Window {
+    /// The window's width; zero for a now-window.
+    pub fn width(&self) -> TimeDelta {
+        match self {
+            Window::Rows(w) => w.width(),
+            Window::Panes(p) => p.width(),
+        }
+    }
+
+    /// The buffered rows of a rescanned window; `None` for panes.
+    pub fn rows_mut(&mut self) -> Option<&mut WindowBuffer> {
+        match self {
+            Window::Rows(w) => Some(w),
+            Window::Panes(_) => None,
+        }
+    }
 }
 
 /// One deduplicated aggregate call within a select.
@@ -231,7 +264,7 @@ impl fmt::Debug for CompiledSelect {
 impl CompiledSelect {
     /// Visit every `(stream name, window)` pair in this select, including
     /// derived tables and expression subqueries.
-    pub fn for_each_window(&mut self, f: &mut dyn FnMut(&str, &mut WindowBuffer)) {
+    pub fn for_each_window(&mut self, f: &mut dyn FnMut(&str, &mut Window)) {
         for item in &mut self.from {
             match &mut item.source {
                 CSource::Stream { name, window } => f(name, window),
@@ -530,7 +563,7 @@ fn compile_from(item: &FromItem, catalog: &Catalog) -> Result<CFromItem> {
                 let width = item.window.map(|w| w.range).unwrap_or(TimeDelta::ZERO);
                 CSource::Stream {
                     name: name.clone(),
-                    window: WindowBuffer::new(width),
+                    window: Window::Rows(WindowBuffer::new(width)),
                 }
             }
         }

@@ -11,8 +11,9 @@ use esp_types::{
 
 use crate::aggregate::AggregateFactory;
 use crate::catalog::Catalog;
-use crate::compile::{compile, CExpr, CompiledSelect};
-use crate::exec::{eval_select, ColumnPruner, ExecCtx};
+use crate::compile::{compile, CExpr, CSource, CompiledSelect, Window};
+use crate::exec::{eval_select, ColumnPruner, ExecCtx, SelectResult};
+use crate::incremental;
 use crate::parser::parse;
 use crate::plan::{clear_resolution, resolve_pass, Mode};
 
@@ -119,6 +120,7 @@ impl Engine {
     pub fn compile(&self, sql: &str) -> Result<ContinuousQuery> {
         let stmt = parse(sql)?;
         let mut root = compile(&stmt, &self.catalog)?;
+        incremental::classify(&mut root, &self.catalog);
         let streams = root.stream_names();
         let prune = ColumnPruner::new(root.read_columns());
         Ok(ContinuousQuery {
@@ -226,14 +228,36 @@ impl ContinuousQuery {
     /// Toggle *reference mode*: when on, the engine strips all slot
     /// annotations and skips plan resolution, so every tick evaluates via
     /// the original per-row name-resolving interpreter (string scope walk
-    /// plus nested-loop joins). Benchmarks use this to measure the
-    /// compiled path against the interpreter in one process; results are
-    /// identical by construction, only the speed differs.
+    /// plus nested-loop joins) over buffered windows. A pane-incremental
+    /// select goes back to a [`WindowBuffer`](esp_stream::WindowBuffer) —
+    /// turn the mode on before the first push, since partials cannot be
+    /// turned back into rows — and stays there. Tests use this as the
+    /// oracle for the compiled and incremental paths; results are
+    /// identical by construction (floats up to reassociation across
+    /// panes), only the speed differs.
     pub fn set_reference_mode(&mut self, on: bool) {
         self.reference_mode = on;
         if on {
+            self.root.for_each_window(&mut |_, w| {
+                if let Window::Panes(p) = w {
+                    *w = Window::Rows(esp_stream::WindowBuffer::new(p.width()));
+                }
+            });
             clear_resolution(&mut self.root);
         }
+    }
+
+    /// Whether this query runs pane-incrementally: each arrival folded
+    /// once into per-epoch partials instead of its window being rescanned
+    /// every tick (see [`crate::incremental`] for which selects do).
+    pub fn is_pane_incremental(&self) -> bool {
+        matches!(
+            self.root.from.first().map(|item| &item.source),
+            Some(CSource::Stream {
+                window: Window::Panes(_),
+                ..
+            })
+        )
     }
 
     /// The set of column names this query can read anywhere (projections,
@@ -350,28 +374,65 @@ impl ContinuousQuery {
 
     /// Absorb staged batches, slide every window to `epoch`, evaluate, and
     /// return the result rows stamped at `epoch`.
+    ///
+    /// An `Err` leaves the query's window state unspecified: the arrivals
+    /// staged for this tick may be partly absorbed. Callers treat it as
+    /// fatal for the query.
     pub fn tick(&mut self, epoch: Ts) -> Result<Batch> {
         if esp_obs::enabled() {
             query_obs().row_ticks.inc();
         }
-        let result = self.tick_result(epoch)?;
-        Ok(result.into_batch(epoch))
+        Ok(match self.tick_result(epoch)? {
+            Emitted::Rows(result) => result.into_batch(epoch),
+            Emitted::Chunk(chunk) => chunk.to_tuples(),
+        })
     }
 
     /// Like [`ContinuousQuery::tick`], but the emitted rows come back as a
     /// single columnar chunk stamped at `epoch` — the chunk-path egress the
-    /// stage cascade forwards between declarative stages.
+    /// stage cascade forwards between declarative stages. Errors as
+    /// [`ContinuousQuery::tick`] does.
     pub fn tick_chunk(&mut self, epoch: Ts) -> Result<Chunk> {
         if esp_obs::enabled() {
             query_obs().chunk_ticks.inc();
         }
-        let result = self.tick_result(epoch)?;
-        result.into_chunk(epoch)
+        match self.tick_result(epoch)? {
+            Emitted::Rows(result) => result.into_chunk(epoch),
+            Emitted::Chunk(chunk) => Ok(chunk),
+        }
     }
 
-    fn tick_result(&mut self, epoch: Ts) -> Result<crate::exec::SelectResult> {
+    fn tick_result(&mut self, epoch: Ts) -> Result<Emitted> {
         let obs = esp_obs::enabled().then(query_obs);
         let started = obs.map(|_| std::time::Instant::now());
+        let result = if self.is_pane_incremental() {
+            let staged = std::mem::take(&mut self.pending).into_values().flatten();
+            let ctx = ExecCtx {
+                catalog: &self.catalog,
+                epoch,
+            };
+            incremental::tick(&mut self.root, staged.collect(), &ctx)
+                .map(|(chunk, groups)| (Emitted::Chunk(chunk), groups))
+        } else {
+            self.rescan(epoch).map(|result| {
+                let groups = result.groups;
+                (Emitted::Rows(result), groups)
+            })
+        };
+        if let (Some(o), Some(t0)) = (obs, started) {
+            o.tick_nanos.record(t0.elapsed().as_nanos() as u64);
+            if let Ok((_, groups)) = &result {
+                if !self.root.group_by.is_empty() {
+                    o.groups.set(*groups as u64);
+                }
+            }
+        }
+        result.map(|(emitted, _)| emitted)
+    }
+
+    /// The rescan path: absorb staged chunks into the windows, slide them
+    /// to `epoch` and evaluate the select over their contents.
+    fn rescan(&mut self, epoch: Ts) -> Result<SelectResult> {
         let mut pending = std::mem::take(&mut self.pending);
         // One stream can feed several FROM items; count the windows per
         // stream so the *last* visit can take the staged chunks by value
@@ -384,6 +445,9 @@ impl ContinuousQuery {
         }
         let (prune, reference_mode) = (&mut self.prune, self.reference_mode);
         self.root.for_each_window(&mut |name, w| {
+            let Window::Rows(w) = w else {
+                return;
+            };
             // Slide first: everything ingested below is (re)stamped at
             // `epoch`, at or above any eviction cutoff, so sliding cannot
             // touch it — and now-windows are drained before the push,
@@ -426,18 +490,15 @@ impl ContinuousQuery {
             catalog: &self.catalog,
             epoch,
         };
-        let result = eval_select(&self.root, None, &ctx);
-        if let (Some(o), Some(t0)) = (obs, started) {
-            o.tick_nanos.record(t0.elapsed().as_nanos() as u64);
-            if let Ok(r) = &result {
-                if !self.root.group_by.is_empty() {
-                    // One output row per live group in a grouped query.
-                    o.groups.set(r.rows.len() as u64);
-                }
-            }
-        }
-        result
+        eval_select(&self.root, None, &ctx)
     }
+}
+
+/// What one tick emits: rows from the rescan, or the chunk the
+/// incremental path writes column by column.
+enum Emitted {
+    Rows(SelectResult),
+    Chunk(Chunk),
 }
 
 /// Adapter placing a [`ContinuousQuery`] into an

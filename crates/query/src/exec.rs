@@ -7,6 +7,8 @@
 //! aggregates per group; `HAVING` may contain correlated quantified
 //! subqueries (paper Query 3), which re-evaluate the subquery once per
 //! group with the group's representative row bound as the outer scope.
+//! Pane-incremental selects never get here: [`crate::incremental`] folds
+//! their arrivals and emits their groups.
 //!
 //! # Execution strategy
 //!
@@ -48,7 +50,7 @@ use esp_types::{
 
 use crate::ast::{ArithOp, Quantifier};
 use crate::catalog::Catalog;
-use crate::compile::{AggCall, CExpr, CFromItem, CSource, CompiledSelect};
+use crate::compile::{AggCall, CExpr, CFromItem, CSource, CompiledSelect, Window};
 use crate::plan::{flatten_conjuncts, join_key, FieldSlot, JoinKey, JoinPlan, KeySpec};
 
 /// Liveness-driven column pruning: every chunk entering a window loses
@@ -128,6 +130,25 @@ pub struct RowEnv<'a> {
     /// otherwise a tuple the planner never saw could shadow or
     /// disambiguate differently than the plan assumed.
     slots_valid: bool,
+}
+
+impl<'a> RowEnv<'a> {
+    /// The environment of one row of a single-item select with no outer
+    /// scope (`row` empty for the representative of an empty group), with
+    /// the group's aggregate values once they are known.
+    pub(crate) fn single(
+        bindings: &'a [Option<String>],
+        row: &'a [&'a Tuple],
+        aggs: Option<&'a [Value]>,
+    ) -> RowEnv<'a> {
+        RowEnv {
+            bindings,
+            row,
+            aggs,
+            outer: None,
+            slots_valid: true,
+        }
+    }
 }
 
 /// The rows of one FROM item this epoch: a borrowed chunk view for
@@ -213,9 +234,20 @@ pub struct SelectResult {
     pub schema: Arc<Schema>,
     /// Row values (aligned with `schema`).
     pub rows: Vec<Vec<Value>>,
+    /// Groups an aggregate select formed, before `HAVING`; 0 for a
+    /// non-aggregate select.
+    pub groups: usize,
 }
 
 impl SelectResult {
+    fn ungrouped(schema: Arc<Schema>, rows: Vec<Vec<Value>>) -> SelectResult {
+        SelectResult {
+            schema,
+            rows,
+            groups: 0,
+        }
+    }
+
     /// Materialize the result rows as tuples stamped with `epoch` — the
     /// single tuple-materialization path shared by derived tables and the
     /// engine's per-tick emission.
@@ -344,7 +376,7 @@ pub fn eval_select(
             }
             rows.push(out);
         }
-        Ok(SelectResult { schema, rows })
+        Ok(SelectResult::ungrouped(schema, rows))
     }
 }
 
@@ -528,10 +560,7 @@ fn eval_star(
     let Some(first) = rows.first() else {
         // No rows this epoch: emit an empty result with a best-effort
         // empty schema (consumers see no tuples either way).
-        return Ok(SelectResult {
-            schema: Schema::new(vec![])?,
-            rows: vec![],
-        });
+        return Ok(SelectResult::ungrouped(Schema::new(vec![])?, vec![]));
     };
     // Join the schemas of the first row, prefixing duplicates by binding.
     // Interned so consumers see a stable schema pointer across epochs
@@ -556,7 +585,7 @@ fn eval_star(
         }
         out.push(vals);
     }
-    Ok(SelectResult { schema, rows: out })
+    Ok(SelectResult::ungrouped(schema, out))
 }
 
 /// Grouped / aggregate evaluation.
@@ -652,6 +681,7 @@ fn eval_grouped(
     Ok(SelectResult {
         schema,
         rows: out_rows,
+        groups: order.len(),
     })
 }
 
@@ -680,7 +710,7 @@ fn direct_col(e: &CExpr) -> Option<usize> {
 /// depth-0 item-0 slots bound to this exact schema, and the pure scalar
 /// operators. Anything touching an environment — UDFs, aggregates,
 /// subqueries, unresolved names — needs row form and falls back.
-fn col_supported(e: &CExpr, schema: &Arc<Schema>) -> bool {
+pub(crate) fn col_supported(e: &CExpr, schema: &Arc<Schema>) -> bool {
     match e {
         CExpr::Literal(_) => true,
         CExpr::Field { slot, .. } => slot.as_ref().is_some_and(|s| {
@@ -702,7 +732,7 @@ fn col_supported(e: &CExpr, schema: &Arc<Schema>) -> bool {
 /// reading slots from the `ColumnVec`s in place — no `Tuple` is built.
 /// Operator semantics (short-circuits, SQL comparison, arithmetic, error
 /// surfacing) are shared with [`eval_expr`], so results are identical.
-fn eval_col(e: &CExpr, view: &ChunkView<'_>, ri: usize) -> Result<Value> {
+pub(crate) fn eval_col(e: &CExpr, view: &ChunkView<'_>, ri: usize) -> Result<Value> {
     match e {
         CExpr::Literal(v) => Ok(v.clone()),
         CExpr::Field { slot, .. } => {
@@ -1108,6 +1138,7 @@ fn eval_fused_single(
         return Ok(SelectResult {
             schema,
             rows: out_rows,
+            groups: members.len(),
         });
     }
 
@@ -1116,10 +1147,7 @@ fn eval_fused_single(
     // inputs copy values straight out of the columns.
     if cs.select.is_empty() {
         let Some(&first) = kept.first() else {
-            return Ok(SelectResult {
-                schema: Schema::new(vec![])?,
-                rows: vec![],
-            });
+            return Ok(SelectResult::ungrouped(Schema::new(vec![])?, vec![]));
         };
         if let Rows::Chunk { view, .. } = input {
             let schema = registry::intern(view.schema());
@@ -1130,14 +1158,14 @@ fn eval_fused_single(
                         .ok_or_else(|| EspError::Plan("window row vanished mid-tick".into()))?,
                 );
             }
-            return Ok(SelectResult { schema, rows: out });
+            return Ok(SelectResult::ungrouped(schema, out));
         }
         let schema = registry::intern(fetch(input, first)?.schema());
         let mut out = Vec::with_capacity(kept.len());
         for &i in &kept {
             out.push(fetch(input, i)?.values().to_vec());
         }
-        return Ok(SelectResult { schema, rows: out });
+        return Ok(SelectResult::ungrouped(schema, out));
     }
 
     // Phase 2'': explicit projection. When every select expression is
@@ -1182,7 +1210,7 @@ fn eval_fused_single(
         }
         rows.push(out);
     }
-    Ok(SelectResult { schema, rows })
+    Ok(SelectResult::ungrouped(schema, rows))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1231,10 +1259,19 @@ fn materialize_from<'q>(
     ctx: &ExecCtx<'q>,
 ) -> Result<Rows<'q>> {
     match &item.source {
-        CSource::Stream { window, .. } => Ok(match window.chunk_view() {
+        CSource::Stream {
+            window: Window::Rows(window),
+            ..
+        } => Ok(match window.chunk_view() {
             Some(view) => Rows::from_chunk(view),
             None => Rows::Tuples(Cow::Owned(window.to_vec())),
         }),
+        CSource::Stream {
+            window: Window::Panes(_),
+            ..
+        } => Err(EspError::Plan(
+            "a pane-incremental select has no rows to rescan".into(),
+        )),
         CSource::Relation { name } => ctx
             .catalog
             .relation(name)
@@ -1482,13 +1519,14 @@ mod tests {
 
     fn push_all(cs: &mut CompiledSelect, stream: &str, batch: &[Tuple]) {
         cs.for_each_window(&mut |name, w| {
+            let w = w.rows_mut().unwrap();
             if name == stream {
                 for t in batch {
                     w.push(t.clone());
                 }
             }
+            w.advance_to(Ts::from_secs(1));
         });
-        cs.for_each_window(&mut |_, w| w.advance_to(Ts::from_secs(1)));
     }
 
     fn reading(schema: &Arc<Schema>, tag: &str) -> Tuple {

@@ -17,14 +17,24 @@
 //!   `stdev`, `min`, `max`, plus user-defined aggregates;
 //! * scalar functions (`abs`, `coalesce`, plus user-defined).
 //!
-//! Execution model: a [`ContinuousQuery`] holds one [`WindowBuffer`]
-//! (from `esp-stream`) per syntactic stream reference. Each epoch the
-//! caller pushes input batches and calls [`ContinuousQuery::tick`]; the
-//! engine slides the windows, ingests the staged chunks into them, and
-//! emits the windowed result (CQL `RSTREAM` per epoch). The executor reads
-//! a schema-uniform window in place as one chunk and falls back to its
-//! rows only when the window spans several schemas. [`QueryOperator`]
-//! drops a query into an `esp-stream` dataflow.
+//! Execution model: a [`ContinuousQuery`] holds window state per
+//! syntactic stream reference. Each epoch the caller pushes input batches
+//! and calls [`ContinuousQuery::tick`]; the engine slides the windows,
+//! ingests the staged chunks, and emits the windowed result (CQL `RSTREAM`
+//! per epoch). Each select is classified when it compiles:
+//!
+//! * a *mergeable* select — one stream, bare-column `GROUP BY` keys, only
+//!   non-`DISTINCT` built-in aggregates ([`incremental`] has the exact
+//!   rule) — keeps per-epoch partials in an `esp-stream` pane store: each
+//!   arrival is folded once, and a tick merges the live panes;
+//! * every other select keeps a [`WindowBuffer`] and rescans it each tick.
+//!   The executor reads a schema-uniform window in place as one chunk and
+//!   falls back to its rows only when the window spans several schemas.
+//!
+//! Reference mode ([`ContinuousQuery::set_reference_mode`]) runs every
+//! select on the rescan through the name-resolving interpreter: the
+//! oracle the compiled and incremental paths are tested against.
+//! [`QueryOperator`] drops a query into an `esp-stream` dataflow.
 //!
 //! [`WindowBuffer`]: esp_stream::WindowBuffer
 
@@ -40,6 +50,7 @@ pub mod catalog;
 pub mod compile;
 mod engine;
 pub mod exec;
+pub mod incremental;
 mod lexer;
 mod parser;
 pub mod plan;

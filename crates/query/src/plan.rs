@@ -44,7 +44,7 @@ use esp_types::{Diagnostic, Schema, Value};
 
 use crate::ast::CmpOp;
 use crate::catalog::Catalog;
-use crate::compile::{CExpr, CFromItem, CSource, CompiledSelect};
+use crate::compile::{CExpr, CFromItem, CSource, CompiledSelect, Window};
 
 /// A resolved field reference: where the value lives when the row conforms
 /// to the schema the plan was built against.
@@ -357,7 +357,11 @@ fn scope_shape(from: &[CFromItem], catalog: &Catalog, mode: Mode<'_>) -> ScopeSh
         .map(|item| {
             let schema = match &item.source {
                 CSource::Stream { name, window } => {
-                    window.sample_schema().cloned().or_else(|| match mode {
+                    let sampled = match window {
+                        Window::Rows(w) => w.sample_schema(),
+                        Window::Panes(p) => p.input_schema(),
+                    };
+                    sampled.cloned().or_else(|| match mode {
                         Mode::Strict(declared) => declared.get(name).cloned(),
                         Mode::Lazy => None,
                     })
@@ -686,7 +690,9 @@ mod tests {
                 }
                 let schema = esp_types::registry::intern(&b.build().unwrap());
                 let vals = fields.iter().map(|_| Value::Int(0)).collect();
-                w.push(Tuple::new_unchecked(schema, Ts::ZERO, vals));
+                w.rows_mut()
+                    .unwrap()
+                    .push(Tuple::new_unchecked(schema, Ts::ZERO, vals));
             }
         });
         let diags = resolve_pass(&mut cs, &[], &catalog, Mode::Lazy);
@@ -748,7 +754,7 @@ mod tests {
             &Schema::builder().field("x", DataType::Int).build().unwrap(),
         );
         cs.for_each_window(&mut |_, w| {
-            w.push(Tuple::new_unchecked(
+            w.rows_mut().unwrap().push(Tuple::new_unchecked(
                 Arc::clone(&schema),
                 Ts::ZERO,
                 vec![Value::Int(1)],

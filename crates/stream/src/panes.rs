@@ -2,12 +2,23 @@
 //!
 //! A [`WindowBuffer`](crate::WindowBuffer) keeps every tuple of the window
 //! and lets the operator rescan them each epoch. When the window slides by
-//! exactly one epoch and the aggregate is *mergeable* (count, mean, "last
-//! matching"), the tuples are not needed: a [`PaneStore`] keeps one
-//! [`PaneTable`] per epoch — `key → partial` over that epoch's arrivals
+//! exactly one epoch and the aggregate is *mergeable* (count, sum, mean,
+//! min/max, "last matching"), the tuples are not needed: a [`PaneStore`]
+//! keeps one pane per epoch — `key → partial` over that epoch's arrivals
 //! only — and answers the window by merging the live panes. Per-epoch cost
 //! is O(arrivals + panes × keys) instead of O(window rows), and the state
-//! to checkpoint is the partials, not the tuples.
+//! to checkpoint is the partials, not the tuples. Native Smooth and
+//! esp-query's mergeable selects both run on it.
+//!
+//! # Key dictionary
+//!
+//! Each store owns a dictionary that maps a key tuple to a dense `u32` id,
+//! and a pane lists `(id, partial)` entries. A lookup hashes the key where
+//! it lies — a `&[Value]`, or a row of packed chunk columns through
+//! [`KeyRef`] — and builds no `Value` unless the key is new. Ids are
+//! reference-counted by the live panes that list them and freed (then
+//! reused) when the last such pane is evicted, so the dictionary follows
+//! the keys in the window, not the length of the run.
 //!
 //! # Invariants
 //!
@@ -19,16 +30,22 @@
 //!   `epoch >= now - width` (inclusive lower bound, saturating at the
 //!   origin), so a zero-width (`NOW`) store keeps only the current epoch.
 //!   As in the buffer, a pane *later* than `now` is never evicted.
-//! * **First-seen key order**: a table lists its keys in the order they
+//! * **Keys group like [`Value::group_key`]**: NULLs together, NaNs
+//!   together, `-0.0` with `0.0`, `Int` apart from `Float`.
+//! * **First-seen key order**: a pane lists its keys in the order they
 //!   first arrived, and [`PaneStore::merged`] visits panes oldest →
 //!   newest, so the merged table lists keys exactly as a scan of the
-//!   buffered tuples would first meet them, each with the representative
-//!   key values of its oldest live arrival.
+//!   buffered tuples would first meet them, each with the key values of
+//!   its oldest live arrival, bit for bit. The dictionary keeps the values
+//!   an id was first seen with; a pane whose first arrival of the key
+//!   differs from them in bits (`0.0` against `-0.0`, another NaN payload)
+//!   keeps its own copy.
 //! * **Merge, never subtract**: the window is rebuilt from the live panes
-//!   every epoch. Retracting an evicted pane from a running total would be
-//!   O(keys) instead of O(panes × keys), but float partials do not
-//!   subtract exactly, so error would accumulate for as long as the stream
-//!   runs. Merging a bounded number of panes cannot drift.
+//!   every epoch, into dense accumulators indexed by id. Retracting an
+//!   evicted pane from a running total would be O(keys) instead of
+//!   O(panes × keys), but float partials do not subtract exactly, so error
+//!   would accumulate for as long as the stream runs. Merging a bounded
+//!   number of panes cannot drift.
 //!
 //! # Checkpoint layout
 //!
@@ -41,19 +58,24 @@
 //! entry     n_values u16, value* (key values, snap-encoded), partial
 //! ```
 //!
-//! Floats are written by bit pattern, so a restored store continues
-//! bit-identically.
+//! Ids are not part of it: a restore re-interns the key values. Floats are
+//! written by bit pattern, so a restored store continues bit-identically.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
-use esp_types::{snap, EspError, Result, TimeDelta, Ts, Value, ValueKey};
+use esp_types::{snap, ColumnVec, EspError, Result, TimeDelta, Ts, Value};
 
 use crate::stats::RunningStats;
 
 /// A mergeable per-key aggregate over one epoch's arrivals.
 pub trait Partial: Clone + Default {
     /// Fold the partial of a *newer* pane for the same key into this one.
-    fn merge(&mut self, newer: &Self);
+    /// Fails only where the values cannot be combined (a minimum over
+    /// incomparable values).
+    fn merge(&mut self, newer: &Self) -> Result<()>;
 
     /// Append the bit-exact [`esp_types::snap`] form.
     fn encode_into(&self, out: &mut Vec<u8>);
@@ -64,8 +86,9 @@ pub trait Partial: Clone + Default {
 
 /// Row count.
 impl Partial for i64 {
-    fn merge(&mut self, newer: &i64) {
+    fn merge(&mut self, newer: &i64) -> Result<()> {
         *self += *newer;
+        Ok(())
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -80,8 +103,9 @@ impl Partial for i64 {
 /// Mean/variance, combined with the Chan et al. update
 /// ([`RunningStats::merge`]).
 impl Partial for RunningStats {
-    fn merge(&mut self, newer: &RunningStats) {
+    fn merge(&mut self, newer: &RunningStats) -> Result<()> {
         RunningStats::merge(self, newer);
+        Ok(())
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -93,146 +117,369 @@ impl Partial for RunningStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Entry<P> {
-    key: Vec<ValueKey>,
-    /// The key values as they first arrived (what gets emitted; `key`
-    /// normalizes `-0.0` and NaN payloads away).
-    values: Vec<Value>,
-    partial: P,
+/// One key value, borrowed from wherever it lies: a [`Value`] or a row of
+/// a packed [`ColumnVec`].
+#[derive(Debug, Clone, Copy)]
+pub enum KeyRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// Integer.
+    Int(i64),
+    /// Float, compared by [`Value::group_key`]'s normalized bits.
+    Float(f64),
+    /// String.
+    Str(&'a Arc<str>),
+    /// Timestamp.
+    Ts(Ts),
 }
 
-/// A first-seen-ordered table `key → partial`. Keys group by
-/// [`Value::group_key`]: NULLs together, NaNs together, `-0.0` with `0.0`.
-#[derive(Debug, Clone)]
-pub struct PaneTable<P> {
-    index: HashMap<Vec<ValueKey>, usize>,
-    entries: Vec<Entry<P>>,
-    /// Scratch for [`PaneTable::upsert`]'s lookup key.
-    key_buf: Vec<ValueKey>,
-}
+impl<'a> KeyRef<'a> {
+    /// The key form of a value.
+    fn of(v: &'a Value) -> KeyRef<'a> {
+        match v {
+            Value::Null => KeyRef::Null,
+            Value::Bool(b) => KeyRef::Bool(*b),
+            Value::Int(i) => KeyRef::Int(*i),
+            Value::Float(f) => KeyRef::Float(*f),
+            Value::Str(s) => KeyRef::Str(s),
+            Value::Ts(t) => KeyRef::Ts(*t),
+        }
+    }
 
-impl<P> Default for PaneTable<P> {
-    fn default() -> PaneTable<P> {
-        PaneTable {
-            index: HashMap::new(),
-            entries: Vec::new(),
-            key_buf: Vec::new(),
+    /// Row `row` of a column, read in place (NULL past the end and for a
+    /// pruned column, as [`ColumnVec::get`] reads them).
+    pub fn at(col: &'a ColumnVec, row: usize) -> KeyRef<'a> {
+        fn packed<T: Copy>(data: &[T], nulls: &esp_types::NullMask, row: usize) -> Option<T> {
+            data.get(row).copied().filter(|_| !nulls.get(row))
+        }
+        match col {
+            ColumnVec::Bool { data, nulls } => {
+                packed(data, nulls, row).map_or(KeyRef::Null, KeyRef::Bool)
+            }
+            ColumnVec::Int { data, nulls } => {
+                packed(data, nulls, row).map_or(KeyRef::Null, KeyRef::Int)
+            }
+            ColumnVec::Float { data, nulls } => {
+                packed(data, nulls, row).map_or(KeyRef::Null, KeyRef::Float)
+            }
+            ColumnVec::TsCol { data, nulls } => {
+                packed(data, nulls, row).map_or(KeyRef::Null, KeyRef::Ts)
+            }
+            ColumnVec::Str { data, nulls } => match data.get(row) {
+                Some(s) if !nulls.get(row) => KeyRef::Str(s),
+                _ => KeyRef::Null,
+            },
+            ColumnVec::Values(values) => values.get(row).map_or(KeyRef::Null, KeyRef::of),
+            ColumnVec::Pruned { .. } => KeyRef::Null,
+        }
+    }
+
+    /// The owned value (a string is shared, not copied).
+    fn to_value(self) -> Value {
+        match self {
+            KeyRef::Null => Value::Null,
+            KeyRef::Bool(b) => Value::Bool(b),
+            KeyRef::Int(i) => Value::Int(i),
+            KeyRef::Float(f) => Value::Float(f),
+            KeyRef::Str(s) => Value::Str(Arc::clone(s)),
+            KeyRef::Ts(t) => Value::Ts(t),
+        }
+    }
+
+    /// Grouping equality with `v`: `Value::group_key` equality, without
+    /// building the key.
+    fn groups_with(self, v: &Value) -> bool {
+        match (self, v) {
+            (KeyRef::Null, Value::Null) => true,
+            (KeyRef::Bool(a), Value::Bool(b)) => a == *b,
+            (KeyRef::Int(a), Value::Int(b)) => a == *b,
+            (KeyRef::Float(a), Value::Float(b)) => float_key(a) == float_key(*b),
+            (KeyRef::Str(a), Value::Str(b)) => Arc::ptr_eq(a, b) || **a == **b,
+            (KeyRef::Ts(a), Value::Ts(b)) => a == *b,
+            _ => false,
+        }
+    }
+
+    /// Bit identity with a group-equal `v`: only floats can differ.
+    fn same_bits(self, v: &Value) -> bool {
+        match (self, v) {
+            (KeyRef::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            _ => true,
         }
     }
 }
 
-impl<P: Partial> PaneTable<P> {
-    /// Number of distinct keys.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+/// `Value::group_key`'s float normalization: `-0.0` is `0.0`, every NaN
+/// is the canonical one.
+fn float_key(f: f64) -> u64 {
+    let f = if f == 0.0 { 0.0 } else { f };
+    let f = if f.is_nan() { f64::NAN } else { f };
+    f.to_bits()
+}
+
+/// A key tuple readable part by part, wherever its values lie.
+trait Key {
+    fn arity(&self) -> usize;
+    fn part(&self, i: usize) -> KeyRef<'_>;
+}
+
+impl Key for [Value] {
+    fn arity(&self) -> usize {
+        self.len()
     }
 
-    /// True when the table holds no key.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    fn part(&self, i: usize) -> KeyRef<'_> {
+        KeyRef::of(&self[i])
+    }
+}
+
+impl Key for [KeyRef<'_>] {
+    fn arity(&self) -> usize {
+        self.len()
     }
 
+    fn part(&self, i: usize) -> KeyRef<'_> {
+        self[i]
+    }
+}
+
+fn key_values<K: Key + ?Sized>(key: &K) -> Box<[Value]> {
+    (0..key.arity()).map(|i| key.part(i).to_value()).collect()
+}
+
+/// The key's hash under the dictionary's randomly keyed SipHash, fed the
+/// borrowed parts: key values come from readings, i.e. from outside the
+/// program, so the hash must stay hard to flood with colliding keys.
+fn hash_key<K: Key + ?Sized>(state: &RandomState, key: &K) -> u64 {
+    let mut h = state.build_hasher();
+    for i in 0..key.arity() {
+        match key.part(i) {
+            KeyRef::Null => h.write_u8(0),
+            KeyRef::Bool(b) => {
+                h.write_u8(1);
+                h.write_u8(u8::from(b));
+            }
+            KeyRef::Int(x) => {
+                h.write_u8(2);
+                h.write_i64(x);
+            }
+            KeyRef::Float(f) => {
+                h.write_u8(3);
+                h.write_u64(float_key(f));
+            }
+            KeyRef::Str(s) => {
+                h.write_u8(4);
+                h.write_usize(s.len());
+                h.write(s.as_bytes());
+            }
+            KeyRef::Ts(t) => {
+                h.write_u8(5);
+                h.write_u64(t.as_millis());
+            }
+        }
+    }
+    h.finish()
+}
+
+/// The dictionary's index is keyed by a finished hash already.
+#[derive(Default)]
+struct HashIsKey(u64);
+
+impl Hasher for HashIsKey {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the dictionary index hashes u64s only")
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
+/// End of an id chain.
+const NO_ID: u32 = u32::MAX;
+
+#[derive(Debug, Clone)]
+struct DictEntry {
+    /// The key values the id was first seen with (empty once freed).
+    values: Box<[Value]>,
+    hash: u64,
+    /// The next id whose key has the same hash.
+    next: u32,
+    /// Live panes listing this id.
+    refs: u32,
+    /// `(serial, slot)`: where the id sits in the pane with that serial,
+    /// valid for the store's currently marked pane.
+    mark: (u64, u32),
+}
+
+/// Key tuple → dense id, under `Value::group_key` equivalence.
+#[derive(Debug, Clone, Default)]
+struct KeyDict {
+    entries: Vec<DictEntry>,
+    /// Hash → first id of the chain of keys with that hash.
+    heads: HashMap<u64, u32, BuildHasherDefault<HashIsKey>>,
+    free: Vec<u32>,
+    hasher: RandomState,
+}
+
+impl KeyDict {
+    /// The id of `key`, interning it if new; `true` when it was.
+    fn intern<K: Key + ?Sized>(&mut self, key: &K) -> (u32, bool) {
+        let hash = hash_key(&self.hasher, key);
+        let head = self.heads.get(&hash).copied().unwrap_or(NO_ID);
+        let mut id = head;
+        while id != NO_ID {
+            let e = &self.entries[id as usize];
+            if e.values.len() == key.arity()
+                && e.values
+                    .iter()
+                    .enumerate()
+                    .all(|(i, v)| key.part(i).groups_with(v))
+            {
+                return (id, false);
+            }
+            id = e.next;
+        }
+        let entry = DictEntry {
+            values: key_values(key),
+            hash,
+            next: head,
+            refs: 0,
+            mark: (0, 0),
+        };
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.entries[id as usize] = entry;
+                id
+            }
+            None => {
+                self.entries.push(entry);
+                (self.entries.len() - 1) as u32
+            }
+        };
+        self.heads.insert(hash, id);
+        (id, true)
+    }
+
+    /// Drop one pane's reference to `id`; the last one frees the id.
+    fn release(&mut self, id: u32) {
+        let e = &mut self.entries[id as usize];
+        e.refs -= 1;
+        if e.refs > 0 {
+            return;
+        }
+        let (hash, next) = (e.hash, e.next);
+        e.values = Box::default();
+        e.mark = (0, 0);
+        match self.heads.get(&hash).copied() {
+            Some(head) if head == id => {
+                if next == NO_ID {
+                    self.heads.remove(&hash);
+                } else {
+                    self.heads.insert(hash, next);
+                }
+            }
+            Some(mut prev) => {
+                while self.entries[prev as usize].next != id {
+                    prev = self.entries[prev as usize].next;
+                }
+                self.entries[prev as usize].next = next;
+            }
+            None => unreachable!("a live id is always chained"),
+        }
+        self.free.push(id);
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Entry<P> {
+    id: u32,
+    /// The pane's own key values when its first arrival differs in bits
+    /// from the dictionary's.
+    own: Option<Box<[Value]>>,
+    partial: P,
+}
+
+/// One epoch's first-seen-ordered `(id, partial)` entries.
+#[derive(Debug, Clone)]
+struct PaneTable<P> {
+    /// Identifies the pane in the dictionary's slot marks; never reused.
+    serial: u64,
+    entries: Vec<Entry<P>>,
+}
+
+/// The pane of one epoch, opened for folding by [`PaneStore::pane_mut`].
+pub struct PaneMut<'a, P> {
+    dict: &'a mut KeyDict,
+    table: &'a mut PaneTable<P>,
+}
+
+impl<P: Partial> PaneMut<'_, P> {
     /// The partial of the group `values` belongs to. A new group starts
     /// from `P::default()`, is listed after every group seen before it,
     /// and remembers `values` as its representative.
     pub fn upsert(&mut self, values: &[Value]) -> &mut P {
-        // Build the lookup key in a buffer kept across calls: a hit costs
-        // no allocation.
-        let mut key = std::mem::take(&mut self.key_buf);
-        key.clear();
-        key.extend(values.iter().map(Value::group_key));
-        let slot = match self.index.get(key.as_slice()) {
-            Some(slot) => *slot,
-            None => {
-                self.entries.push(Entry {
-                    key: key.clone(),
-                    values: values.to_vec(),
-                    partial: P::default(),
-                });
-                self.index.insert(key.clone(), self.entries.len() - 1);
-                self.entries.len() - 1
-            }
+        self.upsert_key(values)
+    }
+
+    /// [`PaneMut::upsert`] for a key read in place: nothing is cloned
+    /// unless the key is new to the store or to this pane.
+    pub fn upsert_refs(&mut self, key: &[KeyRef<'_>]) -> &mut P {
+        self.upsert_key(key)
+    }
+
+    fn upsert_key<K: Key + ?Sized>(&mut self, key: &K) -> &mut P {
+        let (id, fresh) = self.dict.intern(key);
+        let e = &mut self.dict.entries[id as usize];
+        let slot = if e.mark.0 == self.table.serial {
+            e.mark.1 as usize
+        } else {
+            let same = fresh
+                || e.values
+                    .iter()
+                    .enumerate()
+                    .all(|(i, v)| key.part(i).same_bits(v));
+            let slot = self.table.entries.len();
+            e.refs += 1;
+            e.mark = (self.table.serial, slot as u32);
+            self.table.entries.push(Entry {
+                id,
+                own: (!same).then(|| key_values(key)),
+                partial: P::default(),
+            });
+            slot
         };
-        self.key_buf = key;
-        &mut self.entries[slot].partial
-    }
-
-    /// `(key values, partial)` per group, in first-seen order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[Value], &P)> {
-        self.entries
-            .iter()
-            .map(|e| (e.values.as_slice(), &e.partial))
-    }
-
-    fn clear(&mut self) {
-        self.index.clear();
-        self.entries.clear();
-    }
-
-    fn merge_from(&mut self, newer: &PaneTable<P>) {
-        // Streams tend to list their keys in the same order epoch after
-        // epoch, so the slot after the previous match is tried before the
-        // index is: a steady stream merges without hashing at all.
-        let mut guess = 0;
-        for e in &newer.entries {
-            let slot = if self
-                .entries
-                .get(guess)
-                .is_some_and(|mine| mine.key == e.key)
-            {
-                Some(guess)
-            } else {
-                self.index.get(e.key.as_slice()).copied()
-            };
-            match slot {
-                Some(slot) => {
-                    self.entries[slot].partial.merge(&e.partial);
-                    guess = slot + 1;
-                }
-                None => {
-                    self.index.insert(e.key.clone(), self.entries.len());
-                    self.entries.push(e.clone());
-                    guess = self.entries.len();
-                }
-            }
-        }
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        snap::put_u32(out, self.entries.len() as u32);
-        for e in &self.entries {
-            snap::encode_values(out, &e.values);
-            e.partial.encode_into(out);
-        }
-    }
-
-    fn decode(cur: &mut snap::Cursor<'_>) -> Result<PaneTable<P>> {
-        let mut table = PaneTable::default();
-        for _ in 0..cur.u32()? {
-            let values = snap::decode_values(cur)?;
-            let n_before = table.len();
-            let slot = table.upsert(&values);
-            *slot = P::decode(cur)?;
-            if table.len() == n_before {
-                return Err(EspError::Snapshot(
-                    "pane snapshot lists one key twice in a pane".into(),
-                ));
-            }
-        }
-        Ok(table)
+        &mut self.table.entries[slot].partial
     }
 }
 
-/// A ring of per-epoch [`PaneTable`]s covering a sliding window.
+/// A ring of per-epoch panes covering a sliding window, with the key
+/// dictionary they share.
 #[derive(Debug, Clone)]
 pub struct PaneStore<P> {
     width: TimeDelta,
-    /// `(epoch, table)` in strictly ascending epoch order.
+    /// `(epoch, pane)` in strictly ascending epoch order.
     panes: VecDeque<(Ts, PaneTable<P>)>,
-    /// The merge target of [`PaneStore::merged`], kept so its allocations
-    /// are reused from epoch to epoch. Not state: rebuilt on every call.
-    scratch: PaneTable<P>,
+    dict: KeyDict,
+    /// The last pane serial handed out.
+    serial: u64,
+    /// The pane whose slots the dictionary's marks describe.
+    marked: u64,
+    /// [`PaneStore::merged`]'s dense accumulators, indexed by id, with the
+    /// merge generation that last wrote each. Not state: rebuilt on every
+    /// call, kept so their allocations are reused.
+    acc: Vec<P>,
+    stamp: Vec<u64>,
+    generation: u64,
+    /// The merge's keys in first-seen order: `(id, pane, entry)` of each
+    /// key's oldest live arrival.
+    order: Vec<(u32, u32, u32)>,
 }
 
 impl<P: Partial> PaneStore<P> {
@@ -242,24 +489,56 @@ impl<P: Partial> PaneStore<P> {
         PaneStore {
             width,
             panes: VecDeque::new(),
-            scratch: PaneTable::default(),
+            dict: KeyDict::default(),
+            serial: 0,
+            marked: 0,
+            acc: Vec::new(),
+            stamp: Vec::new(),
+            generation: 0,
+            order: Vec::new(),
         }
+    }
+
+    /// The configured window width.
+    pub fn width(&self) -> TimeDelta {
+        self.width
     }
 
     /// The pane of `epoch`, opened (in epoch order) if this is the first
     /// time the epoch is seen. O(1) for the usual newest-epoch case.
-    pub fn pane_mut(&mut self, epoch: Ts) -> &mut PaneTable<P> {
+    pub fn pane_mut(&mut self, epoch: Ts) -> PaneMut<'_, P> {
         let pos = if self.panes.back().is_none_or(|(e, _)| *e < epoch) {
-            self.panes.push_back((epoch, PaneTable::default()));
+            let pane = self.open();
+            self.panes.push_back((epoch, pane));
             self.panes.len() - 1
         } else {
             let pos = self.panes.partition_point(|(e, _)| *e < epoch);
             if self.panes[pos].0 != epoch {
-                self.panes.insert(pos, (epoch, PaneTable::default()));
+                let pane = self.open();
+                self.panes.insert(pos, (epoch, pane));
             }
             pos
         };
-        &mut self.panes[pos].1
+        let table = &mut self.panes[pos].1;
+        if table.serial != self.marked {
+            // Folding moves to another pane: point the marks at it.
+            for (slot, e) in table.entries.iter().enumerate() {
+                self.dict.entries[e.id as usize].mark = (table.serial, slot as u32);
+            }
+            self.marked = table.serial;
+        }
+        PaneMut {
+            dict: &mut self.dict,
+            table,
+        }
+    }
+
+    fn open(&mut self) -> PaneTable<P> {
+        self.serial += 1;
+        PaneTable {
+            serial: self.serial,
+            entries: Vec::new(),
+        }
     }
 
     /// Slide the window forward to `now`, dropping every pane older than
@@ -267,17 +546,46 @@ impl<P: Partial> PaneStore<P> {
     pub fn advance_to(&mut self, now: Ts) {
         let cutoff = now.window_start(self.width);
         while self.panes.front().is_some_and(|(e, _)| *e < cutoff) {
-            self.panes.pop_front();
+            if let Some((_, pane)) = self.panes.pop_front() {
+                for e in &pane.entries {
+                    self.dict.release(e.id);
+                }
+            }
         }
     }
 
     /// The window's table: every live pane merged oldest → newest.
-    pub fn merged(&mut self) -> &PaneTable<P> {
-        self.scratch.clear();
-        for (_, table) in &self.panes {
-            self.scratch.merge_from(table);
+    pub fn merged(&mut self) -> Result<Merged<'_, P>> {
+        self.generation += 1;
+        let generation = self.generation;
+        let ids = self.dict.entries.len();
+        if self.acc.len() < ids {
+            self.acc.resize_with(ids, P::default);
+            self.stamp.resize(ids, 0);
         }
-        &self.scratch
+        self.order.clear();
+        for (p, (_, pane)) in self.panes.iter().enumerate() {
+            for (i, e) in pane.entries.iter().enumerate() {
+                let id = e.id as usize;
+                if self.stamp[id] == generation {
+                    self.acc[id].merge(&e.partial)?;
+                } else {
+                    self.stamp[id] = generation;
+                    self.acc[id].clone_from(&e.partial);
+                    self.order.push((e.id, p as u32, i as u32));
+                }
+            }
+        }
+        Ok(Merged { store: self })
+    }
+
+    /// The key values an entry emits: its pane's own, else the
+    /// dictionary's.
+    fn values_of(&self, id: u32, pane: u32, entry: u32) -> &[Value] {
+        self.panes[pane as usize].1.entries[entry as usize]
+            .own
+            .as_deref()
+            .unwrap_or(&self.dict.entries[id as usize].values)
     }
 
     /// Append the store's durable state (see the module docs for the
@@ -285,9 +593,13 @@ impl<P: Partial> PaneStore<P> {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         snap::put_u64(out, self.width.as_millis());
         snap::put_u32(out, self.panes.len() as u32);
-        for (epoch, table) in &self.panes {
+        for (p, (epoch, pane)) in self.panes.iter().enumerate() {
             snap::put_u64(out, epoch.as_millis());
-            table.encode_into(out);
+            snap::put_u32(out, pane.entries.len() as u32);
+            for (i, e) in pane.entries.iter().enumerate() {
+                snap::encode_values(out, self.values_of(e.id, p as u32, i as u32));
+                e.partial.encode_into(out);
+            }
         }
     }
 
@@ -295,7 +607,7 @@ impl<P: Partial> PaneStore<P> {
     /// [`PaneStore::encode_into`]. The encoded width must match the
     /// configured one — a mismatch means the snapshot came from a
     /// different pipeline configuration and is rejected rather than
-    /// silently re-windowed.
+    /// silently re-windowed. On error the store is left unchanged.
     pub fn restore_from(&mut self, cur: &mut snap::Cursor<'_>) -> Result<()> {
         let width = TimeDelta::from_millis(cur.u64()?);
         if width != self.width {
@@ -304,18 +616,55 @@ impl<P: Partial> PaneStore<P> {
                 self.width
             )));
         }
-        let mut panes: VecDeque<(Ts, PaneTable<P>)> = VecDeque::new();
+        let mut store = PaneStore::new(width);
         for _ in 0..cur.u32()? {
             let epoch = Ts::from_millis(cur.u64()?);
-            if panes.back().is_some_and(|(last, _)| *last >= epoch) {
+            if store.panes.back().is_some_and(|(last, _)| *last >= epoch) {
                 return Err(EspError::Snapshot(
                     "pane snapshot epochs are not strictly ascending".into(),
                 ));
             }
-            panes.push_back((epoch, PaneTable::decode(cur)?));
+            let mut pane = store.pane_mut(epoch);
+            for _ in 0..cur.u32()? {
+                let values = snap::decode_values(cur)?;
+                let n_before = pane.table.entries.len();
+                let slot = pane.upsert(&values);
+                *slot = P::decode(cur)?;
+                if pane.table.entries.len() == n_before {
+                    return Err(EspError::Snapshot(
+                        "pane snapshot lists one key twice in a pane".into(),
+                    ));
+                }
+            }
         }
-        self.panes = panes;
+        *self = store;
         Ok(())
+    }
+}
+
+/// The merged window of a [`PaneStore`]: one partial per live key, in
+/// first-seen order.
+pub struct Merged<'a, P> {
+    store: &'a PaneStore<P>,
+}
+
+impl<'a, P: Partial> Merged<'a, P> {
+    /// Number of distinct live keys.
+    pub fn len(&self) -> usize {
+        self.store.order.len()
+    }
+
+    /// True when no pane holds a key.
+    pub fn is_empty(&self) -> bool {
+        self.store.order.is_empty()
+    }
+
+    /// `(key values, merged partial)` per key, in first-seen order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a [Value], &'a P)> + 'a {
+        let store = self.store;
+        store.order.iter().map(move |&(id, pane, entry)| {
+            (store.values_of(id, pane, entry), &store.acc[id as usize])
+        })
     }
 }
 
@@ -327,8 +676,17 @@ mod tests {
         vec![Value::str(s), Value::Int(i)]
     }
 
-    fn counts(t: &PaneTable<i64>) -> Vec<(Vec<Value>, i64)> {
-        t.iter().map(|(k, n)| (k.to_vec(), *n)).collect()
+    /// Ids the dictionary holds.
+    fn live<P>(s: &PaneStore<P>) -> usize {
+        s.dict.entries.len() - s.dict.free.len()
+    }
+
+    fn counts(s: &mut PaneStore<i64>) -> Vec<(Vec<Value>, i64)> {
+        s.merged()
+            .unwrap()
+            .iter()
+            .map(|(k, n)| (k.to_vec(), *n))
+            .collect()
     }
 
     #[test]
@@ -340,7 +698,7 @@ mod tests {
         *s.pane_mut(Ts::from_secs(2)).upsert(&key("a", 1)) += 4;
         s.advance_to(Ts::from_secs(2));
         assert_eq!(
-            counts(s.merged()),
+            counts(&mut s),
             vec![(key("b", 1), 2), (key("a", 1), 5), (key("c", 1), 1)]
         );
     }
@@ -353,12 +711,12 @@ mod tests {
         }
         s.advance_to(Ts::from_secs(10));
         // cutoff = 5 s inclusive
-        let live: Vec<i64> = s
-            .merged()
+        let kept: Vec<i64> = counts(&mut s)
             .iter()
             .map(|(k, _)| k[1].as_i64().unwrap())
             .collect();
-        assert_eq!(live, vec![5, 6, 10]);
+        assert_eq!(kept, vec![5, 6, 10]);
+        assert_eq!(live(&s), 3);
     }
 
     #[test]
@@ -366,12 +724,13 @@ mod tests {
         let mut s: PaneStore<i64> = PaneStore::new(TimeDelta::ZERO);
         *s.pane_mut(Ts::from_secs(1)).upsert(&key("a", 0)) += 1;
         s.advance_to(Ts::from_secs(1));
-        assert_eq!(s.merged().len(), 1);
+        assert_eq!(s.merged().unwrap().len(), 1);
         *s.pane_mut(Ts::from_secs(2)).upsert(&key("b", 0)) += 1;
         s.advance_to(Ts::from_secs(2));
-        assert_eq!(counts(s.merged()), vec![(key("b", 0), 1)]);
+        assert_eq!(counts(&mut s), vec![(key("b", 0), 1)]);
         s.advance_to(Ts::from_secs(3));
-        assert!(s.merged().is_empty());
+        assert!(s.merged().unwrap().is_empty());
+        assert_eq!(live(&s), 0);
     }
 
     #[test]
@@ -379,17 +738,19 @@ mod tests {
         let mut s: PaneStore<i64> = PaneStore::new(TimeDelta::from_secs(10));
         *s.pane_mut(Ts::from_secs(2)).upsert(&key("late", 0)) += 1;
         *s.pane_mut(Ts::from_secs(4)).upsert(&key("newest", 0)) += 1;
+        *s.pane_mut(Ts::from_secs(4)).upsert(&key("late", 0)) += 1;
         *s.pane_mut(Ts::from_secs(2)).upsert(&key("late", 0)) += 1;
         *s.pane_mut(Ts::from_secs(1)).upsert(&key("earliest", 0)) += 1;
         *s.pane_mut(Ts::from_secs(3)).upsert(&key("middle", 0)) += 1;
+        *s.pane_mut(Ts::from_secs(4)).upsert(&key("late", 0)) += 1;
         // Advancing to an earlier time evicts by that time's cutoff only;
         // later panes stay, as later tuples stay in a WindowBuffer.
         s.advance_to(Ts::from_secs(3));
         assert_eq!(
-            counts(s.merged()),
+            counts(&mut s),
             vec![
                 (key("earliest", 0), 1),
-                (key("late", 0), 2),
+                (key("late", 0), 4),
                 (key("middle", 0), 1),
                 (key("newest", 0), 1)
             ]
@@ -398,15 +759,16 @@ mod tests {
 
     #[test]
     fn keys_group_like_group_key_and_keep_the_first_seen_values() {
-        let mut t: PaneTable<i64> = PaneTable::default();
-        *t.upsert(&[Value::Float(-0.0)]) += 1;
-        *t.upsert(&[Value::Float(0.0)]) += 1;
-        *t.upsert(&[Value::Null]) += 1;
-        *t.upsert(&[Value::Float(f64::NAN)]) += 1;
-        *t.upsert(&[Value::Null]) += 1;
-        *t.upsert(&[Value::Float(-f64::NAN)]) += 1;
-        *t.upsert(&[Value::Int(0)]) += 1;
-        let got = counts(&t);
+        let mut s: PaneStore<i64> = PaneStore::new(TimeDelta::ZERO);
+        let mut pane = s.pane_mut(Ts::ZERO);
+        *pane.upsert(&[Value::Float(-0.0)]) += 1;
+        *pane.upsert(&[Value::Float(0.0)]) += 1;
+        *pane.upsert(&[Value::Null]) += 1;
+        *pane.upsert(&[Value::Float(f64::NAN)]) += 1;
+        *pane.upsert(&[Value::Null]) += 1;
+        *pane.upsert(&[Value::Float(-f64::NAN)]) += 1;
+        *pane.upsert(&[Value::Int(0)]) += 1;
+        let got = counts(&mut s);
         assert_eq!(
             got.iter().map(|(_, n)| *n).collect::<Vec<_>>(),
             [2, 2, 2, 1]
@@ -416,6 +778,86 @@ mod tests {
             panic!("float key")
         };
         assert_eq!(zero.to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn column_keys_find_the_ids_of_value_keys() {
+        let mut s: PaneStore<i64> = PaneStore::new(TimeDelta::from_secs(5));
+        *s.pane_mut(Ts::ZERO).upsert(&key("a", 1)) += 1;
+        let tags = ColumnVec::Str {
+            data: vec![Arc::from("a"), Arc::from("b")],
+            nulls: esp_types::NullMask::new(),
+        };
+        let ids = ColumnVec::Values(vec![Value::Int(1), Value::Int(1)]);
+        let mut pane = s.pane_mut(Ts::from_secs(1));
+        for row in 0..2 {
+            let parts = [KeyRef::at(&tags, row), KeyRef::at(&ids, row)];
+            *pane.upsert_refs(&parts) += 10;
+        }
+        assert_eq!(counts(&mut s), vec![(key("a", 1), 11), (key("b", 1), 10)]);
+        assert_eq!(live(&s), 2);
+    }
+
+    #[test]
+    fn a_pane_keeps_its_own_bits_once_older_panes_go() {
+        let mut s: PaneStore<i64> = PaneStore::new(TimeDelta::from_secs(1));
+        *s.pane_mut(Ts::from_secs(0)).upsert(&[Value::Float(-0.0)]) += 1;
+        *s.pane_mut(Ts::from_secs(1)).upsert(&[Value::Float(0.0)]) += 1;
+        s.advance_to(Ts::from_secs(1));
+        let bits = |s: &mut PaneStore<i64>| match s.merged().unwrap().iter().next() {
+            Some(([Value::Float(f)], n)) => (f.to_bits(), *n),
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(bits(&mut s), ((-0.0f64).to_bits(), 2));
+        s.advance_to(Ts::from_secs(2));
+        assert_eq!(bits(&mut s), (0.0f64.to_bits(), 1));
+    }
+
+    /// Memory follows the keys in the window, not the length of the run:
+    /// 10 000 epochs of churning keys through a 5 s window keep the
+    /// dictionary at the distinct keys of the live panes, and freed ids
+    /// are reused.
+    #[test]
+    fn dictionary_is_bounded_by_the_live_keys() {
+        let mut s: PaneStore<i64> = PaneStore::new(TimeDelta::from_secs(5));
+        for k in 0..10_000u64 {
+            let epoch = Ts::from_secs(k);
+            s.advance_to(epoch);
+            let mut pane = s.pane_mut(epoch);
+            for i in 0..(k % 7) {
+                // Every key lives a few epochs, then never returns.
+                *pane.upsert(&key(&format!("tag-{}", k / 3 + i), i as i64 % 2)) += 1;
+            }
+            let mut distinct = std::collections::HashSet::new();
+            for (_, pane) in &s.panes {
+                for e in &pane.entries {
+                    distinct.insert(
+                        s.dict.entries[e.id as usize]
+                            .values
+                            .iter()
+                            .map(Value::group_key)
+                            .collect::<Vec<_>>(),
+                    );
+                }
+            }
+            assert_eq!(live(&s), distinct.len(), "epoch {k}");
+            assert_eq!(counts(&mut s).len(), distinct.len());
+        }
+        // Six live panes of at most six keys each.
+        assert!(s.dict.entries.len() <= 36, "{} ids", s.dict.entries.len());
+    }
+
+    #[test]
+    fn revisiting_an_older_pane_finds_its_keys() {
+        let mut s: PaneStore<i64> = PaneStore::new(TimeDelta::from_secs(5));
+        for epoch in [1u64, 2, 1, 2, 1] {
+            *s.pane_mut(Ts::from_secs(epoch)).upsert(&key("k", 0)) += 1;
+        }
+        assert_eq!(
+            s.panes.iter().map(|(_, p)| p.entries.len()).sum::<usize>(),
+            2
+        );
+        assert_eq!(counts(&mut s), vec![(key("k", 0), 5)]);
     }
 
     #[test]
@@ -429,7 +871,7 @@ mod tests {
         }
         s.advance_to(Ts::from_secs(29));
         let whole = RunningStats::from_iter(xs.iter().copied());
-        let merged = s.merged();
+        let merged = s.merged().unwrap();
         let (_, got) = merged.iter().next().unwrap();
         assert_eq!(got.count(), whole.count());
         let (a, b) = (got.mean().unwrap(), whole.mean().unwrap());
@@ -445,6 +887,9 @@ mod tests {
         s.pane_mut(Ts::from_secs(1))
             .upsert(&key("a", 1))
             .push(f64::NAN);
+        s.pane_mut(Ts::from_secs(3))
+            .upsert(&[Value::Float(0.0), Value::Null])
+            .push(1e300);
         s.pane_mut(Ts::from_secs(3))
             .upsert(&key("a", 1))
             .push(1e300);
@@ -471,6 +916,7 @@ mod tests {
             let mut t: PaneStore<RunningStats> = PaneStore::new(TimeDelta::from_secs(5));
             let mut cur = snap::Cursor::new(&blob[..cut]);
             assert!(t.restore_from(&mut cur).is_err(), "cut at {cut}");
+            assert!(t.panes.is_empty(), "cut at {cut}");
         }
     }
 

@@ -673,6 +673,24 @@ impl Chunk {
         c
     }
 
+    /// A chunk from finished columns: one per schema field, each as long
+    /// as `ts`.
+    pub fn from_columns(schema: &Arc<Schema>, ts: Vec<Ts>, cols: Vec<ColumnVec>) -> Result<Chunk> {
+        if cols.len() != schema.len() || cols.iter().any(|c| c.len() != ts.len()) {
+            return Err(EspError::SchemaMismatch(format!(
+                "{} columns of lengths {:?} do not fit schema {schema} over {} rows",
+                cols.len(),
+                cols.iter().map(ColumnVec::len).collect::<Vec<_>>(),
+                ts.len()
+            )));
+        }
+        Ok(Chunk {
+            schema: crate::registry::intern(schema),
+            ts,
+            cols,
+        })
+    }
+
     /// The (interned) schema.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
