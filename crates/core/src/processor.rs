@@ -24,7 +24,7 @@ use esp_stream::{Dataflow, EpochRunner, NodeId, Source, TapId};
 use esp_types::{well_known, Chunk, DataType};
 use esp_types::{
     Batch, EspError, Field, ProximityGroupId, ReceptorId, ReceptorType, Result, Schema,
-    SpatialGranule, TimeDelta, Ts, Tuple, Value,
+    SpatialGranule, TimeDelta, Ts, Value,
 };
 
 use crate::pipeline::{Pipeline, Scope, StageCtx};
@@ -171,12 +171,9 @@ impl EspProcessor {
             let src = df.add_source(binding.source);
             for group in memberships {
                 let granule = groups.read().granule(group)?.clone();
-                let inject = granule_injector(Arc::clone(&groups), receptor, group);
-                let inject_chunk = granule_chunk_injector(Arc::clone(&groups), receptor, group);
+                let inject = granule_chunk_injector(Arc::clone(&groups), receptor, group);
                 let node = df.add_operator(
-                    Box::new(
-                        MapOp::new(format!("inject:{granule}"), inject).with_chunk_fn(inject_chunk),
-                    ),
+                    Box::new(MapOp::new(format!("inject:{granule}"), inject)),
                     &[src],
                 )?;
                 streams.push(StreamHandle {
@@ -356,32 +353,16 @@ impl EspProcessor {
 }
 
 /// Build the `spatial_granule` injection function for one (receptor,
-/// group) membership. Consults the registry per tuple so dynamic
-/// remapping (and granule renames) take effect immediately; tuples from a
+/// group) membership: one membership check and one appended constant
+/// column per chunk. Consults the registry on every chunk so dynamic
+/// remapping (and granule renames) take effect immediately; chunks from a
 /// receptor that has left the group are dropped.
-fn granule_injector(
-    groups: Arc<RwLock<ProximityGroups>>,
-    receptor: ReceptorId,
-    group: ProximityGroupId,
-) -> impl Fn(&Tuple) -> Result<Option<Tuple>> + Send {
-    // Single-entry schema cache: receptors emit one schema per stream.
-    let cache: RwLock<Option<(Arc<Schema>, Arc<Schema>)>> = RwLock::new(None);
-    move |t: &Tuple| {
-        let Some(granule) = current_granule(&groups, receptor, group)? else {
-            return Ok(None);
-        };
-        let extended = extended_schema(&cache, t.schema())?;
-        Ok(Some(t.with_appended(&extended, granule)?))
-    }
-}
-
-/// The chunk-path twin of [`granule_injector`]: one membership check and
-/// one appended constant column per *chunk* instead of per tuple.
 fn granule_chunk_injector(
     groups: Arc<RwLock<ProximityGroups>>,
     receptor: ReceptorId,
     group: ProximityGroupId,
 ) -> impl Fn(&Chunk) -> Result<Option<Chunk>> + Send {
+    // Single-entry schema cache: receptors emit one schema per stream.
     let cache: RwLock<Option<(Arc<Schema>, Arc<Schema>)>> = RwLock::new(None);
     move |chunk: &Chunk| {
         let Some(granule) = current_granule(&groups, receptor, group)? else {
@@ -436,7 +417,7 @@ mod tests {
     use crate::stage::FnStage;
     use crate::stages::smooth::SmoothStage;
     use esp_stream::ScriptedSource;
-    use esp_types::TupleBuilder;
+    use esp_types::{Tuple, TupleBuilder};
 
     fn rfid(ts: Ts, receptor: i64, tag: &str) -> Tuple {
         TupleBuilder::new(&well_known::rfid_schema(), ts)

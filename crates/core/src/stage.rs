@@ -6,13 +6,13 @@
 //! and any hand-written `impl Stage` the third.
 //!
 //! However a stage is written, it speaks one protocol: an epoch's input
-//! arrives as one [`Payload`] and the epoch's output leaves as one. A
-//! row-at-a-time stage starts with `input.into_rows()` (lossless) and
-//! returns `Payload::Rows`; a chunk-native stage ([`DeclarativeStage`])
-//! matches on the payload and keeps columnar input columnar.
+//! arrives as one columnar [`Payload`] and the epoch's output leaves as
+//! one. A row-at-a-time stage starts with `input.into_rows()` (lossless)
+//! and returns `Payload::from(rows)`; a chunk-native stage
+//! ([`DeclarativeStage`]) reads the chunks directly.
 
 use esp_query::ContinuousQuery;
-use esp_stream::{ops::SegBuf, unexpected_state, Operator, Payload, StageState};
+use esp_stream::{unexpected_state, Operator, Payload, StageState};
 use esp_types::{Batch, Determinism, EspError, FieldEffects, Result, Ts, Tuple};
 
 /// One processing stage of an ESP pipeline.
@@ -110,20 +110,10 @@ impl Stage for DeclarativeStage {
     }
 
     fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload> {
-        match input {
-            Payload::Rows(rows) => {
-                if !rows.is_empty() {
-                    self.query.push(&self.stream, &rows)?;
-                }
-                self.query.tick(epoch).map(Payload::Rows)
-            }
-            Payload::Chunks(chunks) => {
-                for chunk in chunks {
-                    self.query.push_chunk(&self.stream, chunk)?;
-                }
-                Ok(Payload::Chunks(vec![self.query.tick_chunk(epoch)?]))
-            }
+        for chunk in input.into_chunks() {
+            self.query.push_chunk(&self.stream, chunk)?;
         }
+        Ok(Payload::from(vec![self.query.tick_chunk(epoch)?]))
     }
 
     fn state(&self) -> Result<Option<StageState>> {
@@ -224,9 +214,9 @@ impl Stage for FnStage {
                         out.push(mapped);
                     }
                 }
-                Ok(Payload::Rows(out))
+                Ok(Payload::from(out))
             }
-            FnKind::PerEpoch(f) => f(epoch, input).map(Payload::Rows),
+            FnKind::PerEpoch(f) => f(epoch, input).map(Payload::from),
         }
     }
 
@@ -237,11 +227,10 @@ impl Stage for FnStage {
 
 /// Adapter running any [`Stage`] as an [`esp_stream::Operator`] so the ESP
 /// processor can place it in a dataflow. The stage sees the epoch's
-/// arrivals as one payload: columnar when the whole epoch arrived as
-/// chunks, rows in arrival order otherwise.
+/// arrivals as one payload, chunks in arrival order.
 pub struct StageOperator {
     stage: Box<dyn Stage>,
-    buf: SegBuf,
+    buf: Payload,
 }
 
 impl StageOperator {
@@ -249,7 +238,7 @@ impl StageOperator {
     pub fn new(stage: Box<dyn Stage>) -> StageOperator {
         StageOperator {
             stage,
-            buf: SegBuf::default(),
+            buf: Payload::empty(),
         }
     }
 }
@@ -260,12 +249,12 @@ impl Operator for StageOperator {
     }
 
     fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
-        self.buf.push(input.clone());
+        self.buf.extend_from(input);
         Ok(())
     }
 
     fn flush(&mut self, epoch: Ts) -> Result<Payload> {
-        self.stage.process(epoch, self.buf.take())
+        self.stage.process(epoch, std::mem::take(&mut self.buf))
     }
 
     fn state(&self) -> Result<Option<StageState>> {
@@ -305,7 +294,7 @@ pub(crate) trait ProcessRows {
 #[cfg(test)]
 impl<S: Stage + ?Sized> ProcessRows for S {
     fn process_rows(&mut self, epoch: Ts, rows: Vec<Tuple>) -> Result<Batch> {
-        self.process(epoch, Payload::Rows(rows))
+        self.process(epoch, Payload::from(rows))
             .map(Payload::into_rows)
     }
 }
@@ -447,39 +436,19 @@ mod tests {
     }
 
     #[test]
-    fn declarative_stage_keeps_chunks_columnar() {
-        let engine = Engine::new();
-        let q = engine
-            .compile("SELECT tag_id, count(*) FROM smooth_input [Range By '5 sec'] GROUP BY tag_id")
-            .unwrap();
-        let mut stage = DeclarativeStage::new("smooth", q).unwrap();
-        let chunk = Chunk::from_tuples(
-            &esp_types::well_known::rfid_schema(),
-            &[rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "b")],
-        )
-        .unwrap();
-        let out = stage.process(Ts::ZERO, vec![chunk].into()).unwrap();
-        let Payload::Chunks(chunks) = out else {
-            panic!("declarative stage demoted to rows");
-        };
-        assert_eq!(chunks.iter().map(Chunk::len).sum::<usize>(), 2);
-        // Row twin produces the same tuples.
-        let engine = Engine::new();
-        let q = engine
-            .compile("SELECT tag_id, count(*) FROM smooth_input [Range By '5 sec'] GROUP BY tag_id")
-            .unwrap();
-        let mut twin = DeclarativeStage::new("smooth", q).unwrap();
-        let row_out = twin
-            .process(
-                Ts::ZERO,
-                vec![rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "b")].into(),
-            )
-            .unwrap();
-        let Payload::Rows(row_out) = row_out else {
-            panic!("row input came back columnar");
-        };
-        let chunk_rows: Vec<Tuple> = chunks.iter().flat_map(Chunk::to_tuples).collect();
-        assert_eq!(chunk_rows, row_out);
+    fn declarative_stage_matches_the_row_query_api() {
+        let sql = "SELECT tag_id, count(*) FROM smooth_input [Range By '5 sec'] GROUP BY tag_id";
+        let rows = vec![
+            rfid(Ts::ZERO, "a"),
+            rfid(Ts::ZERO, "b"),
+            rfid(Ts::ZERO, "a"),
+        ];
+        let mut stage =
+            DeclarativeStage::new("smooth", Engine::new().compile(sql).unwrap()).unwrap();
+        let out = stage.process(Ts::ZERO, rows.clone().into()).unwrap();
+        let mut query = Engine::new().compile(sql).unwrap();
+        query.push("smooth_input", &rows).unwrap();
+        assert_eq!(out.into_rows(), query.tick(Ts::ZERO).unwrap());
     }
 
     #[test]
@@ -503,12 +472,22 @@ mod tests {
     fn mixed_row_and_chunk_epoch_preserves_arrival_order() {
         let stage = FnStage::per_epoch("id", |_, input| Ok(input));
         let mut op = StageOperator::new(Box::new(stage));
+        // A second layout: the RFID fields plus a signal strength.
+        let rssi = esp_types::Schema::builder()
+            .field("receptor_id", esp_types::DataType::Int)
+            .field("tag_id", esp_types::DataType::Str)
+            .field("rssi", esp_types::DataType::Float)
+            .build()
+            .unwrap();
+        let c1 = TupleBuilder::new(&rssi, Ts::ZERO)
+            .set("tag_id", "c1")
+            .unwrap()
+            .set("rssi", -40.5)
+            .unwrap()
+            .build()
+            .unwrap();
         op.push(0, &vec![rfid(Ts::ZERO, "r1")].into()).unwrap();
-        let chunk = Chunk::from_tuples(
-            &esp_types::well_known::rfid_schema(),
-            &[rfid(Ts::ZERO, "c1")],
-        )
-        .unwrap();
+        let chunk = Chunk::from_tuples(&rssi, std::slice::from_ref(&c1)).unwrap();
         op.push(0, &vec![chunk].into()).unwrap();
         op.push(0, &vec![rfid(Ts::ZERO, "r2")].into()).unwrap();
         let out = op.flush(Ts::ZERO).unwrap().into_rows();
@@ -521,6 +500,7 @@ mod tests {
                 Some(Value::str("r2"))
             ]
         );
+        assert_eq!(out[1], c1, "the second layout arrives intact");
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl Stage for ArbitrateStage {
                 ));
             }
         }
-        Ok(Payload::Rows(out))
+        Ok(Payload::from(out))
     }
 
     // Arbitrate's candidate sets are rebuilt from each epoch's input —

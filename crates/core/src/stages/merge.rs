@@ -18,8 +18,8 @@ use std::sync::Arc;
 use esp_stream::stats::RunningStats;
 use esp_stream::{Payload, StageState, WindowBuffer};
 use esp_types::{
-    chunk_batch, snap, Batch, Chunk, ColumnVec, DataType, Field, Result, Schema, SpatialGranule,
-    Ts, Tuple, Value, ValueKey,
+    snap, Batch, Chunk, ColumnVec, DataType, Field, Result, Schema, SpatialGranule, Ts, Tuple,
+    Value, ValueKey,
 };
 
 use crate::granule::TemporalGranule;
@@ -178,28 +178,11 @@ impl MergeStage {
         Ok(s)
     }
 
+    /// One epoch of a windowed mode.
     fn merge(&mut self, epoch: Ts, input: Payload) -> Result<Batch> {
-        if let MergeMode::UnionAll { dedup_key } = &self.mode {
-            let input = input.into_rows();
-            let Some(key) = dedup_key else {
-                return Ok(input);
-            };
-            let mut seen: HashSet<ValueKey> = HashSet::new();
-            return Ok(input
-                .into_iter()
-                .filter(|t| match t.get(key) {
-                    Some(v) => seen.insert(v.group_key()),
-                    None => true,
-                })
-                .collect());
-        }
         // Every arrival enters the window stamped at the epoch, so
         // eviction tracks arrival time.
-        let chunks = match input {
-            Payload::Rows(rows) => chunk_batch(&rows),
-            Payload::Chunks(chunks) => chunks,
-        };
-        for mut chunk in chunks {
+        for mut chunk in input.into_chunks() {
             if chunk.ts().iter().any(|t| *t != epoch) {
                 chunk.restamp(epoch);
             }
@@ -207,7 +190,7 @@ impl MergeStage {
         }
         self.window.advance_to(epoch);
         match &self.mode {
-            // Returned above, before the window is touched.
+            // Handled by `union_all`, which keeps no window.
             MergeMode::UnionAll { .. } => Ok(Batch::new()),
             MergeMode::OutlierFilteredMean { value_field, k } => {
                 let (value_field, k) = (value_field.clone(), *k);
@@ -305,8 +288,30 @@ impl MergeStage {
     }
 }
 
-/// The column of `field` in one window segment; `None` when the
-/// segment's schema lacks the field.
+/// `UnionAll`'s epoch: the input untouched, or with a dedup `key` only
+/// the first row of each key value (by [`Value::group_key`]), kept by a
+/// mask over the key column. Rows whose layout lacks the field are all
+/// kept.
+fn union_all(input: Payload, key: Option<&str>) -> Result<Payload> {
+    let Some(key) = key else {
+        return Ok(input);
+    };
+    let mut seen: HashSet<ValueKey> = HashSet::new();
+    let mut out = Vec::with_capacity(input.chunks().len());
+    for chunk in input.into_chunks() {
+        let keep: Vec<bool> = match column(&chunk, key) {
+            Some(col) => (0..chunk.len())
+                .map(|i| seen.insert(col.get(i).unwrap_or(Value::Null).group_key()))
+                .collect(),
+            None => vec![true; chunk.len()],
+        };
+        out.push(chunk.filter(&keep)?);
+    }
+    Ok(Payload::from(out))
+}
+
+/// The column of `field` in one chunk (a window segment or an arrival);
+/// `None` when the chunk's schema lacks the field.
 fn column<'a>(seg: &'a Chunk, field: &str) -> Option<&'a ColumnVec> {
     seg.schema().index_of(field).and_then(|c| seg.col(c))
 }
@@ -327,7 +332,10 @@ impl Stage for MergeStage {
     }
 
     fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload> {
-        self.merge(epoch, input).map(Payload::Rows)
+        match &self.mode {
+            MergeMode::UnionAll { dedup_key } => union_all(input, dedup_key.as_deref()),
+            _ => self.merge(epoch, input).map(Payload::from),
+        }
     }
 
     fn state(&self) -> Result<Option<StageState>> {
@@ -460,6 +468,21 @@ mod tests {
 
         let mut m = MergeStage::union_all("merge", room(), Some("receptor_id".into()));
         assert_eq!(m.process_rows(Ts::ZERO, input).unwrap().len(), 1);
+
+        // Deduplicating on `value` across chunks of two layouts: the first
+        // occurrence of each value wins, and temperature rows, which lack
+        // the field, are all kept in place.
+        let input = vec![
+            motion(Ts::ZERO, 1, "ON"),
+            temp(Ts::ZERO, 1, 20.0),
+            motion(Ts::ZERO, 2, "OFF"),
+            motion(Ts::ZERO, 3, "ON"),
+            temp(Ts::ZERO, 2, 21.0),
+            motion(Ts::ZERO, 4, "OFF"),
+        ];
+        let mut m = MergeStage::union_all("merge", room(), Some("value".into()));
+        let out = m.process_rows(Ts::ZERO, input.clone()).unwrap();
+        assert_eq!(out, [0, 1, 2, 4].map(|i| input[i].clone()));
     }
 
     #[test]
@@ -616,15 +639,20 @@ mod tests {
         ]
     }
 
-    /// Feed epochs `ks` as rows, or as chunks (one per run of equal
-    /// schemas); one rendered line per epoch, floats bit-exact.
+    /// Feed epochs `ks` as rows (one chunk per run of equal schemas), or
+    /// as one chunk per row; one rendered line per epoch, floats
+    /// bit-exact.
     fn drive(m: &mut MergeStage, ks: std::ops::Range<u64>, chunked: bool) -> Vec<String> {
         ks.map(|k| {
             let (epoch, rows) = group_input(k);
             let input = if chunked {
-                Payload::Chunks(esp_types::chunk_batch(&rows))
+                Payload::from(
+                    rows.chunks(1)
+                        .flat_map(esp_types::chunk_batch)
+                        .collect::<Vec<_>>(),
+                )
             } else {
-                Payload::Rows(rows)
+                Payload::from(rows)
             };
             let out = m.process(epoch, input).unwrap().into_rows();
             let cells = out

@@ -209,7 +209,7 @@ impl Stage for ModelStage {
                 }
             }
         }
-        Ok(Payload::Rows(out))
+        Ok(Payload::from(out))
     }
 }
 

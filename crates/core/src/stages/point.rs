@@ -10,13 +10,13 @@
 //!
 //! A stage with no ops hands its input payload back untouched. A stage
 //! whose ops are all filters ([`PointStage::range_filter`],
-//! [`PointStage::expected_values`]) keeps columnar input columnar: each
-//! filter marks a keep-mask straight off its column and the chunk is
-//! compacted once by [`Chunk::filter`], so the stage after it (Smooth's
-//! columnar fold) still sees packed columns. A [`PointStage::map`] op is
-//! arbitrary per-tuple code, so a stage holding one materializes rows;
-//! row input is moved through the ops, never cloned. All paths keep and
-//! drop exactly the same tuples and count them alike in
+//! [`PointStage::expected_values`]) stays columnar: each filter marks a
+//! keep-mask straight off its column and the chunk is compacted once by
+//! [`Chunk::filter`], so the stage after it (Smooth's columnar fold) still
+//! sees packed columns. A [`PointStage::map`] op is arbitrary per-tuple
+//! code, so a stage holding one reads its input as rows, runs each row
+//! through the ops and hands the survivors back as chunks. Both paths keep
+//! and drop exactly the same tuples and count them alike in
 //! [`PointStage::dropped`].
 
 use std::collections::HashSet;
@@ -201,30 +201,25 @@ impl Stage for PointStage {
         if self.ops.is_empty() {
             return Ok(input);
         }
-        let all_filters = !self.ops.iter().any(|op| matches!(op, PointOp::Map(_)));
-        match input {
-            Payload::Chunks(chunks) if all_filters => {
-                let mut out = Vec::with_capacity(chunks.len());
-                for chunk in chunks {
-                    let keep = self.keep_mask(&chunk);
-                    let kept = chunk.filter(&keep)?;
-                    self.dropped += (keep.len() - kept.len()) as u64;
-                    out.push(kept);
+        if self.ops.iter().any(|op| matches!(op, PointOp::Map(_))) {
+            let input = input.into_rows();
+            let mut out = Batch::with_capacity(input.len());
+            for t in input {
+                match self.apply(t)? {
+                    Some(mapped) => out.push(mapped),
+                    None => self.dropped += 1,
                 }
-                Ok(Payload::Chunks(out))
             }
-            input => {
-                let input = input.into_rows();
-                let mut out = Batch::with_capacity(input.len());
-                for t in input {
-                    match self.apply(t)? {
-                        Some(mapped) => out.push(mapped),
-                        None => self.dropped += 1,
-                    }
-                }
-                Ok(Payload::Rows(out))
-            }
+            return Ok(Payload::from(out));
         }
+        let mut out = Vec::with_capacity(input.chunks().len());
+        for chunk in input.into_chunks() {
+            let keep = self.keep_mask(&chunk);
+            let kept = chunk.filter(&keep)?;
+            self.dropped += (keep.len() - kept.len()) as u64;
+            out.push(kept);
+        }
+        Ok(Payload::from(out))
     }
 
     // Point filters tuples one at a time; the only thing that crosses an

@@ -29,16 +29,15 @@
 //! arrival, counts and presence exact, means equal to rounding), for
 //! O(arrivals + panes × keys) work instead of O(window rows).
 //!
-//! Input is folded where it lies. A `Payload::Chunks` arrival is read
-//! through its packed columns — key and value positions are resolved once
-//! per input schema, runs of equal keys are found on the `int_data` /
-//! `str_data` slices and each run's `float_data` slice is pushed into one
-//! partial, with the null bitmap consulted only when it has a bit set; a
-//! chunk whose key or value column has no such packed form (an `ANY`
-//! column, a promoted or pruned one) is folded as rows, like
-//! `Payload::Rows`. Both forms push the same numbers into the same
-//! partials in the same order, so chunk-fed and row-fed stages agree bit
-//! for bit.
+//! Input is folded where it lies: each arriving chunk is read through its
+//! columns, with key and value positions resolved once per input schema.
+//! Runs of equal keys are found on packed `Int` / `Str` key columns, and
+//! each run's packed `Float` / `Int` values are pushed into one partial,
+//! with the null bitmap consulted only when it has a bit set. Any other
+//! column (float, bool or `ANY` keys, string values, promoted or pruned
+//! columns) is read slot by slot through `ColumnVec::get` and grouped by
+//! `Value::group_key`. The output is written column by column from the
+//! merged panes ([`Chunk::from_columns`]); EWMA alone reads rows.
 //!
 //! The checkpoint is the partials (see [`Stage::state`] below), tagged so
 //! that a pre-pane blob of raw window tuples is refused, not misread.
@@ -50,7 +49,7 @@ use esp_stream::panes::{PaneMut, PaneStore, Partial};
 use esp_stream::stats::RunningStats;
 use esp_stream::{Payload, StageState};
 use esp_types::{
-    snap, Batch, Chunk, DataType, EspError, Field, NullMask, Result, Schema, Ts, Tuple, Value,
+    snap, Chunk, ColumnVec, DataType, EspError, Field, NullMask, Result, Schema, Ts, Tuple, Value,
     ValueKey,
 };
 
@@ -119,8 +118,8 @@ impl SmoothMode {
         }
     }
 
-    /// Fold one schema-uniform segment into the pane of `epoch`.
-    fn fold<S: Segment>(&mut self, epoch: Ts, seg: &S) {
+    /// Fold one chunk into the pane of `epoch`.
+    fn fold(&mut self, epoch: Ts, seg: &ChunkSegment<'_>) {
         match self {
             SmoothMode::CountByKey(panes) => fold_count(seg, panes.pane_mut(epoch)),
             SmoothMode::WindowedMean(panes) => fold_mean(seg, panes.pane_mut(epoch)),
@@ -156,60 +155,6 @@ impl Layout {
     }
 }
 
-/// One schema-uniform stretch of an epoch's input, readable by position:
-/// what the row form and the columnar form of a fold have in common.
-trait Segment {
-    fn len(&self) -> usize;
-    /// Whether rows `a` and `b` carry group-equal keys.
-    fn same_key(&self, a: usize, b: usize) -> bool;
-    /// Replace `out` with the key values of `row`.
-    fn key_values(&self, row: usize, out: &mut Vec<Value>);
-    /// The value field as a number; `None` when NULL, non-numeric or
-    /// absent from the schema.
-    fn num(&self, row: usize) -> Option<f64>;
-    /// Whether the value field SQL-equals `on`.
-    fn value_is(&self, row: usize, on: &Value) -> bool;
-    /// Push every numeric value of rows `[start, end)` into `stats`, in
-    /// row order.
-    fn push_nums(&self, start: usize, end: usize, stats: &mut RunningStats) {
-        for x in (start..end).filter_map(|row| self.num(row)) {
-            stats.push(x);
-        }
-    }
-}
-
-struct RowSegment<'a> {
-    rows: &'a [Tuple],
-    keys: &'a [usize],
-    value: Option<usize>,
-}
-
-impl Segment for RowSegment<'_> {
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn same_key(&self, a: usize, b: usize) -> bool {
-        let (a, b) = (&self.rows[a], &self.rows[b]);
-        self.keys.iter().all(|&c| a.value(c) == b.value(c))
-    }
-
-    fn key_values(&self, row: usize, out: &mut Vec<Value>) {
-        let t = &self.rows[row];
-        out.clear();
-        out.extend(self.keys.iter().map(|&c| t.value(c).clone()));
-    }
-
-    fn num(&self, row: usize) -> Option<f64> {
-        self.value.and_then(|c| self.rows[row].value(c).as_f64())
-    }
-
-    fn value_is(&self, row: usize, on: &Value) -> bool {
-        self.value
-            .is_some_and(|c| self.rows[row].value(c).sql_eq(on))
-    }
-}
-
 /// A packed column and its null bitmap — `None` when no row is NULL, so
 /// the per-row test disappears for clean columns.
 type Packed<'a, T> = (&'a [T], Option<&'a NullMask>);
@@ -225,16 +170,21 @@ fn is_null(nulls: Option<&NullMask>, row: usize) -> bool {
 enum KeyCol<'a> {
     Int(Packed<'a, i64>),
     Str(Packed<'a, Arc<str>>),
+    /// Any other column, read slot by slot.
+    Other(&'a ColumnVec),
 }
 
 enum ValueCol<'a> {
     Float(Packed<'a, f64>),
     Int(Packed<'a, i64>),
-    Str(Packed<'a, Arc<str>>),
+    /// Any other column, read slot by slot.
+    Other(&'a ColumnVec),
     /// The schema has no value field: nothing is numeric, nothing matches.
     Absent,
 }
 
+/// One chunk of an epoch's input, its key and value columns read by
+/// position.
 struct ChunkSegment<'a> {
     len: usize,
     keys: Vec<KeyCol<'a>>,
@@ -242,45 +192,42 @@ struct ChunkSegment<'a> {
 }
 
 impl<'a> ChunkSegment<'a> {
-    /// The columnar reading of `chunk`, or `None` when a key or value
-    /// column has no packed form this fold reads (the caller folds the
-    /// chunk as rows instead).
-    fn new(chunk: &'a Chunk, keys: &[usize], value: Option<usize>) -> Option<ChunkSegment<'a>> {
+    fn new(chunk: &'a Chunk, keys: &[usize], value: Option<usize>) -> Result<ChunkSegment<'a>> {
+        let col = |c: usize| {
+            chunk
+                .col(c)
+                .ok_or_else(|| EspError::Stage(format!("smooth: {chunk} has no column {c}")))
+        };
         let keys = keys
             .iter()
             .map(|&c| {
-                let col = chunk.col(c)?;
-                col.int_data()
-                    .map(|d| KeyCol::Int(packed(d)))
-                    .or_else(|| col.str_data().map(|d| KeyCol::Str(packed(d))))
+                let col = col(c)?;
+                Ok(match (col.int_data(), col.str_data()) {
+                    (Some(d), _) => KeyCol::Int(packed(d)),
+                    (_, Some(d)) => KeyCol::Str(packed(d)),
+                    _ => KeyCol::Other(col),
+                })
             })
-            .collect::<Option<Vec<_>>>()?;
+            .collect::<Result<Vec<_>>>()?;
         let value = match value {
             None => ValueCol::Absent,
             Some(c) => {
-                let col = chunk.col(c)?;
-                if let Some(d) = col.float_data() {
-                    ValueCol::Float(packed(d))
-                } else if let Some(d) = col.int_data() {
-                    ValueCol::Int(packed(d))
-                } else {
-                    ValueCol::Str(packed(col.str_data()?))
+                let col = col(c)?;
+                match (col.float_data(), col.int_data()) {
+                    (Some(d), _) => ValueCol::Float(packed(d)),
+                    (_, Some(d)) => ValueCol::Int(packed(d)),
+                    _ => ValueCol::Other(col),
                 }
             }
         };
-        Some(ChunkSegment {
+        Ok(ChunkSegment {
             len: chunk.len(),
             keys,
             value,
         })
     }
-}
 
-impl Segment for ChunkSegment<'_> {
-    fn len(&self) -> usize {
-        self.len
-    }
-
+    /// Whether rows `a` and `b` carry group-equal keys.
     fn same_key(&self, a: usize, b: usize) -> bool {
         self.keys.iter().all(|col| match col {
             KeyCol::Int((data, nulls)) => match (is_null(*nulls, a), is_null(*nulls, b)) {
@@ -291,9 +238,12 @@ impl Segment for ChunkSegment<'_> {
                 (false, false) => Arc::ptr_eq(&data[a], &data[b]) || data[a] == data[b],
                 (na, nb) => na == nb,
             },
+            // `Value` equality is `Value::group_key` equality.
+            KeyCol::Other(col) => col.get(a) == col.get(b),
         })
     }
 
+    /// Replace `out` with the key values of `row`.
     fn key_values(&self, row: usize, out: &mut Vec<Value>) {
         out.clear();
         out.extend(self.keys.iter().map(|col| match col {
@@ -302,17 +252,22 @@ impl Segment for ChunkSegment<'_> {
             }
             KeyCol::Int((data, _)) => Value::Int(data[row]),
             KeyCol::Str((data, _)) => Value::Str(Arc::clone(&data[row])),
+            KeyCol::Other(col) => col.get(row).unwrap_or(Value::Null),
         }));
     }
 
+    /// The value field as a number; `None` when NULL, non-numeric or
+    /// absent from the schema.
     fn num(&self, row: usize) -> Option<f64> {
         match &self.value {
             ValueCol::Float((data, nulls)) => (!is_null(*nulls, row)).then(|| data[row]),
             ValueCol::Int((data, nulls)) => (!is_null(*nulls, row)).then(|| data[row] as f64),
-            ValueCol::Str(_) | ValueCol::Absent => None,
+            ValueCol::Other(col) => col.get(row)?.as_f64(),
+            ValueCol::Absent => None,
         }
     }
 
+    /// Whether the value field SQL-equals `on`.
     fn value_is(&self, row: usize, on: &Value) -> bool {
         match &self.value {
             ValueCol::Float((data, nulls)) => {
@@ -321,13 +276,13 @@ impl Segment for ChunkSegment<'_> {
             ValueCol::Int((data, nulls)) => {
                 !is_null(*nulls, row) && Value::Int(data[row]).sql_eq(on)
             }
-            ValueCol::Str((data, nulls)) => {
-                !is_null(*nulls, row) && matches!(on, Value::Str(s) if **s == *data[row])
-            }
+            ValueCol::Other(col) => col.get(row).is_some_and(|v| v.sql_eq(on)),
             ValueCol::Absent => false,
         }
     }
 
+    /// Push every numeric value of rows `[start, end)` into `stats`, in
+    /// row order.
     fn push_nums(&self, start: usize, end: usize, stats: &mut RunningStats) {
         match &self.value {
             // The kernel: a clean float column is one slice walk.
@@ -347,17 +302,17 @@ impl Segment for ChunkSegment<'_> {
 
 /// Call `f(start, end)` for each maximal run `[start, end)` of rows with
 /// group-equal keys.
-fn for_each_key_run<S: Segment>(seg: &S, mut f: impl FnMut(usize, usize)) {
+fn for_each_key_run(seg: &ChunkSegment<'_>, mut f: impl FnMut(usize, usize)) {
     let mut start = 0;
-    for row in 1..=seg.len() {
-        if row == seg.len() || !seg.same_key(start, row) {
+    for row in 1..=seg.len {
+        if row == seg.len || !seg.same_key(start, row) {
             f(start, row);
             start = row;
         }
     }
 }
 
-fn fold_count<S: Segment>(seg: &S, mut pane: PaneMut<'_, i64>) {
+fn fold_count(seg: &ChunkSegment<'_>, mut pane: PaneMut<'_, i64>) {
     let mut key = Vec::new();
     for_each_key_run(seg, |start, end| {
         seg.key_values(start, &mut key);
@@ -365,7 +320,7 @@ fn fold_count<S: Segment>(seg: &S, mut pane: PaneMut<'_, i64>) {
     });
 }
 
-fn fold_mean<S: Segment>(seg: &S, mut pane: PaneMut<'_, RunningStats>) {
+fn fold_mean(seg: &ChunkSegment<'_>, mut pane: PaneMut<'_, RunningStats>) {
     let mut key = Vec::new();
     for_each_key_run(seg, |start, end| {
         // NULL / non-numeric samples are skipped, and a key none of whose
@@ -378,8 +333,8 @@ fn fold_mean<S: Segment>(seg: &S, mut pane: PaneMut<'_, RunningStats>) {
     });
 }
 
-fn fold_presence<S: Segment>(seg: &S, on_value: &Value, mut pane: PaneMut<'_, Presence>) {
-    let mut matched = (0..seg.len()).filter(|&row| seg.value_is(row, on_value));
+fn fold_presence(seg: &ChunkSegment<'_>, on_value: &Value, mut pane: PaneMut<'_, Presence>) {
+    let mut matched = (0..seg.len).filter(|&row| seg.value_is(row, on_value));
     let Some(mut last) = matched.next() else {
         return;
     };
@@ -562,34 +517,6 @@ impl SmoothStage {
         })
     }
 
-    fn fold_rows(&mut self, epoch: Ts, rows: &[Tuple]) -> Result<()> {
-        let mut rest = rows;
-        while let Some(first) = rest.first() {
-            let layout = self.layout_for(first.schema());
-            let layout = &self.layouts[layout];
-            // The leading run of tuples sharing `first`'s schema.
-            let n = rest
-                .iter()
-                .position(|t| {
-                    !Arc::ptr_eq(t.schema(), first.schema()) && **t.schema() != *layout.schema
-                })
-                .unwrap_or(rest.len());
-            let (head, tail) = rest.split_at(n);
-            rest = tail;
-            if let Some((keys, value)) = layout.columns(self.value_field.is_some())? {
-                let seg = RowSegment {
-                    rows: head,
-                    keys,
-                    value,
-                };
-                self.mode.fold(epoch, &seg);
-                let schema = Arc::clone(&layout.schema);
-                self.fix_output_schema(&schema)?;
-            }
-        }
-        Ok(())
-    }
-
     fn fold_chunk(&mut self, epoch: Ts, chunk: &Chunk) -> Result<()> {
         if chunk.is_empty() {
             return Ok(());
@@ -599,57 +526,37 @@ impl SmoothStage {
         let Some((keys, value)) = layout.columns(self.value_field.is_some())? else {
             return Ok(());
         };
-        match ChunkSegment::new(chunk, keys, value) {
-            Some(seg) => self.mode.fold(epoch, &seg),
-            None => return self.fold_rows(epoch, &chunk.to_tuples()),
-        }
+        self.mode
+            .fold(epoch, &ChunkSegment::new(chunk, keys, value)?);
         let schema = Arc::clone(&layout.schema);
         self.fix_output_schema(&schema)
     }
 
     /// One epoch of a windowed mode: fold the arrivals into the epoch's
     /// pane, slide the window, emit from the merged panes.
-    fn process_panes(&mut self, epoch: Ts, input: Payload) -> Result<Batch> {
-        match &input {
-            Payload::Rows(rows) => self.fold_rows(epoch, rows)?,
-            Payload::Chunks(chunks) => {
-                for chunk in chunks {
-                    self.fold_chunk(epoch, chunk)?;
-                }
-            }
+    fn process_panes(&mut self, epoch: Ts, input: &Payload) -> Result<Payload> {
+        for chunk in input.chunks() {
+            self.fold_chunk(epoch, chunk)?;
         }
-        let schema = self.out_schema.clone();
-        let row = |key: &[Value], aggregate: Value| -> Result<Tuple> {
-            let schema = schema.as_ref().ok_or_else(|| {
-                EspError::Stage("smooth: panes hold keys but no output schema was fixed".into())
-            })?;
-            let mut vals = Vec::with_capacity(key.len() + 1);
-            vals.extend_from_slice(key);
-            vals.push(aggregate);
-            Ok(Tuple::new_unchecked(Arc::clone(schema), epoch, vals))
-        };
+        let schema = self.out_schema.as_ref();
         match &mut self.mode {
             SmoothMode::Ewma { .. } => unreachable!("handled by process_ewma"),
             SmoothMode::CountByKey(panes) => {
                 panes.advance_to(epoch);
-                panes
-                    .merged()?
-                    .iter()
-                    .map(|(key, n)| row(key, Value::Int(*n)))
-                    .collect()
+                let merged = panes.merged()?;
+                let rows = merged.iter().map(|(key, n)| Ok((key, Value::Int(*n))));
+                emit(schema, epoch, rows)
             }
             SmoothMode::WindowedMean(panes) => {
                 panes.advance_to(epoch);
-                panes
-                    .merged()?
-                    .iter()
-                    .map(|(key, stats)| {
-                        let mean = stats
-                            .mean()
-                            .ok_or_else(|| EspError::Stage("smooth: empty stats bucket".into()))?;
-                        row(key, Value::Float(mean))
-                    })
-                    .collect()
+                let merged = panes.merged()?;
+                let rows = merged.iter().map(|(key, stats)| {
+                    let mean = stats
+                        .mean()
+                        .ok_or_else(|| EspError::Stage("smooth: empty stats bucket".into()))?;
+                    Ok((key, Value::Float(mean)))
+                });
+                emit(schema, epoch, rows)
             }
             SmoothMode::EventPresence {
                 on_value,
@@ -658,15 +565,51 @@ impl SmoothStage {
             } => {
                 panes.advance_to(epoch);
                 // `min_events` may be 0 with nothing matching: no event.
-                panes
-                    .merged()?
+                let merged = panes.merged()?;
+                let rows = merged
                     .iter()
                     .filter(|(_, p)| p.matches > 0 && p.matches >= *min_events as u64)
-                    .map(|(_, p)| row(&p.last, on_value.clone()))
-                    .collect()
+                    .map(|(_, p)| Ok((p.last.as_slice(), on_value.clone())));
+                emit(schema, epoch, rows)
             }
         }
     }
+}
+
+/// The epoch's output chunk under `schema`: one row per `(key values,
+/// aggregate)`, stamped at `epoch`, written column by column.
+fn emit<'k>(
+    schema: Option<&Arc<Schema>>,
+    epoch: Ts,
+    rows: impl Iterator<Item = Result<(&'k [Value], Value)>>,
+) -> Result<Payload> {
+    let mut rows = rows.peekable();
+    let Some(schema) = schema else {
+        if rows.peek().is_none() {
+            return Ok(Payload::empty());
+        }
+        return Err(EspError::Stage(
+            "smooth: panes hold keys but no output schema was fixed".into(),
+        ));
+    };
+    let mut cols: Vec<ColumnVec> = schema
+        .fields()
+        .iter()
+        .map(|f| ColumnVec::for_type(f.data_type))
+        .collect();
+    let mut n = 0;
+    for row in rows {
+        let (key, aggregate) = row?;
+        for (col, v) in cols.iter_mut().zip(key.iter().cloned().chain([aggregate])) {
+            col.push(v);
+        }
+        n += 1;
+    }
+    Ok(Payload::from(vec![Chunk::from_columns(
+        schema,
+        vec![epoch; n],
+        cols,
+    )?]))
 }
 
 impl Stage for SmoothStage {
@@ -675,12 +618,11 @@ impl Stage for SmoothStage {
     }
 
     fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload> {
-        let out = if matches!(self.mode, SmoothMode::Ewma { .. }) {
+        if matches!(self.mode, SmoothMode::Ewma { .. }) {
             self.process_ewma(epoch, input.into_rows())
         } else {
-            self.process_panes(epoch, input)
-        };
-        out.map(Payload::Rows)
+            self.process_panes(epoch, &input)
+        }
     }
 
     /// State blob (`snap` form): a tag byte (`2`), the mode's tag, the output
@@ -758,7 +700,7 @@ impl Stage for SmoothStage {
 }
 
 impl SmoothStage {
-    fn process_ewma(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Batch> {
+    fn process_ewma(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Payload> {
         let expiry = self.granule.window();
         // Output schema from the first tuple ever seen.
         if let Some(sample) = input.first() {
@@ -809,18 +751,11 @@ impl SmoothStage {
             }
             None => false,
         });
-        let Some(schema) = self.out_schema.clone() else {
-            return Ok(Batch::new());
-        };
-        Ok(order
-            .iter()
-            .map(|k| {
-                let (vals, est, _) = &state[k];
-                let mut out = vals.clone();
-                out.push(Value::Float(*est));
-                Tuple::new_unchecked(Arc::clone(&schema), epoch, out)
-            })
-            .collect())
+        let rows = order.iter().map(|k| {
+            let (vals, est, _) = &state[k];
+            Ok((vals.as_slice(), Value::Float(*est)))
+        });
+        emit(self.out_schema.as_ref(), epoch, rows)
     }
 }
 
@@ -1187,7 +1122,7 @@ mod tests {
         };
         ks.map(|k| {
             let (epoch, rows) = golden_input(k);
-            let out = s.process(epoch, Payload::Rows(rows)).unwrap().into_rows();
+            let out = s.process(epoch, Payload::from(rows)).unwrap().into_rows();
             let cells = out.iter().map(|t| {
                 let vals: Vec<String> = t.values().iter().map(render).collect();
                 format!("{}:[{}]", t.ts().as_millis(), vals.join(","))
@@ -1241,6 +1176,24 @@ mod tests {
             let expected = std::fs::read_to_string(golden_path(mode)).unwrap();
             assert_eq!(got, expected, "{mode}");
         }
+    }
+
+    fn ewma() -> SmoothStage {
+        SmoothStage::ewma("smooth", TimeDelta::from_secs(3), ["tag", "fkey"], "v", 0.3).unwrap()
+    }
+
+    /// EWMA keeps per-key estimates, not panes; its fixture pins the
+    /// estimates and the emitted rows (float and NULL keys included) the
+    /// same way.
+    #[test]
+    fn ewma_matches_pinned_state_and_output() {
+        let got = golden_transcript(ewma);
+        if std::env::var("ESP_GOLDEN_REGEN").is_ok() {
+            std::fs::write(golden_path("ewma"), &got).unwrap();
+            return;
+        }
+        let expected = std::fs::read_to_string(golden_path("ewma")).unwrap();
+        assert_eq!(got, expected);
     }
 
     /// Restoring the pinned state and continuing reproduces the

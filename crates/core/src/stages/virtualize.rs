@@ -153,7 +153,7 @@ impl Stage for VirtualizeStage {
         if votes < self.threshold {
             return Ok(Payload::empty());
         }
-        Ok(Payload::Rows(vec![Tuple::new_unchecked(
+        Ok(Payload::from(vec![Tuple::new_unchecked(
             Arc::clone(&self.schema),
             epoch,
             vec![self.event.clone(), Value::Int(votes as i64)],

@@ -167,7 +167,7 @@ impl Source for QueueSource {
     }
 
     fn poll(&mut self, epoch: Ts) -> Result<Payload> {
-        Ok(Payload::Chunks(self.buf.lock().drain_upto(epoch)?))
+        Ok(Payload::from(self.buf.lock().drain_upto(epoch)?))
     }
 }
 
@@ -574,9 +574,6 @@ mod tests {
             .poll(Ts::from_secs(5))
             .unwrap();
         assert_eq!(payload.rows(), expected);
-        let Payload::Chunks(chunks) = payload else {
-            panic!("gateway source must stay columnar");
-        };
-        assert_eq!(chunks.len(), 2, "one chunk per kind run");
+        assert_eq!(payload.chunks().len(), 2, "one chunk per kind run");
     }
 }

@@ -837,7 +837,7 @@ fn run_smooth(
     let granule = spec.deployment.granule().map_err(|e| e.to_string())?;
     let mut stage = smooth.build(granule).map_err(|e| e.to_string())?;
     let out = stage
-        .process(Ts::ZERO, Payload::Rows(rows.to_vec()))
+        .process(Ts::ZERO, Payload::from(rows.to_vec()))
         .map_err(|e| e.to_string())?;
     Ok(out.rows().iter().map(|t| format!("{t:?}")).collect())
 }

@@ -563,16 +563,14 @@ impl Operator for QueryOperator {
             .ports
             .get(port)
             .ok_or_else(|| EspError::Config(format!("no stream mapped to input port {port}")))?;
-        match input {
-            Payload::Rows(batch) => self.query.push(stream, batch),
-            Payload::Chunks(chunks) => chunks
-                .iter()
-                .try_for_each(|c| self.query.push_chunk(stream, c.clone())),
-        }
+        input
+            .chunks()
+            .iter()
+            .try_for_each(|c| self.query.push_chunk(stream, c.clone()))
     }
 
     fn flush(&mut self, epoch: Ts) -> Result<Payload> {
-        Ok(Payload::Chunks(vec![self.query.tick_chunk(epoch)?]))
+        Ok(Payload::from(vec![self.query.tick_chunk(epoch)?]))
     }
 }
 

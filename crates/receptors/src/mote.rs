@@ -274,7 +274,7 @@ impl Source for MoteSource {
                 _ => continue,
             }
         }
-        Ok(Payload::Rows(out))
+        Ok(Payload::from(out))
     }
 }
 

@@ -265,7 +265,7 @@ impl Source for BadgeReaderSource {
                 out.push(self.sighting(ts, ERRANT_TAG));
             }
         }
-        Ok(Payload::Rows(out))
+        Ok(Payload::from(out))
     }
 }
 

@@ -124,7 +124,7 @@ impl Source for RecordingSource {
             .lock()
             .expect("recorder lock")
             .entries
-            .push((epoch, polled.rows().into_owned()));
+            .push((epoch, polled.rows()));
         Ok(polled)
     }
 }

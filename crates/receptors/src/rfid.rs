@@ -281,7 +281,7 @@ impl Source for RfidReaderSource {
             self.next_poll += self.config.sample_period;
             self.poll_once(ts, &mut out);
         }
-        Ok(Payload::Rows(out))
+        Ok(Payload::from(out))
     }
 }
 

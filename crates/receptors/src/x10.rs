@@ -80,7 +80,7 @@ impl Source for X10MotionSource {
                 ));
             }
         }
-        Ok(Payload::Rows(out))
+        Ok(Payload::from(out))
     }
 }
 

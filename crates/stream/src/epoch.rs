@@ -73,10 +73,7 @@ impl EpochRunner {
     /// Execute one epoch at logical time `epoch`.
     ///
     /// Data moves between nodes as [`Payload`]s, handed from producer to
-    /// consumer untouched: whether an operator keeps chunks columnar or
-    /// materializes rows is its own decision. Tap traces stay row-form, so
-    /// recorded output is byte-identical whichever representation flowed
-    /// underneath.
+    /// consumer untouched. Tap traces are recorded as rows.
     pub fn step(&mut self, epoch: Ts) -> Result<()> {
         let n = self.df.nodes.len();
         // Per-epoch (not per-tuple) spans keep the instrumented cost at
@@ -108,10 +105,7 @@ impl EpochRunner {
             outputs.push(out);
         }
         for (tap_idx, node) in self.df.taps.iter().enumerate() {
-            let batch = outputs
-                .get(node.0)
-                .map(|out| out.rows().into_owned())
-                .unwrap_or_default();
+            let batch = outputs.get(node.0).map(Payload::rows).unwrap_or_default();
             self.collected[tap_idx].push((epoch, batch));
         }
         if let (Some(o), Some(t0)) = (obs, step_start) {
@@ -418,23 +412,21 @@ mod tests {
 
     #[test]
     fn chunk_dataflow_stays_columnar_through_a_union() {
-        use crate::ops::SegBuf;
         use crate::ScriptedChunkSource;
-        use esp_types::{Chunk, EspError};
+        use esp_types::Chunk;
 
-        /// Errors on any non-empty row payload: proves the union and the
-        /// runner hand chunks through without demoting them.
-        struct ChunksOnly(SegBuf);
-        impl crate::Operator for ChunksOnly {
+        /// Emits one row per epoch: how many chunks it was handed. Proves
+        /// the union and the runner forward chunks as the sources cut
+        /// them, neither merged nor split.
+        struct CountChunks(usize);
+        impl crate::Operator for CountChunks {
             fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
-                if matches!(input, Payload::Rows(rows) if !rows.is_empty()) {
-                    return Err(EspError::Stage("chunk dataflow demoted to rows".into()));
-                }
-                self.0.push(input.clone());
+                self.0 += input.chunks().len();
                 Ok(())
             }
-            fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
-                Ok(self.0.take())
+            fn flush(&mut self, epoch: Ts) -> Result<Payload> {
+                let n = std::mem::take(&mut self.0) as i64;
+                Ok(Payload::from(vec![tup(epoch, n)]))
             }
         }
 
@@ -453,17 +445,19 @@ mod tests {
         let a = df.add_source(Box::new(ScriptedChunkSource::new("a", script(0))));
         let b = df.add_source(Box::new(ScriptedChunkSource::new("b", script(100))));
         let u = df.add_operator(Box::new(UnionOp::new(2)), &[a, b]).unwrap();
-        let only = df
-            .add_operator(Box::new(ChunksOnly(SegBuf::default())), &[u])
-            .unwrap();
-        let tap = df.add_tap(only).unwrap();
+        let count = df.add_operator(Box::new(CountChunks(0)), &[u]).unwrap();
+        let (rows, chunks) = (df.add_tap(u).unwrap(), df.add_tap(count).unwrap());
         let mut runner = EpochRunner::new(df);
         runner
             .run(Ts::ZERO, TimeDelta::from_millis(100), 20)
             .unwrap();
-        let trace = runner.take_tap(tap);
-        assert_eq!(trace.len(), 20);
-        assert_eq!(trace.iter().map(|(_, b)| b.len()).sum::<usize>(), 56);
+        let rows = runner.take_tap(rows);
+        assert_eq!(rows.len(), 20);
+        assert_eq!(rows.iter().map(|(_, b)| b.len()).sum::<usize>(), 56);
+        for (i, (_, b)) in runner.take_tap(chunks).iter().enumerate() {
+            let expected = if i % 3 == 2 { 0 } else { 2 };
+            assert_eq!(b[0].value(0), &Value::Int(expected), "epoch {i}");
+        }
     }
 
     #[test]

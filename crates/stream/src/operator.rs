@@ -9,44 +9,35 @@
 //! | punctuation: the operator emits the epoch | [`Operator::flush`]`(epoch) -> Payload` |
 //!
 //! [`EpochRunner`](crate::EpochRunner) moves payloads between nodes
-//! exactly as produced; whether a node keeps chunks columnar or
-//! materializes rows is decided inside the node, never by the transport.
+//! exactly as produced. A payload is always columnar: rows enter through
+//! [`Payload::from`] and leave through [`Payload::rows`], at the boundary
+//! of code written against rows (UDFs, arbitrary-code stages, simulator
+//! sources), never inside the transport.
 
-use std::borrow::Cow;
-
-use esp_types::{Batch, Chunk, Result, Ts, Tuple};
+use esp_types::{chunk_batch, Batch, Chunk, Result, Ts};
 
 use crate::state::{unexpected_state, StageState};
 
-/// One epoch's data in transit between dataflow nodes: either plain rows
-/// (the original representation, still used by UDF/arbitrary-code stages)
-/// or schema-uniform columnar chunks (the hot path).
+/// One epoch's data in transit between dataflow nodes: schema-uniform
+/// columnar chunks, in stream order.
 ///
 /// `Payload` is the only currency of the operator protocol: sources emit
-/// it, operators consume and emit it, runners move it. The two forms are
-/// interchangeable — [`Payload::into_rows`] is lossless — so a chunk-aware
-/// operator matches on the payload and keeps the columnar form end-to-end,
-/// while a row-only operator calls `into_rows`/`rows` on what it gets.
-#[derive(Debug, Clone)]
-pub enum Payload {
-    /// Row-at-a-time batch.
-    Rows(Batch),
-    /// Columnar batches, in stream order.
-    Chunks(Vec<Chunk>),
-}
+/// it, operators consume and emit it, runners move it. Row-shaped code
+/// builds one with `Payload::from(rows)` ([`chunk_batch`], lossless) and
+/// reads one with [`Payload::rows`]; everything else reads
+/// [`Payload::chunks`].
+#[derive(Debug, Clone, Default)]
+pub struct Payload(Vec<Chunk>);
 
 impl Payload {
-    /// An empty row payload.
+    /// An empty payload.
     pub fn empty() -> Payload {
-        Payload::Rows(Batch::new())
+        Payload::default()
     }
 
     /// Number of tuples carried.
     pub fn len(&self) -> usize {
-        match self {
-            Payload::Rows(b) => b.len(),
-            Payload::Chunks(cs) => cs.iter().map(Chunk::len).sum(),
-        }
+        self.0.iter().map(Chunk::len).sum()
     }
 
     /// True when no tuples are carried.
@@ -54,34 +45,43 @@ impl Payload {
         self.len() == 0
     }
 
-    /// Materialize as rows (identity for `Rows`; lossless chunk-to-tuple
-    /// conversion otherwise, preserving stream order).
-    pub fn into_rows(self) -> Batch {
-        match self {
-            Payload::Rows(b) => b,
-            Payload::Chunks(cs) => cs.iter().flat_map(Chunk::to_tuples).collect(),
-        }
+    /// The chunks, in stream order.
+    pub fn chunks(&self) -> &[Chunk] {
+        &self.0
     }
 
-    /// View as rows without consuming: borrowed for `Rows`, materialized
-    /// for `Chunks`. This is how a row-only operator reads its input.
-    pub fn rows(&self) -> Cow<'_, [Tuple]> {
-        match self {
-            Payload::Rows(b) => Cow::Borrowed(b),
-            Payload::Chunks(cs) => Cow::Owned(cs.iter().flat_map(Chunk::to_tuples).collect()),
-        }
+    /// Take the chunks, in stream order.
+    pub fn into_chunks(self) -> Vec<Chunk> {
+        self.0
+    }
+
+    /// Append `other`'s non-empty chunks after this payload's: an epoch's
+    /// arrivals concatenated in arrival order.
+    pub fn extend_from(&mut self, other: &Payload) {
+        self.0
+            .extend(other.0.iter().filter(|c| !c.is_empty()).cloned());
+    }
+
+    /// Materialize as rows, preserving stream order (lossless).
+    pub fn rows(&self) -> Batch {
+        self.0.iter().flat_map(Chunk::to_tuples).collect()
+    }
+
+    /// [`Payload::rows`], consuming the payload.
+    pub fn into_rows(self) -> Batch {
+        self.rows()
     }
 }
 
 impl From<Batch> for Payload {
     fn from(rows: Batch) -> Payload {
-        Payload::Rows(rows)
+        Payload(chunk_batch(&rows))
     }
 }
 
 impl From<Vec<Chunk>> for Payload {
     fn from(chunks: Vec<Chunk>) -> Payload {
-        Payload::Chunks(chunks)
+        Payload(chunks)
     }
 }
 
@@ -90,9 +90,10 @@ impl From<Vec<Chunk>> for Payload {
 ///
 /// The scheduler polls every source once per epoch; a source returns the
 /// payload it produced during that epoch (possibly empty — dropped
-/// readings are exactly the empty polls). Simulators emit rows; chunk-
-/// building sources (the gateway's ingest queues) emit columnar chunks
-/// without ever materializing per-reading tuples.
+/// readings are exactly the empty polls). Simulators build rows and hand
+/// them over as `Payload::from(rows)`; chunk-building sources (the
+/// gateway's ingest queues) emit columnar chunks without ever
+/// materializing per-reading tuples.
 pub trait Source: Send {
     /// Human-readable name for diagnostics.
     fn name(&self) -> &str {
@@ -203,7 +204,7 @@ impl Source for ScriptedSource {
                 out.extend(batch);
             }
         }
-        Ok(Payload::Rows(out))
+        Ok(Payload::from(out))
     }
 }
 
@@ -238,14 +239,14 @@ impl Source for ScriptedChunkSource {
                 out.push(chunk);
             }
         }
-        Ok(Payload::Chunks(out))
+        Ok(Payload::from(out))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_types::{DataType, Schema, Value};
+    use esp_types::{DataType, Schema, Tuple, Value};
 
     fn tup(ts: Ts, v: i64) -> Tuple {
         let schema = Schema::builder().field("v", DataType::Int).build().unwrap();

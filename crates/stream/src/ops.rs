@@ -1,84 +1,26 @@
 //! Generic building-block operators.
 //!
 //! These are language-agnostic dataflow pieces; the query engine and the ESP
-//! stages compose or specialize them.
+//! stages compose or specialize them. The forwarding operators
+//! ([`PassThrough`], [`UnionOp`], [`MapOp`]) buffer an epoch's arrivals as
+//! one [`Payload`], chunks concatenated in arrival order; the per-tuple
+//! ones ([`FilterOp`], [`EpochFnOp`]) read rows and hand rows back.
 
 use esp_types::{Batch, Chunk, Result, Ts, Tuple};
 
 use crate::operator::{Operator, Payload};
 
-/// Order-preserving buffer of one epoch's arrivals. The epoch's output
-/// stays columnar when *every* arrival was chunks; any row arrival
-/// demotes the whole epoch to rows (order is the contract, and
-/// interleaving rows between chunks has no columnar form).
-///
-/// This is the standard input buffer for chunk-aware forwarding operators
-/// ([`PassThrough`], [`UnionOp`], [`MapOp`], the ESP stage adapter).
-#[derive(Debug, Default)]
-pub struct SegBuf {
-    segs: Vec<Payload>,
-}
-
-impl SegBuf {
-    /// Number of tuples buffered across all arrivals.
-    pub fn len(&self) -> usize {
-        self.segs.iter().map(Payload::len).sum()
-    }
-
-    /// True when no tuples are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.segs.is_empty()
-    }
-
-    /// Append one arrival (empty payloads are dropped).
-    pub fn push(&mut self, input: Payload) {
-        if !input.is_empty() {
-            self.segs.push(input);
-        }
-    }
-
-    /// Drain the buffer into one payload, concatenating in arrival order:
-    /// columnar iff every arrival was chunks, otherwise rows.
-    pub fn take(&mut self) -> Payload {
-        let mut segs = std::mem::take(&mut self.segs).into_iter();
-        let Some(mut out) = segs.next() else {
-            return Payload::empty();
-        };
-        for seg in segs {
-            out = match (out, seg) {
-                (Payload::Chunks(mut a), Payload::Chunks(b)) => {
-                    a.extend(b);
-                    Payload::Chunks(a)
-                }
-                (a, b) => {
-                    let mut rows = a.into_rows();
-                    rows.extend(b.into_rows());
-                    Payload::Rows(rows)
-                }
-            };
-        }
-        out
-    }
-}
-
 /// Forwards its input unchanged. Useful as a named junction point and in
-/// tests. Chunk arrivals are forwarded columnar.
+/// tests.
+#[derive(Default)]
 pub struct PassThrough {
-    buf: SegBuf,
+    buf: Payload,
 }
 
 impl PassThrough {
     /// Create a pass-through operator.
     pub fn new() -> PassThrough {
-        PassThrough {
-            buf: SegBuf::default(),
-        }
-    }
-}
-
-impl Default for PassThrough {
-    fn default() -> Self {
-        Self::new()
+        PassThrough::default()
     }
 }
 
@@ -88,12 +30,12 @@ impl Operator for PassThrough {
     }
 
     fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
-        self.buf.push(input.clone());
+        self.buf.extend_from(input);
         Ok(())
     }
 
     fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
-        Ok(self.buf.take())
+        Ok(std::mem::take(&mut self.buf))
     }
 }
 
@@ -121,90 +63,61 @@ impl<F: Fn(&Tuple) -> bool + Send> Operator for FilterOp<F> {
     }
 
     fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
-        let rows = input.rows();
+        let pred = &self.pred;
         self.buf
-            .extend(rows.iter().filter(|t| (self.pred)(t)).cloned());
+            .extend(input.rows().into_iter().filter(|t| pred(t)));
         Ok(())
     }
 
     fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
-        Ok(Payload::Rows(std::mem::take(&mut self.buf)))
+        Ok(Payload::from(std::mem::take(&mut self.buf)))
     }
 }
 
-/// Per-tuple transform driven by a closure. Returning `None` drops the
-/// tuple (filter-map semantics); returning an error aborts the epoch.
-///
-/// An optional whole-chunk transform ([`MapOp::with_chunk_fn`]) lets the
-/// operator consume and emit columnar batches without materializing rows;
-/// without one, chunk arrivals are materialized for the per-tuple closure.
+/// Whole-chunk transform driven by a closure: each arriving chunk maps to
+/// a replacement (`None` drops it); returning an error aborts the epoch.
 pub struct MapOp<F> {
     name: String,
     f: F,
-    #[allow(clippy::type_complexity)]
-    chunk_f: Option<Box<dyn Fn(&Chunk) -> Result<Option<Chunk>> + Send>>,
-    buf: SegBuf,
+    buf: Vec<Chunk>,
 }
 
-impl<F: Fn(&Tuple) -> Result<Option<Tuple>> + Send> MapOp<F> {
+impl<F: Fn(&Chunk) -> Result<Option<Chunk>> + Send> MapOp<F> {
     /// Create a map/transform operator.
     pub fn new(name: impl Into<String>, f: F) -> MapOp<F> {
         MapOp {
             name: name.into(),
             f,
-            chunk_f: None,
-            buf: SegBuf::default(),
+            buf: Vec::new(),
         }
-    }
-
-    /// Attach a whole-chunk transform, used for chunk arrivals instead of
-    /// the per-tuple closure. The two must agree semantically (same rows
-    /// out for the same rows in); returning `None` drops the whole chunk.
-    pub fn with_chunk_fn(
-        mut self,
-        cf: impl Fn(&Chunk) -> Result<Option<Chunk>> + Send + 'static,
-    ) -> MapOp<F> {
-        self.chunk_f = Some(Box::new(cf));
-        self
     }
 }
 
-impl<F: Fn(&Tuple) -> Result<Option<Tuple>> + Send> Operator for MapOp<F> {
+impl<F: Fn(&Chunk) -> Result<Option<Chunk>> + Send> Operator for MapOp<F> {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
-        let out = match (input, &self.chunk_f) {
-            (Payload::Chunks(chunks), Some(cf)) => Payload::Chunks(
-                chunks
-                    .iter()
-                    .filter_map(|c| cf(c).transpose())
-                    .collect::<Result<_>>()?,
-            ),
-            _ => Payload::Rows(
-                input
-                    .rows()
-                    .iter()
-                    .filter_map(|t| (self.f)(t).transpose())
-                    .collect::<Result<_>>()?,
-            ),
-        };
-        self.buf.push(out);
+        for chunk in input.chunks() {
+            if let Some(out) = (self.f)(chunk)? {
+                self.buf.push(out);
+            }
+        }
         Ok(())
     }
 
     fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
-        Ok(self.buf.take())
+        Ok(Payload::from(std::mem::take(&mut self.buf)))
     }
 }
 
 /// N-way stream union. The paper's Arbitrate stage runs over "the union of
-/// the streams produced by Query 2" — this is that union. Chunk arrivals
-/// are forwarded columnar (in arrival order, matching the row semantics).
+/// the streams produced by Query 2" — this is that union. Arrivals are
+/// forwarded in arrival order.
 pub struct UnionOp {
     n_inputs: usize,
-    buf: SegBuf,
+    buf: Payload,
 }
 
 impl UnionOp {
@@ -212,7 +125,7 @@ impl UnionOp {
     pub fn new(n_inputs: usize) -> UnionOp {
         UnionOp {
             n_inputs,
-            buf: SegBuf::default(),
+            buf: Payload::empty(),
         }
     }
 }
@@ -227,12 +140,12 @@ impl Operator for UnionOp {
     }
 
     fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
-        self.buf.push(input.clone());
+        self.buf.extend_from(input);
         Ok(())
     }
 
     fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
-        Ok(self.buf.take())
+        Ok(std::mem::take(&mut self.buf))
     }
 }
 
@@ -262,12 +175,12 @@ impl<F: FnMut(Ts, Vec<Tuple>) -> Result<Batch> + Send> Operator for EpochFnOp<F>
     }
 
     fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
-        self.buf.extend_from_slice(&input.rows());
+        self.buf.extend(input.rows());
         Ok(())
     }
 
     fn flush(&mut self, epoch: Ts) -> Result<Payload> {
-        (self.f)(epoch, std::mem::take(&mut self.buf)).map(Payload::Rows)
+        (self.f)(epoch, std::mem::take(&mut self.buf)).map(Payload::from)
     }
 }
 
@@ -294,27 +207,28 @@ mod tests {
 
     #[test]
     fn map_transforms_and_drops() {
-        let mut m = MapOp::new("halve-evens", |t: &Tuple| {
-            let v = t.value(0).as_i64().unwrap();
-            if v % 2 == 0 {
-                Ok(Some(Tuple::new_unchecked(
-                    t.schema().clone(),
-                    t.ts(),
-                    vec![Value::Int(v / 2)],
-                )))
-            } else {
-                Ok(None)
-            }
+        // Keeps each chunk's even rows; a chunk left empty is dropped.
+        let mut m = MapOp::new("evens", |c: &Chunk| {
+            let keep: Vec<bool> = (0..c.len())
+                .map(|i| {
+                    c.value_at(i, 0)
+                        .and_then(|v| v.as_i64())
+                        .is_some_and(|v| v % 2 == 0)
+                })
+                .collect();
+            let kept = c.clone().filter(&keep)?;
+            Ok((!kept.is_empty()).then_some(kept))
         });
-        m.push(0, &vec![tup(4), tup(3)].into()).unwrap();
-        let out = m.flush(Ts::ZERO).unwrap().into_rows();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].value(0), &Value::Int(2));
+        m.push(0, &vec![chunk(&[4, 3]), chunk(&[1])].into())
+            .unwrap();
+        let out = m.flush(Ts::ZERO).unwrap();
+        assert_eq!(out.chunks().len(), 1);
+        assert_eq!(values(out), vec![4]);
     }
 
     #[test]
     fn map_propagates_errors() {
-        let mut m = MapOp::new("boom", |_t: &Tuple| {
+        let mut m = MapOp::new("boom", |_c: &Chunk| -> Result<Option<Chunk>> {
             Err(esp_types::EspError::Stage("boom".into()))
         });
         assert!(m.push(0, &vec![tup(1)].into()).is_err());
@@ -366,42 +280,15 @@ mod tests {
         u.push(0, &vec![chunk(&[1, 2])].into()).unwrap();
         u.push(1, &vec![chunk(&[3])].into()).unwrap();
         let out = u.flush(Ts::ZERO).unwrap();
-        assert!(matches!(&out, Payload::Chunks(cs) if cs.len() == 2));
+        assert_eq!(out.chunks().len(), 2, "chunks are forwarded, not re-cut");
         assert_eq!(values(out), vec![1, 2, 3]);
-        // One row arrival demotes the epoch; order is still arrival order.
+        // Rows converted at the boundary interleave with chunk arrivals in
+        // arrival order.
         u.push(0, &vec![tup(1)].into()).unwrap();
         u.push(1, &vec![chunk(&[2])].into()).unwrap();
         u.push(0, &vec![tup(3)].into()).unwrap();
-        let out = u.flush(Ts::ZERO).unwrap();
-        assert!(matches!(out, Payload::Rows(_)));
-        assert_eq!(values(out), vec![1, 2, 3]);
-        // Nothing buffered: an empty row payload.
-        assert!(matches!(u.flush(Ts::ZERO).unwrap(), Payload::Rows(b) if b.is_empty()));
-    }
-
-    #[test]
-    fn map_uses_the_chunk_fn_only_for_chunk_arrivals() {
-        let double = |t: &Tuple| {
-            let v = t.value(0).as_i64().unwrap();
-            Ok(Some(Tuple::new_unchecked(
-                t.schema().clone(),
-                t.ts(),
-                vec![Value::Int(v * 2)],
-            )))
-        };
-        // The chunk fn drops odd-headed chunks, so its use is observable.
-        let mut m = MapOp::new("double", double).with_chunk_fn(|c: &Chunk| {
-            Ok((c.value_at(0, 0) != Some(Value::Int(1))).then(|| c.clone()))
-        });
-        m.push(0, &vec![chunk(&[1]), chunk(&[2])].into()).unwrap();
-        let out = m.flush(Ts::ZERO).unwrap();
-        assert!(matches!(out, Payload::Chunks(_)), "chunk fn keeps columns");
-        assert_eq!(values(out), vec![2]);
-        m.push(0, &vec![tup(1), tup(2)].into()).unwrap();
-        assert_eq!(values(m.flush(Ts::ZERO).unwrap()), vec![2, 4]);
-        // Without a chunk fn, chunk arrivals go through the tuple closure.
-        let mut plain = MapOp::new("double", double);
-        plain.push(0, &vec![chunk(&[1, 2])].into()).unwrap();
-        assert_eq!(values(plain.flush(Ts::ZERO).unwrap()), vec![2, 4]);
+        assert_eq!(values(u.flush(Ts::ZERO).unwrap()), vec![1, 2, 3]);
+        // Nothing buffered: an empty payload.
+        assert!(u.flush(Ts::ZERO).unwrap().chunks().is_empty());
     }
 }
