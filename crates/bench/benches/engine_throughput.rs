@@ -1,5 +1,15 @@
 //! Throughput of the declarative engine on the paper's queries:
 //! tuples/second through a compiled continuous query, per query shape.
+//!
+//! The cases exercise both execution classes. `smooth_query2` (paper
+//! Query 2, a mergeable `count(*) … GROUP BY`) folds each arrival once into
+//! per-epoch panes. `point_filter` (no aggregate), `query1_count_distinct`
+//! (`DISTINCT` needs the set of values) and `arbitrate_query3` (a
+//! correlated `>= ALL` subquery) are holistic and rescan their window
+//! every tick.
+//!
+//! Run with `cargo bench -p esp-bench --bench engine_throughput`; a free
+//! argument filters by case name.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use esp_query::Engine;

@@ -116,21 +116,11 @@ impl ChunkBuffer {
             } else if seg.ts().iter().all(|t| *t > epoch) {
                 keep.push(seg);
             } else {
-                // Mixed segment: split row by row, order preserved.
-                let mut take = Chunk::new(seg.schema());
-                let mut stay = Chunk::new(seg.schema());
-                for i in 0..seg.len() {
-                    let ts = seg.ts()[i];
-                    let values = seg.row_values(i).unwrap_or_default();
-                    let dst = if ts <= epoch { &mut take } else { &mut stay };
-                    dst.push_row_owned(ts, values)?;
-                }
-                if !take.is_empty() {
-                    out.push(take);
-                }
-                if !stay.is_empty() {
-                    keep.push(stay);
-                }
+                // Mixed segment: one mask, two filters, order preserved.
+                let take: Vec<bool> = seg.ts().iter().map(|t| *t <= epoch).collect();
+                let stay: Vec<bool> = take.iter().map(|t| !t).collect();
+                out.push(seg.clone().filter(&take)?);
+                keep.push(seg.filter(&stay)?);
             }
         }
         self.segs = keep;

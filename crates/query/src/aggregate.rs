@@ -8,24 +8,15 @@ use esp_types::{DataType, EspError, Result, Value};
 
 /// Accumulator state for one aggregate over one group.
 ///
-/// The executor handles `DISTINCT` (values are deduplicated before
-/// reaching the state) and `count(*)` (the state sees `Value::Int(1)` per
-/// row); implementations only fold values.
+/// The window rescan calls [`AggregateState::update`] once per member row,
+/// in row order, and [`AggregateState::finish`] once per tick. It handles
+/// `DISTINCT` (values are deduplicated before reaching the state) and
+/// `count(*)` (the state sees `Value::Int(1)` per row); implementations
+/// only fold values. `update` and `finish` are the whole UDA surface.
 pub trait AggregateState: Send {
     /// Fold one input value. NULLs are already filtered out by the
     /// executor (SQL aggregates ignore NULLs).
     fn update(&mut self, v: &Value) -> Result<()>;
-
-    /// Fold the same value `n` times. The executor uses this for
-    /// `count(*)`, where every member contributes the same `Int(1)`;
-    /// states whose fold is value-independent can override it to run in
-    /// constant time. The default loops, so UDAs are unaffected.
-    fn update_repeat(&mut self, v: &Value, n: usize) -> Result<()> {
-        for _ in 0..n {
-            self.update(v)?;
-        }
-        Ok(())
-    }
 
     /// Produce the aggregate result for the group.
     fn finish(&self) -> Value;
@@ -242,17 +233,6 @@ impl AggregateState for BuiltinPartial {
                     *best = v.clone();
                 }
             }
-        }
-        Ok(())
-    }
-
-    fn update_repeat(&mut self, v: &Value, n: usize) -> Result<()> {
-        if let BuiltinPartial::Count(c) = self {
-            *c += n as i64;
-            return Ok(());
-        }
-        for _ in 0..n {
-            self.update(v)?;
         }
         Ok(())
     }

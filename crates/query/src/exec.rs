@@ -12,11 +12,13 @@
 //!
 //! # Execution strategy
 //!
-//! FROM items are *borrowed*, not copied: a stream window whose rows
-//! share one schema is read in place through its [`ChunkView`], and static
-//! relations are borrowed as tuple slices. Tuples are materialized per
-//! epoch only for derived tables' outputs and for a window whose rows span
-//! several schemas (which the planned slots cannot match anyway).
+//! There is one rescan. Each tick it reads every FROM item as a slice of
+//! tuples: a window's rows are materialized from its column segments once
+//! ([`esp_stream::WindowBuffer::to_vec`]), a derived table's output is
+//! materialized, and a static relation is borrowed. Join + WHERE (hash
+//! join or odometer scan) yields the surviving combinations; grouping,
+//! aggregate folds, `HAVING` and projection then run over them in row
+//! order. Reference mode runs this same path with every slot stripped.
 //!
 //! Field references annotated with a [`FieldSlot`] by
 //! [`crate::plan::resolve_pass`] are fetched by `(scope, item, column)`
@@ -42,7 +44,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use esp_types::{
     registry, Chunk, ChunkView, EspError, Field, Result, Schema, Ts, Tuple, Value, ValueKey,
@@ -151,82 +153,6 @@ impl<'a> RowEnv<'a> {
     }
 }
 
-/// The rows of one FROM item this epoch: a borrowed chunk view for
-/// windows, tuples for everything else.
-enum Rows<'a> {
-    /// A static relation (borrowed), a derived table's output or a
-    /// mixed-schema window's rows (owned).
-    Tuples(Cow<'a, [Tuple]>),
-    /// Borrowed columnar window contents. Column reads
-    /// ([`Rows::col_value`]) go straight to the `ColumnVec`s; the arena
-    /// materializes a row's `Tuple` at most once per tick, and only when a
-    /// caller actually needs the row form (UDF args, name-walk fallback,
-    /// join emission, group representatives). The arena itself is lazy
-    /// too: a tick that stays fully columnar never allocates the
-    /// one-`OnceLock`-per-row vector at all.
-    Chunk {
-        view: ChunkView<'a>,
-        arena: OnceLock<Vec<OnceLock<Tuple>>>,
-    },
-}
-
-impl Rows<'_> {
-    fn from_chunk(view: ChunkView<'_>) -> Rows<'_> {
-        Rows::Chunk {
-            view,
-            arena: OnceLock::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Rows::Tuples(v) => v.len(),
-            Rows::Chunk { view, .. } => view.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn get(&self, i: usize) -> Option<&Tuple> {
-        match self {
-            Rows::Tuples(v) => v.get(i),
-            Rows::Chunk { view, arena } => {
-                if i >= view.len() {
-                    return None;
-                }
-                let arena = arena.get_or_init(|| {
-                    std::iter::repeat_with(OnceLock::new)
-                        .take(view.len())
-                        .collect()
-                });
-                let slot = arena.get(i)?;
-                if slot.get().is_none() {
-                    let _ = slot.set(view.tuple_at(i)?);
-                }
-                slot.get()
-            }
-        }
-    }
-
-    /// Read column `col` of row `ri` without materializing the row. For
-    /// the chunk arm this is the in-place `ColumnVec` read the slot
-    /// compiler targets; for the tuple arm it is the tuple's slot value.
-    /// `None` when the row or column doesn't exist (callers fall back to
-    /// the name-resolving walk, which reproduces reference semantics).
-    fn col_value(&self, ri: usize, col: usize) -> Option<Value> {
-        match self {
-            Rows::Chunk { view, .. } => view.value_at(ri, col),
-            _ => self.get(ri)?.values().get(col).cloned(),
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &Tuple> + '_ {
-        (0..self.len()).filter_map(move |i| self.get(i))
-    }
-}
-
 /// The result of evaluating a select: output schema plus rows.
 #[derive(Debug)]
 pub struct SelectResult {
@@ -276,8 +202,8 @@ pub fn eval_select(
     outer: Option<&RowEnv<'_>>,
     ctx: &ExecCtx<'_>,
 ) -> Result<SelectResult> {
-    // 1. View each FROM item's rows.
-    let mut inputs: Vec<Rows<'_>> = Vec::with_capacity(cs.from.len());
+    // 1. Read each FROM item's rows.
+    let mut inputs: Vec<Cow<'_, [Tuple]>> = Vec::with_capacity(cs.from.len());
     for item in &cs.from {
         inputs.push(materialize_from(item, outer, ctx)?);
     }
@@ -287,19 +213,9 @@ pub fn eval_select(
     // the whole tick (correctness first — the name walk still works).
     let uniform = plan_matches_inputs(cs, &inputs);
 
-    // Fused single-input scan: when the plan is resolved and every row
-    // matches it, evaluate directly over the borrowed rows — no per-row
-    // `Vec<&Tuple>` allocation, no per-row group-key clone. The phase
-    // order (WHERE over all rows, then grouping, then aggregate folds,
-    // then HAVING/projection, all in row order) mirrors the generic path
-    // below exactly, so emission order and error surfacing are identical.
-    if uniform && inputs.len() == 1 {
-        return eval_fused_single(cs, bindings, &inputs[0], outer, ctx);
-    }
-
     // 2. Join + WHERE.
     let mut surviving: Vec<Vec<&Tuple>> = Vec::new();
-    let any_empty = inputs.iter().any(Rows::is_empty);
+    let any_empty = inputs.iter().any(|rows| rows.is_empty());
     if !any_empty && !inputs.is_empty() {
         let join = cs
             .plan
@@ -382,7 +298,7 @@ pub fn eval_select(
 
 /// Whether every input row matches the planned depth-0 scope shape
 /// (pointer-equal schemas). `false` when no plan has been resolved.
-fn plan_matches_inputs(cs: &CompiledSelect, inputs: &[Rows<'_>]) -> bool {
+fn plan_matches_inputs(cs: &CompiledSelect, inputs: &[Cow<'_, [Tuple]>]) -> bool {
     let Some(plan) = &cs.plan else { return false };
     let Some(shape) = plan.ctx.first() else {
         return false;
@@ -395,12 +311,7 @@ fn plan_matches_inputs(cs: &CompiledSelect, inputs: &[Rows<'_>]) -> bool {
         .iter()
         .zip(inputs)
         .all(|((_, schema), rows)| match schema {
-            // A chunk is schema-uniform by construction: one pointer
-            // compare covers every row, with nothing materialized.
-            Some(s) => match rows {
-                Rows::Chunk { view, .. } => view.is_empty() || Arc::ptr_eq(view.schema(), s),
-                _ => rows.iter().all(|t| Arc::ptr_eq(t.schema(), s)),
-            },
+            Some(s) => rows.iter().all(|t| Arc::ptr_eq(t.schema(), s)),
             None => rows.is_empty(),
         })
 }
@@ -415,14 +326,14 @@ struct HashJoin<'q, 't> {
     tables: Vec<Option<HashMap<Vec<JoinKey>, Vec<usize>>>>,
     /// Non-extracted conjuncts, in original evaluation order.
     residual: Vec<&'q CExpr>,
-    inputs: &'t [Rows<'t>],
+    inputs: &'t [Cow<'t, [Tuple]>],
 }
 
 impl<'q, 't> HashJoin<'q, 't> {
     fn build(
         cs: &'q CompiledSelect,
         plan: &'q JoinPlan,
-        inputs: &'t [Rows<'t>],
+        inputs: &'t [Cow<'t, [Tuple]>],
     ) -> Result<HashJoin<'q, 't>> {
         let mut conjuncts = Vec::new();
         if let Some(w) = &cs.where_clause {
@@ -443,17 +354,10 @@ impl<'q, 't> HashJoin<'q, 't> {
             }
             let specs = &plan.keys[i];
             let mut map: HashMap<Vec<JoinKey>, Vec<usize>> = HashMap::with_capacity(rows.len());
-            // Keys are read by column index (straight off the `ColumnVec`
-            // for chunk-backed inputs): the build side materializes no
-            // tuples — only rows that actually match a probe key are ever
-            // materialized, at emission.
-            'rows: for ri in 0..rows.len() {
+            'rows: for (ri, t) in rows.iter().enumerate() {
                 let mut key = Vec::with_capacity(specs.len());
                 for spec in specs {
-                    match rows
-                        .col_value(ri, spec.build_col)
-                        .and_then(|v| join_key(&v))
-                    {
+                    match t.values().get(spec.build_col).and_then(join_key) {
                         Some(k) => key.push(k),
                         // NULL / NaN keys never compare equal: the row
                         // cannot survive the extracted conjunct.
@@ -685,27 +589,6 @@ fn eval_grouped(
     })
 }
 
-/// Fetch row `i` of a single-item scan; the index was produced by the
-/// same scan, so absence means the view changed under us mid-tick.
-fn fetch<'a>(input: &'a Rows<'_>, i: u32) -> Result<&'a Tuple> {
-    input
-        .get(i as usize)
-        .ok_or_else(|| EspError::Plan("window row vanished mid-tick".into()))
-}
-
-/// The slot column of an expression that is exactly a depth-0, item-0
-/// field reference — the only shape a single-item scan can resolve.
-/// Under a uniform scan the column can be read straight off the tuple;
-/// `eval_expr` would produce the identical value through `slot_lookup`.
-fn direct_col(e: &CExpr) -> Option<usize> {
-    match e {
-        CExpr::Field { slot: Some(s), .. } if s.depth == 0 && s.from_idx == 0 => {
-            Some(s.col_idx as usize)
-        }
-        _ => None,
-    }
-}
-
 /// Whether `e` can evaluate entirely from a chunk's columns: literals,
 /// depth-0 item-0 slots bound to this exact schema, and the pure scalar
 /// operators. Anything touching an environment — UDFs, aggregates,
@@ -781,438 +664,6 @@ pub(crate) fn eval_col(e: &CExpr, view: &ChunkView<'_>, ri: usize) -> Result<Val
     }
 }
 
-/// FNV-1a. The per-tick group maps hash short keys (a tag string, an
-/// integer id) hundreds of thousands of times per epoch; the DoS-hardened
-/// default hasher's per-lookup finalization dominates at that size. These
-/// maps are built and dropped within one tick over data the operator
-/// already holds, so hash-flooding hardening buys nothing here.
-struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for Fnv {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-type FnvMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<Fnv>>;
-
-/// Start a new group; returns its index.
-fn new_group(members: &mut Vec<Vec<u32>>, reps: &mut Vec<Option<u32>>, first: u32) -> usize {
-    members.push(Vec::new());
-    reps.push(Some(first));
-    members.len() - 1
-}
-
-/// Group the kept rows of a chunk by a single bare-column key, hashing
-/// the packed column data in place — no `Value` boxing, no `Arc` bump,
-/// no `ValueKey` allocation per row. Group identity matches the generic
-/// `Value::group_key` fold exactly: rows group by value content, in
-/// first-seen order, with every `NULL` key collecting into one group.
-/// Returns `false` (leaving `members`/`reps` untouched) for column
-/// representations without a packed path; the caller then runs the
-/// generic fold.
-fn chunk_group_index(
-    view: &ChunkView<'_>,
-    col: usize,
-    kept: &[u32],
-    members: &mut Vec<Vec<u32>>,
-    reps: &mut Vec<Option<u32>>,
-) -> bool {
-    let off = view.offset();
-    let Some(column) = view.col(col) else {
-        return false;
-    };
-    let mut null_group: Option<usize> = None;
-    if let Some((data, nulls)) = column.str_data() {
-        let mut index: FnvMap<&str, usize> = FnvMap::default();
-        for &i in kept {
-            let ri = off + i as usize;
-            let gi = if nulls.get(ri) {
-                *null_group.get_or_insert_with(|| new_group(members, reps, i))
-            } else {
-                match index.entry(data[ri].as_ref()) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => *e.insert(new_group(members, reps, i)),
-                }
-            };
-            members[gi].push(i);
-        }
-        return true;
-    }
-    if let Some((data, nulls)) = column.int_data() {
-        let mut index: FnvMap<i64, usize> = FnvMap::default();
-        for &i in kept {
-            let ri = off + i as usize;
-            let gi = if nulls.get(ri) {
-                *null_group.get_or_insert_with(|| new_group(members, reps, i))
-            } else {
-                match index.entry(data[ri]) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => *e.insert(new_group(members, reps, i)),
-                }
-            };
-            members[gi].push(i);
-        }
-        return true;
-    }
-    false
-}
-
-/// Fold every member row into `state` straight off a packed column,
-/// hoisting the per-row type dispatch of `col_value` out of the loop.
-/// Returns `false` when the representation has no packed path (the caller
-/// falls back to the generic per-row read). `DISTINCT` folds never get
-/// here — they need `ValueKey` dedup.
-fn fold_packed(
-    state: &mut dyn crate::aggregate::AggregateState,
-    col: &esp_types::ColumnVec,
-    off: usize,
-    members: &[u32],
-) -> Result<bool> {
-    if let Some((data, nulls)) = col.float_data() {
-        if nulls.any() {
-            for &ri in members {
-                let r = off + ri as usize;
-                if !nulls.get(r) {
-                    state.update(&Value::Float(data[r]))?;
-                }
-            }
-        } else {
-            for &ri in members {
-                state.update(&Value::Float(data[off + ri as usize]))?;
-            }
-        }
-        return Ok(true);
-    }
-    if let Some((data, nulls)) = col.int_data() {
-        if nulls.any() {
-            for &ri in members {
-                let r = off + ri as usize;
-                if !nulls.get(r) {
-                    state.update(&Value::Int(data[r]))?;
-                }
-            }
-        } else {
-            for &ri in members {
-                state.update(&Value::Int(data[off + ri as usize]))?;
-            }
-        }
-        return Ok(true);
-    }
-    Ok(false)
-}
-
-/// Allocation-free evaluation of a single-FROM-item select over uniform,
-/// plan-matching rows. Observationally identical to the generic path in
-/// [`eval_select`]: same phase order, same row order, same short-circuits
-/// — only the per-row bookkeeping (join-row vectors, group-key clones)
-/// is gone. Reference mode never resolves a plan, so it never gets here.
-fn eval_fused_single(
-    cs: &CompiledSelect,
-    bindings: &[Option<String>],
-    input: &Rows<'_>,
-    outer: Option<&RowEnv<'_>>,
-    ctx: &ExecCtx<'_>,
-) -> Result<SelectResult> {
-    // Phase 1: WHERE over every row, in order. A predicate that is fully
-    // column-resolvable evaluates straight over the chunk's `ColumnVec`s;
-    // otherwise each row materializes (once, via the arena) and the
-    // environment walk runs as before.
-    let mut kept: Vec<u32> = Vec::with_capacity(input.len());
-    match &cs.where_clause {
-        Some(w) => {
-            let columnar = match input {
-                Rows::Chunk { view, .. } if col_supported(w, view.schema()) => Some(*view),
-                _ => None,
-            };
-            for i in 0..input.len() {
-                let keep = match &columnar {
-                    Some(view) => eval_col(w, view, i)?.truthy(),
-                    None => {
-                        let t = fetch(input, i as u32)?;
-                        let row = [t];
-                        let env = RowEnv {
-                            bindings,
-                            row: &row,
-                            aggs: None,
-                            outer,
-                            slots_valid: true,
-                        };
-                        eval_expr(w, &env, ctx)?.truthy()
-                    }
-                };
-                if keep {
-                    kept.push(i as u32);
-                }
-            }
-        }
-        None => kept.extend(0..input.len() as u32),
-    }
-
-    // Phase 2: grouped fold.
-    if cs.is_aggregate {
-        let schema = cs.output_schema.clone().ok_or_else(|| {
-            EspError::Plan("aggregate select compiled without an output schema".into())
-        })?;
-        // Group membership, in first-seen order.
-        let mut members: Vec<Vec<u32>> = Vec::new();
-        let mut reps: Vec<Option<u32>> = Vec::new();
-        if cs.group_by.is_empty() {
-            // Global group, present even over empty input.
-            reps.push(kept.first().copied());
-            members.push(std::mem::take(&mut kept));
-        } else {
-            let key_cols: Vec<Option<usize>> = cs.group_by.iter().map(direct_col).collect();
-            // A single bare-column key over a chunk groups straight off
-            // the packed column data.
-            let specialized = match (input, key_cols.as_slice()) {
-                (Rows::Chunk { view, .. }, &[Some(c)]) => {
-                    chunk_group_index(view, c, &kept, &mut members, &mut reps)
-                }
-                _ => false,
-            };
-            // Generic fold, keyed without cloning: lookups borrow the
-            // scratch key as a slice; only a group's first row allocates.
-            if !specialized {
-                let mut index: HashMap<Vec<ValueKey>, usize> = HashMap::new();
-                let mut scratch: Vec<ValueKey> = Vec::with_capacity(cs.group_by.len());
-                for &i in &kept {
-                    scratch.clear();
-                    for (g, kc) in cs.group_by.iter().zip(&key_cols) {
-                        // A depth-0 slot reads its column straight off the
-                        // input (in place for chunks, off the tuple for rows)
-                        // — same value `eval_expr` would produce, minus the
-                        // dispatch. Only a non-slot key expression needs the
-                        // row form.
-                        let v = match kc.and_then(|c| input.col_value(i as usize, c)) {
-                            Some(v) => v,
-                            None => {
-                                let t = fetch(input, i)?;
-                                let row = [t];
-                                let env = RowEnv {
-                                    bindings,
-                                    row: &row,
-                                    aggs: None,
-                                    outer,
-                                    slots_valid: true,
-                                };
-                                eval_expr(g, &env, ctx)?
-                            }
-                        };
-                        scratch.push(v.group_key());
-                    }
-                    let gi = match index.get(scratch.as_slice()) {
-                        Some(&gi) => gi,
-                        None => {
-                            let gi = new_group(&mut members, &mut reps, i);
-                            index.insert(scratch.clone(), gi);
-                            gi
-                        }
-                    };
-                    members[gi].push(i);
-                }
-            }
-        }
-
-        let arg_cols: Vec<Option<usize>> = cs
-            .agg_calls
-            .iter()
-            .map(|c| c.arg.as_ref().and_then(direct_col))
-            .collect();
-        let mut out_rows = Vec::with_capacity(members.len());
-        for gi in 0..members.len() {
-            // Fold every aggregate over the group's members, in row order.
-            let mut agg_values = Vec::with_capacity(cs.agg_calls.len());
-            for (call, ac) in cs.agg_calls.iter().zip(&arg_cols) {
-                let mut state = call.factory.make();
-                // count(*) depends only on the member count — one bulk
-                // update instead of a walk.
-                if call.arg.is_none() && !call.distinct {
-                    state.update_repeat(&Value::Int(1), members[gi].len())?;
-                    agg_values.push(state.finish());
-                    continue;
-                }
-                // A slot-resolved, non-distinct arg over a packed chunk
-                // column folds straight over the column data.
-                if let (Rows::Chunk { view, .. }, Some(c), false) = (input, *ac, call.distinct) {
-                    if let Some(col) = view.col(c) {
-                        if fold_packed(state.as_mut(), col, view.offset(), &members[gi])? {
-                            agg_values.push(state.finish());
-                            continue;
-                        }
-                    }
-                }
-                let mut distinct_seen: HashSet<ValueKey> = HashSet::new();
-                for &ri in &members[gi] {
-                    // Slot-resolved args read their column in place (off
-                    // the `ColumnVec` for chunks — no row is built, no
-                    // per-member environment).
-                    if let Some(v) = ac.and_then(|c| input.col_value(ri as usize, c)) {
-                        if v.is_null() {
-                            continue; // SQL aggregates ignore NULLs.
-                        }
-                        if call.distinct && !distinct_seen.insert(v.clone().group_key()) {
-                            continue;
-                        }
-                        state.update(&v)?;
-                        continue;
-                    }
-                    let v = match &call.arg {
-                        None => Value::Int(1), // count(*)
-                        Some(arg) => {
-                            let t = fetch(input, ri)?;
-                            let row = [t];
-                            let env = RowEnv {
-                                bindings,
-                                row: &row,
-                                aggs: None,
-                                outer,
-                                slots_valid: true,
-                            };
-                            eval_expr(arg, &env, ctx)?
-                        }
-                    };
-                    if call.arg.is_some() && v.is_null() {
-                        continue; // SQL aggregates ignore NULLs.
-                    }
-                    if call.distinct && !distinct_seen.insert(v.group_key()) {
-                        continue;
-                    }
-                    state.update(&v)?;
-                }
-                agg_values.push(state.finish());
-            }
-            let rep_owned;
-            let rep_store;
-            let rep: &[&Tuple] = match reps[gi] {
-                // For chunk inputs materialize the one representative on
-                // the stack rather than through the lazy arena: the fast
-                // paths above touch no other rows, so this keeps the
-                // whole tick arena-free.
-                Some(ri) => {
-                    if let Rows::Chunk { view, .. } = input {
-                        rep_owned = view
-                            .tuple_at(ri as usize)
-                            .ok_or_else(|| EspError::Plan("window row vanished mid-tick".into()))?;
-                        rep_store = [&rep_owned];
-                    } else {
-                        rep_store = [fetch(input, ri)?];
-                    }
-                    &rep_store
-                }
-                None => &[],
-            };
-            let env = RowEnv {
-                bindings,
-                row: rep,
-                aggs: Some(&agg_values),
-                outer,
-                slots_valid: true,
-            };
-            if let Some(h) = &cs.having {
-                if !eval_expr(h, &env, ctx)?.truthy() {
-                    continue;
-                }
-            }
-            let mut out = Vec::with_capacity(cs.select.len());
-            for item in &cs.select {
-                out.push(eval_expr(&item.expr, &env, ctx)?);
-            }
-            out_rows.push(out);
-        }
-        return Ok(SelectResult {
-            schema,
-            rows: out_rows,
-            groups: members.len(),
-        });
-    }
-
-    // Phase 2': `SELECT *` over one item — the single-item case of
-    // [`eval_star`] (no schema join needed, same interning). Chunk-backed
-    // inputs copy values straight out of the columns.
-    if cs.select.is_empty() {
-        let Some(&first) = kept.first() else {
-            return Ok(SelectResult::ungrouped(Schema::new(vec![])?, vec![]));
-        };
-        if let Rows::Chunk { view, .. } = input {
-            let schema = registry::intern(view.schema());
-            let mut out = Vec::with_capacity(kept.len());
-            for &i in &kept {
-                out.push(
-                    view.row_values(i as usize)
-                        .ok_or_else(|| EspError::Plan("window row vanished mid-tick".into()))?,
-                );
-            }
-            return Ok(SelectResult::ungrouped(schema, out));
-        }
-        let schema = registry::intern(fetch(input, first)?.schema());
-        let mut out = Vec::with_capacity(kept.len());
-        for &i in &kept {
-            out.push(fetch(input, i)?.values().to_vec());
-        }
-        return Ok(SelectResult::ungrouped(schema, out));
-    }
-
-    // Phase 2'': explicit projection. When every select expression is
-    // column-resolvable, project straight from the chunk.
-    let schema = cs.output_schema.clone().ok_or_else(|| {
-        EspError::Plan("explicit projection compiled without an output schema".into())
-    })?;
-    let columnar = match input {
-        Rows::Chunk { view, .. }
-            if cs
-                .select
-                .iter()
-                .all(|item| col_supported(&item.expr, view.schema())) =>
-        {
-            Some(*view)
-        }
-        _ => None,
-    };
-    let mut rows = Vec::with_capacity(kept.len());
-    for &i in &kept {
-        let mut out = Vec::with_capacity(cs.select.len());
-        match &columnar {
-            Some(view) => {
-                for item in &cs.select {
-                    out.push(eval_col(&item.expr, view, i as usize)?);
-                }
-            }
-            None => {
-                let t = fetch(input, i)?;
-                let row = [t];
-                let env = RowEnv {
-                    bindings,
-                    row: &row,
-                    aggs: None,
-                    outer,
-                    slots_valid: true,
-                };
-                for item in &cs.select {
-                    out.push(eval_expr(&item.expr, &env, ctx)?);
-                }
-            }
-        }
-        rows.push(out);
-    }
-    Ok(SelectResult::ungrouped(schema, rows))
-}
-
 #[allow(clippy::too_many_arguments)]
 fn fold_aggregate(
     call: &AggCall,
@@ -1251,21 +702,18 @@ fn fold_aggregate(
     Ok(state.finish())
 }
 
-/// View (or, for derived tables and mixed-schema windows, materialize) the
-/// rows of one FROM item.
+/// The rows of one FROM item this epoch: a static relation is borrowed; a
+/// window's rows and a derived table's output are materialized.
 fn materialize_from<'q>(
     item: &'q CFromItem,
     outer: Option<&RowEnv<'_>>,
     ctx: &ExecCtx<'q>,
-) -> Result<Rows<'q>> {
+) -> Result<Cow<'q, [Tuple]>> {
     match &item.source {
         CSource::Stream {
             window: Window::Rows(window),
             ..
-        } => Ok(match window.chunk_view() {
-            Some(view) => Rows::from_chunk(view),
-            None => Rows::Tuples(Cow::Owned(window.to_vec())),
-        }),
+        } => Ok(Cow::Owned(window.to_vec())),
         CSource::Stream {
             window: Window::Panes(_),
             ..
@@ -1275,11 +723,11 @@ fn materialize_from<'q>(
         CSource::Relation { name } => ctx
             .catalog
             .relation(name)
-            .map(|r| Rows::Tuples(Cow::Borrowed(&r[..])))
+            .map(|r| Cow::Borrowed(&r[..]))
             .ok_or_else(|| EspError::UnknownSource(name.clone())),
         CSource::Derived(sub) => {
             let result = eval_select(sub, outer, ctx)?;
-            Ok(Rows::Tuples(Cow::Owned(result.into_batch(ctx.epoch))))
+            Ok(Cow::Owned(result.into_batch(ctx.epoch)))
         }
     }
 }

@@ -366,8 +366,8 @@ fn panes(from: &mut [crate::compile::CFromItem]) -> Result<&mut Incremental> {
     }
 }
 
-/// Evaluate `e` over row `ri` as the rescan does: straight off the columns
-/// when `columnar` (the slots fit this chunk), else over the row.
+/// Evaluate `e` over row `ri`: straight off the columns when `columnar`
+/// (the slots fit this chunk), else over the materialized row.
 fn eval_row(
     e: &CExpr,
     view: &ChunkView<'_>,

@@ -27,9 +27,9 @@
 //!   non-`DISTINCT` built-in aggregates ([`incremental`] has the exact
 //!   rule) — keeps per-epoch partials in an `esp-stream` pane store: each
 //!   arrival is folded once, and a tick merges the live panes;
-//! * every other select keeps a [`WindowBuffer`] and rescans it each tick.
-//!   The executor reads a schema-uniform window in place as one chunk and
-//!   falls back to its rows only when the window spans several schemas.
+//! * every other select keeps a [`WindowBuffer`] and rescans it each tick:
+//!   one executor reads the window's rows as tuples and evaluates the
+//!   select over them.
 //!
 //! Reference mode ([`ContinuousQuery::set_reference_mode`]) runs every
 //! select on the rescan through the name-resolving interpreter: the

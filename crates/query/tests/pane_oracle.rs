@@ -1,14 +1,20 @@
-//! Pane-incremental selects against the rescan oracle.
+//! Compiled selects against the reference interpreter.
 //!
-//! Every mergeable select runs on per-epoch partials; the same query under
-//! `set_reference_mode(true)` keeps its window of rows and rescans it with
-//! the name-resolving interpreter every tick. Over random mergeable selects
-//! and random input — two schemas with the same columns in different
-//! positions, keys with NULL, NaN and `-0.0`, gapped, repeated and empty
-//! ticks — both must emit the same rows in the same order: key values bit
-//! for bit, counts, minima, maxima and integer sums exactly, float sums,
-//! means and deviations within 1e-12 relative. Where the rescan fails, the
-//! incremental path must fail at the same tick with the same kind of
+//! Every select also runs under `set_reference_mode(true)`, which keeps its
+//! window of rows and rescans it with the name-resolving interpreter every
+//! tick. Two classes of select are generated. A mergeable one runs on
+//! per-epoch partials; a holistic one (`count(distinct …)`, a registered
+//! UDA, a computed key, a non-key column in SELECT, `SELECT * … WHERE`, a
+//! projection with arithmetic) rescans its window with the slot-resolved
+//! evaluator. Over random input — rows of one schema, or of two with the
+//! same columns in different positions, fed by row or by chunk; keys with
+//! NULL, NaN and `-0.0`; gapped, repeated and empty ticks — both must emit
+//! the same rows in the same order: key values bit for bit, counts, minima,
+//! maxima and integer sums exactly. A mergeable select's float sums, means
+//! and deviations may reassociate across panes and match within 1e-12 of
+//! their magnitude (of 1 near zero); a holistic select folds in the
+//! reference's order and matches bit for bit. Where the reference fails,
+//! the compiled select must fail at the same tick with the same kind of
 //! error.
 //!
 //! `PROPTEST_CASES` sets the number of generated cases (default 256).
@@ -129,24 +135,72 @@ const WHERES: [&str; 4] = [
 ];
 const WIDTHS: [&str; 3] = ["NOW", "1 sec", "5 sec"];
 
+/// What turns a generated select holistic, so that it rescans its window
+/// instead of folding panes.
+#[derive(Debug, Clone, Copy)]
+enum Holistic {
+    /// `count(distinct k_s)` beside the aggregates.
+    Distinct,
+    /// The registered UDA `mycount(v_f)` beside the aggregates.
+    Uda,
+    /// `v_i > 1` as an extra (computed) grouping key, also selected.
+    ComputedKey,
+    /// `v_f`, neither a key nor aggregated, read off each group's
+    /// representative row.
+    NonKeyColumn,
+    /// `SELECT * … WHERE`: no aggregation.
+    Star,
+    /// A filtered projection with arithmetic: no aggregation.
+    Arithmetic,
+}
+
 /// A generated select: (keys, aggregates, WHERE, HAVING, computed item,
-/// width), each as indices into the tables above.
-type Shape = (Vec<u8>, Vec<u8>, Option<u8>, Option<u8>, Option<u8>, u8);
+/// width) as indices into the tables above, and what makes it holistic
+/// (`None`: mergeable).
+type Shape = (
+    Vec<u8>,
+    Vec<u8>,
+    Option<u8>,
+    Option<u8>,
+    Option<u8>,
+    u8,
+    Option<Holistic>,
+);
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
-    (
+    let base = (
         proptest::collection::vec(0u8..3, 0..3),
         proptest::collection::vec(0u8..AGGS.len() as u8, 1..4),
         proptest::option::of(0u8..WHERES.len() as u8),
         proptest::option::of(0u8..3),
         proptest::option::of(0u8..2),
         0u8..3,
-    )
+    );
+    let holistic = prop_oneof![
+        6 => Just(None),
+        1 => Just(Some(Holistic::Distinct)),
+        1 => Just(Some(Holistic::Uda)),
+        1 => Just(Some(Holistic::ComputedKey)),
+        1 => Just(Some(Holistic::NonKeyColumn)),
+        1 => Just(Some(Holistic::Star)),
+        1 => Just(Some(Holistic::Arithmetic)),
+    ];
+    (base, holistic).prop_map(|((k, a, w, h, c, r), holistic)| (k, a, w, h, c, r, holistic))
 }
 
 /// The SQL of a shape, and per output column whether it may be a
-/// reassociated float.
-fn sql((keys, aggs, filter, having, computed, width): &Shape) -> (String, Vec<bool>) {
+/// reassociated float (a column past the list's end may not).
+fn sql((keys, aggs, filter, having, computed, width, holistic): &Shape) -> (String, Vec<bool>) {
+    let from = format!("FROM s [Range By '{}']", WIDTHS[*width as usize]);
+    let filtered = || format!(" WHERE {}", WHERES[filter.unwrap_or(0) as usize]);
+    let unaggregated = match holistic {
+        Some(Holistic::Star) => Some("*"),
+        Some(Holistic::Arithmetic) => Some("k_s, v_i * 2 + k_i AS x, -v_f / 2 AS h"),
+        _ => None,
+    };
+    if let Some(items) = unaggregated {
+        return (format!("SELECT {items} {from}{}", filtered()), vec![]);
+    }
     let mut keys: Vec<&str> = keys.iter().map(|&k| KEYS[k as usize]).collect();
     keys.dedup();
     keys.sort_unstable();
@@ -156,7 +210,8 @@ fn sql((keys, aggs, filter, having, computed, width): &Shape) -> (String, Vec<bo
     for &a in aggs {
         let (agg, tol) = AGGS[a as usize];
         items.push(agg.to_string());
-        tolerant.push(tol);
+        // A holistic select folds in the reference's order: bit-exact.
+        tolerant.push(tol && holistic.is_none());
     }
     match (computed, keys.first()) {
         // An expression over a key: groups need their representative.
@@ -166,17 +221,24 @@ fn sql((keys, aggs, filter, having, computed, width): &Shape) -> (String, Vec<bo
         (Some(_), _) => items.push("count(*) + 1 AS n1".into()),
         (None, _) => {}
     }
-    tolerant.resize(items.len(), false);
-    let mut sql = format!(
-        "SELECT {} FROM s [Range By '{}']",
-        items.join(", "),
-        WIDTHS[*width as usize]
-    );
-    if let Some(w) = filter {
-        sql += &format!(" WHERE {}", WHERES[*w as usize]);
+    let mut group_by: Vec<&str> = keys.clone();
+    match holistic {
+        Some(Holistic::Distinct) => items.push("count(distinct k_s) AS nd".into()),
+        Some(Holistic::Uda) => items.push("mycount(v_f) AS mc".into()),
+        Some(Holistic::ComputedKey) => {
+            items.push("v_i > 1 AS big".into());
+            group_by.push("v_i > 1");
+        }
+        Some(Holistic::NonKeyColumn) => items.push("v_f".into()),
+        _ => {}
     }
-    if !keys.is_empty() {
-        sql += &format!(" GROUP BY {}", keys.join(", "));
+    tolerant.resize(items.len(), false);
+    let mut sql = format!("SELECT {} {from}", items.join(", "));
+    if filter.is_some() {
+        sql += &filtered();
+    }
+    if !group_by.is_empty() {
+        sql += &format!(" GROUP BY {}", group_by.join(", "));
     }
     match (having, keys.first()) {
         (Some(0), _) => sql += " HAVING count(*) > 1",
@@ -197,10 +259,15 @@ fn exact(v: &Value) -> String {
     }
 }
 
+/// Equal up to reassociation: within 1e-12 of the larger magnitude, and
+/// of 1 for results near zero. Every generated value is O(1), so a mean
+/// that cancels to zero carries the rounding of its O(1) inputs, which no
+/// bound relative to the result alone admits.
 fn close(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Float(x), Value::Float(y)) => {
-            (x.is_nan() && y.is_nan()) || x == y || (x - y).abs() <= 1e-12 * x.abs().max(y.abs())
+            let scale = x.abs().max(y.abs()).max(1.0);
+            (x.is_nan() && y.is_nan()) || x == y || (x - y).abs() <= 1e-12 * scale
         }
         _ => exact(a) == exact(b),
     }
@@ -226,13 +293,14 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
     )
 }
 
-/// Drive both queries; `chunked` feeds the incremental one through
-/// `push_chunk`.
-fn check(shape: &Shape, steps: &[Step], chunked: bool) {
+/// Drive both queries; `chunked` feeds the compiled one through
+/// `push_chunk`, and `one_schema` writes every row in layout A.
+fn check(shape: &Shape, steps: &[Step], chunked: bool, one_schema: bool) {
     let (sql, tolerant) = sql(shape);
-    let engine = Engine::new();
-    let mut panes = engine.compile(&sql).unwrap();
-    assert!(panes.is_pane_incremental(), "{sql}");
+    let mut engine = Engine::new();
+    engine.register_aggregate("mycount", Arc::new(MyCount));
+    let mut compiled = engine.compile(&sql).unwrap();
+    assert_eq!(compiled.is_pane_incremental(), shape.6.is_none(), "{sql}");
     let mut reference = engine.compile(&sql).unwrap();
     reference.set_reference_mode(true);
     assert!(!reference.is_pane_incremental());
@@ -240,23 +308,26 @@ fn check(shape: &Shape, steps: &[Step], chunked: bool) {
     for (k, (gap, rows)) in steps.iter().enumerate() {
         epoch += u64::from(*gap) * 1_000;
         let at = Ts::from_millis(epoch);
-        let batch: Vec<Tuple> = rows.iter().map(|r| row(at, *r)).collect();
+        let batch: Vec<Tuple> = rows
+            .iter()
+            .map(|&(b, s, i, f, vi, vf)| row(at, (b && !one_schema, s, i, f, vi, vf)))
+            .collect();
         reference.push("s", &batch).unwrap();
         if chunked {
             for c in chunk_batch(&batch) {
-                panes.push_chunk("s", c).unwrap();
+                compiled.push_chunk("s", c).unwrap();
             }
         } else {
-            panes.push("s", &batch).unwrap();
+            compiled.push("s", &batch).unwrap();
         }
-        let (got, want) = (panes.tick(at), reference.tick(at));
+        let (got, want) = (compiled.tick(at), reference.tick(at));
         let (got, want) = match (got, want) {
             (Ok(g), Ok(w)) => (g, w),
             (Err(g), Err(w)) => {
                 assert_eq!(kind(&g), kind(&w), "{sql}: step {k}: {g} vs {w}");
                 return;
             }
-            (g, w) => panic!("{sql}: step {k}: incremental {g:?} vs rescan {w:?}"),
+            (g, w) => panic!("{sql}: step {k}: compiled {g:?} vs reference {w:?}"),
         };
         assert_eq!(
             got.len(),
@@ -267,7 +338,7 @@ fn check(shape: &Shape, steps: &[Step], chunked: bool) {
             assert_eq!(g.ts(), w.ts(), "{sql}: step {k}");
             assert_eq!(g.schema().fields(), w.schema().fields(), "{sql}: step {k}");
             for (c, (a, b)) in g.values().iter().zip(w.values()).enumerate() {
-                let same = if tolerant[c] {
+                let same = if tolerant.get(c) == Some(&true) {
                     close(a, b)
                 } else {
                     exact(a) == exact(b)
@@ -294,8 +365,9 @@ proptest! {
         shape in arb_shape(),
         steps in arb_steps(),
         chunked in any::<bool>(),
+        one_schema in any::<bool>(),
     ) {
-        check(&shape, &steps, chunked);
+        check(&shape, &steps, chunked, one_schema);
     }
 }
 

@@ -17,11 +17,11 @@
 //! each a [`Chunk`] whose rows share one schema. A push (row or chunk)
 //! whose schema is structurally equal to the tail segment's joins it; any
 //! other schema starts a new segment, so a window over a schema-uniform
-//! stream is exactly one segment and [`WindowBuffer::chunk_view`] reads it
-//! in place. Concatenated, the segments are in timestamp order, and a row
-//! that lands earlier than the tail (intra-epoch disorder) is inserted at
-//! the same position a sorted row list would give it. Eviction drops whole
-//! segments from the front and drains the first survivor by ts range.
+//! stream is exactly one segment. Concatenated, the segments are in
+//! timestamp order, and a row that lands earlier than the tail
+//! (intra-epoch disorder) is inserted at the same position a sorted row
+//! list would give it. Eviction drops whole segments from the front and
+//! drains the first survivor by ts range.
 //!
 //! Checkpoints encode the contents as a `snap` tuple batch;
 //! [`WindowBuffer::restore_from`] rebuilds the segments from it.
@@ -30,9 +30,7 @@ use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
-use esp_types::{
-    chunk_batch, snap, Chunk, ChunkView, EspError, Result, Schema, TimeDelta, Ts, Tuple, Value,
-};
+use esp_types::{chunk_batch, snap, Chunk, EspError, Result, Schema, TimeDelta, Ts, Tuple, Value};
 
 use crate::state::{Checkpointable, StageState};
 
@@ -54,16 +52,6 @@ fn window_obs() -> &'static WindowObs {
             chunk_pushes: registry.counter("esp_stream_window_chunk_pushes_total", &[]),
         }
     })
-}
-
-/// What an empty window reads as through [`WindowBuffer::chunk_view`]: a
-/// chunk with no rows and no fields.
-fn empty_view() -> Option<ChunkView<'static>> {
-    static EMPTY: OnceLock<Option<Chunk>> = OnceLock::new();
-    EMPTY
-        .get_or_init(|| Schema::new(Vec::new()).ok().map(|s| Chunk::new(&s)))
-        .as_ref()
-        .map(Chunk::view)
 }
 
 fn same_schema(a: &Arc<Schema>, b: &Arc<Schema>) -> bool {
@@ -272,18 +260,6 @@ impl WindowBuffer {
             if n > 0 {
                 front.drain_front(n);
             }
-        }
-    }
-
-    /// A borrowed columnar view of the window contents, oldest first, when
-    /// every row shares one schema (the window has at most one segment).
-    /// `None` for a window whose rows span several schemas; read those
-    /// through [`WindowBuffer::to_vec`] or [`WindowBuffer::segments`].
-    pub fn chunk_view(&self) -> Option<ChunkView<'_>> {
-        match self.segments.len() {
-            0 => empty_view(),
-            1 => self.segments.front().map(Chunk::view),
-            _ => None,
         }
     }
 
@@ -524,7 +500,7 @@ mod tests {
     fn chunk_fed_window_is_columnar_and_row_apis_still_work() {
         let mut w = WindowBuffer::new(TimeDelta::from_secs(5));
         w.push_chunk(&chunk_of(&[(0, 0), (1_000, 1), (2_000, 2)]));
-        assert!(w.chunk_view().is_some());
+        assert_eq!(w.segments().count(), 1);
         assert_eq!(w.len(), 3);
         assert_eq!(values(&w), vec![0, 1, 2]);
         assert_eq!(w.oldest(), Some(Ts::ZERO));
@@ -537,7 +513,7 @@ mod tests {
         let mut w = WindowBuffer::new(TimeDelta::from_secs(5));
         w.push_chunk(&chunk_of(&[(0, 0), (1_000, 1), (5_000, 5), (10_000, 10)]));
         w.advance_to(Ts::from_secs(10));
-        assert!(w.chunk_view().is_some());
+        assert_eq!(w.segments().count(), 1);
         assert_eq!(values(&w), vec![5, 10]);
     }
 
@@ -547,7 +523,7 @@ mod tests {
         w.push_chunk(&chunk_of(&[(0, 0), (2_000, 2)]));
         // Structurally equal schema, out of order: positioned insert.
         w.push(tup(1_000, 1));
-        assert!(w.chunk_view().is_some());
+        assert_eq!(w.segments().count(), 1);
         assert_eq!(values(&w), vec![0, 1, 2]);
     }
 
@@ -808,7 +784,7 @@ mod tests {
                     prop_assert_eq!(w.oldest(), m.rows.first().map(Tuple::ts));
                     prop_assert_eq!(w.newest(), m.rows.last().map(Tuple::ts));
                     prop_assert_eq!(&w.to_vec(), &m.rows);
-                    prop_assert_eq!(w.chunk_view().is_some(), m.schema_runs() <= 1);
+                    prop_assert_eq!(w.segments().count(), m.schema_runs());
                     let mut r = WindowBuffer::new(w.width());
                     r.restore(&w.state().unwrap().unwrap()).unwrap();
                     prop_assert_eq!(&r.to_vec(), &m.rows);

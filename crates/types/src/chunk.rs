@@ -1001,21 +1001,6 @@ impl<'a> ChunkView<'a> {
         self.len == 0
     }
 
-    /// The full backing column at field index `col`, with
-    /// [`ChunkView::offset`] giving this view's starting row within it.
-    /// Together they let hot loops (group folds, aggregate scans) hoist
-    /// the per-row type dispatch of [`ChunkView::value_at`] out of the
-    /// loop and read the packed data in place.
-    pub fn col(&self, col: usize) -> Option<&'a ColumnVec> {
-        self.cols.get(col)
-    }
-
-    /// This view's starting row within its backing columns (row `i` of the
-    /// view is row `offset() + i` of a column from [`ChunkView::col`]).
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-
     /// Timestamp of view row `row`.
     pub fn ts_at(&self, row: usize) -> Option<Ts> {
         if row >= self.len {
