@@ -6,7 +6,8 @@
 //! per-epoch panes. `point_filter` (no aggregate), `query1_count_distinct`
 //! (`DISTINCT` needs the set of values) and `arbitrate_query3` (a
 //! correlated `>= ALL` subquery) are holistic and rescan their window
-//! every tick.
+//! every tick; `arbitrate_query3` also rescans its subquery's window once
+//! per outer group.
 //!
 //! Run with `cargo bench -p esp-bench --bench engine_throughput`; a free
 //! argument filters by case name.

@@ -108,13 +108,17 @@ pub enum BuiltinPartial {
         /// Inputs folded.
         n: u64,
     },
-    /// `avg` / `stdev`.
-    Stats {
-        /// Welford accumulator; panes combine by the Chan et al. update.
-        stats: RunningStats,
-        /// Report the sample standard deviation instead of the mean.
-        stdev: bool,
+    /// `avg`: the sum over the count, so panes that split a group's input
+    /// reach the rescan's mean whenever their float sums are exact.
+    Mean {
+        /// Sum of the inputs as floats.
+        sum: f64,
+        /// Inputs folded.
+        n: u64,
     },
+    /// `stdev`: a Welford accumulator; panes combine by the Chan et al.
+    /// update.
+    Stdev(RunningStats),
     /// `min` / `max`: the first value no later one strictly beats.
     Extreme {
         /// The best value so far (`NULL` before the first input).
@@ -135,10 +139,8 @@ impl BuiltinPartial {
                 saw_float: false,
                 n: 0,
             },
-            PartialKind::Avg | PartialKind::Stdev => BuiltinPartial::Stats {
-                stats: RunningStats::new(),
-                stdev: kind == PartialKind::Stdev,
-            },
+            PartialKind::Avg => BuiltinPartial::Mean { sum: 0.0, n: 0 },
+            PartialKind::Stdev => BuiltinPartial::Stdev(RunningStats::new()),
             PartialKind::Min | PartialKind::Max => BuiltinPartial::Extreme {
                 best: Value::Null,
                 is_max: kind == PartialKind::Max,
@@ -173,9 +175,11 @@ impl BuiltinPartial {
                 *saw_float |= s;
                 *n += m;
             }
-            (BuiltinPartial::Stats { stats, .. }, BuiltinPartial::Stats { stats: s, .. }) => {
-                stats.merge(s)
+            (BuiltinPartial::Mean { sum, n }, BuiltinPartial::Mean { sum: s, n: m }) => {
+                *sum += s;
+                *n += m;
             }
+            (BuiltinPartial::Stdev(stats), BuiltinPartial::Stdev(s)) => stats.merge(s),
             (this @ BuiltinPartial::Extreme { .. }, BuiltinPartial::Extreme { best, .. }) => {
                 if !best.is_null() {
                     this.update(best)?;
@@ -218,7 +222,11 @@ impl AggregateState for BuiltinPartial {
                 }
                 *n += 1;
             }
-            BuiltinPartial::Stats { stats, .. } => stats.push(v.expect_f64("avg()/stdev()")?),
+            BuiltinPartial::Mean { sum, n } => {
+                *sum += v.expect_f64("avg()")?;
+                *n += 1;
+            }
+            BuiltinPartial::Stdev(stats) => stats.push(v.expect_f64("stdev()")?),
             BuiltinPartial::Extreme { best, is_max } => {
                 if best.is_null() {
                     *best = v.clone();
@@ -254,17 +262,20 @@ impl AggregateState for BuiltinPartial {
                     Value::Int(*int_sum)
                 }
             }
+            BuiltinPartial::Mean { sum, n } => {
+                if *n == 0 {
+                    Value::Null
+                } else {
+                    Value::Float(sum / *n as f64)
+                }
+            }
             // A single observation has no sample deviation; report 0 so the
             // outlier band collapses to the point itself rather than NULL
             // (which would silently drop every reading in Query 5).
-            BuiltinPartial::Stats { stats, stdev } => {
-                let r = if *stdev {
-                    stats.stdev().or(stats.mean().map(|_| 0.0))
-                } else {
-                    stats.mean()
-                };
-                r.map(Value::Float).unwrap_or(Value::Null)
-            }
+            BuiltinPartial::Stdev(stats) => stats
+                .stdev()
+                .or(stats.mean().map(|_| 0.0))
+                .map_or(Value::Null, Value::Float),
             BuiltinPartial::Extreme { best, .. } => best.clone(),
         }
     }
@@ -397,6 +408,32 @@ mod tests {
         match run(&StdevFactory, &vals) {
             Value::Float(s) => assert!((s - (32.0f64 / 7.0).sqrt()).abs() < 1e-9),
             other => panic!("unexpected {other}"),
+        }
+    }
+
+    #[test]
+    fn avg_merged_at_any_split_is_the_folded_mean() {
+        // The sum is exact, and cancels to zero, in any order.
+        let vals = [
+            Value::Int(-3),
+            Value::Float(0.75),
+            Value::Int(5),
+            Value::Float(-2.75),
+            Value::Int(0),
+        ];
+        let folded = run(&AvgFactory, &vals);
+        assert_eq!(folded, Value::Float(0.0));
+        for cut in 0..=vals.len() {
+            let mut older = BuiltinPartial::new(PartialKind::Avg);
+            let mut newer = BuiltinPartial::new(PartialKind::Avg);
+            for v in &vals[..cut] {
+                older.update(v).unwrap();
+            }
+            for v in &vals[cut..] {
+                newer.update(v).unwrap();
+            }
+            older.merge(&newer).unwrap();
+            assert_eq!(older.finish(), folded, "split at {cut}");
         }
     }
 

@@ -12,10 +12,12 @@
 //!
 //! # Execution strategy
 //!
-//! There is one rescan. Each tick it reads every FROM item as a slice of
-//! tuples: a window's rows are materialized from its column segments once
-//! ([`esp_stream::WindowBuffer::to_vec`]), a derived table's output is
-//! materialized, and a static relation is borrowed. Join + WHERE (hash
+//! There is one rescan. Each evaluation of a select reads every FROM item
+//! as a slice of tuples: a window's rows are materialized from its column
+//! segments ([`esp_stream::WindowBuffer::to_vec`]), a derived table's
+//! output is materialized, and a static relation is borrowed. A root
+//! select is evaluated once per tick; a correlated subquery once per outer
+//! group, so its window is materialized once per outer group. Join + WHERE (hash
 //! join or odometer scan) yields the surviving combinations; grouping,
 //! aggregate folds, `HAVING` and projection then run over them in row
 //! order. Reference mode runs this same path with every slot stripped.

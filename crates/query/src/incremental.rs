@@ -79,9 +79,13 @@ impl Partial for Partials {
                     snap::put_u8(out, u8::from(*saw_float));
                     snap::put_u64(out, *n);
                 }
-                BuiltinPartial::Stats { stats, stdev } => {
+                BuiltinPartial::Mean { sum, n } => {
+                    snap::put_u8(out, 4);
+                    snap::put_f64(out, *sum);
+                    snap::put_u64(out, *n);
+                }
+                BuiltinPartial::Stdev(stats) => {
                     snap::put_u8(out, 2);
-                    snap::put_u8(out, u8::from(*stdev));
                     stats.encode_into(out);
                 }
                 BuiltinPartial::Extreme { best, is_max } => {
@@ -105,10 +109,7 @@ impl Partial for Partials {
                     saw_float: cur.u8()? != 0,
                     n: cur.u64()?,
                 },
-                2 => BuiltinPartial::Stats {
-                    stdev: cur.u8()? != 0,
-                    stats: RunningStats::decode(cur)?,
-                },
+                2 => BuiltinPartial::Stdev(RunningStats::decode(cur)?),
                 3 => {
                     let is_max = cur.u8()? != 0;
                     let [best] =
@@ -117,6 +118,10 @@ impl Partial for Partials {
                         })?;
                     BuiltinPartial::Extreme { best, is_max }
                 }
+                4 => BuiltinPartial::Mean {
+                    sum: cur.f64()?,
+                    n: cur.u64()?,
+                },
                 tag => {
                     return Err(EspError::Snapshot(format!(
                         "unknown aggregate partial tag {tag}"

@@ -11,11 +11,10 @@
 //! NULL, NaN and `-0.0`; gapped, repeated and empty ticks — both must emit
 //! the same rows in the same order: key values bit for bit, counts, minima,
 //! maxima and integer sums exactly. A mergeable select's float sums, means
-//! and deviations may reassociate across panes and match within 1e-12 of
-//! their magnitude (of 1 near zero); a holistic select folds in the
-//! reference's order and matches bit for bit. Where the reference fails,
-//! the compiled select must fail at the same tick with the same kind of
-//! error.
+//! and deviations may reassociate across panes and match within 1e-12
+//! relative; a holistic select folds in the reference's order and matches
+//! bit for bit. Where the reference fails, the compiled select must fail at
+//! the same tick with the same kind of error.
 //!
 //! `PROPTEST_CASES` sets the number of generated cases (default 256).
 
@@ -259,15 +258,10 @@ fn exact(v: &Value) -> String {
     }
 }
 
-/// Equal up to reassociation: within 1e-12 of the larger magnitude, and
-/// of 1 for results near zero. Every generated value is O(1), so a mean
-/// that cancels to zero carries the rounding of its O(1) inputs, which no
-/// bound relative to the result alone admits.
 fn close(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Float(x), Value::Float(y)) => {
-            let scale = x.abs().max(y.abs()).max(1.0);
-            (x.is_nan() && y.is_nan()) || x == y || (x - y).abs() <= 1e-12 * scale
+            (x.is_nan() && y.is_nan()) || x == y || (x - y).abs() <= 1e-12 * x.abs().max(y.abs())
         }
         _ => exact(a) == exact(b),
     }
