@@ -11,13 +11,17 @@
 //!
 //! ## Why recovery never takes the WAL lock
 //!
-//! Writers hold the WAL mutex across *append + enqueue*, so per-shard
-//! queue order equals WAL order exactly. A recovering worker, however,
-//! reads the log **lock-free**: whatever durable prefix it observes ends
-//! at some sequence number `S`, and the skip rule (drop queued messages
-//! with `seq <= S`) makes any such prefix consistent — records it did not
-//! see are still in its queue. Taking the lock instead could deadlock: a
-//! reader blocked on this worker's full queue would be holding it.
+//! Writers hold the WAL mutex across *append + enqueue* — a reader for a
+//! whole hand-off batch (group commit), the coordinator for one flush
+//! marker — so per-shard queue order equals WAL order exactly. A
+//! recovering worker, however, reads the log **lock-free**: whatever
+//! durable prefix it observes ends at some sequence number `S`, and the
+//! skip rule (drop queued readings and flushes with `seq <= S`) makes any
+//! such prefix consistent — records it did not see are still in its
+//! queue. `S` may fall inside a batch; every reading carries its own
+//! sequence number, so such a batch is trimmed, not dropped. Taking the
+//! lock instead could deadlock: a reader blocked on this worker's full
+//! queue would be holding it.
 //!
 //! The lock-free read can also race another shard's checkpoint reclaiming
 //! old segments; `read_wal_dir` handles that by retrying its directory

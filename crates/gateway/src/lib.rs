@@ -27,16 +27,21 @@
 //! The gateway tracks a per-connection watermark (`max ts seen − lateness`;
 //! closed connections report `∞`) and a coordinator flushes epoch `e` to
 //! every shard once the *global* watermark (minimum over connections)
-//! passes `e` — see [`watermark`]. Because a reader enqueues a reading into
-//! the shard queues before advancing its watermark, a flush message can
-//! never overtake the readings it covers.
+//! passes `e` — see [`watermark`]. A reader hands its readings to the
+//! shard queues in batches — one message per shard when its socket buffer
+//! runs dry, when the batch reaches its cap, before answering a `STATS`
+//! scrape, and at EOF or a frame error — and advances its watermark only
+//! after the hand-off, so a flush message can never overtake the readings
+//! it covers.
 //!
 //! ## Backpressure
 //!
-//! Shard queues are bounded crossbeam channels (64 slots by default,
-//! [`GatewayConfig::edge_capacity`]). When a worker falls behind, reader
-//! threads block on the full queue, TCP flow control propagates to the
-//! sender, and the stall is recorded in a shared
+//! Shard queues are bounded crossbeam channels of two slots; each slot
+//! holds one batch of at most half of [`GatewayConfig::edge_capacity`]
+//! readings (256 by default), so a queue never holds more than
+//! `edge_capacity` readings. When a worker falls behind, reader threads
+//! block on the full queue, TCP flow control propagates to the sender,
+//! and the stall is recorded, per reading, in a shared
 //! [`esp_stream::QueueStats`].
 //!
 //! ## Execution

@@ -2,13 +2,14 @@
 //!
 //! [`GatewayModel`] is a finite abstraction of the reader/coordinator/
 //! worker handshake in [`watermark`](crate::watermark) and the server's
-//! `coordinate` loop: each connection enqueues readings into a FIFO
-//! shard queue and *then* advances its monotone clock (`fetch_max` of
-//! `ts − lateness`); the coordinator polls the global minimum and
-//! enqueues epoch flushes behind the readings they certify; the worker
-//! drains the queue in order. [`GatewayModel::check`] explores every
-//! interleaving of those steps and reports violations as `E0703`
-//! diagnostics:
+//! `coordinate` loop: each connection hands its readings off to a FIFO
+//! shard queue a batch at a time (one step moves up to
+//! [`GatewayModel::with_batch`] readings) and *then* advances its monotone
+//! clock to the batch's largest `ts − lateness` (`fetch_max`, a second
+//! step); the coordinator polls the global minimum and enqueues epoch
+//! flushes behind the readings they certify; the worker drains the queue
+//! in order. [`GatewayModel::check`] explores every interleaving of those
+//! steps and reports violations as `E0703` diagnostics:
 //!
 //! * **watermark regression** — the coordinator observes the global
 //!   watermark decrease, breaking the "monotone by construction"
@@ -17,9 +18,9 @@
 //!   below an epoch bound that was already flushed: data certified as
 //!   complete arrived after its epoch was sealed.
 //!
-//! Two deliberately broken variants ([`GatewayMutant`]) re-introduce
+//! Three deliberately broken variants ([`GatewayMutant`]) re-introduce
 //! the bugs the shipped ordering rules prevent; the test suite asserts
-//! the checker catches both.
+//! the checker catches each.
 
 use std::collections::VecDeque;
 
@@ -52,9 +53,14 @@ pub enum GatewayMutant {
     /// so an in-contract late reading can drag the clock backwards.
     StoreNotMax,
     /// The reader closes its clock (promising "nothing further") before
-    /// its final reading is enqueued — the flush that close releases
-    /// can overtake the reading in the shard queue.
+    /// its final batch is enqueued — the flush that close releases can
+    /// overtake the batch in the shard queue.
     CloseBeforeLastEnqueue,
+    /// The reader publishes a batch's watermark before handing the batch
+    /// off. One reading never certifies past itself (`ts − lateness <=
+    /// ts`), but a batch's maximum certifies past its earlier readings,
+    /// so with batches of two or more a flush can overtake them.
+    AdvanceBeforeHandOff,
 }
 
 /// One modeled connection: the readings it will send (wire order) and
@@ -73,19 +79,22 @@ pub struct ConnScript {
 pub struct GatewayModel {
     conns: Vec<ConnScript>,
     epoch_ms: u64,
+    batch: usize,
     mutant: Option<GatewayMutant>,
 }
 
-/// Where one connection's reader thread is in its script.
+/// Where one connection's reader thread is in its script. A batch is
+/// named by the index of its first reading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ConnPhase {
-    /// About to enqueue reading `i`.
+    /// About to hand off batch `i`.
     Enqueue(usize),
-    /// Reading `i` enqueued; about to advance the clock for it.
+    /// Batch `i` enqueued; about to advance the clock to its maximum.
     Advance(usize),
     /// Script exhausted; about to close the clock.
     Close,
-    /// Mutant order: clock closed, final reading still to enqueue.
+    /// Mutant order: the clock already moved (closed, or advanced to the
+    /// batch's maximum), batch `i` still to enqueue.
     LateEnqueue(usize),
     Done,
 }
@@ -138,12 +147,22 @@ impl GatewayModel {
         GatewayModel {
             conns,
             epoch_ms,
+            batch: 1,
             mutant: None,
         }
     }
 
+    /// Hand readings off `batch` at a time (the last batch of a script
+    /// may be shorter). The default is one reading per hand-off.
+    pub fn with_batch(mut self, batch: usize) -> GatewayModel {
+        assert!(batch > 0);
+        self.batch = batch;
+        self
+    }
+
     /// The default acceptance configuration: one in-contract
-    /// out-of-order connection and one short straggler.
+    /// out-of-order connection and one in-order straggler whose readings
+    /// straddle the first epoch boundary.
     pub fn acceptance() -> GatewayModel {
         GatewayModel::new(
             vec![
@@ -152,7 +171,7 @@ impl GatewayModel {
                     lateness: 5,
                 },
                 ConnScript {
-                    readings: vec![3],
+                    readings: vec![3, 8],
                     lateness: 0,
                 },
             ],
@@ -201,8 +220,39 @@ impl GatewayModel {
         }
     }
 
-    fn advanced(&self, current: u64, conn: usize, ts: u64) -> u64 {
-        let target = ts.saturating_sub(self.conns[conn].lateness);
+    /// End (exclusive) of connection `conn`'s batch starting at reading
+    /// `k`.
+    fn batch_end(&self, conn: usize, k: usize) -> usize {
+        (k + self.batch).min(self.conns[conn].readings.len())
+    }
+
+    /// Enqueue connection `conn`'s batch starting at `k`.
+    fn enqueue(&self, s: &mut GatewayState, conn: usize, k: usize) {
+        for &ts in &self.conns[conn].readings[k..self.batch_end(conn, k)] {
+            s.queue.push_back(QMsg::Reading(ts));
+            s.max_enqueued = s.max_enqueued.max(ts);
+        }
+    }
+
+    /// The phase after connection `conn`'s batch starting at `k` is done.
+    fn after_batch(&self, conn: usize, k: usize) -> ConnPhase {
+        let end = self.batch_end(conn, k);
+        if end < self.conns[conn].readings.len() {
+            ConnPhase::Enqueue(end)
+        } else {
+            ConnPhase::Close
+        }
+    }
+
+    /// The clock after advancing past connection `conn`'s batch starting
+    /// at `k`: its largest `ts − lateness`.
+    fn advanced(&self, current: u64, conn: usize, k: usize) -> u64 {
+        let script = &self.conns[conn];
+        let target = script.readings[k..self.batch_end(conn, k)]
+            .iter()
+            .map(|ts| ts.saturating_sub(script.lateness))
+            .max()
+            .unwrap_or(0);
         match self.mutant {
             // The bug: a plain store forgets the monotone maximum.
             Some(GatewayMutant::StoreNotMax) => target,
@@ -256,46 +306,46 @@ impl Model for GatewayModel {
     fn next_state(&self, s: &GatewayState, action: GatewayAction) -> Option<GatewayState> {
         let mut s = s.clone();
         match action {
-            GatewayAction::Conn(i) => {
-                let script = &self.conns[i];
-                match s.phase[i] {
-                    ConnPhase::Enqueue(k) => {
-                        let last = k + 1 == script.readings.len();
-                        if last && self.mutant == Some(GatewayMutant::CloseBeforeLastEnqueue) {
+            GatewayAction::Conn(i) => match s.phase[i] {
+                ConnPhase::Enqueue(k) => {
+                    let last = self.batch_end(i, k) == self.conns[i].readings.len();
+                    match self.mutant {
+                        Some(GatewayMutant::CloseBeforeLastEnqueue) if last => {
                             // The bug: promise "nothing further" while a
-                            // reading is still buffered in the reader.
+                            // batch is still pending in the reader.
                             s.clock[i] = u64::MAX;
                             s.phase[i] = ConnPhase::LateEnqueue(k);
-                        } else {
-                            let ts = script.readings[k];
-                            s.queue.push_back(QMsg::Reading(ts));
-                            s.max_enqueued = s.max_enqueued.max(ts);
+                        }
+                        Some(GatewayMutant::AdvanceBeforeHandOff) => {
+                            // The bug: publish the batch's watermark
+                            // while the batch is still pending.
+                            s.clock[i] = self.advanced(s.clock[i], i, k);
+                            s.phase[i] = ConnPhase::LateEnqueue(k);
+                        }
+                        _ => {
+                            self.enqueue(&mut s, i, k);
                             s.phase[i] = ConnPhase::Advance(k);
                         }
                     }
-                    ConnPhase::Advance(k) => {
-                        // Advance AFTER enqueuing (the shipped ordering).
-                        let ts = script.readings[k];
-                        s.clock[i] = self.advanced(s.clock[i], i, ts);
-                        s.phase[i] = if k + 1 < script.readings.len() {
-                            ConnPhase::Enqueue(k + 1)
-                        } else {
-                            ConnPhase::Close
-                        };
-                    }
-                    ConnPhase::Close => {
-                        s.clock[i] = u64::MAX;
-                        s.phase[i] = ConnPhase::Done;
-                    }
-                    ConnPhase::LateEnqueue(k) => {
-                        let ts = script.readings[k];
-                        s.queue.push_back(QMsg::Reading(ts));
-                        s.max_enqueued = s.max_enqueued.max(ts);
-                        s.phase[i] = ConnPhase::Done;
-                    }
-                    ConnPhase::Done => return None,
                 }
-            }
+                ConnPhase::Advance(k) => {
+                    // Advance AFTER enqueuing (the shipped ordering).
+                    s.clock[i] = self.advanced(s.clock[i], i, k);
+                    s.phase[i] = self.after_batch(i, k);
+                }
+                ConnPhase::Close => {
+                    s.clock[i] = u64::MAX;
+                    s.phase[i] = ConnPhase::Done;
+                }
+                ConnPhase::LateEnqueue(k) => {
+                    self.enqueue(&mut s, i, k);
+                    s.phase[i] = match self.mutant {
+                        Some(GatewayMutant::CloseBeforeLastEnqueue) => ConnPhase::Done,
+                        _ => self.after_batch(i, k),
+                    };
+                }
+                ConnPhase::Done => return None,
+            },
             GatewayAction::CoordinatorPoll => {
                 let global = s.clock.iter().copied().min().unwrap_or(u64::MAX);
                 if global < s.last_global {
@@ -350,6 +400,69 @@ mod tests {
         let report = GatewayModel::acceptance().check();
         assert!(report.passed(), "{:#?}", report.diagnostics);
         assert!(report.states_explored > 50, "{}", report.states_explored);
+    }
+
+    #[test]
+    fn shipped_protocol_passes_with_batched_hand_off() {
+        for batch in [1, 2] {
+            let report = GatewayModel::acceptance().with_batch(batch).check();
+            assert!(report.passed(), "batch {batch}: {:#?}", report.diagnostics);
+        }
+    }
+
+    fn overtakes(report: &ModelReport) -> bool {
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == "E0703" && d.message.contains("overtook"))
+    }
+
+    #[test]
+    fn advance_before_hand_off_lets_a_flush_overtake_a_batch() {
+        let report = GatewayModel::acceptance()
+            .with_batch(2)
+            .with_mutant(GatewayMutant::AdvanceBeforeHandOff)
+            .check();
+        assert!(
+            overtakes(&report),
+            "expected a flush-overtake violation, got {:#?}",
+            report.diagnostics
+        );
+        // One reading never certifies past itself, so the same wrong
+        // order is harmless without batching: the mutant needs batches.
+        let report = GatewayModel::acceptance()
+            .with_mutant(GatewayMutant::AdvanceBeforeHandOff)
+            .check();
+        assert!(report.passed(), "{:#?}", report.diagnostics);
+    }
+
+    #[test]
+    fn older_mutants_are_still_caught_with_batched_hand_off() {
+        let report = GatewayModel::acceptance()
+            .with_batch(2)
+            .with_mutant(GatewayMutant::CloseBeforeLastEnqueue)
+            .check();
+        assert!(overtakes(&report), "{:#?}", report.diagnostics);
+        // A batch publishes its maximum once, so the plain store needs a
+        // later batch whose maximum is lower (in contract: 6 >= 10 - 5).
+        let report = GatewayModel::new(
+            vec![ConnScript {
+                readings: vec![10, 5, 6],
+                lateness: 5,
+            }],
+            5,
+        )
+        .with_batch(2)
+        .with_mutant(GatewayMutant::StoreNotMax)
+        .check();
+        assert!(
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.code == "E0703" && d.message.contains("regressed")),
+            "{:#?}",
+            report.diagnostics
+        );
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! ```text
 //! accept thread ──spawns──> reader thread per connection
 //!                              │ decode frames, drop corrupt,
-//!                              │ route by granule hash
+//!                              │ route by granule hash into per-shard
+//!                              │ batches, hand off one batch per shard
 //!                              ▼
 //!                    bounded shard queues  <── Flush(e) ── coordinator
 //!                              │                            (watermark)
@@ -27,16 +28,16 @@ use crossbeam::channel::{bounded, Sender, TrySendError};
 use parking_lot::Mutex;
 
 use esp_core::{Pipeline, Scope};
-use esp_durability::{DurabilityConfig, SnapshotMeta, SnapshotStore, WalWriter};
+use esp_durability::{DurabilityConfig, PreparedRecord, SnapshotMeta, SnapshotStore, WalWriter};
 use esp_receptors::framing::{FrameReader, FrameWriter, MAX_FRAME_LEN};
-use esp_receptors::wire;
+use esp_receptors::wire::{self, Reading};
 use esp_stream::QueueStats;
 use esp_types::{Batch, Diagnostic, EspError, ReceptorId, ReceptorType, Result, TimeDelta, Ts};
 
 use crate::durability::DurabilityHooks;
 use crate::shard::{shard_of_granule, ShardRouter};
 use crate::stats::{GatewaySnapshot, GatewayStats};
-use crate::watermark::WatermarkClock;
+use crate::watermark::{ConnClock, WatermarkClock};
 use crate::worker::{spawn_worker, ShardMsg};
 
 /// Handshake magic: `"ESPG"` big-endian.
@@ -60,9 +61,23 @@ pub(crate) const STATS_FINAL: u8 = 0x01;
 /// stay under [`MAX_FRAME_LEN`]; headroom kept for round numbers).
 const STATS_CHUNK: usize = MAX_FRAME_LEN - 4096;
 
-/// Default capacity of each bounded shard queue
+/// Default capacity of each bounded shard queue, in readings
 /// ([`GatewayConfig::edge_capacity`]).
-const DEFAULT_QUEUE_CAPACITY: usize = 64;
+const DEFAULT_QUEUE_CAPACITY: usize = 256;
+
+/// Slots in a shard channel holding `edge_capacity` readings: two, so a
+/// reader can fill one batch while the worker drains the other (one when
+/// the capacity is a single reading).
+fn queue_slots(edge_capacity: usize) -> usize {
+    edge_capacity.min(2)
+}
+
+/// Most readings one hand-off batch may carry: the capacity split evenly
+/// over the slots, so a full queue never holds more than `edge_capacity`
+/// readings however the reader batches.
+fn batch_cap(edge_capacity: usize) -> usize {
+    edge_capacity / queue_slots(edge_capacity)
+}
 
 /// One proximity group as the gateway needs it: type, granule, members.
 /// (Mirrors `esp_receptors::GroupSpec` plus the receptor type that
@@ -84,8 +99,10 @@ pub struct GatewayConfig {
     pub addr: String,
     /// Number of worker pipelines to shard granules across.
     pub n_shards: usize,
-    /// Capacity of each bounded shard queue (default 64); a full queue
-    /// blocks the reader and lets TCP flow control push back on the
+    /// Readings each bounded shard queue may hold (default 256). Readers
+    /// hand readings off in batches of at most half this (the queue has
+    /// two slots, so one batch can fill while the other drains); a full
+    /// queue blocks the reader and lets TCP flow control push back on the
     /// sender.
     pub edge_capacity: usize,
     /// First epoch boundary.
@@ -111,8 +128,8 @@ pub struct GatewayConfig {
 }
 
 impl GatewayConfig {
-    /// Config with defaults: ephemeral localhost port, 4 shards, 64-slot
-    /// shard queues, 200 ms epochs, no connection-count gating.
+    /// Config with defaults: ephemeral localhost port, 4 shards, shard
+    /// queues of 256 readings, 200 ms epochs, no connection-count gating.
     pub fn new(groups: Vec<GatewayGroup>) -> GatewayConfig {
         GatewayConfig {
             addr: "127.0.0.1:0".into(),
@@ -353,7 +370,7 @@ impl Gateway {
         let mut workers = Vec::with_capacity(config.n_shards);
         let mut traces: Vec<Arc<Mutex<EpochTrace>>> = Vec::with_capacity(config.n_shards);
         for (shard, crash_countdown) in crash_countdowns.iter().enumerate() {
-            let (tx, rx) = bounded(config.edge_capacity);
+            let (tx, rx) = bounded(queue_slots(config.edge_capacity));
             txs.push(tx);
             let trace: Arc<Mutex<EpochTrace>> = Arc::new(Mutex::new(Vec::new()));
             traces.push(Arc::clone(&trace));
@@ -403,7 +420,7 @@ impl Gateway {
                                             }
                                         }
                                     }
-                                    Ok(ShardMsg::Reading { .. }) => {}
+                                    Ok(ShardMsg::Readings(_)) => {}
                                     Ok(ShardMsg::Shutdown) | Err(_) => break,
                                 }
                             }
@@ -515,6 +532,7 @@ impl Gateway {
         let stop_accept = Arc::new(AtomicBool::new(false));
         let reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let max_lateness = config.max_lateness;
+        let batch_cap = batch_cap(config.edge_capacity);
         let accept_handle = {
             let stop = Arc::clone(&stop_accept);
             let handles = Arc::clone(&reader_handles);
@@ -542,6 +560,7 @@ impl Gateway {
                                         serve_connection(
                                             stream,
                                             max_lateness,
+                                            batch_cap,
                                             &router,
                                             &txs,
                                             &clock,
@@ -850,6 +869,7 @@ fn broadcast_flush(
 fn serve_connection(
     mut stream: TcpStream,
     max_lateness: Option<TimeDelta>,
+    batch_cap: usize,
     router: &ShardRouter,
     txs: &[Sender<ShardMsg>],
     clock: &WatermarkClock,
@@ -866,16 +886,26 @@ fn serve_connection(
     };
     stats.note_connection();
     let conn = clock.register();
-    if let Err(_e) = read_frames(
-        stream,
-        lateness_ms,
-        router,
+    let mut handoff = HandOff {
         txs,
-        &conn,
         wal,
+        conn: &conn,
         stats,
         queue_stats,
-    ) {
+        lateness_ms,
+        cap: batch_cap,
+        batches: (0..txs.len()).map(|_| Vec::new()).collect(),
+        records: Vec::new(),
+        n_records: 0,
+        readings: 0,
+        entries: 0,
+        max_ts_ms: 0,
+    };
+    // Whatever ended the stream, hand off what was already decoded: the
+    // readings before a bad frame are as good as the ones before EOF.
+    let read = read_frames(stream, router, &mut handoff);
+    let handed_off = handoff.flush();
+    if read.and(handed_off).is_err() {
         stats.note_io_error();
     }
     // Whatever happened, release the watermark so one dead connection
@@ -916,17 +946,13 @@ fn handshake(stream: &mut TcpStream, max_lateness: Option<TimeDelta>) -> std::io
     Ok(lateness_ms)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn read_frames(
-    stream: TcpStream,
-    lateness_ms: u64,
-    router: &ShardRouter,
-    txs: &[Sender<ShardMsg>],
-    conn: &crate::watermark::ConnClock,
-    wal: Option<&Mutex<WalWriter>>,
-    stats: &GatewayStats,
-    queue_stats: &QueueStats,
-) -> Result<()> {
+/// Read, decode and route frames until EOF, handing readings off through
+/// `handoff`. A batch is handed off when it reaches the cap, when the
+/// next frame is not yet buffered (the next read may block, and held
+/// readings would hold back this connection's watermark), and before a
+/// `STATS` scrape is answered.
+fn read_frames(stream: TcpStream, router: &ShardRouter, handoff: &mut HandOff<'_>) -> Result<()> {
+    let stats = handoff.stats;
     // Write half for `STATS` scrape responses — the only server→client
     // traffic after the handshake ack, so an ingest-only client that
     // never scrapes sees the exact pre-existing protocol.
@@ -935,16 +961,22 @@ fn read_frames(
         .map_err(|e| EspError::Wire(format!("clone stream for stats responses: {e}")))?;
     let mut responder = FrameWriter::new(BufWriter::with_capacity(64 * 1024, responder));
     let mut reader = FrameReader::new(BufReader::with_capacity(64 * 1024, stream));
-    // Scratch WAL record, encoded + checksummed before taking the lock.
-    let mut prepared = esp_durability::PreparedRecord::new();
-    while let Some(frame) = reader
-        .read_frame()
-        .map_err(|e| EspError::Wire(format!("frame read: {e}")))?
-    {
+    loop {
+        if !reader.frame_buffered() {
+            handoff.flush()?;
+        }
+        let Some(frame) = reader
+            .read_frame()
+            .map_err(|e| EspError::Wire(format!("frame read: {e}")))?
+        else {
+            return Ok(());
+        };
         if frame.as_ref() == STATS_TEXT_REQUEST || frame.as_ref() == STATS_JSON_REQUEST {
             // Scrape request: counted on its own (never as a data frame,
             // so frame-conservation invariants are scrape-invariant) and
-            // answered inline on this connection.
+            // answered inline on this connection, after everything sent
+            // before it has been handed off and counted.
+            handoff.flush()?;
             stats.note_stats_request();
             let body = if frame.as_ref() == STATS_JSON_REQUEST {
                 stats.render_json()
@@ -966,48 +998,134 @@ fn read_frames(
             stats.note_unroutable();
             continue;
         };
-        let ts_ms = reading.ts().as_millis();
-        match wal {
+        handoff.push(&frame, reading, dests)?;
+    }
+}
+
+/// One connection's decoded readings awaiting hand-off: a batch per
+/// shard, in wire order.
+///
+/// [`HandOff::flush`] is the only place readings leave the reader, and it
+/// keeps the ordering contract at batch granularity: every batch is
+/// enqueued before the connection's watermark advances to the batch's
+/// largest `ts − lateness`, so a flush certified by that watermark queues
+/// behind every reading it covers. With durability on, the batch's frames
+/// are appended to the WAL and the batches enqueued in one critical
+/// section (group commit), so each shard's queue order is its log order.
+struct HandOff<'a> {
+    txs: &'a [Sender<ShardMsg>],
+    wal: Option<&'a Mutex<WalWriter>>,
+    conn: &'a ConnClock,
+    stats: &'a GatewayStats,
+    queue_stats: &'a QueueStats,
+    lateness_ms: u64,
+    /// Hand off once the batches hold this many readings in total, so
+    /// no single batch exceeds it.
+    cap: usize,
+    /// Per shard: `(seq, reading)`. Until the WAL commit, `seq` is the
+    /// reading's index into `records`.
+    batches: Vec<Vec<(u64, Reading)>>,
+    /// WAL records of the pending readings, encoded outside the lock
+    /// (durable only). A reused pool: the first `n_records` are live.
+    records: Vec<PreparedRecord>,
+    n_records: usize,
+    /// Pending readings, each counted once however many shards it goes to.
+    readings: u64,
+    /// Pending entries across every shard's batch.
+    entries: usize,
+    /// Largest timestamp this connection has decoded; everything up to
+    /// it is handed off whenever nothing is pending.
+    max_ts_ms: u64,
+}
+
+impl HandOff<'_> {
+    /// Add a decoded reading bound for `dests`, handing off when the
+    /// batches reach the cap.
+    fn push(&mut self, frame: &[u8], reading: Reading, dests: &[usize]) -> Result<()> {
+        let ts = reading.ts();
+        let seq = if self.wal.is_some() {
+            if self.n_records == self.records.len() {
+                self.records.push(PreparedRecord::new());
+            }
+            self.records[self.n_records].encode(frame, ts);
+            self.n_records += 1;
+            (self.n_records - 1) as u64
+        } else {
+            0
+        };
+        if let Some((&last, rest)) = dests.split_last() {
+            for &shard in rest {
+                self.batches[shard].push((seq, reading.clone()));
+            }
+            self.batches[last].push((seq, reading));
+        }
+        self.readings += 1;
+        self.entries += dests.len();
+        self.max_ts_ms = self.max_ts_ms.max(ts.as_millis());
+        if self.entries >= self.cap {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Hand every pending batch off to its shard, then advance the
+    /// connection's watermark past them. A no-op with nothing pending.
+    /// Pending state is taken up front, so a failed hand-off is never
+    /// retried (nor logged twice) by a later flush.
+    fn flush(&mut self) -> Result<()> {
+        if self.readings == 0 {
+            return Ok(());
+        }
+        let fresh = (0..self.batches.len()).map(|_| Vec::new()).collect();
+        let mut batches = std::mem::replace(&mut self.batches, fresh);
+        let readings = std::mem::take(&mut self.readings);
+        let n_records = std::mem::take(&mut self.n_records);
+        self.entries = 0;
+        match self.wal {
             Some(w) => {
                 // Hold the WAL lock across append + enqueue so per-shard
                 // queue order equals WAL order. Blocking on a full queue
                 // while holding the lock is deliberate — recovery never
                 // takes this lock (see `crate::durability`), so it cannot
                 // deadlock against a recovering worker.
-                prepared.encode(&frame, reading.ts());
                 let mut w = w.lock();
-                let seq = w.append_prepared(&prepared)?;
-                stats.note_wal_record();
-                for &shard in dests {
-                    send_counted(
-                        &txs[shard],
-                        ShardMsg::Reading {
-                            seq,
-                            reading: reading.clone(),
-                        },
-                        queue_stats,
-                    )?;
+                let mut seqs = Vec::with_capacity(n_records);
+                for rec in &self.records[..n_records] {
+                    seqs.push(w.append_prepared(rec)?);
+                    self.stats.note_wal_record();
                 }
-            }
-            None => {
-                for &shard in dests {
-                    send_counted(
-                        &txs[shard],
-                        ShardMsg::Reading {
-                            seq: 0,
-                            reading: reading.clone(),
-                        },
-                        queue_stats,
-                    )?;
+                for entry in batches.iter_mut().flatten() {
+                    entry.0 = seqs[entry.0 as usize];
                 }
+                self.send(batches)?;
             }
+            None => self.send(batches)?,
         }
-        stats.note_reading(ts_ms, dests);
+        self.stats.note_readings(readings, self.max_ts_ms);
         // Advance AFTER enqueuing: the flush this advance may trigger
-        // must sit behind the reading in every shard queue.
-        conn.advance(ts_ms.saturating_sub(lateness_ms));
+        // must sit behind the batch in every shard queue.
+        self.conn
+            .advance(self.max_ts_ms.saturating_sub(self.lateness_ms));
+        Ok(())
     }
-    Ok(())
+
+    /// Enqueue each non-empty batch on its shard's queue.
+    fn send(&self, batches: Vec<Vec<(u64, Reading)>>) -> Result<()> {
+        for (shard, batch) in batches.into_iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            let n = batch.len() as u64;
+            send_counted(
+                &self.txs[shard],
+                ShardMsg::Readings(batch),
+                n,
+                self.queue_stats,
+            )?;
+            self.stats.note_shard_readings(shard, n);
+        }
+        Ok(())
+    }
 }
 
 /// Write one scrape document as a sequence of marker-prefixed frames:
@@ -1032,16 +1150,17 @@ fn write_stats_response<W: Write>(w: &mut FrameWriter<W>, body: &[u8]) -> std::i
     w.flush()
 }
 
-/// Send on a bounded shard queue, recording whether it was full (the
-/// blocking path is the backpressure that ultimately stalls the socket).
-fn send_counted(tx: &Sender<ShardMsg>, msg: ShardMsg, stats: &QueueStats) -> Result<()> {
+/// Send a batch of `n` readings on a bounded shard queue, recording
+/// whether it was full (the blocking path is the backpressure that
+/// ultimately stalls the socket).
+fn send_counted(tx: &Sender<ShardMsg>, msg: ShardMsg, n: u64, stats: &QueueStats) -> Result<()> {
     match tx.try_send(msg) {
         Ok(()) => {
-            stats.record_send();
+            stats.record_send(n);
             Ok(())
         }
         Err(TrySendError::Full(msg)) => {
-            stats.record_blocked();
+            stats.record_blocked(n);
             tx.send(msg)
                 .map_err(|_| EspError::Config("gateway shard worker hung up".into()))
         }

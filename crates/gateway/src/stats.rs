@@ -166,15 +166,18 @@ impl GatewayStats {
         self.inner.corrupt_frames.inc();
     }
 
-    /// A decoded reading was accepted and routed; `shards` are its
-    /// destinations.
-    pub fn note_reading(&self, ts_ms: u64, shards: &[usize]) {
-        self.inner.readings.inc();
-        self.inner.max_ts_ms.fetch_max(ts_ms);
-        for &s in shards {
-            if let Some(c) = self.inner.shard_readings.get(s) {
-                c.inc();
-            }
+    /// `n` decoded readings were accepted, routed and handed off to
+    /// their shards; `max_ts_ms` is the largest timestamp among them.
+    pub fn note_readings(&self, n: u64, max_ts_ms: u64) {
+        self.inner.readings.add(n);
+        self.inner.max_ts_ms.fetch_max(max_ts_ms);
+    }
+
+    /// `n` readings were handed off to `shard` (a reading fanned out to
+    /// several shards counts once at each).
+    pub fn note_shard_readings(&self, shard: usize, n: u64) {
+        if let Some(c) = self.inner.shard_readings.get(shard) {
+            c.add(n);
         }
     }
 
@@ -349,14 +352,16 @@ pub struct GatewaySnapshot {
     pub flush_latency_mean_ms: f64,
     /// Worst-case flush latency, milliseconds.
     pub flush_latency_max_ms: f64,
-    /// Total shard-queue sends.
+    /// Readings sent to shard queues (a fan-out reading counts on each
+    /// shard), however they were batched.
     pub queue_sends: u64,
-    /// Shard-queue sends that found the queue full (backpressure).
+    /// Of those, readings whose batch found the queue full
+    /// (backpressure).
     pub queue_blocked: u64,
 }
 
 impl GatewaySnapshot {
-    /// Fraction of shard-queue sends that hit backpressure.
+    /// Share of readings whose hand-off hit backpressure.
     pub fn blocked_fraction(&self) -> f64 {
         if self.queue_sends == 0 {
             0.0
@@ -404,10 +409,11 @@ mod tests {
         s.note_frame();
         s.note_frame();
         s.note_corrupt();
-        s.note_reading(500, &[1]);
+        s.note_readings(1, 500);
+        s.note_shard_readings(1, 1);
         s.note_unroutable();
         let q = QueueStats::new();
-        q.record_send();
+        q.record_send(1);
         let snap = s.snapshot(&q);
         assert_eq!(snap.connections, 1);
         assert_eq!(snap.frames, 2);
@@ -428,7 +434,7 @@ mod tests {
         s.note_crash();
         s.note_recovery();
         s.seed_max_ts(900);
-        s.note_reading(500, &[0]); // later seed must not regress max_ts
+        s.note_readings(1, 500); // later seed must not regress max_ts
         let snap = s.snapshot(&QueueStats::new());
         assert_eq!(snap.wal_records, 2);
         assert_eq!(snap.checkpoints, 1);
@@ -456,7 +462,8 @@ mod tests {
     #[test]
     fn report_carries_all_scalars() {
         let s = GatewayStats::new(1);
-        s.note_reading(10, &[0]);
+        s.note_readings(1, 10);
+        s.note_shard_readings(0, 1);
         let r = s.snapshot(&QueueStats::new()).report("gw");
         assert_eq!(r.get_scalar("readings"), Some(1.0));
         assert_eq!(r.get_scalar("shard0_readings"), Some(1.0));
@@ -469,7 +476,9 @@ mod tests {
         // reads of the same counters, not parallel bookkeeping.
         let s = GatewayStats::new(2);
         s.note_frame();
-        s.note_reading(42, &[0, 1]);
+        s.note_readings(1, 42);
+        s.note_shard_readings(0, 1);
+        s.note_shard_readings(1, 1);
         let r = s.registry();
         let snap = s.snapshot(&QueueStats::new());
         assert_eq!(

@@ -8,11 +8,16 @@
 //! is the minimum over all connections ever registered; epoch `e` is safe
 //! to flush once the global watermark exceeds `e`.
 //!
-//! Ordering contract: a reader must enqueue a reading into the shard
-//! queues *before* advancing its watermark (release store); the
-//! coordinator reads watermarks (acquire load) before enqueuing a flush.
-//! The shard channels are FIFO, so a flush can never overtake the readings
-//! it certifies.
+//! Ordering contract, at batch granularity: a reader hands its decoded
+//! readings off in per-shard batches, and advances its watermark — to the
+//! batch's largest `ts − lateness` — only *after* every batch is in its
+//! shard queue (release store); the coordinator reads watermarks (acquire
+//! load) before enqueuing a flush. The shard channels are FIFO, so a flush
+//! can never overtake the readings it certifies. The order matters only
+//! because of batching: one reading never certifies past itself
+//! (`ts − lateness <= ts`), but a batch's maximum certifies past its
+//! earlier readings. `esp_gateway::model` checks the contract, and the
+//! mutant that advances before the hand-off.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,8 +33,8 @@ pub struct ConnClock {
 impl ConnClock {
     /// Raise the watermark to `ms` (no-op if already past it).
     ///
-    /// `Release`: the reader calls this *after* enqueuing the reading
-    /// that justifies it, so the coordinator's `Acquire` load in
+    /// `Release`: the reader calls this *after* enqueuing the batch that
+    /// justifies it, so the coordinator's `Acquire` load in
     /// [`current`](ConnClock::current) observing `ms` happens-after the
     /// enqueue — the coordinator can never certify an epoch whose
     /// readings are not already ahead of the flush in the FIFO queue.
@@ -42,7 +47,7 @@ impl ConnClock {
     /// Connection finished: no further readings will ever arrive.
     ///
     /// Same `Release` pairing as [`advance`](ConnClock::advance): called
-    /// only after the reader has enqueued its final reading, so the `∞`
+    /// only after the reader has enqueued its final batch, so the `∞`
     /// promise is ordered after everything it promises about.
     pub fn close(&self) {
         self.watermark_ms.store(u64::MAX, Ordering::Release);

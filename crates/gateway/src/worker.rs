@@ -1,17 +1,22 @@
 //! Per-shard pipeline workers and their crash-recovery supervisor.
 //!
 //! Each shard owns a full [`EspProcessor`] cleaning cascade over the
-//! proximity groups hashed to it. Readings and epoch punctuation arrive on
-//! one bounded FIFO channel per shard; because the coordinator only sends
-//! `Flush(e)` after the watermark certifies `e`, every reading with
-//! `ts <= e` is already ahead of the flush in the queue, and the step is
-//! deterministic.
+//! proximity groups hashed to it. Batches of readings and epoch
+//! punctuation arrive on one bounded FIFO channel per shard. A connection
+//! reader hands its readings off a batch at a time and advances its
+//! watermark only after the batch is enqueued, and the coordinator only
+//! sends `Flush(e)` after the watermark certifies `e`; so every reading
+//! with `ts <= e` is already ahead of the flush in the queue, and the step
+//! is deterministic however the readings were batched.
 //!
 //! With durability enabled the worker thread is a **supervisor**: the
 //! processor and its buffers are the crashable part, and on a (injected)
 //! crash the supervisor rebuilds them from the latest valid snapshot,
 //! replays the WAL suffix past the snapshot's sequence number, and resumes
 //! the live queue — skipping queued messages the replay already covered.
+//! Every reading in a batch carries its own WAL sequence number, so the
+//! skip is per reading: a batch that straddles the replay's end is
+//! trimmed to the readings past it, not dropped whole.
 //! Output is published into a supervisor-owned shared trace epoch by
 //! epoch, with re-publication of already-delivered epochs suppressed, so
 //! the merged gateway trace after a crash is byte-identical to an
@@ -37,16 +42,12 @@ use crate::durability::{compose_payload, restore_payload, DurabilityHooks};
 use crate::server::{EpochTrace, GatewayGroup};
 use crate::stats::GatewayStats;
 
-/// Message on a shard's ingest queue. `seq` is the message's WAL
-/// sequence number (0 when durability is off — then it is never read).
+/// Message on a shard's ingest queue. A `seq` is a WAL sequence number
+/// (0 when durability is off — then it is never read).
 pub(crate) enum ShardMsg {
-    /// A decoded reading routed to this shard.
-    Reading {
-        /// WAL sequence number.
-        seq: u64,
-        /// The reading itself.
-        reading: Reading,
-    },
+    /// One connection's hand-off to this shard: decoded readings in wire
+    /// order, each with its own WAL sequence number.
+    Readings(Vec<(u64, Reading)>),
     /// Punctuation: all readings with `ts <= epoch` are upstream of this
     /// message — step the pipeline.
     Flush {
@@ -197,6 +198,29 @@ pub(crate) fn build_shard(
     }
     let processor = EspProcessor::build(pg, pipeline, bindings)?;
     Ok((processor, buffers))
+}
+
+/// Buffer one hand-off batch, skipping each reading the WAL replay
+/// already buffered (`seq <= skip_through`): a batch straddling the
+/// boundary is trimmed, never dropped whole.
+fn buffer_batch(
+    buffers: &HashMap<ReceptorId, ReadingBuffer>,
+    schemas: &ReadingSchemas,
+    skip_through: Option<u64>,
+    batch: Vec<(u64, Reading)>,
+) -> Result<()> {
+    for (seq, reading) in batch {
+        if skip_through.is_some_and(|s| seq <= s) {
+            continue;
+        }
+        // Router guarantees membership, but a dynamic group edit could
+        // race a reading in flight; dropping here matches the processor,
+        // which drops tuples from departed members.
+        if let Some(buf) = buffers.get(&reading.receptor()) {
+            buf.lock().push_reading(schemas, &reading)?;
+        }
+    }
+    Ok(())
 }
 
 /// Append freshly drained output to the shared trace, suppressing epochs
@@ -402,17 +426,8 @@ pub(crate) fn spawn_worker(
 
             loop {
                 match rx.recv() {
-                    Ok(ShardMsg::Reading { seq, reading }) => {
-                        if skip_through.is_some_and(|s| seq <= s) {
-                            continue; // replay already buffered it
-                        }
-                        // Router guarantees membership, but a dynamic
-                        // group edit could race a reading in flight;
-                        // dropping here matches the processor, which
-                        // drops tuples from departed members.
-                        if let Some(buf) = buffers.get(&reading.receptor()) {
-                            buf.lock().push_reading(&schemas, &reading)?;
-                        }
+                    Ok(ShardMsg::Readings(batch)) => {
+                        buffer_batch(&buffers, &schemas, skip_through, batch)?;
                     }
                     Ok(ShardMsg::Flush { seq, epoch, sent }) => {
                         if esp_obs::enabled() {
@@ -550,6 +565,39 @@ mod tests {
         let rest = buf.drain_upto(Ts::from_secs(10)).unwrap();
         assert_eq!(rest.iter().map(Chunk::len).sum::<usize>(), 2);
         assert!(buf.to_tuples().is_empty());
+    }
+
+    #[test]
+    fn batch_straddling_skip_through_is_trimmed_not_dropped() {
+        let groups = vec![GatewayGroup {
+            receptor_type: ReceptorType::Mote,
+            granule: "room".into(),
+            members: vec![ReceptorId(1)],
+        }];
+        let (_processor, buffers) = build_shard(&groups, &Pipeline::raw()).unwrap();
+        let schemas = ReadingSchemas::new();
+        // Sequence numbers 10..=14; the replay covered through 12.
+        let batch: Vec<(u64, Reading)> = (10..15)
+            .map(|seq| (seq, scalar(1, seq, seq as f64)))
+            .collect();
+        buffer_batch(&buffers, &schemas, Some(12), batch).unwrap();
+        let kept: Vec<u64> = buffers[&ReceptorId(1)]
+            .lock()
+            .to_tuples()
+            .iter()
+            .map(|t| t.ts().as_millis() / 1000)
+            .collect();
+        assert_eq!(kept, vec![13, 14], "exactly the readings past the replay");
+
+        // A batch wholly past the boundary is kept whole; one wholly
+        // covered is dropped; no boundary keeps everything.
+        let past: Vec<(u64, Reading)> = vec![(15, scalar(1, 15, 0.0))];
+        buffer_batch(&buffers, &schemas, Some(12), past).unwrap();
+        let covered: Vec<(u64, Reading)> = vec![(11, scalar(1, 11, 0.0))];
+        buffer_batch(&buffers, &schemas, Some(12), covered).unwrap();
+        let fresh: Vec<(u64, Reading)> = vec![(0, scalar(1, 16, 0.0))];
+        buffer_batch(&buffers, &schemas, None, fresh).unwrap();
+        assert_eq!(buffers[&ReceptorId(1)].lock().to_tuples().len(), 4);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! frame len bytes — a wire::encode() frame, possibly corrupted in flight
 //! ```
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 
 use bytes::Bytes;
 
@@ -105,6 +105,24 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
+impl<R: Read> FrameReader<BufReader<R>> {
+    /// Whether the next [`read_frame`](FrameReader::read_frame) can be
+    /// answered from the buffer alone. When this is `false` the next call
+    /// reads the source, which on a socket may block until the peer sends
+    /// more. (A buffered length prefix outside the frame bounds counts as
+    /// answerable: `read_frame` rejects it without reading.)
+    pub fn frame_buffered(&self) -> bool {
+        let buf = self.inner.buffer();
+        match buf.first_chunk::<4>() {
+            Some(len) => {
+                let len = u32::from_be_bytes(*len) as usize;
+                len == 0 || len > MAX_FRAME_LEN || buf.len() - 4 >= len
+            }
+            None => false,
+        }
+    }
+}
+
 /// Fill `buf` completely. Returns `Ok(false)` when EOF arrives before the
 /// first byte, `Ok(true)` when the buffer was filled; EOF after a partial
 /// read is an `UnexpectedEof` error.
@@ -181,6 +199,42 @@ mod tests {
         for cut in [2, bytes.len() - 3] {
             let mut r = FrameReader::new(&bytes[..cut]);
             assert!(r.read_frame().is_err(), "truncation at {cut} accepted");
+        }
+    }
+
+    #[test]
+    fn frame_buffered_sees_only_whole_frames() {
+        let mut w = FrameWriter::new(Vec::new());
+        w.write_reading(&sample(1)).unwrap();
+        w.write_reading(&sample(2)).unwrap();
+        let bytes = w.into_inner();
+        let first = bytes.len() / 2;
+
+        let mut r = FrameReader::new(BufReader::new(&bytes[..]));
+        assert!(!r.frame_buffered(), "nothing read from the source yet");
+        r.read_frame().unwrap().expect("first frame");
+        assert!(
+            r.frame_buffered(),
+            "the second frame came in with the first"
+        );
+        r.read_frame().unwrap().expect("second frame");
+        assert!(!r.frame_buffered(), "buffer drained");
+
+        // The second frame cut short: its header is buffered, its body
+        // is not, so the next read must go to the source.
+        let mut r = FrameReader::new(BufReader::new(&bytes[..first + 6]));
+        r.read_frame().unwrap().expect("first frame");
+        assert!(!r.frame_buffered(), "partial frame is not answerable");
+
+        // A length prefix outside the bounds is answered (rejected)
+        // without reading on.
+        for bad in [0, MAX_FRAME_LEN as u32 + 1] {
+            let mut stream = bytes[..first].to_vec();
+            stream.extend_from_slice(&bad.to_be_bytes());
+            let mut r = FrameReader::new(BufReader::new(&stream[..]));
+            r.read_frame().unwrap().expect("first frame");
+            assert!(r.frame_buffered(), "length {bad}");
+            assert!(r.read_frame().is_err(), "length {bad}");
         }
     }
 

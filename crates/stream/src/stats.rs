@@ -8,8 +8,11 @@
 use esp_obs::{Counter, Registry};
 use esp_types::{snap, Result};
 
-/// Shared counters for a set of bounded queues: total sends and how many
-/// of them found the queue full (back-pressure events). A thin view over
+/// Shared counters for a set of bounded queues: items sent and how many
+/// of them went in a send that found the queue full (back-pressure
+/// events). A send may carry a batch; both counters count the batch's
+/// items, so the blocked fraction is the share of *items* whose hand-off
+/// blocked, however they were batched. A thin view over
 /// two [`esp_obs::Counter`]s — handles are cheap clones over the shared
 /// atomics, so producers on many threads can feed one counter and a
 /// supervisor can read it live. (The `Relaxed`-ordering audit for these
@@ -45,29 +48,30 @@ impl QueueStats {
         }
     }
 
-    /// Record a send that found queue space immediately.
-    pub fn record_send(&self) {
-        self.sends.inc();
+    /// Record a send of `n` items that found queue space immediately.
+    pub fn record_send(&self, n: u64) {
+        self.sends.add(n);
     }
 
-    /// Record a send that found the queue full and had to block.
-    /// (Counts as a send too — callers record exactly one of the two.)
-    pub fn record_blocked(&self) {
-        self.sends.inc();
-        self.blocked.inc();
+    /// Record a send of `n` items that found the queue full and had to
+    /// block. (Counts as a send too — callers record exactly one of the
+    /// two per send.)
+    pub fn record_blocked(&self, n: u64) {
+        self.sends.add(n);
+        self.blocked.add(n);
     }
 
-    /// Total sends observed.
+    /// Total items sent.
     pub fn sends(&self) -> u64 {
         self.sends.get()
     }
 
-    /// Sends that hit a full queue.
+    /// Items sent by sends that hit a full queue.
     pub fn blocked(&self) -> u64 {
         self.blocked.get()
     }
 
-    /// Fraction of sends that hit a full queue (0 when idle).
+    /// Fraction of items whose send hit a full queue (0 when idle).
     pub fn blocked_fraction(&self) -> f64 {
         let sends = self.sends();
         if sends == 0 {
@@ -223,16 +227,22 @@ mod tests {
         let q = QueueStats::new();
         assert_eq!(q.sends(), 0);
         assert_eq!(q.blocked_fraction(), 0.0);
-        q.record_send();
-        q.record_send();
-        q.record_blocked();
+        q.record_send(1);
+        q.record_send(1);
+        q.record_blocked(1);
         assert_eq!(q.sends(), 3);
         assert_eq!(q.blocked(), 1);
         assert!((q.blocked_fraction() - 1.0 / 3.0).abs() < 1e-12);
         // Clones share the same counters.
         let clone = q.clone();
-        clone.record_send();
+        clone.record_send(1);
         assert_eq!(q.sends(), 4);
+        // A batch counts its items, not one send.
+        q.record_send(5);
+        q.record_blocked(3);
+        assert_eq!(q.sends(), 12);
+        assert_eq!(q.blocked(), 4);
+        assert!((q.blocked_fraction() - 4.0 / 12.0).abs() < 1e-12);
     }
 
     #[test]
@@ -243,9 +253,9 @@ mod tests {
                 let q = q.clone();
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        q.record_send();
+                        q.record_send(1);
                     }
-                    q.record_blocked();
+                    q.record_blocked(1);
                 })
             })
             .collect();
@@ -260,14 +270,14 @@ mod tests {
     fn registered_queue_stats_share_registry_counters() {
         let registry = esp_obs::Registry::new();
         let q = QueueStats::registered(&registry);
-        q.record_send();
-        q.record_blocked();
+        q.record_send(1);
+        q.record_blocked(1);
         // The registry reads the very same counters the view records into…
         assert_eq!(registry.counter_value(QUEUE_SENDS_METRIC, &[]), Some(2));
         assert_eq!(registry.counter_value(QUEUE_BLOCKED_METRIC, &[]), Some(1));
         // …and a second view over the same registry shares them.
         let again = QueueStats::registered(&registry);
-        again.record_send();
+        again.record_send(1);
         assert_eq!(q.sends(), 3);
         // Old snapshot semantics are untouched: blocked counts as a send.
         assert!((q.blocked_fraction() - 1.0 / 3.0).abs() < 1e-12);
