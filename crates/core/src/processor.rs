@@ -361,15 +361,15 @@ fn granule_chunk_injector(
     groups: Arc<RwLock<ProximityGroups>>,
     receptor: ReceptorId,
     group: ProximityGroupId,
-) -> impl Fn(&Chunk) -> Result<Option<Chunk>> + Send {
+) -> impl Fn(Chunk) -> Result<Option<Chunk>> + Send {
     // Single-entry schema cache: receptors emit one schema per stream.
     let cache: RwLock<Option<(Arc<Schema>, Arc<Schema>)>> = RwLock::new(None);
-    move |chunk: &Chunk| {
+    move |chunk: Chunk| {
         let Some(granule) = current_granule(&groups, receptor, group)? else {
             return Ok(None);
         };
         let extended = extended_schema(&cache, chunk.schema())?;
-        Ok(Some(chunk.with_appended(&extended, granule)?))
+        Ok(Some(chunk.into_appended(&extended, granule)?))
     }
 }
 

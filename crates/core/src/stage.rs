@@ -248,8 +248,8 @@ impl Operator for StageOperator {
         self.stage.name()
     }
 
-    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
-        self.buf.extend_from(input);
+    fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
+        self.buf.append(input);
         Ok(())
     }
 
@@ -462,7 +462,7 @@ mod tests {
             &[rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "b")],
         )
         .unwrap();
-        op.push(0, &vec![chunk].into()).unwrap();
+        op.push(0, vec![chunk].into()).unwrap();
         let out = op.flush(Ts::ZERO).unwrap().into_rows();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("tag_id"), Some(&Value::str("a")));
@@ -486,10 +486,10 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        op.push(0, &vec![rfid(Ts::ZERO, "r1")].into()).unwrap();
+        op.push(0, vec![rfid(Ts::ZERO, "r1")].into()).unwrap();
         let chunk = Chunk::from_tuples(&rssi, std::slice::from_ref(&c1)).unwrap();
-        op.push(0, &vec![chunk].into()).unwrap();
-        op.push(0, &vec![rfid(Ts::ZERO, "r2")].into()).unwrap();
+        op.push(0, vec![chunk].into()).unwrap();
+        op.push(0, vec![rfid(Ts::ZERO, "r2")].into()).unwrap();
         let out = op.flush(Ts::ZERO).unwrap().into_rows();
         let tags: Vec<_> = out.iter().map(|t| t.get("tag_id").cloned()).collect();
         assert_eq!(
@@ -507,8 +507,8 @@ mod tests {
     fn stage_operator_adapts() {
         let stage = FnStage::per_tuple("id", |t| Ok(Some(t.clone())));
         let mut op = StageOperator::new(Box::new(stage));
-        op.push(0, &vec![rfid(Ts::ZERO, "a")].into()).unwrap();
-        op.push(0, &vec![rfid(Ts::ZERO, "b")].into()).unwrap();
+        op.push(0, vec![rfid(Ts::ZERO, "a")].into()).unwrap();
+        op.push(0, vec![rfid(Ts::ZERO, "b")].into()).unwrap();
         assert_eq!(op.flush(Ts::ZERO).unwrap().len(), 2);
         assert_eq!(op.name(), "id");
         assert!(op.flush(Ts::ZERO).unwrap().is_empty());

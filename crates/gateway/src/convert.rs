@@ -100,7 +100,7 @@ impl ReadingSchemas {
 
     /// Append a decoded reading's row directly to a columnar chunk of its
     /// kind schema — the chunk-path twin of [`ReadingSchemas::to_tuple`],
-    /// with no per-reading tuple allocation.
+    /// with no per-reading tuple or row-vector allocation.
     pub fn append_to_chunk(&self, reading: &Reading, chunk: &mut Chunk) -> Result<()> {
         match reading {
             Reading::Scalar {
@@ -109,27 +109,21 @@ impl ReadingSchemas {
                 value,
             } => chunk.push_row_owned(
                 *ts,
-                vec![Value::Int(i64::from(receptor.0)), Value::Float(*value)],
+                [Value::Int(i64::from(receptor.0)), Value::Float(*value)],
             ),
             Reading::Tag {
                 receptor,
                 ts,
                 tag_id,
-            } => chunk.push_row_owned(
-                *ts,
-                vec![Value::Int(i64::from(receptor.0)), Value::str(tag_id)],
-            ),
+            } => chunk.push_row_owned(*ts, [Value::Int(i64::from(receptor.0)), Value::str(tag_id)]),
             Reading::Event {
                 receptor,
                 ts,
                 value,
-            } => chunk.push_row_owned(
-                *ts,
-                vec![Value::Int(i64::from(receptor.0)), Value::str(value)],
-            ),
+            } => chunk.push_row_owned(*ts, [Value::Int(i64::from(receptor.0)), Value::str(value)]),
             Reading::Dual { receptor, ts, a, b } => chunk.push_row_owned(
                 *ts,
-                vec![
+                [
                     Value::Int(i64::from(receptor.0)),
                     Value::Float(*a),
                     Value::Float(*b),

@@ -839,7 +839,7 @@ fn run_smooth(
     let out = stage
         .process(Ts::ZERO, Payload::from(rows.to_vec()))
         .map_err(|e| e.to_string())?;
-    Ok(out.rows().iter().map(|t| format!("{t:?}")).collect())
+    Ok(out.into_rows().iter().map(|t| format!("{t:?}")).collect())
 }
 
 /// One all-defaults tuple from the entry schema.

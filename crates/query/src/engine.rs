@@ -555,7 +555,7 @@ impl Operator for QueryOperator {
         self.ports.len()
     }
 
-    fn push(&mut self, port: usize, input: &Payload) -> Result<()> {
+    fn push(&mut self, port: usize, input: Payload) -> Result<()> {
         if input.is_empty() {
             return Ok(());
         }
@@ -564,9 +564,9 @@ impl Operator for QueryOperator {
             .get(port)
             .ok_or_else(|| EspError::Config(format!("no stream mapped to input port {port}")))?;
         input
-            .chunks()
-            .iter()
-            .try_for_each(|c| self.query.push_chunk(stream, c.clone()))
+            .into_chunks()
+            .into_iter()
+            .try_for_each(|c| self.query.push_chunk(stream, c))
     }
 
     fn flush(&mut self, epoch: Ts) -> Result<Payload> {
@@ -638,7 +638,7 @@ mod tests {
             .unwrap();
         let mut op = QueryOperator::single_input("smooth", q).unwrap();
         assert_eq!(op.n_inputs(), 1);
-        op.push(0, &vec![rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "a")].into())
+        op.push(0, vec![rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "a")].into())
             .unwrap();
         let out = op.flush(Ts::ZERO).unwrap().into_rows();
         assert_eq!(out[0].get("count"), Some(&Value::Int(2)));

@@ -25,10 +25,18 @@ struct EpochObs {
 ///    onward;
 /// 4. records the output of every tapped node.
 ///
+/// Payloads change hands by value. A node's output has a fixed number of
+/// readers per epoch (its consumers' input ports plus its taps), counted
+/// once at construction; every reader but the last gets a copy, and the
+/// last takes the original.
+///
 /// The result is deterministic: the same dataflow over the same sources
 /// yields byte-identical tap traces, which the experiment harness relies on.
 pub struct EpochRunner {
     df: Dataflow,
+    /// Per node (indexed like `df.nodes`): how many times its output is
+    /// read each epoch — consumer input ports plus taps.
+    readers: Vec<usize>,
     /// Per-tap collected output: (epoch, batch) per epoch, including empty
     /// batches so traces have one entry per epoch.
     collected: Vec<Vec<(Ts, Batch)>>,
@@ -40,8 +48,20 @@ impl EpochRunner {
     /// Wrap a dataflow for execution.
     pub fn new(df: Dataflow) -> EpochRunner {
         let n_taps = df.taps.len();
+        let mut readers = vec![0; df.nodes.len()];
+        for node in &df.nodes {
+            if let NodeKind::Operator { inputs, .. } = &node.kind {
+                for input in inputs {
+                    readers[input.0] += 1;
+                }
+            }
+        }
+        for tapped in &df.taps {
+            readers[tapped.0] += 1;
+        }
         EpochRunner {
             df,
+            readers,
             collected: vec![Vec::new(); n_taps],
             epochs_run: 0,
             obs: None,
@@ -73,15 +93,19 @@ impl EpochRunner {
     /// Execute one epoch at logical time `epoch`.
     ///
     /// Data moves between nodes as [`Payload`]s, handed from producer to
-    /// consumer untouched. Tap traces are recorded as rows.
+    /// consumer untouched: the last reader of a node's output (consumer
+    /// port or tap, in that order) takes the payload, and earlier readers
+    /// get a clone. Tap traces are recorded as rows.
     pub fn step(&mut self, epoch: Ts) -> Result<()> {
         let n = self.df.nodes.len();
         // Per-epoch (not per-tuple) spans keep the instrumented cost at
         // two `Instant` reads per node; `None` while disabled or detached.
         let obs = self.obs.as_ref().filter(|_| esp_obs::enabled());
         let step_start = obs.map(|_| Instant::now());
-        // Output of each node this epoch, filled in topological order.
+        // Output of each node this epoch, filled in topological order, and
+        // how many of its reads are still to come.
         let mut outputs: Vec<Payload> = Vec::with_capacity(n);
+        let mut unread = self.readers.clone();
         for i in 0..n {
             let node_start = obs.map(|_| Instant::now());
             let out = match &mut self.df.nodes[i].kind {
@@ -90,9 +114,7 @@ impl EpochRunner {
                     for (port, input) in inputs.iter().enumerate() {
                         // Inputs precede consumers (append-only graph), so
                         // the upstream output is always computed already.
-                        if let Some(upstream) = outputs.get(input.0) {
-                            op.push(port, upstream)?;
-                        }
+                        op.push(port, read(&mut outputs, &mut unread, input.0))?;
                     }
                     op.flush(epoch)?
                 }
@@ -105,7 +127,7 @@ impl EpochRunner {
             outputs.push(out);
         }
         for (tap_idx, node) in self.df.taps.iter().enumerate() {
-            let batch = outputs.get(node.0).map(Payload::rows).unwrap_or_default();
+            let batch = read(&mut outputs, &mut unread, node.0).into_rows();
             self.collected[tap_idx].push((epoch, batch));
         }
         if let (Some(o), Some(t0)) = (obs, step_start) {
@@ -246,6 +268,17 @@ impl EpochRunner {
             }
         }
         cur.finish()
+    }
+}
+
+/// One read of node `node`'s output this epoch: the last outstanding read
+/// takes the payload, every earlier one gets a copy.
+fn read(outputs: &mut [Payload], unread: &mut [usize], node: usize) -> Payload {
+    unread[node] -= 1;
+    if unread[node] == 0 {
+        std::mem::take(&mut outputs[node])
+    } else {
+        outputs[node].clone()
     }
 }
 
@@ -420,7 +453,7 @@ mod tests {
         /// them, neither merged nor split.
         struct CountChunks(usize);
         impl crate::Operator for CountChunks {
-            fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+            fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
                 self.0 += input.chunks().len();
                 Ok(())
             }
@@ -460,13 +493,103 @@ mod tests {
         }
     }
 
+    /// Records, for every chunk it is pushed, the address of the chunk's
+    /// `ts` buffer and the values it carries.
+    type Seen = std::sync::Arc<std::sync::Mutex<Vec<(usize, Vec<i64>)>>>;
+
+    struct Probe(Seen);
+
+    impl crate::Operator for Probe {
+        fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
+            let mut seen = self.0.lock().unwrap();
+            for c in input.chunks() {
+                let vals = (0..c.len())
+                    .filter_map(|i| c.value_at(i, 0)?.as_i64())
+                    .collect();
+                seen.push((c.ts().as_ptr() as usize, vals));
+            }
+            Ok(())
+        }
+        fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
+            Ok(Payload::empty())
+        }
+    }
+
+    /// A one-chunk source and the address of that chunk's `ts` buffer.
+    fn one_chunk_source() -> (crate::ScriptedChunkSource, usize) {
+        let rows = [tup(Ts::ZERO, 1), tup(Ts::ZERO, 2)];
+        let chunk = esp_types::Chunk::from_tuples(rows[0].schema(), &rows).unwrap();
+        let buf = chunk.ts().as_ptr() as usize;
+        let src = crate::ScriptedChunkSource::new("s", vec![(Ts::ZERO, chunk)]);
+        (src, buf)
+    }
+
+    #[test]
+    fn single_reader_chain_hands_the_source_buffer_through() {
+        // src -> pass -> union(pass, empty) -> probe: every hop has one
+        // reader, so the probe sees the very buffer the source built.
+        let (src, buf) = one_chunk_source();
+        let seen = Seen::default();
+        let mut df = Dataflow::new();
+        let src = df.add_source(Box::new(src));
+        let quiet = df.add_source(Box::new(crate::ScriptedChunkSource::new("q", vec![])));
+        let pass = df
+            .add_operator(Box::new(crate::ops::PassThrough::new()), &[src])
+            .unwrap();
+        let u = df
+            .add_operator(Box::new(UnionOp::new(2)), &[pass, quiet])
+            .unwrap();
+        df.add_operator(Box::new(Probe(seen.clone())), &[u])
+            .unwrap();
+        EpochRunner::new(df).step(Ts::ZERO).unwrap();
+        assert_eq!(*seen.lock().unwrap(), vec![(buf, vec![1, 2])]);
+    }
+
+    #[test]
+    fn fan_out_copies_for_all_but_the_last_reader() {
+        // src -> {probe a, probe b} plus a tap on src: the readers see
+        // equal data, and only the last one (the tap) gets the original.
+        let (src, buf) = one_chunk_source();
+        let (a, b) = (Seen::default(), Seen::default());
+        let mut df = Dataflow::new();
+        let src = df.add_source(Box::new(src));
+        df.add_operator(Box::new(Probe(a.clone())), &[src]).unwrap();
+        df.add_operator(Box::new(Probe(b.clone())), &[src]).unwrap();
+        let tap = df.add_tap(src).unwrap();
+        let mut runner = EpochRunner::new(df);
+        runner.step(Ts::ZERO).unwrap();
+        for probe in [&a, &b] {
+            let seen = probe.lock().unwrap();
+            assert_eq!(seen.len(), 1);
+            assert_ne!(seen[0].0, buf, "an earlier reader got a copy");
+            assert_eq!(seen[0].1, vec![1, 2]);
+        }
+        assert_eq!(
+            runner.take_tap(tap)[0].1,
+            vec![tup(Ts::ZERO, 1), tup(Ts::ZERO, 2)]
+        );
+
+        // Without the tap, the second consumer is the last reader.
+        let (src, buf) = one_chunk_source();
+        let (a, b) = (Seen::default(), Seen::default());
+        let mut df = Dataflow::new();
+        let src = df.add_source(Box::new(src));
+        df.add_operator(Box::new(Probe(a.clone())), &[src]).unwrap();
+        df.add_operator(Box::new(Probe(b.clone())), &[src]).unwrap();
+        EpochRunner::new(df).step(Ts::ZERO).unwrap();
+        let (a, b) = (a.lock().unwrap(), b.lock().unwrap());
+        assert_eq!(a[0].1, b[0].1);
+        assert_ne!(a[0].0, buf);
+        assert_eq!(b[0].0, buf, "the last reader takes the original");
+    }
+
     #[test]
     fn operator_error_propagates() {
         use esp_types::EspError;
 
         struct Failing;
         impl crate::Operator for Failing {
-            fn push(&mut self, _p: usize, _b: &Payload) -> Result<()> {
+            fn push(&mut self, _p: usize, _b: Payload) -> Result<()> {
                 Err(EspError::Stage("injected failure".into()))
             }
             fn flush(&mut self, _e: Ts) -> Result<Payload> {

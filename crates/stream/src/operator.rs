@@ -5,12 +5,14 @@
 //! | step | method |
 //! |---|---|
 //! | a source produces the epoch's readings | [`Source::poll`]`(epoch) -> Payload` |
-//! | an operator receives input on a port | [`Operator::push`]`(port, &Payload)` |
+//! | an operator receives input on a port | [`Operator::push`]`(port, Payload)` |
 //! | punctuation: the operator emits the epoch | [`Operator::flush`]`(epoch) -> Payload` |
 //!
 //! [`EpochRunner`](crate::EpochRunner) moves payloads between nodes
-//! exactly as produced. A payload is always columnar: rows enter through
-//! [`Payload::from`] and leave through [`Payload::rows`], at the boundary
+//! exactly as produced: an operator owns what it is pushed, and the runner
+//! copies a node's output only when more than one reader needs it. A
+//! payload is always columnar: rows enter through [`Payload::from`] and
+//! leave through [`Payload::into_rows`], at the boundary
 //! of code written against rows (UDFs, arbitrary-code stages, simulator
 //! sources), never inside the transport.
 
@@ -24,8 +26,8 @@ use crate::state::{unexpected_state, StageState};
 /// `Payload` is the only currency of the operator protocol: sources emit
 /// it, operators consume and emit it, runners move it. Row-shaped code
 /// builds one with `Payload::from(rows)` ([`chunk_batch`], lossless) and
-/// reads one with [`Payload::rows`]; everything else reads
-/// [`Payload::chunks`].
+/// reads one with [`Payload::into_rows`]; everything else reads
+/// [`Payload::chunks`] or takes [`Payload::into_chunks`].
 #[derive(Debug, Clone, Default)]
 pub struct Payload(Vec<Chunk>);
 
@@ -55,11 +57,15 @@ impl Payload {
         self.0
     }
 
-    /// Append `other`'s non-empty chunks after this payload's: an epoch's
-    /// arrivals concatenated in arrival order.
-    pub fn extend_from(&mut self, other: &Payload) {
-        self.0
-            .extend(other.0.iter().filter(|c| !c.is_empty()).cloned());
+    /// Move `other`'s non-empty chunks after this payload's: an epoch's
+    /// arrivals concatenated in arrival order, no column copied.
+    pub fn append(&mut self, other: Payload) {
+        if self.0.is_empty() {
+            self.0 = other.0;
+            self.0.retain(|c| !c.is_empty());
+        } else {
+            self.0.extend(other.0.into_iter().filter(|c| !c.is_empty()));
+        }
     }
 
     /// Materialize as rows, preserving stream order (lossless).
@@ -67,9 +73,10 @@ impl Payload {
         self.0.iter().flat_map(Chunk::to_tuples).collect()
     }
 
-    /// [`Payload::rows`], consuming the payload.
+    /// [`Payload::rows`], consuming the payload: values move out of the
+    /// columns instead of being cloned.
     pub fn into_rows(self) -> Batch {
-        self.rows()
+        self.0.into_iter().flat_map(Chunk::into_tuples).collect()
     }
 }
 
@@ -125,8 +132,10 @@ pub trait Operator: Send {
         1
     }
 
-    /// Deliver one payload on input port `port` (0-based).
-    fn push(&mut self, port: usize, input: &Payload) -> Result<()>;
+    /// Deliver one payload on input port `port` (0-based). The operator
+    /// owns `input`: it keeps, transforms or drops the chunks without
+    /// copying them.
+    fn push(&mut self, port: usize, input: Payload) -> Result<()>;
 
     /// Epoch boundary: all input for `epoch` has been delivered. Emit the
     /// operator's output for this epoch.

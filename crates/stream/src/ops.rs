@@ -29,8 +29,8 @@ impl Operator for PassThrough {
         "pass-through"
     }
 
-    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
-        self.buf.extend_from(input);
+    fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
+        self.buf.append(input);
         Ok(())
     }
 
@@ -62,10 +62,10 @@ impl<F: Fn(&Tuple) -> bool + Send> Operator for FilterOp<F> {
         &self.name
     }
 
-    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
+    fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
         let pred = &self.pred;
         self.buf
-            .extend(input.rows().into_iter().filter(|t| pred(t)));
+            .extend(input.into_rows().into_iter().filter(|t| pred(t)));
         Ok(())
     }
 
@@ -82,7 +82,7 @@ pub struct MapOp<F> {
     buf: Vec<Chunk>,
 }
 
-impl<F: Fn(&Chunk) -> Result<Option<Chunk>> + Send> MapOp<F> {
+impl<F: Fn(Chunk) -> Result<Option<Chunk>> + Send> MapOp<F> {
     /// Create a map/transform operator.
     pub fn new(name: impl Into<String>, f: F) -> MapOp<F> {
         MapOp {
@@ -93,13 +93,13 @@ impl<F: Fn(&Chunk) -> Result<Option<Chunk>> + Send> MapOp<F> {
     }
 }
 
-impl<F: Fn(&Chunk) -> Result<Option<Chunk>> + Send> Operator for MapOp<F> {
+impl<F: Fn(Chunk) -> Result<Option<Chunk>> + Send> Operator for MapOp<F> {
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
-        for chunk in input.chunks() {
+    fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
+        for chunk in input.into_chunks() {
             if let Some(out) = (self.f)(chunk)? {
                 self.buf.push(out);
             }
@@ -139,8 +139,8 @@ impl Operator for UnionOp {
         self.n_inputs
     }
 
-    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
-        self.buf.extend_from(input);
+    fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
+        self.buf.append(input);
         Ok(())
     }
 
@@ -174,8 +174,8 @@ impl<F: FnMut(Ts, Vec<Tuple>) -> Result<Batch> + Send> Operator for EpochFnOp<F>
         &self.name
     }
 
-    fn push(&mut self, _port: usize, input: &Payload) -> Result<()> {
-        self.buf.extend(input.rows());
+    fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
+        self.buf.extend(input.into_rows());
         Ok(())
     }
 
@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn filter_drops_non_matching() {
         let mut f = FilterOp::new("evens", |t: &Tuple| t.value(0).as_i64().unwrap() % 2 == 0);
-        f.push(0, &vec![tup(1), tup(2), tup(3), tup(4)].into())
+        f.push(0, vec![tup(1), tup(2), tup(3), tup(4)].into())
             .unwrap();
         let out = f.flush(Ts::ZERO).unwrap();
         assert_eq!(out.len(), 2);
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn map_transforms_and_drops() {
         // Keeps each chunk's even rows; a chunk left empty is dropped.
-        let mut m = MapOp::new("evens", |c: &Chunk| {
+        let mut m = MapOp::new("evens", |c: Chunk| {
             let keep: Vec<bool> = (0..c.len())
                 .map(|i| {
                     c.value_at(i, 0)
@@ -216,11 +216,10 @@ mod tests {
                         .is_some_and(|v| v % 2 == 0)
                 })
                 .collect();
-            let kept = c.clone().filter(&keep)?;
+            let kept = c.filter(&keep)?;
             Ok((!kept.is_empty()).then_some(kept))
         });
-        m.push(0, &vec![chunk(&[4, 3]), chunk(&[1])].into())
-            .unwrap();
+        m.push(0, vec![chunk(&[4, 3]), chunk(&[1])].into()).unwrap();
         let out = m.flush(Ts::ZERO).unwrap();
         assert_eq!(out.chunks().len(), 1);
         assert_eq!(values(out), vec![4]);
@@ -228,19 +227,19 @@ mod tests {
 
     #[test]
     fn map_propagates_errors() {
-        let mut m = MapOp::new("boom", |_c: &Chunk| -> Result<Option<Chunk>> {
+        let mut m = MapOp::new("boom", |_c: Chunk| -> Result<Option<Chunk>> {
             Err(esp_types::EspError::Stage("boom".into()))
         });
-        assert!(m.push(0, &vec![tup(1)].into()).is_err());
+        assert!(m.push(0, vec![tup(1)].into()).is_err());
     }
 
     #[test]
     fn union_merges_ports() {
         let mut u = UnionOp::new(3);
         assert_eq!(u.n_inputs(), 3);
-        u.push(0, &vec![tup(1)].into()).unwrap();
-        u.push(2, &vec![tup(2), tup(3)].into()).unwrap();
-        u.push(1, &Payload::empty()).unwrap();
+        u.push(0, vec![tup(1)].into()).unwrap();
+        u.push(2, vec![tup(2), tup(3)].into()).unwrap();
+        u.push(1, Payload::empty()).unwrap();
         assert_eq!(u.flush(Ts::ZERO).unwrap().len(), 3);
     }
 
@@ -255,8 +254,8 @@ mod tests {
             )
             .unwrap()])
         });
-        op.push(0, &vec![tup(1), tup(2)].into()).unwrap();
-        op.push(0, &vec![tup(3)].into()).unwrap();
+        op.push(0, vec![tup(1), tup(2)].into()).unwrap();
+        op.push(0, vec![tup(3)].into()).unwrap();
         let out = op.flush(Ts::from_secs(1)).unwrap().into_rows();
         assert_eq!(out[0].value(0), &Value::Int(3));
         assert_eq!(out[0].ts(), Ts::from_secs(1));
@@ -277,16 +276,16 @@ mod tests {
     #[test]
     fn all_chunk_epoch_stays_columnar_and_mixed_epoch_keeps_arrival_order() {
         let mut u = UnionOp::new(2);
-        u.push(0, &vec![chunk(&[1, 2])].into()).unwrap();
-        u.push(1, &vec![chunk(&[3])].into()).unwrap();
+        u.push(0, vec![chunk(&[1, 2])].into()).unwrap();
+        u.push(1, vec![chunk(&[3])].into()).unwrap();
         let out = u.flush(Ts::ZERO).unwrap();
         assert_eq!(out.chunks().len(), 2, "chunks are forwarded, not re-cut");
         assert_eq!(values(out), vec![1, 2, 3]);
         // Rows converted at the boundary interleave with chunk arrivals in
         // arrival order.
-        u.push(0, &vec![tup(1)].into()).unwrap();
-        u.push(1, &vec![chunk(&[2])].into()).unwrap();
-        u.push(0, &vec![tup(3)].into()).unwrap();
+        u.push(0, vec![tup(1)].into()).unwrap();
+        u.push(1, vec![chunk(&[2])].into()).unwrap();
+        u.push(0, vec![tup(3)].into()).unwrap();
         assert_eq!(values(u.flush(Ts::ZERO).unwrap()), vec![1, 2, 3]);
         // Nothing buffered: an empty payload.
         assert!(u.flush(Ts::ZERO).unwrap().chunks().is_empty());

@@ -1,12 +1,14 @@
 //! Property test: on randomly generated dataflow DAGs, the epoch runner's
 //! per-epoch output at every node equals a direct evaluation of the DAG's
 //! description (the oracle below), epoch by epoch.
+//!
+//! `PROPTEST_CASES` sets the number of generated cases (default 48).
 
 use proptest::prelude::*;
 
-use esp_stream::ops::{FilterOp, PassThrough, UnionOp};
+use esp_stream::ops::{FilterOp, MapOp, PassThrough, UnionOp};
 use esp_stream::{Dataflow, EpochRunner, NodeId, ScriptedSource, TapId};
-use esp_types::{Batch, DataType, Schema, TimeDelta, Ts, Tuple, Value};
+use esp_types::{Batch, Chunk, DataType, Result, Schema, TimeDelta, Ts, Tuple, Value};
 
 /// A reproducible description of a dataflow: built once into a
 /// [`Dataflow`] for the runner and evaluated directly by [`oracle`].
@@ -32,6 +34,9 @@ enum OpSpec {
     Union { inputs: Vec<usize> },
     /// Pass-through of one node.
     Pass { input: usize },
+    /// Whole-chunk map of one node: keeps its even values through the
+    /// mask-filter kernel and drops chunks left empty.
+    Map { input: usize },
 }
 
 const PERIOD_MS: u64 = 100;
@@ -45,7 +50,28 @@ fn tuple(ts: Ts, v: i64) -> Tuple {
     Tuple::new_unchecked(schema, ts, vec![Value::Int(v)])
 }
 
+fn keep_evens(c: Chunk) -> Result<Option<Chunk>> {
+    let keep: Vec<bool> = (0..c.len())
+        .map(|i| {
+            c.value_at(i, 0)
+                .and_then(|v| v.as_i64())
+                .is_some_and(|v| v % 2 == 0)
+        })
+        .collect();
+    let kept = c.filter(&keep)?;
+    Ok((!kept.is_empty()).then_some(kept))
+}
+
 fn build(spec: &DagSpec) -> (Dataflow, Vec<TapId>) {
+    // Tap every node so any divergence anywhere is caught.
+    let (df, taps) = build_tapped(spec, |_| true);
+    (df, taps.into_iter().flatten().collect())
+}
+
+/// Build the spec, tapping node `i` (sources first, then ops) when
+/// `tapped(i)`. An untapped node's last consumer takes its output instead
+/// of a copy, so sparse taps exercise the runner's move path.
+fn build_tapped(spec: &DagSpec, tapped: impl Fn(usize) -> bool) -> (Dataflow, Vec<Option<TapId>>) {
     let mut df = Dataflow::new();
     let mut nodes: Vec<NodeId> = Vec::new();
     for (si, script) in spec.sources.iter().enumerate() {
@@ -83,18 +109,28 @@ fn build(spec: &DagSpec) -> (Dataflow, Vec<TapId>) {
             OpSpec::Pass { input } => df
                 .add_operator(Box::new(PassThrough::new()), &[nodes[input % nodes.len()]])
                 .unwrap(),
+            OpSpec::Map { input } => df
+                .add_operator(
+                    Box::new(MapOp::new("evens", keep_evens)),
+                    &[nodes[input % nodes.len()]],
+                )
+                .unwrap(),
         };
         nodes.push(node);
     }
-    // Tap every node so any divergence anywhere is caught.
-    let taps: Vec<TapId> = nodes.iter().map(|n| df.add_tap(*n).unwrap()).collect();
+    let taps = nodes
+        .iter()
+        .enumerate()
+        .map(|(i, n)| tapped(i).then(|| df.add_tap(*n).unwrap()))
+        .collect();
     (df, taps)
 }
 
 /// Evaluate the spec directly: `out[node][epoch]` is the node's values
 /// that epoch. Filter keeps `v mod m == r`, union concatenates its
-/// inputs in port order, pass is the identity; a source emits its
-/// script entry for the epoch, or nothing past the script's end.
+/// inputs in port order, pass is the identity, map keeps even values; a
+/// source emits its script entry for the epoch, or nothing past the
+/// script's end.
 fn oracle(spec: &DagSpec) -> Vec<Vec<Vec<i64>>> {
     let mut out: Vec<Vec<Vec<i64>>> = spec
         .sources
@@ -123,6 +159,11 @@ fn oracle(spec: &DagSpec) -> Vec<Vec<Vec<i64>>> {
                     .flat_map(|i| out[i % n][e].iter().copied())
                     .collect(),
                 OpSpec::Pass { input } => out[input % n][e].clone(),
+                OpSpec::Map { input } => out[input % n][e]
+                    .iter()
+                    .copied()
+                    .filter(|v| v % 2 == 0)
+                    .collect(),
             })
             .collect();
         out.push(per_epoch);
@@ -143,6 +184,7 @@ fn dag_spec() -> impl Strategy<Value = DagSpec> {
             proptest::collection::vec(any::<usize>(), 2..4)
                 .prop_map(|inputs| OpSpec::Union { inputs }),
             any::<usize>().prop_map(|input| OpSpec::Pass { input }),
+            any::<usize>().prop_map(|input| OpSpec::Map { input }),
         ],
         0..8,
     );
@@ -157,7 +199,12 @@ fn dag_spec() -> impl Strategy<Value = DagSpec> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig {
+        cases: std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|n| n.parse().ok())
+            .unwrap_or(48),
+    })]
 
     #[test]
     fn epoch_runner_matches_spec_oracle_on_random_dags(spec in dag_spec()) {
@@ -174,6 +221,29 @@ proptest! {
                 prop_assert_eq!(*ts, ets);
                 let want_batch: Batch = vals.iter().map(|v| tuple(ets, *v)).collect();
                 prop_assert_eq!(batch, &want_batch, "divergence at tap {} epoch {}", tap.index(), ets);
+            }
+        }
+    }
+
+    /// The same oracle with only some nodes tapped: every untapped node's
+    /// output is handed to its last consumer by move, yet every tapped
+    /// node still sees exactly the oracle's values.
+    #[test]
+    fn epoch_runner_matches_spec_oracle_with_sparse_taps(
+        spec in dag_spec(),
+        mask in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        let expected = oracle(&spec);
+        let (df, taps) = build_tapped(&spec, |i| mask[i % mask.len()]);
+        let mut runner = EpochRunner::new(df);
+        runner.run(Ts::ZERO, TimeDelta::from_millis(PERIOD_MS), spec.n_epochs).unwrap();
+        for (node, (tap, want)) in taps.iter().zip(&expected).enumerate() {
+            let Some(tap) = tap else { continue };
+            let got = runner.take_tap(*tap);
+            prop_assert_eq!(got.len(), want.len());
+            for (e, (ts, batch)) in got.iter().enumerate() {
+                let want_batch: Batch = want[e].iter().map(|v| tuple(*ts, *v)).collect();
+                prop_assert_eq!(batch, &want_batch, "divergence at node {} epoch {}", node, ts);
             }
         }
     }

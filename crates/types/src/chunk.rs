@@ -329,69 +329,57 @@ impl ColumnVec {
     /// *exactly* promotes the column to [`ColumnVec::Values`] first — the
     /// stored value is always the one read back.
     pub fn push(&mut self, v: Value) {
-        match (&mut *self, &v) {
+        match (&mut *self, v) {
             (ColumnVec::Bool { data, nulls }, Value::Bool(b)) => {
-                data.push(*b);
+                data.push(b);
                 nulls.push(false);
-                return;
             }
             (ColumnVec::Bool { data, nulls }, Value::Null) => {
                 data.push(false);
                 nulls.push(true);
-                return;
             }
             (ColumnVec::Int { data, nulls }, Value::Int(i)) => {
-                data.push(*i);
+                data.push(i);
                 nulls.push(false);
-                return;
             }
             (ColumnVec::Int { data, nulls }, Value::Null) => {
                 data.push(0);
                 nulls.push(true);
-                return;
             }
             (ColumnVec::Float { data, nulls }, Value::Float(f)) => {
-                data.push(*f);
+                data.push(f);
                 nulls.push(false);
-                return;
             }
             (ColumnVec::Float { data, nulls }, Value::Null) => {
                 data.push(0.0);
                 nulls.push(true);
-                return;
             }
             (ColumnVec::Str { data, nulls }, Value::Str(s)) => {
-                data.push(Arc::clone(s));
+                data.push(s);
                 nulls.push(false);
-                return;
             }
             (ColumnVec::Str { data, nulls }, Value::Null) => {
                 data.push(empty_str());
                 nulls.push(true);
-                return;
             }
             (ColumnVec::TsCol { data, nulls }, Value::Ts(t)) => {
-                data.push(*t);
+                data.push(t);
                 nulls.push(false);
-                return;
             }
             (ColumnVec::TsCol { data, nulls }, Value::Null) => {
                 data.push(Ts::ZERO);
                 nulls.push(true);
-                return;
             }
-            (ColumnVec::Values(vals), _) => {
-                vals.push(v);
-                return;
+            (ColumnVec::Values(vals), v) => vals.push(v),
+            // Mismatch (widened Int in a FLOAT column, unchecked-tuple
+            // drift, or a push into a pruned column): fall back to
+            // verbatim storage.
+            (col, v) => {
+                col.promote_to_values();
+                if let ColumnVec::Values(vals) = col {
+                    vals.push(v);
+                }
             }
-            _ => {}
-        }
-        // Mismatch (widened Int in a FLOAT column, unchecked-tuple drift,
-        // or a push into a pruned column): fall back to verbatim storage.
-        self.promote_to_values();
-        match self {
-            ColumnVec::Values(vals) => vals.push(v),
-            _ => unreachable!("promote_to_values yields Values"),
         }
     }
 
@@ -472,6 +460,36 @@ impl ColumnVec {
             for i in 0..other.len() {
                 vals.push(other.get(i).unwrap_or(Value::Null));
             }
+        }
+    }
+
+    /// Move every row's value into the matching slot of `slots`, in order.
+    fn move_into<'a>(self, slots: impl Iterator<Item = &'a mut Value>) {
+        fn packed<'a, T>(
+            data: Vec<T>,
+            nulls: &NullMask,
+            slots: impl Iterator<Item = &'a mut Value>,
+            wrap: fn(T) -> Value,
+        ) {
+            for (i, (d, slot)) in data.into_iter().zip(slots).enumerate() {
+                if !nulls.get(i) {
+                    *slot = wrap(d);
+                }
+            }
+        }
+        match self {
+            ColumnVec::Bool { data, nulls } => packed(data, &nulls, slots, Value::Bool),
+            ColumnVec::Int { data, nulls } => packed(data, &nulls, slots, Value::Int),
+            ColumnVec::Float { data, nulls } => packed(data, &nulls, slots, Value::Float),
+            ColumnVec::Str { data, nulls } => packed(data, &nulls, slots, Value::Str),
+            ColumnVec::TsCol { data, nulls } => packed(data, &nulls, slots, Value::Ts),
+            ColumnVec::Values(vals) => {
+                for (v, slot) in vals.into_iter().zip(slots) {
+                    *slot = v;
+                }
+            }
+            // Every slot already reads `NULL`.
+            ColumnVec::Pruned { .. } => {}
         }
     }
 
@@ -720,23 +738,17 @@ impl Chunk {
     /// types that don't fit the packed representation promote the column,
     /// so this never loses information).
     pub fn push_row(&mut self, ts: Ts, values: &[Value]) -> Result<()> {
-        if values.len() != self.cols.len() {
-            return Err(EspError::SchemaMismatch(format!(
-                "row has {} values but chunk schema {} has {} fields",
-                values.len(),
-                self.schema,
-                self.cols.len()
-            )));
-        }
-        self.ts.push(ts);
-        for (col, v) in self.cols.iter_mut().zip(values) {
-            col.push(v.clone());
-        }
-        Ok(())
+        self.push_row_owned(ts, values.iter().cloned())
     }
 
-    /// Append a row, consuming `values`.
-    pub fn push_row_owned(&mut self, ts: Ts, values: Vec<Value>) -> Result<()> {
+    /// Append a row, consuming `values` (any exact-size source: a `Vec`,
+    /// or an array on the ingest path so no per-row vector is allocated).
+    pub fn push_row_owned<I>(&mut self, ts: Ts, values: I) -> Result<()>
+    where
+        I: IntoIterator<Item = Value>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let values = values.into_iter();
         if values.len() != self.cols.len() {
             return Err(EspError::SchemaMismatch(format!(
                 "row has {} values but chunk schema {} has {} fields",
@@ -802,6 +814,29 @@ impl Chunk {
     /// [`Chunk::from_tuples`]).
     pub fn to_tuples(&self) -> Vec<Tuple> {
         (0..self.len()).filter_map(|i| self.tuple_at(i)).collect()
+    }
+
+    /// [`Chunk::to_tuples`], consuming the chunk: every value moves out of
+    /// its column, so a string costs no reference-count traffic.
+    pub fn into_tuples(self) -> Vec<Tuple> {
+        let Chunk { schema, ts, cols } = self;
+        let width = cols.len();
+        // Row-major slots, so each row's values move into its tuple with
+        // one allocation.
+        let mut flat = vec![Value::Null; ts.len() * width];
+        for (c, col) in cols.into_iter().enumerate() {
+            col.move_into(flat.iter_mut().skip(c).step_by(width));
+        }
+        let mut values = flat.into_iter();
+        ts.into_iter()
+            .map(|ts| {
+                Tuple::from_shared(
+                    Arc::clone(&schema),
+                    ts,
+                    values.by_ref().take(width).collect(),
+                )
+            })
+            .collect()
     }
 
     /// Build a chunk from tuples that all share `schema` structurally.
@@ -912,31 +947,31 @@ impl Chunk {
         Ok(())
     }
 
-    /// A copy of this chunk with one constant-valued column appended under
+    /// A copy of this chunk with one constant-valued column appended:
+    /// [`Chunk::into_appended`] on a clone.
+    pub fn with_appended(&self, extended: &Arc<Schema>, value: Value) -> Result<Chunk> {
+        self.clone().into_appended(extended, value)
+    }
+
+    /// This chunk with one constant-valued column appended under
     /// `extended` (this schema plus one trailing field) — the columnar
     /// analogue of [`Tuple::with_appended`], used by the processor's
-    /// `spatial_granule` injector to tag a whole chunk with one `Arc` bump
-    /// per row instead of one tuple re-allocation per row.
-    pub fn with_appended(&self, extended: &Arc<Schema>, value: Value) -> Result<Chunk> {
+    /// `spatial_granule` injector to tag a whole chunk in place, one `Arc`
+    /// bump per row instead of one tuple re-allocation per row.
+    pub fn into_appended(mut self, extended: &Arc<Schema>, value: Value) -> Result<Chunk> {
         if extended.len() != self.cols.len() + 1 {
             return Err(EspError::SchemaMismatch(format!(
                 "extended schema {extended} does not extend {} by one field",
                 self.schema
             )));
         }
-        let extended = crate::registry::intern(extended);
-        let dt = extended.fields()[self.cols.len()].data_type;
-        let mut col = ColumnVec::for_type(dt);
+        self.schema = crate::registry::intern(extended);
+        let mut col = ColumnVec::for_type(self.schema.fields()[self.cols.len()].data_type);
         for _ in 0..self.len() {
             col.push(value.clone());
         }
-        let mut cols = self.cols.clone();
-        cols.push(col);
-        Ok(Chunk {
-            schema: extended,
-            ts: self.ts.clone(),
-            cols,
-        })
+        self.cols.push(col);
+        Ok(self)
     }
 
     /// Physically drop column `c`: storage is released and every read of
@@ -1203,6 +1238,28 @@ mod tests {
     }
 
     #[test]
+    fn into_appended_matches_with_appended() {
+        let s = registry::intern(&schema());
+        let mut c = Chunk::new(&s);
+        c.push_row(Ts::ZERO, &row(1)).unwrap();
+        c.push_row(Ts::from_millis(1), &vec![Value::Null; 4])
+            .unwrap();
+        let ext = s
+            .with_field(crate::Field::new("spatial_granule", DataType::Str))
+            .unwrap();
+        let copied = c.with_appended(&ext, Value::str("shelf0")).unwrap();
+        let moved = c.clone().into_appended(&ext, Value::str("shelf0")).unwrap();
+        assert_eq!(moved.to_tuples(), copied.to_tuples());
+        assert!(Arc::ptr_eq(moved.schema(), copied.schema()));
+        // The moved chunk keeps its buffers: no column is copied.
+        let ts_buf = c.ts().as_ptr();
+        assert_eq!(
+            c.into_appended(&ext, Value::Null).unwrap().ts().as_ptr(),
+            ts_buf
+        );
+    }
+
+    #[test]
     fn chunk_batch_splits_on_schema_runs() {
         let a = registry::intern(&schema());
         let b = registry::intern(
@@ -1383,6 +1440,34 @@ mod tests {
                 // Timestamp order preserved verbatim (no sorting).
                 let ts: Vec<Ts> = tuples.iter().map(Tuple::ts).collect();
                 prop_assert_eq!(c.ts(), &ts[..]);
+            }
+
+            /// Moving rows out equals copying them out, bit for bit, for
+            /// every column representation (packed with NULL slots,
+            /// verbatim ANY, physically pruned).
+            #[test]
+            fn into_tuples_matches_to_tuples(
+                rows in proptest::collection::vec(arb_row(), 0..60),
+                prune in any::<bool>(),
+            ) {
+                let s = prop_schema();
+                let tuples: Vec<Tuple> =
+                    rows.into_iter().map(|r| build_tuple(&s, r)).collect();
+                let mut c = Chunk::from_tuples(&s, &tuples).unwrap();
+                if prune {
+                    c.drop_column(2);
+                }
+                let copied = c.to_tuples();
+                let moved = c.into_tuples();
+                prop_assert_eq!(&moved, &copied);
+                for (a, b) in copied.iter().zip(&moved) {
+                    prop_assert!(Arc::ptr_eq(a.schema(), b.schema()));
+                    for (x, y) in a.values().iter().zip(b.values()) {
+                        if let (Value::Float(x), Value::Float(y)) = (x, y) {
+                            prop_assert_eq!(x.to_bits(), y.to_bits());
+                        }
+                    }
+                }
             }
 
             /// `chunk_batch` splits arbitrary mixed-schema batches into

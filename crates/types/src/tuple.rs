@@ -61,6 +61,14 @@ impl Tuple {
         }
     }
 
+    /// [`Tuple::new_unchecked`] over values already in their shared
+    /// form, so a caller that collects a row straight into an `Arc`
+    /// allocates it once.
+    pub(crate) fn from_shared(schema: Arc<Schema>, ts: Ts, values: Arc<[Value]>) -> Tuple {
+        debug_assert_eq!(values.len(), schema.len());
+        Tuple { schema, values, ts }
+    }
+
     /// The tuple's schema.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
