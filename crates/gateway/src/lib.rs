@@ -34,6 +34,12 @@
 //! after the hand-off, so a flush message can never overtake the readings
 //! it covers.
 //!
+//! Those ordering decisions — the reader's hand-off and advance, the
+//! coordinator's flush guard and drain sweep, the worker's skip rule and
+//! checkpoint cadence — are plain state machines in [`protocol`], with no
+//! sockets, threads or locks. The threads drive them, and [`model`]
+//! checks the same machines under every interleaving.
+//!
 //! ## Backpressure
 //!
 //! Shard queues are bounded crossbeam channels of two slots; each slot
@@ -82,6 +88,7 @@ mod client;
 pub mod convert;
 mod durability;
 pub mod model;
+pub mod protocol;
 mod server;
 pub mod shard;
 pub mod stats;

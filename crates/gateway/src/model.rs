@@ -1,31 +1,36 @@
-//! Deterministic model checking of the gateway's watermark protocol.
+//! Deterministic model checking of the gateway's ordering protocol, as
+//! shipped.
 //!
-//! [`GatewayModel`] is a finite abstraction of the reader/coordinator/
-//! worker handshake in [`watermark`](crate::watermark) and the server's
-//! `coordinate` loop: each connection hands its readings off to a FIFO
-//! shard queue a batch at a time (one step moves up to
-//! [`GatewayModel::with_batch`] readings) and *then* advances its monotone
-//! clock to the batch's largest `ts − lateness` (`fetch_max`, a second
-//! step); the coordinator polls the global minimum and enqueues epoch
-//! flushes behind the readings they certify; the worker drains the queue
-//! in order. [`GatewayModel::check`] explores every interleaving of those
-//! steps and reports violations as `E0703` diagnostics:
+//! [`GatewayModel`] is only the environment around the machines in
+//! [`protocol`](crate::protocol): connection scripts, one FIFO shard
+//! queue, and every interleaving of the steps the threads could take. A
+//! [`GatewayAction::Conn`] step executes one effect the shipped
+//! [`Reader`] decided, or feeds it its next input (handshake, reading,
+//! EOF); [`GatewayAction::HandOff`] lets the checker end a batch after any
+//! non-empty prefix, as the socket running dry does; the coordinator and
+//! worker steps call the shipped [`Coordinator`] and [`Worker`]. The model
+//! computes no protocol rule itself, and [`GatewayModel::check`] reports
+//! violations as `E0703` diagnostics:
 //!
-//! * **watermark regression** — the coordinator observes the global
-//!   watermark decrease, breaking the "monotone by construction"
-//!   contract every flush decision leans on.
-//! * **flush overtaking a reading** — the worker sees a reading stamped
-//!   below an epoch bound that was already flushed: data certified as
+//! * **watermark regression** — the coordinator observes the watermark
+//!   it flushes against decrease, breaking the "monotone by
+//!   construction" contract every flush decision leans on.
+//! * **flush overtaking a reading** — the worker receives a reading that
+//!   a flush it already applied would have released: data certified as
 //!   complete arrived after its epoch was sealed.
+//! * **reading never released** — after the drain sweep the worker still
+//!   holds a reading no flush released.
 //!
-//! Three deliberately broken variants ([`GatewayMutant`]) re-introduce
-//! the bugs the shipped ordering rules prevent; the test suite asserts
-//! the checker catches each.
+//! The test suite seeds bugs into the shipped machines (`#[cfg(test)]`
+//! edits, one per mutant) and asserts the checker catches each.
 
 use std::collections::VecDeque;
 
 use esp_types::Diagnostic;
 use stateright::{always, Checker, Model, Property};
+
+use crate::protocol::{self, Coordinator, Effect, Reader, Worker, CLOSED};
+use crate::GatewayConfig;
 
 /// Outcome of a model-checking run, with violations as diagnostics.
 #[derive(Debug)]
@@ -46,23 +51,6 @@ impl ModelReport {
     }
 }
 
-/// A deliberately seeded watermark-protocol bug (test/validation only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatewayMutant {
-    /// `ConnClock::advance` uses a plain store instead of `fetch_max`,
-    /// so an in-contract late reading can drag the clock backwards.
-    StoreNotMax,
-    /// The reader closes its clock (promising "nothing further") before
-    /// its final batch is enqueued — the flush that close releases can
-    /// overtake the batch in the shard queue.
-    CloseBeforeLastEnqueue,
-    /// The reader publishes a batch's watermark before handing the batch
-    /// off. One reading never certifies past itself (`ts − lateness <=
-    /// ts`), but a batch's maximum certifies past its earlier readings,
-    /// so with batches of two or more a flush can overtake them.
-    AdvanceBeforeHandOff,
-}
-
 /// One modeled connection: the readings it will send (wire order) and
 /// its declared bounded-lateness promise.
 #[derive(Debug, Clone)]
@@ -74,54 +62,60 @@ pub struct ConnScript {
     pub lateness: u64,
 }
 
-/// Finite model of the gateway watermark protocol (see module docs).
+/// The gateway's ordering protocol over a set of connection scripts (see
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct GatewayModel {
     conns: Vec<ConnScript>,
     epoch_ms: u64,
-    batch: usize,
-    mutant: Option<GatewayMutant>,
+    cap: usize,
 }
 
-/// Where one connection's reader thread is in its script. A batch is
-/// named by the index of its first reading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum ConnPhase {
-    /// About to hand off batch `i`.
-    Enqueue(usize),
-    /// Batch `i` enqueued; about to advance the clock to its maximum.
-    Advance(usize),
-    /// Script exhausted; about to close the clock.
-    Close,
-    /// Mutant order: the clock already moved (closed, or advanced to the
-    /// batch's maximum), batch `i` still to enqueue.
-    LateEnqueue(usize),
-    Done,
+/// One connection's reader thread.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Conn {
+    reader: Reader<u64>,
+    /// Index of the next script reading to read.
+    next: usize,
+    /// The connection's clock; none until the handshake registers it.
+    clock: Option<u64>,
+    /// Effects the reader decided and has not yet executed, in order.
+    outbox: VecDeque<Effect<u64>>,
+    /// EOF read: the final hand-off is decided.
+    eof: bool,
 }
 
-/// A message in the FIFO shard queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum QMsg {
-    Reading(u64),
-    /// Seals every reading with `ts < bound`.
-    Flush(u64),
+impl Conn {
+    fn done(&self) -> bool {
+        self.eof && self.outbox.is_empty()
+    }
+}
+
+/// A message in the FIFO shard queue. Without durability every `seq` is 0.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Msg {
+    Readings(Vec<(u64, u64)>),
+    Flush { seq: u64, epoch: u64 },
 }
 
 /// A full configuration of the modeled gateway.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GatewayState {
-    phase: Vec<ConnPhase>,
-    clock: Vec<u64>,
-    queue: VecDeque<QMsg>,
-    /// Coordinator's next epoch boundary to flush.
-    next_flush: u64,
-    /// Last global watermark the coordinator observed.
-    last_global: u64,
-    /// Max reading timestamp enqueued so far (the coordinator's flush
-    /// bound, mirroring `GatewayStats::max_ts_ms`).
-    max_enqueued: u64,
-    /// Worker-side: readings below this bound are sealed.
-    sealed: u64,
+    conns: Vec<Conn>,
+    queue: VecDeque<Msg>,
+    coordinator: Coordinator,
+    worker: Worker,
+    /// Largest timestamp handed off: the stats gauge the coordinator's
+    /// flush guard reads.
+    max_ts: u64,
+    /// The watermark the coordinator last polled against.
+    last_watermark: Option<u64>,
+    /// The coordinator has run its drain sweep.
+    drained: bool,
+    /// Worker side: the last epoch stepped, and the readings it holds
+    /// unreleased (sorted).
+    sealed: Option<u64>,
+    held: Vec<u64>,
     monotone_ok: bool,
     overtake_ok: bool,
 }
@@ -129,11 +123,14 @@ pub struct GatewayState {
 /// One schedulable step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GatewayAction {
-    /// Connection `i`'s reader takes its next step (enqueue, advance,
-    /// or close — one atomic action each).
+    /// Connection `i`'s reader takes its next step: execute its next
+    /// decided effect (one enqueue, advance or close), or else handshake,
+    /// read one reading, or reach EOF.
     Conn(usize),
-    /// The coordinator polls the global watermark and enqueues any due
-    /// epoch flushes.
+    /// Connection `i`'s socket runs dry: hand off whatever is pending.
+    HandOff(usize),
+    /// The coordinator polls the watermark and enqueues the due epoch
+    /// flushes; once every reader is done, it runs the drain sweep.
     CoordinatorPoll,
     /// The worker pops one message from the shard queue.
     WorkerStep,
@@ -141,22 +138,21 @@ pub enum GatewayAction {
 
 impl GatewayModel {
     /// A model over the given connection scripts, flushing epochs every
-    /// `epoch_ms`.
+    /// `epoch_ms`, handing off at most two readings at a time.
     pub fn new(conns: Vec<ConnScript>, epoch_ms: u64) -> GatewayModel {
         assert!(epoch_ms > 0);
         GatewayModel {
             conns,
             epoch_ms,
-            batch: 1,
-            mutant: None,
+            cap: 2,
         }
     }
 
-    /// Hand readings off `batch` at a time (the last batch of a script
-    /// may be shorter). The default is one reading per hand-off.
-    pub fn with_batch(mut self, batch: usize) -> GatewayModel {
-        assert!(batch > 0);
-        self.batch = batch;
+    /// Hand readings off at most `cap` at a time; the checker ends a batch
+    /// after any non-empty prefix up to the cap.
+    pub fn with_batch(mut self, cap: usize) -> GatewayModel {
+        assert!(cap > 0);
+        self.cap = cap;
         self
     }
 
@@ -179,40 +175,22 @@ impl GatewayModel {
         )
     }
 
-    /// Seed a protocol bug. Only available to tests and the
-    /// `model-mutants` feature.
-    #[cfg(any(test, feature = "model-mutants"))]
-    pub fn with_mutant(mut self, mutant: GatewayMutant) -> GatewayModel {
-        self.mutant = Some(mutant);
-        self
-    }
-
     /// Exhaustively explore every interleaving.
     pub fn check(&self) -> ModelReport {
         let report = Checker::new().max_states(2_000_000).check(self);
-        let mut diagnostics = Vec::new();
-        for v in &report.violations {
-            let what = match v.property {
-                "watermark-monotone" => {
-                    "the global watermark regressed — a later poll observed a smaller value"
-                }
-                "flush-never-overtakes" => {
-                    "an epoch flush overtook a reading it claimed to certify — the worker \
-                     saw a reading stamped below an already-sealed bound"
-                }
-                other => other,
-            };
-            diagnostics.push(
+        let diagnostics = report
+            .violations
+            .iter()
+            .map(|v| {
+                let steps = v.trace.len();
+                let what = v.property;
                 Diagnostic::error(
                     "E0703",
-                    format!(
-                        "watermark protocol violation after {} steps: {what}",
-                        v.trace.len()
-                    ),
+                    format!("watermark protocol violation after {steps} steps: {what}"),
                 )
-                .with_note(format!("shortest failing schedule: {:?}", v.trace)),
-            );
-        }
+                .with_note(format!("shortest failing schedule: {:?}", v.trace))
+            })
+            .collect();
         ModelReport {
             states_explored: report.states_explored,
             complete: report.complete,
@@ -220,44 +198,74 @@ impl GatewayModel {
         }
     }
 
-    /// End (exclusive) of connection `conn`'s batch starting at reading
-    /// `k`.
-    fn batch_end(&self, conn: usize, k: usize) -> usize {
-        (k + self.batch).min(self.conns[conn].readings.len())
-    }
-
-    /// Enqueue connection `conn`'s batch starting at `k`.
-    fn enqueue(&self, s: &mut GatewayState, conn: usize, k: usize) {
-        for &ts in &self.conns[conn].readings[k..self.batch_end(conn, k)] {
-            s.queue.push_back(QMsg::Reading(ts));
-            s.max_enqueued = s.max_enqueued.max(ts);
+    /// Connection `i`'s next step (see [`GatewayAction::Conn`]).
+    fn conn_step(&self, s: &mut GatewayState, i: usize) {
+        let c = &mut s.conns[i];
+        match c.outbox.pop_front() {
+            Some(Effect::Send { batch, .. }) => s.queue.push_back(Msg::Readings(batch)),
+            Some(Effect::Advance {
+                max_ts_ms,
+                watermark,
+                ..
+            }) => {
+                s.max_ts = s.max_ts.max(max_ts_ms);
+                c.clock = c.clock.map(|cur| protocol::merge(cur, watermark));
+            }
+            Some(Effect::Close) => c.clock = Some(CLOSED),
+            // The handshake registers the connection at watermark 0.
+            None if c.clock.is_none() => c.clock = Some(0),
+            None => match self.conns[i].readings.get(c.next) {
+                Some(&ts) => {
+                    c.next += 1;
+                    if c.reader.push(0, ts, ts, &[0]) {
+                        c.outbox = c.reader.hand_off().into();
+                    }
+                }
+                None => {
+                    c.eof = true;
+                    c.outbox = c.reader.finish().into();
+                }
+            },
         }
     }
 
-    /// The phase after connection `conn`'s batch starting at `k` is done.
-    fn after_batch(&self, conn: usize, k: usize) -> ConnPhase {
-        let end = self.batch_end(conn, k);
-        if end < self.conns[conn].readings.len() {
-            ConnPhase::Enqueue(end)
-        } else {
-            ConnPhase::Close
+    /// The coordinator's poll, or its drain sweep once every reader is done.
+    fn poll(s: &mut GatewayState) {
+        let draining = s.conns.iter().all(Conn::done);
+        let registered = s.conns.iter().filter(|c| c.clock.is_some()).count();
+        let global = protocol::global(registered, s.conns.iter().filter_map(|c| c.clock));
+        let watermark = s.coordinator.watermark(draining, registered, global);
+        if !draining {
+            s.monotone_ok &= watermark >= s.last_watermark;
+            s.last_watermark = watermark;
         }
+        while let Some(epoch) = s.coordinator.next_due(watermark, s.max_ts) {
+            s.queue.push_back(Msg::Flush { seq: 0, epoch });
+        }
+        s.drained = draining;
     }
 
-    /// The clock after advancing past connection `conn`'s batch starting
-    /// at `k`: its largest `ts − lateness`.
-    fn advanced(&self, current: u64, conn: usize, k: usize) -> u64 {
-        let script = &self.conns[conn];
-        let target = script.readings[k..self.batch_end(conn, k)]
-            .iter()
-            .map(|ts| ts.saturating_sub(script.lateness))
-            .max()
-            .unwrap_or(0);
-        match self.mutant {
-            // The bug: a plain store forgets the monotone maximum.
-            Some(GatewayMutant::StoreNotMax) => target,
-            _ => current.max(target),
+    /// The worker takes one message; `None` with the queue empty.
+    fn worker_step(s: &mut GatewayState) -> Option<()> {
+        match s.queue.pop_front()? {
+            Msg::Readings(batch) => {
+                for (seq, ts) in batch {
+                    if s.worker.fresh(seq) {
+                        s.overtake_ok &= !s.sealed.is_some_and(|e| protocol::released(ts, e));
+                        let at = s.held.partition_point(|&h| h <= ts);
+                        s.held.insert(at, ts);
+                    }
+                }
+            }
+            Msg::Flush { seq, epoch } => {
+                if s.worker.fresh(seq) {
+                    s.held.retain(|&ts| !protocol::released(ts, epoch));
+                    s.sealed = Some(epoch);
+                    s.worker.stepped();
+                }
+            }
         }
+        Some(())
     }
 }
 
@@ -266,38 +274,48 @@ impl Model for GatewayModel {
     type Action = GatewayAction;
 
     fn init_states(&self) -> Vec<GatewayState> {
+        // The shipped first boundary; no flush until the whole fleet has
+        // registered (`min_connections` set to the fleet).
+        let start = GatewayConfig::new(Vec::new()).start.as_millis();
         vec![GatewayState {
-            phase: self
+            conns: self
                 .conns
                 .iter()
-                .map(|c| {
-                    if c.readings.is_empty() {
-                        ConnPhase::Close
-                    } else {
-                        ConnPhase::Enqueue(0)
-                    }
+                .map(|c| Conn {
+                    reader: Reader::new(1, c.lateness, self.cap),
+                    next: 0,
+                    clock: None,
+                    outbox: VecDeque::new(),
+                    eof: false,
                 })
                 .collect(),
-            clock: vec![0; self.conns.len()],
             queue: VecDeque::new(),
-            next_flush: self.epoch_ms,
-            last_global: 0,
-            max_enqueued: 0,
-            sealed: 0,
+            coordinator: Coordinator::new(start, self.epoch_ms, self.conns.len()),
+            worker: Worker::new(None),
+            max_ts: 0,
+            last_watermark: None,
+            drained: false,
+            sealed: None,
+            held: Vec::new(),
             monotone_ok: true,
             overtake_ok: true,
         }]
     }
 
     fn actions(&self, s: &GatewayState, actions: &mut Vec<GatewayAction>) {
-        for (i, p) in s.phase.iter().enumerate() {
-            if *p != ConnPhase::Done {
+        for (i, c) in s.conns.iter().enumerate() {
+            if !c.done() {
                 actions.push(GatewayAction::Conn(i));
+            }
+            if c.outbox.is_empty() && c.reader.pending() > 0 {
+                actions.push(GatewayAction::HandOff(i));
             }
         }
         // The coordinator polls freely; a poll that changes nothing
         // produces an already-visited state and costs the search nothing.
-        actions.push(GatewayAction::CoordinatorPoll);
+        if !s.drained {
+            actions.push(GatewayAction::CoordinatorPoll);
+        }
         if !s.queue.is_empty() {
             actions.push(GatewayAction::WorkerStep);
         }
@@ -306,94 +324,65 @@ impl Model for GatewayModel {
     fn next_state(&self, s: &GatewayState, action: GatewayAction) -> Option<GatewayState> {
         let mut s = s.clone();
         match action {
-            GatewayAction::Conn(i) => match s.phase[i] {
-                ConnPhase::Enqueue(k) => {
-                    let last = self.batch_end(i, k) == self.conns[i].readings.len();
-                    match self.mutant {
-                        Some(GatewayMutant::CloseBeforeLastEnqueue) if last => {
-                            // The bug: promise "nothing further" while a
-                            // batch is still pending in the reader.
-                            s.clock[i] = u64::MAX;
-                            s.phase[i] = ConnPhase::LateEnqueue(k);
-                        }
-                        Some(GatewayMutant::AdvanceBeforeHandOff) => {
-                            // The bug: publish the batch's watermark
-                            // while the batch is still pending.
-                            s.clock[i] = self.advanced(s.clock[i], i, k);
-                            s.phase[i] = ConnPhase::LateEnqueue(k);
-                        }
-                        _ => {
-                            self.enqueue(&mut s, i, k);
-                            s.phase[i] = ConnPhase::Advance(k);
-                        }
-                    }
-                }
-                ConnPhase::Advance(k) => {
-                    // Advance AFTER enqueuing (the shipped ordering).
-                    s.clock[i] = self.advanced(s.clock[i], i, k);
-                    s.phase[i] = self.after_batch(i, k);
-                }
-                ConnPhase::Close => {
-                    s.clock[i] = u64::MAX;
-                    s.phase[i] = ConnPhase::Done;
-                }
-                ConnPhase::LateEnqueue(k) => {
-                    self.enqueue(&mut s, i, k);
-                    s.phase[i] = match self.mutant {
-                        Some(GatewayMutant::CloseBeforeLastEnqueue) => ConnPhase::Done,
-                        _ => self.after_batch(i, k),
-                    };
-                }
-                ConnPhase::Done => return None,
-            },
-            GatewayAction::CoordinatorPoll => {
-                let global = s.clock.iter().copied().min().unwrap_or(u64::MAX);
-                if global < s.last_global {
-                    s.monotone_ok = false;
-                }
-                s.last_global = global;
-                // Flush epochs the watermark certifies, bounded by data
-                // actually seen (mirrors `coordinate`'s max_ts guard).
-                while s.next_flush < global && s.next_flush <= s.max_enqueued {
-                    s.queue.push_back(QMsg::Flush(s.next_flush));
-                    s.next_flush += self.epoch_ms;
-                }
+            GatewayAction::Conn(i) => self.conn_step(&mut s, i),
+            GatewayAction::HandOff(i) => {
+                let c = &mut s.conns[i];
+                c.outbox = c.reader.hand_off().into();
             }
-            GatewayAction::WorkerStep => match s.queue.pop_front()? {
-                QMsg::Reading(ts) => {
-                    if ts < s.sealed {
-                        s.overtake_ok = false;
-                    }
-                }
-                QMsg::Flush(bound) => {
-                    s.sealed = s.sealed.max(bound);
-                }
-            },
+            GatewayAction::CoordinatorPoll => GatewayModel::poll(&mut s),
+            GatewayAction::WorkerStep => GatewayModel::worker_step(&mut s)?,
         }
         Some(s)
     }
 
+    /// Each property's name is the finding its violation reports.
     fn properties(&self) -> Vec<Property<Self>> {
         vec![
             always(
-                "watermark-monotone",
-                |_m: &GatewayModel, s: &GatewayState| s.monotone_ok,
+                "the global watermark regressed — a later poll observed a smaller value",
+                |_, s: &GatewayState| s.monotone_ok,
             ),
             always(
-                "flush-never-overtakes",
-                |_m: &GatewayModel, s: &GatewayState| s.overtake_ok,
+                "an epoch flush overtook a reading it claimed to certify — the worker saw \
+                 a reading an already-applied flush would have released",
+                |_, s: &GatewayState| s.overtake_ok,
+            ),
+            always(
+                "a reading was never released — after the drain sweep the worker still \
+                 held a reading no flush covered",
+                |m: &GatewayModel, s: &GatewayState| !m.is_done(s) || s.held.is_empty(),
             ),
         ]
     }
 
     fn is_done(&self, s: &GatewayState) -> bool {
-        s.phase.iter().all(|p| *p == ConnPhase::Done) && s.queue.is_empty()
+        s.drained && s.queue.is_empty() && s.conns.iter().all(Conn::done)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{with_mutant, GatewayMutant};
+
+    fn found(report: &ModelReport, what: &str) -> bool {
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == "E0703" && d.message.contains(what))
+    }
+
+    fn overtakes(report: &ModelReport) -> bool {
+        found(report, "overtook")
+    }
+
+    fn regresses(report: &ModelReport) -> bool {
+        found(report, "regressed")
+    }
+
+    fn one_conn(readings: Vec<u64>, lateness: u64) -> GatewayModel {
+        GatewayModel::new(vec![ConnScript { readings, lateness }], 5)
+    }
 
     #[test]
     fn shipped_protocol_passes_full_exploration() {
@@ -410,19 +399,10 @@ mod tests {
         }
     }
 
-    fn overtakes(report: &ModelReport) -> bool {
-        report
-            .diagnostics
-            .iter()
-            .any(|d| d.code == "E0703" && d.message.contains("overtook"))
-    }
-
     #[test]
     fn advance_before_hand_off_lets_a_flush_overtake_a_batch() {
-        let report = GatewayModel::acceptance()
-            .with_batch(2)
-            .with_mutant(GatewayMutant::AdvanceBeforeHandOff)
-            .check();
+        let mutant = GatewayMutant::AdvanceBeforeHandOff;
+        let report = with_mutant(mutant, || GatewayModel::acceptance().with_batch(2).check());
         assert!(
             overtakes(&report),
             "expected a flush-overtake violation, got {:#?}",
@@ -430,59 +410,33 @@ mod tests {
         );
         // One reading never certifies past itself, so the same wrong
         // order is harmless without batching: the mutant needs batches.
-        let report = GatewayModel::acceptance()
-            .with_mutant(GatewayMutant::AdvanceBeforeHandOff)
-            .check();
+        let report = with_mutant(mutant, || GatewayModel::acceptance().with_batch(1).check());
         assert!(report.passed(), "{:#?}", report.diagnostics);
     }
 
     #[test]
     fn older_mutants_are_still_caught_with_batched_hand_off() {
-        let report = GatewayModel::acceptance()
-            .with_batch(2)
-            .with_mutant(GatewayMutant::CloseBeforeLastEnqueue)
-            .check();
+        let report = with_mutant(GatewayMutant::CloseBeforeLastEnqueue, || {
+            GatewayModel::acceptance().with_batch(2).check()
+        });
         assert!(overtakes(&report), "{:#?}", report.diagnostics);
         // A batch publishes its maximum once, so the plain store needs a
         // later batch whose maximum is lower (in contract: 6 >= 10 - 5).
-        let report = GatewayModel::new(
-            vec![ConnScript {
-                readings: vec![10, 5, 6],
-                lateness: 5,
-            }],
-            5,
-        )
-        .with_batch(2)
-        .with_mutant(GatewayMutant::StoreNotMax)
-        .check();
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.code == "E0703" && d.message.contains("regressed")),
-            "{:#?}",
-            report.diagnostics
-        );
+        let report = with_mutant(GatewayMutant::StoreNotMax, || {
+            one_conn(vec![10, 5, 6], 5).with_batch(2).check()
+        });
+        assert!(regresses(&report), "{:#?}", report.diagnostics);
     }
 
     #[test]
     fn store_not_max_regresses_the_watermark() {
         // One connection sending in-contract out-of-order readings: the
         // plain store drags its clock from 5 back to 0.
-        let model = GatewayModel::new(
-            vec![ConnScript {
-                readings: vec![10, 5],
-                lateness: 5,
-            }],
-            5,
-        )
-        .with_mutant(GatewayMutant::StoreNotMax);
-        let report = model.check();
+        let report = with_mutant(GatewayMutant::StoreNotMax, || {
+            one_conn(vec![10, 5], 5).check()
+        });
         assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.code == "E0703" && d.message.contains("regressed")),
+            regresses(&report),
             "expected a watermark regression, got {:#?}",
             report.diagnostics
         );
@@ -490,40 +444,74 @@ mod tests {
 
     #[test]
     fn close_before_last_enqueue_lets_a_flush_overtake() {
-        let report = GatewayModel::acceptance()
-            .with_mutant(GatewayMutant::CloseBeforeLastEnqueue)
-            .check();
+        let report = with_mutant(GatewayMutant::CloseBeforeLastEnqueue, || {
+            GatewayModel::acceptance().check()
+        });
         assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.code == "E0703" && d.message.contains("overtook")),
+            overtakes(&report),
             "expected a flush-overtake violation, got {:#?}",
             report.diagnostics
         );
     }
 
     #[test]
+    fn flush_at_watermark_overtakes_a_reading_stamped_at_it() {
+        // The off-by-one against the `<=` seal rule: flushing epoch 5 once
+        // the watermark reads 5 seals the straggler's reading stamped 5.
+        let report = with_mutant(GatewayMutant::FlushAtWatermark, || {
+            GatewayModel::acceptance().with_batch(1).check()
+        });
+        assert!(overtakes(&report), "{:#?}", report.diagnostics);
+    }
+
+    #[test]
+    fn drain_stopping_at_max_ts_leaves_a_reading_unreleased() {
+        // The last reading (8) sits between boundaries 5 and 10: a guard
+        // of `next <= max_ts` stops before epoch 10, the one covering it.
+        let report = with_mutant(GatewayMutant::DrainStopsAtMaxTs, || {
+            one_conn(vec![3, 8], 0).check()
+        });
+        assert!(
+            found(&report, "never released"),
+            "{:#?}",
+            report.diagnostics
+        );
+        // The shipped guard drains through the epoch that covers it.
+        assert!(one_conn(vec![3, 8], 0).check().passed());
+    }
+
+    #[test]
     fn in_contract_out_of_order_is_fine_with_fetch_max() {
         // The same out-of-order script that breaks the store mutant is
-        // legal under fetch_max: the clock never regresses.
-        let model = GatewayModel::new(
-            vec![ConnScript {
-                readings: vec![10, 5],
-                lateness: 5,
-            }],
-            5,
-        );
-        let report = model.check();
+        // legal under the monotone merge: the clock never regresses.
+        let report = one_conn(vec![10, 5], 5).check();
         assert!(report.passed(), "{:#?}", report.diagnostics);
     }
 
     #[test]
     fn violations_carry_the_failing_schedule() {
-        let report = GatewayModel::acceptance()
-            .with_mutant(GatewayMutant::CloseBeforeLastEnqueue)
-            .check();
-        let d = report.diagnostics.first().expect("mutant found");
-        assert!(d.notes.join("\n").contains("schedule"), "{d:#?}");
+        for (mutant, model) in [
+            (GatewayMutant::StoreNotMax, one_conn(vec![10, 5], 5)),
+            (
+                GatewayMutant::CloseBeforeLastEnqueue,
+                GatewayModel::acceptance(),
+            ),
+            (
+                GatewayMutant::AdvanceBeforeHandOff,
+                GatewayModel::acceptance(),
+            ),
+            (GatewayMutant::FlushAtWatermark, GatewayModel::acceptance()),
+            (GatewayMutant::DrainStopsAtMaxTs, one_conn(vec![3, 8], 0)),
+        ] {
+            let report = with_mutant(mutant, || model.check());
+            let d = report
+                .diagnostics
+                .first()
+                .unwrap_or_else(|| panic!("{mutant:?} missed"));
+            assert!(
+                d.notes.join("\n").contains("schedule"),
+                "{mutant:?}: {d:#?}"
+            );
+        }
     }
 }

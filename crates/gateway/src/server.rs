@@ -15,6 +15,12 @@
 //!                              ▼
 //!                    worker thread per shard (EspProcessor cascade)
 //! ```
+//!
+//! Each thread runs a machine in [`crate::protocol`] and does the I/O: a
+//! reader executes its [`protocol::Reader`]'s effects in order, the
+//! coordinator flushes what its [`Coordinator`] says is due, and a worker
+//! asks its [`protocol::Worker`] what to skip and when to checkpoint. The
+//! model checker runs the same machines.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -28,17 +34,18 @@ use crossbeam::channel::{bounded, Sender, TrySendError};
 use parking_lot::Mutex;
 
 use esp_core::{Pipeline, Scope};
-use esp_durability::{DurabilityConfig, PreparedRecord, SnapshotMeta, SnapshotStore, WalWriter};
+use esp_durability::{DurabilityConfig, PreparedRecord, SnapshotStore, WalWriter};
 use esp_receptors::framing::{FrameReader, FrameWriter, MAX_FRAME_LEN};
 use esp_receptors::wire::{self, Reading};
 use esp_stream::QueueStats;
 use esp_types::{Batch, Diagnostic, EspError, ReceptorId, ReceptorType, Result, TimeDelta, Ts};
 
 use crate::durability::DurabilityHooks;
+use crate::protocol::{self, Coordinator, Effect};
 use crate::shard::{shard_of_granule, ShardRouter};
 use crate::stats::{GatewaySnapshot, GatewayStats};
 use crate::watermark::{ConnClock, WatermarkClock};
-use crate::worker::{spawn_worker, ShardMsg};
+use crate::worker::{spawn_idle, spawn_worker, ShardMsg};
 
 /// Handshake magic: `"ESPG"` big-endian.
 pub(crate) const HELLO_MAGIC: u32 = 0x4553_5047;
@@ -248,7 +255,8 @@ pub struct Gateway {
     killed: Arc<AtomicBool>,
     accept_handle: JoinHandle<()>,
     coordinator: JoinHandle<Result<()>>,
-    reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    readers: Arc<Mutex<Readers>>,
+    clock: WatermarkClock,
     workers: Vec<JoinHandle<Result<()>>>,
     traces: Vec<Arc<Mutex<EpochTrace>>>,
     crash_countdowns: Vec<Arc<AtomicI64>>,
@@ -343,14 +351,16 @@ impl Gateway {
         // high-water marks, which seed the coordinator (resume at the
         // epoch after the last flushed one) and the stats max-timestamp
         // (so the drain sweep re-covers every logged reading).
-        let mut coord_start = config.start;
-        let mut coord_last_flushed: Option<Ts> = None;
+        let mut coordinator = Coordinator::new(
+            config.start.as_millis(),
+            config.period.as_millis(),
+            config.min_connections,
+        );
         let durable = match &config.durability {
             Some(dc) => {
                 let wal = WalWriter::open(&dc.wal_dir(), dc.segment_bytes)?;
                 if let Some(last) = wal.last_flush_epoch() {
-                    coord_last_flushed = Some(last);
-                    coord_start = last + config.period;
+                    coordinator.resume(last.as_millis());
                 }
                 if let Some(max) = wal.max_reading_ts() {
                     stats.seed_max_ts(max.as_millis());
@@ -380,54 +390,19 @@ impl Gateway {
                 .filter(|g| shard_of_granule(&g.granule, config.n_shards) == shard)
                 .cloned()
                 .collect();
+            let hooks = durable
+                .as_ref()
+                .map(|(dc, wal, store, every)| DurabilityHooks {
+                    config: dc.clone(),
+                    store: Arc::clone(store),
+                    wal: Arc::clone(wal),
+                    router: Arc::clone(&router),
+                    n_shards: config.n_shards,
+                    checkpoint_every: *every,
+                    crash_countdown: Arc::clone(crash_countdown),
+                });
             if shard_groups.is_empty() {
-                // No granule hashed here: a sink that still acknowledges
-                // punctuation (exact flush-latency accounting) and, when
-                // durable, records empty checkpoints so WAL truncation is
-                // not held hostage by an idle shard.
-                let stats = stats.clone();
-                let sink_durability = durable
-                    .as_ref()
-                    .map(|(dc, _, store, every)| (Arc::clone(store), *every, dc.max_snapshots));
-                workers.push(
-                    thread::Builder::new()
-                        .name(format!("esp-gateway-shard-{shard}"))
-                        .spawn(move || {
-                            let mut epochs = 0u64;
-                            loop {
-                                match rx.recv() {
-                                    Ok(ShardMsg::Flush { seq, epoch, sent }) => {
-                                        if esp_obs::enabled() {
-                                            stats.note_queue_wait(sent.elapsed().as_nanos() as u64);
-                                        }
-                                        stats.note_flush_done(epoch.as_millis());
-                                        if let Some((store, every, keep)) = &sink_durability {
-                                            epochs += 1;
-                                            if epochs >= *every {
-                                                let t0 = crate::stats::CpuTimer::start();
-                                                store.write(
-                                                    SnapshotMeta {
-                                                        shard,
-                                                        epoch,
-                                                        wal_seq: seq,
-                                                    },
-                                                    &[],
-                                                )?;
-                                                store.retain(shard, *keep)?;
-                                                stats.note_checkpoint();
-                                                stats.note_checkpoint_time(t0.elapsed_nanos());
-                                                epochs = 0;
-                                            }
-                                        }
-                                    }
-                                    Ok(ShardMsg::Readings(_)) => {}
-                                    Ok(ShardMsg::Shutdown) | Err(_) => break,
-                                }
-                            }
-                            Ok(())
-                        })
-                        .map_err(|e| EspError::Config(format!("spawn shard sink thread: {e}")))?,
-                );
+                workers.push(spawn_idle(shard, rx, stats.clone(), hooks)?);
                 continue;
             }
 
@@ -497,17 +472,6 @@ impl Gateway {
                     )]));
                 }
             }
-            let hooks = durable
-                .as_ref()
-                .map(|(dc, wal, store, every)| DurabilityHooks {
-                    config: dc.clone(),
-                    store: Arc::clone(store),
-                    wal: Arc::clone(wal),
-                    router: Arc::clone(&router),
-                    n_shards: config.n_shards,
-                    checkpoint_every: *every,
-                    crash_countdown: Arc::clone(crash_countdown),
-                });
             workers.push(spawn_worker(
                 shard,
                 rx,
@@ -530,12 +494,12 @@ impl Gateway {
             .map_err(|e| EspError::Config(format!("set_nonblocking: {e}")))?;
 
         let stop_accept = Arc::new(AtomicBool::new(false));
-        let reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let readers: Arc<Mutex<Readers>> = Arc::default();
         let max_lateness = config.max_lateness;
         let batch_cap = batch_cap(config.edge_capacity);
         let accept_handle = {
             let stop = Arc::clone(&stop_accept);
-            let handles = Arc::clone(&reader_handles);
+            let readers = Arc::clone(&readers);
             let router = Arc::clone(&router);
             let txs = txs.clone();
             let stats = stats.clone();
@@ -570,7 +534,11 @@ impl Gateway {
                                         )
                                     });
                                 match spawned {
-                                    Ok(h) => handles.lock().push(h),
+                                    Ok(h) => {
+                                        let mut readers = readers.lock();
+                                        readers.reap();
+                                        readers.live.push(h);
+                                    }
                                     Err(_) => stats.note_io_error(),
                                 }
                             }
@@ -597,22 +565,17 @@ impl Gateway {
             let txs = txs.clone();
             let clock = clock.clone();
             let wal = durable.as_ref().map(|(_, w, _, _)| Arc::clone(w));
-            let (start, period, min_conns) = (coord_start, config.period, config.min_connections);
-            let last = coord_last_flushed;
             thread::Builder::new()
                 .name("esp-gateway-coordinator".into())
                 .spawn(move || {
                     coordinate(
+                        coordinator,
                         &clock,
                         &stats,
                         &txs,
                         &drain,
                         &killed,
                         wal.as_deref(),
-                        start,
-                        last,
-                        period,
-                        min_conns,
                     )
                 })
                 .map_err(|e| EspError::Config(format!("spawn coordinator thread: {e}")))?
@@ -625,7 +588,8 @@ impl Gateway {
             killed,
             accept_handle,
             coordinator,
-            reader_handles,
+            readers,
+            clock,
             workers,
             traces,
             crash_countdowns,
@@ -666,21 +630,49 @@ impl Gateway {
     /// to finish (clients must close their sockets), flush the final
     /// epochs, join all workers, and return the collected output.
     pub fn finish(self) -> Result<GatewayOutput> {
-        self.stop_accept.store(true, Ordering::Release);
-        self.accept_handle
-            .join()
-            .map_err(|_| EspError::Config("gateway accept thread panicked".into()))?;
-        let readers = std::mem::take(&mut *self.reader_handles.lock());
-        for h in readers {
-            h.join()
-                .map_err(|_| EspError::Config("gateway reader thread panicked".into()))?;
-        }
-        // Every reading that will ever arrive is now in the shard queues;
-        // tell the coordinator to flush through the end of the data. The
-        // Release store pairs with the coordinator's Acquire load: if it
+        let (traces, stats, queue_stats) = (
+            self.traces.clone(),
+            self.stats.clone(),
+            self.queue_stats.clone(),
+        );
+        self.shut_down(true)?;
+        let shard_traces = traces
+            .iter()
+            .map(|t| std::mem::take(&mut *t.lock()))
+            .collect();
+        Ok(GatewayOutput {
+            shard_traces,
+            stats: stats.snapshot(&queue_stats),
+        })
+    }
+
+    /// Simulate a whole-process crash as faithfully as an in-process
+    /// gateway can: stop accepting, let open connections wind down, then
+    /// stop the coordinator *without* the final drain sweep and discard
+    /// every worker's in-memory output. Durable state (WAL + snapshots)
+    /// is left exactly as the crash would leave it; a gateway re-spawned
+    /// on the same durability directory recovers from it.
+    pub fn kill(self) -> Result<()> {
+        self.shut_down(false)
+    }
+
+    /// Stop accepting, wait for every reader to exit, then stop the
+    /// coordinator — after its drain sweep, or at once — and the workers.
+    fn shut_down(self, drain: bool) -> Result<()> {
+        stop_readers(&self.stop_accept, self.accept_handle, &self.readers)?;
+        // Every reader closes its clock on the way out, whatever ended it.
+        debug_assert!(self.clock.global().is_none_or(|wm| wm == protocol::CLOSED));
+        // Every reading that will ever arrive is now in the shard queues.
+        // Draining tells the coordinator to flush through the end of the
+        // data: the Release store pairs with its Acquire load, so if it
         // observes `drain`, the reader joins above (and every enqueue they
-        // performed) happen-before its final flush sweep.
-        self.drain.store(true, Ordering::Release);
+        // performed) happen-before its final flush sweep. Killing stops it
+        // without the sweep; dropping its senders disconnects the shard
+        // queues, and the workers drain what was in flight and exit.
+        match drain {
+            true => self.drain.store(true, Ordering::Release),
+            false => self.killed.store(true, Ordering::Release),
+        }
         // A worker that died early also makes the coordinator fail (its
         // channel disconnects); join everything before reporting so the
         // root-cause worker error wins over the coordinator's symptom.
@@ -697,60 +689,10 @@ impl Gateway {
                 first_err.get_or_insert(e);
             }
         }
-        if let Some(e) = first_err {
-            return Err(e);
+        match first_err {
+            Some(e) => Err(e),
+            None => coord,
         }
-        coord?;
-        let shard_traces = self
-            .traces
-            .iter()
-            .map(|t| std::mem::take(&mut *t.lock()))
-            .collect();
-        let stats = self.stats.snapshot(&self.queue_stats);
-        Ok(GatewayOutput {
-            shard_traces,
-            stats,
-        })
-    }
-
-    /// Simulate a whole-process crash as faithfully as an in-process
-    /// gateway can: stop accepting, let open connections wind down, then
-    /// stop the coordinator *without* the final drain sweep and discard
-    /// every worker's in-memory output. Durable state (WAL + snapshots)
-    /// is left exactly as the crash would leave it; a gateway re-spawned
-    /// on the same durability directory recovers from it.
-    pub fn kill(self) -> Result<()> {
-        self.stop_accept.store(true, Ordering::Release);
-        self.accept_handle
-            .join()
-            .map_err(|_| EspError::Config("gateway accept thread panicked".into()))?;
-        let readers = std::mem::take(&mut *self.reader_handles.lock());
-        for h in readers {
-            h.join()
-                .map_err(|_| EspError::Config("gateway reader thread panicked".into()))?;
-        }
-        self.killed.store(true, Ordering::Release);
-        let coord = self
-            .coordinator
-            .join()
-            .map_err(|_| EspError::Config("gateway coordinator panicked".into()))?;
-        // Dropping the coordinator's senders disconnects the shard
-        // queues; workers drain what was in flight and exit. As in
-        // `finish`, a worker's own error outranks the coordinator's
-        // disconnect symptom.
-        let mut first_err = None;
-        for w in self.workers {
-            let joined = w
-                .join()
-                .map_err(|_| EspError::Config("gateway worker panicked".into()))?;
-            if let Err(e) = joined {
-                first_err.get_or_insert(e);
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        coord
     }
 
     /// Arm the fault injector: `shard`'s worker simulates a crash after
@@ -766,24 +708,54 @@ impl Gateway {
     }
 }
 
-/// The coordinator loop: poll the watermark, broadcast due epochs, and on
-/// drain flush everything up to the last reading before shutting workers
-/// down. On a restart `start`/`last_flushed` come from the recovered WAL,
-/// so the epoch sequence continues where the previous process left off.
-#[allow(clippy::too_many_arguments)]
+/// Connection reader threads: the live ones, and whether one already
+/// joined had panicked.
+#[derive(Default)]
+struct Readers {
+    live: Vec<JoinHandle<()>>,
+    panicked: bool,
+}
+
+impl Readers {
+    /// Join the readers that have exited, so a churning fleet leaves no
+    /// handles behind.
+    fn reap(&mut self) {
+        for h in self.live.extract_if(.., |h| h.is_finished()) {
+            self.panicked |= h.join().is_err();
+        }
+    }
+}
+
+/// Stop accepting and wait for every connection reader to exit.
+fn stop_readers(stop: &AtomicBool, accept: JoinHandle<()>, readers: &Mutex<Readers>) -> Result<()> {
+    stop.store(true, Ordering::Release);
+    accept
+        .join()
+        .map_err(|_| EspError::Config("gateway accept thread panicked".into()))?;
+    let mut readers = readers.lock();
+    for h in std::mem::take(&mut readers.live) {
+        readers.panicked |= h.join().is_err();
+    }
+    match readers.panicked {
+        true => Err(EspError::Config("gateway reader thread panicked".into())),
+        false => Ok(()),
+    }
+}
+
+/// The coordinator loop, running a [`Coordinator`]: poll the
+/// watermark, broadcast the due epochs, and on drain flush everything up
+/// to the last reading before shutting workers down. On a restart the
+/// machine resumes after the recovered WAL's last flush, so the epoch
+/// sequence continues where the previous process left off.
 fn coordinate(
+    mut core: Coordinator,
     clock: &WatermarkClock,
     stats: &GatewayStats,
     txs: &[Sender<ShardMsg>],
     drain: &AtomicBool,
     killed: &AtomicBool,
     wal: Option<&Mutex<WalWriter>>,
-    start: Ts,
-    mut last_flushed: Option<Ts>,
-    period: TimeDelta,
-    min_connections: usize,
 ) -> Result<()> {
-    let mut next = start;
     loop {
         if killed.load(Ordering::Acquire) {
             // Simulated hard crash: no final flush sweep, no Shutdown —
@@ -791,26 +763,11 @@ fn coordinate(
             return Ok(());
         }
         let draining = drain.load(Ordering::Acquire);
-        // Once draining, every reader has exited: all data is enqueued and
-        // the watermark argument is moot — flush everything.
-        let watermark = if draining {
-            Some(u64::MAX)
-        } else if clock.registered() >= min_connections {
-            clock.global()
-        } else {
-            None
-        };
-        if let Some(wm) = watermark {
-            let max_ts = stats.max_ts_ms();
-            // Flush while the watermark certifies the epoch AND some data
-            // is not yet covered by a flushed epoch (the second condition
-            // stops an all-closed watermark of ∞ from spinning forever).
-            while next.as_millis() < wm && last_flushed.is_none_or(|e| e.as_millis() < max_ts) {
-                stats.note_flush_issued(next.as_millis());
-                broadcast_flush(txs, wal, next, stats)?;
-                last_flushed = Some(next);
-                next += period;
-            }
+        let watermark = core.watermark(draining, clock.registered(), clock.global());
+        let max_ts = stats.max_ts_ms();
+        while let Some(epoch) = core.next_due(watermark, max_ts) {
+            stats.note_flush_issued(epoch);
+            broadcast_flush(txs, wal, Ts::from_millis(epoch), stats)?;
         }
         if draining {
             for tx in txs {
@@ -831,35 +788,24 @@ fn broadcast_flush(
     epoch: Ts,
     stats: &GatewayStats,
 ) -> Result<()> {
-    let hung = || EspError::Config("gateway shard worker hung up".into());
-    match wal {
-        Some(w) => {
-            let mut w = w.lock();
-            let t0 = esp_obs::enabled().then(Instant::now);
-            let seq = w.append_flush(epoch)?;
-            if let Some(t0) = t0 {
-                stats.note_wal_flush(t0.elapsed().as_nanos() as u64);
-            }
-            stats.note_wal_record();
-            for tx in txs {
-                tx.send(ShardMsg::Flush {
-                    seq,
-                    epoch,
-                    sent: Instant::now(),
-                })
-                .map_err(|_| hung())?;
-            }
+    let mut wal = wal.map(Mutex::lock);
+    let mut seq = 0;
+    if let Some(w) = wal.as_mut() {
+        let t0 = esp_obs::enabled().then(Instant::now);
+        seq = w.append_flush(epoch)?;
+        if let Some(t0) = t0 {
+            stats.note_wal_flush(t0.elapsed().as_nanos() as u64);
         }
-        None => {
-            for tx in txs {
-                tx.send(ShardMsg::Flush {
-                    seq: 0,
-                    epoch,
-                    sent: Instant::now(),
-                })
-                .map_err(|_| hung())?;
-            }
-        }
+        stats.note_wal_record();
+    }
+    for tx in txs {
+        let msg = ShardMsg::Flush {
+            seq,
+            epoch,
+            sent: Instant::now(),
+        };
+        tx.send(msg)
+            .map_err(|_| EspError::Config("gateway shard worker hung up".into()))?;
     }
     Ok(())
 }
@@ -892,25 +838,18 @@ fn serve_connection(
         conn: &conn,
         stats,
         queue_stats,
-        lateness_ms,
-        cap: batch_cap,
-        batches: (0..txs.len()).map(|_| Vec::new()).collect(),
+        core: protocol::Reader::new(txs.len(), lateness_ms, batch_cap),
         records: Vec::new(),
-        n_records: 0,
-        readings: 0,
-        entries: 0,
-        max_ts_ms: 0,
     };
     // Whatever ended the stream, hand off what was already decoded: the
     // readings before a bad frame are as good as the ones before EOF.
     let read = read_frames(stream, router, &mut handoff);
-    let handed_off = handoff.flush();
-    if read.and(handed_off).is_err() {
+    if read.and(handoff.flush(true)).is_err() {
         stats.note_io_error();
+        // A failed hand-off skips the close: release the watermark anyway,
+        // so one dead connection cannot stall every pipeline forever.
+        conn.close();
     }
-    // Whatever happened, release the watermark so one dead connection
-    // cannot stall every pipeline forever.
-    conn.close();
 }
 
 /// Validate the client hello and return its bounded-lateness promise (ms).
@@ -963,7 +902,7 @@ fn read_frames(stream: TcpStream, router: &ShardRouter, handoff: &mut HandOff<'_
     let mut reader = FrameReader::new(BufReader::with_capacity(64 * 1024, stream));
     loop {
         if !reader.frame_buffered() {
-            handoff.flush()?;
+            handoff.flush(false)?;
         }
         let Some(frame) = reader
             .read_frame()
@@ -976,7 +915,7 @@ fn read_frames(stream: TcpStream, router: &ShardRouter, handoff: &mut HandOff<'_
             // so frame-conservation invariants are scrape-invariant) and
             // answered inline on this connection, after everything sent
             // before it has been handed off and counted.
-            handoff.flush()?;
+            handoff.flush(false)?;
             stats.note_stats_request();
             let body = if frame.as_ref() == STATS_JSON_REQUEST {
                 stats.render_json()
@@ -1002,40 +941,23 @@ fn read_frames(stream: TcpStream, router: &ShardRouter, handoff: &mut HandOff<'_
     }
 }
 
-/// One connection's decoded readings awaiting hand-off: a batch per
-/// shard, in wire order.
-///
-/// [`HandOff::flush`] is the only place readings leave the reader, and it
-/// keeps the ordering contract at batch granularity: every batch is
-/// enqueued before the connection's watermark advances to the batch's
-/// largest `ts − lateness`, so a flush certified by that watermark queues
-/// behind every reading it covers. With durability on, the batch's frames
-/// are appended to the WAL and the batches enqueued in one critical
-/// section (group commit), so each shard's queue order is its log order.
+/// One connection's reader, running a [`protocol::Reader`]: the
+/// machine decides what each hand-off sends and when the watermark
+/// advances, and this executes its effects in order. With durability on,
+/// the batch's frames are appended to the WAL and the batches enqueued in
+/// one critical section (group commit), so each shard's queue order is
+/// its log order.
 struct HandOff<'a> {
     txs: &'a [Sender<ShardMsg>],
     wal: Option<&'a Mutex<WalWriter>>,
     conn: &'a ConnClock,
     stats: &'a GatewayStats,
     queue_stats: &'a QueueStats,
-    lateness_ms: u64,
-    /// Hand off once the batches hold this many readings in total, so
-    /// no single batch exceeds it.
-    cap: usize,
-    /// Per shard: `(seq, reading)`. Until the WAL commit, `seq` is the
-    /// reading's index into `records`.
-    batches: Vec<Vec<(u64, Reading)>>,
+    core: protocol::Reader<Reading>,
     /// WAL records of the pending readings, encoded outside the lock
-    /// (durable only). A reused pool: the first `n_records` are live.
+    /// (durable only). A reused pool: the first `core.pending()` are live,
+    /// and a pending reading's `seq` is its index here until the commit.
     records: Vec<PreparedRecord>,
-    n_records: usize,
-    /// Pending readings, each counted once however many shards it goes to.
-    readings: u64,
-    /// Pending entries across every shard's batch.
-    entries: usize,
-    /// Largest timestamp this connection has decoded; everything up to
-    /// it is handed off whenever nothing is pending.
-    max_ts_ms: u64,
 }
 
 impl HandOff<'_> {
@@ -1044,85 +966,69 @@ impl HandOff<'_> {
     fn push(&mut self, frame: &[u8], reading: Reading, dests: &[usize]) -> Result<()> {
         let ts = reading.ts();
         let seq = if self.wal.is_some() {
-            if self.n_records == self.records.len() {
+            let i = self.core.pending() as usize;
+            if i == self.records.len() {
                 self.records.push(PreparedRecord::new());
             }
-            self.records[self.n_records].encode(frame, ts);
-            self.n_records += 1;
-            (self.n_records - 1) as u64
+            self.records[i].encode(frame, ts);
+            i as u64
         } else {
             0
         };
-        if let Some((&last, rest)) = dests.split_last() {
-            for &shard in rest {
-                self.batches[shard].push((seq, reading.clone()));
-            }
-            self.batches[last].push((seq, reading));
-        }
-        self.readings += 1;
-        self.entries += dests.len();
-        self.max_ts_ms = self.max_ts_ms.max(ts.as_millis());
-        if self.entries >= self.cap {
-            self.flush()?;
+        if self.core.push(seq, reading, ts.as_millis(), dests) {
+            self.flush(false)?;
         }
         Ok(())
     }
 
-    /// Hand every pending batch off to its shard, then advance the
-    /// connection's watermark past them. A no-op with nothing pending.
-    /// Pending state is taken up front, so a failed hand-off is never
-    /// retried (nor logged twice) by a later flush.
-    fn flush(&mut self) -> Result<()> {
-        if self.readings == 0 {
-            return Ok(());
-        }
-        let fresh = (0..self.batches.len()).map(|_| Vec::new()).collect();
-        let mut batches = std::mem::replace(&mut self.batches, fresh);
-        let readings = std::mem::take(&mut self.readings);
-        let n_records = std::mem::take(&mut self.n_records);
-        self.entries = 0;
-        match self.wal {
-            Some(w) => {
-                // Hold the WAL lock across append + enqueue so per-shard
-                // queue order equals WAL order. Blocking on a full queue
-                // while holding the lock is deliberate — recovery never
-                // takes this lock (see `crate::durability`), so it cannot
-                // deadlock against a recovering worker.
-                let mut w = w.lock();
-                let mut seqs = Vec::with_capacity(n_records);
-                for rec in &self.records[..n_records] {
-                    seqs.push(w.append_prepared(rec)?);
-                    self.stats.note_wal_record();
-                }
-                for entry in batches.iter_mut().flatten() {
-                    entry.0 = seqs[entry.0 as usize];
-                }
-                self.send(batches)?;
+    /// Hand every pending batch off (and close the clock at `eof`),
+    /// executing the machine's effects in order.
+    fn flush(&mut self, eof: bool) -> Result<()> {
+        let readings = self.core.pending();
+        let n_records = readings as usize;
+        let effects = match eof {
+            true => self.core.finish(),
+            false => self.core.hand_off(),
+        };
+        // Hold the WAL lock across append + enqueue so per-shard queue
+        // order equals WAL order. Blocking on a full queue while holding
+        // the lock is deliberate — recovery never takes this lock (see
+        // `crate::durability`), so it cannot deadlock against a
+        // recovering worker.
+        let mut wal = self.wal.filter(|_| n_records > 0).map(Mutex::lock);
+        let mut seqs = Vec::new();
+        if let Some(w) = wal.as_mut() {
+            seqs.reserve(n_records);
+            for rec in &self.records[..n_records] {
+                seqs.push(w.append_prepared(rec)?);
+                self.stats.note_wal_record();
             }
-            None => self.send(batches)?,
         }
-        self.stats.note_readings(readings, self.max_ts_ms);
-        // Advance AFTER enqueuing: the flush this advance may trigger
-        // must sit behind the batch in every shard queue.
-        self.conn
-            .advance(self.max_ts_ms.saturating_sub(self.lateness_ms));
-        Ok(())
-    }
-
-    /// Enqueue each non-empty batch on its shard's queue.
-    fn send(&self, batches: Vec<Vec<(u64, Reading)>>) -> Result<()> {
-        for (shard, batch) in batches.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
+        for effect in effects {
+            match effect {
+                Effect::Send { shard, mut batch } => {
+                    if !seqs.is_empty() {
+                        for entry in &mut batch {
+                            entry.0 = seqs[entry.0 as usize];
+                        }
+                    }
+                    let n = batch.len() as u64;
+                    let msg = ShardMsg::Readings(batch);
+                    send_counted(&self.txs[shard], msg, n, self.queue_stats)?;
+                    self.stats.note_shard_readings(shard, n);
+                }
+                Effect::Advance {
+                    max_ts_ms,
+                    watermark,
+                } => {
+                    // The sends are logged and queued: free the log for
+                    // other writers before publishing.
+                    drop(wal.take());
+                    self.stats.note_readings(readings, max_ts_ms);
+                    self.conn.advance(watermark);
+                }
+                Effect::Close => self.conn.close(),
             }
-            let n = batch.len() as u64;
-            send_counted(
-                &self.txs[shard],
-                ShardMsg::Readings(batch),
-                n,
-                self.queue_stats,
-            )?;
-            self.stats.note_shard_readings(shard, n);
         }
         Ok(())
     }
@@ -1267,6 +1173,45 @@ mod tests {
             }
             Err(other) => panic!("expected Invalid, got {other}"),
             Ok(_) => panic!("expected Invalid, got a running gateway"),
+        }
+    }
+
+    #[test]
+    fn connection_churn_keeps_clocks_and_reader_handles_bounded() {
+        let config = GatewayConfig::new(vec![group("g", &[0])]);
+        let gateway = Gateway::spawn(config, |_| Pipeline::raw()).unwrap();
+        let (mut clocks, mut handles) = (0, 0);
+        for _ in 0..2000 {
+            crate::GatewayClient::connect(gateway.local_addr(), TimeDelta::ZERO)
+                .unwrap()
+                .finish()
+                .unwrap();
+            clocks = clocks.max(gateway.clock.tracked());
+            handles = handles.max(gateway.readers.lock().live.len());
+        }
+        // One connection is open at a time; the slack covers readers that
+        // have not yet exited or been pruned, not the 2 000 made so far.
+        assert!(
+            clocks <= 64 && handles <= 64,
+            "clocks {clocks}, handles {handles}"
+        );
+        assert_eq!(gateway.finish().unwrap().stats.connections, 2000);
+    }
+
+    #[test]
+    fn a_reaped_reader_panic_still_fails_the_shutdown() {
+        let readers = Mutex::new(Readers::default());
+        let panicked = thread::spawn(|| panic!("reader panics on purpose"));
+        while !panicked.is_finished() {
+            thread::yield_now();
+        }
+        readers.lock().live.push(panicked);
+        readers.lock().reap();
+        assert!(readers.lock().live.is_empty(), "joined at reap time");
+        let accept = thread::spawn(|| {});
+        match stop_readers(&AtomicBool::new(false), accept, &readers) {
+            Err(e) => assert!(e.to_string().contains("reader thread panicked"), "{e}"),
+            Ok(()) => panic!("a reaped panic was forgotten"),
         }
     }
 

@@ -8,21 +8,24 @@
 //! is the minimum over all connections ever registered; epoch `e` is safe
 //! to flush once the global watermark exceeds `e`.
 //!
-//! Ordering contract, at batch granularity: a reader hands its decoded
-//! readings off in per-shard batches, and advances its watermark — to the
-//! batch's largest `ts − lateness` — only *after* every batch is in its
-//! shard queue (release store); the coordinator reads watermarks (acquire
-//! load) before enqueuing a flush. The shard channels are FIFO, so a flush
-//! can never overtake the readings it certifies. The order matters only
-//! because of batching: one reading never certifies past itself
-//! (`ts − lateness <= ts`), but a batch's maximum certifies past its
-//! earlier readings. `esp_gateway::model` checks the contract, and the
-//! mutant that advances before the hand-off.
+//! These are the atomics the reader and coordinator threads share; the
+//! rules they apply — the monotone merge, the global minimum, and the
+//! order of hand-off and advance — live in [`protocol`](crate::protocol),
+//! where the model checker runs them too. A reader advances only *after*
+//! its batches are in their shard queues (release store); the coordinator
+//! reads watermarks (acquire load) before enqueuing a flush; the shard
+//! channels are FIFO, so a flush can never overtake the readings it
+//! certifies.
+//!
+//! Closed clocks are pruned on the coordinator's next poll, so the
+//! registry holds the open connections, not every connection ever made.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+
+use crate::protocol::{self, CLOSED};
 
 /// One connection's monotone watermark, in milliseconds.
 #[derive(Debug, Default)]
@@ -31,17 +34,20 @@ pub struct ConnClock {
 }
 
 impl ConnClock {
-    /// Raise the watermark to `ms` (no-op if already past it).
+    /// Raise the watermark to `ms` (no-op if already past it), by the
+    /// protocol's monotone [`merge`](protocol::merge).
     ///
     /// `Release`: the reader calls this *after* enqueuing the batch that
     /// justifies it, so the coordinator's `Acquire` load in
     /// [`current`](ConnClock::current) observing `ms` happens-after the
     /// enqueue — the coordinator can never certify an epoch whose
     /// readings are not already ahead of the flush in the FIFO queue.
-    /// `fetch_max` (not a store) keeps the clock monotone even when
-    /// in-contract out-of-order readings advance it with smaller values.
     pub fn advance(&self, ms: u64) {
-        self.watermark_ms.fetch_max(ms, Ordering::Release);
+        let _ = self
+            .watermark_ms
+            .fetch_update(Ordering::Release, Ordering::Relaxed, |cur| {
+                Some(protocol::merge(cur, ms))
+            });
     }
 
     /// Connection finished: no further readings will ever arrive.
@@ -50,7 +56,7 @@ impl ConnClock {
     /// only after the reader has enqueued its final batch, so the `∞`
     /// promise is ordered after everything it promises about.
     pub fn close(&self) {
-        self.watermark_ms.store(u64::MAX, Ordering::Release);
+        self.watermark_ms.store(CLOSED, Ordering::Release);
     }
 
     /// Current promise: every future reading has `ts >= current()`.
@@ -67,7 +73,15 @@ impl ConnClock {
 /// [`WatermarkClock::global`].
 #[derive(Debug, Clone, Default)]
 pub struct WatermarkClock {
-    conns: Arc<Mutex<Vec<Arc<ConnClock>>>>,
+    inner: Arc<Mutex<Registry>>,
+}
+
+#[derive(Debug, Default)]
+struct Registry {
+    /// Clocks not yet seen closed.
+    open: Vec<Arc<ConnClock>>,
+    /// Connections registered so far, open or closed.
+    registered: usize,
 }
 
 impl WatermarkClock {
@@ -80,20 +94,29 @@ impl WatermarkClock {
     /// global watermark back until the connection sends or closes.
     pub fn register(&self) -> Arc<ConnClock> {
         let clock = Arc::new(ConnClock::default());
-        self.conns.lock().push(Arc::clone(&clock));
+        let mut r = self.inner.lock();
+        r.registered += 1;
+        r.open.push(Arc::clone(&clock));
         clock
+    }
+
+    /// Clocks the registry holds: the open connections', plus any that
+    /// closed since the coordinator's last poll.
+    pub fn tracked(&self) -> usize {
+        self.inner.lock().open.len()
     }
 
     /// Connections registered so far (open or closed).
     pub fn registered(&self) -> usize {
-        self.conns.lock().len()
+        self.inner.lock().registered
     }
 
     /// Minimum watermark over every registered connection; `None` when no
-    /// connection has registered yet.
+    /// connection has registered yet. Forgets the clocks that have closed.
     pub fn global(&self) -> Option<u64> {
-        let conns = self.conns.lock();
-        conns.iter().map(|c| c.current()).min()
+        let mut r = self.inner.lock();
+        r.open.retain(|c| c.current() != CLOSED);
+        protocol::global(r.registered, r.open.iter().map(|c| c.current()))
     }
 }
 
@@ -116,7 +139,8 @@ mod tests {
         assert_eq!(wm.global(), Some(300), "closed conn no longer limits");
         b.close();
         assert_eq!(wm.global(), Some(u64::MAX));
-        assert_eq!(wm.registered(), 2);
+        assert_eq!(wm.registered(), 2, "registration stays cumulative");
+        assert_eq!(wm.tracked(), 0, "closed clocks are pruned");
     }
 
     #[test]

@@ -2,25 +2,24 @@
 //!
 //! Each shard owns a full [`EspProcessor`] cleaning cascade over the
 //! proximity groups hashed to it. Batches of readings and epoch
-//! punctuation arrive on one bounded FIFO channel per shard. A connection
-//! reader hands its readings off a batch at a time and advances its
-//! watermark only after the batch is enqueued, and the coordinator only
-//! sends `Flush(e)` after the watermark certifies `e`; so every reading
-//! with `ts <= e` is already ahead of the flush in the queue, and the step
-//! is deterministic however the readings were batched.
+//! punctuation arrive on one bounded FIFO channel per shard. The ordering
+//! protocol ([`crate::protocol`]) puts every reading with `ts <= e` ahead
+//! of `Flush(e)` in the queue, so the step is deterministic however the
+//! readings were batched. The worker loop runs a
+//! [`protocol::Worker`]: the machine decides which messages a recovery
+//! already covered and when to checkpoint; this module does the I/O.
 //!
 //! With durability enabled the worker thread is a **supervisor**: the
 //! processor and its buffers are the crashable part, and on a (injected)
 //! crash the supervisor rebuilds them from the latest valid snapshot,
 //! replays the WAL suffix past the snapshot's sequence number, and resumes
 //! the live queue — skipping queued messages the replay already covered.
-//! Every reading in a batch carries its own WAL sequence number, so the
-//! skip is per reading: a batch that straddles the replay's end is
-//! trimmed to the readings past it, not dropped whole.
 //! Output is published into a supervisor-owned shared trace epoch by
 //! epoch, with re-publication of already-delivered epochs suppressed, so
 //! the merged gateway trace after a crash is byte-identical to an
-//! uninterrupted run.
+//! uninterrupted run. A shard that hosts no granule runs [`spawn_idle`]
+//! instead: it acknowledges punctuation and, when durable, writes empty
+//! checkpoints on the same cadence.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -39,8 +38,9 @@ use esp_types::{chunk_batch, Batch, Chunk, EspError, ReceptorId, ReceptorType, R
 
 use crate::convert::ReadingSchemas;
 use crate::durability::{compose_payload, restore_payload, DurabilityHooks};
+use crate::protocol;
 use crate::server::{EpochTrace, GatewayGroup};
-use crate::stats::GatewayStats;
+use crate::stats::{CpuTimer, GatewayStats};
 
 /// Message on a shard's ingest queue. A `seq` is a WAL sequence number
 /// (0 when durability is off — then it is never read).
@@ -108,17 +108,19 @@ impl ChunkBuffer {
 
     /// Release every reading stamped `<= epoch` as chunks, preserving
     /// relative arrival order; later readings stay for the next epoch.
+    /// ([`protocol::released`] is the seal rule.)
     pub(crate) fn drain_upto(&mut self, epoch: Ts) -> Result<Vec<Chunk>> {
+        let released = |t: &Ts| protocol::released(*t, epoch);
         let mut out = Vec::new();
         let mut keep = Vec::new();
         for seg in self.segs.drain(..) {
-            if seg.ts().iter().all(|t| *t <= epoch) {
+            if seg.ts().iter().all(released) {
                 out.push(seg);
-            } else if seg.ts().iter().all(|t| *t > epoch) {
+            } else if !seg.ts().iter().any(released) {
                 keep.push(seg);
             } else {
                 // Mixed segment: one mask, two filters, order preserved.
-                let take: Vec<bool> = seg.ts().iter().map(|t| *t <= epoch).collect();
+                let take: Vec<bool> = seg.ts().iter().map(released).collect();
                 let stay: Vec<bool> = take.iter().map(|t| !t).collect();
                 out.push(seg.clone().filter(&take)?);
                 keep.push(seg.filter(&stay)?);
@@ -201,16 +203,15 @@ pub(crate) fn build_shard(
 }
 
 /// Buffer one hand-off batch, skipping each reading the WAL replay
-/// already buffered (`seq <= skip_through`): a batch straddling the
-/// boundary is trimmed, never dropped whole.
+/// already buffered ([`protocol::Worker::fresh`]).
 fn buffer_batch(
     buffers: &HashMap<ReceptorId, ReadingBuffer>,
     schemas: &ReadingSchemas,
-    skip_through: Option<u64>,
+    core: &protocol::Worker,
     batch: Vec<(u64, Reading)>,
 ) -> Result<()> {
     for (seq, reading) in batch {
-        if skip_through.is_some_and(|s| seq <= s) {
+        if !core.fresh(seq) {
             continue;
         }
         // Router guarantees membership, but a dynamic group edit could
@@ -242,14 +243,15 @@ fn publish(
     *published_through = Some(published_through.map_or(epoch, |p| p.max(epoch)));
 }
 
-/// Rebuild a shard from its latest valid snapshot plus the WAL suffix.
+/// Rebuild a shard from its latest valid snapshot plus the WAL suffix,
+/// returning the fresh `(processor, buffers)`.
 ///
-/// Returns the fresh `(processor, buffers)` and the **skip boundary**:
-/// the highest WAL sequence number the replay covered. Queued messages at
-/// or below it must be dropped — the replay already applied them. Reads
-/// the WAL without the writer lock (see `crate::durability` for why any
-/// observed prefix is consistent).
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+/// The skip rule ([`protocol::Worker::fresh`]) first skips the records
+/// the snapshot covers; afterwards `core` skips through the highest WAL
+/// sequence number the replay covered, since queued messages at or below
+/// it were already applied. Reads the WAL without the writer lock (see
+/// `crate::durability` for why any observed prefix is consistent).
+#[allow(clippy::too_many_arguments)]
 fn recover(
     shard: usize,
     d: &DurabilityHooks,
@@ -259,11 +261,8 @@ fn recover(
     trace: &Mutex<EpochTrace>,
     published_through: &mut Option<Ts>,
     stats: &GatewayStats,
-) -> Result<(
-    EspProcessor,
-    HashMap<ReceptorId, ReadingBuffer>,
-    Option<u64>,
-)> {
+    core: &mut protocol::Worker,
+) -> Result<(EspProcessor, HashMap<ReceptorId, ReadingBuffer>)> {
     let (mut processor, buffers) = build_shard(groups, pipeline)?;
     let mut replay_after: Option<u64> = None;
     if let Some((meta, payload)) = d.store.latest_valid(shard)? {
@@ -286,8 +285,9 @@ fn recover(
         }));
     }
     let skip_through = records.last().map(|r| r.seq);
+    core.recovered(replay_after);
     for rec in records {
-        if replay_after.is_some_and(|s| rec.seq <= s) {
+        if !core.fresh(rec.seq) {
             continue;
         }
         match rec.entry {
@@ -315,8 +315,9 @@ fn recover(
             }
         }
     }
+    core.recovered(skip_through);
     stats.note_recovery();
-    Ok((processor, buffers, skip_through))
+    Ok((processor, buffers))
 }
 
 /// Take a checkpoint: snapshot this shard's state keyed to the epoch just
@@ -331,7 +332,7 @@ fn checkpoint(
     flush_seq: u64,
     stats: &GatewayStats,
 ) -> Result<()> {
-    let t0 = crate::stats::CpuTimer::start();
+    let t0 = CpuTimer::start();
     let payload = compose_payload(processor, buffers)?;
     d.store.write(
         SnapshotMeta {
@@ -379,6 +380,13 @@ fn checkpoint(
     Ok(())
 }
 
+/// Record how long a flush waited in the shard queue.
+fn note_dequeued(stats: &GatewayStats, sent: Instant) {
+    if esp_obs::enabled() {
+        stats.note_queue_wait(sent.elapsed().as_nanos() as u64);
+    }
+}
+
 /// Spawn one shard worker/supervisor. Owns its pipeline (for rebuilds)
 /// and publishes output into `trace`; the thread returns only a status.
 pub(crate) fn spawn_worker(
@@ -395,27 +403,23 @@ pub(crate) fn spawn_worker(
         .name(format!("esp-gateway-shard-{shard}"))
         .spawn(move || {
             let mut published_through: Option<Ts> = None;
-            let mut skip_through: Option<u64> = None;
-            let mut epochs_since_checkpoint: u64 = 0;
+            let mut core = protocol::Worker::new(durability.as_ref().map(|d| d.checkpoint_every));
 
             // Startup: a durable worker always goes through recovery. On
             // a fresh directory it is a no-op build; on a restart it
             // restores the snapshot and replays the WAL suffix.
             let (mut processor, mut buffers) = match &durability {
-                Some(d) => {
-                    let (p, b, skip) = recover(
-                        shard,
-                        d,
-                        &groups,
-                        &pipeline,
-                        &schemas,
-                        &trace,
-                        &mut published_through,
-                        &stats,
-                    )?;
-                    skip_through = skip;
-                    (p, b)
-                }
+                Some(d) => recover(
+                    shard,
+                    d,
+                    &groups,
+                    &pipeline,
+                    &schemas,
+                    &trace,
+                    &mut published_through,
+                    &stats,
+                    &mut core,
+                )?,
                 None => build_shard(&groups, &pipeline)?,
             };
             // Per-stage/per-epoch spans, attached *after* recovery so WAL
@@ -427,13 +431,11 @@ pub(crate) fn spawn_worker(
             loop {
                 match rx.recv() {
                     Ok(ShardMsg::Readings(batch)) => {
-                        buffer_batch(&buffers, &schemas, skip_through, batch)?;
+                        buffer_batch(&buffers, &schemas, &core, batch)?;
                     }
                     Ok(ShardMsg::Flush { seq, epoch, sent }) => {
-                        if esp_obs::enabled() {
-                            stats.note_queue_wait(sent.elapsed().as_nanos() as u64);
-                        }
-                        if skip_through.is_some_and(|s| seq <= s) {
+                        note_dequeued(&stats, sent);
+                        if !core.fresh(seq) {
                             continue; // replay already stepped it
                         }
                         if let Some(d) = &durability {
@@ -448,7 +450,7 @@ pub(crate) fn spawn_worker(
                                 d.crash_countdown.store(-1, Ordering::Release);
                                 stats.note_crash();
                                 drop(processor);
-                                let (p, b, skip) = recover(
+                                (processor, buffers) = recover(
                                     shard,
                                     d,
                                     &groups,
@@ -457,15 +459,12 @@ pub(crate) fn spawn_worker(
                                     &trace,
                                     &mut published_through,
                                     &stats,
+                                    &mut core,
                                 )?;
-                                processor = p;
-                                buffers = b;
-                                skip_through = skip;
-                                epochs_since_checkpoint = 0;
                                 // Rebuilt processor: re-derive the same
                                 // registered span handles.
                                 processor.attach_obs(&stats.registry(), &[("shard", &shard_label)]);
-                                if skip_through.is_some_and(|s| seq <= s) {
+                                if !core.fresh(seq) {
                                     continue;
                                 }
                             } else if armed > 0 {
@@ -480,12 +479,8 @@ pub(crate) fn spawn_worker(
                             epoch,
                         );
                         stats.note_flush_done(epoch.as_millis());
-                        if let Some(d) = &durability {
-                            epochs_since_checkpoint += 1;
-                            if epochs_since_checkpoint >= d.checkpoint_every {
-                                checkpoint(shard, d, &processor, &buffers, epoch, seq, &stats)?;
-                                epochs_since_checkpoint = 0;
-                            }
+                        if let (true, Some(d)) = (core.stepped(), &durability) {
+                            checkpoint(shard, d, &processor, &buffers, epoch, seq, &stats)?;
                         }
                     }
                     Ok(ShardMsg::Shutdown) | Err(_) => break,
@@ -494,6 +489,47 @@ pub(crate) fn spawn_worker(
             Ok(())
         })
         .map_err(|e| EspError::Config(format!("spawn shard worker thread: {e}")))
+}
+
+/// Spawn the sink of a shard no granule hashed to. It still acknowledges
+/// punctuation (exact flush-latency accounting) and, when durable, writes
+/// empty checkpoints on the worker's cadence, so WAL truncation is not
+/// held hostage by an idle shard.
+pub(crate) fn spawn_idle(
+    shard: usize,
+    rx: Receiver<ShardMsg>,
+    stats: GatewayStats,
+    durability: Option<DurabilityHooks>,
+) -> Result<JoinHandle<Result<()>>> {
+    thread::Builder::new()
+        .name(format!("esp-gateway-shard-{shard}"))
+        .spawn(move || {
+            let mut core = protocol::Worker::new(durability.as_ref().map(|d| d.checkpoint_every));
+            loop {
+                match rx.recv() {
+                    Ok(ShardMsg::Flush { seq, epoch, sent }) => {
+                        note_dequeued(&stats, sent);
+                        stats.note_flush_done(epoch.as_millis());
+                        if let (true, Some(d)) = (core.stepped(), &durability) {
+                            let t0 = CpuTimer::start();
+                            let meta = SnapshotMeta {
+                                shard,
+                                epoch,
+                                wal_seq: seq,
+                            };
+                            d.store.write(meta, &[])?;
+                            d.store.retain(shard, d.config.max_snapshots)?;
+                            stats.note_checkpoint();
+                            stats.note_checkpoint_time(t0.elapsed_nanos());
+                        }
+                    }
+                    Ok(ShardMsg::Readings(_)) => {}
+                    Ok(ShardMsg::Shutdown) | Err(_) => break,
+                }
+            }
+            Ok(())
+        })
+        .map_err(|e| EspError::Config(format!("spawn shard sink thread: {e}")))
 }
 
 #[cfg(test)]
@@ -580,7 +616,9 @@ mod tests {
         let batch: Vec<(u64, Reading)> = (10..15)
             .map(|seq| (seq, scalar(1, seq, seq as f64)))
             .collect();
-        buffer_batch(&buffers, &schemas, Some(12), batch).unwrap();
+        let mut core = protocol::Worker::new(None);
+        core.recovered(Some(12));
+        buffer_batch(&buffers, &schemas, &core, batch).unwrap();
         let kept: Vec<u64> = buffers[&ReceptorId(1)]
             .lock()
             .to_tuples()
@@ -592,11 +630,11 @@ mod tests {
         // A batch wholly past the boundary is kept whole; one wholly
         // covered is dropped; no boundary keeps everything.
         let past: Vec<(u64, Reading)> = vec![(15, scalar(1, 15, 0.0))];
-        buffer_batch(&buffers, &schemas, Some(12), past).unwrap();
+        buffer_batch(&buffers, &schemas, &core, past).unwrap();
         let covered: Vec<(u64, Reading)> = vec![(11, scalar(1, 11, 0.0))];
-        buffer_batch(&buffers, &schemas, Some(12), covered).unwrap();
+        buffer_batch(&buffers, &schemas, &core, covered).unwrap();
         let fresh: Vec<(u64, Reading)> = vec![(0, scalar(1, 16, 0.0))];
-        buffer_batch(&buffers, &schemas, None, fresh).unwrap();
+        buffer_batch(&buffers, &schemas, &protocol::Worker::new(None), fresh).unwrap();
         assert_eq!(buffers[&ReceptorId(1)].lock().to_tuples().len(), 4);
     }
 
