@@ -19,25 +19,25 @@
 //! # Pane-incremental evaluation
 //!
 //! The window slides by one epoch and all three windowed aggregates merge,
-//! so the stage keeps no tuples: each mode owns an
-//! [`esp_stream::panes::PaneStore`] of per-epoch partials (count →
-//! `i64`; mean → [`RunningStats`]; presence → match count + the key values
-//! of the last match). An epoch folds only its own arrivals into the pane
-//! of that epoch, slides the store, and emits from the panes merged oldest
-//! → newest: the rows a rescan of the buffered window would emit, in the
+//! so the stage keeps no tuples: each mode is a construction of
+//! [`esp_stream::panes::PaneAggregate`], the keyed pane fold that
+//! esp-query's mergeable selects run on too. A mode supplies only its
+//! partial (count → `i64`; mean → [`RunningStats`]; presence → a match
+//! count and the key values of the last match, under one group), how a
+//! run of group-equal rows updates it, and how a merged partial becomes
+//! output values. An epoch folds only its own arrivals into the pane of
+//! that epoch, slides the store, and emits from the panes merged oldest →
+//! newest: the rows a rescan of the buffered window would emit, in the
 //! same order (first-seen key order, key values of the oldest live
 //! arrival, counts and presence exact, means equal to rounding), for
 //! O(arrivals + panes × keys) work instead of O(window rows).
 //!
-//! Input is folded where it lies: each arriving chunk is read through its
-//! columns, with key and value positions resolved once per input schema.
-//! Runs of equal keys are found on packed `Int` / `Str` key columns, and
-//! each run's packed `Float` / `Int` values are pushed into one partial,
-//! with the null bitmap consulted only when it has a bit set. Any other
-//! column (float, bool or `ANY` keys, string values, promoted or pruned
-//! columns) is read slot by slot through `ColumnVec::get` and grouped by
-//! `Value::group_key`. The output is written column by column from the
-//! merged panes ([`Chunk::from_columns`]); EWMA alone reads rows.
+//! Input is folded where it lies: the aggregate finds runs of keys equal
+//! in place on the chunk's columns, a count adds each run's length, and
+//! the mean pushes each run of a clean packed `Float` column in one slice
+//! walk (any other value column is read slot by slot, its non-numeric
+//! rows left out). The output is written column by column from the merged
+//! panes; EWMA alone reads rows.
 //!
 //! The checkpoint is the partials (see [`Stage::state`] below), tagged so
 //! that a pre-pane blob of raw window tuples is refused, not misread.
@@ -45,12 +45,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use esp_stream::panes::{PaneMut, PaneStore, Partial};
+use esp_stream::panes::{Column, Columns, PaneAggregate, Partial};
 use esp_stream::stats::RunningStats;
 use esp_stream::{Payload, StageState};
 use esp_types::{
-    snap, Chunk, ColumnVec, DataType, EspError, Field, NullMask, Result, Schema, Ts, Tuple, Value,
-    ValueKey,
+    snap, Chunk, DataType, EspError, Field, Result, Schema, Ts, Tuple, Value, ValueKey,
 };
 
 use crate::granule::TemporalGranule;
@@ -92,13 +91,12 @@ impl Partial for Presence {
 }
 
 enum SmoothMode {
-    CountByKey(PaneStore<i64>),
-    WindowedMean(PaneStore<RunningStats>),
-    EventPresence {
-        on_value: Value,
-        min_events: usize,
-        panes: PaneStore<Presence>,
-    },
+    /// Keys: the key fields.
+    CountByKey(PaneAggregate<i64>),
+    /// Keys: the key fields; argument: the value field (optional).
+    WindowedMean(PaneAggregate<RunningStats>),
+    /// No keys; arguments: the value field (optional), then the key fields.
+    EventPresence(EventPresence, PaneAggregate<Presence>),
     Ewma {
         alpha: f64,
         /// Per-key state: (key values, estimate, last update time).
@@ -113,240 +111,174 @@ impl SmoothMode {
         match self {
             SmoothMode::CountByKey(_) => 0,
             SmoothMode::WindowedMean(_) => 1,
-            SmoothMode::EventPresence { .. } => 2,
+            SmoothMode::EventPresence(..) => 2,
             SmoothMode::Ewma { .. } => 3,
         }
     }
+}
+
+/// What a windowed mode adds to the shared pane fold: how a chunk's runs
+/// of group-equal rows update its partial, and how a merged partial
+/// becomes output values.
+trait Windowed {
+    type Partial: Partial;
 
     /// Fold one chunk into the pane of `epoch`.
-    fn fold(&mut self, epoch: Ts, seg: &ChunkSegment<'_>) {
-        match self {
-            SmoothMode::CountByKey(panes) => fold_count(seg, panes.pane_mut(epoch)),
-            SmoothMode::WindowedMean(panes) => fold_mean(seg, panes.pane_mut(epoch)),
-            SmoothMode::EventPresence {
-                on_value, panes, ..
-            } => fold_presence(seg, on_value, panes.pane_mut(epoch)),
-            SmoothMode::Ewma { .. } => unreachable!("EWMA keeps no panes"),
-        }
-    }
+    fn fold(
+        &self,
+        panes: &mut PaneAggregate<Self::Partial>,
+        epoch: Ts,
+        cols: &Columns<'_>,
+    ) -> Result<()>;
+
+    /// Append a merged group's output values to `row`; `false` for none.
+    fn row(&self, key: &[Value], partial: &Self::Partial, row: &mut Vec<Value>) -> Result<bool>;
 }
 
-/// Where the stage's key and value fields sit in one input schema.
-struct Layout {
-    schema: Arc<Schema>,
-    /// Key field positions, or the first key field the schema lacks
-    /// (reported only if a row actually has to be keyed).
-    keys: std::result::Result<Vec<usize>, String>,
-    value: Option<usize>,
-}
+struct Count;
 
-impl Layout {
-    /// The key and value positions a fold over this schema reads, or
-    /// `None` when the stage aggregates a value field this schema lacks
-    /// (such rows contribute nothing, whatever their keys).
-    fn columns(&self, wants_value: bool) -> Result<Option<(&[usize], Option<usize>)>> {
-        if wants_value && self.value.is_none() {
-            return Ok(None);
-        }
-        match &self.keys {
-            Ok(keys) => Ok(Some((keys, self.value))),
-            Err(missing) => Err(EspError::UnknownField(missing.clone())),
-        }
-    }
-}
+impl Windowed for Count {
+    type Partial = i64;
 
-/// A packed column and its null bitmap — `None` when no row is NULL, so
-/// the per-row test disappears for clean columns.
-type Packed<'a, T> = (&'a [T], Option<&'a NullMask>);
-
-fn packed<'a, T>((data, nulls): (&'a [T], &'a NullMask)) -> Packed<'a, T> {
-    (data, nulls.any().then_some(nulls))
-}
-
-fn is_null(nulls: Option<&NullMask>, row: usize) -> bool {
-    nulls.is_some_and(|n| n.get(row))
-}
-
-enum KeyCol<'a> {
-    Int(Packed<'a, i64>),
-    Str(Packed<'a, Arc<str>>),
-    /// Any other column, read slot by slot.
-    Other(&'a ColumnVec),
-}
-
-enum ValueCol<'a> {
-    Float(Packed<'a, f64>),
-    Int(Packed<'a, i64>),
-    /// Any other column, read slot by slot.
-    Other(&'a ColumnVec),
-    /// The schema has no value field: nothing is numeric, nothing matches.
-    Absent,
-}
-
-/// One chunk of an epoch's input, its key and value columns read by
-/// position.
-struct ChunkSegment<'a> {
-    len: usize,
-    keys: Vec<KeyCol<'a>>,
-    value: ValueCol<'a>,
-}
-
-impl<'a> ChunkSegment<'a> {
-    fn new(chunk: &'a Chunk, keys: &[usize], value: Option<usize>) -> Result<ChunkSegment<'a>> {
-        let col = |c: usize| {
-            chunk
-                .col(c)
-                .ok_or_else(|| EspError::Stage(format!("smooth: {chunk} has no column {c}")))
-        };
-        let keys = keys
-            .iter()
-            .map(|&c| {
-                let col = col(c)?;
-                Ok(match (col.int_data(), col.str_data()) {
-                    (Some(d), _) => KeyCol::Int(packed(d)),
-                    (_, Some(d)) => KeyCol::Str(packed(d)),
-                    _ => KeyCol::Other(col),
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let value = match value {
-            None => ValueCol::Absent,
-            Some(c) => {
-                let col = col(c)?;
-                match (col.float_data(), col.int_data()) {
-                    (Some(d), _) => ValueCol::Float(packed(d)),
-                    (_, Some(d)) => ValueCol::Int(packed(d)),
-                    _ => ValueCol::Other(col),
-                }
-            }
-        };
-        Ok(ChunkSegment {
-            len: chunk.len(),
-            keys,
-            value,
+    fn fold(&self, panes: &mut PaneAggregate<i64>, epoch: Ts, cols: &Columns<'_>) -> Result<()> {
+        panes.fold(epoch, cols, None, |n, run| {
+            *n += run.len() as i64;
+            Ok(())
         })
     }
 
-    /// Whether rows `a` and `b` carry group-equal keys.
-    fn same_key(&self, a: usize, b: usize) -> bool {
-        self.keys.iter().all(|col| match col {
-            KeyCol::Int((data, nulls)) => match (is_null(*nulls, a), is_null(*nulls, b)) {
-                (false, false) => data[a] == data[b],
-                (na, nb) => na == nb,
-            },
-            KeyCol::Str((data, nulls)) => match (is_null(*nulls, a), is_null(*nulls, b)) {
-                (false, false) => Arc::ptr_eq(&data[a], &data[b]) || data[a] == data[b],
-                (na, nb) => na == nb,
-            },
-            // `Value` equality is `Value::group_key` equality.
-            KeyCol::Other(col) => col.get(a) == col.get(b),
-        })
+    fn row(&self, key: &[Value], n: &i64, row: &mut Vec<Value>) -> Result<bool> {
+        row.extend_from_slice(key);
+        row.push(Value::Int(*n));
+        Ok(true)
     }
+}
 
-    /// Replace `out` with the key values of `row`.
-    fn key_values(&self, row: usize, out: &mut Vec<Value>) {
-        out.clear();
-        out.extend(self.keys.iter().map(|col| match col {
-            KeyCol::Int((_, nulls)) | KeyCol::Str((_, nulls)) if is_null(*nulls, row) => {
-                Value::Null
-            }
-            KeyCol::Int((data, _)) => Value::Int(data[row]),
-            KeyCol::Str((data, _)) => Value::Str(Arc::clone(&data[row])),
-            KeyCol::Other(col) => col.get(row).unwrap_or(Value::Null),
-        }));
-    }
+struct Mean;
 
-    /// The value field as a number; `None` when NULL, non-numeric or
-    /// absent from the schema.
-    fn num(&self, row: usize) -> Option<f64> {
-        match &self.value {
-            ValueCol::Float((data, nulls)) => (!is_null(*nulls, row)).then(|| data[row]),
-            ValueCol::Int((data, nulls)) => (!is_null(*nulls, row)).then(|| data[row] as f64),
-            ValueCol::Other(col) => col.get(row)?.as_f64(),
-            ValueCol::Absent => None,
-        }
-    }
+impl Windowed for Mean {
+    type Partial = RunningStats;
 
-    /// Whether the value field SQL-equals `on`.
-    fn value_is(&self, row: usize, on: &Value) -> bool {
-        match &self.value {
-            ValueCol::Float((data, nulls)) => {
-                !is_null(*nulls, row) && Value::Float(data[row]).sql_eq(on)
-            }
-            ValueCol::Int((data, nulls)) => {
-                !is_null(*nulls, row) && Value::Int(data[row]).sql_eq(on)
-            }
-            ValueCol::Other(col) => col.get(row).is_some_and(|v| v.sql_eq(on)),
-            ValueCol::Absent => false,
-        }
-    }
-
-    /// Push every numeric value of rows `[start, end)` into `stats`, in
-    /// row order.
-    fn push_nums(&self, start: usize, end: usize, stats: &mut RunningStats) {
-        match &self.value {
-            // The kernel: a clean float column is one slice walk.
-            ValueCol::Float((data, None)) => {
-                for &x in &data[start..end] {
+    fn fold(
+        &self,
+        panes: &mut PaneAggregate<RunningStats>,
+        epoch: Ts,
+        cols: &Columns<'_>,
+    ) -> Result<()> {
+        let value = cols.args[0];
+        match value.float_data() {
+            // The kernel: a clean float column is one slice walk per run.
+            Some((data, nulls)) if !nulls.any() => panes.fold(epoch, cols, None, |stats, run| {
+                for &x in &data[run] {
                     stats.push(x);
                 }
-            }
+                Ok(())
+            }),
+            // NULL / non-numeric samples are skipped, and a key none of
+            // whose samples is numeric is never listed.
             _ => {
-                for x in (start..end).filter_map(|row| self.num(row)) {
-                    stats.push(x);
-                }
+                let num = |row: usize| value.get(row).and_then(|v| v.as_f64());
+                let numeric: Vec<usize> = (0..cols.row_count())
+                    .filter(|&row| num(row).is_some())
+                    .collect();
+                panes.fold(epoch, cols, Some(&numeric), |stats, run| {
+                    for x in numeric[run].iter().filter_map(|&row| num(row)) {
+                        stats.push(x);
+                    }
+                    Ok(())
+                })
             }
         }
     }
+
+    fn row(&self, key: &[Value], stats: &RunningStats, row: &mut Vec<Value>) -> Result<bool> {
+        let mean = stats
+            .mean()
+            .ok_or_else(|| EspError::Stage("smooth: empty stats bucket".into()))?;
+        row.extend_from_slice(key);
+        row.push(Value::Float(mean));
+        Ok(true)
+    }
 }
 
-/// Call `f(start, end)` for each maximal run `[start, end)` of rows with
-/// group-equal keys.
-fn for_each_key_run(seg: &ChunkSegment<'_>, mut f: impl FnMut(usize, usize)) {
-    let mut start = 0;
-    for row in 1..=seg.len {
-        if row == seg.len || !seg.same_key(start, row) {
-            f(start, row);
-            start = row;
+struct EventPresence {
+    on_value: Value,
+    min_events: usize,
+}
+
+impl Windowed for EventPresence {
+    type Partial = Presence;
+
+    fn fold(
+        &self,
+        panes: &mut PaneAggregate<Presence>,
+        epoch: Ts,
+        cols: &Columns<'_>,
+    ) -> Result<()> {
+        let (value, labels) = (cols.args[0], &cols.args[1..]);
+        let matched: Vec<usize> = (0..cols.row_count())
+            .filter(|&row| value.get(row).is_some_and(|v| v.sql_eq(&self.on_value)))
+            .collect();
+        // One group for the whole stream: the key fields only label the
+        // event.
+        panes.fold(epoch, cols, Some(&matched), |presence, run| {
+            presence.matches += run.len() as u64;
+            let last = matched[run.end - 1];
+            presence.last.clear();
+            presence
+                .last
+                .extend(labels.iter().map(|c| c.get(last).unwrap_or(Value::Null)));
+            Ok(())
+        })
+    }
+
+    fn row(&self, _: &[Value], p: &Presence, row: &mut Vec<Value>) -> Result<bool> {
+        // `min_events` may be 0 with nothing matching: no event.
+        if p.matches == 0 || p.matches < self.min_events as u64 {
+            return Ok(false);
+        }
+        row.extend_from_slice(&p.last);
+        row.push(self.on_value.clone());
+        Ok(true)
+    }
+}
+
+/// One epoch of a windowed mode: fold every chunk into the pane of
+/// `epoch` (the first chunk that folds fixes `schema`), slide the window
+/// and emit from the merged panes.
+fn window<W: Windowed>(
+    mode: &W,
+    panes: &mut PaneAggregate<W::Partial>,
+    epoch: Ts,
+    input: &Payload,
+    schema: &mut Option<Arc<Schema>>,
+    fix: impl Fn(&Schema) -> Result<Arc<Schema>>,
+) -> Result<Payload> {
+    for chunk in input.chunks().iter().filter(|c| !c.is_empty()) {
+        let Some(cols) = panes.columns(chunk)? else {
+            continue;
+        };
+        mode.fold(panes, epoch, &cols)?;
+        if schema.is_none() {
+            *schema = Some(fix(chunk.schema())?);
         }
     }
-}
-
-fn fold_count(seg: &ChunkSegment<'_>, mut pane: PaneMut<'_, i64>) {
-    let mut key = Vec::new();
-    for_each_key_run(seg, |start, end| {
-        seg.key_values(start, &mut key);
-        *pane.upsert(&key) += (end - start) as i64;
-    });
-}
-
-fn fold_mean(seg: &ChunkSegment<'_>, mut pane: PaneMut<'_, RunningStats>) {
-    let mut key = Vec::new();
-    for_each_key_run(seg, |start, end| {
-        // NULL / non-numeric samples are skipped, and a key none of whose
-        // samples is numeric is never listed.
-        let Some(first) = (start..end).find(|&row| seg.num(row).is_some()) else {
-            return;
-        };
-        seg.key_values(first, &mut key);
-        seg.push_nums(first, end, pane.upsert(&key));
-    });
-}
-
-fn fold_presence(seg: &ChunkSegment<'_>, on_value: &Value, mut pane: PaneMut<'_, Presence>) {
-    let mut matched = (0..seg.len).filter(|&row| seg.value_is(row, on_value));
-    let Some(mut last) = matched.next() else {
-        return;
+    let Some(schema) = schema else {
+        return unfixed(panes.is_empty());
     };
-    let mut matches = 1;
-    for row in matched {
-        matches += 1;
-        last = row;
+    let (chunk, _) = panes.emit(epoch, schema, None, |key, p, row| mode.row(key, p, row))?;
+    Ok(Payload::from(vec![chunk]))
+}
+
+/// The output of a stage whose schema is not fixed yet, i.e. that has
+/// folded nothing.
+fn unfixed(empty: bool) -> Result<Payload> {
+    if empty {
+        return Ok(Payload::empty());
     }
-    // One group for the whole stream: the key fields only label the event.
-    let presence = pane.upsert(&[]);
-    presence.matches += matches;
-    seg.key_values(last, &mut presence.last);
+    Err(EspError::Stage(
+        "smooth: state holds keys but no output schema was fixed".into(),
+    ))
 }
 
 /// The built-in Smooth stage.
@@ -358,8 +290,6 @@ pub struct SmoothStage {
     value_field: Option<String>,
     mode: SmoothMode,
     out_schema: Option<Arc<Schema>>,
-    /// One entry per distinct input schema met so far.
-    layouts: Vec<Layout>,
 }
 
 impl SmoothStage {
@@ -368,16 +298,17 @@ impl SmoothStage {
         granule: TemporalGranule,
         key_fields: impl IntoIterator<Item = S>,
         value_field: Option<String>,
-        mode: SmoothMode,
+        mode: impl FnOnce(Vec<Column>) -> SmoothMode,
     ) -> SmoothStage {
+        let key_fields: Vec<String> = key_fields.into_iter().map(Into::into).collect();
+        let keys = key_fields.iter().map(|k| Column::required(k, k.clone()));
         SmoothStage {
             name: name.into(),
             granule,
-            key_fields: key_fields.into_iter().map(Into::into).collect(),
+            mode: mode(keys.collect()),
+            key_fields,
             value_field,
-            mode,
             out_schema: None,
-            layouts: Vec::new(),
         }
     }
 
@@ -389,8 +320,9 @@ impl SmoothStage {
         key_fields: impl IntoIterator<Item = S>,
     ) -> SmoothStage {
         let granule = granule.into();
-        let mode = SmoothMode::CountByKey(PaneStore::new(granule.window()));
-        SmoothStage::with_mode(name, granule, key_fields, None, mode)
+        SmoothStage::with_mode(name, granule, key_fields, None, |keys| {
+            SmoothMode::CountByKey(PaneAggregate::new(granule.window(), keys, vec![]))
+        })
     }
 
     /// Mote-style smoothing (paper §5.2.1): emit `(key…, value)` with the
@@ -401,9 +333,11 @@ impl SmoothStage {
         key_fields: impl IntoIterator<Item = S>,
         value_field: impl Into<String>,
     ) -> SmoothStage {
-        let granule = granule.into();
-        let mode = SmoothMode::WindowedMean(PaneStore::new(granule.window()));
-        SmoothStage::with_mode(name, granule, key_fields, Some(value_field.into()), mode)
+        let (granule, value) = (granule.into(), value_field.into());
+        let arg = vec![Column::optional(&value)];
+        SmoothStage::with_mode(name, granule, key_fields, Some(value), |keys| {
+            SmoothMode::WindowedMean(PaneAggregate::new(granule.window(), keys, arg))
+        })
     }
 
     /// X10-style smoothing (paper §6.1): emit one `(key…, value)` tuple
@@ -419,13 +353,20 @@ impl SmoothStage {
         on_value: impl Into<Value>,
         min_events: usize,
     ) -> SmoothStage {
-        let granule = granule.into();
-        let mode = SmoothMode::EventPresence {
-            on_value: on_value.into(),
-            min_events,
-            panes: PaneStore::new(granule.window()),
-        };
-        SmoothStage::with_mode(name, granule, key_fields, Some(value_field.into()), mode)
+        let (granule, value) = (granule.into(), value_field.into());
+        let arg = Column::optional(&value);
+        SmoothStage::with_mode(name, granule, key_fields, Some(value), |keys| {
+            let on_value = on_value.into();
+            let args = std::iter::once(arg).chain(keys).collect();
+            let panes = PaneAggregate::new(granule.window(), vec![], args);
+            SmoothMode::EventPresence(
+                EventPresence {
+                    on_value,
+                    min_events,
+                },
+                panes,
+            )
+        })
     }
 
     /// Exponentially-weighted moving average smoothing — an alternative to
@@ -455,7 +396,7 @@ impl SmoothStage {
             granule.into(),
             key_fields,
             Some(value_field.into()),
-            mode,
+            |_| mode,
         ))
     }
 
@@ -469,147 +410,39 @@ impl SmoothStage {
         let value = self.value_field.as_deref();
         match &self.mode {
             SmoothMode::CountByKey(_) => Field::new("count", DataType::Int),
-            SmoothMode::EventPresence { .. } => Field::new(value.unwrap_or("value"), DataType::Any),
+            SmoothMode::EventPresence(..) => Field::new(value.unwrap_or("value"), DataType::Any),
             SmoothMode::WindowedMean(_) | SmoothMode::Ewma { .. } => {
                 Field::new(value.unwrap_or("value"), DataType::Float)
             }
         }
     }
 
-    /// Fix the output schema on first use: the key fields as `input`
-    /// declares them, plus [`SmoothStage::output_field`].
-    fn fix_output_schema(&mut self, input: &Schema) -> Result<()> {
-        if self.out_schema.is_some() {
-            return Ok(());
-        }
-        let mut fields = Vec::with_capacity(self.key_fields.len() + 1);
-        for k in &self.key_fields {
-            let f = input
-                .field(k)
-                .ok_or_else(|| EspError::UnknownField(format!("smooth key field '{k}'")))?;
-            fields.push(f.clone());
-        }
-        fields.push(self.output_field());
-        self.out_schema = Some(Schema::new(fields)?);
-        Ok(())
-    }
-
-    /// Index into `self.layouts` for `schema`, resolving the key and value
-    /// positions the first time the schema is met.
-    fn layout_for(&mut self, schema: &Arc<Schema>) -> usize {
-        let known = self
-            .layouts
-            .iter()
-            .position(|l| Arc::ptr_eq(&l.schema, schema) || *l.schema == **schema);
-        known.unwrap_or_else(|| {
-            let keys = self
-                .key_fields
-                .iter()
-                .map(|k| schema.index_of(k).ok_or_else(|| k.clone()))
-                .collect();
-            let value = self.value_field.as_ref().and_then(|v| schema.index_of(v));
-            self.layouts.push(Layout {
-                schema: Arc::clone(schema),
-                keys,
-                value,
-            });
-            self.layouts.len() - 1
-        })
-    }
-
-    fn fold_chunk(&mut self, epoch: Ts, chunk: &Chunk) -> Result<()> {
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        let layout = self.layout_for(chunk.schema());
-        let layout = &self.layouts[layout];
-        let Some((keys, value)) = layout.columns(self.value_field.is_some())? else {
-            return Ok(());
-        };
-        self.mode
-            .fold(epoch, &ChunkSegment::new(chunk, keys, value)?);
-        let schema = Arc::clone(&layout.schema);
-        self.fix_output_schema(&schema)
-    }
-
-    /// One epoch of a windowed mode: fold the arrivals into the epoch's
-    /// pane, slide the window, emit from the merged panes.
+    /// One epoch of a windowed mode (see [`window`]).
     fn process_panes(&mut self, epoch: Ts, input: &Payload) -> Result<Payload> {
-        for chunk in input.chunks() {
-            self.fold_chunk(epoch, chunk)?;
-        }
-        let schema = self.out_schema.as_ref();
+        let field = self.output_field();
+        let fix = |input: &Schema| output_schema(&self.key_fields, &field, input);
+        let schema = &mut self.out_schema;
         match &mut self.mode {
+            SmoothMode::CountByKey(p) => window(&Count, p, epoch, input, schema, fix),
+            SmoothMode::WindowedMean(p) => window(&Mean, p, epoch, input, schema, fix),
+            SmoothMode::EventPresence(mode, p) => window(mode, p, epoch, input, schema, fix),
             SmoothMode::Ewma { .. } => unreachable!("handled by process_ewma"),
-            SmoothMode::CountByKey(panes) => {
-                panes.advance_to(epoch);
-                let merged = panes.merged()?;
-                let rows = merged.iter().map(|(key, n)| Ok((key, Value::Int(*n))));
-                emit(schema, epoch, rows)
-            }
-            SmoothMode::WindowedMean(panes) => {
-                panes.advance_to(epoch);
-                let merged = panes.merged()?;
-                let rows = merged.iter().map(|(key, stats)| {
-                    let mean = stats
-                        .mean()
-                        .ok_or_else(|| EspError::Stage("smooth: empty stats bucket".into()))?;
-                    Ok((key, Value::Float(mean)))
-                });
-                emit(schema, epoch, rows)
-            }
-            SmoothMode::EventPresence {
-                on_value,
-                min_events,
-                panes,
-            } => {
-                panes.advance_to(epoch);
-                // `min_events` may be 0 with nothing matching: no event.
-                let merged = panes.merged()?;
-                let rows = merged
-                    .iter()
-                    .filter(|(_, p)| p.matches > 0 && p.matches >= *min_events as u64)
-                    .map(|(_, p)| Ok((p.last.as_slice(), on_value.clone())));
-                emit(schema, epoch, rows)
-            }
         }
     }
 }
 
-/// The epoch's output chunk under `schema`: one row per `(key values,
-/// aggregate)`, stamped at `epoch`, written column by column.
-fn emit<'k>(
-    schema: Option<&Arc<Schema>>,
-    epoch: Ts,
-    rows: impl Iterator<Item = Result<(&'k [Value], Value)>>,
-) -> Result<Payload> {
-    let mut rows = rows.peekable();
-    let Some(schema) = schema else {
-        if rows.peek().is_none() {
-            return Ok(Payload::empty());
-        }
-        return Err(EspError::Stage(
-            "smooth: panes hold keys but no output schema was fixed".into(),
-        ));
-    };
-    let mut cols: Vec<ColumnVec> = schema
-        .fields()
-        .iter()
-        .map(|f| ColumnVec::for_type(f.data_type))
-        .collect();
-    let mut n = 0;
-    for row in rows {
-        let (key, aggregate) = row?;
-        for (col, v) in cols.iter_mut().zip(key.iter().cloned().chain([aggregate])) {
-            col.push(v);
-        }
-        n += 1;
+/// The output schema: the key fields as `input` declares them, plus the
+/// aggregate column `field`.
+fn output_schema(key_fields: &[String], field: &Field, input: &Schema) -> Result<Arc<Schema>> {
+    let mut fields = Vec::with_capacity(key_fields.len() + 1);
+    for k in key_fields {
+        let f = input
+            .field(k)
+            .ok_or_else(|| EspError::UnknownField(format!("smooth key field '{k}'")))?;
+        fields.push(f.clone());
     }
-    Ok(Payload::from(vec![Chunk::from_columns(
-        schema,
-        vec![epoch; n],
-        cols,
-    )?]))
+    fields.push(field.clone());
+    Schema::new(fields)
 }
 
 impl Stage for SmoothStage {
@@ -627,7 +460,7 @@ impl Stage for SmoothStage {
 
     /// State blob (`snap` form): a tag byte (`2`), the mode's tag, the output
     /// schema if fixed (`u8` flag + schema), then the mode's state — the
-    /// pane store ([`PaneStore::encode_into`]) or EWMA's per-key
+    /// pane store ([`PaneAggregate::encode_into`]) or EWMA's per-key
     /// estimates. No tuple is ever part of it.
     fn state(&self) -> Result<Option<StageState>> {
         let mut out = Vec::new();
@@ -643,7 +476,7 @@ impl Stage for SmoothStage {
         match &self.mode {
             SmoothMode::CountByKey(panes) => panes.encode_into(&mut out),
             SmoothMode::WindowedMean(panes) => panes.encode_into(&mut out),
-            SmoothMode::EventPresence { panes, .. } => panes.encode_into(&mut out),
+            SmoothMode::EventPresence(_, panes) => panes.encode_into(&mut out),
             SmoothMode::Ewma { state, order, .. } => {
                 snap::put_u32(&mut out, order.len() as u32);
                 for key in order {
@@ -659,6 +492,9 @@ impl Stage for SmoothStage {
         Ok(Some(StageState(out)))
     }
 
+    /// Refuses a blob from another mode, and one whose output schema is
+    /// not `key fields…, aggregate` of this stage: its rows would not line
+    /// up with this stage's columns.
     fn restore(&mut self, s: &StageState) -> Result<()> {
         let mut cur = snap::Cursor::new(s.bytes());
         if cur.u8()? != STATE_TAG {
@@ -674,14 +510,29 @@ impl Stage for SmoothStage {
                 self.name
             )));
         }
-        self.out_schema = match cur.u8()? {
+        let schema = match cur.u8()? {
             0 => None,
             _ => Some(snap::decode_schema(&mut cur)?),
         };
+        if let Some(schema) = &schema {
+            let got: Vec<&str> = schema.fields().iter().map(|f| f.name.as_str()).collect();
+            let field = self.output_field();
+            let mut want: Vec<&str> = self.key_fields.iter().map(String::as_str).collect();
+            want.push(&field.name);
+            if got != want {
+                return Err(EspError::Snapshot(format!(
+                    "smooth stage '{}' snapshot has output fields ({}) but the stage emits ({})",
+                    self.name,
+                    got.join(", "),
+                    want.join(", ")
+                )));
+            }
+        }
+        self.out_schema = schema;
         match &mut self.mode {
             SmoothMode::CountByKey(panes) => panes.restore_from(&mut cur)?,
             SmoothMode::WindowedMean(panes) => panes.restore_from(&mut cur)?,
-            SmoothMode::EventPresence { panes, .. } => panes.restore_from(&mut cur)?,
+            SmoothMode::EventPresence(_, panes) => panes.restore_from(&mut cur)?,
             SmoothMode::Ewma { state, order, .. } => {
                 state.clear();
                 order.clear();
@@ -703,8 +554,9 @@ impl SmoothStage {
     fn process_ewma(&mut self, epoch: Ts, input: Vec<Tuple>) -> Result<Payload> {
         let expiry = self.granule.window();
         // Output schema from the first tuple ever seen.
-        if let Some(sample) = input.first() {
-            self.fix_output_schema(sample.schema())?;
+        if let (None, Some(sample)) = (&self.out_schema, input.first()) {
+            let schema = output_schema(&self.key_fields, &self.output_field(), sample.schema())?;
+            self.out_schema = Some(schema);
         }
         let (key_fields, value_field) = (&self.key_fields, self.value_field.as_deref());
         let SmoothMode::Ewma {
@@ -751,11 +603,17 @@ impl SmoothStage {
             }
             None => false,
         });
-        let rows = order.iter().map(|k| {
+        let Some(schema) = &self.out_schema else {
+            return unfixed(order.is_empty());
+        };
+        let mut out = Chunk::new(schema);
+        for k in order.iter() {
             let (vals, est, _) = &state[k];
-            Ok((vals.as_slice(), Value::Float(*est)))
-        });
-        emit(self.out_schema.as_ref(), epoch, rows)
+            let mut row = vals.clone();
+            row.push(Value::Float(*est));
+            out.push_row_owned(epoch, row)?;
+        }
+        Ok(Payload::from(vec![out]))
     }
 }
 
@@ -1038,6 +896,35 @@ mod tests {
         let mut e =
             SmoothStage::ewma("s", TimeDelta::from_secs(5), ["tag_id"], "temp", 0.5).unwrap();
         assert!(e.restore(&blob).is_err());
+    }
+
+    /// A blob whose output schema was fixed under other key fields is
+    /// refused, naming both field lists, rather than restored into rows
+    /// that no longer line up with their columns.
+    #[test]
+    fn checkpoint_under_other_key_fields_is_rejected() {
+        let g = TimeDelta::from_secs(5);
+        let mut s = SmoothStage::count_by_key("s", g, ["tag_id"]);
+        s.process_rows(Ts::ZERO, vec![rfid(Ts::ZERO, "a")]).unwrap();
+        let blob = s.state().unwrap().unwrap();
+        let mut other = SmoothStage::count_by_key("s", g, ["receptor_id", "tag_id"]);
+        match other.restore(&blob) {
+            Err(EspError::Snapshot(m)) => {
+                assert!(m.contains("(tag_id, count)"), "{m}");
+                assert!(m.contains("(receptor_id, tag_id, count)"), "{m}");
+            }
+            other => panic!("expected a snapshot error, got {other:?}"),
+        }
+        // A mean over another value field names its column differently.
+        let mut m = SmoothStage::windowed_mean("s", g, ["receptor_id"], "temp");
+        m.process_rows(Ts::ZERO, vec![temp(Ts::ZERO, 1, 20.0)])
+            .unwrap();
+        let blob = m.state().unwrap().unwrap();
+        let mut hum = SmoothStage::windowed_mean("s", g, ["receptor_id"], "hum");
+        assert!(matches!(hum.restore(&blob), Err(EspError::Snapshot(_))));
+        // The same configuration still restores.
+        let mut same = SmoothStage::windowed_mean("s", g, ["receptor_id"], "temp");
+        same.restore(&blob).unwrap();
     }
 
     fn golden_schema() -> Arc<Schema> {

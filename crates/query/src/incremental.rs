@@ -5,8 +5,7 @@
 //! epoch and every aggregate it computes merges across epochs (*On the
 //! Semantic Overlap of Operators in SPEs*), so each arrival is folded once,
 //! into the partial of its group in its epoch's pane, and a tick merges
-//! the live panes ([`esp_stream::panes::PaneStore`], keyed by dictionary
-//! ids) instead of regrouping the window.
+//! the live panes instead of regrouping the window.
 //!
 //! A select is mergeable when all of these hold (checked once, when the
 //! engine compiles it):
@@ -23,18 +22,22 @@
 //! and the rescan, as does every select in reference mode, which makes the
 //! rescan the oracle this path is tested against.
 //!
-//! Per tick: slide the panes, fold the staged chunks into the epoch's pane
-//! (WHERE, keys and arguments read by column position, resolved once per
-//! input schema), merge, then write the output chunk column by column from
-//! each group's key values and finished partials, with HAVING evaluated per
-//! group. Groups come out in the rescan's first-seen order, with the key
-//! values of their oldest live arrival. Counts, integer sums, minima and
-//! maxima are exact; float sums, means and deviations reassociate across
-//! panes and agree with the rescan to rounding.
+//! The window is an [`esp_stream::panes::PaneAggregate`] — the keyed pane
+//! fold native Smooth runs on too — grouping by the GROUP BY columns and
+//! reading the bare-column aggregate arguments in place. What this module
+//! adds is SQL: per tick, WHERE picks the rows of each staged chunk the
+//! aggregate folds (in the rescan's phase order: WHERE over every row,
+//! then keys, then arguments), each run of group-equal rows updates its
+//! group's partials, and the aggregate slides, merges and writes the
+//! output chunk, turning each group into its select items with HAVING
+//! evaluated per group. Groups come out in the rescan's first-seen order,
+//! with the key values of their oldest live arrival. Counts, integer sums,
+//! minima and maxima are exact; float sums, means and deviations
+//! reassociate across panes and agree with the rescan to rounding.
 
 use std::sync::Arc;
 
-use esp_stream::panes::{KeyRef, PaneStore, Partial};
+use esp_stream::panes::{Column, PaneAggregate, Partial};
 use esp_stream::stats::RunningStats;
 use esp_types::{
     snap, Chunk, ChunkView, ColumnVec, DataType, EspError, Field, Result, Schema, TimeDelta, Tuple,
@@ -133,43 +136,6 @@ impl Partial for Partials {
     }
 }
 
-/// A column the select names: its field name, and the reference as
-/// written, for the rescan's error text.
-struct ColumnRef {
-    name: String,
-    shown: String,
-}
-
-impl ColumnRef {
-    fn new(qualifier: &Option<String>, name: &str) -> ColumnRef {
-        ColumnRef {
-            name: name.to_string(),
-            shown: match qualifier {
-                Some(q) => format!("{q}.{name}"),
-                None => name.to_string(),
-            },
-        }
-    }
-
-    /// The column's position in `schema`, or the rescan's error for a
-    /// row without it.
-    fn position(&self, schema: &Schema) -> Result<usize> {
-        schema
-            .index_of(&self.name)
-            .ok_or_else(|| EspError::UnknownField(self.shown.clone()))
-    }
-}
-
-/// How an aggregate call reads its argument.
-enum Arg {
-    /// `count(*)`.
-    Star,
-    /// A bare column, read in place.
-    Column(ColumnRef),
-    /// Any other expression, evaluated per row.
-    Expr,
-}
-
 /// How the fold reads one call's argument from the chunk at hand.
 enum ArgRead<'a> {
     Star,
@@ -188,25 +154,18 @@ enum Output {
     Expr,
 }
 
-/// Key and argument positions in one input schema.
-struct Layout {
-    schema: Arc<Schema>,
-    keys: Result<Vec<usize>>,
-    args: Vec<Result<Option<usize>>>,
-}
-
 /// A mergeable select's window state: per-epoch partials, and what its
 /// fold reads of each input schema.
 pub struct Incremental {
-    store: PaneStore<Partials>,
+    panes: PaneAggregate<Partials>,
     kinds: Vec<PartialKind>,
-    keys: Vec<ColumnRef>,
-    args: Vec<Arg>,
+    /// Per aggregate call, its argument column's index among the
+    /// aggregate's arguments when the argument is a bare column.
+    args: Vec<Option<usize>>,
     outputs: Vec<Output>,
     /// The schema of a group's representative row (its key columns), when
     /// HAVING or a computed select item reads a key.
     rep_schema: Option<Arc<Schema>>,
-    layouts: Vec<Layout>,
     /// The input schema the select's slots are resolved against.
     input: Option<Arc<Schema>>,
 }
@@ -214,7 +173,7 @@ pub struct Incremental {
 impl Incremental {
     /// The window's width; zero for a now-window.
     pub fn width(&self) -> TimeDelta {
-        self.store.width()
+        self.panes.width()
     }
 
     /// The input schema the select's slots are resolved against.
@@ -247,7 +206,16 @@ impl Incremental {
             } => simple &= item.binding.as_ref() == Some(q),
             _ => {}
         });
-        let mut keys: Vec<ColumnRef> = Vec::with_capacity(cs.group_by.len());
+        // A column as written, for the rescan's error text.
+        let column = |qualifier: &Option<String>, name: &str| {
+            let shown = match qualifier {
+                Some(q) => format!("{q}.{name}"),
+                None => name.to_string(),
+            };
+            Column::required(name, shown)
+        };
+        let mut names: Vec<&str> = Vec::with_capacity(cs.group_by.len());
+        let mut keys = Vec::with_capacity(cs.group_by.len());
         for g in &cs.group_by {
             let CExpr::Field {
                 qualifier, name, ..
@@ -255,13 +223,14 @@ impl Incremental {
             else {
                 return None;
             };
-            simple &= keys.iter().all(|k| k.name != *name);
-            keys.push(ColumnRef::new(qualifier, name));
+            simple &= !names.contains(&name.as_str());
+            names.push(name);
+            keys.push(column(qualifier, name));
         }
         // Outside aggregate arguments, only key columns may be read; note
         // whether a computed item or HAVING reads one, so groups need a
         // representative row.
-        let key_of = |name: &str| keys.iter().position(|k| k.name == name);
+        let key_of = |name: &str| names.iter().position(|k| *k == name);
         let outputs: Vec<Output> = cs
             .select
             .iter()
@@ -291,60 +260,35 @@ impl Incremental {
         }
         let mut kinds = Vec::with_capacity(cs.agg_calls.len());
         let mut args = Vec::with_capacity(cs.agg_calls.len());
+        let mut arg_columns = Vec::new();
         for call in &cs.agg_calls {
             if call.distinct {
                 return None;
             }
             kinds.push(call.factory.partial()?);
             args.push(match &call.arg {
-                None => Arg::Star,
                 Some(CExpr::Field {
                     qualifier, name, ..
-                }) => Arg::Column(ColumnRef::new(qualifier, name)),
-                Some(_) => Arg::Expr,
+                }) => {
+                    arg_columns.push(column(qualifier, name));
+                    Some(arg_columns.len() - 1)
+                }
+                _ => None,
             });
         }
         let rep_schema = if reads_key {
-            let fields = keys.iter().map(|k| Field::new(&k.name, DataType::Any));
+            let fields = names.iter().map(|k| Field::new(*k, DataType::Any));
             Some(Schema::new(fields.collect()).ok()?)
         } else {
             None
         };
         Some(Incremental {
-            store: PaneStore::new(window.width()),
+            panes: PaneAggregate::new(window.width(), keys, arg_columns),
             kinds,
-            keys,
             args,
             outputs,
             rep_schema,
-            layouts: Vec::new(),
             input: None,
-        })
-    }
-
-    /// Index into `self.layouts` for `schema`, resolving the key and
-    /// argument positions the first time the schema is met.
-    fn layout(&mut self, schema: &Arc<Schema>) -> usize {
-        let known = self
-            .layouts
-            .iter()
-            .position(|l| Arc::ptr_eq(&l.schema, schema) || *l.schema == **schema);
-        known.unwrap_or_else(|| {
-            let keys = self.keys.iter().map(|k| k.position(schema)).collect();
-            let args = self
-                .args
-                .iter()
-                .map(|a| match a {
-                    Arg::Column(c) => c.position(schema).map(Some),
-                    Arg::Star | Arg::Expr => Ok(None),
-                })
-                .collect();
-            self.layouts.push(Layout {
-                schema: Arc::clone(schema),
-                keys,
-                args,
-            });
-            self.layouts.len() - 1
         })
     }
 }
@@ -361,7 +305,7 @@ pub(crate) fn classify(cs: &mut CompiledSelect, catalog: &Catalog) {
     }
 }
 
-fn panes(from: &mut [crate::compile::CFromItem]) -> Result<&mut Incremental> {
+fn incremental(from: &mut [crate::compile::CFromItem]) -> Result<&mut Incremental> {
     match from.first_mut().map(|item| &mut item.source) {
         Some(CSource::Stream {
             window: Window::Panes(inc),
@@ -398,9 +342,9 @@ pub(crate) fn tick(
     chunks: Vec<Chunk>,
     ctx: &ExecCtx<'_>,
 ) -> Result<(Chunk, usize)> {
-    panes(&mut cs.from)?.store.advance_to(ctx.epoch);
+    incremental(&mut cs.from)?.panes.advance_to(ctx.epoch);
     for chunk in chunks.iter().filter(|c| !c.is_empty()) {
-        let inc = panes(&mut cs.from)?;
+        let inc = incremental(&mut cs.from)?;
         if !inc
             .input
             .as_ref()
@@ -442,58 +386,46 @@ fn fold(cs: &mut CompiledSelect, chunk: &Chunk, ctx: &ExecCtx<'_>) -> Result<()>
     if kept.is_empty() {
         return Ok(());
     }
-    let inc = panes(from)?;
-    let layout = inc.layout(chunk.schema());
     let Incremental {
-        store,
-        kinds,
-        layouts,
-        ..
-    } = inc;
-    let layout = &layouts[layout];
-    let vanished = || EspError::Plan("chunk column vanished mid-fold".into());
-    let key_cols = layout
-        .keys
-        .as_ref()
-        .map_err(Clone::clone)?
+        panes, kinds, args, ..
+    } = incremental(from)?;
+    let Some(cols) = panes.columns(chunk)? else {
+        return Ok(());
+    };
+    let reads: Vec<ArgRead<'_>> = agg_calls
         .iter()
-        .map(|&c| chunk.col(c).ok_or_else(vanished))
-        .collect::<Result<Vec<_>>>()?;
-    let mut args = Vec::with_capacity(agg_calls.len());
-    for (call, pos) in agg_calls.iter().zip(&layout.args) {
-        args.push(match (&call.arg, pos.as_ref().map_err(Clone::clone)?) {
-            (_, Some(c)) => ArgRead::Column(chunk.col(*c).ok_or_else(vanished)?),
-            (Some(e), None) => ArgRead::Expr(e, col_supported(e, chunk.schema())),
+        .zip(args.iter())
+        .map(|(call, arg)| match (arg, &call.arg) {
+            (Some(i), _) => ArgRead::Column(cols.args[*i]),
+            (None, Some(e)) => ArgRead::Expr(e, col_supported(e, chunk.schema())),
             (None, None) => ArgRead::Star,
-        });
-    }
-    let mut pane = store.pane_mut(ctx.epoch);
-    let mut key = Vec::with_capacity(key_cols.len());
-    for ri in kept {
-        key.clear();
-        key.extend(key_cols.iter().map(|c| KeyRef::at(c, ri)));
-        let partials = &mut pane.upsert_refs(&key).0;
+        })
+        .collect();
+    panes.fold(ctx.epoch, &cols, Some(&kept), |partials, run| {
+        let partials = &mut partials.0;
         if partials.is_empty() {
             partials.extend(kinds.iter().map(|&k| BuiltinPartial::new(k)));
         }
-        for (p, arg) in partials.iter_mut().zip(&args) {
-            let v = match arg {
-                // count(*): every row counts.
-                ArgRead::Star => Value::Int(1),
-                ArgRead::Column(col) => col.get(ri).unwrap_or(Value::Null),
-                ArgRead::Expr(e, columnar) => eval_row(e, &view, ri, *columnar, bindings, ctx)?,
-            };
-            // SQL aggregates ignore NULLs.
-            if !v.is_null() {
-                p.update(&v)?;
+        for &ri in &kept[run] {
+            for (p, arg) in partials.iter_mut().zip(&reads) {
+                let v = match arg {
+                    // count(*): every row counts.
+                    ArgRead::Star => Value::Int(1),
+                    ArgRead::Column(col) => col.get(ri).unwrap_or(Value::Null),
+                    ArgRead::Expr(e, columnar) => eval_row(e, &view, ri, *columnar, bindings, ctx)?,
+                };
+                // SQL aggregates ignore NULLs.
+                if !v.is_null() {
+                    p.update(&v)?;
+                }
             }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Merge the live panes and write one output row per group that passes
-/// HAVING, column by column.
+/// HAVING.
 fn emit(cs: &mut CompiledSelect, ctx: &ExecCtx<'_>) -> Result<(Chunk, usize)> {
     let CompiledSelect {
         from,
@@ -504,27 +436,25 @@ fn emit(cs: &mut CompiledSelect, ctx: &ExecCtx<'_>) -> Result<(Chunk, usize)> {
         bindings,
         ..
     } = cs;
-    let schema = output_schema.clone().ok_or_else(|| {
+    let schema = output_schema.as_ref().ok_or_else(|| {
         EspError::Plan("aggregate select compiled without an output schema".into())
     })?;
     let Incremental {
-        store,
+        panes,
         kinds,
         outputs,
         rep_schema,
         ..
-    } = panes(from)?;
-    let merged = store.merged()?;
-    let mut cols: Vec<ColumnVec> = schema
-        .fields()
-        .iter()
-        .map(|f| ColumnVec::for_type(f.data_type))
-        .collect();
-    let mut rows = 0;
+    } = incremental(from)?;
+    // The global group emits even over an empty window, as SQL's
+    // `SELECT count(*) FROM empty` does.
+    let empty = group_by
+        .is_empty()
+        .then(|| Partials(kinds.iter().map(|&k| BuiltinPartial::new(k)).collect()));
     let mut aggs = Vec::with_capacity(kinds.len());
-    let mut emit_group = |key: &[Value], partials: &[BuiltinPartial]| -> Result<()> {
+    panes.emit(ctx.epoch, schema, empty.as_ref(), |key, partials, row| {
         aggs.clear();
-        aggs.extend(partials.iter().map(AggregateState::finish));
+        aggs.extend(partials.0.iter().map(AggregateState::finish));
         let rep = rep_schema
             .as_ref()
             .map(|s| Tuple::new_unchecked(Arc::clone(s), ctx.epoch, key.to_vec()));
@@ -532,33 +462,18 @@ fn emit(cs: &mut CompiledSelect, ctx: &ExecCtx<'_>) -> Result<(Chunk, usize)> {
         let env = RowEnv::single(bindings, rep.as_slice(), Some(&aggs));
         if let Some(h) = having {
             if !eval_expr(h, &env, ctx)?.truthy() {
-                return Ok(());
+                return Ok(false);
             }
         }
-        for ((item, out), col) in select.iter().zip(outputs.iter()).zip(&mut cols) {
-            col.push(match out {
+        for (item, out) in select.iter().zip(outputs.iter()) {
+            row.push(match out {
                 Output::Key(i) => key[*i].clone(),
                 Output::Agg(j) => aggs[*j].clone(),
                 Output::Expr => eval_expr(&item.expr, &env, ctx)?,
             });
         }
-        rows += 1;
-        Ok(())
-    };
-    // The global group emits even over an empty window, as SQL's
-    // `SELECT count(*) FROM empty` does.
-    let groups = if group_by.is_empty() && merged.is_empty() {
-        let fresh: Vec<BuiltinPartial> = kinds.iter().map(|&k| BuiltinPartial::new(k)).collect();
-        emit_group(&[], &fresh)?;
-        1
-    } else {
-        for (key, partials) in merged.iter() {
-            emit_group(key, &partials.0)?;
-        }
-        merged.len()
-    };
-    let chunk = Chunk::from_columns(&schema, vec![ctx.epoch; rows], cols)?;
-    Ok((chunk, groups))
+        Ok(true)
+    })
 }
 
 #[cfg(test)]

@@ -25,8 +25,9 @@
 //!
 //! * a *mergeable* select — one stream, bare-column `GROUP BY` keys, only
 //!   non-`DISTINCT` built-in aggregates ([`incremental`] has the exact
-//!   rule) — keeps per-epoch partials in an `esp-stream` pane store: each
-//!   arrival is folded once, and a tick merges the live panes;
+//!   rule) — runs on `esp-stream`'s `PaneAggregate`, the keyed pane fold
+//!   native Smooth shares: each arrival is folded once into per-epoch
+//!   partials, and a tick merges the live panes;
 //! * every other select keeps a [`WindowBuffer`] and rescans it each tick:
 //!   one executor reads the window's rows as tuples and evaluates the
 //!   select over them.

@@ -7,18 +7,31 @@
 //! keeps one pane per epoch — `key → partial` over that epoch's arrivals
 //! only — and answers the window by merging the live panes. Per-epoch cost
 //! is O(arrivals + panes × keys) instead of O(window rows), and the state
-//! to checkpoint is the partials, not the tuples. Native Smooth and
-//! esp-query's mergeable selects both run on it.
+//! to checkpoint is the partials, not the tuples.
+//!
+//! # One keyed fold
+//!
+//! [`PaneAggregate`] is the windowed-aggregate operator both native Smooth
+//! and esp-query's mergeable selects run on. It owns a store, resolves its
+//! key and argument columns once per input schema, folds a chunk's rows
+//! (all of them, or a caller's selection such as the rows WHERE kept) by
+//! finding runs of equal keys on the columns in place — packed `Int`/`Str`
+//! slices compared directly (a string by its allocation, so finding runs
+//! never compares string contents), anything else through [`KeyRef`] —
+//! and looks each run's group up once. It slides, merges and writes the
+//! merged groups column by column in first-seen order. A caller supplies
+//! only its partial, how a run updates it, and how a merged partial
+//! becomes output values.
 //!
 //! # Key dictionary
 //!
 //! Each store owns a dictionary that maps a key tuple to a dense `u32` id,
 //! and a pane lists `(id, partial)` entries. A lookup hashes the key where
-//! it lies — a `&[Value]`, or a row of packed chunk columns through
-//! [`KeyRef`] — and builds no `Value` unless the key is new. Ids are
-//! reference-counted by the live panes that list them and freed (then
-//! reused) when the last such pane is evicted, so the dictionary follows
-//! the keys in the window, not the length of the run.
+//! it lies — a row of chunk columns read through [`KeyRef`] — and builds
+//! no `Value` unless the key is new. Ids are reference-counted by the live
+//! panes that list them and freed (then reused) when the last such pane is
+//! evicted, so the dictionary follows the keys in the window, not the
+//! length of the run.
 //!
 //! # Invariants
 //!
@@ -64,9 +77,10 @@
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
-use esp_types::{snap, ColumnVec, EspError, Result, TimeDelta, Ts, Value};
+use esp_types::{snap, Chunk, ColumnVec, EspError, NullMask, Result, Schema, TimeDelta, Ts, Value};
 
 use crate::stats::RunningStats;
 
@@ -150,6 +164,7 @@ impl<'a> KeyRef<'a> {
 
     /// Row `row` of a column, read in place (NULL past the end and for a
     /// pruned column, as [`ColumnVec::get`] reads them).
+    #[inline]
     pub fn at(col: &'a ColumnVec, row: usize) -> KeyRef<'a> {
         fn packed<T: Copy>(data: &[T], nulls: &esp_types::NullMask, row: usize) -> Option<T> {
             data.get(row).copied().filter(|_| !nulls.get(row))
@@ -188,17 +203,29 @@ impl<'a> KeyRef<'a> {
         }
     }
 
-    /// Grouping equality with `v`: `Value::group_key` equality, without
-    /// building the key.
-    fn groups_with(self, v: &Value) -> bool {
-        match (self, v) {
-            (KeyRef::Null, Value::Null) => true,
-            (KeyRef::Bool(a), Value::Bool(b)) => a == *b,
-            (KeyRef::Int(a), Value::Int(b)) => a == *b,
-            (KeyRef::Float(a), Value::Float(b)) => float_key(a) == float_key(*b),
-            (KeyRef::Str(a), Value::Str(b)) => Arc::ptr_eq(a, b) || **a == **b,
-            (KeyRef::Ts(a), Value::Ts(b)) => a == *b,
+    /// Grouping equality: `Value::group_key` equality, without building
+    /// either key.
+    #[inline]
+    fn groups(self, other: KeyRef<'_>) -> bool {
+        match (self, other) {
+            (KeyRef::Null, KeyRef::Null) => true,
+            (KeyRef::Bool(a), KeyRef::Bool(b)) => a == b,
+            (KeyRef::Int(a), KeyRef::Int(b)) => a == b,
+            (KeyRef::Float(a), KeyRef::Float(b)) => float_key(a) == float_key(b),
+            (KeyRef::Str(a), KeyRef::Str(b)) => Arc::ptr_eq(a, b) || **a == **b,
+            (KeyRef::Ts(a), KeyRef::Ts(b)) => a == b,
             _ => false,
+        }
+    }
+
+    /// Identity in place: the same integer, float bits or string
+    /// allocation. It implies grouping equality and never compares string
+    /// contents.
+    fn is(self, other: KeyRef<'_>) -> bool {
+        match (self, other) {
+            (KeyRef::Float(a), KeyRef::Float(b)) => a.to_bits() == b.to_bits(),
+            (KeyRef::Str(a), KeyRef::Str(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.groups(b),
         }
     }
 
@@ -219,43 +246,24 @@ fn float_key(f: f64) -> u64 {
     f.to_bits()
 }
 
-/// A key tuple readable part by part, wherever its values lie.
-trait Key {
-    fn arity(&self) -> usize;
-    fn part(&self, i: usize) -> KeyRef<'_>;
-}
-
-impl Key for [Value] {
-    fn arity(&self) -> usize {
-        self.len()
-    }
-
-    fn part(&self, i: usize) -> KeyRef<'_> {
-        KeyRef::of(&self[i])
-    }
-}
-
-impl Key for [KeyRef<'_>] {
-    fn arity(&self) -> usize {
-        self.len()
-    }
-
-    fn part(&self, i: usize) -> KeyRef<'_> {
-        self[i]
-    }
-}
-
-fn key_values<K: Key + ?Sized>(key: &K) -> Box<[Value]> {
-    (0..key.arity()).map(|i| key.part(i).to_value()).collect()
+#[inline]
+fn key_values(key: &[KeyRef<'_>]) -> Box<[Value]> {
+    key.iter().map(|k| k.to_value()).collect()
 }
 
 /// The key's hash under the dictionary's randomly keyed SipHash, fed the
 /// borrowed parts: key values come from readings, i.e. from outside the
 /// program, so the hash must stay hard to flood with colliding keys.
-fn hash_key<K: Key + ?Sized>(state: &RandomState, key: &K) -> u64 {
+///
+/// This and the module's other per-row helpers are `#[inline]`: the folds
+/// that call them are instantiated in the calling crates, where the calls
+/// otherwise stay out of line (`shelf-cql` then spent about 5% more CPU
+/// per reading on a 2-core x86-64 host).
+#[inline]
+fn hash_key(state: &RandomState, key: &[KeyRef<'_>]) -> u64 {
     let mut h = state.build_hasher();
-    for i in 0..key.arity() {
-        match key.part(i) {
+    for part in key {
+        match *part {
             KeyRef::Null => h.write_u8(0),
             KeyRef::Bool(b) => {
                 h.write_u8(1);
@@ -330,17 +338,18 @@ struct KeyDict {
 
 impl KeyDict {
     /// The id of `key`, interning it if new; `true` when it was.
-    fn intern<K: Key + ?Sized>(&mut self, key: &K) -> (u32, bool) {
+    #[inline]
+    fn intern(&mut self, key: &[KeyRef<'_>]) -> (u32, bool) {
         let hash = hash_key(&self.hasher, key);
         let head = self.heads.get(&hash).copied().unwrap_or(NO_ID);
         let mut id = head;
         while id != NO_ID {
             let e = &self.entries[id as usize];
-            if e.values.len() == key.arity()
+            if e.values.len() == key.len()
                 && e.values
                     .iter()
-                    .enumerate()
-                    .all(|(i, v)| key.part(i).groups_with(v))
+                    .zip(key)
+                    .all(|(v, k)| k.groups(KeyRef::of(v)))
             {
                 return (id, false);
             }
@@ -421,30 +430,25 @@ pub struct PaneMut<'a, P> {
 }
 
 impl<P: Partial> PaneMut<'_, P> {
-    /// The partial of the group `values` belongs to. A new group starts
-    /// from `P::default()`, is listed after every group seen before it,
-    /// and remembers `values` as its representative.
-    pub fn upsert(&mut self, values: &[Value]) -> &mut P {
-        self.upsert_key(values)
+    /// The partial of the group `values` belongs to: what a restore
+    /// re-interns. Folds read keys in place through
+    /// [`PaneMut::upsert_refs`].
+    fn upsert(&mut self, values: &[Value]) -> &mut P {
+        let key: Vec<KeyRef<'_>> = values.iter().map(KeyRef::of).collect();
+        self.upsert_refs(&key)
     }
 
-    /// [`PaneMut::upsert`] for a key read in place: nothing is cloned
+    /// The partial of the group `key` belongs to. A new group starts from
+    /// `P::default()`, is listed after every group seen before it, and
+    /// remembers the key's values as its representative; nothing is cloned
     /// unless the key is new to the store or to this pane.
     pub fn upsert_refs(&mut self, key: &[KeyRef<'_>]) -> &mut P {
-        self.upsert_key(key)
-    }
-
-    fn upsert_key<K: Key + ?Sized>(&mut self, key: &K) -> &mut P {
         let (id, fresh) = self.dict.intern(key);
         let e = &mut self.dict.entries[id as usize];
         let slot = if e.mark.0 == self.table.serial {
             e.mark.1 as usize
         } else {
-            let same = fresh
-                || e.values
-                    .iter()
-                    .enumerate()
-                    .all(|(i, v)| key.part(i).same_bits(v));
+            let same = fresh || e.values.iter().zip(key).all(|(v, k)| k.same_bits(v));
             let slot = self.table.entries.len();
             e.refs += 1;
             e.mark = (self.table.serial, slot as u32);
@@ -665,6 +669,283 @@ impl<'a, P: Partial> Merged<'a, P> {
         store.order.iter().map(move |&(id, pane, entry)| {
             (store.values_of(id, pane, entry), &store.acc[id as usize])
         })
+    }
+}
+
+/// A column a [`PaneAggregate`] reads, found by name in each input schema.
+#[derive(Debug, Clone)]
+pub struct Column {
+    name: String,
+    /// The name an error for a schema without the field shows; `None` for
+    /// an optional column.
+    shown: Option<String>,
+}
+
+impl Column {
+    /// A column every input must have: a schema without it fails the fold
+    /// with `UnknownField(shown)`, as a row without it would.
+    pub fn required(name: &str, shown: String) -> Column {
+        Column {
+            name: name.to_string(),
+            shown: Some(shown),
+        }
+    }
+
+    /// A column without which a chunk contributes nothing to the window.
+    pub fn optional(name: &str) -> Column {
+        Column {
+            name: name.to_string(),
+            shown: None,
+        }
+    }
+}
+
+/// One chunk's columns as a [`PaneAggregate`] reads them, by position.
+pub struct Columns<'c> {
+    len: usize,
+    keys: Vec<&'c ColumnVec>,
+    /// The argument columns, in the aggregate's order.
+    pub args: Vec<&'c ColumnVec>,
+}
+
+impl Columns<'_> {
+    /// Rows in the chunk.
+    pub fn row_count(&self) -> usize {
+        self.len
+    }
+}
+
+/// A packed key column and its null bitmap — `None` when no row is NULL,
+/// so the per-row test disappears for clean columns.
+type Packed<'a, T> = (&'a [T], Option<&'a NullMask>);
+
+/// A key column as the run finder compares it: packed `Int`/`Str` slices
+/// in place, any other column slot by slot through [`KeyRef::is`].
+enum KeyCol<'a> {
+    Int(Packed<'a, i64>),
+    Str(Packed<'a, Arc<str>>),
+    Other(&'a ColumnVec),
+}
+
+impl<'a> KeyCol<'a> {
+    fn of(col: &'a ColumnVec) -> KeyCol<'a> {
+        fn packed<'a, T>((data, nulls): (&'a [T], &'a NullMask)) -> Packed<'a, T> {
+            (data, nulls.any().then_some(nulls))
+        }
+        match (col.int_data(), col.str_data()) {
+            (Some(d), _) => KeyCol::Int(packed(d)),
+            (_, Some(d)) => KeyCol::Str(packed(d)),
+            _ => KeyCol::Other(col),
+        }
+    }
+
+    /// Whether rows `a` and `b` hold the same key value in place (see
+    /// [`PaneAggregate::fold`]).
+    #[inline]
+    fn same(&self, a: usize, b: usize) -> bool {
+        let null = |nulls: Option<&NullMask>, row| nulls.is_some_and(|n| n.get(row));
+        match self {
+            KeyCol::Int((data, nulls)) => match (null(*nulls, a), null(*nulls, b)) {
+                (false, false) => data[a] == data[b],
+                (na, nb) => na == nb,
+            },
+            KeyCol::Str((data, nulls)) => match (null(*nulls, a), null(*nulls, b)) {
+                (false, false) => Arc::ptr_eq(&data[a], &data[b]),
+                (na, nb) => na == nb,
+            },
+            KeyCol::Other(col) => KeyRef::at(col, a).is(KeyRef::at(col, b)),
+        }
+    }
+}
+
+/// An input schema, and the key then argument positions in it (`None`
+/// when it lacks an optional column).
+type Layout = (Arc<Schema>, Result<Option<Vec<usize>>>);
+
+/// A keyed sliding-window aggregate over panes: the store, the key and
+/// argument columns it reads, and the one fold and emit that native Smooth
+/// and mergeable CQL share (see the module docs).
+#[derive(Debug, Clone)]
+pub struct PaneAggregate<P> {
+    store: PaneStore<P>,
+    keys: Vec<Column>,
+    args: Vec<Column>,
+    /// One entry per distinct input schema met so far.
+    layouts: Vec<Layout>,
+}
+
+impl<P: Partial> PaneAggregate<P> {
+    /// An empty aggregate over a window of `width`, grouping by `keys` and
+    /// reading `args`.
+    pub fn new(width: TimeDelta, keys: Vec<Column>, args: Vec<Column>) -> PaneAggregate<P> {
+        PaneAggregate {
+            store: PaneStore::new(width),
+            keys,
+            args,
+            layouts: Vec::new(),
+        }
+    }
+
+    /// The configured window width.
+    pub fn width(&self) -> TimeDelta {
+        self.store.width()
+    }
+
+    /// Slide the window to `now`, dropping every pane older than
+    /// `now - width` ([`PaneStore::advance_to`]); [`PaneAggregate::emit`]
+    /// slides first too. Sliding before a fold frees the evicted panes'
+    /// dictionary ids for the fold's new keys.
+    pub fn advance_to(&mut self, now: Ts) {
+        self.store.advance_to(now);
+    }
+
+    /// True when no pane holds a group.
+    pub fn is_empty(&self) -> bool {
+        self.store.panes.iter().all(|(_, p)| p.entries.is_empty())
+    }
+
+    /// `chunk`'s key and argument columns, by positions resolved the first
+    /// time its schema is met. `None` when the schema lacks an optional
+    /// column; fails for the first missing key, then the first missing
+    /// required argument.
+    pub fn columns<'c>(&mut self, chunk: &'c Chunk) -> Result<Option<Columns<'c>>> {
+        let schema = chunk.schema();
+        let known =
+            (self.layouts.iter()).position(|(s, _)| Arc::ptr_eq(s, schema) || **s == **schema);
+        let layout = known.unwrap_or_else(|| {
+            let find = |c: &Column| schema.index_of(&c.name);
+            let positions = if self
+                .args
+                .iter()
+                .any(|a| a.shown.is_none() && find(a).is_none())
+            {
+                Ok(None)
+            } else {
+                (self.keys.iter().chain(&self.args))
+                    .map(|c| {
+                        find(c).ok_or_else(|| {
+                            EspError::UnknownField(c.shown.clone().unwrap_or_default())
+                        })
+                    })
+                    .collect::<Result<Vec<_>>>()
+                    .map(Some)
+            };
+            self.layouts.push((Arc::clone(schema), positions));
+            self.layouts.len() - 1
+        });
+        let Some(positions) = self.layouts[layout].1.as_ref().map_err(Clone::clone)? else {
+            return Ok(None);
+        };
+        let mut cols = positions.iter().map(|&c| {
+            chunk.col(c).ok_or_else(|| {
+                EspError::SchemaMismatch(format!("a chunk of {schema} has no column {c}"))
+            })
+        });
+        let keys = cols.by_ref().take(self.keys.len()).collect::<Result<_>>()?;
+        Ok(Some(Columns {
+            len: chunk.len(),
+            keys,
+            args: cols.collect::<Result<_>>()?,
+        }))
+    }
+
+    /// Fold the chunk `cols` were read from into the pane of `epoch`: the
+    /// rows listed in `rows` (ascending) when given, else every row. Each
+    /// run of consecutive such rows whose keys are the same values in place
+    /// — equal integers, equal float bits, one string allocation — looks
+    /// its group up once (a new group takes the key values of the run's
+    /// first row) and hands the group's partial to `update` with the run: a
+    /// range of positions in `rows` when given, else of rows. Finding runs
+    /// costs a word compare per key column and row, never a string
+    /// compare; a key repeated from another allocation only starts another
+    /// run of the same group.
+    pub fn fold(
+        &mut self,
+        epoch: Ts,
+        cols: &Columns<'_>,
+        rows: Option<&[usize]>,
+        mut update: impl FnMut(&mut P, Range<usize>) -> Result<()>,
+    ) -> Result<()> {
+        let keys: Vec<KeyCol<'_>> = cols.keys.iter().map(|c| KeyCol::of(c)).collect();
+        let n = rows.map_or(cols.len, <[usize]>::len);
+        let row = |i: usize| rows.map_or(i, |r| r[i]);
+        let mut pane = self.store.pane_mut(epoch);
+        let mut key = Vec::with_capacity(keys.len());
+        let mut start = 0;
+        for end in 1..=n {
+            if end < n && keys.iter().all(|k| k.same(row(start), row(end))) {
+                continue;
+            }
+            key.clear();
+            key.extend(cols.keys.iter().map(|c| KeyRef::at(c, row(start))));
+            update(pane.upsert_refs(&key), start..end)?;
+            start = end;
+        }
+        Ok(())
+    }
+
+    /// Slide the window to `now` and write one row per live group, in
+    /// first-seen order, stamped `now` under `schema`. `row` turns a
+    /// group's key values and merged partial into the row's values, or
+    /// returns `false` to write none; a row whose arity is not the
+    /// schema's fails. Over an empty window, `empty` is written as the one
+    /// group of a global aggregate when given. Also returns the number of
+    /// groups.
+    pub fn emit(
+        &mut self,
+        now: Ts,
+        schema: &Arc<Schema>,
+        empty: Option<&P>,
+        mut row: impl FnMut(&[Value], &P, &mut Vec<Value>) -> Result<bool>,
+    ) -> Result<(Chunk, usize)> {
+        self.store.advance_to(now);
+        let merged = self.store.merged()?;
+        let mut cols: Vec<ColumnVec> = (schema.fields().iter())
+            .map(|f| ColumnVec::for_type(f.data_type))
+            .collect();
+        let (mut rows, mut values) = (0, Vec::with_capacity(cols.len()));
+        let mut write = |key: &[Value], partial: &P| -> Result<()> {
+            values.clear();
+            if !row(key, partial, &mut values)? {
+                return Ok(());
+            }
+            if values.len() != cols.len() {
+                return Err(EspError::SchemaMismatch(format!(
+                    "a group's row has {} values but {schema} has {} fields",
+                    values.len(),
+                    cols.len()
+                )));
+            }
+            for (col, v) in cols.iter_mut().zip(values.drain(..)) {
+                col.push(v);
+            }
+            rows += 1;
+            Ok(())
+        };
+        let groups = match empty {
+            Some(partial) if merged.is_empty() => {
+                write(&[], partial)?;
+                1
+            }
+            _ => {
+                for (key, partial) in merged.iter() {
+                    write(key, partial)?;
+                }
+                merged.len()
+            }
+        };
+        Ok((Chunk::from_columns(schema, vec![now; rows], cols)?, groups))
+    }
+
+    /// Append the store's durable state ([`PaneStore::encode_into`]).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.store.encode_into(out);
+    }
+
+    /// Restore the store from [`PaneAggregate::encode_into`]'s bytes
+    /// ([`PaneStore::restore_from`]).
+    pub fn restore_from(&mut self, cur: &mut snap::Cursor<'_>) -> Result<()> {
+        self.store.restore_from(cur)
     }
 }
 
@@ -918,6 +1199,126 @@ mod tests {
             assert!(t.restore_from(&mut cur).is_err(), "cut at {cut}");
             assert!(t.panes.is_empty(), "cut at {cut}");
         }
+    }
+
+    /// `(tag: STR, n: INT)` rows; equal tags share one allocation when
+    /// `shared`.
+    fn tagged(rows: &[(&str, i64)], shared: bool) -> Chunk {
+        let schema = Schema::builder()
+            .field("tag", esp_types::DataType::Str)
+            .field("n", esp_types::DataType::Int)
+            .build()
+            .unwrap();
+        let mut chunk = Chunk::new(&schema);
+        let mut seen: Vec<Value> = Vec::new();
+        for (tag, n) in rows {
+            let tag = match seen.iter().find(|v| v.as_str() == Some(tag)) {
+                Some(v) if shared => v.clone(),
+                _ => Value::str(*tag),
+            };
+            seen.push(tag.clone());
+            chunk.push_row(Ts::ZERO, &[tag, Value::Int(*n)]).unwrap();
+        }
+        chunk
+    }
+
+    fn sum_by_tag() -> PaneAggregate<i64> {
+        let tag = Column::required("tag", "s.tag".into());
+        PaneAggregate::new(
+            TimeDelta::from_secs(5),
+            vec![tag],
+            vec![Column::optional("n")],
+        )
+    }
+
+    /// Runs of keys equal in place look their group up once; a selection
+    /// folds only the listed rows, and runs form over them alone. Equal
+    /// strings in separate allocations start separate runs of one group.
+    #[test]
+    fn fold_updates_once_per_run_of_equal_keys() {
+        let mut agg = sum_by_tag();
+        let rows = [("a", 1), ("a", 2), ("b", 4), ("a", 8), ("a", 16)];
+        let fold = |agg: &mut PaneAggregate<i64>, chunk: &Chunk, sel: Option<&[usize]>| {
+            let cols = agg.columns(chunk).unwrap().unwrap();
+            let mut runs = Vec::new();
+            agg.fold(Ts::ZERO, &cols, sel, |sum, run| {
+                let picked = run.clone().map(|i| sel.map_or(i, |s| s[i]));
+                *sum += picked
+                    .map(|r| cols.args[0].get(r).unwrap().as_i64().unwrap())
+                    .sum::<i64>();
+                runs.push(run);
+                Ok(())
+            })
+            .unwrap();
+            runs
+        };
+        let shared = tagged(&rows, true);
+        assert_eq!(fold(&mut agg, &shared, None), [0..2, 2..3, 3..5]);
+        // Rows 0, 3 and 4 only: positions 0..3 of the selection, one run.
+        assert_eq!(fold(&mut agg, &shared, Some(&[0, 3, 4])).len(), 1);
+        assert_eq!(fold(&mut agg, &tagged(&rows, false), None).len(), 5);
+        let schema = Schema::builder()
+            .field("tag", esp_types::DataType::Str)
+            .field("sum", esp_types::DataType::Int)
+            .build()
+            .unwrap();
+        let (out, groups) = agg
+            .emit(Ts::ZERO, &schema, None, |key, sum, row| {
+                row.extend_from_slice(key);
+                row.push(Value::Int(*sum));
+                Ok(true)
+            })
+            .unwrap();
+        assert_eq!(groups, 2);
+        assert_eq!(
+            out.row_values(0).unwrap(),
+            [Value::str("a"), Value::Int(27 + 25 + 27)]
+        );
+        assert_eq!(out.row_values(1).unwrap(), [Value::str("b"), Value::Int(8)]);
+    }
+
+    /// A row that does not fit the output schema fails the emit instead of
+    /// being cut to the schema's width.
+    #[test]
+    fn emit_refuses_a_row_of_another_arity() {
+        let mut agg = sum_by_tag();
+        let chunk = tagged(&[("a", 1)], true);
+        let cols = agg.columns(&chunk).unwrap().unwrap();
+        agg.fold(Ts::ZERO, &cols, None, |_, _| Ok(())).unwrap();
+        let narrow = Schema::builder()
+            .field("sum", esp_types::DataType::Int)
+            .build()
+            .unwrap();
+        let got = agg.emit(Ts::ZERO, &narrow, None, |key, sum, row| {
+            row.extend_from_slice(key);
+            row.push(Value::Int(*sum));
+            Ok(true)
+        });
+        assert!(matches!(got, Err(EspError::SchemaMismatch(_))), "{got:?}");
+    }
+
+    /// A missing optional column skips the chunk before keys are checked;
+    /// a missing key fails with the name the aggregate shows.
+    #[test]
+    fn columns_resolve_per_schema() {
+        let mut agg = sum_by_tag();
+        let only_n = Schema::builder()
+            .field("n", esp_types::DataType::Int)
+            .build()
+            .unwrap();
+        let only_tag = Schema::builder()
+            .field("tag", esp_types::DataType::Str)
+            .build()
+            .unwrap();
+        let mut chunk = Chunk::new(&only_n);
+        chunk.push_row(Ts::ZERO, &[Value::Int(1)]).unwrap();
+        assert!(matches!(
+            agg.columns(&chunk),
+            Err(EspError::UnknownField(f)) if f == "s.tag"
+        ));
+        let mut chunk = Chunk::new(&only_tag);
+        chunk.push_row(Ts::ZERO, &[Value::str("a")]).unwrap();
+        assert!(agg.columns(&chunk).unwrap().is_none());
     }
 
     #[test]
