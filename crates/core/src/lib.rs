@@ -90,7 +90,7 @@ pub use granule::TemporalGranule;
 pub use pipeline::{Pipeline, PipelineBuilder, Scope, StageCtx};
 pub use processor::{EspProcessor, ReceptorBinding, RunOutput};
 pub use proximity::ProximityGroups;
-pub use stage::{DeclarativeStage, FnStage, Stage, StageOperator, TupleMapFn};
+pub use stage::{DeclarativeStage, FnStage, Stage, TupleMapFn};
 pub use stages::arbitrate::{ArbitrateStage, TieBreak};
 pub use stages::merge::MergeStage;
 pub use stages::model::{ModelAction, ModelStage};

@@ -11,8 +11,8 @@
 //!   which also implements *dynamic* granule↔device remapping: the
 //!   injector consults the shared [`ProximityGroups`] registry every epoch,
 //!   so moving a receptor between groups takes effect immediately;
-//! * stage operators per the pipeline's scoped slots, with unions at each
-//!   fan-in point;
+//! * one node per stage instance, per the pipeline's scoped slots, with
+//!   unions at each fan-in point;
 //! * a final union + output tap.
 
 use std::sync::Arc;
@@ -29,7 +29,6 @@ use esp_types::{
 
 use crate::pipeline::{Pipeline, Scope, StageCtx};
 use crate::proximity::ProximityGroups;
-use crate::stage::StageOperator;
 
 /// A receptor plugged into the processor: identity plus its data source.
 pub struct ReceptorBinding {
@@ -199,7 +198,7 @@ impl EspProcessor {
                             granule: s.granule.clone(),
                         };
                         let stage = (slot.factory)(&ctx)?;
-                        s.node = df.add_operator(Box::new(StageOperator::new(stage)), &[s.node])?;
+                        s.node = df.add_operator(stage, &[s.node])?;
                     }
                 }
                 Scope::PerGroup => {
@@ -220,7 +219,7 @@ impl EspProcessor {
                             members[0].node
                         } else {
                             let nodes: Vec<NodeId> = members.iter().map(|s| s.node).collect();
-                            df.add_operator(Box::new(UnionOp::new(nodes.len())), &nodes)?
+                            df.add_operator(Box::new(UnionOp::new()), &nodes)?
                         };
                         let ctx = StageCtx {
                             scope: Scope::PerGroup,
@@ -230,8 +229,7 @@ impl EspProcessor {
                             granule: granule.clone(),
                         };
                         let stage = (slot.factory)(&ctx)?;
-                        let node =
-                            df.add_operator(Box::new(StageOperator::new(stage)), &[input])?;
+                        let node = df.add_operator(stage, &[input])?;
                         next.push(StreamHandle {
                             node,
                             receptor: None,
@@ -247,7 +245,7 @@ impl EspProcessor {
                         streams[0].node
                     } else {
                         let nodes: Vec<NodeId> = streams.iter().map(|s| s.node).collect();
-                        df.add_operator(Box::new(UnionOp::new(nodes.len())), &nodes)?
+                        df.add_operator(Box::new(UnionOp::new()), &nodes)?
                     };
                     let ctx = StageCtx {
                         scope: Scope::Global,
@@ -257,7 +255,7 @@ impl EspProcessor {
                         granule: None,
                     };
                     let stage = (slot.factory)(&ctx)?;
-                    let node = df.add_operator(Box::new(StageOperator::new(stage)), &[input])?;
+                    let node = df.add_operator(stage, &[input])?;
                     streams = vec![StreamHandle {
                         node,
                         receptor: None,
@@ -274,7 +272,7 @@ impl EspProcessor {
             streams[0].node
         } else {
             let nodes: Vec<NodeId> = streams.iter().map(|s| s.node).collect();
-            df.add_operator(Box::new(UnionOp::new(nodes.len())), &nodes)?
+            df.add_operator(Box::new(UnionOp::new()), &nodes)?
         };
         let tap = df.add_tap(out)?;
         Ok(EspProcessor {

@@ -1,78 +1,23 @@
-//! The [`Stage`] trait and its three implementation styles.
+//! The three implementation styles of a [`Stage`].
 //!
 //! Paper §3.3: "Stages may be implemented in a variety of ways: declarative
 //! continuous queries; user-defined functions or aggregates; arbitrary
 //! code." [`DeclarativeStage`] covers the first, [`FnStage`] the second,
 //! and any hand-written `impl Stage` the third.
 //!
-//! However a stage is written, it speaks one protocol: an epoch's input
-//! arrives as one columnar [`Payload`] and the epoch's output leaves as
-//! one. A row-at-a-time stage starts with `input.into_rows()` (lossless)
-//! and returns `Payload::from(rows)`; a chunk-native stage
-//! ([`DeclarativeStage`]) reads the chunks directly.
+//! However a stage is written, it speaks one protocol, `esp-stream`'s
+//! [`Stage`] (re-exported here): an epoch's input arrives as one columnar
+//! [`Payload`] and the epoch's output leaves as one, and the processor
+//! places the stage in its dataflow as a node of its own. A row-at-a-time
+//! stage starts with `input.into_rows()` (lossless) and returns
+//! `Payload::from(rows)`; a chunk-native stage ([`DeclarativeStage`])
+//! reads the chunks directly.
 
 use esp_query::ContinuousQuery;
-use esp_stream::{unexpected_state, Operator, Payload, StageState};
+use esp_stream::{Payload, StageState};
 use esp_types::{Batch, Determinism, EspError, FieldEffects, Result, Ts, Tuple};
 
-/// One processing stage of an ESP pipeline.
-///
-/// A stage receives the epoch's input and emits the epoch's output;
-/// windowing (temporal or spatial aggregation) is internal stage state.
-pub trait Stage: Send {
-    /// Human-readable name for diagnostics.
-    fn name(&self) -> &str;
-
-    /// Process one epoch.
-    fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload>;
-
-    /// Capture cross-epoch state for a durability checkpoint (called at
-    /// epoch boundaries only). The default declares the stage stateless —
-    /// correct for per-tuple filters, wrong for anything windowed: a
-    /// stage holding a window buffer or running aggregate must override
-    /// this and [`Stage::restore`], or recovery silently resets it.
-    /// Built-in stages ([`SmoothStage`](crate::SmoothStage),
-    /// [`MergeStage`](crate::MergeStage), …) all do.
-    fn state(&self) -> Result<Option<StageState>> {
-        Ok(None)
-    }
-
-    /// Restore state captured by [`Stage::state`] into this freshly
-    /// built, identically configured stage.
-    fn restore(&mut self, _state: &StageState) -> Result<()> {
-        Err(unexpected_state(self.name()))
-    }
-
-    /// Whether this stage can be checkpointed at all — the static
-    /// question, as opposed to [`Stage::state`]'s "capture it now". A
-    /// stage whose cross-epoch state has no serialized form (e.g.
-    /// [`DeclarativeStage`]) returns `false`, and a durable gateway
-    /// rejects the pipeline up front (`E0804`) rather than running until
-    /// its first checkpoint and dying there.
-    fn checkpointable(&self) -> bool {
-        true
-    }
-
-    /// Whether replaying this stage over identical input epochs reproduces
-    /// identical output — the replay half of the durability contract,
-    /// companion to [`Stage::checkpointable`]. Stages that read the wall
-    /// clock or otherwise depend on anything besides their input must
-    /// report taint; a durable gateway rejects tainted stages at spawn
-    /// time (`E0903`) instead of recovering to different bytes.
-    fn determinism(&self) -> Determinism {
-        Determinism::Deterministic
-    }
-
-    /// Static field-effect summary for the whole-pipeline dataflow
-    /// analyses (`esp-lint` E0901/E0902): which input columns the stage
-    /// reads, which output columns it writes (`None` = passthrough), and
-    /// whether it counts rows. The default is fully opaque — reads and
-    /// writes everything — which is always sound and merely disables
-    /// liveness-based findings for this stage.
-    fn field_effects(&self) -> FieldEffects {
-        FieldEffects::opaque()
-    }
-}
+pub use esp_stream::Stage;
 
 /// A stage defined by a declarative continuous query.
 ///
@@ -225,66 +170,6 @@ impl Stage for FnStage {
     }
 }
 
-/// Adapter running any [`Stage`] as an [`esp_stream::Operator`] so the ESP
-/// processor can place it in a dataflow. The stage sees the epoch's
-/// arrivals as one payload, chunks in arrival order.
-pub struct StageOperator {
-    stage: Box<dyn Stage>,
-    buf: Payload,
-}
-
-impl StageOperator {
-    /// Wrap a stage.
-    pub fn new(stage: Box<dyn Stage>) -> StageOperator {
-        StageOperator {
-            stage,
-            buf: Payload::empty(),
-        }
-    }
-}
-
-impl Operator for StageOperator {
-    fn name(&self) -> &str {
-        self.stage.name()
-    }
-
-    fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
-        self.buf.append(input);
-        Ok(())
-    }
-
-    fn flush(&mut self, epoch: Ts) -> Result<Payload> {
-        self.stage.process(epoch, std::mem::take(&mut self.buf))
-    }
-
-    fn state(&self) -> Result<Option<StageState>> {
-        // `buf` only holds tuples mid-epoch; checkpoints happen at epoch
-        // boundaries where the last flush drained it. Guard anyway: a
-        // non-empty buffer here means the protocol was violated, and a
-        // snapshot that ignored it would lose data on recovery.
-        if !self.buf.is_empty() {
-            return Err(EspError::Snapshot(format!(
-                "stage '{}' checkpointed mid-epoch: {} undelivered tuple(s) in its input buffer",
-                self.stage.name(),
-                self.buf.len()
-            )));
-        }
-        self.stage.state()
-    }
-
-    fn restore(&mut self, state: &StageState) -> Result<()> {
-        self.stage.restore(state)
-    }
-
-    fn checkpointable(&self) -> bool {
-        self.stage.checkpointable()
-    }
-
-    fn determinism(&self) -> Determinism {
-        self.stage.determinism()
-    }
-}
-
 /// Test convenience: drive any stage with rows and read rows back.
 #[cfg(test)]
 pub(crate) trait ProcessRows {
@@ -303,7 +188,16 @@ impl<S: Stage + ?Sized> ProcessRows for S {
 mod tests {
     use super::*;
     use esp_query::Engine;
+    use esp_stream::{Dataflow, EpochRunner, ScriptedSource};
     use esp_types::{well_known, Chunk, TupleBuilder, Value};
+
+    /// A one-node dataflow running `stage` over a silent source.
+    fn runner_of(stage: Box<dyn Stage>) -> EpochRunner {
+        let mut df = Dataflow::new();
+        let src = df.add_source(Box::new(ScriptedSource::new("s", vec![])));
+        df.add_operator(stage, &[src]).unwrap();
+        EpochRunner::new(df)
+    }
 
     fn rfid(ts: Ts, tag: &str) -> Tuple {
         TupleBuilder::new(&well_known::rfid_schema(), ts)
@@ -385,10 +279,9 @@ mod tests {
         let stage = DeclarativeStage::new("q", q).unwrap();
         assert!(!stage.checkpointable());
         assert!(stage.state().is_err(), "runtime backstop still errors");
-        // The static flag survives the operator adapter, which is what the
-        // gateway's spawn-time E0804 probe actually consults.
-        let op = StageOperator::new(Box::new(stage));
-        assert!(!op.checkpointable());
+        // The static flag reaches the runner, which is what the gateway's
+        // spawn-time E0804 probe actually consults.
+        assert_eq!(runner_of(Box::new(stage)).non_checkpointable(), vec!["q"]);
         // Ordinary stages stay checkpointable by default.
         let plain = FnStage::per_tuple("id", |t| Ok(Some(t.clone())));
         assert!(plain.checkpointable());
@@ -397,7 +290,7 @@ mod tests {
     #[test]
     fn determinism_survives_the_operator_adapter() {
         // A query calling now() taints its declarative stage; the taint —
-        // reason included — survives StageOperator, which is what the
+        // reason included — reaches the runner, which is what the
         // gateway's spawn-time E0903 probe actually consults.
         let engine = Engine::new();
         let q = engine
@@ -405,18 +298,18 @@ mod tests {
             .unwrap();
         let stage = DeclarativeStage::new("stamp", q).unwrap();
         assert!(!stage.determinism().is_deterministic());
-        let op = StageOperator::new(Box::new(stage));
-        let Determinism::Nondeterministic { reason } = op.determinism() else {
-            panic!("taint lost through the adapter");
+        let tainted = runner_of(Box::new(stage)).nondeterministic();
+        let [(name, reason)] = tainted.as_slice() else {
+            panic!("taint lost on the way to the runner: {tainted:?}");
         };
+        assert_eq!(name, "stamp");
         assert!(reason.contains("now"), "{reason}");
         // Plain stages stay deterministic by default; the marker opts out.
         let plain = FnStage::per_tuple("id", |t| Ok(Some(t.clone())));
         assert!(plain.determinism().is_deterministic());
         let tainted = FnStage::per_tuple("roll", |t| Ok(Some(t.clone())))
             .nondeterministic("draws randomness");
-        let op = StageOperator::new(Box::new(tainted));
-        assert!(!op.determinism().is_deterministic());
+        assert_eq!(runner_of(Box::new(tainted)).nondeterministic().len(), 1);
     }
 
     #[test]
@@ -453,25 +346,25 @@ mod tests {
 
     #[test]
     fn row_stage_receives_chunk_input_as_rows() {
-        let stage = FnStage::per_tuple("drop-b", |t| {
+        let mut stage = FnStage::per_tuple("drop-b", |t| {
             Ok((t.get("tag_id") != Some(&Value::str("b"))).then(|| t.clone()))
         });
-        let mut op = StageOperator::new(Box::new(stage));
         let chunk = Chunk::from_tuples(
             &esp_types::well_known::rfid_schema(),
             &[rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "b")],
         )
         .unwrap();
-        op.push(0, vec![chunk].into()).unwrap();
-        let out = op.flush(Ts::ZERO).unwrap().into_rows();
+        let out = stage
+            .process(Ts::ZERO, vec![chunk].into())
+            .unwrap()
+            .into_rows();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("tag_id"), Some(&Value::str("a")));
     }
 
     #[test]
     fn mixed_row_and_chunk_epoch_preserves_arrival_order() {
-        let stage = FnStage::per_epoch("id", |_, input| Ok(input));
-        let mut op = StageOperator::new(Box::new(stage));
+        let mut stage = FnStage::per_epoch("id", |_, input| Ok(input));
         // A second layout: the RFID fields plus a signal strength.
         let rssi = esp_types::Schema::builder()
             .field("receptor_id", esp_types::DataType::Int)
@@ -486,11 +379,13 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        op.push(0, vec![rfid(Ts::ZERO, "r1")].into()).unwrap();
+        // One epoch's arrivals, appended the way the runner builds a
+        // stage's input.
+        let mut input = Payload::from(vec![rfid(Ts::ZERO, "r1")]);
         let chunk = Chunk::from_tuples(&rssi, std::slice::from_ref(&c1)).unwrap();
-        op.push(0, vec![chunk].into()).unwrap();
-        op.push(0, vec![rfid(Ts::ZERO, "r2")].into()).unwrap();
-        let out = op.flush(Ts::ZERO).unwrap().into_rows();
+        input.append(vec![chunk].into());
+        input.append(vec![rfid(Ts::ZERO, "r2")].into());
+        let out = stage.process(Ts::ZERO, input).unwrap().into_rows();
         let tags: Vec<_> = out.iter().map(|t| t.get("tag_id").cloned()).collect();
         assert_eq!(
             tags,
@@ -501,16 +396,5 @@ mod tests {
             ]
         );
         assert_eq!(out[1], c1, "the second layout arrives intact");
-    }
-
-    #[test]
-    fn stage_operator_adapts() {
-        let stage = FnStage::per_tuple("id", |t| Ok(Some(t.clone())));
-        let mut op = StageOperator::new(Box::new(stage));
-        op.push(0, vec![rfid(Ts::ZERO, "a")].into()).unwrap();
-        op.push(0, vec![rfid(Ts::ZERO, "b")].into()).unwrap();
-        assert_eq!(op.flush(Ts::ZERO).unwrap().len(), 2);
-        assert_eq!(op.name(), "id");
-        assert!(op.flush(Ts::ZERO).unwrap().is_empty());
     }
 }

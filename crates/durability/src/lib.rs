@@ -15,7 +15,7 @@
 //!   replaying the log reproduces each shard's input exactly.
 //! - **Snapshots** ([`snapshot`]): at checkpoint epochs each shard
 //!   serializes its cross-epoch state (window buffers, smoothing
-//!   aggregates, counters — see `esp_stream::Checkpointable`) into a
+//!   aggregates, counters — see `esp_stream::Stage::state`) into a
 //!   versioned, atomically-renamed file keyed by `(shard, epoch)` and
 //!   stamped with the WAL sequence number of the flush that closed the
 //!   epoch.

@@ -2,8 +2,8 @@
 //! shipped.
 //!
 //! [`GatewayModel`] is only the environment around the machines in
-//! [`protocol`](crate::protocol): connection scripts, one FIFO shard
-//! queue, and every interleaving of the steps the threads could take. A
+//! [`protocol`]: connection scripts, one FIFO shard queue, and every
+//! interleaving of the steps the threads could take. A
 //! [`GatewayAction::Conn`] step executes one effect the shipped
 //! [`Reader`] decided, or feeds it its next input (handshake, reading,
 //! EOF); [`GatewayAction::HandOff`] lets the checker end a batch after any

@@ -277,7 +277,7 @@ pub struct GatewayOutput {
 impl GatewayOutput {
     /// Union the shard traces into one per-epoch trace, canonically
     /// sorted within each epoch so it can be compared against a
-    /// single-process [`EspProcessor`] run.
+    /// single-process [`EspProcessor`](esp_core::EspProcessor) run.
     pub fn merged_trace(&self) -> EpochTrace {
         let mut by_epoch: BTreeMap<u64, Batch> = BTreeMap::new();
         for trace in &self.shard_traces {

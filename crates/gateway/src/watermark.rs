@@ -10,7 +10,7 @@
 //!
 //! These are the atomics the reader and coordinator threads share; the
 //! rules they apply — the monotone merge, the global minimum, and the
-//! order of hand-off and advance — live in [`protocol`](crate::protocol),
+//! order of hand-off and advance — live in [`protocol`],
 //! where the model checker runs them too. A reader advances only *after*
 //! its batches are in their shard queues (release store); the coordinator
 //! reads watermarks (acquire load) before enqueuing a flush; the shard

@@ -23,7 +23,10 @@ pub struct CodeInfo {
 /// Retired codes are never reused for a new meaning: `E0407` (zero-capacity
 /// queue) and `E0701`/`E0702`/`E0704` (runner-model deadlock, lost
 /// shutdown wakeup, epoch-order violation) went with the thread-per-node
-/// runner they described.
+/// runner they described, and `E0401`–`E0406` (cycle, dangling output, no
+/// taps, zero-input operator, fan-in mismatch, dangling edge) with the
+/// graph checker that emitted them: an append-only `Dataflow` can
+/// represent none of those defects.
 pub static CODES: &[CodeInfo] = &[
     CodeInfo {
         code: "E0001",
@@ -131,42 +134,6 @@ pub static CODES: &[CodeInfo] = &[
         title: "unknown receptor type",
         explanation: "The deployment references a receptor type with no registered \
                       schema.",
-    },
-    CodeInfo {
-        code: "E0401",
-        title: "operator graph contains a cycle",
-        explanation: "The operator graph has a directed cycle. With bounded queues a \
-                      cycle deadlocks as soon as every queue on it fills.",
-    },
-    CodeInfo {
-        code: "E0402",
-        title: "operator output neither consumed nor tapped",
-        explanation: "An operator's output port has no outgoing edge and no tap; \
-                      everything it produces is computed and discarded.",
-    },
-    CodeInfo {
-        code: "E0403",
-        title: "graph has no taps",
-        explanation: "No operator output is tapped, so the graph has no observable \
-                      output at all.",
-    },
-    CodeInfo {
-        code: "E0404",
-        title: "operator declares zero inputs",
-        explanation: "A non-source operator has no incoming edges; it can never fire.",
-    },
-    CodeInfo {
-        code: "E0405",
-        title: "fan-in/port mismatch",
-        explanation: "An operator's declared input ports do not match its incoming \
-                      edges — a port is missing an edge, fed twice, or a source \
-                      declares inputs.",
-    },
-    CodeInfo {
-        code: "E0406",
-        title: "edge or tap references a nonexistent node",
-        explanation: "The graph wiring names an operator that is not defined in the \
-                      document.",
     },
     CodeInfo {
         code: "E0501",
@@ -352,6 +319,6 @@ mod tests {
     fn catalog_has_all_known_families() {
         // One entry per code the emitters use; grow this list when a new
         // family lands.
-        assert_eq!(CODES.len(), 40);
+        assert_eq!(CODES.len(), 34);
     }
 }

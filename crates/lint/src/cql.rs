@@ -20,7 +20,7 @@
 //! clauses are checked against. `range <stream>.<field> <lo>..<hi>`
 //! declares the physical range of a numeric field, enabling the semantic
 //! E06xx checks (dead predicates, redundant filters, reachable division
-//! by zero — see [`crate::absint`]). Without directives the linter still
+//! by zero — see the `absint` module). Without directives the linter still
 //! checks everything that needs no declaration (syntax, qualifier
 //! resolution, literal-only type errors); it never guesses a schema, so
 //! an undeclared stream silences the checks that would need one.

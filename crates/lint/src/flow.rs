@@ -9,7 +9,7 @@
 //! | code | direction | lattice | defect |
 //! |------|-----------|---------|--------|
 //! | `E0901` | backward | live-column sets | a column computed by a stage is never read downstream |
-//! | `E0902` | backward | live-column sets / tap reachability | a receptor stream (or graph node) feeds nothing that reaches an output |
+//! | `E0902` | backward | live-column sets | a receptor stream feeds nothing that reaches an output |
 //! | `E0903` | forward | boolean taint | a nondeterministic stage inside a durability-enabled gateway voids replay |
 //! | `E0904` | forward | max window-path sum | the admitted lateness exceeds (or mis-aligns with) the cascade's total window depth |
 //! | `E0905` | forward | per-column cardinality bounds | retained aggregation state is statically unbounded, or overcommits the gateway edge capacity |
@@ -24,7 +24,7 @@
 //! (the property the proptest suite checks against brute force).
 //!
 //! `E0901`/`E0902` consume the per-stage [`FieldEffects`] summaries that
-//! the stage traits and the query compiler export; `E0903` consumes
+//! the `Stage` trait and the query compiler export; `E0903` consumes
 //! [`Determinism`] (the same contract `Gateway::spawn` enforces at
 //! runtime); `E0904`/`E0905` read window widths and declared column
 //! cardinalities from the *pipeline document* — a JSON form

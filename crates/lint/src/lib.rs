@@ -5,11 +5,11 @@
 //! not discovered as silently wrong output in production.
 //!
 //! The paper's framework is configuration-heavy: CQL stage queries,
-//! temporal granules, proximity groups, operator wiring, gateway
-//! sharding. Each knob has failure modes that type-check fine in Rust
-//! and only bite at runtime (an aggregate over a string column, a window
-//! eviction that cuts through an epoch, a receptor no Merge group
-//! covers, a global-scope stage split across gateway shards). This crate
+//! temporal granules, proximity groups, gateway sharding. Each knob has
+//! failure modes that type-check fine in Rust and only bite at runtime
+//! (an aggregate over a string column, a window eviction that cuts
+//! through an epoch, a receptor no Merge group covers, a global-scope
+//! stage split across gateway shards). This crate
 //! collects those checks under stable diagnostic codes:
 //!
 //! | range | area | examples |
@@ -18,7 +18,7 @@
 //! | E01xx | schema / types | `E0101` unknown field, `E0103` aggregate arg type |
 //! | E02xx | temporal granules | `E0201` window below epoch, `E0202` not a multiple |
 //! | E03xx | spatial granules | `E0301` ungrouped receptor, `E0303` duplicate granule |
-//! | E04xx | graph structure | `E0401` cycle, `E0405` fan-in mismatch |
+//! | E04xx | graph structure | retired: `E0401`–`E0407` (an append-only `Dataflow` cannot hold these defects) |
 //! | E05xx | gateway | `E0501` lateness ≥ window, `E0502` global stage sharded |
 //! | E06xx | semantics (abstract interpretation) | `E0601` dead stage, `E0603` reachable zero divisor, `E0604` schema drift |
 //! | E07xx | concurrency (model checker) | `E0703` watermark regression (`E0701`/`E0702`/`E0704` retired) |
@@ -39,12 +39,11 @@
 //!
 //! Three surfaces expose the checks:
 //!
-//! - **library**: [`lint_cql`], [`lint_deployment`], [`lint_gateway`],
-//!   and [`GraphSpec::validate`] (over a planned topology, or over a
-//!   built `Dataflow` via [`GraphSpec::of`]). The same validators gate
-//!   the runtime entry points — `EspProcessor::deploy` and
-//!   `Gateway::spawn` refuse to start on any error, returning the
-//!   diagnostics in `EspError::Invalid`.
+//! - **library**: [`lint_cql`], [`lint_deployment`], [`lint_gateway`]
+//!   and [`flow::lint_pipeline`]. The same validators gate the runtime
+//!   entry points — `EspProcessor::deploy` and `Gateway::spawn` refuse
+//!   to start on any error, returning the diagnostics in
+//!   `EspError::Invalid`.
 //! - **CLI**: the `esp-lint` binary lints `.cql` and deployment `.json`
 //!   files with rustc-style rendering and spans into the original text.
 //! - **CI**: the `lint-pipelines` job runs the CLI over every shipped
@@ -60,14 +59,12 @@ pub mod codes;
 pub mod cql;
 pub mod fix;
 pub mod flow;
-pub mod graphspec;
 pub mod witness;
 
 pub use codes::{explain, CodeInfo, CODES};
 pub use cql::lint_cql;
 pub use fix::{apply_fixes, FixOutcome};
 pub use flow::{fixpoint, lint_pipeline, Direction, Facts, FlowGraph, Lattice, PipelineSpec};
-pub use graphspec::{GraphEdge, GraphNode, GraphSpec, NodeKind};
 pub use witness::{synthesize_witnesses, Witness, WitnessOutcome};
 
 use esp_core::DeploymentSpec;

@@ -134,7 +134,7 @@ pub struct AggCall {
 pub enum CExpr {
     /// Literal.
     Literal(Value),
-    /// Field reference. `slot` is filled in by [`crate::plan::resolve_pass`]
+    /// Field reference. `slot` is filled in by `plan::resolve_pass`
     /// when the reference is provably unique against known schemas; it is
     /// an acceleration only — evaluation falls back to name resolution
     /// whenever the slot's schema doesn't match the actual tuple.

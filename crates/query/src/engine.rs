@@ -3,7 +3,6 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use esp_stream::{Operator, Payload};
 use esp_types::{
     chunk_batch, Batch, Chunk, Determinism, EspError, FieldEffects, Result, TimeDelta, Ts, Tuple,
     Value,
@@ -501,79 +500,6 @@ enum Emitted {
     Chunk(Chunk),
 }
 
-/// Adapter placing a [`ContinuousQuery`] into an
-/// [`esp_stream::Dataflow`](esp_stream::Dataflow): input port `i` feeds the
-/// stream named `ports[i]`; `flush` ticks the query at the epoch.
-pub struct QueryOperator {
-    name: String,
-    query: ContinuousQuery,
-    ports: Vec<String>,
-}
-
-impl QueryOperator {
-    /// Wrap `query`, mapping input port `i` to stream name `ports[i]`.
-    /// Every stream the query reads must appear in `ports`.
-    pub fn new(
-        name: impl Into<String>,
-        query: ContinuousQuery,
-        ports: Vec<String>,
-    ) -> Result<QueryOperator> {
-        for s in query.input_streams() {
-            if !ports.contains(s) {
-                return Err(EspError::Config(format!(
-                    "query reads stream '{s}' but no input port supplies it"
-                )));
-            }
-        }
-        Ok(QueryOperator {
-            name: name.into(),
-            query,
-            ports,
-        })
-    }
-
-    /// Single-input convenience: port 0 feeds the query's only stream.
-    pub fn single_input(name: impl Into<String>, query: ContinuousQuery) -> Result<QueryOperator> {
-        let streams = query.input_streams().to_vec();
-        let [stream] = streams.as_slice() else {
-            return Err(EspError::Config(format!(
-                "single_input requires a one-stream query, found {}",
-                streams.len()
-            )));
-        };
-        let stream = stream.clone();
-        QueryOperator::new(name, query, vec![stream])
-    }
-}
-
-impl Operator for QueryOperator {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn n_inputs(&self) -> usize {
-        self.ports.len()
-    }
-
-    fn push(&mut self, port: usize, input: Payload) -> Result<()> {
-        if input.is_empty() {
-            return Ok(());
-        }
-        let stream = self
-            .ports
-            .get(port)
-            .ok_or_else(|| EspError::Config(format!("no stream mapped to input port {port}")))?;
-        input
-            .into_chunks()
-            .into_iter()
-            .try_for_each(|c| self.query.push_chunk(stream, c))
-    }
-
-    fn flush(&mut self, epoch: Ts) -> Result<Payload> {
-        Ok(Payload::from(vec![self.query.tick_chunk(epoch)?]))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,37 +554,6 @@ mod tests {
             .unwrap();
         assert!(q.push("other", &[]).is_err());
         assert_eq!(q.input_streams(), &["s".to_string()]);
-    }
-
-    #[test]
-    fn query_operator_round_trip() {
-        let engine = Engine::new();
-        let q = engine
-            .compile("SELECT tag_id, count(*) FROM s [Range By '5 sec'] GROUP BY tag_id")
-            .unwrap();
-        let mut op = QueryOperator::single_input("smooth", q).unwrap();
-        assert_eq!(op.n_inputs(), 1);
-        op.push(0, vec![rfid(Ts::ZERO, "a"), rfid(Ts::ZERO, "a")].into())
-            .unwrap();
-        let out = op.flush(Ts::ZERO).unwrap().into_rows();
-        assert_eq!(out[0].get("count"), Some(&Value::Int(2)));
-    }
-
-    #[test]
-    fn query_operator_validates_ports() {
-        let engine = Engine::new();
-        let q = engine
-            .compile("SELECT a.tag_id FROM a [Range 'NOW'], b [Range 'NOW']")
-            .unwrap();
-        assert!(QueryOperator::single_input("x", q).is_err());
-        let q = engine
-            .compile("SELECT a.tag_id FROM a [Range 'NOW'], b [Range 'NOW']")
-            .unwrap();
-        assert!(QueryOperator::new("x", q, vec!["a".into()]).is_err());
-        let q = engine
-            .compile("SELECT a.tag_id FROM a [Range 'NOW'], b [Range 'NOW']")
-            .unwrap();
-        assert!(QueryOperator::new("x", q, vec!["a".into(), "b".into()]).is_ok());
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //! order. Reference mode runs this same path with every slot stripped.
 //!
 //! Field references annotated with a [`FieldSlot`] by
-//! [`crate::plan::resolve_pass`] are fetched by `(scope, item, column)`
+//! `plan::resolve_pass` are fetched by `(scope, item, column)`
 //! index after a single `Arc::ptr_eq` schema check. The check fails — and
 //! evaluation falls back to the original name-resolving walk
-//! ([`resolve_field`]) — whenever the tuple at hand doesn't match the
+//! (`resolve_field`) — whenever the tuple at hand doesn't match the
 //! planned schema, or any scope on the way to the slot's is not *uniform*
 //! (some tuple differs from the planned shape, which could change name
 //! visibility or ambiguity). The fallback path is byte-for-byte the
@@ -36,21 +36,18 @@
 //!
 //! Joins run as hash joins when the planner extracted equi-key conjuncts
 //! (and the inputs are uniform): keyed items are hashed on their
-//! [`JoinKey`]s once, and the cross-product enumeration only visits
+//! `JoinKey`s once, and the cross-product enumeration only visits
 //! combinations whose keys match, in the same lexicographic order the
 //! nested-loop scan would have produced. Residual predicates evaluate in
 //! their original conjunct order. Without an extracted plan the original
 //! odometer nested-loop scan runs unchanged.
 
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use esp_types::{
-    registry, Chunk, ChunkView, EspError, Field, Result, Schema, Ts, Tuple, Value, ValueKey,
-};
+use esp_types::{registry, Chunk, ChunkView, EspError, Result, Schema, Ts, Tuple, Value, ValueKey};
 
 use crate::ast::{ArithOp, Quantifier};
 use crate::catalog::Catalog;
@@ -927,29 +924,6 @@ fn lookup_in_scope(qualifier: Option<&str>, name: &str, s: &RowEnv<'_>) -> Resul
         }
     }
     Ok(found.cloned())
-}
-
-/// Helper used by schema inference in tests: the runtime schema of a star
-/// select over `example` input schemas.
-pub fn star_schema(schemas: &[(Option<&str>, Arc<Schema>)]) -> Result<Arc<Schema>> {
-    let mut fields: Vec<Field> = Vec::new();
-    let mut joined: Option<Arc<Schema>> = None;
-    for (binding, schema) in schemas {
-        joined = Some(match joined {
-            None => Arc::clone(schema),
-            Some(j) => j.join(schema, Some(binding.unwrap_or("right")))?,
-        });
-    }
-    match joined {
-        Some(j) => Ok(j),
-        None => Schema::new(std::mem::take(&mut fields)),
-    }
-}
-
-/// Compare two values for ORDER-like uses elsewhere in the workspace.
-pub fn value_cmp(a: &Value, b: &Value) -> Ordering {
-    a.sql_cmp(b)
-        .unwrap_or_else(|| a.group_key().cmp(&b.group_key()))
 }
 
 #[cfg(test)]

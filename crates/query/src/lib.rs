@@ -35,7 +35,9 @@
 //! Reference mode ([`ContinuousQuery::set_reference_mode`]) runs every
 //! select on the rescan through the name-resolving interpreter: the
 //! oracle the compiled and incremental paths are tested against.
-//! [`QueryOperator`] drops a query into an `esp-stream` dataflow.
+//! A query joins an `esp-stream` dataflow as a stage:
+//! `esp_core::DeclarativeStage` wraps a single-stream query, pushes each
+//! epoch's input chunks into it and ticks it.
 //!
 //! [`WindowBuffer`]: esp_stream::WindowBuffer
 
@@ -58,5 +60,5 @@ pub mod plan;
 pub mod range;
 
 pub use catalog::Catalog;
-pub use engine::{ContinuousQuery, Engine, QueryOperator};
+pub use engine::{ContinuousQuery, Engine};
 pub use parser::parse;

@@ -31,7 +31,7 @@
 //! Join planning rides on the same annotation: a maximal *prefix* of the
 //! flattened `WHERE` conjunct list consisting of provably error-free
 //! conjuncts is scanned, and every `slotₐ = slotᵦ` equality across two
-//! different FROM items becomes a hash-join key ([`KeySpec`]). The prefix
+//! different FROM items becomes a hash-join key (`KeySpec`). The prefix
 //! rule preserves the interpreter's error semantics exactly: a conjunct
 //! that could raise (arithmetic on strings, a name resolved only at
 //! runtime) stops extraction, so no combination that the interpreter

@@ -123,11 +123,6 @@ impl GilbertElliottChannel {
         let p_gb = (p_bg * (1.0 - delivery_rate) / delivery_rate).min(1.0);
         GilbertElliottChannel::new(seed, p_gb, p_bg, 1.0, 0.0)
     }
-
-    /// True while the chain is in the Bad state (test observability).
-    pub fn in_bad_state(&self) -> bool {
-        self.in_bad
-    }
 }
 
 impl Channel for GilbertElliottChannel {

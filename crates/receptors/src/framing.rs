@@ -1,6 +1,6 @@
 //! Length-delimited frame streaming over `Read`/`Write`.
 //!
-//! [`wire`](crate::wire) frames are checksummed but self-terminating only
+//! [`wire`] frames are checksummed but self-terminating only
 //! when their boundaries are known; a byte stream (TCP socket, pipe, file)
 //! needs explicit delimiting. This module adds the thinnest possible layer:
 //! each frame is preceded by a big-endian `u32` length. The payload stays an

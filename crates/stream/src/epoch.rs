@@ -19,14 +19,15 @@ struct EpochObs {
 /// At each epoch `t` the runner:
 ///
 /// 1. polls every [`Source`](crate::Source) for its batch at `t`;
-/// 2. pushes batches downstream in topological order (node ids are already
-///    topological because the graph is append-only);
-/// 3. flushes each operator exactly once (punctuation), pushing its output
-///    onward;
-/// 4. records the output of every tapped node.
+/// 2. visits the stages in topological order (node ids are already
+///    topological because the graph is append-only), building each one's
+///    input by appending its upstream outputs in wiring order
+///    ([`Payload::append`], which drops empty chunks), and calls
+///    [`Stage::process`](crate::Stage::process) exactly once;
+/// 3. records the output of every tapped node.
 ///
 /// Payloads change hands by value. A node's output has a fixed number of
-/// readers per epoch (its consumers' input ports plus its taps), counted
+/// readers per epoch (its consumers' input edges plus its taps), counted
 /// once at construction; every reader but the last gets a copy, and the
 /// last takes the original.
 ///
@@ -35,7 +36,7 @@ struct EpochObs {
 pub struct EpochRunner {
     df: Dataflow,
     /// Per node (indexed like `df.nodes`): how many times its output is
-    /// read each epoch — consumer input ports plus taps.
+    /// read each epoch — consumer input edges plus taps.
     readers: Vec<usize>,
     /// Per-tap collected output: (epoch, batch) per epoch, including empty
     /// batches so traces have one entry per epoch.
@@ -50,7 +51,7 @@ impl EpochRunner {
         let n_taps = df.taps.len();
         let mut readers = vec![0; df.nodes.len()];
         for node in &df.nodes {
-            if let NodeKind::Operator { inputs, .. } = &node.kind {
+            if let NodeKind::Stage { inputs, .. } = &node.kind {
                 for input in inputs {
                     readers[input.0] += 1;
                 }
@@ -69,7 +70,7 @@ impl EpochRunner {
     }
 
     /// Attach span instrumentation: every subsequent [`EpochRunner::step`]
-    /// records each node's flush time into
+    /// records each node's poll or process time into
     /// `esp_stream_node_flush_nanos{node=…}` and the whole epoch into
     /// `esp_stream_epoch_step_nanos`, each carrying the extra `labels`
     /// (the gateway adds `shard`). Recording is skipped entirely — one
@@ -94,7 +95,7 @@ impl EpochRunner {
     ///
     /// Data moves between nodes as [`Payload`]s, handed from producer to
     /// consumer untouched: the last reader of a node's output (consumer
-    /// port or tap, in that order) takes the payload, and earlier readers
+    /// edge or tap, in that order) takes the payload, and earlier readers
     /// get a clone. Tap traces are recorded as rows.
     pub fn step(&mut self, epoch: Ts) -> Result<()> {
         let n = self.df.nodes.len();
@@ -110,13 +111,14 @@ impl EpochRunner {
             let node_start = obs.map(|_| Instant::now());
             let out = match &mut self.df.nodes[i].kind {
                 NodeKind::Source(src) => src.poll(epoch)?,
-                NodeKind::Operator { op, inputs } => {
-                    for (port, input) in inputs.iter().enumerate() {
+                NodeKind::Stage { stage, inputs } => {
+                    let mut input = Payload::empty();
+                    for upstream in inputs {
                         // Inputs precede consumers (append-only graph), so
                         // the upstream output is always computed already.
-                        op.push(port, read(&mut outputs, &mut unread, input.0))?;
+                        input.append(read(&mut outputs, &mut unread, upstream.0));
                     }
-                    op.flush(epoch)?
+                    stage.process(epoch, input)?
                 }
             };
             if let (Some(o), Some(t0)) = (obs, node_start) {
@@ -163,26 +165,27 @@ impl EpochRunner {
         &self.collected[tap.0]
     }
 
-    /// Names of operators that can never be checkpointed
-    /// ([`crate::Operator::checkpointable`] is `false`) — the static half
-    /// of the durability contract. An empty list means a snapshot of this
-    /// dataflow can always be taken at an epoch boundary.
+    /// Names of stages that can never be checkpointed
+    /// ([`Stage::checkpointable`](crate::Stage::checkpointable) is
+    /// `false`) — the static half of the durability contract. An empty
+    /// list means a snapshot of this dataflow can always be taken at an
+    /// epoch boundary.
     pub fn non_checkpointable(&self) -> Vec<String> {
         self.df
             .nodes
             .iter()
             .filter_map(|node| match &node.kind {
-                NodeKind::Operator { op, .. } if !op.checkpointable() => {
-                    Some(op.name().to_string())
+                NodeKind::Stage { stage, .. } if !stage.checkpointable() => {
+                    Some(stage.name().to_string())
                 }
                 _ => None,
             })
             .collect()
     }
 
-    /// Names and causes of operators whose replay is not reproducible
-    /// ([`crate::Operator::determinism`] reports taint) — the replay half
-    /// of the durability contract, companion to
+    /// Names and causes of stages whose replay is not reproducible
+    /// ([`Stage::determinism`](crate::Stage::determinism) reports taint)
+    /// — the replay half of the durability contract, companion to
     /// [`EpochRunner::non_checkpointable`]. An empty list means recovery
     /// by WAL replay reproduces this dataflow's output byte for byte.
     pub fn nondeterministic(&self) -> Vec<(String, String)> {
@@ -190,10 +193,10 @@ impl EpochRunner {
             .nodes
             .iter()
             .filter_map(|node| match &node.kind {
-                NodeKind::Operator { op, .. } => match op.determinism() {
+                NodeKind::Stage { stage, .. } => match stage.determinism() {
                     esp_types::Determinism::Deterministic => None,
                     esp_types::Determinism::Nondeterministic { reason } => {
-                        Some((op.name().to_string(), reason))
+                        Some((stage.name().to_string(), reason))
                     }
                 },
                 _ => None,
@@ -201,7 +204,7 @@ impl EpochRunner {
             .collect()
     }
 
-    /// Capture the cross-epoch state of every operator in the dataflow —
+    /// Capture the cross-epoch state of every stage in the dataflow —
     /// the runner half of the epoch-aligned checkpoint protocol.
     ///
     /// Must be called at an epoch boundary (between [`EpochRunner::step`]
@@ -216,8 +219,8 @@ impl EpochRunner {
         use esp_types::snap;
         let mut entries: Vec<(u32, Vec<u8>)> = Vec::new();
         for (i, node) in self.df.nodes.iter().enumerate() {
-            if let NodeKind::Operator { op, .. } = &node.kind {
-                if let Some(state) = op.state()? {
+            if let NodeKind::Stage { stage, .. } = &node.kind {
+                if let Some(state) = stage.state()? {
                     entries.push((i as u32, state.0));
                 }
             }
@@ -233,9 +236,9 @@ impl EpochRunner {
         Ok(out)
     }
 
-    /// Restore operator state captured by [`EpochRunner::snapshot_state`]
+    /// Restore stage state captured by [`EpochRunner::snapshot_state`]
     /// into this freshly built runner. Rejects a snapshot whose node
-    /// count, node indices, or per-operator blobs do not match the
+    /// count, node indices, or per-stage blobs do not match the
     /// current dataflow shape.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
         use crate::state::StageState;
@@ -259,10 +262,10 @@ impl EpochRunner {
                 )));
             }
             match &mut self.df.nodes[idx].kind {
-                NodeKind::Operator { op, .. } => op.restore(&StageState(blob))?,
+                NodeKind::Stage { stage, .. } => stage.restore(&StageState(blob))?,
                 NodeKind::Source(_) => {
                     return Err(EspError::Snapshot(format!(
-                        "snapshot holds operator state for node {idx}, which is a source here"
+                        "snapshot holds stage state for node {idx}, which is a source here"
                     )))
                 }
             }
@@ -285,13 +288,37 @@ fn read(outputs: &mut [Payload], unread: &mut [usize], node: usize) -> Payload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::ScriptedSource;
-    use crate::ops::{EpochFnOp, FilterOp, UnionOp};
-    use esp_types::{DataType, Schema, Tuple, Value};
+    use crate::operator::{ScriptedSource, Stage};
+    use crate::ops::{MapOp, UnionOp};
+    use esp_types::{Chunk, DataType, Schema, Tuple, Value};
 
     fn tup(ts: Ts, v: i64) -> Tuple {
         let schema = Schema::builder().field("v", DataType::Int).build().unwrap();
         Tuple::new(schema, ts, vec![Value::Int(v)]).unwrap()
+    }
+
+    /// Keeps the rows whose `v` satisfies `pred`, chunk by chunk.
+    fn keep(name: &str, pred: fn(i64) -> bool) -> Box<dyn Stage> {
+        Box::new(MapOp::new(name, move |c: Chunk| {
+            let mask: Vec<bool> = (0..c.len())
+                .map(|i| c.value_at(i, 0).and_then(|v| v.as_i64()).is_some_and(pred))
+                .collect();
+            let kept = c.filter(&mask)?;
+            Ok((!kept.is_empty()).then_some(kept))
+        }))
+    }
+
+    /// Emits one row per `process` call: how many rows it was handed.
+    struct CountRows;
+
+    impl Stage for CountRows {
+        fn name(&self) -> &str {
+            "count-rows"
+        }
+
+        fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload> {
+            Ok(Payload::from(vec![tup(epoch, input.len() as i64)]))
+        }
     }
 
     #[test]
@@ -304,12 +331,7 @@ mod tests {
                 .collect(),
         )));
         let f = df
-            .add_operator(
-                Box::new(FilterOp::new("odd", |t: &Tuple| {
-                    t.value(0).as_i64().unwrap() % 2 == 1
-                })),
-                &[src],
-            )
+            .add_operator(keep("odd", |v| v % 2 == 1), &[src])
             .unwrap();
         let tap = df.add_tap(f).unwrap();
         let mut runner = EpochRunner::new(df);
@@ -331,9 +353,7 @@ mod tests {
             "s",
             vec![(Ts::ZERO, vec![tup(Ts::ZERO, 1)])],
         )));
-        let f = df
-            .add_operator(Box::new(FilterOp::new("keep", |_: &Tuple| true)), &[src])
-            .unwrap();
+        let f = df.add_operator(keep("keep", |_| true), &[src]).unwrap();
         df.add_tap(f).unwrap();
         let registry = esp_obs::Registry::new();
         let mut runner = EpochRunner::new(df);
@@ -362,24 +382,10 @@ mod tests {
             "s",
             vec![(Ts::ZERO, vec![tup(Ts::ZERO, 1), tup(Ts::ZERO, 2)])],
         )));
-        let left = df
-            .add_operator(
-                Box::new(FilterOp::new("=1", |t: &Tuple| {
-                    t.value(0).as_i64() == Some(1)
-                })),
-                &[src],
-            )
-            .unwrap();
-        let right = df
-            .add_operator(
-                Box::new(FilterOp::new("=2", |t: &Tuple| {
-                    t.value(0).as_i64() == Some(2)
-                })),
-                &[src],
-            )
-            .unwrap();
+        let left = df.add_operator(keep("=1", |v| v == 1), &[src]).unwrap();
+        let right = df.add_operator(keep("=2", |v| v == 2), &[src]).unwrap();
         let u = df
-            .add_operator(Box::new(UnionOp::new(2)), &[left, right])
+            .add_operator(Box::new(UnionOp::new()), &[left, right])
             .unwrap();
         let tap = df.add_tap(u).unwrap();
         let mut runner = EpochRunner::new(df);
@@ -413,29 +419,14 @@ mod tests {
             "b",
             vec![(Ts::ZERO, vec![tup(Ts::ZERO, 2)])],
         )));
-        let u = df.add_operator(Box::new(UnionOp::new(2)), &[a, b]).unwrap();
-        // Counts flushes by emitting exactly one tuple per flush.
-        let counter = df
-            .add_operator(
-                Box::new(EpochFnOp::new(
-                    "flush-counter",
-                    |epoch: Ts, input: Vec<Tuple>| {
-                        let schema = Schema::builder().field("n", DataType::Int).build().unwrap();
-                        Ok(vec![Tuple::new(
-                            schema,
-                            epoch,
-                            vec![Value::Int(input.len() as i64)],
-                        )?])
-                    },
-                )),
-                &[u],
-            )
-            .unwrap();
+        let u = df.add_operator(Box::new(UnionOp::new()), &[a, b]).unwrap();
+        // Emits exactly one tuple per `process` call.
+        let counter = df.add_operator(Box::new(CountRows), &[u]).unwrap();
         let tap = df.add_tap(counter).unwrap();
         let mut runner = EpochRunner::new(df);
         runner.step(Ts::ZERO).unwrap();
         let trace = runner.take_tap(tap);
-        assert_eq!(trace[0].1.len(), 1, "exactly one flush");
+        assert_eq!(trace[0].1.len(), 1, "exactly one process call");
         assert_eq!(
             trace[0].1[0].value(0),
             &Value::Int(2),
@@ -443,22 +434,36 @@ mod tests {
         );
     }
 
+    /// Per `process` call, the row count of every chunk handed over and
+    /// its first row's value.
+    type Calls = std::sync::Arc<std::sync::Mutex<Vec<Vec<(usize, i64)>>>>;
+
     #[test]
     fn chunk_dataflow_stays_columnar_through_a_union() {
         use crate::ScriptedChunkSource;
-        use esp_types::Chunk;
 
-        /// Emits one row per epoch: how many chunks it was handed. Proves
-        /// the union and the runner forward chunks as the sources cut
-        /// them, neither merged nor split.
-        struct CountChunks(usize);
-        impl crate::Operator for CountChunks {
-            fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
-                self.0 += input.chunks().len();
-                Ok(())
+        /// Emits one row per epoch: how many chunks it was handed, and
+        /// logs each call's chunks. Proves the union and the runner
+        /// forward chunks as the sources cut them, neither merged nor
+        /// split, in wiring order and with empty chunks dropped.
+        struct CountChunks(Calls);
+        impl Stage for CountChunks {
+            fn name(&self) -> &str {
+                "count-chunks"
             }
-            fn flush(&mut self, epoch: Ts) -> Result<Payload> {
-                let n = std::mem::take(&mut self.0) as i64;
+            fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload> {
+                let chunks: Vec<(usize, i64)> = input
+                    .chunks()
+                    .iter()
+                    .map(|c| {
+                        (
+                            c.len(),
+                            c.value_at(0, 0).and_then(|v| v.as_i64()).unwrap_or(-1),
+                        )
+                    })
+                    .collect();
+                let n = chunks.len() as i64;
+                self.0.lock().unwrap().push(chunks);
                 Ok(Payload::from(vec![tup(epoch, n)]))
             }
         }
@@ -469,16 +474,29 @@ mod tests {
                 .filter(|i| i % 3 != 2)
                 .map(|i| {
                     let ts = Ts::from_millis(i * 100);
-                    let rows = [tup(ts, i as i64 + offset), tup(ts, offset)];
+                    let rows = [tup(ts, offset + i as i64), tup(ts, offset)];
                     (ts, Chunk::from_tuples(rows[0].schema(), &rows).unwrap())
                 })
                 .collect()
         };
+        // Source b also emits a zero-row chunk every epoch, before its
+        // data; the runner must drop it.
+        let mut b_script = Vec::new();
+        for i in 0..20u64 {
+            let ts = Ts::from_millis(i * 100);
+            b_script.push((ts, Chunk::new(tup(ts, 0).schema())));
+            b_script.extend(script(100).into_iter().filter(|(t, _)| *t == ts));
+        }
         let mut df = Dataflow::new();
         let a = df.add_source(Box::new(ScriptedChunkSource::new("a", script(0))));
-        let b = df.add_source(Box::new(ScriptedChunkSource::new("b", script(100))));
-        let u = df.add_operator(Box::new(UnionOp::new(2)), &[a, b]).unwrap();
-        let count = df.add_operator(Box::new(CountChunks(0)), &[u]).unwrap();
+        let b = df.add_source(Box::new(ScriptedChunkSource::new("b", b_script)));
+        let u = df.add_operator(Box::new(UnionOp::new()), &[a, b]).unwrap();
+        let (via_union, direct) = (Calls::default(), Calls::default());
+        let count = df
+            .add_operator(Box::new(CountChunks(via_union.clone())), &[u])
+            .unwrap();
+        df.add_operator(Box::new(CountChunks(direct.clone())), &[a, b])
+            .unwrap();
         let (rows, chunks) = (df.add_tap(u).unwrap(), df.add_tap(count).unwrap());
         let mut runner = EpochRunner::new(df);
         runner
@@ -491,16 +509,33 @@ mod tests {
             let expected = if i % 3 == 2 { 0 } else { 2 };
             assert_eq!(b[0].value(0), &Value::Int(expected), "epoch {i}");
         }
+        for calls in [via_union, direct] {
+            let calls = calls.lock().unwrap();
+            assert_eq!(calls.len(), 20, "one process call per epoch");
+            for (i, chunks) in calls.iter().enumerate() {
+                let want = if i % 3 == 2 {
+                    vec![]
+                } else {
+                    // a's chunk, then b's: wiring order, no empty chunk.
+                    vec![(2, i as i64), (2, 100 + i as i64)]
+                };
+                assert_eq!(chunks, &want, "epoch {i}");
+            }
+        }
     }
 
-    /// Records, for every chunk it is pushed, the address of the chunk's
+    /// Records, for every chunk it is handed, the address of the chunk's
     /// `ts` buffer and the values it carries.
     type Seen = std::sync::Arc<std::sync::Mutex<Vec<(usize, Vec<i64>)>>>;
 
     struct Probe(Seen);
 
-    impl crate::Operator for Probe {
-        fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
+    impl Stage for Probe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+
+        fn process(&mut self, _epoch: Ts, input: Payload) -> Result<Payload> {
             let mut seen = self.0.lock().unwrap();
             for c in input.chunks() {
                 let vals = (0..c.len())
@@ -508,9 +543,6 @@ mod tests {
                     .collect();
                 seen.push((c.ts().as_ptr() as usize, vals));
             }
-            Ok(())
-        }
-        fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
             Ok(Payload::empty())
         }
     }
@@ -518,7 +550,7 @@ mod tests {
     /// A one-chunk source and the address of that chunk's `ts` buffer.
     fn one_chunk_source() -> (crate::ScriptedChunkSource, usize) {
         let rows = [tup(Ts::ZERO, 1), tup(Ts::ZERO, 2)];
-        let chunk = esp_types::Chunk::from_tuples(rows[0].schema(), &rows).unwrap();
+        let chunk = Chunk::from_tuples(rows[0].schema(), &rows).unwrap();
         let buf = chunk.ts().as_ptr() as usize;
         let src = crate::ScriptedChunkSource::new("s", vec![(Ts::ZERO, chunk)]);
         (src, buf)
@@ -526,25 +558,22 @@ mod tests {
 
     #[test]
     fn single_reader_chain_hands_the_source_buffer_through() {
-        // src -> pass -> union(pass, empty) -> probe: every hop has one
-        // reader, so the probe sees the very buffer the source built.
+        // src -> union(src) -> union(that, empty) -> probe: every hop has
+        // one reader, so the probe sees the very buffer the source built.
         let (src, buf) = one_chunk_source();
         let seen = Seen::default();
         let mut df = Dataflow::new();
         let src = df.add_source(Box::new(src));
         let quiet = df.add_source(Box::new(crate::ScriptedChunkSource::new("q", vec![])));
-        let pass = df
-            .add_operator(Box::new(crate::ops::PassThrough::new()), &[src])
-            .unwrap();
+        let pass = df.add_operator(Box::new(UnionOp::new()), &[src]).unwrap();
         let u = df
-            .add_operator(Box::new(UnionOp::new(2)), &[pass, quiet])
+            .add_operator(Box::new(UnionOp::new()), &[pass, quiet])
             .unwrap();
         df.add_operator(Box::new(Probe(seen.clone())), &[u])
             .unwrap();
         EpochRunner::new(df).step(Ts::ZERO).unwrap();
         assert_eq!(*seen.lock().unwrap(), vec![(buf, vec![1, 2])]);
     }
-
     #[test]
     fn fan_out_copies_for_all_but_the_last_reader() {
         // src -> {probe a, probe b} plus a tap on src: the readers see
@@ -588,12 +617,12 @@ mod tests {
         use esp_types::EspError;
 
         struct Failing;
-        impl crate::Operator for Failing {
-            fn push(&mut self, _p: usize, _b: Payload) -> Result<()> {
-                Err(EspError::Stage("injected failure".into()))
+        impl Stage for Failing {
+            fn name(&self) -> &str {
+                "failing"
             }
-            fn flush(&mut self, _e: Ts) -> Result<Payload> {
-                Ok(Payload::empty())
+            fn process(&mut self, _e: Ts, _input: Payload) -> Result<Payload> {
+                Err(EspError::Stage("injected failure".into()))
             }
         }
         let mut df = Dataflow::new();

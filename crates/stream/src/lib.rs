@@ -14,19 +14,20 @@
 //! * [`panes`] — per-epoch partial aggregates: the window state of
 //!   operators whose aggregate merges (count, mean), so they keep
 //!   `key → partial` per epoch instead of the tuples.
-//! * [`Operator`] / [`Source`] — the push-based operator protocol, typed on
-//!   one currency: an operator receives [`Payload`]s (rows or columnar
-//!   chunks) on input ports during an epoch and emits a `Payload` when the
-//!   epoch is flushed (punctuation).
-//! * [`Dataflow`] — a DAG of sources and operators with output taps.
+//! * [`Stage`] / [`Source`] — the push-based stage protocol, typed on one
+//!   currency: each epoch a stage is handed one [`Payload`] (columnar
+//!   chunks, its upstream outputs in wiring order) and emits one. Every
+//!   cleaning stage — declarative query, user function or arbitrary code
+//!   (paper §3.3) — is a `Stage`, and so are the building blocks.
+//! * [`Dataflow`] — a DAG of sources and stages with output taps.
 //! * [`EpochRunner`] — the one executor: a deterministic single-threaded
 //!   scheduler that advances logical time epoch by epoch. Parallelism
 //!   lives one level up — `esp-gateway` runs one `EpochRunner` per shard
 //!   over disjoint proximity groups.
-//! * [`ops`] — generic building-block operators (filter, map, union, …).
-//! * [`StageState`] / [`Checkpointable`] — epoch-boundary capture and
-//!   restore of operator state, the substrate of `esp-durability`'s
-//!   epoch-aligned checkpoint protocol.
+//! * [`ops`] — generic building-block stages (map, union).
+//! * [`StageState`] — epoch-boundary capture and restore of stage state
+//!   ([`Stage::state`] / [`Stage::restore`]), the substrate of
+//!   `esp-durability`'s epoch-aligned checkpoint protocol.
 //! * [`stats`] — streaming mean/variance used by windowed aggregates and
 //!   the Merge stage's outlier test, and the [`QueueStats`] back-pressure
 //!   counters of the gateway's shard queues.
@@ -48,7 +49,7 @@ mod window;
 
 pub use epoch::EpochRunner;
 pub use graph::{Dataflow, NodeId, TapId};
-pub use operator::{Operator, Payload, ScriptedChunkSource, ScriptedSource, Source};
-pub use state::{unexpected_state, Checkpointable, StageState};
+pub use operator::{Payload, ScriptedChunkSource, ScriptedSource, Source, Stage};
+pub use state::{unexpected_state, StageState};
 pub use stats::QueueStats;
 pub use window::WindowBuffer;

@@ -1,30 +1,29 @@
-//! The push-based operator protocol.
+//! The push-based stage protocol.
 //!
-//! One method per protocol step, all typed on [`Payload`]:
+//! One method per protocol step, both typed on [`Payload`]:
 //!
 //! | step | method |
 //! |---|---|
 //! | a source produces the epoch's readings | [`Source::poll`]`(epoch) -> Payload` |
-//! | an operator receives input on a port | [`Operator::push`]`(port, Payload)` |
-//! | punctuation: the operator emits the epoch | [`Operator::flush`]`(epoch) -> Payload` |
+//! | a stage consumes the epoch's input and emits its output | [`Stage::process`]`(epoch, Payload) -> Payload` |
 //!
 //! [`EpochRunner`](crate::EpochRunner) moves payloads between nodes
-//! exactly as produced: an operator owns what it is pushed, and the runner
+//! exactly as produced: a stage owns the input it is handed, and the runner
 //! copies a node's output only when more than one reader needs it. A
 //! payload is always columnar: rows enter through [`Payload::from`] and
 //! leave through [`Payload::into_rows`], at the boundary
 //! of code written against rows (UDFs, arbitrary-code stages, simulator
 //! sources), never inside the transport.
 
-use esp_types::{chunk_batch, Batch, Chunk, Result, Ts};
+use esp_types::{chunk_batch, Batch, Chunk, Determinism, FieldEffects, Result, Ts};
 
 use crate::state::{unexpected_state, StageState};
 
 /// One epoch's data in transit between dataflow nodes: schema-uniform
 /// columnar chunks, in stream order.
 ///
-/// `Payload` is the only currency of the operator protocol: sources emit
-/// it, operators consume and emit it, runners move it. Row-shaped code
+/// `Payload` is the only currency of the stage protocol: sources emit
+/// it, stages consume and emit it, runners move it. Row-shaped code
 /// builds one with `Payload::from(rows)` ([`chunk_batch`], lossless) and
 /// reads one with [`Payload::into_rows`]; everything else reads
 /// [`Payload::chunks`] or takes [`Payload::into_chunks`].
@@ -112,57 +111,47 @@ pub trait Source: Send {
     fn poll(&mut self, epoch: Ts) -> Result<Payload>;
 }
 
-/// A push-based stream operator.
+/// One node of the dataflow: a cleaning stage, or a building block such
+/// as [`UnionOp`](crate::ops::UnionOp).
 ///
-/// During an epoch the scheduler delivers zero or more payloads to each
-/// input port via [`Operator::push`]; when every input for the epoch has
-/// been delivered it calls [`Operator::flush`] (the punctuation), at which
-/// point the operator emits its output for the epoch. Stateless operators
-/// can transform inside `push` and drain in `flush`; windowed operators
-/// buffer in `push` and compute over the window in `flush`.
-pub trait Operator: Send {
+/// Paper §3.3 lets a stage be written as a declarative query, a
+/// user-defined function or arbitrary code; all three implement this one
+/// trait and run the same way. Each epoch the runner hands a stage one
+/// [`Payload`] — every upstream output, in wiring order, empty chunks
+/// dropped — and calls [`Stage::process`] exactly once, even when the
+/// payload is empty. Windowing (temporal or spatial aggregation) is
+/// internal stage state.
+pub trait Stage: Send {
     /// Human-readable name for diagnostics.
-    fn name(&self) -> &str {
-        "operator"
-    }
+    fn name(&self) -> &str;
 
-    /// Number of input ports this operator expects. The dataflow builder
-    /// validates the wiring against this.
-    fn n_inputs(&self) -> usize {
-        1
-    }
-
-    /// Deliver one payload on input port `port` (0-based). The operator
-    /// owns `input`: it keeps, transforms or drops the chunks without
-    /// copying them.
-    fn push(&mut self, port: usize, input: Payload) -> Result<()>;
-
-    /// Epoch boundary: all input for `epoch` has been delivered. Emit the
-    /// operator's output for this epoch.
-    fn flush(&mut self, epoch: Ts) -> Result<Payload>;
+    /// Process one epoch: consume the epoch's input and emit its output.
+    /// The stage owns `input`: it keeps, transforms or drops the chunks
+    /// without copying them.
+    fn process(&mut self, epoch: Ts, input: Payload) -> Result<Payload>;
 
     /// Capture cross-epoch state for a durability checkpoint. Called only
-    /// at epoch boundaries (after `flush`, before the next `push`). The
-    /// default declares the operator stateless: nothing survives across
-    /// epochs, so recovery rebuilds it from configuration alone. Windowed
-    /// or aggregating operators must override both this and
-    /// [`Operator::restore`].
+    /// at epoch boundaries (between two `process` calls). The default
+    /// declares the stage stateless: nothing survives across epochs, so
+    /// recovery rebuilds it from configuration alone. A stage holding a
+    /// window buffer or running aggregate must override both this and
+    /// [`Stage::restore`], or recovery silently resets it.
     fn state(&self) -> Result<Option<StageState>> {
         Ok(None)
     }
 
-    /// Restore state captured by [`Operator::state`] into this freshly
-    /// built, identically configured operator. The default (stateless)
+    /// Restore state captured by [`Stage::state`] into this freshly
+    /// built, identically configured stage. The default (stateless)
     /// implementation rejects any blob: receiving one means the snapshot
     /// was taken under a different pipeline configuration.
     fn restore(&mut self, _state: &StageState) -> Result<()> {
         Err(unexpected_state(self.name()))
     }
 
-    /// Whether this operator can participate in a checkpoint at all.
-    /// [`Operator::state`] answers "what is the state right now"; this
+    /// Whether this stage can participate in a checkpoint at all.
+    /// [`Stage::state`] answers "what is the state right now"; this
     /// answers the static question "does a serialized form exist".
-    /// Operators whose cross-epoch state has no serialized form (e.g.
+    /// Stages whose cross-epoch state has no serialized form (e.g.
     /// stages wrapping compiled queries) return `false`, so a durable
     /// deployment is rejected before any tuple flows (`E0804`) instead of
     /// failing at its first checkpoint.
@@ -170,15 +159,25 @@ pub trait Operator: Send {
         true
     }
 
-    /// Whether replaying this operator over identical input epochs
+    /// Whether replaying this stage over identical input epochs
     /// reproduces identical output — the replay half of the durability
-    /// contract, answered statically just like
-    /// [`Operator::checkpointable`]. Operators that read the wall clock,
-    /// iterate hash maps in observable order, or wrap opaque user code
-    /// must override this; a durable gateway rejects any tainted stage
-    /// at spawn time (`E0903`) instead of recovering to different bytes.
-    fn determinism(&self) -> esp_types::Determinism {
-        esp_types::Determinism::Deterministic
+    /// contract, answered statically just like [`Stage::checkpointable`].
+    /// Stages that read the wall clock, iterate hash maps in observable
+    /// order, or wrap opaque user code must override this; a durable
+    /// gateway rejects any tainted stage at spawn time (`E0903`) instead
+    /// of recovering to different bytes.
+    fn determinism(&self) -> Determinism {
+        Determinism::Deterministic
+    }
+
+    /// Static field-effect summary for the whole-pipeline dataflow
+    /// analyses (`esp-lint` E0901/E0902): which input columns the stage
+    /// reads, which output columns it writes (`None` = passthrough), and
+    /// whether it counts rows. The default is fully opaque — reads and
+    /// writes everything — which is always sound and merely disables
+    /// liveness-based findings for this stage.
+    fn field_effects(&self) -> FieldEffects {
+        FieldEffects::opaque()
     }
 }
 

@@ -1,208 +1,79 @@
-//! Generic building-block operators.
+//! Generic building-block stages.
 //!
-//! These are language-agnostic dataflow pieces; the query engine and the ESP
-//! stages compose or specialize them. The forwarding operators
-//! ([`PassThrough`], [`UnionOp`], [`MapOp`]) buffer an epoch's arrivals as
-//! one [`Payload`], chunks concatenated in arrival order; the per-tuple
-//! ones ([`FilterOp`], [`EpochFnOp`]) read rows and hand rows back.
+//! These are language-agnostic dataflow pieces that the ESP processor
+//! wires between its cleaning stages: [`MapOp`] transforms each chunk of
+//! an epoch's input, and [`UnionOp`] forwards it unchanged.
 
-use esp_types::{Batch, Chunk, Result, Ts, Tuple};
+use esp_types::{Chunk, Result, Ts};
 
-use crate::operator::{Operator, Payload};
-
-/// Forwards its input unchanged. Useful as a named junction point and in
-/// tests.
-#[derive(Default)]
-pub struct PassThrough {
-    buf: Payload,
-}
-
-impl PassThrough {
-    /// Create a pass-through operator.
-    pub fn new() -> PassThrough {
-        PassThrough::default()
-    }
-}
-
-impl Operator for PassThrough {
-    fn name(&self) -> &str {
-        "pass-through"
-    }
-
-    fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
-        self.buf.append(input);
-        Ok(())
-    }
-
-    fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
-        Ok(std::mem::take(&mut self.buf))
-    }
-}
-
-/// Per-tuple filter driven by a predicate closure.
-pub struct FilterOp<F> {
-    name: String,
-    pred: F,
-    buf: Batch,
-}
-
-impl<F: Fn(&Tuple) -> bool + Send> FilterOp<F> {
-    /// Create a filter retaining tuples for which `pred` returns true.
-    pub fn new(name: impl Into<String>, pred: F) -> FilterOp<F> {
-        FilterOp {
-            name: name.into(),
-            pred,
-            buf: Batch::new(),
-        }
-    }
-}
-
-impl<F: Fn(&Tuple) -> bool + Send> Operator for FilterOp<F> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
-        let pred = &self.pred;
-        self.buf
-            .extend(input.into_rows().into_iter().filter(|t| pred(t)));
-        Ok(())
-    }
-
-    fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
-        Ok(Payload::from(std::mem::take(&mut self.buf)))
-    }
-}
+use crate::operator::{Payload, Stage};
 
 /// Whole-chunk transform driven by a closure: each arriving chunk maps to
 /// a replacement (`None` drops it); returning an error aborts the epoch.
 pub struct MapOp<F> {
     name: String,
     f: F,
-    buf: Vec<Chunk>,
 }
 
 impl<F: Fn(Chunk) -> Result<Option<Chunk>> + Send> MapOp<F> {
-    /// Create a map/transform operator.
+    /// Create a map/transform stage.
     pub fn new(name: impl Into<String>, f: F) -> MapOp<F> {
         MapOp {
             name: name.into(),
             f,
-            buf: Vec::new(),
         }
     }
 }
 
-impl<F: Fn(Chunk) -> Result<Option<Chunk>> + Send> Operator for MapOp<F> {
+impl<F: Fn(Chunk) -> Result<Option<Chunk>> + Send> Stage for MapOp<F> {
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
+    fn process(&mut self, _epoch: Ts, input: Payload) -> Result<Payload> {
+        let mut out = Vec::with_capacity(input.chunks().len());
         for chunk in input.into_chunks() {
-            if let Some(out) = (self.f)(chunk)? {
-                self.buf.push(out);
+            if let Some(mapped) = (self.f)(chunk)? {
+                out.push(mapped);
             }
         }
-        Ok(())
-    }
-
-    fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
-        Ok(Payload::from(std::mem::take(&mut self.buf)))
+        Ok(Payload::from(out))
     }
 }
 
-/// N-way stream union. The paper's Arbitrate stage runs over "the union of
-/// the streams produced by Query 2" — this is that union. Arrivals are
-/// forwarded in arrival order.
-pub struct UnionOp {
-    n_inputs: usize,
-    buf: Payload,
-}
+/// Stream union. The paper's Arbitrate stage runs over "the union of the
+/// streams produced by Query 2" — this is that union. The runner already
+/// appends every upstream output into one input, in wiring order, so the
+/// union forwards its input unchanged; it exists as the fan-in node that
+/// names the junction.
+#[derive(Default)]
+pub struct UnionOp;
 
 impl UnionOp {
-    /// Create a union over `n_inputs` streams.
-    pub fn new(n_inputs: usize) -> UnionOp {
-        UnionOp {
-            n_inputs,
-            buf: Payload::empty(),
-        }
+    /// Create a union; its inputs are whatever the dataflow wires to it.
+    pub fn new() -> UnionOp {
+        UnionOp
     }
 }
 
-impl Operator for UnionOp {
+impl Stage for UnionOp {
     fn name(&self) -> &str {
         "union"
     }
 
-    fn n_inputs(&self) -> usize {
-        self.n_inputs
-    }
-
-    fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
-        self.buf.append(input);
-        Ok(())
-    }
-
-    fn flush(&mut self, _epoch: Ts) -> Result<Payload> {
-        Ok(std::mem::take(&mut self.buf))
-    }
-}
-
-/// Wraps an arbitrary epoch function: buffers the epoch's input, then emits
-/// `f(epoch, input)`. This is the adapter ESP uses for stages implemented
-/// as "arbitrary code" (paper §3.3).
-pub struct EpochFnOp<F> {
-    name: String,
-    f: F,
-    buf: Batch,
-}
-
-impl<F: FnMut(Ts, Vec<Tuple>) -> Result<Batch> + Send> EpochFnOp<F> {
-    /// Create an operator from an epoch-level function.
-    pub fn new(name: impl Into<String>, f: F) -> EpochFnOp<F> {
-        EpochFnOp {
-            name: name.into(),
-            f,
-            buf: Batch::new(),
-        }
-    }
-}
-
-impl<F: FnMut(Ts, Vec<Tuple>) -> Result<Batch> + Send> Operator for EpochFnOp<F> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn push(&mut self, _port: usize, input: Payload) -> Result<()> {
-        self.buf.extend(input.into_rows());
-        Ok(())
-    }
-
-    fn flush(&mut self, epoch: Ts) -> Result<Payload> {
-        (self.f)(epoch, std::mem::take(&mut self.buf)).map(Payload::from)
+    fn process(&mut self, _epoch: Ts, input: Payload) -> Result<Payload> {
+        Ok(input)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_types::{DataType, Schema, Value};
+    use esp_types::{DataType, Schema, Tuple, Value};
 
     fn tup(v: i64) -> Tuple {
         let schema = Schema::builder().field("v", DataType::Int).build().unwrap();
         Tuple::new(schema, Ts::ZERO, vec![Value::Int(v)]).unwrap()
-    }
-
-    #[test]
-    fn filter_drops_non_matching() {
-        let mut f = FilterOp::new("evens", |t: &Tuple| t.value(0).as_i64().unwrap() % 2 == 0);
-        f.push(0, vec![tup(1), tup(2), tup(3), tup(4)].into())
-            .unwrap();
-        let out = f.flush(Ts::ZERO).unwrap();
-        assert_eq!(out.len(), 2);
-        // Flush drains: second flush is empty.
-        assert!(f.flush(Ts::ZERO).unwrap().is_empty());
     }
 
     #[test]
@@ -219,8 +90,9 @@ mod tests {
             let kept = c.filter(&keep)?;
             Ok((!kept.is_empty()).then_some(kept))
         });
-        m.push(0, vec![chunk(&[4, 3]), chunk(&[1])].into()).unwrap();
-        let out = m.flush(Ts::ZERO).unwrap();
+        let out = m
+            .process(Ts::ZERO, vec![chunk(&[4, 3]), chunk(&[1])].into())
+            .unwrap();
         assert_eq!(out.chunks().len(), 1);
         assert_eq!(values(out), vec![4]);
     }
@@ -230,35 +102,18 @@ mod tests {
         let mut m = MapOp::new("boom", |_c: Chunk| -> Result<Option<Chunk>> {
             Err(esp_types::EspError::Stage("boom".into()))
         });
-        assert!(m.push(0, vec![tup(1)].into()).is_err());
+        assert!(m.process(Ts::ZERO, vec![tup(1)].into()).is_err());
     }
 
     #[test]
     fn union_merges_ports() {
-        let mut u = UnionOp::new(3);
-        assert_eq!(u.n_inputs(), 3);
-        u.push(0, vec![tup(1)].into()).unwrap();
-        u.push(2, vec![tup(2), tup(3)].into()).unwrap();
-        u.push(1, Payload::empty()).unwrap();
-        assert_eq!(u.flush(Ts::ZERO).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn epoch_fn_sees_whole_epoch() {
-        let mut op = EpochFnOp::new("count", |epoch: Ts, input: Vec<Tuple>| {
-            let schema = Schema::builder().field("n", DataType::Int).build().unwrap();
-            Ok(vec![Tuple::new(
-                schema,
-                epoch,
-                vec![Value::Int(input.len() as i64)],
-            )
-            .unwrap()])
-        });
-        op.push(0, vec![tup(1), tup(2)].into()).unwrap();
-        op.push(0, vec![tup(3)].into()).unwrap();
-        let out = op.flush(Ts::from_secs(1)).unwrap().into_rows();
-        assert_eq!(out[0].value(0), &Value::Int(3));
-        assert_eq!(out[0].ts(), Ts::from_secs(1));
+        // The runner hands the union every port's output appended in
+        // wiring order; the union passes that payload through.
+        let mut input = Payload::from(vec![tup(1)]);
+        input.append(Payload::from(vec![tup(2), tup(3)]));
+        input.append(Payload::empty());
+        let out = UnionOp::new().process(Ts::ZERO, input).unwrap();
+        assert_eq!(values(out), vec![1, 2, 3]);
     }
 
     fn chunk(vals: &[i64]) -> Chunk {
@@ -275,19 +130,23 @@ mod tests {
 
     #[test]
     fn all_chunk_epoch_stays_columnar_and_mixed_epoch_keeps_arrival_order() {
-        let mut u = UnionOp::new(2);
-        u.push(0, vec![chunk(&[1, 2])].into()).unwrap();
-        u.push(1, vec![chunk(&[3])].into()).unwrap();
-        let out = u.flush(Ts::ZERO).unwrap();
+        let mut u = UnionOp::new();
+        let mut input = Payload::from(vec![chunk(&[1, 2])]);
+        input.append(vec![chunk(&[3])].into());
+        let out = u.process(Ts::ZERO, input).unwrap();
         assert_eq!(out.chunks().len(), 2, "chunks are forwarded, not re-cut");
         assert_eq!(values(out), vec![1, 2, 3]);
         // Rows converted at the boundary interleave with chunk arrivals in
         // arrival order.
-        u.push(0, vec![tup(1)].into()).unwrap();
-        u.push(1, vec![chunk(&[2])].into()).unwrap();
-        u.push(0, vec![tup(3)].into()).unwrap();
-        assert_eq!(values(u.flush(Ts::ZERO).unwrap()), vec![1, 2, 3]);
-        // Nothing buffered: an empty payload.
-        assert!(u.flush(Ts::ZERO).unwrap().chunks().is_empty());
+        let mut input = Payload::from(vec![tup(1)]);
+        input.append(vec![chunk(&[2])].into());
+        input.append(vec![tup(3)].into());
+        assert_eq!(values(u.process(Ts::ZERO, input).unwrap()), vec![1, 2, 3]);
+        // No input: an empty payload.
+        assert!(u
+            .process(Ts::ZERO, Payload::empty())
+            .unwrap()
+            .chunks()
+            .is_empty());
     }
 }

@@ -1,23 +1,28 @@
-//! Checkpointable operator state.
+//! Stage state captured at epoch boundaries.
 //!
 //! Epoch-aligned checkpointing (see `esp-durability`) snapshots a
-//! pipeline by asking every operator for its state *at an epoch
+//! pipeline by asking every stage for its state *at an epoch
 //! boundary* — the only instant the dataflow is quiescent: between two
-//! [`EpochRunner::step`](crate::EpochRunner::step) calls every operator
-//! has flushed and no payload is in flight. That alignment is what makes a snapshot plus a WAL-suffix replay
-//! byte-identical to an uninterrupted run.
+//! [`EpochRunner::step`](crate::EpochRunner::step) calls every stage
+//! has processed its epoch and no payload is in flight. That alignment
+//! is what makes a snapshot plus a WAL-suffix replay byte-identical to
+//! an uninterrupted run.
 //!
 //! State is an opaque byte blob ([`StageState`]) encoded with the
-//! [`esp_types::snap`] codec. Operators and stages with no cross-epoch
-//! state simply report `None` (the default); anything holding a window
-//! buffer, running aggregate, or candidate set overrides
-//! [`Checkpointable::state`]/[`Checkpointable::restore`].
+//! [`esp_types::snap`] codec. Stages with no cross-epoch state simply
+//! report `None` (the default); anything holding a window buffer,
+//! running aggregate, or candidate set overrides
+//! [`Stage::state`](crate::Stage::state)/[`Stage::restore`](crate::Stage::restore).
+//! Restoring into a freshly built, identically configured stage and
+//! feeding it the same inputs must produce byte-identical output to the
+//! original: recovery correctness reduces to this per-stage property plus
+//! WAL replay ordering.
 
-use esp_types::{EspError, Result};
+use esp_types::EspError;
 
-/// Serialized cross-epoch state of one operator or stage.
+/// Serialized cross-epoch state of one stage.
 ///
-/// The blob is produced and consumed by the same operator type; the
+/// The blob is produced and consumed by the same stage type; the
 /// snapshot layer never interprets it beyond storing and checksumming.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StageState(pub Vec<u8>);
@@ -27,23 +32,6 @@ impl StageState {
     pub fn bytes(&self) -> &[u8] {
         &self.0
     }
-}
-
-/// Anything whose cross-epoch state can be captured at an epoch boundary
-/// and later restored into a freshly-built instance.
-///
-/// The contract: `restore` on a newly constructed value (same
-/// configuration) followed by the same inputs must produce byte-identical
-/// output to the original instance — recovery correctness reduces to
-/// this per-operator property plus WAL replay ordering.
-pub trait Checkpointable {
-    /// Capture state at an epoch boundary. `None` means "stateless":
-    /// nothing survives across epochs and restore is a no-op.
-    fn state(&self) -> Result<Option<StageState>>;
-
-    /// Restore previously captured state into this (freshly built,
-    /// identically configured) instance.
-    fn restore(&mut self, state: &StageState) -> Result<()>;
 }
 
 /// The error a stateless-by-default implementation raises when handed a

@@ -32,8 +32,6 @@ use std::sync::{Arc, OnceLock};
 
 use esp_types::{chunk_batch, snap, Chunk, EspError, Result, Schema, TimeDelta, Ts, Tuple, Value};
 
-use crate::state::{Checkpointable, StageState};
-
 /// Process-wide chunk-vs-row path hit counters, registered once in
 /// [`esp_obs::global`]. Window buffers are plentiful and short-lived
 /// handles would churn the registry lock, so the counters are resolved
@@ -330,24 +328,26 @@ impl WindowBuffer {
     }
 }
 
-impl Checkpointable for WindowBuffer {
-    fn state(&self) -> Result<Option<StageState>> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        Ok(Some(StageState(out)))
-    }
-
-    fn restore(&mut self, state: &StageState) -> Result<()> {
-        let mut cur = snap::Cursor::new(state.bytes());
-        self.restore_from(&mut cur)?;
-        cur.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::StageState;
     use esp_types::{registry, DataType, Schema, Value};
+
+    /// A whole-blob checkpoint of one buffer, the way a stage embeds it.
+    impl WindowBuffer {
+        fn state(&self) -> Result<Option<StageState>> {
+            let mut out = Vec::new();
+            self.encode_into(&mut out);
+            Ok(Some(StageState(out)))
+        }
+
+        fn restore(&mut self, state: &StageState) -> Result<()> {
+            let mut cur = snap::Cursor::new(state.bytes());
+            self.restore_from(&mut cur)?;
+            cur.finish()
+        }
+    }
 
     fn tup(ts_ms: u64, v: i64) -> Tuple {
         let schema = Schema::builder().field("v", DataType::Int).build().unwrap();

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use esp_stream::ops::{FilterOp, MapOp, PassThrough, UnionOp};
+use esp_stream::ops::{MapOp, UnionOp};
 use esp_stream::{Dataflow, EpochRunner, NodeId, ScriptedSource, TapId};
 use esp_types::{Batch, Chunk, DataType, Result, Schema, TimeDelta, Ts, Tuple, Value};
 
@@ -16,7 +16,7 @@ use esp_types::{Batch, Chunk, DataType, Result, Schema, TimeDelta, Ts, Tuple, Va
 struct DagSpec {
     /// Per-source scripts: values per epoch.
     sources: Vec<Vec<Vec<i64>>>,
-    /// Operator layer: each entry wires a new node.
+    /// Stage layer: each entry wires a new node.
     ops: Vec<OpSpec>,
     n_epochs: u64,
 }
@@ -32,7 +32,7 @@ enum OpSpec {
     },
     /// Union of 2–3 existing nodes.
     Union { inputs: Vec<usize> },
-    /// Pass-through of one node.
+    /// Pass-through of one node: a one-input union.
     Pass { input: usize },
     /// Whole-chunk map of one node: keeps its even values through the
     /// mask-filter kernel and drops chunks left empty.
@@ -50,16 +50,18 @@ fn tuple(ts: Ts, v: i64) -> Tuple {
     Tuple::new_unchecked(schema, ts, vec![Value::Int(v)])
 }
 
-fn keep_evens(c: Chunk) -> Result<Option<Chunk>> {
+/// Keep the rows whose value satisfies `pred`, dropping a chunk left
+/// empty.
+fn keep_where(c: Chunk, pred: impl Fn(i64) -> bool) -> Result<Option<Chunk>> {
     let keep: Vec<bool> = (0..c.len())
-        .map(|i| {
-            c.value_at(i, 0)
-                .and_then(|v| v.as_i64())
-                .is_some_and(|v| v % 2 == 0)
-        })
+        .map(|i| c.value_at(i, 0).and_then(|v| v.as_i64()).is_some_and(&pred))
         .collect();
     let kept = c.filter(&keep)?;
     Ok((!kept.is_empty()).then_some(kept))
+}
+
+fn keep_evens(c: Chunk) -> Result<Option<Chunk>> {
+    keep_where(c, |v| v % 2 == 0)
 }
 
 fn build(spec: &DagSpec) -> (Dataflow, Vec<TapId>) {
@@ -94,8 +96,8 @@ fn build_tapped(spec: &DagSpec, tapped: impl Fn(usize) -> bool) -> (Dataflow, Ve
             } => {
                 let (m, r) = (*modulus, *residue);
                 df.add_operator(
-                    Box::new(FilterOp::new("f", move |t: &Tuple| {
-                        t.value(0).as_i64().unwrap().rem_euclid(m) == r
+                    Box::new(MapOp::new("f", move |c: Chunk| {
+                        keep_where(c, |v| v.rem_euclid(m) == r)
                     })),
                     &[nodes[input % nodes.len()]],
                 )
@@ -103,11 +105,10 @@ fn build_tapped(spec: &DagSpec, tapped: impl Fn(usize) -> bool) -> (Dataflow, Ve
             }
             OpSpec::Union { inputs } => {
                 let ins: Vec<NodeId> = inputs.iter().map(|i| nodes[i % nodes.len()]).collect();
-                df.add_operator(Box::new(UnionOp::new(ins.len())), &ins)
-                    .unwrap()
+                df.add_operator(Box::new(UnionOp::new()), &ins).unwrap()
             }
             OpSpec::Pass { input } => df
-                .add_operator(Box::new(PassThrough::new()), &[nodes[input % nodes.len()]])
+                .add_operator(Box::new(UnionOp::new()), &[nodes[input % nodes.len()]])
                 .unwrap(),
             OpSpec::Map { input } => df
                 .add_operator(
@@ -128,7 +129,7 @@ fn build_tapped(spec: &DagSpec, tapped: impl Fn(usize) -> bool) -> (Dataflow, Ve
 
 /// Evaluate the spec directly: `out[node][epoch]` is the node's values
 /// that epoch. Filter keeps `v mod m == r`, union concatenates its
-/// inputs in port order, pass is the identity, map keeps even values; a
+/// inputs in wiring order, pass is the identity, map keeps even values; a
 /// source emits its script entry for the epoch, or nothing past the
 /// script's end.
 fn oracle(spec: &DagSpec) -> Vec<Vec<Vec<i64>>> {
@@ -213,14 +214,14 @@ proptest! {
         let mut runner = EpochRunner::new(df);
         runner.run(Ts::ZERO, TimeDelta::from_millis(PERIOD_MS), spec.n_epochs).unwrap();
         prop_assert_eq!(taps.len(), expected.len());
-        for (tap, want) in taps.iter().zip(&expected) {
+        for (node, (tap, want)) in taps.iter().zip(&expected).enumerate() {
             let got = runner.take_tap(*tap);
             prop_assert_eq!(got.len(), want.len());
             for (e, ((ts, batch), vals)) in got.iter().zip(want).enumerate() {
                 let ets = epoch_ts(e as u64);
                 prop_assert_eq!(*ts, ets);
                 let want_batch: Batch = vals.iter().map(|v| tuple(ets, *v)).collect();
-                prop_assert_eq!(batch, &want_batch, "divergence at tap {} epoch {}", tap.index(), ets);
+                prop_assert_eq!(batch, &want_batch, "divergence at tap {} epoch {}", node, ets);
             }
         }
     }

@@ -43,11 +43,6 @@ impl Ts {
         self.0 as f64 / 1_000.0
     }
 
-    /// Saturating difference between two timestamps.
-    pub fn delta_since(self, earlier: Ts) -> TimeDelta {
-        TimeDelta(self.0.saturating_sub(earlier.0))
-    }
-
     /// The earliest timestamp still inside a window of width `w` ending at
     /// (and including) `self`. Saturates at the origin.
     pub fn window_start(self, w: TimeDelta) -> Ts {

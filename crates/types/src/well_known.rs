@@ -28,8 +28,6 @@ pub const TEMP: &str = "temp";
 pub const NOISE: &str = "noise";
 /// X10 event value field (the string `"ON"`).
 pub const VALUE: &str = "value";
-/// Generic aggregate-count output field.
-pub const COUNT: &str = "count";
 /// Battery/supply voltage field (volts) — correlates with temperature via
 /// battery chemistry, which model-based cleaning (BBQ-style, paper §6.3.1)
 /// exploits for cross-sensor outlier detection.

@@ -3,8 +3,9 @@
 
 use std::sync::Arc;
 
+use esp_core::DeclarativeStage;
 use esp_query::aggregate::{AggregateFactory, AggregateState};
-use esp_query::{Engine, QueryOperator};
+use esp_query::Engine;
 use esp_stream::{Dataflow, EpochRunner, ScriptedSource};
 use esp_types::{
     well_known, Batch, DataType, EspError, Result, Schema, TimeDelta, Ts, Tuple, TupleBuilder,
@@ -34,7 +35,7 @@ fn query_operator_runs_inside_a_dataflow() {
     let src = df.add_source(Box::new(ScriptedSource::new("reader", script)));
     let op = df
         .add_operator(
-            Box::new(QueryOperator::single_input("smooth", q).unwrap()),
+            Box::new(DeclarativeStage::new("smooth", q).unwrap()),
             &[src],
         )
         .unwrap();
@@ -166,7 +167,7 @@ fn user_defined_aggregate_median() {
 #[test]
 fn union_of_smoothed_streams_feeds_arbitrate_query() {
     // The paper runs Arbitrate "over the union of the streams produced by
-    // Query 2" — two QueryOperators unioned into a third inside one
+    // Query 2" — two declarative stages unioned into a third inside one
     // dataflow.
     let engine = Engine::new();
     let smooth_sql = "SELECT spatial_granule, tag_id, count(*) \
@@ -212,8 +213,7 @@ fn union_of_smoothed_streams_feeds_arbitrate_query() {
     let q0 = df
         .add_operator(
             Box::new(
-                QueryOperator::single_input("smooth0", engine.compile(smooth_sql).unwrap())
-                    .unwrap(),
+                DeclarativeStage::new("smooth0", engine.compile(smooth_sql).unwrap()).unwrap(),
             ),
             &[s0],
         )
@@ -221,20 +221,17 @@ fn union_of_smoothed_streams_feeds_arbitrate_query() {
     let q1 = df
         .add_operator(
             Box::new(
-                QueryOperator::single_input("smooth1", engine.compile(smooth_sql).unwrap())
-                    .unwrap(),
+                DeclarativeStage::new("smooth1", engine.compile(smooth_sql).unwrap()).unwrap(),
             ),
             &[s1],
         )
         .unwrap();
     let union = df
-        .add_operator(Box::new(esp_stream::ops::UnionOp::new(2)), &[q0, q1])
+        .add_operator(Box::new(esp_stream::ops::UnionOp::new()), &[q0, q1])
         .unwrap();
     let arb = df
         .add_operator(
-            Box::new(
-                QueryOperator::single_input("arbitrate", engine.compile(arb_sql).unwrap()).unwrap(),
-            ),
+            Box::new(DeclarativeStage::new("arbitrate", engine.compile(arb_sql).unwrap()).unwrap()),
             &[union],
         )
         .unwrap();
