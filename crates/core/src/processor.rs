@@ -316,19 +316,9 @@ impl EspProcessor {
         self.runner.take_tap(self.tap)
     }
 
-    /// Names of stages in this cascade that can never be checkpointed
-    /// ([`Stage::checkpointable`](crate::Stage::checkpointable) is
-    /// `false`). A durable gateway refuses to spawn over a non-empty
-    /// answer (`E0804`) — otherwise it would run fine until its first
-    /// checkpoint and only then fail at runtime.
-    pub fn non_checkpointable_stages(&self) -> Vec<String> {
-        self.runner.non_checkpointable()
-    }
-
     /// Names and causes of stages in this cascade whose replay is not
     /// reproducible ([`Stage::determinism`](crate::Stage::determinism)
-    /// reports taint) — the replay half of the durability contract,
-    /// companion to [`EspProcessor::non_checkpointable_stages`]. A
+    /// reports taint) — the replay half of the durability contract. A
     /// durable gateway refuses to spawn over a non-empty answer
     /// (`E0903`): recovery replays the WAL, and a tainted stage would
     /// recover to different bytes.

@@ -15,7 +15,7 @@
 
 use esp_query::ContinuousQuery;
 use esp_stream::{Payload, StageState};
-use esp_types::{Batch, Determinism, EspError, FieldEffects, Result, Ts, Tuple};
+use esp_types::{Batch, Determinism, FieldEffects, Result, Ts, Tuple};
 
 pub use esp_stream::Stage;
 
@@ -62,23 +62,13 @@ impl Stage for DeclarativeStage {
     }
 
     fn state(&self) -> Result<Option<StageState>> {
-        // The compiled query's window state lives inside the engine and
-        // has no serial form yet. Failing the checkpoint is honest;
-        // pretending the stage is stateless would make recovery silently
-        // wrong. Deployments that need durability use the built-in
-        // stages, whose state round-trips exactly. `checkpointable()`
-        // below reports this statically, so a durable gateway never gets
-        // here (E0804 rejects it at spawn); this error is the backstop
-        // for anyone driving checkpoints by hand.
-        Err(EspError::Snapshot(format!(
-            "declarative stage '{}' cannot be checkpointed: compiled-query window state \
-             has no serialized form",
-            self.name
-        )))
+        let mut out = Vec::new();
+        self.query.encode_state(&mut out);
+        Ok(Some(StageState(out)))
     }
 
-    fn checkpointable(&self) -> bool {
-        false
+    fn restore(&mut self, state: &StageState) -> Result<()> {
+        self.query.restore_state(state.bytes())
     }
 
     fn determinism(&self) -> Determinism {
@@ -271,20 +261,36 @@ mod tests {
     }
 
     #[test]
-    fn declarative_stage_is_not_checkpointable() {
+    fn declarative_stage_state_round_trips() {
         let engine = Engine::new();
-        let q = engine
-            .compile("SELECT tag_id FROM s [Range By '5 sec']")
-            .unwrap();
-        let stage = DeclarativeStage::new("q", q).unwrap();
-        assert!(!stage.checkpointable());
-        assert!(stage.state().is_err(), "runtime backstop still errors");
-        // The static flag reaches the runner, which is what the gateway's
-        // spawn-time E0804 probe actually consults.
-        assert_eq!(runner_of(Box::new(stage)).non_checkpointable(), vec!["q"]);
-        // Ordinary stages stay checkpointable by default.
-        let plain = FnStage::per_tuple("id", |t| Ok(Some(t.clone())));
-        assert!(plain.checkpointable());
+        let stage = || {
+            let q = engine
+                .compile("SELECT tag_id, count(*) FROM s [Range By '5 sec'] GROUP BY tag_id")
+                .unwrap();
+            DeclarativeStage::new("q", q).unwrap()
+        };
+        let mut live = stage();
+        for (t, tag) in [(0, "a"), (1, "b"), (2, "a")] {
+            live.process_rows(Ts::from_secs(t), vec![rfid(Ts::from_secs(t), tag)])
+                .unwrap();
+        }
+        let blob = live.state().unwrap().expect("a CQL stage has state");
+        let mut restored = stage();
+        restored.restore(&blob).unwrap();
+        assert_eq!(restored.state().unwrap().unwrap(), blob, "re-encodes alike");
+        for t in 3..9 {
+            let epoch = Ts::from_secs(t);
+            assert_eq!(
+                restored.process_rows(epoch, vec![]).unwrap(),
+                live.process_rows(epoch, vec![]).unwrap(),
+                "epoch {t}"
+            );
+        }
+        // The runner checkpoints it like any other stage.
+        assert!(!runner_of(Box::new(live))
+            .snapshot_state()
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! that type-check fine and only bite at recovery time: a checkpoint
 //! interval that never aligns with an epoch boundary simply never fires,
 //! a WAL retention shorter than the permitted lateness can reclaim input
-//! a late reading still needs, keeping zero snapshots silently degrades
-//! every recovery to a full-log replay, and a stage without a serialized
-//! state form runs fine until the first checkpoint and then dies. Those
-//! defects get stable diagnostic codes (`E0801`–`E0804`) so `esp-lint`
-//! rejects them before any tuple flows.
+//! a late reading still needs, and keeping zero snapshots silently
+//! degrades every recovery to a full-log replay. Those defects get stable
+//! diagnostic codes (`E0801`–`E0803`) so `esp-lint` rejects them before
+//! any tuple flows.
 
 use std::path::{Path, PathBuf};
 
@@ -171,8 +170,7 @@ pub struct DurabilitySectionSpec {
 ///     "max_snapshots": 4
 ///   },
 ///   "epoch_period": "500 ms",
-///   "max_lateness": "100 ms",
-///   "stages": ["point", "smooth", "merge"]
+///   "max_lateness": "100 ms"
 /// }
 /// ```
 #[derive(Debug, Clone)]
@@ -183,13 +181,6 @@ pub struct DurabilitySpec {
     pub epoch_period: String,
     /// The gateway's permitted lateness, if any.
     pub max_lateness: Option<String>,
-    /// Stage kinds of the cascade this configuration will persist — the
-    /// one-key names of deployment stages (`"point"`, `"smooth"`,
-    /// `"merge"`, `"arbitrate"`, `"virtualize"`, `"declarative"`).
-    /// Optional; when present, kinds that cannot be checkpointed are
-    /// rejected (`E0804`). `Gateway::spawn` enforces the same invariant
-    /// at runtime against the real stage instances.
-    pub stages: Option<Vec<String>>,
 }
 
 fn req<T: Deserialize>(v: &Json, key: &str) -> std::result::Result<T, DeError> {
@@ -227,7 +218,6 @@ impl Deserialize for DurabilitySpec {
             durability: req(v, "durability")?,
             epoch_period: req(v, "epoch_period")?,
             max_lateness: opt(v, "max_lateness")?,
-            stages: opt(v, "stages")?,
         })
     }
 }
@@ -269,23 +259,6 @@ impl DurabilitySpec {
                 config = config.segment_size(bytes);
             }
             diags.extend(config.validate(period, lateness));
-        }
-        if let Some(stages) = &self.stages {
-            for kind in stages {
-                if kind == "declarative" {
-                    diags.push(
-                        Diagnostic::error(
-                            "E0804",
-                            "a declarative (compiled-query) stage cannot be checkpointed",
-                        )
-                        .with_note(
-                            "its window state has no serialized form, so a durable gateway \
-                             would run until the first checkpoint fires and then fail at \
-                             runtime; use built-in stages or drop the durability section",
-                        ),
-                    );
-                }
-            }
         }
         esp_types::diag::sort_diagnostics(&mut diags);
         diags
@@ -383,7 +356,9 @@ mod tests {
     }
 
     #[test]
-    fn declarative_stage_kind_is_e0804() {
+    fn stage_list_is_no_longer_a_durability_fact() {
+        // Every stage kind checkpoints, so a document still listing the
+        // cascade's stages (declarative ones included) lints clean.
         let json = r#"{
             "durability": {
                 "dir": "d",
@@ -395,12 +370,7 @@ mod tests {
             "max_lateness": "100 ms",
             "stages": ["point", "declarative", "smooth"]
         }"#;
-        let diags = DurabilitySpec::from_json(json).unwrap().lint();
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "E0804");
-        // The same knobs without the declarative stage lint clean.
-        let json = json.replace(r#""declarative", "#, "");
-        assert!(DurabilitySpec::from_json(&json).unwrap().lint().is_empty());
+        assert!(DurabilitySpec::from_json(json).unwrap().lint().is_empty());
     }
 
     #[test]

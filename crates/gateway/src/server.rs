@@ -408,34 +408,15 @@ impl Gateway {
 
             let pipeline = pipeline_factory(shard);
             if durable.is_some() {
-                // Probe-build the shard's cascade to ask the static half
-                // of the durability contract: every stage must have a
-                // serialized state form, or the gateway would run fine
-                // until the first checkpoint fires and then die at
-                // runtime. Cheap (single-threaded build, no I/O) and only
+                // Probe-build the shard's cascade to ask the replay half
+                // of the durability contract: recovery replays the WAL,
+                // so a stage whose output is not a pure function of its
+                // input would recover to different bytes. Rejected here,
+                // at spawn — failing at the first recovery would be far
+                // worse. Cheap (single-threaded build, no I/O) and only
                 // paid when durability is on; the worker rebuilds from
                 // the same factories on startup anyway.
                 let (probe, _buffers) = crate::worker::build_shard(&shard_groups, &pipeline)?;
-                let bad = probe.non_checkpointable_stages();
-                if !bad.is_empty() {
-                    return Err(EspError::Invalid(vec![Diagnostic::error(
-                        "E0804",
-                        format!(
-                            "durable gateway pipeline contains stage(s) that cannot be \
-                             checkpointed: {}",
-                            bad.join(", ")
-                        ),
-                    )
-                    .with_note(
-                        "declarative (compiled-query) stages have no serialized window \
-                         state; use the built-in stages or run without durability",
-                    )]));
-                }
-                // The replay half of the same contract: recovery replays
-                // the WAL, so a stage whose output is not a pure function
-                // of its input would recover to different bytes. Rejected
-                // here, at spawn, for the same reason E0804 is — failing
-                // at the first recovery would be far worse.
                 let tainted = probe.nondeterministic_stages();
                 if !tainted.is_empty() {
                     let detail = tainted
@@ -1216,12 +1197,12 @@ mod tests {
     }
 
     #[test]
-    fn spawn_rejects_durable_declarative_stage_with_e0804() {
-        let dir = std::env::temp_dir().join(format!("esp-e0804-{}", std::process::id()));
+    fn spawn_accepts_durable_declarative_stage() {
+        let dir = std::env::temp_dir().join(format!("esp-durable-cql-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut config = GatewayConfig::new(vec![group("g", &[0])]);
         config.durability = Some(DurabilityConfig::new(&dir));
-        let result = Gateway::spawn(config, |_| {
+        let gateway = Gateway::spawn(config, |_| {
             esp_core::Pipeline::builder()
                 .per_receptor("q", |_| {
                     let q = esp_query::Engine::new()
@@ -1230,17 +1211,9 @@ mod tests {
                 })
                 .build()
         });
+        let killed = gateway.map(Gateway::kill);
         let _ = std::fs::remove_dir_all(&dir);
-        match result {
-            Err(EspError::Invalid(diags)) => {
-                assert!(
-                    diags.iter().any(|d| d.code == "E0804" && d.is_error()),
-                    "{diags:?}"
-                )
-            }
-            Err(other) => panic!("expected Invalid, got {other}"),
-            Ok(_) => panic!("expected Invalid, got a running gateway"),
-        }
+        killed.unwrap().unwrap();
     }
 
     #[test]

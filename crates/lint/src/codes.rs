@@ -26,7 +26,8 @@ pub struct CodeInfo {
 /// runner they described, and `E0401`–`E0406` (cycle, dangling output, no
 /// taps, zero-input operator, fan-in mismatch, dangling edge) with the
 /// graph checker that emitted them: an append-only `Dataflow` can
-/// represent none of those defects.
+/// represent none of those defects. `E0804` (declarative stage cannot be
+/// checkpointed) went when compiled queries gained a state form.
 pub static CODES: &[CodeInfo] = &[
     CodeInfo {
         code: "E0001",
@@ -223,15 +224,6 @@ pub static CODES: &[CodeInfo] = &[
                       first reclamation would delete the only recovery point.",
     },
     CodeInfo {
-        code: "E0804",
-        title: "declarative stage cannot be checkpointed",
-        explanation: "A declarative (compiled-query) stage sits under a durable \
-                      gateway, but compiled query state is not checkpointable; \
-                      recovery would silently drop its window contents. The suggested \
-                      (not auto-applied) repair removes the stage from the durability \
-                      contract.",
-    },
-    CodeInfo {
         code: "E0901",
         title: "dead computed column",
         explanation: "Whole-pipeline liveness analysis found a computed column no \
@@ -319,6 +311,6 @@ mod tests {
     fn catalog_has_all_known_families() {
         // One entry per code the emitters use; grow this list when a new
         // family lands.
-        assert_eq!(CODES.len(), 34);
+        assert_eq!(CODES.len(), 33);
     }
 }

@@ -185,28 +185,6 @@ pub(crate) fn durable_false_suggestion(source: &str) -> Option<Suggestion> {
     ))
 }
 
-/// `E0804`: a declarative stage in a durability document's `stages`
-/// list. Removing the stage changes the pipeline, so the flag is
-/// [`Applicability::MaybeIncorrect`]; the span covers the offending
-/// list entry (with its leading comma, when present) so the repair is
-/// one deletion.
-pub(crate) fn declarative_stage_suggestion(source: &str) -> Option<Suggestion> {
-    let needle = "\"declarative\"";
-    let offset = source.find(needle)?;
-    // Extend left over a separating comma so the list stays valid JSON.
-    let mut start = offset;
-    let head = source[..offset].trim_end();
-    if head.ends_with(',') {
-        start = head.len() - 1;
-    }
-    Some(Suggestion::new(
-        "remove the non-checkpointable declarative stage from the durability contract",
-        Span::new(start, offset + needle.len()),
-        "",
-        Applicability::MaybeIncorrect,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

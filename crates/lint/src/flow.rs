@@ -1,27 +1,18 @@
-//! Whole-pipeline fixpoint dataflow analysis — the `E09xx` family.
+//! Whole-pipeline dataflow analysis — the `E09xx` family.
 //!
 //! The E01xx–E08xx passes each examine one artifact in isolation: a
 //! query, a granule, a group, a gateway knob. This module reasons about
 //! the *composition*: facts that only become visible when stage effects
-//! are propagated across the whole cascade. Four analyses run on one
-//! generic monotone-framework engine ([`fixpoint`]):
+//! are propagated across the whole cascade. A deployment's cascade is a
+//! chain, so each analysis is one fold over the stage list:
 //!
-//! | code | direction | lattice | defect |
-//! |------|-----------|---------|--------|
+//! | code | direction | fact | defect |
+//! |------|-----------|------|--------|
 //! | `E0901` | backward | live-column sets | a column computed by a stage is never read downstream |
 //! | `E0902` | backward | live-column sets | a receptor stream feeds nothing that reaches an output |
 //! | `E0903` | forward | boolean taint | a nondeterministic stage inside a durability-enabled gateway voids replay |
-//! | `E0904` | forward | max window-path sum | the admitted lateness exceeds (or mis-aligns with) the cascade's total window depth |
+//! | `E0904` | forward | window-depth sum | the admitted lateness exceeds (or mis-aligns with) the cascade's total window depth |
 //! | `E0905` | forward | per-column cardinality bounds | retained aggregation state is statically unbounded, or overcommits the gateway edge capacity |
-//!
-//! The engine is the textbook worklist algorithm over a join-semilattice:
-//! facts start at ⊥, transfer functions are monotone, and iteration runs
-//! to the least fixpoint (with a hard iteration cap as a termination
-//! backstop for non-monotone transfers or adversarial graphs — the
-//! linter must terminate on any input). On the acyclic graphs ESP
-//! deployments produce, all transfers used here are distributive, so the
-//! computed MFP solution coincides with the meet-over-all-paths answer
-//! (the property the proptest suite checks against brute force).
 //!
 //! `E0901`/`E0902` consume the per-stage [`FieldEffects`] summaries that
 //! the `Stage` trait and the query compiler export; `E0903` consumes
@@ -32,7 +23,7 @@
 //! knobs it will run under, so cross-layer budgets can be checked before
 //! anything runs.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{value::Value as Json, DeError, Deserialize};
 
@@ -40,180 +31,6 @@ use esp_core::deploy::{DeploymentSpec, StageSpec};
 use esp_query::Engine;
 use esp_types::diag::sort_diagnostics;
 use esp_types::{well_known, DataType, Determinism, Diagnostic, FieldEffects, Span, TimeDelta};
-
-// ---------------------------------------------------------------------------
-// The generic engine
-// ---------------------------------------------------------------------------
-
-/// A join-semilattice of dataflow facts.
-///
-/// `bottom()` is the identity of `join` (the "no information" element);
-/// `join` must be commutative, associative, and idempotent, and the
-/// transfer functions passed to [`fixpoint`] must be monotone with
-/// respect to the order `a ⊑ b ⇔ join(a, b) = b` for the result to be
-/// the least fixpoint.
-pub trait Lattice: Clone + PartialEq {
-    /// The least element (identity of [`Lattice::join`]).
-    fn bottom() -> Self;
-    /// In-place least upper bound: `self ⊔ other`.
-    fn join(&mut self, other: &Self);
-}
-
-/// Boolean taint lattice: `false ⊑ true`, join is disjunction.
-impl Lattice for bool {
-    fn bottom() -> Self {
-        false
-    }
-    fn join(&mut self, other: &Self) {
-        *self = *self || *other;
-    }
-}
-
-/// Max lattice over unsigned counters (used for max-path window sums).
-impl Lattice for u64 {
-    fn bottom() -> Self {
-        0
-    }
-    fn join(&mut self, other: &Self) {
-        *self = (*self).max(*other);
-    }
-}
-
-/// Which way facts flow through the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts propagate from predecessors to successors.
-    Forward,
-    /// Facts propagate from successors to predecessors (liveness).
-    Backward,
-}
-
-/// A directed flow graph over nodes `0..n`.
-///
-/// Nodes are dense indices so analyses can keep side tables in plain
-/// `Vec`s. Edges to out-of-range nodes are silently ignored — the linter
-/// analyzes untrusted documents and must never panic on them (the
-/// structural E04xx checks report dangling references separately).
-#[derive(Debug, Clone)]
-pub struct FlowGraph {
-    n: usize,
-    succs: Vec<Vec<usize>>,
-    preds: Vec<Vec<usize>>,
-}
-
-impl FlowGraph {
-    /// An edgeless graph over `n` nodes.
-    pub fn new(n: usize) -> FlowGraph {
-        FlowGraph {
-            n,
-            succs: vec![Vec::new(); n],
-            preds: vec![Vec::new(); n],
-        }
-    }
-
-    /// The linear chain `0 → 1 → … → n-1` (an ESP stage cascade).
-    pub fn chain(n: usize) -> FlowGraph {
-        let mut g = FlowGraph::new(n);
-        for i in 1..n {
-            g.add_edge(i - 1, i);
-        }
-        g
-    }
-
-    /// Add the edge `from → to`; out-of-range endpoints are ignored.
-    pub fn add_edge(&mut self, from: usize, to: usize) {
-        if from < self.n && to < self.n {
-            self.succs[from].push(to);
-            self.preds[to].push(from);
-        }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-}
-
-/// The solution of a dataflow problem: one fact pair per node.
-///
-/// `entry[i]` is the joined fact *entering* node `i` in the flow
-/// direction (for a backward problem that is the fact at the node's
-/// *output* edge); `exit[i]` is the result of the node's transfer
-/// function applied to `entry[i]`.
-#[derive(Debug, Clone)]
-pub struct Facts<L> {
-    /// Fact entering each node (in flow direction).
-    pub entry: Vec<L>,
-    /// Fact leaving each node: `transfer(i, entry[i])`.
-    pub exit: Vec<L>,
-}
-
-/// Run the worklist algorithm to the least fixpoint.
-///
-/// Nodes without predecessors (in flow direction) receive `boundary` as
-/// their entry fact; all other entry facts are the join of their
-/// predecessors' exit facts. Iteration is capped at `max(1024, 64·n)`
-/// node visits: monotone transfers over finite-height lattices converge
-/// far below that, and the cap guarantees termination even for cyclic
-/// graphs with non-monotone transfers (the partial facts computed so far
-/// are returned — sound for the analyses here, which only *report* when
-/// a fact definitely holds).
-pub fn fixpoint<L, F>(
-    graph: &FlowGraph,
-    direction: Direction,
-    boundary: &L,
-    mut transfer: F,
-) -> Facts<L>
-where
-    L: Lattice,
-    F: FnMut(usize, &L) -> L,
-{
-    let n = graph.n;
-    let (preds, succs) = match direction {
-        Direction::Forward => (&graph.preds, &graph.succs),
-        Direction::Backward => (&graph.succs, &graph.preds),
-    };
-    let mut entry = vec![L::bottom(); n];
-    let mut exit = vec![L::bottom(); n];
-    let mut queued = vec![true; n];
-    let mut worklist: VecDeque<usize> = match direction {
-        Direction::Forward => (0..n).collect(),
-        Direction::Backward => (0..n).rev().collect(),
-    };
-    let mut budget = 1024usize.max(n.saturating_mul(64));
-    while let Some(i) = worklist.pop_front() {
-        queued[i] = false;
-        if budget == 0 {
-            break;
-        }
-        budget -= 1;
-        let mut inc = if preds[i].is_empty() {
-            boundary.clone()
-        } else {
-            L::bottom()
-        };
-        for &p in &preds[i] {
-            inc.join(&exit[p]);
-        }
-        let out = transfer(i, &inc);
-        entry[i] = inc;
-        if out != exit[i] {
-            exit[i] = out;
-            for &s in &succs[i] {
-                if !queued[s] {
-                    queued[s] = true;
-                    worklist.push_back(s);
-                }
-            }
-        }
-    }
-    Facts { entry, exit }
-}
 
 /// Byte span of the first occurrence of `needle` in `source`.
 ///
@@ -280,25 +97,6 @@ fn stage_name(i: usize, stage: &StageSpec) -> String {
 // E0901 / E0902 — backward field liveness
 // ---------------------------------------------------------------------------
 
-/// Live-column lattice: `None` is ⊤ ("every column may be read"),
-/// `Some(set)` is a finite live set. ⊥ is the empty set; join is union
-/// with ⊤ absorbing.
-#[derive(Debug, Clone, PartialEq)]
-struct Live(Option<BTreeSet<String>>);
-
-impl Lattice for Live {
-    fn bottom() -> Self {
-        Live(Some(BTreeSet::new()))
-    }
-    fn join(&mut self, other: &Self) {
-        match (&mut self.0, &other.0) {
-            (_, None) => self.0 = None,
-            (None, _) => {}
-            (Some(a), Some(b)) => a.extend(b.iter().cloned()),
-        }
-    }
-}
-
 /// The raw-schema columns that identify a receptor type's data (its
 /// well-known layouts minus the fields every receptor shares). If none
 /// of these is live at the cascade entry, nothing distinguishable from
@@ -332,18 +130,20 @@ pub(crate) fn liveness_pass(
         .iter()
         .map(|s| stage_effects(s, engine))
         .collect();
-    let graph = FlowGraph::chain(n);
-    let facts = fixpoint(
-        &graph,
-        Direction::Backward,
-        &Live(None),
-        |i, live_out: &Live| Live(effects[i].live_in(live_out.0.as_ref())),
-    );
+    // One backward scan: `live_out[i]` is the set of columns read after
+    // stage `i` (`None` is ⊤, "every column may be read"), and `live`
+    // ends as the set read at the cascade entry.
+    let mut live_out = Vec::with_capacity(n);
+    let mut live: Option<BTreeSet<String>> = None;
+    for fx in effects.iter().rev() {
+        let live_in = fx.live_in(live.as_ref());
+        live_out.push(std::mem::replace(&mut live, live_in));
+    }
+    live_out.reverse();
 
-    // E0901: a projected column no later stage reads. For a backward
-    // problem, `entry[i]` is the fact at the node's *output* edge.
+    // E0901: a projected column no later stage reads.
     for (i, fx) in effects.iter().enumerate() {
-        let (Some(writes), Live(Some(live_out))) = (&fx.writes, &facts.entry[i]) else {
+        let (Some(writes), Some(live_out)) = (&fx.writes, &live_out[i]) else {
             continue;
         };
         for col in writes {
@@ -379,7 +179,7 @@ pub(crate) fn liveness_pass(
     // the entry fact ⊤ (skip); any row-counting stage keeps mere tuple
     // presence meaningful (skip); reading a shared field (receptor_id /
     // spatial_granule) means every stream is inspected (skip).
-    let Live(Some(live_entry)) = &facts.exit[0] else {
+    let Some(live_entry) = &live else {
         return diags;
     };
     let counts = effects.iter().any(|e| e.counts_rows);
@@ -523,7 +323,7 @@ impl PipelineSpec {
 
 /// Lint a JSON pipeline document (the [`PipelineSpec`] wire form): the
 /// embedded deployment's full check surface (validate + E06xx + field
-/// liveness) plus the cross-layer fixpoint analyses `E0903` (replay-
+/// liveness) plus the cross-layer analyses `E0903` (replay-
 /// determinism taint under durability), `E0904` (lateness vs window
 /// budget and epoch alignment), and `E0905` (state boundedness vs
 /// declared cardinalities and edge capacity).
@@ -547,8 +347,7 @@ pub fn lint_pipeline(json: &str) -> Vec<Diagnostic> {
 // E0903 — forward determinism taint
 // ---------------------------------------------------------------------------
 
-/// Forward taint: once any stage on a path to the pipeline output is
-/// nondeterministic, WAL replay of a durable gateway cannot reproduce
+/// Forward taint: once any stage of the cascade is nondeterministic, WAL replay of a durable gateway cannot reproduce
 /// the recorded bytes. Mirrors the `Gateway::spawn` probe (which rejects
 /// the same pipelines at runtime) so the defect is visible at lint time.
 fn determinism_pass(spec: &PipelineSpec, source: &str, engine: &Engine) -> Vec<Diagnostic> {
@@ -570,11 +369,7 @@ fn determinism_pass(spec: &PipelineSpec, source: &str, engine: &Engine) -> Vec<D
             _ => None,
         })
         .collect();
-    let graph = FlowGraph::chain(stages.len());
-    let facts = fixpoint(&graph, Direction::Forward, &false, |i, inc: &bool| {
-        *inc || taints[i].is_some()
-    });
-    if !facts.exit.last().copied().unwrap_or(false) {
+    if !taints.iter().any(Option::is_some) {
         return diags;
     }
     for (i, taint) in taints.iter().enumerate() {
@@ -623,7 +418,7 @@ fn stage_window_ms(stage: &StageSpec, granule_ms: u64, window_ms: u64, engine: &
     }
 }
 
-/// Forward max-path window sum vs the gateway's admitted lateness
+/// The cascade's total window depth vs the gateway's admitted lateness
 /// (`E0904` error), plus per-stage window/epoch-period alignment
 /// (`E0904` warning).
 fn lateness_pass(spec: &PipelineSpec, source: &str, engine: &Engine) -> Vec<Diagnostic> {
@@ -672,11 +467,7 @@ fn lateness_pass(spec: &PipelineSpec, source: &str, engine: &Engine) -> Vec<Diag
         .iter()
         .map(|s| stage_window_ms(s, granule_ms, window_ms, engine))
         .collect();
-    let graph = FlowGraph::chain(stages.len());
-    let facts = fixpoint(&graph, Direction::Forward, &0u64, |i, inc: &u64| {
-        inc.saturating_add(widths[i])
-    });
-    let total = facts.exit.last().copied().unwrap_or(0);
+    let total = widths.iter().fold(0u64, |sum, w| sum.saturating_add(*w));
 
     if let Some(l) = lateness {
         let l_ms = l.as_millis();
@@ -733,42 +524,6 @@ fn lateness_pass(spec: &PipelineSpec, source: &str, engine: &Engine) -> Vec<Diag
 // E0905 — state boundedness
 // ---------------------------------------------------------------------------
 
-/// Per-column cardinality environment. Absent columns are unbounded;
-/// `bottom` is the identity element ("no path reaches here yet").
-/// Join over paths intersects the key sets and keeps the larger bound —
-/// a column is only bounded after the join if it is bounded along every
-/// incoming path.
-#[derive(Debug, Clone, PartialEq)]
-struct CardEnv {
-    bottom: bool,
-    known: BTreeMap<String, u128>,
-}
-
-impl Lattice for CardEnv {
-    fn bottom() -> Self {
-        CardEnv {
-            bottom: true,
-            known: BTreeMap::new(),
-        }
-    }
-    fn join(&mut self, other: &Self) {
-        if other.bottom {
-            return;
-        }
-        if self.bottom {
-            *self = other.clone();
-            return;
-        }
-        let mut merged = BTreeMap::new();
-        for (k, a) in &self.known {
-            if let Some(b) = other.known.get(k) {
-                merged.insert(k.clone(), (*a).max(*b));
-            }
-        }
-        self.known = merged;
-    }
-}
-
 /// Grouping keys a stage retains per-key state for, if it aggregates.
 ///
 /// Every Smooth mode that groups by its keys qualifies: the per-key
@@ -802,43 +557,36 @@ fn state_pass(spec: &PipelineSpec, source: &str, engine: &Engine) -> Vec<Diagnos
         return diags;
     }
 
-    // The environment tuples carry into the first stage: declared
-    // cardinalities plus the two columns the processor itself bounds.
-    let mut boundary = CardEnv {
-        bottom: false,
-        known: spec
-            .cardinalities
-            .iter()
-            .map(|(k, v)| (k.clone(), u128::from(*v)))
-            .collect(),
-    };
+    // Per-column cardinality bounds (absent = unbounded) of the tuples
+    // entering the first stage: declared cardinalities plus the two
+    // columns the processor itself bounds.
+    let mut env: BTreeMap<String, u128> = spec
+        .cardinalities
+        .iter()
+        .map(|(k, v)| (k.clone(), u128::from(*v)))
+        .collect();
     let members: BTreeSet<u32> = spec
         .deployment
         .groups
         .iter()
         .flat_map(|g| g.members.iter().copied())
         .collect();
-    boundary
-        .known
-        .insert(well_known::RECEPTOR_ID.to_string(), members.len() as u128);
-    boundary.known.insert(
+    env.insert(well_known::RECEPTOR_ID.to_string(), members.len() as u128);
+    env.insert(
         well_known::SPATIAL_GRANULE.to_string(),
         spec.deployment.groups.len() as u128,
     );
 
+    // One forward scan: `entry[i]` is the bounds entering stage `i`.
     let entry_schema = spec.deployment.entry_schema();
-    let effects: Vec<FieldEffects> = stages.iter().map(|s| stage_effects(s, engine)).collect();
-    let graph = FlowGraph::chain(stages.len());
-    let facts = fixpoint(&graph, Direction::Forward, &boundary, |i, inc: &CardEnv| {
-        if inc.bottom {
-            return inc.clone();
-        }
-        match &stages[i] {
+    let mut entry = Vec::with_capacity(stages.len());
+    for stage in stages {
+        let next = match stage {
             // Point filters refine: both-sided range filters over integer
             // columns bound the distinct-value count; expected-values
             // filters bound it by the allow-list length.
             StageSpec::Point(p) => {
-                let mut env = inc.clone();
+                let mut next = env.clone();
                 for rf in &p.range_filters {
                     let (Some(min), Some(max)) = (rf.min, rf.max) else {
                         continue;
@@ -852,61 +600,48 @@ fn state_pass(spec: &PipelineSpec, source: &str, engine: &Engine) -> Vec<Diagnos
                         let width = (max.floor() - min.ceil()) as i64;
                         if width >= 0 {
                             let bound = width as u128 + 1;
-                            let entry = env.known.entry(rf.field.clone()).or_insert(bound);
+                            let entry = next.entry(rf.field.clone()).or_insert(bound);
                             *entry = (*entry).min(bound);
                         }
                     }
                 }
                 if let Some(ev) = &p.expected_values {
                     let bound = ev.allowed.len() as u128;
-                    let entry = env.known.entry(ev.field.clone()).or_insert(bound);
+                    let entry = next.entry(ev.field.clone()).or_insert(bound);
                     *entry = (*entry).min(bound);
                 }
-                env
+                next
             }
             _ => {
-                let fx = &effects[i];
-                if fx.opaque {
+                let fx = stage_effects(stage, engine);
+                match &fx.writes {
                     // Unknown output columns: nothing survives.
-                    CardEnv {
-                        bottom: false,
-                        known: BTreeMap::new(),
-                    }
-                } else {
-                    match &fx.writes {
-                        // Passthrough keeps every bound.
-                        None => inc.clone(),
-                        // A projection keeps a bound only for columns it
-                        // both reads and re-emits under the same name
-                        // (grouping keys); computed columns are unbounded.
-                        Some(writes) => CardEnv {
-                            bottom: false,
-                            known: inc
-                                .known
-                                .iter()
-                                .filter(|(k, _)| writes.contains(*k) && fx.reads.contains(*k))
-                                .map(|(k, v)| (k.clone(), *v))
-                                .collect(),
-                        },
-                    }
+                    _ if fx.opaque => BTreeMap::new(),
+                    // Passthrough keeps every bound.
+                    None => env.clone(),
+                    // A projection keeps a bound only for columns it both
+                    // reads and re-emits under the same name (grouping
+                    // keys); computed columns are unbounded.
+                    Some(writes) => env
+                        .iter()
+                        .filter(|(k, _)| writes.contains(*k) && fx.reads.contains(*k))
+                        .map(|(k, v)| (k.clone(), *v))
+                        .collect(),
                 }
             }
-        }
-    });
+        };
+        entry.push(std::mem::replace(&mut env, next));
+    }
 
     for (i, stage) in stages.iter().enumerate() {
         let keys = grouping_keys(stage, engine);
         if keys.is_empty() {
             continue;
         }
-        let env = &facts.entry[i];
-        if env.bottom {
-            continue;
-        }
         let mut product: u128 = 1;
         let mut unbounded: Option<&String> = None;
         for k in &keys {
-            match env.known.get(k) {
+            match entry[i].get(k) {
                 Some(b) => product = product.saturating_mul((*b).max(1)),
                 None => {
                     unbounded = Some(k);
@@ -976,71 +711,48 @@ mod tests {
 
     #[test]
     fn forward_sum_over_a_chain_accumulates() {
-        let widths = [5u64, 0, 7];
-        let g = FlowGraph::chain(3);
-        let facts = fixpoint(&g, Direction::Forward, &0u64, |i, inc: &u64| {
-            inc + widths[i]
-        });
-        assert_eq!(facts.exit, vec![5, 5, 12]);
-        assert_eq!(facts.entry, vec![0, 5, 5]);
-    }
-
-    #[test]
-    fn forward_max_path_over_a_diamond() {
-        // 0 → {1, 2} → 3 with different per-node weights: the join at 3
-        // must take the heavier path.
-        let weights = [1u64, 10, 2, 1];
-        let mut g = FlowGraph::new(4);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(1, 3);
-        g.add_edge(2, 3);
-        let facts = fixpoint(&g, Direction::Forward, &0u64, |i, inc: &u64| {
-            inc + weights[i]
-        });
-        assert_eq!(facts.entry[3], 11);
-        assert_eq!(facts.exit[3], 12);
+        // Smooth holds 5 s and the query 7 s: a tuple 11 s late still
+        // meets an open window, one 12 s late meets none.
+        let lint_at = |lateness: &str| {
+            lint_pipeline(&format!(
+                r#"{{
+                "gateway": {{ "period": "1 sec", "max_lateness": "{lateness}", "durable": false }},
+                "cardinalities": {{ "tag_id": 100 }},
+                "deployment": {{
+                    "temporal_granule": "5 sec",
+                    "groups": [ {{ "granule": "shelf0", "receptor_type": "rfid", "members": [0] }} ],
+                    "stages": [
+                        {{ "smooth": {{ "mode": "count_by_key", "keys": ["spatial_granule", "tag_id"] }} }},
+                        {{ "declarative": {{ "scope": "global",
+                            "query": "SELECT tag_id, sum(count) AS n FROM s [Range By '7 sec'] GROUP BY tag_id" }} }}
+                    ]
+                }}
+            }}"#
+            ))
+        };
+        let late = |diags: Vec<Diagnostic>| diags.iter().any(|d| d.code == "E0904");
+        assert!(!late(lint_at("11 sec")));
+        assert!(late(lint_at("12 sec")));
     }
 
     #[test]
     fn backward_liveness_on_a_chain() {
-        // Stage 1 projects to {a}; stage 0 writes {a, b}: b is dead.
-        let effects = [
-            FieldEffects::projection(["x"], ["a", "b"]),
-            FieldEffects::projection(["a"], ["a"]),
-        ];
-        let g = FlowGraph::chain(2);
-        let facts = fixpoint(&g, Direction::Backward, &Live(None), |i, out: &Live| {
-            Live(effects[i].live_in(out.0.as_ref()))
-        });
-        // entry[0] (backward) = live at stage 0's output = stage 1's reads.
-        let Live(Some(out0)) = &facts.entry[0] else {
-            panic!("expected finite live set")
-        };
-        assert!(out0.contains("a") && !out0.contains("b"));
-    }
-
-    #[test]
-    fn fixpoint_terminates_on_a_cycle_with_a_growing_fact() {
-        // Deliberately unbounded transfer on a 2-cycle: only the
-        // iteration cap stops it. The call must return.
-        let mut g = FlowGraph::new(2);
-        g.add_edge(0, 1);
-        g.add_edge(1, 0);
-        let facts = fixpoint(&g, Direction::Forward, &0u64, |_, inc: &u64| inc + 1);
-        assert_eq!(facts.exit.len(), 2);
-    }
-
-    #[test]
-    fn out_of_range_edges_are_ignored() {
-        let mut g = FlowGraph::new(2);
-        g.add_edge(0, 7);
-        g.add_edge(9, 1);
-        g.add_edge(0, 1);
-        assert_eq!(g.len(), 2);
-        assert!(!g.is_empty());
-        let facts = fixpoint(&g, Direction::Forward, &true, |_, inc: &bool| *inc);
-        assert!(facts.exit[1]);
+        // Stage 0 writes {tag_id, a, b}; stage 1 reads {tag_id, a}: b is dead.
+        let doc = r#"{
+            "temporal_granule": "5 sec",
+            "groups": [ { "granule": "shelf0", "receptor_type": "rfid", "members": [0] } ],
+            "stages": [
+                { "declarative": { "scope": "global",
+                    "query": "SELECT tag_id, count(*) AS a, count(*) AS b FROM readings [Range By '5 sec'] GROUP BY tag_id" } },
+                { "declarative": { "scope": "global",
+                    "query": "SELECT tag_id, max(a) AS top FROM counts [Range By 'NOW'] GROUP BY tag_id" } }
+            ]
+        }"#;
+        let spec = DeploymentSpec::from_json(doc).expect("valid deployment");
+        let diags = liveness_pass(&spec, doc, &Engine::new());
+        let dead: Vec<_> = diags.iter().filter(|d| d.code == "E0901").collect();
+        assert_eq!(dead.len(), 1, "{diags:#?}");
+        assert!(dead[0].message.contains("'b'"), "{diags:#?}");
     }
 
     const CLEAN_PIPELINE: &str = r#"{

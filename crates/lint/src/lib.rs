@@ -22,17 +22,16 @@
 //! | E05xx | gateway | `E0501` lateness ≥ window, `E0502` global stage sharded |
 //! | E06xx | semantics (abstract interpretation) | `E0601` dead stage, `E0603` reachable zero divisor, `E0604` schema drift |
 //! | E07xx | concurrency (model checker) | `E0703` watermark regression (`E0701`/`E0702`/`E0704` retired) |
-//! | E08xx | durability | `E0801` unaligned checkpoint interval, `E0802` WAL retention below lateness, `E0803` zero snapshot retention, `E0804` non-checkpointable stage |
-//! | E09xx | whole-pipeline dataflow (fixpoint engine) | `E0901` dead computed column, `E0902` receptor stream reaching no output, `E0903` nondeterministic stage under durability, `E0904` lateness exceeds window depth, `E0905` unbounded retained state |
+//! | E08xx | durability | `E0801` unaligned checkpoint interval, `E0802` WAL retention below lateness, `E0803` zero snapshot retention |
+//! | E09xx | whole-pipeline dataflow | `E0901` dead computed column, `E0902` receptor stream reaching no output, `E0903` nondeterministic stage under durability, `E0904` lateness exceeds window depth, `E0905` unbounded retained state |
 //!
 //! The `E06xx` pass interprets predicates and arithmetic over declared
 //! field ranges (`-- lint: range <stream>.<field> <lo>..<hi>`) and
 //! deployment documents; `E0703` is emitted by the deterministic
 //! schedule explorer in `esp-gateway::model`, which exhausts every
 //! interleaving of small gateway watermark configurations. The `E09xx`
-//! family is computed by the
-//! [`flow`] module's generic monotone-framework fixpoint engine over the
-//! whole stage cascade (backward field liveness, forward determinism
+//! family is computed by the [`flow`] module, one fold over the stage
+//! cascade per analysis (backward field liveness, forward determinism
 //! taint, lateness and state-bound budget propagation); pipeline
 //! documents — a deployment plus the gateway knobs it runs under — are
 //! linted end to end by [`flow::lint_pipeline`].
@@ -64,7 +63,7 @@ pub mod witness;
 pub use codes::{explain, CodeInfo, CODES};
 pub use cql::lint_cql;
 pub use fix::{apply_fixes, FixOutcome};
-pub use flow::{fixpoint, lint_pipeline, Direction, Facts, FlowGraph, Lattice, PipelineSpec};
+pub use flow::{lint_pipeline, PipelineSpec};
 pub use witness::{synthesize_witnesses, Witness, WitnessOutcome};
 
 use esp_core::DeploymentSpec;
@@ -113,30 +112,10 @@ pub fn lint_deployment(json: &str) -> Vec<Diagnostic> {
 /// that does is checked for unparseable time spans (`E0204`) and the
 /// durability invariants: `E0801` (checkpoint interval not a positive
 /// multiple of the epoch period), `E0802` (WAL retention shorter than
-/// the permitted lateness), `E0803` (zero snapshot retention), `E0804`
-/// (a declared stage kind — the optional `stages` list — has no
-/// serialized state form and so cannot be checkpointed).
+/// the permitted lateness) and `E0803` (zero snapshot retention).
 pub fn lint_durability(json: &str) -> Vec<Diagnostic> {
     match DurabilitySpec::from_json(json) {
-        Ok(spec) => {
-            let mut diags = spec.lint();
-            // E0804 is emitted by the durability crate without document
-            // context; attach the span of the offending stage entry and
-            // a (human-confirmed) removal suggestion here, where the
-            // source text is in hand.
-            for d in diags.iter_mut().filter(|d| d.code == "E0804") {
-                if d.span.is_none() {
-                    if let Some(off) = json.find("\"declarative\"") {
-                        d.span = Some(esp_types::Span::new(off, off + "\"declarative\"".len()));
-                    }
-                }
-                if let Some(sugg) = fix::declarative_stage_suggestion(json) {
-                    d.suggestions.push(sugg);
-                }
-            }
-            esp_types::diag::sort_diagnostics(&mut diags);
-            diags
-        }
+        Ok(spec) => spec.lint(),
         Err(e) => parse_failure("durability", &e),
     }
 }

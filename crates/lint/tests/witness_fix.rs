@@ -183,27 +183,23 @@ fn named_fixture_classes_carry_machine_applicable_fixes() {
     }
 }
 
-/// The maybe-incorrect classes are suggested but never auto-applied.
+/// The maybe-incorrect class is suggested but never auto-applied.
 #[test]
 fn durability_repairs_are_flagged_but_not_applied() {
-    for name in [
-        "e0804_declarative_stage_not_checkpointable.json",
-        "e0903_volatile_stage_under_durability.json",
-    ] {
-        let path = fail_dir().join(name);
-        let source = fs::read_to_string(&path).expect("fixture readable");
-        let diags = lint_file(&path, &source);
-        let suggestions: Vec<_> = diags.iter().flat_map(|d| d.suggestions.iter()).collect();
-        assert!(!suggestions.is_empty(), "{name}: no suggestion attached");
-        assert!(
-            suggestions.iter().all(|s| !s.is_machine_applicable()),
-            "{name}: durability repair must be maybe-incorrect"
-        );
-        assert!(
-            apply_fixes(&source, &diags).is_none(),
-            "{name}: --fix must not touch maybe-incorrect repairs"
-        );
-    }
+    let name = "e0903_volatile_stage_under_durability.json";
+    let path = fail_dir().join(name);
+    let source = fs::read_to_string(&path).expect("fixture readable");
+    let diags = lint_file(&path, &source);
+    let suggestions: Vec<_> = diags.iter().flat_map(|d| d.suggestions.iter()).collect();
+    assert!(!suggestions.is_empty(), "{name}: no suggestion attached");
+    assert!(
+        suggestions.iter().all(|s| !s.is_machine_applicable()),
+        "{name}: durability repair must be maybe-incorrect"
+    );
+    assert!(
+        apply_fixes(&source, &diags).is_none(),
+        "{name}: --fix must not touch maybe-incorrect repairs"
+    );
 }
 
 /// The patched always-true-filter fixture drops the WHERE clause but

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use esp_stream::WindowBuffer;
 use esp_types::diag::Span;
-use esp_types::{registry, DataType, EspError, Field, Result, Schema, TimeDelta, Value};
+use esp_types::{registry, snap, DataType, EspError, Field, Result, Schema, TimeDelta, Value};
 
 use crate::aggregate::AggregateFactory;
 use crate::ast::{ArithOp, CmpOp, Expr, FromItem, FromSource, Quantifier, SelectItem, SelectStmt};
@@ -112,6 +112,34 @@ impl Window {
         match self {
             Window::Rows(w) => Some(w),
             Window::Panes(_) => None,
+        }
+    }
+
+    /// Append the window's state: a kind tag (0 rows, 1 panes), then the
+    /// bytes of [`WindowBuffer::encode_into`] or of the pane fold's
+    /// [`PaneAggregate::encode_into`](esp_stream::panes::PaneAggregate::encode_into).
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            Window::Rows(w) => {
+                snap::put_u8(out, 0);
+                w.encode_into(out);
+            }
+            Window::Panes(p) => {
+                snap::put_u8(out, 1);
+                p.encode_into(out);
+            }
+        }
+    }
+
+    /// Restore what [`Window::encode_into`] wrote. A blob of the other
+    /// kind, or of another width, is rejected.
+    pub(crate) fn restore_from(&mut self, cur: &mut snap::Cursor<'_>) -> Result<()> {
+        match (cur.u8()?, self) {
+            (0, Window::Rows(w)) => w.restore_from(cur),
+            (1, Window::Panes(p)) => p.restore_from(cur),
+            (tag, _) => Err(EspError::Snapshot(format!(
+                "window snapshot kind {tag} does not match the query's window kind"
+            ))),
         }
     }
 }
@@ -272,23 +300,33 @@ impl CompiledSelect {
                 CSource::Relation { .. } => {}
             }
         }
-        for item in &mut self.select {
-            item.expr
-                .for_each_subquery_mut(&mut |sub| sub.for_each_window(f));
+        let exprs = (self.select.iter_mut().map(|item| &mut item.expr))
+            .chain(&mut self.where_clause)
+            .chain(&mut self.group_by)
+            .chain(&mut self.having)
+            .chain(self.agg_calls.iter_mut().filter_map(|a| a.arg.as_mut()));
+        for e in exprs {
+            e.for_each_subquery_mut(&mut |sub| sub.for_each_window(f));
         }
-        if let Some(w) = &mut self.where_clause {
-            w.for_each_subquery_mut(&mut |sub| sub.for_each_window(f));
-        }
-        for g in &mut self.group_by {
-            g.for_each_subquery_mut(&mut |sub| sub.for_each_window(f));
-        }
-        if let Some(h) = &mut self.having {
-            h.for_each_subquery_mut(&mut |sub| sub.for_each_window(f));
-        }
-        for agg in &mut self.agg_calls {
-            if let Some(arg) = &mut agg.arg {
-                arg.for_each_subquery_mut(&mut |sub| sub.for_each_window(f));
+    }
+
+    /// Visit every window in [`CompiledSelect::for_each_window`]'s order,
+    /// read-only: the order a query's state blob lists them in.
+    pub(crate) fn windows(&self, f: &mut dyn FnMut(&Window)) {
+        for item in &self.from {
+            match &item.source {
+                CSource::Stream { window, .. } => f(window),
+                CSource::Derived(sub) => sub.windows(f),
+                CSource::Relation { .. } => {}
             }
+        }
+        let exprs = (self.select.iter().map(|item| &item.expr))
+            .chain(&self.where_clause)
+            .chain(&self.group_by)
+            .chain(&self.having)
+            .chain(self.agg_calls.iter().filter_map(|a| a.arg.as_ref()));
+        for e in exprs {
+            e.for_each_subquery(&mut |sub| sub.windows(f));
         }
     }
 
@@ -425,6 +463,32 @@ impl CExpr {
                 b.walk(f);
             }
             CExpr::Not(e) | CExpr::Neg(e) => e.walk(f),
+        }
+    }
+
+    /// Visit every subquery nested in this expression, in
+    /// [`CExpr::for_each_subquery_mut`]'s order.
+    pub(crate) fn for_each_subquery(&self, f: &mut dyn FnMut(&CompiledSelect)) {
+        match self {
+            CExpr::Literal(_) | CExpr::Field { .. } | CExpr::Agg { .. } => {}
+            CExpr::Scalar { args, .. } => {
+                for a in args {
+                    a.for_each_subquery(f);
+                }
+            }
+            CExpr::Cmp { lhs, rhs, .. } | CExpr::Arith { lhs, rhs, .. } => {
+                lhs.for_each_subquery(f);
+                rhs.for_each_subquery(f);
+            }
+            CExpr::Quantified { lhs, subquery, .. } => {
+                lhs.for_each_subquery(f);
+                f(subquery);
+            }
+            CExpr::And(a, b) | CExpr::Or(a, b) => {
+                a.for_each_subquery(f);
+                b.for_each_subquery(f);
+            }
+            CExpr::Not(e) | CExpr::Neg(e) => e.for_each_subquery(f),
         }
     }
 

@@ -4,8 +4,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use esp_types::{
-    chunk_batch, Batch, Chunk, Determinism, EspError, FieldEffects, Result, TimeDelta, Ts, Tuple,
-    Value,
+    chunk_batch, snap, Batch, Chunk, Determinism, EspError, FieldEffects, Result, TimeDelta, Ts,
+    Tuple, Value,
 };
 
 use crate::aggregate::AggregateFactory;
@@ -339,6 +339,41 @@ impl ContinuousQuery {
         } else {
             fe
         }
+    }
+
+    /// Append the query's window state: a `u32` window count, then each
+    /// window in [`CompiledSelect::for_each_window`] order as a kind tag
+    /// (0 rows, 1 panes) and its own codec's bytes. Call between ticks:
+    /// arrivals staged since the last tick are not part of the state.
+    pub fn encode_state(&self, out: &mut Vec<u8>) {
+        let mut n = 0u32;
+        self.root.windows(&mut |_| n += 1);
+        snap::put_u32(out, n);
+        self.root.windows(&mut |w| w.encode_into(out));
+    }
+
+    /// Restore state written by [`ContinuousQuery::encode_state`] into
+    /// this freshly compiled query. A blob from a query with another
+    /// window count, window kind or window width is rejected, as are
+    /// truncated or trailing bytes.
+    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
+        let mut cur = snap::Cursor::new(bytes);
+        let mut n = 0u32;
+        self.root.for_each_window(&mut |_, _| n += 1);
+        let encoded = cur.u32()?;
+        if encoded != n {
+            return Err(EspError::Snapshot(format!(
+                "query snapshot holds {encoded} window(s) but the query has {n}"
+            )));
+        }
+        let mut restored = Ok(());
+        self.root.for_each_window(&mut |_, w| {
+            if restored.is_ok() {
+                restored = w.restore_from(&mut cur);
+            }
+        });
+        restored?;
+        cur.finish()
     }
 
     /// The staging list of `stream`; unknown stream names are rejected.

@@ -239,6 +239,16 @@ impl Incremental {
         self.input.as_ref()
     }
 
+    /// Append the pane fold's state ([`PaneAggregate::encode_into`]).
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        self.panes.encode_into(out);
+    }
+
+    /// Restore what [`Incremental::encode_into`] wrote.
+    pub(crate) fn restore_from(&mut self, cur: &mut snap::Cursor<'_>) -> Result<()> {
+        self.panes.restore_from(cur)
+    }
+
     /// The pane-incremental form of `cs`, when it is mergeable (see the
     /// module docs).
     fn plan(cs: &CompiledSelect, catalog: &Catalog) -> Option<Incremental> {

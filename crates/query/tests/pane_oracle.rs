@@ -14,7 +14,9 @@
 //! and deviations may reassociate across panes and match within 1e-12
 //! relative; a holistic select folds in the reference's order and matches
 //! bit for bit. Where the reference fails, the compiled select must fail at
-//! the same tick with the same kind of error.
+//! the same tick with the same kind of error. After every tick the compiled
+//! select is checkpointed and restored into a fresh compile, which must
+//! re-encode to the same bytes and carry on as if uninterrupted.
 //!
 //! `PROPTEST_CASES` sets the number of generated cases (default 256).
 
@@ -343,6 +345,13 @@ fn check(shape: &Shape, steps: &[Step], chunked: bool, one_schema: bool) {
                 );
             }
         }
+        let mut blob = Vec::new();
+        compiled.encode_state(&mut blob);
+        compiled = engine.compile(&sql).unwrap();
+        compiled.restore_state(&blob).unwrap();
+        let mut again = Vec::new();
+        compiled.encode_state(&mut again);
+        assert_eq!(again, blob, "{sql}: step {k}: restored state re-encodes");
     }
 }
 

@@ -165,29 +165,11 @@ impl EpochRunner {
         &self.collected[tap.0]
     }
 
-    /// Names of stages that can never be checkpointed
-    /// ([`Stage::checkpointable`](crate::Stage::checkpointable) is
-    /// `false`) — the static half of the durability contract. An empty
-    /// list means a snapshot of this dataflow can always be taken at an
-    /// epoch boundary.
-    pub fn non_checkpointable(&self) -> Vec<String> {
-        self.df
-            .nodes
-            .iter()
-            .filter_map(|node| match &node.kind {
-                NodeKind::Stage { stage, .. } if !stage.checkpointable() => {
-                    Some(stage.name().to_string())
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Names and causes of stages whose replay is not reproducible
     /// ([`Stage::determinism`](crate::Stage::determinism) reports taint)
-    /// — the replay half of the durability contract, companion to
-    /// [`EpochRunner::non_checkpointable`]. An empty list means recovery
-    /// by WAL replay reproduces this dataflow's output byte for byte.
+    /// — the replay half of the durability contract. An empty list means
+    /// recovery by WAL replay reproduces this dataflow's output byte for
+    /// byte.
     pub fn nondeterministic(&self) -> Vec<(String, String)> {
         self.df
             .nodes

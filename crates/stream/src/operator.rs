@@ -148,20 +148,9 @@ pub trait Stage: Send {
         Err(unexpected_state(self.name()))
     }
 
-    /// Whether this stage can participate in a checkpoint at all.
-    /// [`Stage::state`] answers "what is the state right now"; this
-    /// answers the static question "does a serialized form exist".
-    /// Stages whose cross-epoch state has no serialized form (e.g.
-    /// stages wrapping compiled queries) return `false`, so a durable
-    /// deployment is rejected before any tuple flows (`E0804`) instead of
-    /// failing at its first checkpoint.
-    fn checkpointable(&self) -> bool {
-        true
-    }
-
     /// Whether replaying this stage over identical input epochs
     /// reproduces identical output — the replay half of the durability
-    /// contract, answered statically just like [`Stage::checkpointable`].
+    /// contract, answered statically.
     /// Stages that read the wall clock, iterate hash maps in observable
     /// order, or wrap opaque user code must override this; a durable
     /// gateway rejects any tainted stage at spawn time (`E0903`) instead

@@ -12,7 +12,7 @@
 //!   Durability (PR 5/6) promises byte-identical recovery, which a
 //!   wall-clock read or an iteration-order-sensitive UDF silently voids;
 //!   declaring the effect here turns that hope into a spawn-time check
-//!   (`E0903`) exactly parallel to `checkpointable()`/`E0804`.
+//!   (`E0903`).
 //!
 //! Both types live in `esp-types` so the stage traits (`esp-core`,
 //! `esp-stream`), the query compiler (`esp-query`), and the analyses

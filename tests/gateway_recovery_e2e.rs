@@ -2,11 +2,13 @@
 //! replay*. Whether a single shard worker dies mid-epoch (fault
 //! injection) or the whole gateway process is killed and restarted on the
 //! same durability directory, the recovered output must equal the
-//! uninterrupted single-process run — not approximately, exactly.
+//! uninterrupted single-process run — not approximately, exactly. The
+//! worker-crash and killed-gateway scenarios also run over a compiled-query
+//! cascade, whose window state rides the same snapshots and WAL.
 
 use std::path::PathBuf;
 
-use esp_core::{Pipeline, SmoothStage};
+use esp_core::{DeclarativeStage, Pipeline, SmoothStage};
 use esp_gateway::{DurabilityConfig, Gateway, GatewayConfig, GatewayOutput};
 use esp_integration_tests::gateway_harness::{
     groups, rendered, run_gateway_clients, single_process_trace,
@@ -41,6 +43,43 @@ fn pipeline() -> Pipeline {
         .build()
 }
 
+/// The same shape in CQL: a pane fold per reader, then a holistic
+/// `count(DISTINCT …)` (a row window) per shelf. Its output carries the
+/// fold's counts and its own window's contents, so losing either state in
+/// a recovery changes the bytes.
+fn cql_pipeline() -> Pipeline {
+    let stage = |name: &'static str, sql: &'static str| {
+        move |_: &esp_core::StageCtx| -> esp_types::Result<Box<dyn esp_core::Stage>> {
+            let query = esp_query::Engine::new().compile(sql)?;
+            Ok(Box::new(DeclarativeStage::new(name, query)?))
+        }
+    };
+    Pipeline::builder()
+        .per_receptor(
+            "smooth",
+            stage(
+                "smooth",
+                "SELECT spatial_granule, tag_id, count(*) AS n FROM smooth_input \
+                 [Range By '5 sec'] GROUP BY spatial_granule, tag_id",
+            ),
+        )
+        .per_group(
+            "tags",
+            stage(
+                "tags",
+                "SELECT spatial_granule, tag_id, max(n) AS n, count(DISTINCT n) AS levels \
+                 FROM tags_input [Range By '1 sec'] GROUP BY spatial_granule, tag_id",
+            ),
+        )
+        .build()
+}
+
+/// Builds one of the cascades below.
+type Cascade = fn() -> Pipeline;
+
+/// Each cascade the crash scenarios run over.
+const CASCADES: [(&str, Cascade); 2] = [("native", pipeline), ("cql", cql_pipeline)];
+
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("esp-recovery-e2e-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -57,8 +96,12 @@ fn durable_config(dir: &std::path::Path, checkpoint: TimeDelta) -> GatewayConfig
 }
 
 fn assert_byte_identical(output: &GatewayOutput) {
+    assert_matches_run_of(output, pipeline);
+}
+
+fn assert_matches_run_of(output: &GatewayOutput, cascade: Cascade) {
     let merged = output.merged_trace();
-    let expected = single_process_trace(&pipeline(), &RECEPTORS, Ts::ZERO, period(), N_EPOCHS);
+    let expected = single_process_trace(&cascade(), &RECEPTORS, Ts::ZERO, period(), N_EPOCHS);
     assert_eq!(rendered(&merged), rendered(&expected));
     assert!(
         merged.iter().map(|(_, b)| b.len()).sum::<usize>() > 0,
@@ -83,28 +126,32 @@ fn durable_gateway_without_faults_matches_single_process_run() {
 
 #[test]
 fn worker_crash_mid_epoch_recovers_byte_identical() {
-    let dir = fresh_dir("worker-crash");
-    // Checkpoint every epoch so the crash lands past a snapshot and the
-    // recovery genuinely composes snapshot + WAL suffix.
-    let gateway = Gateway::spawn(durable_config(&dir, period()), |_| pipeline()).unwrap();
-    // Arm every shard: each live worker dies right after its second flush,
-    // mid-stream, with readings still arriving and epochs still open.
-    for shard in 0..2 {
-        gateway.inject_crash(shard, 2);
-    }
-    run_gateway_clients(&gateway, &RECEPTORS, lateness());
-    let output = gateway.finish().unwrap();
+    for (name, cascade) in CASCADES {
+        let dir = fresh_dir(&format!("worker-crash-{name}"));
+        // Checkpoint every epoch so the crash lands past a snapshot and
+        // the recovery genuinely composes snapshot + WAL suffix.
+        let gateway = Gateway::spawn(durable_config(&dir, period()), |_| cascade()).unwrap();
+        // Arm every shard: each live worker dies right after its second
+        // flush, mid-stream, with readings still arriving and epochs
+        // still open.
+        for shard in 0..2 {
+            gateway.inject_crash(shard, 2);
+        }
+        run_gateway_clients(&gateway, &RECEPTORS, lateness());
+        let output = gateway.finish().unwrap();
 
-    assert_byte_identical(&output);
-    assert!(output.stats.crashes >= 1, "{:?}", output.stats);
-    // Every live shard recovers once at startup (empty log) and once per
-    // injected crash.
-    assert!(
-        output.stats.recoveries > output.stats.crashes,
-        "{:?}",
-        output.stats
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        assert_matches_run_of(&output, cascade);
+        assert!(output.stats.crashes >= 1, "{name}: {:?}", output.stats);
+        assert!(output.stats.checkpoints > 0, "{name}: {:?}", output.stats);
+        // Every live shard recovers once at startup (empty log) and once
+        // per injected crash.
+        assert!(
+            output.stats.recoveries > output.stats.crashes,
+            "{name}: {:?}",
+            output.stats
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -161,24 +208,29 @@ fn wal_truncation_fires_and_recovery_survives_it() {
 
 #[test]
 fn killed_gateway_restarts_from_wal_byte_identical() {
-    let dir = fresh_dir("restart");
-    // Checkpoint interval far beyond the run: recovery must work from the
-    // WAL alone (the restarted workers replay every record).
-    let config = durable_config(&dir, TimeDelta::from_secs(3600));
+    for (name, cascade) in CASCADES {
+        let dir = fresh_dir(&format!("restart-{name}"));
+        // Checkpoint interval far beyond the run: recovery must work from
+        // the WAL alone (the restarted workers replay every record).
+        let config = durable_config(&dir, TimeDelta::from_secs(3600));
 
-    let gateway = Gateway::spawn(config.clone(), |_| pipeline()).unwrap();
-    run_gateway_clients(&gateway, &RECEPTORS, lateness());
-    // Hard stop: no drain sweep, all in-memory worker output discarded.
-    gateway.kill().unwrap();
+        let gateway = Gateway::spawn(config.clone(), |_| cascade()).unwrap();
+        run_gateway_clients(&gateway, &RECEPTORS, lateness());
+        // Hard stop: no drain sweep, all in-memory worker output discarded.
+        gateway.kill().unwrap();
 
-    // Second process on the same directory: no clients this time — every
-    // reading must come back from the log.
-    let revived = Gateway::spawn(config, |_| pipeline()).unwrap();
-    let output = revived.finish().unwrap();
+        // Second process on the same directory: no clients this time —
+        // every reading must come back from the log.
+        let revived = Gateway::spawn(config, |_| cascade()).unwrap();
+        let output = revived.finish().unwrap();
 
-    assert_byte_identical(&output);
-    assert_eq!(output.stats.readings, 0, "no live ingest after restart");
-    let _ = std::fs::remove_dir_all(&dir);
+        assert_matches_run_of(&output, cascade);
+        assert_eq!(
+            output.stats.readings, 0,
+            "{name}: no live ingest after restart"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -9,10 +9,11 @@
 //! *before* the slot-compiled executor landed; the suite pins the refactor
 //! to be observationally invisible (tuple-for-tuple identical output).
 //!
-//! Every engine scenario is driven three ways — row `push` (a conversion
-//! onto the chunk staging), `push_chunk`, and rows under
-//! `set_reference_mode(true)` (the unpruned name-resolving interpreter) —
-//! and each trace must match the one stored fixture.
+//! Every engine scenario is driven four ways — row `push` (a conversion
+//! onto the chunk staging), `push_chunk`, rows under
+//! `set_reference_mode(true)` (the unpruned name-resolving interpreter),
+//! and rows with the query checkpointed and restored into a fresh compile
+//! after every tick — and each trace must match the one stored fixture.
 //!
 //! Regenerate with `ESP_GOLDEN_REGEN=1 cargo test --test golden_queries`
 //! — but only do that deliberately: a diff here means the engine's
@@ -148,6 +149,10 @@ enum Ingest {
     Chunks,
     /// `push(rows)` under `set_reference_mode(true)`.
     Reference,
+    /// `push(rows)`, and after every tick the query's state moves into a
+    /// fresh compile (`encode_state` → `restore_state`), which must
+    /// re-encode to the same bytes.
+    Restored,
 }
 
 fn query_scenario(engine: Engine, sql: &'static str, steps: Steps) -> QueryScenario {
@@ -165,7 +170,9 @@ impl QueryScenario {
             let epoch = Ts::from_millis(*epoch_ms);
             for (stream, batch) in feeds {
                 match ingest {
-                    Ingest::Rows | Ingest::Reference => q.push(stream, batch).expect("push batch"),
+                    Ingest::Rows | Ingest::Reference | Ingest::Restored => {
+                        q.push(stream, batch).expect("push batch")
+                    }
                     Ingest::Chunks => {
                         for chunk in chunk_batch(batch) {
                             q.push_chunk(stream, chunk).expect("push chunk");
@@ -174,6 +181,15 @@ impl QueryScenario {
                 }
             }
             trace.push((epoch, q.tick(epoch).expect("tick")));
+            if let Ingest::Restored = ingest {
+                let mut blob = Vec::new();
+                q.encode_state(&mut blob);
+                q = self.engine.compile(self.sql).expect("query compiles");
+                q.restore_state(&blob).expect("state restores");
+                let mut again = Vec::new();
+                q.encode_state(&mut again);
+                assert_eq!(again, blob, "a restored query re-encodes alike");
+            }
         }
         trace
     }
@@ -929,7 +945,12 @@ fn engine_output_matches_golden_fixtures() {
     let mut failures = Vec::new();
     for (name, build) in scenarios {
         let scenario = build();
-        for ingest in [Ingest::Rows, Ingest::Chunks, Ingest::Reference] {
+        for ingest in [
+            Ingest::Rows,
+            Ingest::Chunks,
+            Ingest::Reference,
+            Ingest::Restored,
+        ] {
             let mut diverged = Vec::new();
             check_golden(name, &render_trace(&scenario.run(ingest)), &mut diverged);
             failures.extend(diverged.iter().map(|f| format!("[{ingest:?} ingest] {f}")));

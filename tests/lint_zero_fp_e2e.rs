@@ -3,7 +3,7 @@
 //! Each e2e suite (`pipeline_rfid_e2e`, `pipeline_redwood_e2e`,
 //! `pipeline_home_e2e`) builds its cascade programmatically; this suite
 //! expresses the same cascades as deployment/pipeline documents and
-//! requires `esp-lint` — including the E09xx fixpoint analyses — to stay
+//! requires `esp-lint` — including the E09xx dataflow analyses — to stay
 //! silent on them. A finding here means the analyses would flag a
 //! pipeline the paper itself ships, which is the definition of a false
 //! positive.
