@@ -87,6 +87,8 @@
 mod client;
 pub mod convert;
 mod durability;
+#[cfg(test)]
+mod ingest_oracle;
 pub mod model;
 pub mod protocol;
 mod server;

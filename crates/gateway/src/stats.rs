@@ -147,23 +147,29 @@ impl GatewayStats {
         self.inner.connections.inc();
     }
 
-    /// A data frame arrived (whether or not it decodes). `STATS` scrape
-    /// requests are *not* counted here — see
+    /// `frames` data frames arrived (whether or not they decode), of which
+    /// `corrupt` failed checksum/decoding and were dropped at the edge and
+    /// `unroutable` named a receptor outside every registered group. A
+    /// connection reader reports once per hand-off. `STATS` scrape
+    /// requests are *not* data frames — see
     /// [`GatewayStats::note_stats_request`] — so the frame-conservation
-    /// law (`frames == readings + corrupt + unroutable`) is unaffected
-    /// by how often the gateway is scraped.
-    pub fn note_frame(&self) {
-        self.inner.frames.inc();
+    /// law (`frames == readings + corrupt + unroutable`) is unaffected by
+    /// how often the gateway is scraped.
+    pub fn note_frames(&self, frames: u64, corrupt: u64, unroutable: u64) {
+        for (counter, n) in [
+            (&self.inner.frames, frames),
+            (&self.inner.corrupt_frames, corrupt),
+            (&self.inner.unroutable, unroutable),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
     }
 
     /// A `STATS` scrape request arrived on an ingest connection.
     pub fn note_stats_request(&self) {
         self.inner.stats_requests.inc();
-    }
-
-    /// A frame failed checksum/decoding and was dropped at the edge.
-    pub fn note_corrupt(&self) {
-        self.inner.corrupt_frames.inc();
     }
 
     /// `n` decoded readings were accepted, routed and handed off to
@@ -179,11 +185,6 @@ impl GatewayStats {
         if let Some(c) = self.inner.shard_readings.get(shard) {
             c.add(n);
         }
-    }
-
-    /// A decoded reading named a receptor outside every registered group.
-    pub fn note_unroutable(&self) {
-        self.inner.unroutable.inc();
     }
 
     /// A connection died with a transport error (counted, not fatal).
@@ -406,12 +407,10 @@ mod tests {
     fn counters_accumulate_and_snapshot() {
         let s = GatewayStats::new(2);
         s.note_connection();
-        s.note_frame();
-        s.note_frame();
-        s.note_corrupt();
+        s.note_frames(2, 1, 0);
         s.note_readings(1, 500);
         s.note_shard_readings(1, 1);
-        s.note_unroutable();
+        s.note_frames(0, 0, 1);
         let q = QueueStats::new();
         q.record_send(1);
         let snap = s.snapshot(&q);
@@ -475,7 +474,7 @@ mod tests {
         // Satellite: the legacy snapshot and the registry must be two
         // reads of the same counters, not parallel bookkeeping.
         let s = GatewayStats::new(2);
-        s.note_frame();
+        s.note_frames(1, 0, 0);
         s.note_readings(1, 42);
         s.note_shard_readings(0, 1);
         s.note_shard_readings(1, 1);
@@ -507,7 +506,7 @@ mod tests {
     #[test]
     fn stats_requests_do_not_perturb_frames() {
         let s = GatewayStats::new(1);
-        s.note_frame();
+        s.note_frames(1, 0, 0);
         s.note_stats_request();
         s.note_stats_request();
         let snap = s.snapshot(&QueueStats::new());
@@ -544,7 +543,7 @@ mod tests {
     #[test]
     fn render_merges_gateway_and_global_registries() {
         let s = GatewayStats::new(1);
-        s.note_frame();
+        s.note_frames(1, 0, 0);
         // Touch a process-global counter so the merge has something from
         // the other side.
         esp_obs::global()

@@ -14,7 +14,7 @@
 //! frame len bytes — a wire::encode() frame, possibly corrupted in flight
 //! ```
 
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 
 use bytes::Bytes;
 
@@ -71,48 +71,65 @@ impl<W: Write> FrameWriter<W> {
 #[derive(Debug)]
 pub struct FrameReader<R: Read> {
     inner: R,
+    /// Bytes of the frame [`next_frame`](FrameReader::next_frame) last
+    /// lent out of the `BufReader` buffer, consumed on the next read.
+    pending: usize,
+    /// A frame that straddled the end of the buffer, copied out.
+    scratch: Vec<u8>,
 }
 
 impl<R: Read> FrameReader<R> {
     /// Wrap a source. Callers that care about syscall counts should hand
     /// in a `BufReader`.
     pub fn new(inner: R) -> FrameReader<R> {
-        FrameReader { inner }
+        FrameReader {
+            inner,
+            pending: 0,
+            scratch: Vec::new(),
+        }
     }
 
     /// Read the next frame. Returns `Ok(None)` on a clean end-of-stream
     /// (EOF exactly at a frame boundary); EOF mid-frame is an error.
     pub fn read_frame(&mut self) -> io::Result<Option<Bytes>> {
+        self.skip_pending()?;
         let mut len_buf = [0u8; 4];
         if !read_exact_or_eof(&mut self.inner, &mut len_buf)? {
             return Ok(None);
         }
-        let len = u32::from_be_bytes(len_buf) as usize;
-        if len == 0 || len > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame length {len} outside 1..={MAX_FRAME_LEN}"),
-            ));
-        }
-        let mut frame = vec![0u8; len];
+        let mut frame = vec![0u8; frame_len(len_buf)?];
         self.inner.read_exact(&mut frame)?;
         Ok(Some(Bytes::from(frame)))
     }
 
+    /// Consume the frame [`next_frame`](FrameReader::next_frame) lent out
+    /// (it is still in the buffer, so this reads no source).
+    fn skip_pending(&mut self) -> io::Result<()> {
+        let n = std::mem::take(&mut self.pending) as u64;
+        if n > 0 {
+            io::copy(&mut (&mut self.inner).take(n), &mut io::sink())?;
+        }
+        Ok(())
+    }
+
     /// Unwrap, returning the source.
-    pub fn into_inner(self) -> R {
+    pub fn into_inner(mut self) -> R {
+        // Only a `BufReader` lends frames, and skipping a lent frame reads
+        // its own buffer, which cannot fail.
+        let _ = self.skip_pending();
         self.inner
     }
 }
 
 impl<R: Read> FrameReader<BufReader<R>> {
-    /// Whether the next [`read_frame`](FrameReader::read_frame) can be
-    /// answered from the buffer alone. When this is `false` the next call
+    /// Whether the next [`read_frame`](FrameReader::read_frame) or
+    /// [`next_frame`](FrameReader::next_frame) can be answered from the
+    /// buffer alone. When this is `false` the next call
     /// reads the source, which on a socket may block until the peer sends
     /// more. (A buffered length prefix outside the frame bounds counts as
     /// answerable: `read_frame` rejects it without reading.)
     pub fn frame_buffered(&self) -> bool {
-        let buf = self.inner.buffer();
+        let buf = self.inner.buffer().get(self.pending..).unwrap_or_default();
         match buf.first_chunk::<4>() {
             Some(len) => {
                 let len = u32::from_be_bytes(*len) as usize;
@@ -121,6 +138,40 @@ impl<R: Read> FrameReader<BufReader<R>> {
             None => false,
         }
     }
+
+    /// [`read_frame`](FrameReader::read_frame) without the copy: the frame
+    /// is borrowed from the `BufReader` buffer, and stays valid until the
+    /// next read. Only a frame that straddles the end of the buffer is
+    /// copied, into a scratch buffer this reader reuses.
+    pub fn next_frame(&mut self) -> io::Result<Option<&[u8]>> {
+        self.inner.consume(std::mem::take(&mut self.pending));
+        if let Some((len, rest)) = self.inner.fill_buf()?.split_first_chunk::<4>() {
+            let len = frame_len(*len)?;
+            if rest.len() >= len {
+                self.pending = 4 + len;
+                return Ok(Some(&self.inner.buffer()[4..4 + len]));
+            }
+        }
+        let mut len_buf = [0u8; 4];
+        if !read_exact_or_eof(&mut self.inner, &mut len_buf)? {
+            return Ok(None);
+        }
+        self.scratch.resize(frame_len(len_buf)?, 0);
+        self.inner.read_exact(&mut self.scratch)?;
+        Ok(Some(&self.scratch))
+    }
+}
+
+/// Check a length prefix against the frame bounds.
+fn frame_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_be_bytes(prefix) as usize;
+    if len == 0 || len > MAX_FRAME_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame length {len} outside 1..={MAX_FRAME_LEN}"),
+        ));
+    }
+    Ok(len)
 }
 
 /// Fill `buf` completely. Returns `Ok(false)` when EOF arrives before the
@@ -239,12 +290,59 @@ mod tests {
     }
 
     #[test]
+    fn next_frame_lends_what_read_frame_copies() {
+        let mut w = FrameWriter::new(Vec::new());
+        for i in 0..20 {
+            w.write_reading(&sample(i)).unwrap();
+        }
+        let bytes = w.into_inner();
+        // Buffers smaller than a frame, about one, and holding them all.
+        for capacity in [1, 7, 30, 64, bytes.len()] {
+            let mut copied = FrameReader::new(BufReader::with_capacity(capacity, &bytes[..]));
+            let mut lent = FrameReader::new(BufReader::with_capacity(capacity, &bytes[..]));
+            loop {
+                assert_eq!(
+                    lent.frame_buffered(),
+                    copied.frame_buffered(),
+                    "capacity {capacity}"
+                );
+                let want = copied.read_frame().unwrap();
+                let got = lent.next_frame().unwrap();
+                assert_eq!(got, want.as_deref(), "capacity {capacity}");
+                if want.is_none() {
+                    break;
+                }
+            }
+        }
+        // Mixing the two reads on one reader keeps the frame order.
+        let mut r = FrameReader::new(BufReader::new(&bytes[..]));
+        let first = r.next_frame().unwrap().unwrap().to_vec();
+        assert_eq!(wire::decode(&first.into()).unwrap(), sample(0));
+        let second = r.read_frame().unwrap().unwrap();
+        assert_eq!(wire::decode(&second).unwrap(), sample(1));
+        r.next_frame().unwrap().unwrap();
+        let mut rest = Vec::new();
+        r.into_inner().read_to_end(&mut rest).unwrap();
+        assert_eq!(
+            FrameReader::new(&rest[..])
+                .read_frame()
+                .unwrap()
+                .map(|f| wire::decode(&f).unwrap()),
+            Some(sample(3))
+        );
+    }
+
+    #[test]
     fn oversized_and_empty_lengths_rejected() {
         let mut r = FrameReader::new(&[0u8, 0, 0, 0][..]);
         assert!(r.read_frame().is_err(), "zero length accepted");
         let huge = (MAX_FRAME_LEN as u32 + 1).to_be_bytes();
         let mut r = FrameReader::new(&huge[..]);
         assert!(r.read_frame().is_err(), "oversized length accepted");
+        for bad in [[0u8; 4], huge] {
+            let mut r = FrameReader::new(BufReader::new(&bad[..]));
+            assert!(r.next_frame().is_err(), "{bad:?} lent");
+        }
 
         let mut w = FrameWriter::new(Vec::new());
         assert!(w.write_raw(&[]).is_err());

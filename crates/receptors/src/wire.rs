@@ -18,7 +18,7 @@
 //! checksum  u32   FNV-1a over everything before it
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use esp_types::{EspError, ReceptorId, Result, Ts};
 
 const MAGIC: u16 = 0xE59C;
@@ -148,75 +148,136 @@ pub fn encode(reading: &Reading) -> Bytes {
     buf.freeze()
 }
 
-/// Decode one frame, verifying magic and checksum.
-pub fn decode(frame: &Bytes) -> Result<Reading> {
-    if frame.len() < 4 + 2 + 1 + 4 + 8 {
-        return Err(EspError::Wire(format!(
-            "frame too short ({} bytes)",
-            frame.len()
-        )));
+/// A frame's payload. `S` is how a string payload is held: `&str`
+/// borrowed from the frame bytes as [`parse`] returns it, or whatever
+/// form a consumer maps it to with [`Body::map`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Body<S> {
+    /// Kind 0: one scalar sample.
+    Scalar(f64),
+    /// Kind 1: an RFID tag id.
+    Tag(S),
+    /// Kind 2: an event payload.
+    Event(S),
+    /// Kind 3: two co-sampled scalars.
+    Dual(f64, f64),
+}
+
+/// A validated frame's fields (see [`parse`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Frame<S> {
+    /// Producing device.
+    pub receptor: ReceptorId,
+    /// Sample time.
+    pub ts: Ts,
+    /// The kind and its payload.
+    pub body: Body<S>,
+}
+
+impl<S> Body<S> {
+    /// The same payload with its string (if any) converted by `f`.
+    pub fn map<T>(self, f: impl FnOnce(S) -> T) -> Body<T> {
+        match self {
+            Body::Scalar(v) => Body::Scalar(v),
+            Body::Tag(s) => Body::Tag(f(s)),
+            Body::Event(s) => Body::Event(f(s)),
+            Body::Dual(a, b) => Body::Dual(a, b),
+        }
     }
-    let (body, check) = frame.split_at(frame.len() - 4);
-    let mut check = check;
-    let expected = check.get_u32();
-    if fnv1a(body) != expected {
+}
+
+impl Frame<&str> {
+    /// The owned [`Reading`] this frame encodes.
+    pub fn to_reading(&self) -> Reading {
+        let (receptor, ts) = (self.receptor, self.ts);
+        match self.body {
+            Body::Scalar(value) => Reading::Scalar {
+                receptor,
+                ts,
+                value,
+            },
+            Body::Tag(s) => Reading::Tag {
+                receptor,
+                ts,
+                tag_id: s.to_string(),
+            },
+            Body::Event(s) => Reading::Event {
+                receptor,
+                ts,
+                value: s.to_string(),
+            },
+            Body::Dual(a, b) => Reading::Dual { receptor, ts, a, b },
+        }
+    }
+}
+
+/// Bytes before the payload: magic, kind, receptor, timestamp.
+const HEADER: usize = 2 + 1 + 4 + 8;
+
+fn be_f64(bytes: [u8; 8]) -> f64 {
+    f64::from_bits(u64::from_be_bytes(bytes))
+}
+
+/// Validate one frame in place and return its fields, borrowing a string
+/// payload from `frame`. Checks, in order: the length, the checksum, the
+/// magic, the kind and its payload size, and UTF-8. This is the only
+/// frame validator; [`decode`] is this plus [`Frame::to_reading`].
+pub fn parse(frame: &[u8]) -> Result<Frame<&str>> {
+    let short = || EspError::Wire(format!("frame too short ({} bytes)", frame.len()));
+    let (sealed, check) = frame.split_last_chunk::<4>().ok_or_else(short)?;
+    let (head, payload) = sealed.split_first_chunk::<HEADER>().ok_or_else(short)?;
+    if fnv1a(sealed) != u32::from_be_bytes(*check) {
         return Err(EspError::Wire("checksum mismatch".into()));
     }
-    let mut body = body;
-    if body.get_u16() != MAGIC {
+    let [m0, m1, kind, r0, r1, r2, r3, ts @ ..] = *head;
+    if u16::from_be_bytes([m0, m1]) != MAGIC {
         return Err(EspError::Wire("bad magic".into()));
     }
-    let kind = body.get_u8();
-    let receptor = ReceptorId(body.get_u32());
-    let ts = Ts::from_millis(body.get_u64());
-    match kind {
+    let body = match kind {
         0 => {
-            if body.remaining() != 8 {
+            let Ok(v) = <[u8; 8]>::try_from(payload) else {
                 return Err(EspError::Wire(
                     "scalar frame with wrong payload size".into(),
                 ));
-            }
-            Ok(Reading::Scalar {
-                receptor,
-                ts,
-                value: body.get_f64(),
-            })
+            };
+            Body::Scalar(be_f64(v))
         }
         1 | 2 => {
-            if body.remaining() < 2 {
+            let Some((len, s)) = payload.split_first_chunk::<2>() else {
                 return Err(EspError::Wire("string frame missing length".into()));
-            }
-            let len = body.get_u16() as usize;
-            if body.remaining() != len {
+            };
+            if s.len() != usize::from(u16::from_be_bytes(*len)) {
                 return Err(EspError::Wire("string frame length mismatch".into()));
             }
-            let s = std::str::from_utf8(body.chunk())
-                .map_err(|_| EspError::Wire("invalid utf-8 payload".into()))?
-                .to_string();
-            if kind == 1 {
-                Ok(Reading::Tag {
-                    receptor,
-                    ts,
-                    tag_id: s,
-                })
-            } else {
-                Ok(Reading::Event {
-                    receptor,
-                    ts,
-                    value: s,
-                })
+            let s = std::str::from_utf8(s)
+                .map_err(|_| EspError::Wire("invalid utf-8 payload".into()))?;
+            match kind {
+                1 => Body::Tag(s),
+                _ => Body::Event(s),
             }
         }
         3 => {
-            if body.remaining() != 16 {
+            let halves = payload
+                .split_first_chunk::<8>()
+                .and_then(|(a, b)| Some((*a, <[u8; 8]>::try_from(b).ok()?)));
+            let Some((a, b)) = halves else {
                 return Err(EspError::Wire("dual frame with wrong payload size".into()));
-            }
-            let a = body.get_f64();
-            let b = body.get_f64();
-            Ok(Reading::Dual { receptor, ts, a, b })
+            };
+            Body::Dual(be_f64(a), be_f64(b))
         }
-        k => Err(EspError::Wire(format!("unknown frame kind {k}"))),
-    }
+        k => return Err(EspError::Wire(format!("unknown frame kind {k}"))),
+    };
+    Ok(Frame {
+        receptor: ReceptorId(u32::from_be_bytes([r0, r1, r2, r3])),
+        ts: Ts::from_millis(u64::from_be_bytes(ts)),
+        body,
+    })
+}
+
+/// Decode one frame into an owned [`Reading`]: [`parse`], then
+/// [`Frame::to_reading`].
+pub fn decode(frame: &Bytes) -> Result<Reading> {
+    parse(frame).map(|f| f.to_reading())
 }
 
 #[cfg(test)]
@@ -271,6 +332,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A frame whose checksum matches its bytes but whose body is
+    /// malformed: the checksum is recomputed after the edit.
+    fn resealed(mut frame: Vec<u8>, edit: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+        frame.truncate(frame.len() - 4);
+        edit(&mut frame);
+        let check = fnv1a(&frame);
+        frame.extend(check.to_be_bytes());
+        Bytes::from(frame)
+    }
+
+    #[test]
+    fn well_sealed_malformed_bodies_rejected() {
+        for r in samples() {
+            let frame = encode(&r).to_vec();
+            let longer = resealed(frame.clone(), |f| f.push(0));
+            assert!(decode(&longer).is_err(), "payload grown by a byte in {r:?}");
+            let shorter = resealed(frame.clone(), |f| {
+                f.pop();
+            });
+            assert!(decode(&shorter).is_err(), "payload cut by a byte in {r:?}");
+            let unknown = resealed(frame, |f| f[2] = 4);
+            assert!(decode(&unknown).is_err(), "unknown kind in {r:?}");
+        }
+        let tag = encode(&Reading::Tag {
+            receptor: ReceptorId(1),
+            ts: Ts::ZERO,
+            tag_id: "ab".into(),
+        });
+        let not_utf8 = resealed(tag.to_vec(), |f| {
+            let n = f.len();
+            f[n - 2..].copy_from_slice(&[0xC3, 0x28]);
+        });
+        assert!(decode(&not_utf8).is_err(), "invalid utf-8 accepted");
+        assert!(parse(&tag).is_ok_and(|f| f.body == Body::Tag("ab")));
     }
 
     #[test]
