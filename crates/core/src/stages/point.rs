@@ -142,7 +142,8 @@ impl PointStage {
         for op in &self.ops {
             match op {
                 PointOp::RangeFilter { field, min, max } => match column(chunk, field) {
-                    Some(ColumnVec::Float { data, nulls }) if !nulls.any() => {
+                    Some(ColumnVec::Float(p)) if !p.nulls().any() => {
+                        let data = p.data();
                         and_mask(&mut keep, |i| within(data[i], *min, *max));
                     }
                     col => and_mask(&mut keep, |i| {
@@ -150,7 +151,8 @@ impl PointStage {
                     }),
                 },
                 PointOp::ExpectedValues { field, allowed } => match column(chunk, field) {
-                    Some(ColumnVec::Str { data, nulls }) if !nulls.any() => {
+                    Some(ColumnVec::Str(p)) if !p.nulls().any() => {
+                        let data = p.data();
                         and_mask(&mut keep, |i| allowed.contains(&data[i]));
                     }
                     col => and_mask(&mut keep, |i| {

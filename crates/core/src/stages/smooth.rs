@@ -49,7 +49,7 @@ use esp_stream::panes::{Column, Columns, PaneAggregate, Partial};
 use esp_stream::stats::RunningStats;
 use esp_stream::{Payload, StageState};
 use esp_types::{
-    snap, Chunk, DataType, EspError, Field, Result, Schema, Ts, Tuple, Value, ValueKey,
+    snap, Chunk, ColumnVec, DataType, EspError, Field, Result, Schema, Ts, Tuple, Value, ValueKey,
 };
 
 use crate::granule::TemporalGranule;
@@ -166,14 +166,16 @@ impl Windowed for Mean {
         cols: &Columns<'_>,
     ) -> Result<()> {
         let value = cols.args[0];
-        match value.float_data() {
+        match value {
             // The kernel: a clean float column is one slice walk per run.
-            Some((data, nulls)) if !nulls.any() => panes.fold(epoch, cols, None, |stats, run| {
-                for &x in &data[run] {
-                    stats.push(x);
-                }
-                Ok(())
-            }),
+            ColumnVec::Float(p) if !p.nulls().any() => {
+                panes.fold(epoch, cols, None, |stats, run| {
+                    for &x in &p.data()[run] {
+                        stats.push(x);
+                    }
+                    Ok(())
+                })
+            }
             // NULL / non-numeric samples are skipped, and a key none of
             // whose samples is numeric is never listed.
             _ => {

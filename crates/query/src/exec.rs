@@ -47,7 +47,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use esp_types::{registry, Chunk, ChunkView, EspError, Result, Schema, Ts, Tuple, Value, ValueKey};
+use esp_types::{registry, Chunk, EspError, Result, Schema, Ts, Tuple, Value, ValueKey};
 
 use crate::ast::{ArithOp, Quantifier};
 use crate::catalog::Catalog;
@@ -610,11 +610,11 @@ pub(crate) fn col_supported(e: &CExpr, schema: &Arc<Schema>) -> bool {
     }
 }
 
-/// Evaluate a [`col_supported`] expression over row `ri` of a chunk view,
+/// Evaluate a [`col_supported`] expression over row `ri` of a chunk,
 /// reading slots from the `ColumnVec`s in place — no `Tuple` is built.
 /// Operator semantics (short-circuits, SQL comparison, arithmetic, error
 /// surfacing) are shared with [`eval_expr`], so results are identical.
-pub(crate) fn eval_col(e: &CExpr, view: &ChunkView<'_>, ri: usize) -> Result<Value> {
+pub(crate) fn eval_col(e: &CExpr, chunk: &Chunk, ri: usize) -> Result<Value> {
     match e {
         CExpr::Literal(v) => Ok(v.clone()),
         CExpr::Field { slot, .. } => {
@@ -622,35 +622,36 @@ pub(crate) fn eval_col(e: &CExpr, view: &ChunkView<'_>, ri: usize) -> Result<Val
             let s = slot
                 .as_ref()
                 .ok_or_else(|| EspError::Plan("unresolved slot on the columnar path".into()))?;
-            view.value_at(ri, s.col_idx as usize)
+            chunk
+                .value_at(ri, s.col_idx as usize)
                 .ok_or_else(|| EspError::Plan("window row vanished mid-tick".into()))
         }
         CExpr::Cmp { lhs, op, rhs } => {
-            let l = eval_col(lhs, view, ri)?;
-            let r = eval_col(rhs, view, ri)?;
+            let l = eval_col(lhs, chunk, ri)?;
+            let r = eval_col(rhs, chunk, ri)?;
             Ok(Value::Bool(
                 l.sql_cmp(&r).map(|o| op.matches(o)).unwrap_or(false),
             ))
         }
         CExpr::Arith { lhs, op, rhs } => {
-            let l = eval_col(lhs, view, ri)?;
-            let r = eval_col(rhs, view, ri)?;
+            let l = eval_col(lhs, chunk, ri)?;
+            let r = eval_col(rhs, chunk, ri)?;
             eval_arith(&l, *op, &r)
         }
         CExpr::And(a, b) => {
-            if !eval_col(a, view, ri)?.truthy() {
+            if !eval_col(a, chunk, ri)?.truthy() {
                 return Ok(Value::Bool(false));
             }
-            Ok(Value::Bool(eval_col(b, view, ri)?.truthy()))
+            Ok(Value::Bool(eval_col(b, chunk, ri)?.truthy()))
         }
         CExpr::Or(a, b) => {
-            if eval_col(a, view, ri)?.truthy() {
+            if eval_col(a, chunk, ri)?.truthy() {
                 return Ok(Value::Bool(true));
             }
-            Ok(Value::Bool(eval_col(b, view, ri)?.truthy()))
+            Ok(Value::Bool(eval_col(b, chunk, ri)?.truthy()))
         }
-        CExpr::Not(x) => Ok(Value::Bool(!eval_col(x, view, ri)?.truthy())),
-        CExpr::Neg(x) => match eval_col(x, view, ri)? {
+        CExpr::Not(x) => Ok(Value::Bool(!eval_col(x, chunk, ri)?.truthy())),
+        CExpr::Neg(x) => match eval_col(x, chunk, ri)? {
             Value::Int(i) => Ok(Value::Int(-i)),
             Value::Float(f) => Ok(Value::Float(-f)),
             Value::Null => Ok(Value::Null),

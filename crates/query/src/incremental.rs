@@ -40,8 +40,7 @@ use std::sync::Arc;
 use esp_stream::panes::{Column, PaneAggregate, Partial};
 use esp_stream::stats::RunningStats;
 use esp_types::{
-    snap, Chunk, ChunkView, ColumnVec, DataType, EspError, Field, Result, Schema, TimeDelta, Tuple,
-    Value,
+    snap, Chunk, ColumnVec, DataType, EspError, Field, Result, Schema, TimeDelta, Tuple, Value,
 };
 
 use crate::aggregate::{AggregateState, BuiltinPartial, PartialKind};
@@ -387,16 +386,16 @@ fn incremental(from: &mut [crate::compile::CFromItem]) -> Result<&mut Incrementa
 /// (the slots fit this chunk), else over the materialized row.
 fn eval_row(
     e: &CExpr,
-    view: &ChunkView<'_>,
+    chunk: &Chunk,
     ri: usize,
     columnar: bool,
     bindings: &[Option<String>],
     ctx: &ExecCtx<'_>,
 ) -> Result<Value> {
     if columnar {
-        return eval_col(e, view, ri);
+        return eval_col(e, chunk, ri);
     }
-    let t = view
+    let t = chunk
         .tuple_at(ri)
         .ok_or_else(|| EspError::Plan("chunk row vanished mid-fold".into()))?;
     eval_expr(e, &RowEnv::single(bindings, &[&t], None), ctx)
@@ -438,13 +437,12 @@ fn fold(cs: &mut CompiledSelect, chunk: &Chunk, ctx: &ExecCtx<'_>) -> Result<()>
         bindings,
         ..
     } = cs;
-    let view = chunk.view();
     let mut kept = Vec::with_capacity(chunk.len());
     match where_clause {
         Some(w) => {
             let columnar = col_supported(w, chunk.schema());
             for ri in 0..chunk.len() {
-                if eval_row(w, &view, ri, columnar, bindings, ctx)?.truthy() {
+                if eval_row(w, chunk, ri, columnar, bindings, ctx)?.truthy() {
                     kept.push(ri);
                 }
             }
@@ -480,7 +478,7 @@ fn fold(cs: &mut CompiledSelect, chunk: &Chunk, ctx: &ExecCtx<'_>) -> Result<()>
                     // count(*): every row counts.
                     ArgRead::Star => Value::Int(1),
                     ArgRead::Column(col) => col.get(ri).unwrap_or(Value::Null),
-                    ArgRead::Expr(e, columnar) => eval_row(e, &view, ri, *columnar, bindings, ctx)?,
+                    ArgRead::Expr(e, columnar) => eval_row(e, chunk, ri, *columnar, bindings, ctx)?,
                 };
                 // SQL aggregates ignore NULLs.
                 if !v.is_null() {

@@ -166,29 +166,16 @@ impl<'a> KeyRef<'a> {
     /// pruned column, as [`ColumnVec::get`] reads them).
     #[inline]
     pub fn at(col: &'a ColumnVec, row: usize) -> KeyRef<'a> {
-        fn packed<T: Copy>(data: &[T], nulls: &esp_types::NullMask, row: usize) -> Option<T> {
-            data.get(row).copied().filter(|_| !nulls.get(row))
-        }
-        match col {
-            ColumnVec::Bool { data, nulls } => {
-                packed(data, nulls, row).map_or(KeyRef::Null, KeyRef::Bool)
-            }
-            ColumnVec::Int { data, nulls } => {
-                packed(data, nulls, row).map_or(KeyRef::Null, KeyRef::Int)
-            }
-            ColumnVec::Float { data, nulls } => {
-                packed(data, nulls, row).map_or(KeyRef::Null, KeyRef::Float)
-            }
-            ColumnVec::TsCol { data, nulls } => {
-                packed(data, nulls, row).map_or(KeyRef::Null, KeyRef::Ts)
-            }
-            ColumnVec::Str { data, nulls } => match data.get(row) {
-                Some(s) if !nulls.get(row) => KeyRef::Str(s),
-                _ => KeyRef::Null,
-            },
-            ColumnVec::Values(values) => values.get(row).map_or(KeyRef::Null, KeyRef::of),
-            ColumnVec::Pruned { .. } => KeyRef::Null,
-        }
+        let key = match col {
+            ColumnVec::Bool(p) => p.at(row).map(|b| KeyRef::Bool(*b)),
+            ColumnVec::Int(p) => p.at(row).map(|i| KeyRef::Int(*i)),
+            ColumnVec::Float(p) => p.at(row).map(|f| KeyRef::Float(*f)),
+            ColumnVec::Ts(p) => p.at(row).map(|t| KeyRef::Ts(*t)),
+            ColumnVec::Str(p) => p.at(row).map(KeyRef::Str),
+            ColumnVec::Values(values) => values.get(row).map(KeyRef::of),
+            ColumnVec::Pruned { .. } => None,
+        };
+        key.unwrap_or(KeyRef::Null)
     }
 
     /// The owned value (a string is shared, not copied).
@@ -729,12 +716,12 @@ enum KeyCol<'a> {
 
 impl<'a> KeyCol<'a> {
     fn of(col: &'a ColumnVec) -> KeyCol<'a> {
-        fn packed<'a, T>((data, nulls): (&'a [T], &'a NullMask)) -> Packed<'a, T> {
+        fn packed<'a, T>(data: &'a [T], nulls: &'a NullMask) -> Packed<'a, T> {
             (data, nulls.any().then_some(nulls))
         }
-        match (col.int_data(), col.str_data()) {
-            (Some(d), _) => KeyCol::Int(packed(d)),
-            (_, Some(d)) => KeyCol::Str(packed(d)),
+        match col {
+            ColumnVec::Int(p) => KeyCol::Int(packed(p.data(), p.nulls())),
+            ColumnVec::Str(p) => KeyCol::Str(packed(p.data(), p.nulls())),
             _ => KeyCol::Other(col),
         }
     }
@@ -1065,10 +1052,9 @@ mod tests {
     fn column_keys_find_the_ids_of_value_keys() {
         let mut s: PaneStore<i64> = PaneStore::new(TimeDelta::from_secs(5));
         *s.pane_mut(Ts::ZERO).upsert(&key("a", 1)) += 1;
-        let tags = ColumnVec::Str {
-            data: vec![Arc::from("a"), Arc::from("b")],
-            nulls: esp_types::NullMask::new(),
-        };
+        let mut tags = ColumnVec::for_type(esp_types::DataType::Str);
+        tags.push(Value::str("a"));
+        tags.push(Value::str("b"));
         let ids = ColumnVec::Values(vec![Value::Int(1), Value::Int(1)]);
         let mut pane = s.pane_mut(Ts::from_secs(1));
         for row in 0..2 {

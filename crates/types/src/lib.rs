@@ -40,7 +40,7 @@ mod value;
 pub mod well_known;
 
 pub use actuation::SampleRateHandle;
-pub use chunk::{chunk_batch, Chunk, ChunkView, ColumnVec, NullMask};
+pub use chunk::{chunk_batch, Chunk, ColumnVec, NullMask, Packable, Packed};
 pub use diag::{Applicability, Diagnostic, Severity, Span, Suggestion};
 pub use effect::{Determinism, FieldEffects};
 pub use error::{EspError, Result};
