@@ -1,14 +1,22 @@
 //! Micro-benchmarks of the windowing substrate: `WindowBuffer` push +
 //! eviction (the window of Merge and of esp-query), fed row by row and
-//! chunk by chunk — the path esp-query ingest takes — and `RunningStats`
-//! folding (Merge's outlier test, Smooth's per-pane means).
+//! chunk by chunk — the path esp-query ingest takes — `RunningStats`
+//! folding (Merge's outlier test, Smooth's per-pane means), and the paper's
+//! Query 2 smoothing on panes: the CQL select over plain and over coded
+//! tag strings, beside native `count_by_key`, on the same rows.
+//!
+//! These are indicative only: end-to-end claims come from the yardstick.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use esp_core::SmoothStage;
+use esp_query::Engine;
 use esp_stream::stats::RunningStats;
-use esp_stream::WindowBuffer;
-use esp_types::{chunk_batch, Chunk, DataType, Schema, TimeDelta, Ts, Tuple, Value};
+use esp_stream::{Payload, Stage, WindowBuffer};
+use esp_types::{
+    chunk_batch, Cell, Chunk, DataType, Schema, StrInterner, TimeDelta, Ts, Tuple, Value,
+};
 
 fn tuple(schema: &Arc<Schema>, ts: Ts, v: i64) -> Tuple {
     Tuple::new_unchecked(Arc::clone(schema), ts, vec![Value::Int(v)])
@@ -72,5 +80,92 @@ fn bench_running_stats(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_window_push, bench_running_stats);
+/// One reader's sightings, one chunk per 1 s epoch: 8 shelves of 90 EPC
+/// tags, each present tag read once per epoch, with the injected
+/// `spatial_granule` column (one shared string per shelf). Tags are plain
+/// strings (one allocation per reading, as an uncoded ingest makes them)
+/// or codes into one string table (as the gateway writes them).
+fn sightings(schema: &Arc<Schema>, coded: bool) -> Vec<Chunk> {
+    let mut strings = StrInterner::new();
+    let shelves: Vec<Value> = (0..8).map(|s| Value::str(format!("shelf{s}"))).collect();
+    (0..25u64)
+        .map(|epoch| {
+            let mut chunk = Chunk::new(schema);
+            for (s, shelf) in shelves.iter().enumerate() {
+                for tag in (0..90).filter(|t| !(t + epoch as usize).is_multiple_of(7)) {
+                    let epc = format!("urn:epc:id:sgtin:0614141.{s:06}.{tag:010}");
+                    let ts = Ts::from_millis(epoch * 1_000 + 1 + tag as u64);
+                    let id = Cell::Value(Value::Int(s as i64));
+                    let code = coded.then(|| strings.intern(&epc));
+                    let tag_id = match code {
+                        Some(code) => Cell::Code(strings.table(), code),
+                        None => Cell::Value(Value::str(epc)),
+                    };
+                    let row = [id, tag_id, Cell::Value(shelf.clone())];
+                    chunk.push_row_owned(ts, row).unwrap();
+                }
+            }
+            chunk
+        })
+        .collect()
+}
+
+fn bench_smooth_keys(c: &mut Criterion) {
+    let schema = Schema::builder()
+        .field("receptor_id", DataType::Int)
+        .field("tag_id", DataType::Str)
+        .field("spatial_granule", DataType::Str)
+        .build()
+        .unwrap();
+    let sql = "SELECT spatial_granule, tag_id, count(*) AS n \
+               FROM smooth_input [Range By '5 sec'] \
+               GROUP BY spatial_granule, tag_id";
+    let engine = Engine::new();
+    let epoch = |k: usize| Ts::from_millis(k as u64 * 1_000 + 1_000);
+    let mut group = c.benchmark_group("smooth_keys");
+    for (name, coded) in [("cql_str", false), ("cql_coded", true)] {
+        let chunks = sightings(&schema, coded);
+        group.throughput(Throughput::Elements(
+            chunks.iter().map(|c| c.len() as u64).sum(),
+        ));
+        group.bench_with_input(BenchmarkId::new(name, "8x90"), &chunks, |b, chunks| {
+            b.iter(|| {
+                let mut q = engine
+                    .compile_with_schemas(sql, &[("smooth_input", Arc::clone(&schema))])
+                    .unwrap();
+                let mut groups = 0;
+                for (k, chunk) in chunks.iter().enumerate() {
+                    q.push_chunk("smooth_input", chunk.clone()).unwrap();
+                    groups += q.tick_chunk(epoch(k)).unwrap().len();
+                }
+                groups
+            })
+        });
+    }
+    let chunks = sightings(&schema, false);
+    group.bench_with_input(
+        BenchmarkId::new("native_count_by_key", "8x90"),
+        &chunks,
+        |b, chunks| {
+            b.iter(|| {
+                let keys = ["spatial_granule", "tag_id"];
+                let mut smooth = SmoothStage::count_by_key("smooth", TimeDelta::from_secs(5), keys);
+                let mut groups = 0;
+                for (k, chunk) in chunks.iter().enumerate() {
+                    let out = smooth.process(epoch(k), Payload::from(vec![chunk.clone()]));
+                    groups += out.unwrap().len();
+                }
+                groups
+            })
+        },
+    );
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_window_push,
+    bench_running_stats,
+    bench_smooth_keys
+);
 criterion_main!(benches);

@@ -123,6 +123,10 @@ impl SmoothMode {
 trait Windowed {
     type Partial: Partial;
 
+    /// Whether each output row starts with the group's key values (the
+    /// pane fold writes those columns; [`Windowed::row`] the rest).
+    const KEYED: bool;
+
     /// Fold one chunk into the pane of `epoch`.
     fn fold(
         &self,
@@ -131,14 +135,16 @@ trait Windowed {
         cols: &Columns<'_>,
     ) -> Result<()>;
 
-    /// Append a merged group's output values to `row`; `false` for none.
-    fn row(&self, key: &[Value], partial: &Self::Partial, row: &mut Vec<Value>) -> Result<bool>;
+    /// Append a merged group's output values after its key to `row`;
+    /// `false` for none.
+    fn row(&self, partial: &Self::Partial, row: &mut Vec<Value>) -> Result<bool>;
 }
 
 struct Count;
 
 impl Windowed for Count {
     type Partial = i64;
+    const KEYED: bool = true;
 
     fn fold(&self, panes: &mut PaneAggregate<i64>, epoch: Ts, cols: &Columns<'_>) -> Result<()> {
         panes.fold(epoch, cols, None, |n, run| {
@@ -147,8 +153,7 @@ impl Windowed for Count {
         })
     }
 
-    fn row(&self, key: &[Value], n: &i64, row: &mut Vec<Value>) -> Result<bool> {
-        row.extend_from_slice(key);
+    fn row(&self, n: &i64, row: &mut Vec<Value>) -> Result<bool> {
         row.push(Value::Int(*n));
         Ok(true)
     }
@@ -158,6 +163,7 @@ struct Mean;
 
 impl Windowed for Mean {
     type Partial = RunningStats;
+    const KEYED: bool = true;
 
     fn fold(
         &self,
@@ -193,11 +199,10 @@ impl Windowed for Mean {
         }
     }
 
-    fn row(&self, key: &[Value], stats: &RunningStats, row: &mut Vec<Value>) -> Result<bool> {
+    fn row(&self, stats: &RunningStats, row: &mut Vec<Value>) -> Result<bool> {
         let mean = stats
             .mean()
             .ok_or_else(|| EspError::Stage("smooth: empty stats bucket".into()))?;
-        row.extend_from_slice(key);
         row.push(Value::Float(mean));
         Ok(true)
     }
@@ -210,6 +215,7 @@ struct EventPresence {
 
 impl Windowed for EventPresence {
     type Partial = Presence;
+    const KEYED: bool = false;
 
     fn fold(
         &self,
@@ -234,7 +240,7 @@ impl Windowed for EventPresence {
         })
     }
 
-    fn row(&self, _: &[Value], p: &Presence, row: &mut Vec<Value>) -> Result<bool> {
+    fn row(&self, p: &Presence, row: &mut Vec<Value>) -> Result<bool> {
         // `min_events` may be 0 with nothing matching: no event.
         if p.matches == 0 || p.matches < self.min_events as u64 {
             return Ok(false);
@@ -268,7 +274,11 @@ fn window<W: Windowed>(
     let Some(schema) = schema else {
         return unfixed(panes.is_empty());
     };
-    let (chunk, _) = panes.emit(epoch, schema, None, |key, p, row| mode.row(key, p, row))?;
+    // A keyed mode's output is the key fields, then its one value.
+    let keys_at: Vec<Option<usize>> = (0..schema.len())
+        .map(|c| (W::KEYED && c + 1 < schema.len()).then_some(c))
+        .collect();
+    let (chunk, _) = panes.emit(epoch, schema, &keys_at, None, |_, p, row| mode.row(p, row))?;
     Ok(Payload::from(vec![chunk]))
 }
 

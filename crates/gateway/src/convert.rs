@@ -19,26 +19,47 @@
 //! (`ReadingSchemas::append_body`). A new trailing chunk is a clone of an
 //! empty one built here once per kind, so no schema is interned on the
 //! way.
+//!
+//! A Tag or Event payload is written **coded**: the worker interns its
+//! bytes, still in the batch, into the shard's string table
+//! ([`esp_types::StrInterner`], one per [`ReadingSchemas`]) and appends
+//! the code ([`esp_types::ColumnVec::Coded`]). A repeated string costs a
+//! hash and a compare and allocates nothing. The table holds a constant
+//! number of strings; when it is full the interner starts a fresh one and
+//! the receptor a fresh trailing chunk, and the old table is freed with
+//! the last chunk or pane that references it.
+//!
 //! [`ReadingSchemas::to_tuple`] and [`ReadingSchemas::append_to_chunk`]
 //! stay as the owned-`Reading` reference the ingest path is tested
-//! against.
+//! against; they write plain strings, so every comparison with them also
+//! checks coded ≡ uncoded.
 
 use std::collections::{hash_map, HashMap};
 use std::sync::Arc;
 
-use esp_receptors::wire::{Body, Frame, Reading};
-use esp_types::{well_known, Chunk, ReceptorId, Result, Schema, Ts, Tuple, Value};
+use parking_lot::{Mutex, MutexGuard};
 
-/// Cached per-kind schemas, each held as an empty chunk of that schema.
-/// The spatial-granule injector in `esp-core` caches by schema pointer
+use esp_receptors::wire::{Body, Frame, Reading};
+use esp_types::{
+    well_known, Cell, Chunk, ColumnVec, ReceptorId, Result, Schema, StrInterner, StrTable, Ts,
+    Tuple, Value,
+};
+
+/// The column of a Tag or Event row that holds its string payload.
+const PAYLOAD: usize = 1;
+
+/// Cached per-kind schemas, each held as an empty chunk of that schema,
+/// and the string table the ingest path codes payloads into. The
+/// spatial-granule injector in `esp-core` caches by schema pointer
 /// identity, so all tuples of one kind must share one `Arc<Schema>`; clone
-/// this struct freely — clones share the arcs.
+/// this struct freely — clones share the arcs, the string table too.
 #[derive(Debug, Clone)]
 pub struct ReadingSchemas {
     scalar: Chunk,
     tag: Chunk,
     event: Chunk,
     dual: Chunk,
+    strings: Arc<Mutex<StrInterner>>,
 }
 
 impl Default for ReadingSchemas {
@@ -55,7 +76,14 @@ impl ReadingSchemas {
             tag: Chunk::new(&well_known::rfid_schema()),
             event: Chunk::new(&well_known::motion_schema()),
             dual: Chunk::new(&well_known::temp_voltage_schema()),
+            strings: Arc::default(),
         }
+    }
+
+    /// The string table the ingest path codes payloads into, locked: a
+    /// shard worker takes it once per batch.
+    pub(crate) fn strings(&self) -> MutexGuard<'_, StrInterner> {
+        self.strings.lock()
     }
 
     /// Convert a decoded reading into the tuple the matching simulator
@@ -124,21 +152,33 @@ impl ReadingSchemas {
         }
     }
 
-    /// Append a validated frame's row to a chunk of its kind's schema:
-    /// the ingest path's twin of [`ReadingSchemas::append_to_chunk`].
+    /// Append a validated frame's row, its string payload already coded
+    /// into `table`, to a chunk of its kind's schema: the ingest path's
+    /// twin of [`ReadingSchemas::append_to_chunk`].
     pub(crate) fn append_body(
         &self,
         receptor: ReceptorId,
         ts: Ts,
-        body: Body<&str>,
+        body: Body<u32>,
+        table: &Arc<StrTable>,
         chunk: &mut Chunk,
     ) -> Result<()> {
         let id = Value::Int(i64::from(receptor.0));
         match body {
             Body::Scalar(v) => chunk.push_row_owned(ts, [id, Value::Float(v)]),
-            Body::Tag(s) | Body::Event(s) => chunk.push_row_owned(ts, [id, Value::str(s)]),
+            Body::Tag(code) | Body::Event(code) => {
+                chunk.push_row_owned(ts, [Cell::Value(id), Cell::Code(table, code)])
+            }
             Body::Dual(a, b) => chunk.push_row_owned(ts, [id, Value::Float(a), Value::Float(b)]),
         }
+    }
+
+    /// Whether a row of `body`'s kind, coded into `table`, extends `chunk`:
+    /// the same kind, and no payload column coded into another table.
+    pub(crate) fn extends<S>(&self, chunk: &Chunk, body: &Body<S>, table: &Arc<StrTable>) -> bool {
+        let coded = chunk.col(PAYLOAD).and_then(ColumnVec::table);
+        Arc::ptr_eq(chunk.schema(), self.empty_chunk(body).schema())
+            && coded.is_none_or(|t| Arc::ptr_eq(t, table))
     }
 
     /// Append a decoded reading's row directly to a columnar chunk of its

@@ -51,6 +51,10 @@ struct Inner {
     crashes: Counter,
     recoveries: Counter,
     shard_readings: Vec<Counter>,
+    /// Per shard: strings in its current string table, and fresh tables
+    /// started because one was full.
+    shard_strings: Vec<Gauge>,
+    shard_string_table_swaps: Vec<Counter>,
     /// Closed flush measurements, µs. Exact sum and count (the mean the
     /// snapshot reports is exact; only the quantiles are bucketed).
     flush_latency_us: Histogram,
@@ -88,6 +92,7 @@ impl GatewayStats {
     pub fn new(n_shards: usize) -> GatewayStats {
         let r = Registry::new();
         let c = |name: &str| r.counter(name, &[]);
+        let shards = || (0..n_shards).map(|s| s.to_string());
         let inner = Inner {
             connections: c("esp_gateway_connections_total"),
             frames: c("esp_gateway_frames_total"),
@@ -102,13 +107,14 @@ impl GatewayStats {
             checkpoint_nanos: c("esp_gateway_checkpoint_nanos_total"),
             crashes: c("esp_gateway_crashes_total"),
             recoveries: c("esp_gateway_recoveries_total"),
-            shard_readings: (0..n_shards)
-                .map(|s| {
-                    r.counter(
-                        "esp_gateway_shard_readings_total",
-                        &[("shard", &s.to_string())],
-                    )
-                })
+            shard_readings: shards()
+                .map(|s| r.counter("esp_gateway_shard_readings_total", &[("shard", &s)]))
+                .collect(),
+            shard_strings: shards()
+                .map(|s| r.gauge("esp_gateway_shard_strings", &[("shard", &s)]))
+                .collect(),
+            shard_string_table_swaps: shards()
+                .map(|s| r.counter("esp_gateway_string_table_swaps_total", &[("shard", &s)]))
                 .collect(),
             flush_latency_us: r.histogram("esp_gateway_flush_latency_us", &[]),
             flush_latency_max_us: r.gauge("esp_gateway_flush_latency_max_us", &[]),
@@ -184,6 +190,18 @@ impl GatewayStats {
     pub fn note_shard_readings(&self, shard: usize, n: u64) {
         if let Some(c) = self.inner.shard_readings.get(shard) {
             c.add(n);
+        }
+    }
+
+    /// `shard`'s string table after an epoch: `strings` entries in its
+    /// current table, and `swaps` fresh tables started since the worker
+    /// began (a cumulative count).
+    pub fn note_string_table(&self, shard: usize, strings: u64, swaps: u64) {
+        if let Some(g) = self.inner.shard_strings.get(shard) {
+            g.set(strings);
+        }
+        if let Some(c) = self.inner.shard_string_table_swaps.get(shard) {
+            c.add(swaps.saturating_sub(c.get()));
         }
     }
 
@@ -501,6 +519,22 @@ mod tests {
                 Some(*n)
             );
         }
+    }
+
+    #[test]
+    fn string_tables_are_gauged_per_shard() {
+        let s = GatewayStats::new(2);
+        s.note_string_table(1, 40, 0);
+        s.note_string_table(1, 7, 2);
+        s.note_string_table(1, 9, 2);
+        let r = s.registry();
+        let (one, zero) = ([("shard", "1")], [("shard", "0")]);
+        assert_eq!(r.gauge_value("esp_gateway_shard_strings", &one), Some(9));
+        assert_eq!(r.gauge_value("esp_gateway_shard_strings", &zero), Some(0));
+        assert_eq!(
+            r.counter_value("esp_gateway_string_table_swaps_total", &one),
+            Some(2)
+        );
     }
 
     #[test]

@@ -40,7 +40,9 @@ use esp_core::{EspProcessor, Pipeline, ProximityGroups, ReceptorBinding};
 use esp_durability::{read_wal_dir, SnapshotMeta, WalEntry};
 use esp_receptors::wire::{self, Body};
 use esp_stream::{Payload, Source};
-use esp_types::{chunk_batch, Batch, Chunk, EspError, ReceptorId, ReceptorType, Result, Ts, Tuple};
+use esp_types::{
+    chunk_batch, Batch, Chunk, EspError, ReceptorId, ReceptorType, Result, StrInterner, Ts, Tuple,
+};
 
 use crate::convert::{ReadingSchemas, ShardBatch};
 use crate::durability::{compose_payload, restore_payload, DurabilityHooks};
@@ -81,22 +83,25 @@ pub(crate) struct ChunkBuffer {
 
 impl ChunkBuffer {
     /// Append a validated frame's row straight into the trailing chunk of
-    /// its kind (or start a new one on a kind switch).
+    /// its kind, its string payload coded into `strings` (or start a new
+    /// chunk on a kind switch or a fresh string table).
     pub(crate) fn push_row(
         &mut self,
         schemas: &ReadingSchemas,
+        strings: &mut StrInterner,
         receptor: ReceptorId,
         ts: Ts,
         body: Body<&str>,
     ) -> Result<()> {
-        let empty = schemas.empty_chunk(&body);
+        let body = body.map(|s| strings.intern(s));
+        let table = strings.table();
         match self.segs.last_mut() {
-            Some(chunk) if Arc::ptr_eq(chunk.schema(), empty.schema()) => {
-                schemas.append_body(receptor, ts, body, chunk)
+            Some(chunk) if schemas.extends(chunk, &body, table) => {
+                schemas.append_body(receptor, ts, body, table, chunk)
             }
             _ => {
-                let mut chunk = empty.clone();
-                schemas.append_body(receptor, ts, body, &mut chunk)?;
+                let mut chunk = schemas.empty_chunk(&body).clone();
+                schemas.append_body(receptor, ts, body, table, &mut chunk)?;
                 self.segs.push(chunk);
                 Ok(())
             }
@@ -112,7 +117,14 @@ impl ChunkBuffer {
     ) -> Result<()> {
         let frame = wire::encode(reading);
         let parsed = wire::parse(&frame)?;
-        self.push_row(schemas, parsed.receptor, parsed.ts, parsed.body)
+        let mut strings = schemas.strings();
+        self.push_row(
+            schemas,
+            &mut strings,
+            parsed.receptor,
+            parsed.ts,
+            parsed.body,
+        )
     }
 
     /// Rebuild from a row batch (snapshot restore).
@@ -224,13 +236,15 @@ pub(crate) fn build_shard(
 
 /// Buffer one hand-off batch, skipping each reading the WAL replay
 /// already buffered ([`protocol::Worker::fresh`]): one buffer lookup and
-/// one lock per receptor in the batch.
+/// one lock per receptor in the batch, and one lock of the string table
+/// the payloads are coded into.
 pub(crate) fn buffer_batch(
     buffers: &HashMap<ReceptorId, ReadingBuffer>,
     schemas: &ReadingSchemas,
     core: &protocol::Worker,
     batch: ShardBatch,
 ) -> Result<()> {
+    let mut strings = schemas.strings();
     for (receptor, rows) in batch.receptors() {
         // Router guarantees membership, but a dynamic group edit could
         // race a reading in flight; dropping here matches the processor,
@@ -241,7 +255,7 @@ pub(crate) fn buffer_batch(
         let mut buf = buf.lock();
         for (seq, ts, body) in rows {
             if core.fresh(seq) {
-                buf.push_row(schemas, receptor, ts, body)?;
+                buf.push_row(schemas, &mut strings, receptor, ts, body)?;
             }
         }
     }
@@ -505,6 +519,10 @@ pub(crate) fn spawn_worker(
                             &mut published_through,
                             epoch,
                         );
+                        let strings = schemas.strings();
+                        let entries = strings.table().len() as u64;
+                        stats.note_string_table(shard, entries, strings.swaps());
+                        drop(strings);
                         stats.note_flush_done(epoch.as_millis());
                         if let (true, Some(d)) = (core.stepped(), &durability) {
                             checkpoint(shard, d, &processor, &buffers, epoch, seq, &stats)?;
@@ -690,6 +708,69 @@ mod tests {
             .map(|t| t.ts().as_millis() / 1000)
             .collect();
         assert_eq!(tail, vec![22, 23]);
+    }
+
+    /// More distinct tags than one string table holds, through the ingest
+    /// path: every epoch's rows equal the reference path's, a full table
+    /// is swapped for a fresh one with a fresh trailing chunk, and once
+    /// the released chunks are gone only the current table is alive.
+    #[test]
+    fn string_tables_stay_bounded_past_capacity() {
+        use esp_types::{ColumnVec, StrTable, STR_TABLE_CAPACITY};
+        use std::sync::Weak;
+
+        let groups = vec![GatewayGroup {
+            receptor_type: ReceptorType::Rfid,
+            granule: "shelf".into(),
+            members: vec![ReceptorId(1)],
+        }];
+        let (_processor, buffers) = build_shard(&groups, &Pipeline::raw()).unwrap();
+        let schemas = ReadingSchemas::new();
+        let core = protocol::Worker::new(None);
+        let per_epoch = 1_000;
+        let mut tables: Vec<Weak<StrTable>> = Vec::new();
+        for epoch in 0..(STR_TABLE_CAPACITY / per_epoch + 4) {
+            // Every tenth reading repeats one tag; the rest are new.
+            let readings: Vec<Reading> = (0..per_epoch)
+                .map(|i| match i % 10 {
+                    0 => tag(1, epoch as u64, "tag-repeated"),
+                    _ => tag(1, epoch as u64, &format!("tag-{}", epoch * per_epoch + i)),
+                })
+                .collect();
+            let mut batch = ShardBatch::default();
+            for r in &readings {
+                let frame = wire::encode(r);
+                batch.extend([(0, wire::parse(&frame).unwrap())]);
+            }
+            buffer_batch(&buffers, &schemas, &core, batch).unwrap();
+            let current = Arc::clone(schemas.strings().table());
+            assert!(current.len() <= STR_TABLE_CAPACITY);
+            if !tables.iter().any(|t| t.as_ptr() == Arc::as_ptr(&current)) {
+                tables.push(Arc::downgrade(&current));
+            }
+            let released = buffers[&ReceptorId(1)]
+                .lock()
+                .drain_upto(Ts::from_secs(epoch as u64))
+                .unwrap();
+            let mut reference = Chunk::new(schemas.schema_for(&readings[0]));
+            for r in &readings {
+                schemas.append_to_chunk(r, &mut reference).unwrap();
+            }
+            let rows: Vec<Tuple> = released.iter().flat_map(Chunk::to_tuples).collect();
+            assert_eq!(rows, reference.to_tuples(), "epoch {epoch}");
+            // One chunk per table; every chunk coded.
+            let coded: Vec<&Arc<StrTable>> = (released.iter())
+                .filter_map(|c| c.col(1).and_then(ColumnVec::table))
+                .collect();
+            assert_eq!(coded.len(), released.len());
+            assert!(coded.windows(2).all(|w| !Arc::ptr_eq(w[0], w[1])));
+            assert!(coded.len() <= 2, "epoch {epoch}: {} tables", coded.len());
+            drop((released, current));
+            let live: Vec<Arc<StrTable>> = tables.iter().filter_map(Weak::upgrade).collect();
+            assert_eq!(live.len(), 1, "epoch {epoch}: only the current table lives");
+        }
+        assert_eq!(schemas.strings().swaps(), 1);
+        assert_eq!(tables.len(), 2);
     }
 
     #[test]

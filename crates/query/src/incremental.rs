@@ -515,29 +515,43 @@ fn emit(cs: &mut CompiledSelect, ctx: &ExecCtx<'_>) -> Result<(Chunk, usize)> {
     // The global group emits even over an empty window, as SQL's
     // `SELECT count(*) FROM empty` does.
     let empty = group_by.is_empty().then(|| Partials::new(kinds));
+    // A selected GROUP BY column is written by the pane fold, as the
+    // dictionary holds it (a coded string stays coded).
+    let keys_at: Vec<Option<usize>> = (outputs.iter())
+        .map(|out| match out {
+            Output::Key(i) => Some(*i),
+            _ => None,
+        })
+        .collect();
     let mut aggs = Vec::with_capacity(kinds.len());
-    panes.emit(ctx.epoch, schema, empty.as_ref(), |key, partials, row| {
-        aggs.clear();
-        aggs.extend(partials.as_slice().iter().map(AggregateState::finish));
-        let rep = rep_schema
-            .as_ref()
-            .map(|s| Tuple::new_unchecked(Arc::clone(s), ctx.epoch, key.to_vec()));
-        let rep = rep.as_ref();
-        let env = RowEnv::single(bindings, rep.as_slice(), Some(&aggs));
-        if let Some(h) = having {
-            if !eval_expr(h, &env, ctx)?.truthy() {
-                return Ok(false);
+    panes.emit(
+        ctx.epoch,
+        schema,
+        &keys_at,
+        empty.as_ref(),
+        |key, partials, row| {
+            aggs.clear();
+            aggs.extend(partials.as_slice().iter().map(AggregateState::finish));
+            let rep = rep_schema
+                .as_ref()
+                .map(|s| Tuple::new_unchecked(Arc::clone(s), ctx.epoch, key.values()));
+            let rep = rep.as_ref();
+            let env = RowEnv::single(bindings, rep.as_slice(), Some(&aggs));
+            if let Some(h) = having {
+                if !eval_expr(h, &env, ctx)?.truthy() {
+                    return Ok(false);
+                }
             }
-        }
-        for (item, out) in select.iter().zip(outputs.iter()) {
-            row.push(match out {
-                Output::Key(i) => key[*i].clone(),
-                Output::Agg(j) => aggs[*j].clone(),
-                Output::Expr => eval_expr(&item.expr, &env, ctx)?,
-            });
-        }
-        Ok(true)
-    })
+            for (item, out) in select.iter().zip(outputs.iter()) {
+                row.push(match out {
+                    Output::Key(_) => continue,
+                    Output::Agg(j) => aggs[*j].clone(),
+                    Output::Expr => eval_expr(&item.expr, &env, ctx)?,
+                });
+            }
+            Ok(true)
+        },
+    )
 }
 
 #[cfg(test)]

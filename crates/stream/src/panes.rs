@@ -16,12 +16,13 @@
 //! key and argument columns once per input schema, folds a chunk's rows
 //! (all of them, or a caller's selection such as the rows WHERE kept) by
 //! finding runs of equal keys on the columns in place — packed `Int`/`Str`
-//! slices compared directly (a string by its allocation, so finding runs
-//! never compares string contents), anything else through [`KeyRef`] —
-//! and looks each run's group up once. It slides, merges and writes the
-//! merged groups column by column in first-seen order. A caller supplies
-//! only its partial, how a run updates it, and how a merged partial
-//! becomes output values.
+//! slices and coded strings compared directly (a string by its allocation
+//! or its code, so finding runs never compares string contents), anything
+//! else through [`KeyRef`] — and looks each run's group up once. It
+//! slides, merges and writes the merged groups column by column in
+//! first-seen order. A caller supplies only its partial, how a run updates
+//! it, and how a merged partial becomes the output values that are not
+//! key columns.
 //!
 //! # Key dictionary
 //!
@@ -32,6 +33,19 @@
 //! panes that list them and freed (then reused) when the last such pane is
 //! evicted, so the dictionary follows the keys in the window, not the
 //! length of the run.
+//!
+//! # Coded strings
+//!
+//! A string key part is hashed by its content hash ([`esp_types::str_hash`])
+//! under the store's keyed hasher, so a coded part
+//! ([`ColumnVec::Coded`]), whose table computed that hash once when the
+//! string was interned, and a plain one of the same string land in one
+//! group; a restored store, which holds values, keeps grouping the coded
+//! rows that follow. A plain string is hashed once per run of one
+//! allocation in a chunk (an injected constant column is hashed once), and
+//! two codes of one table compare as integers. A key the dictionary first
+//! met coded stays coded, and [`PaneAggregate::emit`] writes it back coded
+//! into the output column, so the next keyed operator receives codes.
 //!
 //! # Invariants
 //!
@@ -80,7 +94,10 @@ use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
-use esp_types::{snap, Chunk, ColumnVec, EspError, NullMask, Result, Schema, TimeDelta, Ts, Value};
+use esp_types::{
+    snap, str_hash, Cell, Chunk, ColumnVec, EspError, NullMask, Result, Schema, StrTable,
+    TimeDelta, Ts, Value,
+};
 
 use crate::stats::RunningStats;
 
@@ -145,6 +162,8 @@ pub enum KeyRef<'a> {
     Float(f64),
     /// String.
     Str(&'a Arc<str>),
+    /// String by its code in a table.
+    Code(&'a Arc<StrTable>, u32),
     /// Timestamp.
     Ts(Ts),
 }
@@ -172,6 +191,7 @@ impl<'a> KeyRef<'a> {
             ColumnVec::Float(p) => p.at(row).map(|f| KeyRef::Float(*f)),
             ColumnVec::Ts(p) => p.at(row).map(|t| KeyRef::Ts(*t)),
             ColumnVec::Str(p) => p.at(row).map(KeyRef::Str),
+            ColumnVec::Coded(table, p) => p.at(row).map(|c| KeyRef::Code(table, *c)),
             ColumnVec::Values(values) => values.get(row).map(KeyRef::of),
             ColumnVec::Pruned { .. } => None,
         };
@@ -186,12 +206,40 @@ impl<'a> KeyRef<'a> {
             KeyRef::Int(i) => Value::Int(i),
             KeyRef::Float(f) => Value::Float(f),
             KeyRef::Str(s) => Value::Str(Arc::clone(s)),
+            KeyRef::Code(table, code) => Value::Str(Arc::clone(table.str(code))),
             KeyRef::Ts(t) => Value::Ts(t),
         }
     }
 
+    /// The part as the dictionary keeps it: a code stays a code.
+    fn to_part(self) -> KeyPart {
+        match self {
+            KeyRef::Code(table, code) => KeyPart::Code(Arc::clone(table), code),
+            k => KeyPart::Value(k.to_value()),
+        }
+    }
+
+    /// A string part's text.
+    fn text(self) -> Option<&'a str> {
+        match self {
+            KeyRef::Str(s) => Some(s),
+            KeyRef::Code(table, code) => Some(table.str(code)),
+            _ => None,
+        }
+    }
+
+    /// A string part's content hash ([`str_hash`]; the table's, for a
+    /// code), else 0.
+    fn content_hash(self) -> u64 {
+        match self {
+            KeyRef::Str(s) => str_hash(s),
+            KeyRef::Code(table, code) => table.hash(code),
+            _ => 0,
+        }
+    }
+
     /// Grouping equality: `Value::group_key` equality, without building
-    /// either key.
+    /// either key. Two codes of one table compare as integers.
     #[inline]
     fn groups(self, other: KeyRef<'_>) -> bool {
         match (self, other) {
@@ -199,29 +247,75 @@ impl<'a> KeyRef<'a> {
             (KeyRef::Bool(a), KeyRef::Bool(b)) => a == b,
             (KeyRef::Int(a), KeyRef::Int(b)) => a == b,
             (KeyRef::Float(a), KeyRef::Float(b)) => float_key(a) == float_key(b),
-            (KeyRef::Str(a), KeyRef::Str(b)) => Arc::ptr_eq(a, b) || **a == **b,
+            (KeyRef::Code(t, a), KeyRef::Code(u, b)) if Arc::ptr_eq(t, u) => a == b,
+            (KeyRef::Str(a), KeyRef::Str(b)) if Arc::ptr_eq(a, b) => true,
             (KeyRef::Ts(a), KeyRef::Ts(b)) => a == b,
-            _ => false,
+            (a, b) => a.text().is_some_and(|x| b.text() == Some(x)),
         }
     }
 
-    /// Identity in place: the same integer, float bits or string
-    /// allocation. It implies grouping equality and never compares string
-    /// contents.
+    /// Identity in place: the same integer, float bits, string allocation
+    /// or code of one table. It implies grouping equality and never
+    /// compares string contents.
     fn is(self, other: KeyRef<'_>) -> bool {
         match (self, other) {
             (KeyRef::Float(a), KeyRef::Float(b)) => a.to_bits() == b.to_bits(),
             (KeyRef::Str(a), KeyRef::Str(b)) => Arc::ptr_eq(a, b),
+            (KeyRef::Code(t, a), KeyRef::Code(u, b)) => Arc::ptr_eq(t, u) && a == b,
+            (KeyRef::Str(_) | KeyRef::Code(..), _) => false,
             (a, b) => a.groups(b),
         }
     }
 
-    /// Bit identity with a group-equal `v`: only floats can differ.
-    fn same_bits(self, v: &Value) -> bool {
-        match (self, v) {
-            (KeyRef::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+    /// Bit identity with a group-equal `part`: only floats can differ.
+    fn same_bits(self, part: &KeyPart) -> bool {
+        match (self, part) {
+            (KeyRef::Float(a), KeyPart::Value(Value::Float(b))) => a.to_bits() == b.to_bits(),
             _ => true,
         }
+    }
+}
+
+/// One key value as the dictionary keeps it: a value, or a string by its
+/// code.
+#[derive(Debug, Clone)]
+enum KeyPart {
+    Value(Value),
+    Code(Arc<StrTable>, u32),
+}
+
+impl KeyPart {
+    fn key_ref(&self) -> KeyRef<'_> {
+        match self {
+            KeyPart::Value(v) => KeyRef::of(v),
+            KeyPart::Code(table, code) => KeyRef::Code(table, *code),
+        }
+    }
+
+    fn cell(&self) -> Cell<'_> {
+        match self {
+            KeyPart::Value(v) => Cell::Value(v.clone()),
+            KeyPart::Code(table, code) => Cell::Code(table, *code),
+        }
+    }
+}
+
+/// A group's key values, as a merged window lists them.
+#[derive(Debug, Clone, Copy)]
+pub struct Key<'a>(&'a [KeyPart]);
+
+impl Key<'_> {
+    /// The key values (coded strings decoded; a string is shared, not
+    /// copied).
+    pub fn values(&self) -> Vec<Value> {
+        self.0.iter().map(|p| p.key_ref().to_value()).collect()
+    }
+
+    /// Key value `i` as a column cell (`NULL` past the end).
+    fn cell(&self, i: usize) -> Cell<'_> {
+        self.0
+            .get(i)
+            .map_or(Cell::Value(Value::Null), KeyPart::cell)
     }
 }
 
@@ -234,22 +328,23 @@ fn float_key(f: f64) -> u64 {
 }
 
 #[inline]
-fn key_values(key: &[KeyRef<'_>]) -> Box<[Value]> {
-    key.iter().map(|k| k.to_value()).collect()
+fn key_parts(key: &[KeyRef<'_>]) -> Box<[KeyPart]> {
+    key.iter().map(|k| k.to_part()).collect()
 }
 
 /// The key's hash under the dictionary's randomly keyed SipHash, fed the
-/// borrowed parts: key values come from readings, i.e. from outside the
-/// program, so the hash must stay hard to flood with colliding keys.
+/// borrowed parts, a string by its content hash (`hashes`, one per part):
+/// key values come from readings, i.e. from outside the program, so the
+/// hash must stay hard to flood with colliding keys.
 ///
 /// This and the module's other per-row helpers are `#[inline]`: the folds
 /// that call them are instantiated in the calling crates, where the calls
 /// otherwise stay out of line (`shelf-cql` then spent about 5% more CPU
 /// per reading on a 2-core x86-64 host).
 #[inline]
-fn hash_key(state: &RandomState, key: &[KeyRef<'_>]) -> u64 {
+fn hash_key(state: &RandomState, key: &[KeyRef<'_>], hashes: &[u64]) -> u64 {
     let mut h = state.build_hasher();
-    for part in key {
+    for (part, str_hash) in key.iter().zip(hashes) {
         match *part {
             KeyRef::Null => h.write_u8(0),
             KeyRef::Bool(b) => {
@@ -264,10 +359,9 @@ fn hash_key(state: &RandomState, key: &[KeyRef<'_>]) -> u64 {
                 h.write_u8(3);
                 h.write_u64(float_key(f));
             }
-            KeyRef::Str(s) => {
+            KeyRef::Str(_) | KeyRef::Code(..) => {
                 h.write_u8(4);
-                h.write_usize(s.len());
-                h.write(s.as_bytes());
+                h.write_u64(*str_hash);
             }
             KeyRef::Ts(t) => {
                 h.write_u8(5);
@@ -302,7 +396,7 @@ const NO_ID: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 struct DictEntry {
     /// The key values the id was first seen with (empty once freed).
-    values: Box<[Value]>,
+    values: Box<[KeyPart]>,
     hash: u64,
     /// The next id whose key has the same hash.
     next: u32,
@@ -324,26 +418,24 @@ struct KeyDict {
 }
 
 impl KeyDict {
-    /// The id of `key`, interning it if new; `true` when it was.
+    /// The id of `key` (with its parts' string `hashes`), interning it if
+    /// new; `true` when it was.
     #[inline]
-    fn intern(&mut self, key: &[KeyRef<'_>]) -> (u32, bool) {
-        let hash = hash_key(&self.hasher, key);
+    fn intern(&mut self, key: &[KeyRef<'_>], hashes: &[u64]) -> (u32, bool) {
+        let hash = hash_key(&self.hasher, key, hashes);
         let head = self.heads.get(&hash).copied().unwrap_or(NO_ID);
         let mut id = head;
         while id != NO_ID {
             let e = &self.entries[id as usize];
             if e.values.len() == key.len()
-                && e.values
-                    .iter()
-                    .zip(key)
-                    .all(|(v, k)| k.groups(KeyRef::of(v)))
+                && e.values.iter().zip(key).all(|(v, k)| k.groups(v.key_ref()))
             {
                 return (id, false);
             }
             id = e.next;
         }
         let entry = DictEntry {
-            values: key_values(key),
+            values: key_parts(key),
             hash,
             next: head,
             refs: 0,
@@ -398,7 +490,7 @@ struct Entry<P> {
     id: u32,
     /// The pane's own key values when its first arrival differs in bits
     /// from the dictionary's.
-    own: Option<Box<[Value]>>,
+    own: Option<Box<[KeyPart]>>,
     partial: P,
 }
 
@@ -430,7 +522,14 @@ impl<P: Partial> PaneMut<'_, P> {
     /// remembers the key's values as its representative; nothing is cloned
     /// unless the key is new to the store or to this pane.
     pub fn upsert_refs(&mut self, key: &[KeyRef<'_>]) -> &mut P {
-        let (id, fresh) = self.dict.intern(key);
+        let hashes: Vec<u64> = key.iter().map(|k| k.content_hash()).collect();
+        self.upsert_hashed(key, &hashes)
+    }
+
+    /// [`PaneMut::upsert_refs`], given each part's [`KeyRef::content_hash`].
+    #[inline]
+    fn upsert_hashed(&mut self, key: &[KeyRef<'_>], hashes: &[u64]) -> &mut P {
+        let (id, fresh) = self.dict.intern(key, hashes);
         let e = &mut self.dict.entries[id as usize];
         let slot = if e.mark.0 == self.table.serial {
             e.mark.1 as usize
@@ -441,7 +540,7 @@ impl<P: Partial> PaneMut<'_, P> {
             e.mark = (self.table.serial, slot as u32);
             self.table.entries.push(Entry {
                 id,
-                own: (!same).then(|| key_values(key)),
+                own: (!same).then(|| key_parts(key)),
                 partial: P::default(),
             });
             slot
@@ -572,7 +671,7 @@ impl<P: Partial> PaneStore<P> {
 
     /// The key values an entry emits: its pane's own, else the
     /// dictionary's.
-    fn values_of(&self, id: u32, pane: u32, entry: u32) -> &[Value] {
+    fn values_of(&self, id: u32, pane: u32, entry: u32) -> &[KeyPart] {
         self.panes[pane as usize].1.entries[entry as usize]
             .own
             .as_deref()
@@ -580,7 +679,8 @@ impl<P: Partial> PaneStore<P> {
     }
 
     /// Append the store's durable state (see the module docs for the
-    /// layout). The inverse of [`PaneStore::restore_from`].
+    /// layout; coded strings are written as their values). The inverse of
+    /// [`PaneStore::restore_from`].
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         snap::put_u64(out, self.width.as_millis());
         snap::put_u32(out, self.panes.len() as u32);
@@ -588,7 +688,8 @@ impl<P: Partial> PaneStore<P> {
             snap::put_u64(out, epoch.as_millis());
             snap::put_u32(out, pane.entries.len() as u32);
             for (i, e) in pane.entries.iter().enumerate() {
-                snap::encode_values(out, self.values_of(e.id, p as u32, i as u32));
+                let values = Key(self.values_of(e.id, p as u32, i as u32)).values();
+                snap::encode_values(out, &values);
                 e.partial.encode_into(out);
             }
         }
@@ -650,11 +751,14 @@ impl<'a, P: Partial> Merged<'a, P> {
         self.store.order.is_empty()
     }
 
-    /// `(key values, merged partial)` per key, in first-seen order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'a [Value], &'a P)> + 'a {
+    /// `(key, merged partial)` per key, in first-seen order.
+    pub fn iter(&self) -> impl Iterator<Item = (Key<'a>, &'a P)> + 'a {
         let store = self.store;
         store.order.iter().map(move |&(id, pane, entry)| {
-            (store.values_of(id, pane, entry), &store.acc[id as usize])
+            (
+                Key(store.values_of(id, pane, entry)),
+                &store.acc[id as usize],
+            )
         })
     }
 }
@@ -706,11 +810,12 @@ impl Columns<'_> {
 /// so the per-row test disappears for clean columns.
 type Packed<'a, T> = (&'a [T], Option<&'a NullMask>);
 
-/// A key column as the run finder compares it: packed `Int`/`Str` slices
-/// in place, any other column slot by slot through [`KeyRef::is`].
+/// A key column as the run finder compares it: packed `Int`/`Str`/coded
+/// slices in place, any other column slot by slot through [`KeyRef::is`].
 enum KeyCol<'a> {
     Int(Packed<'a, i64>),
     Str(Packed<'a, Arc<str>>),
+    Coded(Packed<'a, u32>),
     Other(&'a ColumnVec),
 }
 
@@ -722,6 +827,7 @@ impl<'a> KeyCol<'a> {
         match col {
             ColumnVec::Int(p) => KeyCol::Int(packed(p.data(), p.nulls())),
             ColumnVec::Str(p) => KeyCol::Str(packed(p.data(), p.nulls())),
+            ColumnVec::Coded(_, p) => KeyCol::Coded(packed(p.data(), p.nulls())),
             _ => KeyCol::Other(col),
         }
     }
@@ -738,6 +844,10 @@ impl<'a> KeyCol<'a> {
             },
             KeyCol::Str((data, nulls)) => match (null(*nulls, a), null(*nulls, b)) {
                 (false, false) => Arc::ptr_eq(&data[a], &data[b]),
+                (na, nb) => na == nb,
+            },
+            KeyCol::Coded((data, nulls)) => match (null(*nulls, a), null(*nulls, b)) {
+                (false, false) => data[a] == data[b],
                 (na, nb) => na == nb,
             },
             KeyCol::Other(col) => KeyRef::at(col, a).is(KeyRef::at(col, b)),
@@ -839,13 +949,15 @@ impl<P: Partial> PaneAggregate<P> {
     /// Fold the chunk `cols` were read from into the pane of `epoch`: the
     /// rows listed in `rows` (ascending) when given, else every row. Each
     /// run of consecutive such rows whose keys are the same values in place
-    /// — equal integers, equal float bits, one string allocation — looks
-    /// its group up once (a new group takes the key values of the run's
-    /// first row) and hands the group's partial to `update` with the run: a
-    /// range of positions in `rows` when given, else of rows. Finding runs
-    /// costs a word compare per key column and row, never a string
-    /// compare; a key repeated from another allocation only starts another
-    /// run of the same group.
+    /// — equal integers, equal float bits, one string allocation or code —
+    /// looks its group up once (a new group takes the key values of the
+    /// run's first row) and hands the group's partial to `update` with the
+    /// run: a range of positions in `rows` when given, else of rows.
+    /// Finding runs costs a word compare per key column and row, never a
+    /// string compare; a key repeated from another allocation only starts
+    /// another run of the same group. A coded string's hash is its table's;
+    /// a plain one is hashed only when its allocation differs from the
+    /// previous run's in that column.
     pub fn fold(
         &mut self,
         epoch: Ts,
@@ -858,6 +970,10 @@ impl<P: Partial> PaneAggregate<P> {
         let row = |i: usize| rows.map_or(i, |r| r[i]);
         let mut pane = self.store.pane_mut(epoch);
         let mut key = Vec::with_capacity(keys.len());
+        let mut hashes = vec![0; keys.len()];
+        // Per key column, the last plain string hashed: its allocation's
+        // address (which the borrowed chunk keeps alive) and hash.
+        let mut last: Vec<(usize, u64)> = vec![(0, 0); keys.len()];
         let mut start = 0;
         for end in 1..=n {
             if end < n && keys.iter().all(|k| k.same(row(start), row(end))) {
@@ -865,53 +981,79 @@ impl<P: Partial> PaneAggregate<P> {
             }
             key.clear();
             key.extend(cols.keys.iter().map(|c| KeyRef::at(c, row(start))));
-            update(pane.upsert_refs(&key), start..end)?;
+            for ((part, hash), last) in key.iter().zip(&mut hashes).zip(&mut last) {
+                *hash = match *part {
+                    KeyRef::Str(s) => {
+                        let at = Arc::as_ptr(s).cast::<u8>() as usize;
+                        if last.0 != at {
+                            *last = (at, str_hash(s));
+                        }
+                        last.1
+                    }
+                    part => part.content_hash(),
+                };
+            }
+            update(pane.upsert_hashed(&key, &hashes), start..end)?;
             start = end;
         }
         Ok(())
     }
 
     /// Slide the window to `now` and write one row per live group, in
-    /// first-seen order, stamped `now` under `schema`. `row` turns a
-    /// group's key values and merged partial into the row's values, or
-    /// returns `false` to write none; a row whose arity is not the
-    /// schema's fails. Over an empty window, `empty` is written as the one
-    /// group of a global aggregate when given. Also returns the number of
-    /// groups.
+    /// first-seen order, stamped `now` under `schema`. Output column `c`
+    /// is key value `k` of the group when `keys_at[c]` is `Some(k)`,
+    /// written as the dictionary holds it (a coded string stays coded);
+    /// `row` turns a group's key and merged partial into the values of the
+    /// other columns, in order, or returns `false` to write no row. A
+    /// `keys_at` or a row whose arity does not fit the schema fails. Over
+    /// an empty window, `empty` is written as the one group of a global
+    /// aggregate when given. Also returns the number of groups.
     pub fn emit(
         &mut self,
         now: Ts,
         schema: &Arc<Schema>,
+        keys_at: &[Option<usize>],
         empty: Option<&P>,
-        mut row: impl FnMut(&[Value], &P, &mut Vec<Value>) -> Result<bool>,
+        mut row: impl FnMut(Key<'_>, &P, &mut Vec<Value>) -> Result<bool>,
     ) -> Result<(Chunk, usize)> {
+        let computed = keys_at.iter().filter(|k| k.is_none()).count();
+        if keys_at.len() != schema.len() {
+            return Err(EspError::SchemaMismatch(format!(
+                "{} key positions for the {} fields of {schema}",
+                keys_at.len(),
+                schema.len()
+            )));
+        }
         self.store.advance_to(now);
         let merged = self.store.merged()?;
         let mut cols: Vec<ColumnVec> = (schema.fields().iter())
             .map(|f| ColumnVec::for_type(f.data_type))
             .collect();
         let (mut rows, mut values) = (0, Vec::with_capacity(cols.len()));
-        let mut write = |key: &[Value], partial: &P| -> Result<()> {
+        let mut write = |key: Key<'_>, partial: &P| -> Result<()> {
             values.clear();
             if !row(key, partial, &mut values)? {
                 return Ok(());
             }
-            if values.len() != cols.len() {
+            if values.len() != computed {
                 return Err(EspError::SchemaMismatch(format!(
-                    "a group's row has {} values but {schema} has {} fields",
+                    "a group's row has {} values but {schema} computes {computed} fields",
                     values.len(),
-                    cols.len()
                 )));
             }
-            for (col, v) in cols.iter_mut().zip(values.drain(..)) {
-                col.push(v);
+            let mut values = values.drain(..);
+            for (col, at) in cols.iter_mut().zip(keys_at) {
+                match at {
+                    Some(k) => col.push_cell(key.cell(*k)),
+                    None => col.push(values.next().unwrap_or(Value::Null)),
+                }
             }
             rows += 1;
             Ok(())
         };
         let groups = match empty {
             Some(partial) if merged.is_empty() => {
-                write(&[], partial)?;
+                write(Key(&[]), partial)?;
                 1
             }
             _ => {
@@ -953,7 +1095,7 @@ mod tests {
         s.merged()
             .unwrap()
             .iter()
-            .map(|(k, n)| (k.to_vec(), *n))
+            .map(|(k, n)| (k.values(), *n))
             .collect()
     }
 
@@ -1072,8 +1214,11 @@ mod tests {
         *s.pane_mut(Ts::from_secs(1)).upsert(&[Value::Float(0.0)]) += 1;
         s.advance_to(Ts::from_secs(1));
         let bits = |s: &mut PaneStore<i64>| match s.merged().unwrap().iter().next() {
-            Some(([Value::Float(f)], n)) => (f.to_bits(), *n),
-            other => panic!("unexpected {other:?}"),
+            Some((k, n)) => match k.values()[..] {
+                [Value::Float(f)] => (f.to_bits(), *n),
+                ref other => panic!("unexpected {other:?}"),
+            },
+            None => panic!("no group"),
         };
         assert_eq!(bits(&mut s), ((-0.0f64).to_bits(), 2));
         s.advance_to(Ts::from_secs(2));
@@ -1099,8 +1244,8 @@ mod tests {
             for (_, pane) in &s.panes {
                 for e in &pane.entries {
                     distinct.insert(
-                        s.dict.entries[e.id as usize]
-                            .values
+                        Key(&s.dict.entries[e.id as usize].values)
+                            .values()
                             .iter()
                             .map(Value::group_key)
                             .collect::<Vec<_>>(),
@@ -1249,8 +1394,7 @@ mod tests {
             .build()
             .unwrap();
         let (out, groups) = agg
-            .emit(Ts::ZERO, &schema, None, |key, sum, row| {
-                row.extend_from_slice(key);
+            .emit(Ts::ZERO, &schema, &[Some(0), None], None, |_, sum, row| {
                 row.push(Value::Int(*sum));
                 Ok(true)
             })
@@ -1275,11 +1419,14 @@ mod tests {
             .field("sum", esp_types::DataType::Int)
             .build()
             .unwrap();
-        let got = agg.emit(Ts::ZERO, &narrow, None, |key, sum, row| {
-            row.extend_from_slice(key);
+        let got = agg.emit(Ts::ZERO, &narrow, &[None], None, |key, sum, row| {
+            row.extend(key.values());
             row.push(Value::Int(*sum));
             Ok(true)
         });
+        assert!(matches!(got, Err(EspError::SchemaMismatch(_))), "{got:?}");
+        // Key positions must cover the schema too.
+        let got = agg.emit(Ts::ZERO, &narrow, &[], None, |_, _, _| Ok(true));
         assert!(matches!(got, Err(EspError::SchemaMismatch(_))), "{got:?}");
     }
 
@@ -1305,6 +1452,201 @@ mod tests {
         let mut chunk = Chunk::new(&only_tag);
         chunk.push_row(Ts::ZERO, &[Value::str("a")]).unwrap();
         assert!(agg.columns(&chunk).unwrap().is_none());
+    }
+
+    /// A key that arrives coded is written back coded: the next keyed
+    /// operator receives codes.
+    #[test]
+    fn emit_keeps_coded_keys_coded() {
+        let mut strings = esp_types::StrInterner::new();
+        let schema = Schema::builder()
+            .field("tag", esp_types::DataType::Str)
+            .field("n", esp_types::DataType::Int)
+            .build()
+            .unwrap();
+        let mut chunk = Chunk::new(&schema);
+        for tag in ["a", "b", "a"] {
+            let code = strings.intern(tag);
+            let cells = [
+                Cell::Code(strings.table(), code),
+                Cell::Value(Value::Int(1)),
+            ];
+            chunk.push_row_owned(Ts::ZERO, cells).unwrap();
+        }
+        assert!(chunk.col(0).and_then(ColumnVec::table).is_some());
+        let mut agg = sum_by_tag();
+        let cols = agg.columns(&chunk).unwrap().unwrap();
+        agg.fold(Ts::ZERO, &cols, None, |n, run| {
+            *n += run.len() as i64;
+            Ok(())
+        })
+        .unwrap();
+        let (out, _) = agg
+            .emit(Ts::ZERO, &schema, &[Some(0), None], None, |_, n, row| {
+                row.push(Value::Int(*n));
+                Ok(true)
+            })
+            .unwrap();
+        let table = out.col(0).and_then(ColumnVec::table);
+        assert!(table.is_some_and(|t| Arc::ptr_eq(t, strings.table())));
+        assert_eq!(
+            out.to_tuples()
+                .iter()
+                .map(|t| t.values().to_vec())
+                .collect::<Vec<_>>(),
+            [
+                [Value::str("a"), Value::Int(2)],
+                [Value::str("b"), Value::Int(1)]
+            ]
+        );
+    }
+
+    mod properties {
+        use super::*;
+        use esp_types::{DataType, StrInterner};
+        use proptest::prelude::*;
+
+        /// One epoch's input: `(tag, group)` rows, whether the string
+        /// table is swapped for a fresh one before it, and whether both
+        /// runs restore from their snapshots before it.
+        type Tick = (Vec<(u8, i64)>, bool, bool);
+
+        fn arb_tick() -> impl Strategy<Value = Tick> {
+            (
+                proptest::collection::vec((0u8..12, 0i64..3), 0..24),
+                (0u8..7).prop_map(|x| x == 0),
+                (0u8..7).prop_map(|x| x == 0),
+            )
+        }
+
+        fn input_schema() -> Arc<Schema> {
+            Schema::builder()
+                .field("shelf", DataType::Str)
+                .field("tag", DataType::Str)
+                .field("g", DataType::Int)
+                .build()
+                .unwrap()
+        }
+
+        fn count_schema() -> Arc<Schema> {
+            Schema::builder()
+                .field("shelf", DataType::Str)
+                .field("tag", DataType::Str)
+                .field("g", DataType::Int)
+                .field("n", DataType::Int)
+                .build()
+                .unwrap()
+        }
+
+        /// Count per `(shelf, tag, g)` over a 3 s window (the smoothing
+        /// stage), or sum the counts per `(tag, shelf)` over `NOW` (the
+        /// merging stage), both on panes.
+        fn smooth() -> PaneAggregate<i64> {
+            let keys = ["shelf", "tag", "g"].map(|k| Column::required(k, k.into()));
+            PaneAggregate::new(TimeDelta::from_secs(3), keys.to_vec(), vec![])
+        }
+
+        fn merge() -> PaneAggregate<i64> {
+            let keys = ["tag", "shelf"].map(|k| Column::required(k, k.into()));
+            PaneAggregate::new(TimeDelta::ZERO, keys.to_vec(), vec![Column::optional("n")])
+        }
+
+        /// Fold `chunk` into `agg` at `epoch` and emit: a smoothing stage
+        /// counts rows, a merging stage sums column `n`.
+        fn tick(agg: &mut PaneAggregate<i64>, chunk: &Chunk, epoch: Ts) -> Chunk {
+            let cols = agg.columns(chunk).unwrap().unwrap();
+            let sums = cols.args.first().copied();
+            agg.fold(epoch, &cols, None, |n, run| {
+                *n += match sums {
+                    Some(col) => run.map(|r| col.get(r).unwrap().as_i64().unwrap()).sum(),
+                    None => run.len() as i64,
+                };
+                Ok(())
+            })
+            .unwrap();
+            let (schema, keys_at) = match sums {
+                None => (count_schema(), vec![Some(0), Some(1), Some(2), None]),
+                Some(_) => (
+                    Schema::builder()
+                        .field("n", DataType::Int)
+                        .field("tag", DataType::Str)
+                        .field("shelf", DataType::Str)
+                        .build()
+                        .unwrap(),
+                    vec![None, Some(0), Some(1)],
+                ),
+            };
+            let (out, _) = agg
+                .emit(epoch, &schema, &keys_at, None, |_, n, row| {
+                    row.push(Value::Int(*n));
+                    Ok(true)
+                })
+                .unwrap();
+            out
+        }
+
+        fn encoded(agg: &PaneAggregate<i64>) -> Vec<u8> {
+            let mut out = Vec::new();
+            agg.encode_into(&mut out);
+            out
+        }
+
+        fn restored(agg: &PaneAggregate<i64>, fresh: PaneAggregate<i64>) -> PaneAggregate<i64> {
+            let (blob, mut fresh) = (encoded(agg), fresh);
+            let mut cur = snap::Cursor::new(&blob);
+            fresh.restore_from(&mut cur).unwrap();
+            cur.finish().unwrap();
+            fresh
+        }
+
+        proptest! {
+            /// Folding rows whose tag column is coded equals folding the
+            /// same rows with plain strings, tick for tick: the emitted
+            /// chunks of a smoothing stage and of the merging stage fed
+            /// by it, and the snapshot bytes of both. The string table is
+            /// swapped for a fresh one mid-window, so one group meets
+            /// codes of two tables, and both runs restore from their
+            /// snapshots (values, no codes) between ticks.
+            #[test]
+            fn coded_keys_fold_like_string_keys(
+                ticks in proptest::collection::vec(arb_tick(), 1..12),
+            ) {
+                let schema = input_schema();
+                let shelf = Value::str("shelf-0");
+                let mut strings = StrInterner::new();
+                let (mut coded, mut plain) = ((smooth(), merge()), (smooth(), merge()));
+                for (k, (rows, swap, restore)) in ticks.into_iter().enumerate() {
+                    let epoch = Ts::from_secs(k as u64);
+                    if swap {
+                        strings = StrInterner::new();
+                    }
+                    if restore {
+                        coded = (restored(&coded.0, smooth()), restored(&coded.1, merge()));
+                        plain = (restored(&plain.0, smooth()), restored(&plain.1, merge()));
+                    }
+                    let (mut by_code, mut by_value) = (Chunk::new(&schema), Chunk::new(&schema));
+                    for (tag, g) in rows {
+                        let tag = format!("urn:epc:{tag}");
+                        let code = strings.intern(&tag);
+                        let cells = [
+                            Cell::Value(shelf.clone()),
+                            Cell::Code(strings.table(), code),
+                            Cell::Value(Value::Int(g)),
+                        ];
+                        by_code.push_row_owned(epoch, cells).unwrap();
+                        let values = [shelf.clone(), Value::str(tag), Value::Int(g)];
+                        by_value.push_row_owned(epoch, values).unwrap();
+                    }
+                    let smoothed = (tick(&mut coded.0, &by_code, epoch), tick(&mut plain.0, &by_value, epoch));
+                    prop_assert_eq!(smoothed.0.to_tuples(), smoothed.1.to_tuples());
+                    prop_assert!(smoothed.1.col(1).and_then(ColumnVec::table).is_none());
+                    let merged = (tick(&mut coded.1, &smoothed.0, epoch), tick(&mut plain.1, &smoothed.1, epoch));
+                    prop_assert_eq!(merged.0.to_tuples(), merged.1.to_tuples());
+                    prop_assert_eq!(encoded(&coded.0), encoded(&plain.0));
+                    prop_assert_eq!(encoded(&coded.1), encoded(&plain.1));
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,16 @@
 //! operation is written once on `Packed<T>`; `ColumnVec` names the five
 //! instantiations and dispatches to them.
 //!
+//! A string column also has a **coded** form, [`ColumnVec::Coded`]: a
+//! `Packed<u32>` of codes into one shared, append-only [`StrTable`],
+//! which keeps each string once with its content hash. The gateway writes
+//! received strings this way, so a reading allocates nothing and a keyed
+//! operator hashes a code by a table read and compares codes as integers.
+//! Every read of a row as a [`Value`] (`get`, [`Chunk::to_tuples`],
+//! [`Chunk::into_tuples`]) decodes, so value semantics are those of the
+//! plain [`ColumnVec::Str`] form; a pushed value has no code and turns a
+//! coded column back into `Str` first.
+//!
 //! Conversion is **lossless** by construction: a value that does not fit a
 //! column's typed representation exactly (an `Int` stored in a `FLOAT`
 //! column via numeric widening, anything at all in an `ANY` column, or a
@@ -31,7 +41,7 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use crate::{DataType, EspError, Result, Schema, Ts, Tuple, Value};
+use crate::{DataType, EspError, Result, Schema, StrTable, Ts, Tuple, Value};
 
 /// Shared empty string used as the placeholder behind `NULL` slots of a
 /// string column (the null bitmap is authoritative; the placeholder is
@@ -269,6 +279,11 @@ impl<T: Clone> Packed<T> {
         self.data.len()
     }
 
+    fn push_slot(&mut self, x: T, is_null: bool) {
+        self.data.push(x);
+        self.nulls.push(is_null);
+    }
+
     fn extend(&mut self, other: &Packed<T>) {
         self.data.extend_from_slice(&other.data);
         self.nulls.extend(&other.nulls);
@@ -308,8 +323,7 @@ impl<T: Packable> Packed<T> {
 
     fn push(&mut self, v: Value) -> std::result::Result<(), Value> {
         let (x, is_null) = Self::slot(v)?;
-        self.data.push(x);
-        self.nulls.push(is_null);
+        self.push_slot(x, is_null);
         Ok(())
     }
 
@@ -330,6 +344,45 @@ impl<T: Packable> Packed<T> {
     }
 }
 
+/// A coded column's rows as [`Value`]s.
+impl Packed<u32> {
+    fn decode(&self, table: &StrTable, i: usize) -> Option<Value> {
+        (i < self.len()).then(|| {
+            self.at(i)
+                .map_or(Value::Null, |c| table.str(*c).clone().into())
+        })
+    }
+
+    /// The column as plain strings.
+    fn decoded(&self, table: &StrTable) -> Packed<Arc<str>> {
+        Packed {
+            data: (self.data.iter().enumerate())
+                .map(|(i, c)| match self.nulls.get(i) {
+                    true => empty_str(),
+                    false => Arc::clone(table.str(*c)),
+                })
+                .collect(),
+            nulls: self.nulls.clone(),
+        }
+    }
+}
+
+/// One value to append to a column: a [`Value`], or a string by its code
+/// in a [`StrTable`].
+#[derive(Debug, Clone)]
+pub enum Cell<'a> {
+    /// A value.
+    Value(Value),
+    /// Entry `code` of a table.
+    Code(&'a Arc<StrTable>, u32),
+}
+
+impl From<Value> for Cell<'_> {
+    fn from(v: Value) -> Self {
+        Cell::Value(v)
+    }
+}
+
 /// One column of a [`Chunk`]: a [`Packed`] vector of one element type,
 /// or one of the two escape hatches (verbatim [`Value`]s, physically
 /// pruned).
@@ -341,8 +394,10 @@ pub enum ColumnVec {
     Int(Packed<i64>),
     /// 64-bit floats.
     Float(Packed<f64>),
-    /// Interned strings.
+    /// Strings, one `Arc<str>` per row (rows may share one).
     Str(Packed<Arc<str>>),
+    /// Strings by code into one shared [`StrTable`]; every read decodes.
+    Coded(Arc<StrTable>, Packed<u32>),
     /// Logical timestamps.
     Ts(Packed<Ts>),
     /// Fallback: values stored verbatim. Used for `ANY` columns and for
@@ -377,6 +432,7 @@ impl ColumnVec {
             ColumnVec::Int(p) => p.len(),
             ColumnVec::Float(p) => p.len(),
             ColumnVec::Str(p) => p.len(),
+            ColumnVec::Coded(_, p) => p.len(),
             ColumnVec::Ts(p) => p.len(),
             ColumnVec::Values(v) => v.len(),
             ColumnVec::Pruned { len } => *len,
@@ -389,13 +445,14 @@ impl ColumnVec {
     }
 
     /// The value at row `i`, or `None` past the end. `O(1)`; clones the
-    /// slot (an `Arc` bump for strings).
+    /// slot (an `Arc` bump for strings, coded ones included).
     pub fn get(&self, i: usize) -> Option<Value> {
         match self {
             ColumnVec::Bool(p) => p.get(i),
             ColumnVec::Int(p) => p.get(i),
             ColumnVec::Float(p) => p.get(i),
             ColumnVec::Str(p) => p.get(i),
+            ColumnVec::Coded(table, p) => p.decode(table, i),
             ColumnVec::Ts(p) => p.get(i),
             ColumnVec::Values(v) => v.get(i).cloned(),
             ColumnVec::Pruned { len } => (i < *len).then_some(Value::Null),
@@ -409,6 +466,7 @@ impl ColumnVec {
             ColumnVec::Int(p) => p.at(i).is_none(),
             ColumnVec::Float(p) => p.at(i).is_none(),
             ColumnVec::Str(p) => p.at(i).is_none(),
+            ColumnVec::Coded(_, p) => p.at(i).is_none(),
             ColumnVec::Ts(p) => p.at(i).is_none(),
             ColumnVec::Values(v) => v.get(i).is_none_or(Value::is_null),
             ColumnVec::Pruned { .. } => true,
@@ -418,13 +476,19 @@ impl ColumnVec {
     /// Append a value. A value that does not fit the packed representation
     /// *exactly* promotes the column to [`ColumnVec::Values`] first — the
     /// stored value is always the one read back. A `NULL` keeps a pruned
-    /// column pruned.
+    /// or coded column as it is; any other value has no code, so a coded
+    /// column becomes [`ColumnVec::Str`] first.
     pub fn push(&mut self, v: Value) {
         let rest = match self {
             ColumnVec::Bool(p) => p.push(v),
             ColumnVec::Int(p) => p.push(v),
             ColumnVec::Float(p) => p.push(v),
             ColumnVec::Str(p) => p.push(v),
+            ColumnVec::Coded(_, p) if v.is_null() => {
+                p.push_slot(0, true);
+                Ok(())
+            }
+            ColumnVec::Coded(..) => return self.decode_to_str().push(v),
             ColumnVec::Ts(p) => p.push(v),
             ColumnVec::Pruned { len } if v.is_null() => {
                 *len += 1;
@@ -437,6 +501,42 @@ impl ColumnVec {
         }
     }
 
+    /// Append a cell. A code of this coded column's table is stored as
+    /// is, and an empty `Str` column becomes coded to take it; any other
+    /// column takes the decoded string ([`ColumnVec::push`]).
+    pub fn push_cell(&mut self, cell: Cell<'_>) {
+        let (table, code) = match cell {
+            Cell::Value(v) => return self.push(v),
+            Cell::Code(table, code) => (table, code),
+        };
+        match self {
+            ColumnVec::Coded(t, p) if Arc::ptr_eq(t, table) => p.push_slot(code, false),
+            ColumnVec::Str(p) if p.len() == 0 => {
+                let mut p = Packed::new();
+                p.push_slot(code, false);
+                *self = ColumnVec::Coded(Arc::clone(table), p);
+            }
+            _ => self.push(table.str(code).clone().into()),
+        }
+    }
+
+    /// The table of a coded column.
+    pub fn table(&self) -> Option<&Arc<StrTable>> {
+        match self {
+            ColumnVec::Coded(table, _) => Some(table),
+            _ => None,
+        }
+    }
+
+    /// The plain strings, after rewriting a coded column as
+    /// [`ColumnVec::Str`] (every row decoded).
+    fn decode_to_str(&mut self) -> &mut ColumnVec {
+        if let ColumnVec::Coded(table, p) = self {
+            *self = ColumnVec::Str(p.decoded(table));
+        }
+        self
+    }
+
     /// Insert `v` at row `i` (clamped to the end; later rows shift). Used
     /// by the window ring for intra-epoch disorder; promotes on
     /// representation mismatch like [`ColumnVec::push`].
@@ -446,6 +546,12 @@ impl ColumnVec {
             ColumnVec::Int(p) => p.insert(i, v),
             ColumnVec::Float(p) => p.insert(i, v),
             ColumnVec::Str(p) => p.insert(i, v),
+            ColumnVec::Coded(_, p) if v.is_null() => {
+                p.data.insert(i.min(p.len()), 0);
+                p.nulls.insert(i, true);
+                Ok(())
+            }
+            ColumnVec::Coded(..) => return self.decode_to_str().insert(i, v),
             ColumnVec::Ts(p) => p.insert(i, v),
             ColumnVec::Pruned { len } if v.is_null() => {
                 *len += 1;
@@ -460,14 +566,19 @@ impl ColumnVec {
     }
 
     /// Append every row of `other`. Same-representation columns extend
-    /// their packed vectors directly; a representation mismatch promotes
-    /// to [`ColumnVec::Values`] first (losslessly).
+    /// their packed vectors directly (coded ones when they share a table);
+    /// strings of another table, or plain ones, decode the coded side to
+    /// [`ColumnVec::Str`]; any other mismatch promotes to
+    /// [`ColumnVec::Values`] first (losslessly).
     pub fn extend_from(&mut self, other: &ColumnVec) {
         match (&mut *self, other) {
             (ColumnVec::Bool(p), ColumnVec::Bool(o)) => p.extend(o),
             (ColumnVec::Int(p), ColumnVec::Int(o)) => p.extend(o),
             (ColumnVec::Float(p), ColumnVec::Float(o)) => p.extend(o),
             (ColumnVec::Str(p), ColumnVec::Str(o)) => p.extend(o),
+            (ColumnVec::Coded(t, p), ColumnVec::Coded(u, o)) if Arc::ptr_eq(t, u) => p.extend(o),
+            (ColumnVec::Str(p), ColumnVec::Coded(u, o)) => p.extend(&o.decoded(u)),
+            (ColumnVec::Coded(..), _) => self.decode_to_str().extend_from(other),
             (ColumnVec::Ts(p), ColumnVec::Ts(o)) => p.extend(o),
             (ColumnVec::Pruned { len }, ColumnVec::Pruned { len: more }) => *len += more,
             _ => {
@@ -486,6 +597,7 @@ impl ColumnVec {
             ColumnVec::Int(p) => ColumnVec::Int(p.extract(take, taken)),
             ColumnVec::Float(p) => ColumnVec::Float(p.extract(take, taken)),
             ColumnVec::Str(p) => ColumnVec::Str(p.extract(take, taken)),
+            ColumnVec::Coded(t, p) => ColumnVec::Coded(Arc::clone(t), p.extract(take, taken)),
             ColumnVec::Ts(p) => ColumnVec::Ts(p.extract(take, taken)),
             ColumnVec::Values(vals) => ColumnVec::Values(extract_rows(vals, take, taken)),
             ColumnVec::Pruned { len } => {
@@ -502,6 +614,13 @@ impl ColumnVec {
             ColumnVec::Int(p) => p.move_into(slots),
             ColumnVec::Float(p) => p.move_into(slots),
             ColumnVec::Str(p) => p.move_into(slots),
+            ColumnVec::Coded(table, p) => {
+                for (i, (c, slot)) in p.data.iter().zip(slots).enumerate() {
+                    if !p.nulls.get(i) {
+                        *slot = table.str(*c).clone().into();
+                    }
+                }
+            }
             ColumnVec::Ts(p) => p.move_into(slots),
             ColumnVec::Values(vals) => {
                 for (v, slot) in vals.into_iter().zip(slots) {
@@ -535,6 +654,7 @@ impl ColumnVec {
             ColumnVec::Int(p) => p.drain_front(n),
             ColumnVec::Float(p) => p.drain_front(n),
             ColumnVec::Str(p) => p.drain_front(n),
+            ColumnVec::Coded(_, p) => p.drain_front(n),
             ColumnVec::Ts(p) => p.drain_front(n),
             ColumnVec::Values(v) => {
                 v.drain(..n.min(v.len()));
@@ -551,6 +671,7 @@ impl ColumnVec {
             ColumnVec::Int(p) => p.retain(keep, kept),
             ColumnVec::Float(p) => p.retain(keep, kept),
             ColumnVec::Str(p) => p.retain(keep, kept),
+            ColumnVec::Coded(_, p) => p.retain(keep, kept),
             ColumnVec::Ts(p) => p.retain(keep, kept),
             ColumnVec::Values(v) => retain_rows(v, keep),
             ColumnVec::Pruned { len } => *len = kept,
@@ -644,10 +765,12 @@ impl Chunk {
     }
 
     /// Append a row, consuming `values` (any exact-size source: a `Vec`,
-    /// or an array on the ingest path so no per-row vector is allocated).
-    pub fn push_row_owned<I>(&mut self, ts: Ts, values: I) -> Result<()>
+    /// or an array on the ingest path so no per-row vector is allocated),
+    /// each a [`Value`] or a coded string ([`ColumnVec::push_cell`]).
+    pub fn push_row_owned<'a, I>(&mut self, ts: Ts, values: I) -> Result<()>
     where
-        I: IntoIterator<Item = Value>,
+        I: IntoIterator,
+        I::Item: Into<Cell<'a>>,
         I::IntoIter: ExactSizeIterator,
     {
         let values = values.into_iter();
@@ -661,7 +784,7 @@ impl Chunk {
         }
         self.ts.push(ts);
         for (col, v) in self.cols.iter_mut().zip(values) {
-            col.push(v);
+            col.push_cell(v.into());
         }
         Ok(())
     }
@@ -1210,6 +1333,39 @@ mod tests {
             )
         }
 
+        /// Test string tables: `t` picks one of two, so an extend can meet
+        /// codes of another table.
+        fn code_of(t: usize, s: &str) -> (Arc<StrTable>, u32) {
+            use std::sync::Mutex;
+            static TABLES: OnceLock<[Mutex<crate::StrInterner>; 2]> = OnceLock::new();
+            let tables = TABLES.get_or_init(Default::default);
+            let mut strings = tables[t].lock().unwrap();
+            let code = strings.intern(s);
+            (Arc::clone(strings.table()), code)
+        }
+
+        /// `tuples` as a chunk whose `s` column is coded, its last row
+        /// pushed as a plain value when `promote` (which turns the column
+        /// back into `Str`).
+        fn coded_chunk(s: &Arc<Schema>, tuples: &[Tuple], promote: bool) -> Chunk {
+            let mut c = Chunk::new(s);
+            for (i, t) in tuples.iter().enumerate() {
+                let plain = promote && i + 1 == tuples.len();
+                let codes: Vec<_> = (t.values().iter())
+                    .map(|v| match v.as_str() {
+                        Some(text) if !plain => Some(code_of(0, text)),
+                        _ => None,
+                    })
+                    .collect();
+                let cells = t.values().iter().zip(&codes).map(|(v, code)| match code {
+                    Some((table, code)) => crate::Cell::Code(table, *code),
+                    None => crate::Cell::Value(v.clone()),
+                });
+                c.push_row_owned(t.ts(), cells.collect::<Vec<_>>()).unwrap();
+            }
+            c
+        }
+
         fn build_tuple(s: &Arc<Schema>, raw: RawRow) -> Tuple {
             let ((ts, i, f), (st, b, t, a)) = raw;
             Tuple::new_unchecked(
@@ -1259,18 +1415,26 @@ mod tests {
 
             /// Moving rows out equals copying them out, bit for bit, for
             /// every column representation (packed with NULL slots,
-            /// verbatim ANY, physically pruned).
+            /// coded strings, coded then promoted to plain ones by a
+            /// pushed value, verbatim ANY, physically pruned).
             #[test]
             fn into_tuples_matches_to_tuples(
                 rows in proptest::collection::vec(arb_row(), 0..60),
                 prune in any::<bool>(),
+                code in any::<bool>(),
+                promote in any::<bool>(),
             ) {
                 let s = prop_schema();
                 let tuples: Vec<Tuple> =
                     rows.into_iter().map(|r| build_tuple(&s, r)).collect();
-                let mut c = Chunk::from_tuples(&s, &tuples).unwrap();
+                let mut c = match code {
+                    true => coded_chunk(&s, &tuples, promote),
+                    false => Chunk::from_tuples(&s, &tuples).unwrap(),
+                };
                 if prune {
                     c.drop_column(2);
+                } else {
+                    prop_assert_eq!(&c.to_tuples(), &tuples);
                 }
                 let copied = c.to_tuples();
                 let moved = c.into_tuples();
@@ -1366,9 +1530,9 @@ mod tests {
                 }
             }
 
-            /// Incremental append (push_tuple) agrees with bulk
-            /// construction, and extend_from_chunk agrees with pushing
-            /// both halves.
+            /// Appending the rows in two chunks and joining them with
+            /// extend_from_chunk agrees with building one chunk from all
+            /// the rows.
             #[test]
             fn append_and_extend_agree_with_bulk(
                 rows in proptest::collection::vec(arb_row(), 0..40),
@@ -1387,16 +1551,28 @@ mod tests {
             }
         }
 
+        /// A column representation: a declared type's, strings coded in
+        /// one of two tables, or physically pruned.
+        #[derive(Debug, Clone, Copy)]
+        enum Repr {
+            Typed(DataType),
+            Coded(usize),
+            Pruned,
+        }
+
         /// Every column representation: the five packed types, `ANY`
-        /// (verbatim values) and physically pruned (`None`).
-        const REPRS: [Option<DataType>; 7] = [
-            Some(DataType::Bool),
-            Some(DataType::Int),
-            Some(DataType::Float),
-            Some(DataType::Str),
-            Some(DataType::Ts),
-            Some(DataType::Any),
-            None,
+        /// (verbatim values), coded strings (two tables) and physically
+        /// pruned.
+        const REPRS: [Repr; 9] = [
+            Repr::Typed(DataType::Bool),
+            Repr::Typed(DataType::Int),
+            Repr::Typed(DataType::Float),
+            Repr::Typed(DataType::Str),
+            Repr::Typed(DataType::Ts),
+            Repr::Typed(DataType::Any),
+            Repr::Coded(0),
+            Repr::Coded(1),
+            Repr::Pruned,
         ];
 
         /// A value to write: one that fits the column's representation,
@@ -1417,11 +1593,12 @@ mod tests {
             ]
         }
 
-        fn cell_value(repr: Option<DataType>, cell: &Cell) -> Value {
+        fn cell_value(repr: Repr, cell: &Cell) -> Value {
             match (cell, repr) {
-                (Cell::Null, _) | (Cell::Fit(_), None) => Value::Null,
+                (Cell::Null, _) | (Cell::Fit(_), Repr::Pruned) => Value::Null,
                 (Cell::Other(v), _) => v.clone(),
-                (Cell::Fit(n), Some(dt)) => match dt {
+                (Cell::Fit(n), Repr::Coded(_)) => Value::str(format!("s{}", n % 50)),
+                (Cell::Fit(n), Repr::Typed(dt)) => match dt {
                     DataType::Bool => Value::Bool(n % 2 == 0),
                     DataType::Int | DataType::Any => Value::Int(*n as i64),
                     DataType::Float => Value::Float(f64::from_bits(*n)),
@@ -1431,18 +1608,33 @@ mod tests {
             }
         }
 
+        /// Write `cell` to a column of representation `repr`: a fitting
+        /// string goes to a coded column as its code, except every fourth,
+        /// which is pushed as a value and turns the column into `Str`.
+        fn write(col: &mut ColumnVec, repr: Repr, cell: &Cell) -> Value {
+            let v = cell_value(repr, cell);
+            match (repr, cell) {
+                (Repr::Coded(t), Cell::Fit(n)) if n % 4 != 0 => {
+                    let (table, code) = code_of(t, &format!("s{}", n % 50));
+                    col.push_cell(crate::Cell::Code(&table, code));
+                }
+                _ => col.push(v.clone()),
+            }
+            v
+        }
+
         /// A column of representation `repr` written cell by cell, and
         /// the values it must read back.
-        fn column(repr: Option<DataType>, cells: &[Cell]) -> (ColumnVec, Vec<Value>) {
-            let Some(dt) = repr else {
-                let len = cells.len();
-                return (ColumnVec::Pruned { len }, vec![Value::Null; len]);
+        fn column(repr: Repr, cells: &[Cell]) -> (ColumnVec, Vec<Value>) {
+            let mut col = match repr {
+                Repr::Typed(dt) => ColumnVec::for_type(dt),
+                Repr::Coded(t) => ColumnVec::Coded(code_of(t, "s0").0, Packed::new()),
+                Repr::Pruned => {
+                    let len = cells.len();
+                    return (ColumnVec::Pruned { len }, vec![Value::Null; len]);
+                }
             };
-            let mut col = ColumnVec::for_type(dt);
-            let values: Vec<Value> = cells.iter().map(|c| cell_value(repr, c)).collect();
-            for v in &values {
-                col.push(v.clone());
-            }
+            let values = cells.iter().map(|c| write(&mut col, repr, c)).collect();
             (col, values)
         }
 
@@ -1512,9 +1704,11 @@ mod tests {
         proptest! {
             /// Random edit sequences on a column of every representation
             /// read back exactly what the same edits do to a plain value
-            /// list: fitting values, NULLs and promoting misfits, inserts
-            /// anywhere, front drains, extends from same and other
-            /// representations, retains and extracts.
+            /// list: fitting values (codes, for a coded column), NULLs and
+            /// promoting misfits (a pushed value, for a coded column),
+            /// inserts anywhere, front drains, extends from same and other
+            /// representations (coded in the same or another table),
+            /// retains and extracts.
             #[test]
             fn column_edits_match_a_value_list(
                 repr in 0..REPRS.len(),
@@ -1526,11 +1720,7 @@ mod tests {
                 check(&col, &model);
                 for edit in edits {
                     match edit {
-                        Edit::Push(cell) => {
-                            let v = cell_value(repr, &cell);
-                            col.push(v.clone());
-                            model.push(v);
-                        }
+                        Edit::Push(cell) => model.push(write(&mut col, repr, &cell)),
                         Edit::Insert(i, cell) => {
                             let (i, v) = (i % (model.len() + 1), cell_value(repr, &cell));
                             col.insert(i, v.clone());

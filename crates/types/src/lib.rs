@@ -34,19 +34,21 @@ mod ids;
 pub mod registry;
 mod schema;
 pub mod snap;
+pub mod strtab;
 mod time;
 mod tuple;
 mod value;
 pub mod well_known;
 
 pub use actuation::SampleRateHandle;
-pub use chunk::{chunk_batch, Chunk, ColumnVec, NullMask, Packable, Packed};
+pub use chunk::{chunk_batch, Cell, Chunk, ColumnVec, NullMask, Packable, Packed};
 pub use diag::{Applicability, Diagnostic, Severity, Span, Suggestion};
 pub use effect::{Determinism, FieldEffects};
 pub use error::{EspError, Result};
 pub use ids::{ProximityGroupId, ReceptorId, ReceptorType, SpatialGranule};
 pub use registry::SchemaRegistry;
 pub use schema::{DataType, Field, Schema, SchemaBuilder};
+pub use strtab::{str_hash, StrInterner, StrTable, STR_TABLE_CAPACITY};
 pub use time::{TimeDelta, Ts};
 pub use tuple::{Batch, Tuple, TupleBuilder};
 pub use value::{Value, ValueKey};
